@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Sweep swarm size and compare algorithms at the largest size.
 
-Part one trains the meta learner at each swarm size in --sizes and
-reports tail-mean device satisfaction per size.  Part two pits the
-meta learner against the single-task baselines at the largest size
-via compare_algorithms.
+Part one trains the meta learner at each swarm size in --sizes, each
+size under its own scenario name ``<scenario>_n<size>``, and reports
+the tail-mean device satisfaction of each size from its summaries.
+Part two pits the meta learner against the single-task baselines at
+the largest size via compare_algorithms.
 """
 
 import argparse
-import csv
 import json
 from pathlib import Path
 
@@ -17,14 +17,6 @@ from swarmcover.harness import compare_algorithms, emit_plot_data, run_experimen
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINES = ("actor_critic", "dqn", "ppo")
-
-
-def tail_mean_satisfaction(seed_dir: Path, tail: float = 0.1) -> float:
-    with (seed_dir / "metrics.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    vals = [float(r["satisfaction"]) for r in rows]
-    keep = max(1, int(len(vals) * tail))
-    return sum(vals[-keep:]) / keep
 
 
 def main() -> None:
@@ -43,11 +35,15 @@ def main() -> None:
             overrides.setdefault("run", {})["out_dir"] = args.out
         return load_config(args.config, overrides=overrides)
 
+    scenario = build({}).run.scenario
     by_size = {}
     for size in args.sizes:
-        cfg = build({"env": {"swarm_size": size}})
+        cfg = build({"env": {"swarm_size": size}, "run": {"scenario": f"{scenario}_n{size}"}})
         seed_dirs = run_experiment(cfg)
-        per_seed = [tail_mean_satisfaction(d) for d in seed_dirs]
+        per_seed = [
+            json.loads((d / "summary.json").read_text(encoding="utf-8"))["satisfaction_tail_mean"]
+            for d in seed_dirs
+        ]
         by_size[size] = sum(per_seed) / len(per_seed)
         emit_plot_data(seed_dirs[0], "satisfaction_bars")
         print(f"swarm={size}: mean tail satisfaction {by_size[size]:.3f}")

@@ -387,12 +387,6 @@ def critic_td_accumulate(
     nets.accumulate(acc.d_critic, grads)
 
 
-def apply_update(params: PolicyParams, acc: GradAccumulator, lr: float) -> None:
-    """Gradient ascent on the actor, descent on the critic."""
-    nets.add_scaled(params.actor, acc.d_actor, +lr)
-    nets.add_scaled(params.critic, acc.d_critic, -lr)
-
-
 class Adam:
     """Adam (Kingma & Ba, 2015) for one network, on flat vectors in place.
 

@@ -159,25 +159,74 @@ def build_rate_table(
     params: lb.AirGroundParams,
     radio: lb.RadioConfig,
     altitude_m: float,
-) -> dict[tuple[int, int], float]:
-    """Uplink rate for every (cell, device-in-cell) pair at fixed altitude."""
-    table = {}
-    for cell_index, device_ids in world.cell_device_queue.items():
-        cx, cy = world.cell_center(cell_index)
-        for dev_id in device_ids:
-            geom = lb.LinkGeometry((cx, cy, altitude_m), world.devices[dev_id].position_xy)
-            table[(cell_index, dev_id)] = lb.achievable_rate_bps(geom, params, radio)
-    return table
+) -> tuple[float, ...]:
+    """Uplink rate of every device from above its cell's center, by device id."""
+    return tuple(
+        lb.achievable_rate_bps(
+            lb.LinkGeometry((*world.cell_center(cell), altitude_m), dev.position_xy), params, radio
+        )
+        for dev, cell in zip(world.devices, world.device_cell)
+    )
+
+
+@dataclass(frozen=True)
+class TaskTables:
+    """What stays fixed for one device layout and its strategic cells.
+
+    The environment and the exact solver read the same tables. Each
+    device sits in exactly one cell's queue, so device facts are indexed
+    by device id. Every move spans one cell width at a fixed altitude,
+    so one leg time serves every move.
+    """
+
+    world: ms.GridWorld
+    targets: tuple[tuple[int, ...], ...]  # [cell][action] -> destination cell
+    leg_time_s: float
+    queues: tuple[tuple[int, ...], ...]  # [cell] -> device ids in collection order
+    location: tuple[int, ...]  # [cell] -> strategic location index, -1 elsewhere
+    collect_time_s: tuple[float, ...]  # [device] packet bits over uplink rate
+    rate_ok: tuple[bool, ...]  # [device] uplink rate clears the floor
+    device_strategic: tuple[bool, ...]  # [device] sits on a strategic cell
+
+    @classmethod
+    def build(cls, world: ms.GridWorld, params: lb.AirGroundParams,
+              radio: lb.RadioConfig, altitude_m: float) -> "TaskTables":
+        cfg = world.config
+        cells = range(cfg.n_cells)
+        rates = build_rate_table(world, params, radio, altitude_m)
+        location = [-1] * cfg.n_cells
+        for loc in world.strategic:
+            location[loc.cell_index] = loc.id
+        return cls(
+            world=world,
+            targets=tuple(
+                tuple(move_target(c, a, cfg.cells_per_side) for a in range(N_ACTIONS))
+                for c in cells
+            ),
+            leg_time_s=cfg.cell_width_m / cfg.speed_mps,
+            queues=tuple(tuple(world.device_queue(c)) for c in cells),
+            location=tuple(location),
+            collect_time_s=tuple(d.packet_bits / r for d, r in zip(world.devices, rates)),
+            rate_ok=tuple(lb.rate_feasible(r, radio) for r in rates),
+            device_strategic=tuple(c in world.strategic_cells for c in world.device_cell),
+        )
 
 
 class CoverageEnv:
-    """Data-collection MDP over a :class:`ms.GridWorld`.
+    """Data-collection MDP over the :class:`TaskTables` of a task.
 
     The observation is a flat float vector: one cell one-hot per UAV
     slot (inactive slots stay zero), then per strategic location a cell
     one-hot plus its normalised remaining demand, then the visited-cell
     bitmap of the frame, then the normalised active-UAV count. All
     features lie in [0, 1].
+
+    Episode state lives in per-UAV columns (``uav_cell``, ``uav_active``,
+    ``uav_energy_j``, ``uav_d_com_s``, ``uav_d_data_s``, ``uav_served``
+    and ``uav_track``, the ``(slot, cell)`` visits of each UAV), one row
+    per UAV that flew this frame, plus the remaining ``demand`` per
+    strategic location. Active rows fill the observation slots in row
+    order.
     """
 
     def __init__(
@@ -194,8 +243,10 @@ class CoverageEnv:
         self.radio = radio
         self.cfg = env_cfg
         self.altitude_m = min(mission_cfg.uav_altitude_m, lb.max_altitude_m(link_params))
+        self.altitude_ok = self.altitude_m <= lb.max_altitude_m(link_params)
         self.energy_norm_j = mission_cfg.p_oper_watts * mission_cfg.slot_seconds
-        self.world: ms.GridWorld | None = None
+        self.tables: TaskTables | None = None
+        self._tables_key: tuple | None = None
         self.task: TaskSpec | None = None
         self.current_swarm_size = env_cfg.swarm_size
         self._rng = np.random.default_rng(0)
@@ -242,9 +293,15 @@ class CoverageEnv:
         return TaskSpec(size, tuple(int(c) for c in np.sort(cells)), seed, demands)
 
     def apply_swarm_event(self, event: SwarmEvent) -> int:
-        """Resize the swarm; returns the new size. Effective at the next
-        reset (events are scheduled on episode boundaries); when applied
-        mid-episode joining UAVs spawn immediately on free cells."""
+        """Resize the swarm; returns the new size.
+
+        Effective at the next reset (events are scheduled on episode
+        boundaries). Applied mid-episode, joining UAVs spawn at once on
+        free cells and take the next observation slots, and the highest
+        active slots leave. A departed UAV keeps its row: its energy,
+        service and visits still count toward the episode's energy and
+        coverage.
+        """
         if event.kind == "join":
             new_size = self.current_swarm_size + event.count
             if new_size > self.cfg.max_swarm:
@@ -254,20 +311,17 @@ class CoverageEnv:
             if new_size < 1:
                 raise ValueError("leave would empty the swarm")
         self.current_swarm_size = new_size
-        world = self.world
-        if world is not None and not self._done:
+        if not self._done:
+            rows = self._active_rows()
             if event.kind == "leave":
-                for uav in world.uavs[new_size:]:
-                    uav.active = False
-                world.uavs = world.uavs[:new_size]
+                for row in rows[new_size:]:
+                    self.uav_active[row] = False
             else:
-                occupied = {u.cell_index for u in world.uavs}
+                occupied = {self.uav_cell[r] for r in rows}
                 free = [c for c in range(self.n_cells) if c not in occupied]
-                fresh = self._rng.choice(len(free), size=new_size - len(world.uavs), replace=False)
-                for i, pick in enumerate(fresh):
-                    uav = ms.UavState(len(world.uavs) + i, free[int(pick)], self.altitude_m)
-                    uav.trajectory.append((self._slot, uav.cell_index))
-                    world.uavs.append(uav)
+                fresh = self._rng.choice(len(free), size=new_size - len(rows), replace=False)
+                for pick in fresh:
+                    self._add_uav(free[int(pick)])
         return new_size
 
     # --- episode lifecycle --------------------------------------------------
@@ -278,11 +332,13 @@ class CoverageEnv:
         rng_seed: int | None = None,
         start_cells: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Build the world for ``task`` and start a fresh frame.
+        """Start a fresh frame of ``task``.
 
         Start cells are sampled uniformly without collision unless given
         explicitly. The seed fixes start cells and nothing else; the
-        device layout comes from the task's own seed.
+        device layout comes from the task's own seed. The task tables
+        are rebuilt only when the strategic cells or the layout seed
+        change.
         """
         if task is None:
             # A bare reset keeps the swarm size left behind by events.
@@ -293,35 +349,40 @@ class CoverageEnv:
             raise ValueError("more UAVs than cells")
         if len(task.strategic_cells) != self.cfg.num_strategic:
             raise ValueError("task must carry num_strategic strategic cells")
+        if len(task.initial_demands) != len(task.strategic_cells):
+            raise ValueError("one demand per strategic cell required")
         self.task = task
         self.current_swarm_size = task.swarm_size
         self._rng = np.random.default_rng(rng_seed)
 
-        devices = ms.default_device_layout(
-            self.mission_cfg,
-            task.strategic_cells,
-            seed=task.device_seed,
-            count=max(self.cfg.device_count, len(task.strategic_cells)),
-            tx_watts=self.radio.device_tx_watts,
-        )
-        world = ms.build_grid(
-            self.mission_cfg, devices, task.strategic_cells, task.initial_demands
-        )
+        key = (task.strategic_cells, task.device_seed)
+        if key != self._tables_key:
+            devices = ms.default_device_layout(
+                self.mission_cfg,
+                task.strategic_cells,
+                seed=task.device_seed,
+                count=max(self.cfg.device_count, len(task.strategic_cells)),
+                tx_watts=self.radio.device_tx_watts,
+            )
+            world = ms.build_grid(
+                self.mission_cfg, devices, task.strategic_cells, task.initial_demands
+            )
+            self.tables = TaskTables.build(world, self.link_params, self.radio, self.altitude_m)
+            self._tables_key = key
         if start_cells is None:
             picks = self._rng.choice(self.n_cells, size=task.swarm_size, replace=False)
             start_cells = [int(c) for c in picks]
         elif len(set(start_cells)) != task.swarm_size:
             raise ValueError("start cells must be distinct and match the swarm size")
-        for uid, cell in enumerate(start_cells):
-            uav = ms.UavState(uid, int(cell), self.altitude_m)
-            uav.trajectory.append((0, int(cell)))
-            world.uavs.append(uav)
-        self.world = world
-        self.rate_table = build_rate_table(world, self.link_params, self.radio, self.altitude_m)
-        self.altitude_ok = self.altitude_m <= lb.max_altitude_m(self.link_params)
 
         self._slot = 0
         self._done = False
+        self.uav_cell, self.uav_active, self.uav_served = [], [], []
+        self.uav_energy_j, self.uav_d_com_s, self.uav_d_data_s = [], [], []
+        self.uav_track = []
+        for cell in start_cells:
+            self._add_uav(int(cell))
+        self.demand = [float(d) for d in task.initial_demands]
         self._collected: set[int] = set()
         self._satisfied_units = 0.0
         self._total_demand = float(sum(task.initial_demands))
@@ -334,58 +395,60 @@ class CoverageEnv:
         self._reward_sum = 0.0
         return self.encode_state()
 
+    def _add_uav(self, cell: int) -> None:
+        self.uav_cell.append(cell)
+        self.uav_active.append(True)
+        self.uav_energy_j.append(0.0)
+        self.uav_d_com_s.append(0.0)
+        self.uav_d_data_s.append(0.0)
+        self.uav_served.append(False)
+        self.uav_track.append([(self._slot, cell)])
+
+    def _active_rows(self) -> list[int]:
+        return [row for row, on in enumerate(self.uav_active) if on]
+
     def step(self, actions: Sequence[int]) -> StepOutcome:
         """Advance one slot. ``actions`` holds one action id per active UAV."""
-        if self._done or self.world is None:
+        if self._done or self.tables is None:
             raise RuntimeError("step() called on a finished episode; call reset()")
-        world = self.world
-        uavs = world.active_uavs()
-        if len(actions) < len(uavs):
+        tables = self.tables
+        rows = self._active_rows()
+        if len(actions) < len(rows):
             raise ValueError("need one action per active UAV")
-        n_side = self.mission_cfg.cells_per_side
 
-        origins = [u.cell_index for u in uavs]
-        targets = [
-            move_target(uav.cell_index, action, n_side)
-            for uav, action in zip(uavs, actions)
-        ]
+        origins = [self.uav_cell[row] for row in rows]
+        targets = [tables.targets[cell][action] for cell, action in zip(origins, actions)]
         finals, collided = resolve_moves(origins, targets)
 
         self._slot += 1
         step_energy = 0.0
         uav_energy = []
-        rate_ok = [True] * len(uavs)
+        rate_ok = [True] * len(rows)
         collected_now = []
-        for i, uav in enumerate(uavs):
-            leg_t = 0.0
-            if finals[i] != origins[i]:
-                leg_t = ms.travel_time_s(
-                    (*world.cell_center(origins[i]), uav.altitude_m),
-                    (*world.cell_center(finals[i]), uav.altitude_m),
-                    self.mission_cfg.speed_mps,
-                )
-            uav.cell_index = finals[i]
+        for i, row in enumerate(rows):
+            cell = finals[i]
+            leg_t = tables.leg_time_s if cell != origins[i] else 0.0
             collect_t = 0.0
             # A cancelled mover forfeits its slot: no move, no collection.
-            dev_id = None if collided[i] else self._next_uncollected(finals[i])
+            dev_id = None if collided[i] else self._next_uncollected(cell)
             if dev_id is not None:
-                rate = self.rate_table[(finals[i], dev_id)]
-                collect_t = world.devices[dev_id].packet_bits / rate
+                collect_t = tables.collect_time_s[dev_id]
                 self._collected.add(dev_id)
-                rate_ok[i] = lb.rate_feasible(rate, self.radio)
-                if finals[i] in world.strategic_cells:
-                    uav.served_strategic = True
+                rate_ok[i] = tables.rate_ok[dev_id]
+                if tables.device_strategic[dev_id]:
+                    self.uav_served[row] = True
                 collected_now.append(dev_id)
-            uav.d_com_s += leg_t
-            uav.d_data_s += collect_t
             e = ms.uav_energy_j(leg_t + collect_t, collect_t, self.mission_cfg)
-            uav.energy_j += e
-            uav.trajectory.append((self._slot, finals[i]))
+            self.uav_cell[row] = cell
+            self.uav_d_com_s[row] += leg_t
+            self.uav_d_data_s[row] += collect_t
+            self.uav_energy_j[row] += e
+            self.uav_track[row].append((self._slot, cell))
             self._d_com += leg_t
             self._d_data += collect_t
-            self._cell_energy[finals[i]] += e
-            self._visits[finals[i]] += 1
-            self._visited[finals[i]] = 1.0
+            self._cell_energy[cell] += e
+            self._visits[cell] += 1
+            self._visited[cell] = 1.0
             step_energy += e
             uav_energy.append(e)
 
@@ -394,7 +457,7 @@ class CoverageEnv:
         )
         reward = 0.0
         ok_flags = []
-        for i in range(len(uavs)):
+        for i in range(len(rows)):
             if collided[i]:
                 reward -= 1.0
                 ok_flags.append(False)
@@ -406,15 +469,14 @@ class CoverageEnv:
         self._collisions += sum(collided)
 
         bonuses = 0.0
-        uav_bonus = [0.0] * len(uavs)
-        strategic_by_cell = {s.cell_index: s for s in world.strategic}
-        for i, uav in enumerate(uavs):
-            loc = strategic_by_cell.get(finals[i])
-            if loc is not None and loc.demand > 0.0:
+        uav_bonus = [0.0] * len(rows)
+        for i, cell in enumerate(finals):
+            loc = tables.location[cell]
+            if loc >= 0 and self.demand[loc] > 0.0:
                 bonus = strategic_reward(self._satisfied_units)
                 bonuses += bonus
                 uav_bonus[i] = bonus
-                loc.demand = max(0.0, loc.demand - 1.0)
+                self.demand[loc] = max(0.0, self.demand[loc] - 1.0)
                 self._satisfied_units += 1.0
         reward += bonuses
         shaping = self.cfg.lambda_energy * step_energy / self.energy_norm_j
@@ -442,7 +504,7 @@ class CoverageEnv:
         return StepOutcome(self.encode_state(), reward, self._done, info, uav_rewards)
 
     def _next_uncollected(self, cell_index: int) -> int | None:
-        for dev_id in self.world.device_queue(cell_index):
+        for dev_id in self.tables.queues[cell_index]:
             if dev_id not in self._collected:
                 return dev_id
         return None
@@ -450,38 +512,40 @@ class CoverageEnv:
     # --- observations and accounting ---------------------------------------
 
     def encode_state(self) -> np.ndarray:
-        """Flat observation vector for the current world state."""
-        world = self.world
-        if world is None:
+        """Flat observation vector for the current episode state."""
+        if self.tables is None:
             raise RuntimeError("encode_state() before reset()")
         c = self.n_cells
         vec = np.zeros(self.state_dim, dtype=np.float64)
-        for uav in world.uavs:
-            if uav.active and uav.id < self.cfg.max_swarm:
-                vec[uav.id * c + uav.cell_index] = 1.0
+        rows = self._active_rows()
+        for slot, row in enumerate(rows):
+            vec[slot * c + self.uav_cell[row]] = 1.0
         base = c * self.cfg.max_swarm
-        for i, loc in enumerate(world.strategic):
-            vec[base + i * (c + 1) + loc.cell_index] = 1.0
-            if loc.initial_demand > 0.0:
-                vec[base + i * (c + 1) + c] = loc.demand / loc.initial_demand
+        task = self.task
+        for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
+            vec[base + i * (c + 1) + cell] = 1.0
+            if initial > 0.0:
+                vec[base + i * (c + 1) + c] = self.demand[i] / initial
         base += (c + 1) * self.cfg.num_strategic
         vec[base : base + c] = self._visited
-        vec[base + c] = len(world.active_uavs()) / self.cfg.max_swarm
+        vec[base + c] = len(rows) / self.cfg.max_swarm
         return vec
 
     def episode_stats(self) -> dict:
-        """Accounting snapshot used by the harness after each episode."""
-        world = self.world
-        strat = sorted(world.strategic_cells)
-        strategic_energy = float(sum(self._cell_energy[c] for c in strat))
+        """Accounting snapshot used by the harness after each episode.
+
+        Energy and coverage count every UAV that flew this frame,
+        including ones that left mid-episode.
+        """
+        strategic = self.task.strategic_cells
+        strategic_energy = float(sum(self._cell_energy[c] for c in sorted(strategic)))
         total_energy = float(self._cell_energy.sum())
-        per_uav = [(u.energy_j, u.served_strategic) for u in world.uavs]
         return {
             "reward": self._reward_sum,
-            "swarm_size": len(world.active_uavs()),
+            "swarm_size": len(self._active_rows()),
             "steps": self._slot,
             "energy_total_j": total_energy,
-            "energy_masked_j": float(ms.swarm_energy_j(per_uav)),
+            "energy_masked_j": float(ms.swarm_energy_j(zip(self.uav_energy_j, self.uav_served))),
             "energy_strategic_j": strategic_energy,
             "energy_nonstrategic_j": total_energy - strategic_energy,
             "satisfied_units": self._satisfied_units,
@@ -492,7 +556,7 @@ class CoverageEnv:
             "collisions": self._collisions,
             "d_data_s": self._d_data,
             "d_com_s": self._d_com,
-            "coverage_ok": ms.strategic_coverage_satisfied(world),
+            "coverage_ok": ms.strategic_coverage_satisfied(strategic, self.uav_track),
             "visits": self._visits.copy(),
         }
 

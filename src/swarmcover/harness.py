@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,29 +62,15 @@ class EpisodeMetrics:
 
     @classmethod
     def from_stats(cls, episode: int, stats: dict) -> "EpisodeMetrics":
-        return cls(
-            episode=episode,
-            swarm_size=int(stats["swarm_size"]),
-            reward=float(stats["reward"]),
-            satisfaction=float(stats["satisfaction"]),
-            energy_total_j=float(stats["energy_total_j"]),
-            energy_masked_j=float(stats["energy_masked_j"]),
-            energy_strategic_j=float(stats["energy_strategic_j"]),
-            energy_nonstrategic_j=float(stats["energy_nonstrategic_j"]),
-            collisions=int(stats["collisions"]),
-            d_data_s=float(stats["d_data_s"]),
-            d_com_s=float(stats["d_com_s"]),
-            coverage_ok=bool(stats["coverage_ok"]),
-            visits=tuple(int(v) for v in stats["visits"]),
-        )
+        values = dict(stats, episode=episode)
+        scalars = {f.name: _FROM_STATS[f.type](values[f.name]) for f in _SCALAR_FIELDS}
+        return cls(visits=tuple(int(v) for v in stats["visits"]), **scalars)
 
 
-_SCALAR_COLUMNS = (
-    "episode", "swarm_size", "reward", "satisfaction",
-    "energy_total_j", "energy_masked_j", "energy_strategic_j",
-    "energy_nonstrategic_j", "collisions", "d_data_s", "d_com_s",
-    "coverage_ok",
-)
+#: The metrics.csv schema: every field but ``visits``, then one visits column per cell.
+_SCALAR_FIELDS = tuple(f for f in fields(EpisodeMetrics) if f.name != "visits")
+_FROM_STATS = {"int": int, "float": float, "bool": bool}
+_FROM_CELL = {"int": int, "float": float, "bool": lambda text: text == "1"}
 
 
 def _cell(value) -> str:
@@ -99,39 +85,24 @@ def write_metrics(path: Path, rows: Sequence[EpisodeMetrics]) -> None:
     if not rows:
         raise ValueError("refusing to write an empty metrics file")
     n_cells = len(rows[0].visits)
-    header = list(_SCALAR_COLUMNS) + [f"visits_{i}" for i in range(n_cells)]
+    header = [f.name for f in _SCALAR_FIELDS] + [f"visits_{i}" for i in range(n_cells)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            scalars = [getattr(row, c) for c in _SCALAR_COLUMNS]
+            scalars = [getattr(row, f.name) for f in _SCALAR_FIELDS]
             writer.writerow([_cell(v) for v in scalars] + [str(v) for v in row.visits])
 
 
 def read_metrics(path: Path) -> list[EpisodeMetrics]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            visits = tuple(
-                int(rec[k]) for k in rec if k.startswith("visits_")
+        return [
+            EpisodeMetrics(
+                visits=tuple(int(rec[k]) for k in rec if k.startswith("visits_")),
+                **{f.name: _FROM_CELL[f.type](rec[f.name]) for f in _SCALAR_FIELDS},
             )
-            rows.append(EpisodeMetrics(
-                episode=int(rec["episode"]),
-                swarm_size=int(rec["swarm_size"]),
-                reward=float(rec["reward"]),
-                satisfaction=float(rec["satisfaction"]),
-                energy_total_j=float(rec["energy_total_j"]),
-                energy_masked_j=float(rec["energy_masked_j"]),
-                energy_strategic_j=float(rec["energy_strategic_j"]),
-                energy_nonstrategic_j=float(rec["energy_nonstrategic_j"]),
-                collisions=int(rec["collisions"]),
-                d_data_s=float(rec["d_data_s"]),
-                d_com_s=float(rec["d_com_s"]),
-                coverage_ok=rec["coverage_ok"] == "1",
-                visits=visits,
-            ))
-    return rows
+            for rec in csv.DictReader(fh)
+        ]
 
 
 # --- convergence estimation --------------------------------------------------
@@ -355,17 +326,18 @@ def _summary(cfg: ExperimentConfig, seed: int, metrics: list[EpisodeMetrics]) ->
     }
 
 
-def _write_heatmap(path: Path, cfg: ExperimentConfig, metrics: list[EpisodeMetrics]) -> None:
-    tail = _tail_slice(metrics, cfg.run.plateau_tail)
-    n_cells = len(metrics[0].visits)
-    n_side = cfg.mission.cells_per_side
-    counts = [sum(m.visits[i] for m in tail) for i in range(n_cells)]
-    strategic = set(cfg.env.strategic_cells)
+def _write_heatmap(path: Path, metrics: Sequence[EpisodeMetrics], summary: dict) -> None:
+    """Per-cell visit counts summed over the plateau tail of a run."""
+    rows = _tail_slice(metrics, summary["plateau_tail"])
+    n_side = summary["cells_per_side"]
+    strategic = set(summary["strategic_cells"])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cell_x", "cell_y", "visits", "is_strategic"])
-        for i in range(n_cells):
-            writer.writerow([i % n_side, i // n_side, counts[i], int(i in strategic)])
+        for i in range(len(metrics[0].visits)):
+            writer.writerow([
+                i % n_side, i // n_side, sum(m.visits[i] for m in rows), int(i in strategic),
+            ])
 
 
 def run_experiment(cfg: ExperimentConfig, base_dir: str | Path | None = None) -> list[Path]:
@@ -384,10 +356,11 @@ def run_experiment(cfg: ExperimentConfig, base_dir: str | Path | None = None) ->
         seed_dir.mkdir(parents=True)
         try:
             metrics = _train_one_seed(cfg, seed)
+            summary = _summary(cfg, seed, metrics)
             write_metrics(seed_dir / "metrics.csv", metrics)
-            _write_heatmap(seed_dir / "heatmap.csv", cfg, metrics)
+            _write_heatmap(seed_dir / "heatmap.csv", metrics, summary)
             with open(seed_dir / "summary.json", "w", encoding="utf-8") as fh:
-                json.dump(_summary(cfg, seed, metrics), fh, indent=2, sort_keys=True)
+                json.dump(summary, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             write_resolved(cfg, seed_dir / "resolved_config.json")
         except BaseException:
@@ -430,17 +403,12 @@ def compare_algorithms(
     for cfg in cfgs:
         plateau_eps, sats, e_strat, e_non, plateaus = [], [], [], [], []
         for seed in cfg.run.seeds:
-            metrics = _train_one_seed(cfg, seed)
-            ep, plateau = episodes_to_plateau(
-                [m.reward for m in metrics],
-                cfg.run.ma_window, cfg.run.plateau_tail, cfg.run.convergence_level,
-            )
-            tail = _tail_slice(metrics, cfg.run.plateau_tail)
-            plateau_eps.append(ep)
-            plateaus.append(plateau)
-            sats.append(float(np.mean([m.satisfaction for m in tail])))
-            e_strat.append(float(np.mean([m.energy_strategic_j for m in tail])))
-            e_non.append(float(np.mean([m.energy_nonstrategic_j for m in tail])))
+            summary = _summary(cfg, seed, _train_one_seed(cfg, seed))
+            plateau_eps.append(summary["plateau_episode"])
+            plateaus.append(summary["plateau_reward"])
+            sats.append(summary["satisfaction_tail_mean"])
+            e_strat.append(summary["energy_strategic_tail_mean"])
+            e_non.append(summary["energy_nonstrategic_tail_mean"])
         rows.append({
             "scenario": cfg.run.scenario,
             "algorithm": cfg.run.algorithm,
@@ -492,21 +460,13 @@ def emit_plot_data(
         summary = json.load(fh)
     out = Path(out_path) if out_path is not None else run_dir / f"plot_{kind}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "heatmap":
+        _write_heatmap(out, metrics, summary)
+        return out
 
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if kind == "heatmap":
-            tail = _tail_slice(metrics, float(summary["plateau_tail"]))
-            n_cells = len(metrics[0].visits)
-            n_side = int(summary["cells_per_side"])
-            strategic = set(summary["strategic_cells"])
-            writer.writerow(["cell_x", "cell_y", "visits", "is_strategic"])
-            for i in range(n_cells):
-                writer.writerow([
-                    i % n_side, i // n_side,
-                    sum(m.visits[i] for m in tail), int(i in strategic),
-                ])
-        elif kind == "learning_curve":
+        if kind == "learning_curve":
             ma = moving_average([m.reward for m in metrics], int(summary["ma_window"]))
             writer.writerow(["episode", "reward", "reward_ma", "swarm_size", "satisfaction"])
             for m, avg in zip(metrics, ma):

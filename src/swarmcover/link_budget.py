@@ -15,7 +15,7 @@ config boundary (see ``params_from_preset``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 
@@ -232,20 +232,12 @@ def rate_feasible(rate_bps: float, radio: RadioConfig) -> bool:
     return rate_bps >= radio.rate_floor_bps
 
 
-def max_altitude_m(params: AirGroundParams, sqrt: bool = True) -> float:
+def max_altitude_m(params: AirGroundParams) -> float:
     """Altitude ceiling at which an overhead pure-LoS link still meets min_snr.
 
     Solves ``max_tx / (psi_los * (f0 * h)^2 * noise) = min_snr`` for h,
-    with ``f0 = 4 pi f_c / c``. With ``sqrt=False`` the unrooted ratio
-    ``max_tx / (min_snr * f0^2 * noise * psi_los)`` is returned instead;
-    that quantity has units of m^2 and exists only for compatibility
-    with conventions that leave the root implicit.
+    with ``f0 = 4 pi f_c / c``.
     """
     f0 = 4.0 * math.pi * params.carrier_hz / SPEED_OF_LIGHT_MPS
     bound = params.max_tx_watts / (params.min_snr * f0 * f0 * params.noise_watts * params.psi_los)
-    return math.sqrt(bound) if sqrt else bound
-
-
-def with_overrides(params: AirGroundParams, **changes) -> AirGroundParams:
-    """Return a copy of ``params`` with the given fields replaced."""
-    return replace(params, **changes)
+    return math.sqrt(bound)

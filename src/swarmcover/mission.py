@@ -4,8 +4,8 @@ The mission area is a square split into ``cells_per_side ** 2`` equal
 cells, laid out row-major with cell ``(col i, row j)`` centered at
 ``((i + 0.5) * w, (j + 0.5) * w)``. A mission frame lasts
 ``frame_seconds`` and is divided into ``slots`` equal decision slots.
-Ground devices each hold one data packet; strategic locations carry a
-demand counter that UAV visits work down during a frame.
+Ground devices each hold one data packet; strategic locations carry the
+demand a frame starts with (the environment counts it down).
 
 Delay accounting splits into data time (packet bits over link rate,
 summed across collected packets) and commute time (leg length over
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -67,13 +67,6 @@ class MissionConfig:
 
 
 @dataclass(frozen=True)
-class Cell:
-    index: int
-    center_xy: tuple[float, float]
-    is_strategic: bool = False
-
-
-@dataclass(frozen=True)
 class IotDevice:
     """One ground device holding a single uncollected packet."""
 
@@ -83,46 +76,29 @@ class IotDevice:
     tx_watts: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategicLocation:
-    """A cell that must be served, with a per-frame demand counter."""
+    """A cell that must be served, with the demand it starts a frame with."""
 
     id: int
     cell_index: int
-    demand: float
     initial_demand: float
 
 
-@dataclass
-class UavState:
-    """Mutable per-UAV trajectory and accounting state for one frame."""
-
-    id: int
-    cell_index: int
-    altitude_m: float
-    trajectory: list[tuple[int, int]] = field(default_factory=list)  # (slot, cell)
-    energy_j: float = 0.0
-    d_com_s: float = 0.0
-    d_data_s: float = 0.0
-    active: bool = True
-    served_strategic: bool = False
-
-
 class GridWorld:
-    """Cells, devices, strategic locations and the UAVs that fly over them."""
+    """Cell centers, devices and strategic locations: the static part of a mission."""
 
     def __init__(
         self,
         config: MissionConfig,
-        cells: list[Cell],
+        centers: list[tuple[float, float]],
         devices: list[IotDevice],
         strategic: list[StrategicLocation],
     ) -> None:
         self.config = config
-        self.cells = cells
+        self.centers = centers
         self.devices = devices
         self.strategic = strategic
-        self.uavs: list[UavState] = []
         self.strategic_cells = {s.cell_index for s in strategic}
         # Nearest-center assignment of devices to cells, and per-cell
         # collection order (closest to the center first, id breaks ties).
@@ -131,12 +107,12 @@ class GridWorld:
         for dev in devices:
             queues.setdefault(self.device_cell[dev.id], []).append(dev.id)
         for cell_index, ids in queues.items():
-            center = cells[cell_index].center_xy
+            center = centers[cell_index]
             ids.sort(key=lambda i: (_dist2(devices[i].position_xy, center), i))
         self.cell_device_queue = queues
 
     def cell_center(self, index: int) -> tuple[float, float]:
-        return self.cells[index].center_xy
+        return self.centers[index]
 
     def cell_of_position(self, x: float, y: float) -> int:
         w = self.config.cell_width_m
@@ -148,9 +124,6 @@ class GridWorld:
     def device_queue(self, cell_index: int) -> list[int]:
         """Device ids assigned to a cell, in collection order."""
         return self.cell_device_queue.get(cell_index, [])
-
-    def active_uavs(self) -> list[UavState]:
-        return [u for u in self.uavs if u.active]
 
 
 def _dist2(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -170,14 +143,9 @@ def build_grid(
     """
     n = config.cells_per_side
     w = config.cell_width_m
-    cells = []
-    strategic_set = set(strategic_cells)
-    if len(strategic_set) != len(strategic_cells):
+    if len(set(strategic_cells)) != len(strategic_cells):
         raise ValueError("strategic cells must be distinct")
-    for index in range(config.n_cells):
-        col, row = index % n, index // n
-        center = ((col + 0.5) * w, (row + 0.5) * w)
-        cells.append(Cell(index, center, index in strategic_set))
+    centers = [((i % n + 0.5) * w, (i // n + 0.5) * w) for i in range(config.n_cells)]
     for c in strategic_cells:
         if not 0 <= c < config.n_cells:
             raise ValueError(f"strategic cell {c} outside grid of {config.n_cells} cells")
@@ -196,11 +164,8 @@ def build_grid(
         demands = [float(d) for d in initial_demand]
         if len(demands) != len(strategic_cells):
             raise ValueError("one demand per strategic cell required")
-    strategic = [
-        StrategicLocation(i, cell, demands[i], demands[i])
-        for i, cell in enumerate(strategic_cells)
-    ]
-    return GridWorld(config, cells, devices, strategic)
+    strategic = [StrategicLocation(i, cell, demands[i]) for i, cell in enumerate(strategic_cells)]
+    return GridWorld(config, centers, devices, strategic)
 
 
 def default_device_layout(
@@ -251,18 +216,6 @@ def data_delay_s(collections: Iterable[tuple[float, float]]) -> float:
     return total
 
 
-def completion_delay_s(
-    trajectories: Iterable[Sequence[Sequence[float]]], speed_mps: float
-) -> float:
-    """Summed commute time of every leg of every UAV trajectory."""
-    total = 0.0
-    for waypoints in trajectories:
-        pts = list(waypoints)
-        for a, b in zip(pts, pts[1:]):
-            total += travel_time_s(a, b, speed_mps)
-    return total
-
-
 def total_delay_s(d_data_s: float, d_com_s: float) -> float:
     """Mission delay: data time plus commute time."""
     return d_data_s + d_com_s
@@ -292,20 +245,17 @@ def swarm_energy_j(per_uav: Iterable[tuple[float, bool]]) -> float:
     return sum(e for e, serving in per_uav if serving)
 
 
-def strategic_coverage_satisfied(world: GridWorld) -> bool:
-    """True when every strategic location was visited this frame.
+def strategic_coverage_satisfied(
+    strategic_cells: Iterable[int], tracks: Iterable[Sequence[tuple[int, int]]]
+) -> bool:
+    """True when every strategic cell was visited this frame.
 
-    A visit is an active UAV ending some slot on the cell; the sampled
-    start position alone (slot 0) does not count.
+    ``tracks`` holds one ``(slot, cell)`` sequence per UAV. A visit is a
+    UAV ending some slot on the cell; the sampled start position alone
+    (slot 0) does not count.
     """
-    for loc in world.strategic:
-        hit = any(
-            any(slot > 0 and cell == loc.cell_index for slot, cell in uav.trajectory)
-            for uav in world.active_uavs()
-        )
-        if not hit:
-            return False
-    return True
+    visited = {cell for track in tracks for slot, cell in track if slot > 0}
+    return set(strategic_cells) <= visited
 
 
 # --- layout files ---------------------------------------------------------

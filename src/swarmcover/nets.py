@@ -96,12 +96,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def policy_heads(raw: np.ndarray, heads: int, n_actions: int) -> np.ndarray:
-    """Reshape a flat logit row into per-UAV softmax distributions."""
-    logits = raw.reshape(raw.shape[0], heads, n_actions)
-    return softmax(logits)
-
-
 # --- flat-vector views (finite differencing, interpolation) ----------------
 
 def flatten_params(params: dict, cfg: NetConfig) -> np.ndarray:

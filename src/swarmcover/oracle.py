@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import link_budget as lb
 from . import mission as ms
-from .env import ACTIONS, N_ACTIONS, build_rate_table, move_target, resolve_moves
+from .env import ACTIONS, N_ACTIONS, TaskTables, move_target, resolve_moves
 
 #: Per-UAV exploration order: hover before any movement.
 SEARCH_ORDER = (4, 0, 1, 2, 3)
@@ -116,29 +116,16 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
             f"{space} joint sequences exceed the budget of {instance.budget}"
         )
 
-    world = instance.build_world()
     cfg = instance.mission
-    n_side = cfg.cells_per_side
     altitude = instance.altitude_m
-    altitude_ok = altitude <= lb.max_altitude_m(instance.link)
-    if not altitude_ok:
+    if altitude > lb.max_altitude_m(instance.link):
         return ExactSolution(False, None, None, None, None, 0, 0, 0)
 
-    leg_time = cfg.cell_width_m / cfg.speed_mps
-    rate_table = build_rate_table(world, instance.link, instance.radio, altitude)
-    queues = {c: tuple(world.device_queue(c)) for c in range(cfg.n_cells)}
-    collect_time = {
-        (cell, dev): world.devices[dev].packet_bits / rate
-        for (cell, dev), rate in rate_table.items()
-    }
-    rate_ok_table = {
-        key: lb.rate_feasible(rate, instance.radio) for key, rate in rate_table.items()
-    }
-    targets = [
-        [move_target(c, a, n_side) for a in range(N_ACTIONS)] for c in range(cfg.n_cells)
-    ]
+    tables = TaskTables.build(instance.build_world(), instance.link, instance.radio, altitude)
+    targets, queues, leg_time = tables.targets, tables.queues, tables.leg_time_s
+    collect_time, rate_ok = tables.collect_time_s, tables.rate_ok
+    device_strategic = tables.device_strategic
     strategic = set(instance.strategic_cells)
-    device_strategic = [world.device_cell[d.id] in strategic for d in world.devices]
     joint_choices = list(product(SEARCH_ORDER, repeat=n_uavs))
 
     best_objective = math.inf
@@ -186,12 +173,11 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
                 for dev in queues[finals[u]]:
                     bit = 1 << dev
                     if not new_collected & bit:
-                        key = (finals[u], dev)
-                        if not rate_ok_table[key]:
+                        if not rate_ok[dev]:
                             violated = True
                         new_collected |= bit
-                        new_d_data[u] += collect_time[key]
-                        step_time += collect_time[key]
+                        new_d_data[u] += collect_time[dev]
+                        step_time += collect_time[dev]
                         if device_strategic[dev]:
                             new_served[u] = True
                         break
@@ -228,7 +214,7 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
         tuple(cells_per_slot[t][u] for t in range(instance.horizon + 1))
         for u in range(n_uavs)
     )
-    actions = _actions_from_cells(trajectories, n_side)
+    actions = _actions_from_cells(trajectories, targets)
     d_com, d_data, served = best_accounting
     unmasked = sum(p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u] for u in range(n_uavs))
     return ExactSolution(
@@ -238,30 +224,21 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
 
 
 def _actions_from_cells(
-    trajectories: Sequence[Sequence[int]], n_side: int
+    trajectories: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """Recover one realising joint action per slot from cell sequences.
 
     Stationary slots map to hover even when a border-clamped or
     cancelled move could also explain them.
     """
-    horizon = len(trajectories[0]) - 1
-    out = []
-    for t in range(horizon):
-        joint = []
-        for traj in trajectories:
-            a, b = traj[t], traj[t + 1]
-            if a == b:
-                joint.append(ACTIONS.index("hover"))
-                continue
-            for action in range(N_ACTIONS):
-                if move_target(a, action, n_side) == b:
-                    joint.append(action)
-                    break
-            else:
-                raise ValueError(f"cells {a} -> {b} are not one move apart")
-        out.append(tuple(joint))
-    return tuple(out)
+    hover = ACTIONS.index("hover")
+    return tuple(
+        tuple(
+            hover if traj[t] == traj[t + 1] else targets[traj[t]].index(traj[t + 1])
+            for traj in trajectories
+        )
+        for t in range(len(trajectories[0]) - 1)
+    )
 
 
 def verify_feasibility(

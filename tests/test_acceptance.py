@@ -277,7 +277,7 @@ def test_trained_agent_matches_exhaustive_optimum():
         learner = make_learner("dqn", env.state_dim, env.cfg.max_swarm, cfg, rng)
         train_task(env, task, learner, episodes, rng, cfg, schedule_total=episodes)
         greedy_episode(env, task, learner, rng_seed=0, start_cells=(1,))
-        trajectory = tuple(c for _, c in env.world.uavs[0].trajectory)
+        trajectory = tuple(c for _, c in env.uav_track[0])
         report = verify_feasibility([trajectory], instance)
         wins.append(report.all_ok and report.objective_j <= 1.05 * best.objective_j)
 

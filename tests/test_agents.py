@@ -371,27 +371,6 @@ def test_replacing_learner_params_restarts_adam():
     )
 
 
-def test_apply_update_directions_and_magnitude():
-    params = tiny_params()
-    acc = ag.GradAccumulator.zeros(params)
-    params.actor["b0"][0] = 1.0
-    params.critic["b0"][0] = 1.0
-    acc.d_actor["b0"][0] = 2.0
-    acc.d_critic["b0"][0] = 2.0
-    ag.apply_update(params, acc, lr=1e-4)
-    assert params.actor["b0"][0] == pytest.approx(1.0002, rel=1e-12)   # ascent
-    assert params.critic["b0"][0] == pytest.approx(0.9998, rel=1e-12)  # descent
-
-
-def test_apply_update_zero_accumulator_is_identity():
-    params = tiny_params(seed=11)
-    before_actor = nets.flatten_params(params.actor, params.actor_cfg).copy()
-    ag.apply_update(params, ag.GradAccumulator.zeros(params), lr=0.5)
-    np.testing.assert_array_equal(
-        nets.flatten_params(params.actor, params.actor_cfg), before_actor
-    )
-
-
 # --- DQN --------------------------------------------------------------------------
 
 def test_dqn_gamma_zero_reduces_target_to_reward():

@@ -19,9 +19,9 @@ NORTH = envmod.ACTIONS.index("north")
 def test_reset_sampled_starts_are_distinct_and_deterministic():
     env = envmod.make_env()
     env.reset(rng_seed=11)
-    cells_a = [u.cell_index for u in env.world.uavs]
+    cells_a = env.uav_cell
     env.reset(rng_seed=11)
-    cells_b = [u.cell_index for u in env.world.uavs]
+    cells_b = env.uav_cell
     assert cells_a == cells_b
     assert len(set(cells_a)) == 4
 
@@ -35,9 +35,9 @@ def test_reset_restores_initial_demands():
     env = small_env()
     env.reset(start_cells=[4, 0], rng_seed=0)
     env.step([HOVER, HOVER])  # burns one demand unit on cell 4
-    assert env.world.strategic[0].demand == 2.0
+    assert env.demand[0] == 2.0
     env.reset(start_cells=[4, 0], rng_seed=0)
-    assert env.world.strategic[0].demand == env.world.strategic[0].initial_demand == 3.0
+    assert env.demand[0] == env.task.initial_demands[0] == 3.0
 
 
 def test_reset_validates_explicit_start_cells():
@@ -52,7 +52,7 @@ def test_border_moves_degrade_to_hover():
     env = small_env(swarm=1, strategic=(8,))
     env.reset(start_cells=[0])
     out = env.step([SOUTH])  # off the bottom edge
-    assert env.world.uavs[0].cell_index == 0
+    assert env.uav_cell[0] == 0
     assert out.info["collided"] == [False]
     assert out.info["cells"] == [0]
 
@@ -62,7 +62,7 @@ def test_head_on_moves_collide_and_bounce():
     env.reset(start_cells=[0, 2])
     out = env.step([EAST, WEST])  # both into cell 1
     assert out.info["collided"] == [True, True]
-    assert [u.cell_index for u in env.world.uavs] == [0, 2]
+    assert env.uav_cell == [0, 2]
 
 
 def test_mover_into_hoverer_bounces_only_the_mover():
@@ -70,7 +70,7 @@ def test_mover_into_hoverer_bounces_only_the_mover():
     env.reset(start_cells=[0, 1])
     out = env.step([EAST, HOVER])
     assert out.info["collided"] == [True, False]
-    assert [u.cell_index for u in env.world.uavs] == [0, 1]
+    assert env.uav_cell == [0, 1]
 
 
 def test_swap_is_allowed():
@@ -78,7 +78,7 @@ def test_swap_is_allowed():
     env.reset(start_cells=[0, 1])
     out = env.step([EAST, WEST])
     assert out.info["collided"] == [False, False]
-    assert [u.cell_index for u in env.world.uavs] == [1, 0]
+    assert env.uav_cell == [1, 0]
 
 
 def test_collided_uav_is_penalised_and_collects_nothing():
@@ -128,9 +128,11 @@ def test_per_uav_rewards_split_the_terms_by_uav():
 
 
 def test_per_uav_rewards_sum_to_the_scalar_reward():
+    # Also checks, at every episode end, that UAVs which left mid-episode
+    # keep their energy in the swarm totals.
     env = envmod.make_env()
     rng = np.random.default_rng(3)
-    joins = leaves = 0
+    joins = leaves = departed_servers = 0
     for size in range(1, env.cfg.max_swarm + 1):
         task = envmod.task_with_swarm(env.nominal_task(), size)
         for seed in range(4):
@@ -145,12 +147,19 @@ def test_per_uav_rewards_sum_to_the_scalar_reward():
                     elif n > 1:
                         env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 1))
                         leaves += 1
-                active = len(env.world.active_uavs())
+                active = sum(env.uav_active)
                 out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
                 assert out.uav_rewards.shape == (active,)
                 assert out.uav_rewards.sum() == pytest.approx(out.reward, rel=1e-12, abs=1e-12)
                 done = out.done
-    assert joins > 10 and leaves > 10
+            stats = env.episode_stats()
+            assert sum(env.uav_energy_j) == pytest.approx(stats["energy_total_j"], rel=1e-9)
+            served = [e for e, s in zip(env.uav_energy_j, env.uav_served) if s]
+            assert stats["energy_masked_j"] == pytest.approx(sum(served), rel=1e-12)
+            departed_servers += sum(
+                s and not a for s, a in zip(env.uav_served, env.uav_active)
+            )
+    assert joins > 10 and leaves > 10 and departed_servers > 0
 
 
 def test_strategic_bonus_decays_with_served_demand():
@@ -161,7 +170,7 @@ def test_strategic_bonus_decays_with_served_demand():
     assert bonuses[1] == 0.5
     assert bonuses[2] == pytest.approx(1.0 / 3.0)
     assert bonuses[3] == 0.0  # demand exhausted
-    assert env.world.strategic[0].demand == 0.0
+    assert env.demand[0] == 0.0
 
 
 def test_demand_never_goes_negative():
@@ -169,8 +178,8 @@ def test_demand_never_goes_negative():
     env.reset(start_cells=[4])
     for _ in range(8):
         out = env.step([HOVER])
-        assert env.world.strategic[0].demand >= 0.0
-    assert env.world.strategic[0].demand == 0.0
+        assert env.demand[0] >= 0.0
+    assert env.demand[0] == 0.0
     stats = env.episode_stats()
     assert stats["satisfaction"] == 1.0
 
@@ -190,7 +199,7 @@ def test_reward_bounds_over_random_play():
         env.reset(rng_seed=seed)
         done = False
         while not done:
-            active = len(env.world.active_uavs())
+            active = sum(env.uav_active)
             out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
             lo = -active - env.cfg.lambda_energy
             hi = 2.0 * active
@@ -217,7 +226,7 @@ def test_full_determinism_of_rollouts():
         rewards = []
         done = False
         while not done:
-            active = len(env.world.active_uavs())
+            active = sum(env.uav_active)
             out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
             rewards.append(out.reward)
             done = out.done
@@ -248,7 +257,7 @@ def test_energy_split_closes():
     )
     assert step_total == pytest.approx(stats["energy_total_j"], rel=1e-9)
     assert stats["energy_total_j"] == pytest.approx(
-        sum(u.energy_j for u in env.world.uavs), rel=1e-9
+        sum(env.uav_energy_j), rel=1e-9
     )
 
 
@@ -259,9 +268,9 @@ def test_masked_energy_counts_only_strategic_servers():
     for _ in range(5):
         env.step([HOVER, HOVER])
     stats = env.episode_stats()
-    uav0, uav1 = env.world.uavs
-    assert uav0.served_strategic and not uav1.served_strategic
-    assert stats["energy_masked_j"] == pytest.approx(uav0.energy_j, rel=1e-12)
+    served0, served1 = env.uav_served
+    assert served0 and not served1
+    assert stats["energy_masked_j"] == pytest.approx(env.uav_energy_j[0], rel=1e-12)
 
 
 def test_visits_sum_matches_uav_steps():
@@ -320,9 +329,9 @@ def test_join_and_leave_events():
     env = envmod.make_env()
     env.reset(rng_seed=6)
     assert env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1)) == 5
-    assert len(env.world.active_uavs()) == 5
+    assert sum(env.uav_active) == 5
     assert env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 2)) == 3
-    assert len(env.world.active_uavs()) == 3
+    assert sum(env.uav_active) == 3
 
 
 def test_leave_to_zero_rejected():
@@ -350,7 +359,7 @@ def test_nominal_task_ignores_events_but_bare_reset_keeps_them():
     env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
     assert env.nominal_task().swarm_size == 4
     env.reset()
-    assert len(env.world.active_uavs()) == 5
+    assert sum(env.uav_active) == 5
 
 
 # --- task sampling ------------------------------------------------------------------

@@ -7,6 +7,7 @@ tests assert the library reproduces them.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -143,7 +144,7 @@ def test_mean_channel_gain_is_reciprocal():
 def _params_with_snr(geom: lb.LinkGeometry, snr: float) -> lb.AirGroundParams:
     """Set the noise level so the mixture link has exactly this SNR."""
     loss = lb.mean_path_loss(geom, URBAN)
-    return lb.with_overrides(URBAN, noise_watts=RADIO.device_tx_watts / (loss * snr))
+    return replace(URBAN, noise_watts=RADIO.device_tx_watts / (loss * snr))
 
 
 def test_rate_at_unit_snr():
@@ -192,17 +193,12 @@ def test_max_altitude_collapses_to_unity():
 
 
 def test_max_altitude_quadruple_power_doubles():
-    high = lb.with_overrides(URBAN, max_tx_watts=4.0 * URBAN.max_tx_watts)
+    high = replace(URBAN, max_tx_watts=4.0 * URBAN.max_tx_watts)
     assert lb.max_altitude_m(high) == pytest.approx(2.0 * lb.max_altitude_m(URBAN), rel=1e-12)
 
 
 def test_max_altitude_defaults_pinned():
     assert lb.max_altitude_m(URBAN) == pytest.approx(MAX_ALT_DEFAULTS, rel=1e-12)
-
-
-def test_max_altitude_rootless_form():
-    bound = lb.max_altitude_m(URBAN, sqrt=False)
-    assert math.sqrt(bound) == pytest.approx(lb.max_altitude_m(URBAN), rel=1e-12)
 
 
 def test_snr_at_ceiling_closes_exactly():
@@ -272,8 +268,8 @@ def test_unknown_preset_rejected():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        lb.with_overrides(URBAN, psi_los=0.5)  # below unity
+        replace(URBAN, psi_los=0.5)  # below unity
     with pytest.raises(ValueError):
-        lb.with_overrides(URBAN, psi_nlos=1.0)  # below psi_los
+        replace(URBAN, psi_nlos=1.0)  # below psi_los
     with pytest.raises(ValueError):
-        lb.with_overrides(URBAN, noise_watts=0.0)
+        replace(URBAN, noise_watts=0.0)

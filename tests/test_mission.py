@@ -82,21 +82,6 @@ def test_data_delay_rejects_zero_rate():
         ms.data_delay_s([(1.0e6, 0.0)])
 
 
-def test_completion_delay_single_position():
-    assert ms.completion_delay_s([[(44.0, 44.0, 100.0)]], 10.0) == 0.0
-
-
-def test_completion_delay_three_legs():
-    path = [(44.0, 44.0, 100.0), (132.0, 44.0, 100.0),
-            (220.0, 44.0, 100.0), (308.0, 44.0, 100.0)]
-    assert ms.completion_delay_s([path], 10.0) == pytest.approx(26.4, rel=1e-12)
-
-
-def test_completion_delay_sums_over_uavs():
-    leg = [(44.0, 44.0, 100.0), (132.0, 44.0, 100.0)]
-    assert ms.completion_delay_s([leg, leg], 10.0) == pytest.approx(17.6, rel=1e-12)
-
-
 def test_total_delay_and_deadline():
     assert ms.total_delay_s(10.0, 20.0) == 30.0
     assert ms.total_delay_s(0.0, 0.0) == 0.0
@@ -146,33 +131,25 @@ def test_swarm_energy_additivity(pairs):
 
 # --- coverage -------------------------------------------------------------------
 
-def _world_with_trajectories(strategic, trajectories):
-    world = ms.build_grid(CFG, None, strategic)
-    for uid, cells in enumerate(trajectories):
-        uav = ms.UavState(uid, cells[0], 100.0)
-        uav.trajectory = [(slot, c) for slot, c in enumerate(cells)]
-        world.uavs.append(uav)
-    return world
+def _tracks(trajectories):
+    """One (slot, cell) track per UAV, starting at slot 0."""
+    return [list(enumerate(cells)) for cells in trajectories]
 
 
 def test_coverage_all_visited():
-    world = _world_with_trajectories([1, 2], [[0, 1, 2]])
-    assert ms.strategic_coverage_satisfied(world)
+    assert ms.strategic_coverage_satisfied([1, 2], _tracks([[0, 1, 2]]))
 
 
 def test_coverage_one_missed():
-    world = _world_with_trajectories([1, 7], [[0, 1, 2]])
-    assert not ms.strategic_coverage_satisfied(world)
+    assert not ms.strategic_coverage_satisfied([1, 7], _tracks([[0, 1, 2]]))
 
 
 def test_coverage_start_cell_does_not_count():
-    world = _world_with_trajectories([5], [[5, 6, 7]])
-    assert not ms.strategic_coverage_satisfied(world)
+    assert not ms.strategic_coverage_satisfied([5], _tracks([[5, 6, 7]]))
 
 
 def test_coverage_vacuous_without_strategic_cells():
-    world = _world_with_trajectories([], [[0, 0]])
-    assert ms.strategic_coverage_satisfied(world)
+    assert ms.strategic_coverage_satisfied([], _tracks([[0, 0]]))
 
 
 # --- device layout ---------------------------------------------------------------

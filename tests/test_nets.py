@@ -19,7 +19,7 @@ def test_zero_params_give_zero_output_and_uniform_policy():
     params = nets.zeros_like_params(nets.init_params(cfg, RNG))
     out, _ = nets.forward(params, np.ones((1, 4)), cfg)
     assert np.all(out == 0.0)
-    probs = nets.policy_heads(out, heads=2, n_actions=5)
+    probs = nets.softmax(out.reshape(1, 2, 5))
     assert probs.shape == (1, 2, 5)
     np.testing.assert_allclose(probs, 0.2)
 

@@ -14,6 +14,7 @@ import pytest
 
 from swarmcover import link_budget as lb
 from swarmcover import mission as ms
+from swarmcover.env import CoverageEnv, EnvConfig
 from swarmcover.oracle import (
     EnumerationBudgetExceeded,
     ExactInstance,
@@ -238,6 +239,32 @@ def test_split_coverage_feasible_for_the_swarm_but_not_per_uav():
 
 
 # --- the independent checker -------------------------------------------------------
+
+
+def test_env_replays_the_optimum_at_its_objective():
+    # Acceptance test 3's instance: the solver and the environment read the
+    # same task tables, so replaying the optimal plan costs the optimum.
+    mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=8, frame_seconds=192.0)
+    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    env = CoverageEnv(mission, link, radio, EnvConfig(
+        max_swarm=1, num_strategic=2, strategic_cells=(4, 5), device_count=2,
+        swarm_size=1, swarm_min=1, swarm_max=1, lambda_energy=0.5,
+    ))
+    task = env.nominal_task()
+    devices = tuple(ms.default_device_layout(
+        mission, task.strategic_cells, seed=task.device_seed, count=2,
+        tx_watts=radio.device_tx_watts,
+    ))
+    instance = ExactInstance(
+        mission=mission, link=link, radio=radio, strategic_cells=(4, 5),
+        devices=devices, start_cells=(1,), horizon=8,
+    )
+    best = enumerate_optimum(instance)
+    env.reset(task, start_cells=instance.start_cells)
+    for joint in best.actions:
+        env.step(joint)
+    assert tuple(c for _, c in env.uav_track[0]) == best.trajectories[0]
+    assert env.episode_stats()["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
 
 def test_verifier_agrees_with_solver_accounting():
