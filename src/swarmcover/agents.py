@@ -15,7 +15,13 @@ and then moves the meta parameters a fraction of the way toward the
 mean adapted weights.
 
 All updates are plain in-place numpy arithmetic, single threaded, and
-deterministic given the generators passed in.
+deterministic given the generators passed in. The hot paths hold no
+per-UAV or per-(step, UAV) Python loop: action sampling inverts one
+uniform per UAV through row-wise CDFs, and the gradients index one-hot
+actions under an acting-head mask (``_action_arrays``). Both reproduce
+the per-UAV ``rng.choice`` draws and the per-(step, UAV) arithmetic bit
+for bit; the tests keep those loops as references. Acting runs the
+actor alone.
 """
 
 from __future__ import annotations
@@ -232,18 +238,49 @@ def select_action(
     arbitrary preferences (e.g. Q-values) in greedy mode. With
     probability ``epsilon`` a UAV acts uniformly at random instead.
     Greedy ties resolve to the lowest action index.
+
+    Draws are those of a per-UAV ``rng.choice(N_ACTIONS, p=row / row.sum())``:
+    one uniform per sampled UAV, inverted through the row's normalised CDF
+    as ``searchsorted(side="right")`` would, so the stream and the actions
+    are the same. With ``epsilon > 0`` the exploration draws interleave
+    with the action draws, so the UAVs are drawn one at a time. A sampled
+    row that is NaN, negative or sums to zero raises ``ValueError``.
     """
+    if mode == "greedy":
+        picks = np.asarray(scores)[:active].argmax(axis=1)
+        if epsilon <= 0.0:
+            return tuple(picks.tolist())
+    else:
+        cdf = _sampling_cdf(np.asarray(scores, dtype=np.float64)[:active])
+        if epsilon <= 0.0:
+            return tuple((cdf <= rng.random((active, 1))).sum(axis=1).tolist())
     acts = []
     for u in range(active):
-        if epsilon > 0.0 and rng.random() < epsilon:
+        if rng.random() < epsilon:
             acts.append(int(rng.integers(N_ACTIONS)))
         elif mode == "greedy":
-            acts.append(int(np.argmax(scores[u])))
+            acts.append(int(picks[u]))
         else:
-            p = np.asarray(scores[u], dtype=np.float64)
-            p = p / p.sum()
-            acts.append(int(rng.choice(N_ACTIONS, p=p)))
+            acts.append(int(np.count_nonzero(cdf[u] <= rng.random())))
     return tuple(acts)
+
+
+#: The tolerance on a probability row's sum that ``Generator.choice`` allows.
+_P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _sampling_cdf(probs: np.ndarray) -> np.ndarray:
+    """Row-wise CDFs of [rows, actions] unnormalised probabilities, built
+    as ``Generator.choice`` builds its CDF from ``p = row / row.sum()``,
+    and rejected where ``choice`` would reject ``p``."""
+    p = probs / probs.sum(axis=1, keepdims=True)
+    cdf = p.cumsum(axis=1)
+    totals = cdf[:, -1:]
+    # A handful of rows: the sum check is cheaper on Python floats.
+    if not ((p >= 0.0).all()
+            and all(abs(t - 1.0) <= _P_SUM_ATOL for t in totals[:, 0].tolist())):
+        raise ValueError("action probabilities must be non-negative with a positive finite sum")
+    return cdf / totals
 
 
 def discounted_returns(rewards: Sequence[float] | np.ndarray, gamma: float) -> np.ndarray:
@@ -281,12 +318,18 @@ class _Batch:
     boot: np.ndarray        # [B, columns]
 
 
+def _action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Joint actions as ``(acts[B, heads], acting[B, heads])``: action ids
+    in the head slots that acted (a prefix of the slots), 0 elsewhere."""
+    acting = np.arange(heads) < np.array([len(a) for a in actions])[:, None]
+    acts = np.zeros(acting.shape, dtype=np.int64)
+    acts[acting] = [a for joint in actions for a in joint]  # row-major fill
+    return acts, acting
+
+
 def _as_batch(batch: Sequence[Transition], heads: int) -> _Batch:
     n = len(batch)
-    slots = np.arange(heads)
-    acting = slots < np.array([len(t.action) for t in batch])[:, None]
-    acts = np.zeros((n, heads), dtype=np.int64)
-    acts[acting] = [a for t in batch for a in t.action]  # row-major fill
+    acts, acting = _action_arrays([t.action for t in batch], heads)
     active = acting.astype(np.float64)
     live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
     states = np.stack([t.state for t in batch])
@@ -298,7 +341,7 @@ def _as_batch(batch: Sequence[Transition], heads: int) -> _Batch:
     elif all(per_uav):
         rewards = np.zeros((n, heads))
         rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
-        next_active = slots < np.rint(next_states[:, -1] * heads)[:, None]
+        next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
         cols, boot = active, live * next_active
     else:
         raise ValueError("transitions mix scalar and per-UAV rewards")
@@ -441,7 +484,12 @@ def dqn_loss_and_grad(
     cfg: nets.NetConfig,
     heads: int,
 ) -> tuple[float, dict]:
-    """Squared TD error of per-UAV Q heads against a frozen target net."""
+    """Squared TD error of per-UAV Q heads against a frozen target net.
+
+    Each acting head's target is r + gamma * max_a' Q_target(s', a') with
+    the team reward r; the loss sums the errors in transition-then-head
+    order.
+    """
     states = np.stack([t.state for t in batch])
     next_states = np.stack([t.next_state for t in batch])
     rewards = np.array([t.reward for t in batch])
@@ -449,16 +497,17 @@ def dqn_loss_and_grad(
     raw, cache = nets.forward(q_params, states, cfg)
     q = raw.reshape(len(batch), heads, N_ACTIONS)
     raw_next, _ = nets.forward(target_params, next_states, cfg)
-    q_next = raw_next.reshape(len(batch), heads, N_ACTIONS)
+    best_next = raw_next.reshape(len(batch), heads, N_ACTIONS).max(axis=-1)
 
-    loss = 0.0
+    acts, acting = _action_arrays([t.action for t in batch], heads)
+    t_idx, u_idx = np.nonzero(acting)
+    a_idx = acts[t_idx, u_idx]
+    targets = rewards[t_idx] + gamma * live[t_idx] * best_next[t_idx, u_idx]
+    err = q[t_idx, u_idx, a_idx] - targets
+    # cumsum adds in order, as a running Python sum would; sum() pairs terms.
+    loss = float(np.cumsum(err * err)[-1]) if len(err) else 0.0
     dq = np.zeros_like(q)
-    for t, tr in enumerate(batch):
-        for u, a in enumerate(tr.action):
-            target = rewards[t] + gamma * live[t] * q_next[t, u].max()
-            err = q[t, u, a] - target
-            loss += float(err * err)
-            dq[t, u, a] = 2.0 * err
+    dq[t_idx, u_idx, a_idx] = 2.0 * err
     grads = nets.backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
     return loss, grads
 
@@ -481,11 +530,15 @@ def dqn_update(
 # --- PPO ----------------------------------------------------------------------
 
 def joint_log_prob(probs: np.ndarray, actions: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Log probability of each joint action under per-UAV distributions."""
+    """Log probability of each joint action under per-UAV distributions,
+    each head's probability floored at 1e-12. The heads' logs are added
+    one head at a time, in head order (a row sum would pair the terms)."""
+    acts, acting = _action_arrays(actions, probs.shape[1])
+    taken = np.take_along_axis(probs, acts[:, :, None], axis=2)[:, :, 0]
+    logs = np.where(acting, np.log(np.maximum(taken, 1e-12)), 0.0)
     out = np.zeros(len(actions))
-    for t, acts in enumerate(actions):
-        for u, a in enumerate(acts):
-            out[t] += np.log(max(probs[t, u, a], 1e-12))
+    for u in range(probs.shape[1]):
+        out += logs[:, u]
     return out
 
 
@@ -508,7 +561,7 @@ def ppo_surrogate_and_grad(
     """
     states = np.stack([t.state for t in batch])
     actions = [t.action for t in batch]
-    logits, probs, cache = policy_forward(actor, states, cfg, heads)
+    _, probs, cache = policy_forward(actor, states, cfg, heads)
     _, old_probs, _ = policy_forward(old_actor, states, cfg, heads)
     logp = joint_log_prob(probs, actions)
     logp_old = joint_log_prob(old_probs, actions)
@@ -523,12 +576,9 @@ def ppo_surrogate_and_grad(
     dratio = np.where(use_plain, advantages, advantages * inside)
     dlogp = dratio * ratio  # drho/dlogp = rho
 
-    dlogits = np.zeros_like(logits)
-    for t, acts in enumerate(actions):
-        for u, a in enumerate(acts):
-            onehot = np.zeros(N_ACTIONS)
-            onehot[a] = 1.0
-            dlogits[t, u] = dlogp[t] * (onehot - probs[t, u])
+    acts, acting = _action_arrays(actions, heads)
+    onehot = np.eye(N_ACTIONS)[acts]
+    dlogits = np.where(acting[:, :, None], dlogp[:, None, None] * (onehot - probs), 0.0)
     grads = nets.backward(actor, cache, dlogits.reshape(len(batch), -1), cfg)
     return objective, grads
 
@@ -653,12 +703,7 @@ class ActorCriticLearner:
         self._episode = []
 
     def act(self, state, epsilon, rng) -> tuple[int, ...]:
-        params = self.params
-        _, probs, _ = policy_forward(
-            params.actor_stale, np.atleast_2d(state), params.actor_cfg, params.heads
-        )
-        active = _active_count(state, params.heads)
-        return select_action(probs[0], active, epsilon, rng, self.mode)
+        return _policy_act(self.params, state, epsilon, rng, self.mode)
 
     def record(self, transition: Transition) -> None:
         self._episode.append(transition)
@@ -744,9 +789,7 @@ class PPOLearner:
         self._rollout = []
 
     def act(self, state, epsilon, rng) -> tuple[int, ...]:
-        probs, _ = forward(self.params, state, stale=True)
-        active = _active_count(state, self.params.heads)
-        return select_action(probs, active, epsilon, rng, self.mode)
+        return _policy_act(self.params, state, epsilon, rng, self.mode)
 
     def record(self, transition: Transition) -> None:
         self._rollout.append(transition)
@@ -786,6 +829,14 @@ class RandomPolicy:
 def _active_count(state: np.ndarray, heads: int) -> int:
     """Recover the active-UAV count from the trailing state feature."""
     return int(round(float(state[-1]) * heads))
+
+
+def _policy_act(params: PolicyParams, state, epsilon, rng, mode: str) -> tuple[int, ...]:
+    """Actions from the stale actor alone; acting needs no critic value."""
+    _, probs, _ = policy_forward(
+        params.actor_stale, np.atleast_2d(state), params.actor_cfg, params.heads
+    )
+    return select_action(probs[0], _active_count(state, params.heads), epsilon, rng, mode)
 
 
 ALGORITHMS = ("meta_rl", "actor_critic", "dqn", "ppo", "random")

@@ -9,8 +9,10 @@ that would end on an occupied or contested cell are cancelled and the
 offending movers are penalised.
 
 The scalar step reward is
-  +1 for every UAV that did not collide and whose link rate, altitude
-     and mission deadline checks all pass,
+  +1 for every UAV that did not collide and whose link rate and mission
+     deadline checks both pass (the altitude constraint holds by
+     construction: UAVs fly at the configured altitude clamped to the
+     SNR ceiling ``link_budget.max_altitude_m``),
   a coverage bonus of 1/(1 + k) for every UAV sitting on a strategic
      cell with remaining demand, where k counts demand units already
      served this frame,
@@ -243,7 +245,6 @@ class CoverageEnv:
         self.radio = radio
         self.cfg = env_cfg
         self.altitude_m = min(mission_cfg.uav_altitude_m, lb.max_altitude_m(link_params))
-        self.altitude_ok = self.altitude_m <= lb.max_altitude_m(link_params)
         self.energy_norm_j = mission_cfg.p_oper_watts * mission_cfg.slot_seconds
         self.tables: TaskTables | None = None
         self._tables_key: tuple | None = None
@@ -337,8 +338,8 @@ class CoverageEnv:
         Start cells are sampled uniformly without collision unless given
         explicitly. The seed fixes start cells and nothing else; the
         device layout comes from the task's own seed. The task tables
-        are rebuilt only when the strategic cells or the layout seed
-        change.
+        are rebuilt only when the strategic cells, the layout seed or the
+        initial demands change.
         """
         if task is None:
             # A bare reset keeps the swarm size left behind by events.
@@ -355,7 +356,7 @@ class CoverageEnv:
         self.current_swarm_size = task.swarm_size
         self._rng = np.random.default_rng(rng_seed)
 
-        key = (task.strategic_cells, task.device_seed)
+        key = (task.strategic_cells, task.device_seed, task.initial_demands)
         if key != self._tables_key:
             devices = ms.default_device_layout(
                 self.mission_cfg,
@@ -461,7 +462,7 @@ class CoverageEnv:
             if collided[i]:
                 reward -= 1.0
                 ok_flags.append(False)
-            elif rate_ok[i] and self.altitude_ok and deadline_ok:
+            elif rate_ok[i] and deadline_ok:
                 reward += 1.0
                 ok_flags.append(True)
             else:

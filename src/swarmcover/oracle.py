@@ -2,9 +2,10 @@
 
 Enumerates every joint action sequence of a small swarm over a short
 horizon under the same movement, collision and collection dynamics as
-the environment, keeps only sequences that satisfy the rate, altitude,
-deadline and coverage constraints, and returns the feasible sequence
-with the least masked swarm energy. Sequences are explored hover-first
+the environment, keeps only sequences that satisfy the rate, deadline
+and coverage constraints (the altitude one holds by construction, as in
+the environment), and returns the feasible sequence with the least
+masked swarm energy. Sequences are explored hover-first
 (hover, north, south, east, west per UAV), and ties on the objective go
 to the earliest sequence in that order, so a do-nothing optimum comes
 back as the all-hover plan.
@@ -117,11 +118,9 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
         )
 
     cfg = instance.mission
-    altitude = instance.altitude_m
-    if altitude > lb.max_altitude_m(instance.link):
-        return ExactSolution(False, None, None, None, None, 0, 0, 0)
-
-    tables = TaskTables.build(instance.build_world(), instance.link, instance.radio, altitude)
+    tables = TaskTables.build(
+        instance.build_world(), instance.link, instance.radio, instance.altitude_m
+    )
     targets, queues, leg_time = tables.targets, tables.queues, tables.leg_time_s
     collect_time, rate_ok = tables.collect_time_s, tables.rate_ok
     device_strategic = tables.device_strategic

@@ -104,6 +104,69 @@ def test_select_action_sample_mode_follows_distribution():
         assert ag.select_action(scores, 1, 0.0, rng, mode="sample") == (2,)
 
 
+def loop_select_action(scores, active, epsilon, rng, mode):
+    """Reference: one ``rng.choice`` per UAV, the draws ``select_action``
+    must reproduce."""
+    acts = []
+    for u in range(active):
+        if epsilon > 0.0 and rng.random() < epsilon:
+            acts.append(int(rng.integers(N_ACTIONS)))
+        elif mode == "greedy":
+            acts.append(int(np.argmax(scores[u])))
+        else:
+            p = np.asarray(scores[u], dtype=np.float64)
+            p = p / p.sum()
+            acts.append(int(rng.choice(N_ACTIONS, p=p)))
+    return tuple(acts)
+
+
+def random_scores(rng, heads: int, active: int, mode: str) -> np.ndarray:
+    """Softmax rows from peaked to flat, some with exact zeros or left
+    unnormalised, in sample mode; Q-values with ties in greedy mode. Idle
+    rows hold NaN, which must never be read."""
+    if mode == "greedy":
+        scores = np.round(rng.normal(size=(heads, N_ACTIONS)), int(rng.integers(0, 3)))
+    else:
+        z = rng.normal(scale=10.0 ** rng.uniform(-1, 1.5), size=(heads, N_ACTIONS))
+        scores = nets.softmax(z)
+        scores[rng.random(scores.shape) < 0.1] = 0.0
+        scores[scores.sum(axis=1) == 0.0, 0] = 1.0
+        scores *= rng.choice([1.0, rng.uniform(0.1, 10.0)])
+    scores[active:] = np.nan
+    return scores
+
+
+def test_select_action_matches_the_per_uav_draws():
+    cases = np.random.default_rng(100)
+    for case in range(2400):
+        heads = int(cases.integers(1, 8))
+        active = int(cases.integers(0, heads + 1))
+        mode = ("sample", "greedy")[case % 2]
+        epsilon = (0.0, float(cases.uniform(0.05, 0.95)))[(case // 2) % 2]
+        scores = random_scores(cases, heads, active, mode)
+        mine, ref = np.random.default_rng(case), np.random.default_rng(case)
+        got = ag.select_action(scores, active, epsilon, mine, mode)
+        want = loop_select_action(scores, active, epsilon, ref, mode)
+        assert got == want, (case, heads, active, mode, epsilon)
+        assert all(type(a) is int for a in got)
+        assert mine.bit_generator.state == ref.bit_generator.state, case
+
+
+@pytest.mark.parametrize("active", [1, 3])
+@pytest.mark.parametrize("bad", ["nan", "all_zero", "negative"])
+def test_select_action_rejects_invalid_probabilities(bad, active):
+    scores = np.full((4, N_ACTIONS), 0.2)
+    scores[active - 1] = {
+        "nan": [0.2, np.nan, 0.2, 0.2, 0.4],
+        "all_zero": [0.0] * N_ACTIONS,
+        "negative": [-0.1, 0.5, 0.3, 0.2, 0.1],
+    }[bad]
+    with np.errstate(invalid="ignore"):
+        for sample in (ag.select_action, loop_select_action):
+            with pytest.raises(ValueError):
+                sample(scores, active, 0.0, np.random.default_rng(0), "sample")
+
+
 # --- returns -----------------------------------------------------------------------
 
 def test_discounted_returns_hand_case():
@@ -399,6 +462,56 @@ def test_dqn_zero_td_error_means_no_change():
         np.testing.assert_array_equal(v, 0.0)
 
 
+def loop_dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads):
+    """Reference: the TD target and ``dq`` built one (t, u) pair at a time."""
+    states = np.stack([t.state for t in batch])
+    next_states = np.stack([t.next_state for t in batch])
+    rewards = np.array([t.reward for t in batch])
+    live = np.array([0.0 if t.done else 1.0 for t in batch])
+    raw, cache = nets.forward(q_params, states, cfg)
+    q = raw.reshape(len(batch), heads, N_ACTIONS)
+    raw_next, _ = nets.forward(target_params, next_states, cfg)
+    q_next = raw_next.reshape(len(batch), heads, N_ACTIONS)
+    loss = 0.0
+    dq = np.zeros_like(q)
+    for t, tr in enumerate(batch):
+        for u, a in enumerate(tr.action):
+            target = rewards[t] + gamma * live[t] * q_next[t, u].max()
+            err = q[t, u, a] - target
+            loss += float(err * err)
+            dq[t, u, a] = 2.0 * err
+    return loss, nets.backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
+
+
+def partial_swarm_batch(params: ag.PolicyParams, n: int, seed: int) -> list[ag.Transition]:
+    """Transitions whose joint actions cover 1..heads UAVs."""
+    rng = np.random.default_rng(seed)
+    batch = random_batch(params, n, seed=seed)
+    for tr in batch:
+        tr.action = tr.action[: int(rng.integers(1, params.heads + 1))]
+    return batch
+
+
+def assert_bits_equal(a, b) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def test_dqn_matches_the_per_pair_loop():
+    for case in range(200):
+        params = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case)
+        target = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case + 1)
+        batch = partial_swarm_batch(params, 1 + case % 17, seed=case)
+        gamma = float(np.random.default_rng(case).uniform(0.0, 1.0))
+        args = (params.actor, target.actor, batch, gamma, params.actor_cfg, params.heads)
+        loss, grads = ag.dqn_loss_and_grad(*args)
+        ref_loss, ref_grads = loop_dqn_loss_and_grad(*args)
+        assert_bits_equal(loss, ref_loss)
+        for key in ref_grads:
+            assert_bits_equal(grads[key], ref_grads[key])
+
+
 def test_dqn_gradient_matches_finite_differences():
     params = tiny_params(seed=16)
     target = tiny_params(seed=17)
@@ -474,6 +587,67 @@ def test_joint_log_prob_hand_case():
                        [0.25, 0.25, 0.25, 0.25, 0.0]]])
     lp = ag.joint_log_prob(probs, [(0, 1)])
     assert lp[0] == pytest.approx(np.log(0.5) + np.log(0.25), rel=1e-12)
+
+
+def loop_joint_log_prob(probs, actions):
+    """Reference: each (t, u) log added in turn."""
+    out = np.zeros(len(actions))
+    for t, acts in enumerate(actions):
+        for u, a in enumerate(acts):
+            out[t] += np.log(max(probs[t, u, a], 1e-12))
+    return out
+
+
+def loop_ppo_surrogate_and_grad(actor, old_actor, batch, advantages, clip_eps, cfg, heads):
+    """Reference: the clipped surrogate with ``dlogits`` built one (t, u)
+    pair at a time."""
+    states = np.stack([t.state for t in batch])
+    actions = [t.action for t in batch]
+    logits, probs, cache = ag.policy_forward(actor, states, cfg, heads)
+    _, old_probs, _ = ag.policy_forward(old_actor, states, cfg, heads)
+    ratio = np.exp(loop_joint_log_prob(probs, actions) - loop_joint_log_prob(old_probs, actions))
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
+    s_plain = ratio * advantages
+    s_clip = clipped * advantages
+    objective = float(np.minimum(s_plain, s_clip).sum())
+    inside = (ratio > 1.0 - clip_eps) & (ratio < 1.0 + clip_eps)
+    dratio = np.where(s_plain < s_clip, advantages, advantages * inside)
+    dlogp = dratio * ratio
+    dlogits = np.zeros_like(logits)
+    for t, acts in enumerate(actions):
+        for u, a in enumerate(acts):
+            onehot = np.zeros(N_ACTIONS)
+            onehot[a] = 1.0
+            dlogits[t, u] = dlogp[t] * (onehot - probs[t, u])
+    return objective, nets.backward(actor, cache, dlogits.reshape(len(batch), -1), cfg)
+
+
+def test_joint_log_prob_matches_the_per_pair_loop():
+    rng = np.random.default_rng(101)
+    for _ in range(500):
+        heads, n = int(rng.integers(1, 8)), int(rng.integers(1, 20))
+        probs = nets.softmax(rng.normal(scale=20.0, size=(n, heads, N_ACTIONS)))
+        probs[rng.random(probs.shape) < 0.05] = 0.0  # below the 1e-12 floor
+        actions = [tuple(rng.integers(0, N_ACTIONS, size=rng.integers(1, heads + 1)).tolist())
+                   for _ in range(n)]
+        assert_bits_equal(ag.joint_log_prob(probs, actions), loop_joint_log_prob(probs, actions))
+
+
+def test_ppo_surrogate_matches_the_per_pair_loop():
+    for case in range(200):
+        heads = 1 + case % 7
+        params = tiny_params(state_dim=5, heads=heads, hidden=(6,), seed=case)
+        old = tiny_params(state_dim=5, heads=heads, hidden=(6,), seed=case + 1)
+        batch = partial_swarm_batch(params, 1 + case % 17, seed=case)
+        rng = np.random.default_rng(case)
+        adv = rng.normal(size=len(batch))
+        clip = float(rng.choice([0.0, 0.2, 1e9]))
+        args = (params.actor, old.actor, batch, adv, clip, params.actor_cfg, heads)
+        obj, grads = ag.ppo_surrogate_and_grad(*args)
+        ref_obj, ref_grads = loop_ppo_surrogate_and_grad(*args)
+        assert_bits_equal(obj, ref_obj)
+        for key in ref_grads:
+            assert_bits_equal(grads[key], ref_grads[key])
 
 
 # --- meta loop -----------------------------------------------------------------------

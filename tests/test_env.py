@@ -40,6 +40,18 @@ def test_reset_restores_initial_demands():
     assert env.demand[0] == env.task.initial_demands[0] == 3.0
 
 
+def test_task_tables_follow_the_initial_demands():
+    env = small_env(side=4, strategic=(1, 6, 11))
+    first = env.nominal_task()
+    assert first.initial_demands == (3.0, 3.0, 3.0)
+    env.reset(first, rng_seed=0)
+    second = envmod.TaskSpec(first.swarm_size, first.strategic_cells,
+                             first.device_seed, (1.0, 2.0, 3.0))
+    env.reset(second, rng_seed=0)
+    assert [loc.initial_demand for loc in env.tables.world.strategic] == [1.0, 2.0, 3.0]
+    assert env.demand == [1.0, 2.0, 3.0]
+
+
 def test_reset_validates_explicit_start_cells():
     env = small_env()
     with pytest.raises(ValueError, match="distinct"):
