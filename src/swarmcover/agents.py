@@ -1,18 +1,22 @@
 """Learners for the coverage MDP: actor-critic, DQN, PPO, and a first-order
 meta-initialization loop on top of the actor-critic.
 
-The actor-critic keeps stale parameter copies that are refreshed at the
-start of every episode; gradients are accumulated against the stale
-copies over the whole episode and applied in one Adam step afterwards
+Every learner has ``act``, ``record`` and ``finish_episode`` and holds
+one copy of its weights. Only ``finish_episode`` changes them (DQN's
+``record`` too), so everything read during an episode sees the weights
+the episode started with. The actor-critic accumulates the episode's
+gradients at those weights and applies them in one Adam step afterwards
 (ascent for the actor, descent for the critic). Credit is per UAV: the
 critic has one value output per UAV slot, regressed on that UAV's own
 discounted return, and each active policy head is pushed by its own
 one-step TD advantage r_i + gamma * V_i(s') - V_i(s) plus an entropy
 bonus. The critic additionally takes a one-step temporal-difference
-term from a replay minibatch each episode. The meta loop adapts a clone
-of the meta parameters on a sampled task for a fixed number of episodes
-and then moves the meta parameters a fraction of the way toward the
-mean adapted weights.
+term from a replay minibatch each episode. PPO takes the pre-update
+joint log-probabilities and values once per update, before its epochs
+move the weights. The meta loop adapts a clone of the meta parameters
+on a sampled task for ``AgentConfig.meta_inner_episodes`` episodes and
+then moves the meta parameters ``AgentConfig.meta_outer_lr`` of the way
+toward the mean adapted weights.
 
 All updates are plain in-place numpy arithmetic, single threaded, and
 deterministic given the generators passed in. The hot paths hold no
@@ -27,7 +31,7 @@ actor alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +47,9 @@ AC_LEARNING_RATE = 1e-3
 #: test, 0.05 collapses to hovering (visit ratio 1.07) and 0.15 keeps too
 #: much randomness (1.65), against 2.28 at 0.1.
 ENTROPY_WEIGHT = 0.1
+#: The counts and periods of ``AgentConfig``; each divides or bounds a loop.
+_COUNTS = ("target_refresh", "dqn_update_interval", "ppo_epochs",
+           "meta_inner_episodes", "meta_tasks_per_update")
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,6 @@ class AgentConfig:
     gamma: float = 0.85
     learning_rate: float = 1e-4  # SGD step of DQN and PPO; see AC_LEARNING_RATE
     hidden: tuple[int, ...] = (64, 64)
-    init_scale: float = 1.0
     replay_capacity: int = 10_000
     minibatch: int = 64
     target_refresh: int = 100
@@ -64,8 +70,6 @@ class AgentConfig:
     eps_start: float = 0.9
     eps_end: float = 0.05
     eps_decay_frac: float = 0.6
-    policy_epsilon: float = 0.0
-    action_mode: str = "auto"  # auto | sample | greedy
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma <= 1.0:
@@ -76,10 +80,11 @@ class AgentConfig:
             raise ValueError("replay capacity and minibatch must be positive")
         if not 0.0 <= self.ppo_clip < 1.0:
             raise ValueError("clip range must lie in [0, 1)")
-        if self.action_mode not in ("auto", "sample", "greedy"):
-            raise ValueError(f"unknown action mode {self.action_mode!r}")
         if not 0.0 <= self.meta_fraction < 1.0:
             raise ValueError("meta fraction must lie in [0, 1)")
+        for name in _COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -116,25 +121,13 @@ class ReplayMemory:
 
 @dataclass
 class PolicyParams:
-    """Actor and critic weights plus the stale copies updates are computed on."""
+    """Actor and critic weights with their network shapes."""
 
     actor: dict
     critic: dict
     actor_cfg: nets.NetConfig
     critic_cfg: nets.NetConfig
     heads: int
-    actor_stale: dict = field(default=None)
-    critic_stale: dict = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.actor_stale is None:
-            self.actor_stale = nets.clone_params(self.actor)
-        if self.critic_stale is None:
-            self.critic_stale = nets.clone_params(self.critic)
-
-    def refresh_stale(self) -> None:
-        self.actor_stale = nets.clone_params(self.actor)
-        self.critic_stale = nets.clone_params(self.critic)
 
     def clone(self) -> "PolicyParams":
         return PolicyParams(
@@ -143,8 +136,6 @@ class PolicyParams:
             self.actor_cfg,
             self.critic_cfg,
             self.heads,
-            nets.clone_params(self.actor_stale),
-            nets.clone_params(self.critic_stale),
         )
 
 
@@ -156,16 +147,6 @@ class GradAccumulator:
     @classmethod
     def zeros(cls, params: PolicyParams) -> "GradAccumulator":
         return cls(nets.zeros_like_params(params.actor), nets.zeros_like_params(params.critic))
-
-
-@dataclass
-class MetaState:
-    """Meta parameters plus the inner/outer loop settings."""
-
-    params: PolicyParams
-    inner_episodes: int = 10
-    inner_lr: float = AC_LEARNING_RATE
-    outer_lr: float = 0.5
 
 
 def make_policy_params(
@@ -180,8 +161,8 @@ def make_policy_params(
     actor_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
     critic_cfg = nets.NetConfig(state_dim, cfg.hidden, critic_outputs)
     return PolicyParams(
-        nets.init_params(actor_cfg, rng, cfg.init_scale),
-        nets.init_params(critic_cfg, rng, cfg.init_scale),
+        nets.init_params(actor_cfg, rng),
+        nets.init_params(critic_cfg, rng),
         actor_cfg,
         critic_cfg,
         heads,
@@ -203,13 +184,11 @@ def value_forward(critic: dict, states: np.ndarray, cfg: nets.NetConfig) -> tupl
     return raw[:, 0], cache
 
 
-def forward(params: PolicyParams, state: np.ndarray, stale: bool = False) -> tuple[np.ndarray, float]:
+def forward(params: PolicyParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-UAV action distributions and the first value output (see
     :func:`value_forward`) for one state."""
-    actor = params.actor_stale if stale else params.actor
-    critic = params.critic_stale if stale else params.critic
-    _, probs, _ = policy_forward(actor, np.atleast_2d(state), params.actor_cfg, params.heads)
-    values, _ = value_forward(critic, np.atleast_2d(state), params.critic_cfg)
+    _, probs, _ = policy_forward(params.actor, np.atleast_2d(state), params.actor_cfg, params.heads)
+    values, _ = value_forward(params.critic, np.atleast_2d(state), params.critic_cfg)
     return probs[0], float(values[0])
 
 
@@ -363,7 +342,7 @@ def actor_critic_accumulate(
     td: bool = False,
     entropy: float = 0.0,
 ) -> GradAccumulator:
-    """Episode gradients against the stale copies.
+    """Episode gradients at the current weights.
 
     Actor: ascent direction of
       sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + entropy * H(pi_i(. | s_t))]
@@ -373,21 +352,18 @@ def actor_critic_accumulate(
     column and A_ti = R_t - V(s_t) for every head; with per-UAV rewards
     head i and value output i use UAV i's own rewards. ``td`` swaps the
     Monte-Carlo advantage for the one-step TD error
-    r_ti + gamma * V_i(s'_t) - V_i(s_t). Advantages use the stale critic.
-    Passing an existing accumulator adds to it instead of starting from
-    zero.
+    r_ti + gamma * V_i(s'_t) - V_i(s_t). Passing an existing accumulator
+    adds to it instead of starting from zero.
     """
     if not episode:
         raise ValueError("cannot accumulate over an empty episode")
     acc = acc if acc is not None else GradAccumulator.zeros(params)
     b = _as_batch(episode, params.heads)
-    logits, probs, a_cache = policy_forward(
-        params.actor_stale, b.states, params.actor_cfg, params.heads
-    )
-    values, v_cache = nets.forward(params.critic_stale, b.states, params.critic_cfg)
+    logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
+    values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
     returns = discounted_returns(b.rewards, gamma)
     if td:
-        next_values, _ = nets.forward(params.critic_stale, b.next_states, params.critic_cfg)
+        next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
         adv = b.rewards + gamma * b.boot * next_values - values
     else:
         adv = returns - values
@@ -400,10 +376,10 @@ def actor_critic_accumulate(
         ent = -(probs * logp).sum(axis=-1, keepdims=True)
         dlogits -= entropy * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
     d_actor = nets.backward(
-        params.actor_stale, a_cache, dlogits.reshape(len(episode), -1), params.actor_cfg
+        params.actor, a_cache, dlogits.reshape(len(episode), -1), params.actor_cfg
     )
     dvals = _value_grad((returns - values) * b.cols, params.critic_cfg.out_dim)
-    d_critic = nets.backward(params.critic_stale, v_cache, dvals, params.critic_cfg)
+    d_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg)
     nets.accumulate(acc.d_actor, d_actor)
     nets.accumulate(acc.d_critic, d_critic)
     return acc
@@ -422,11 +398,11 @@ def critic_td_accumulate(
     the bootstrap target gamma * V(s') is held constant.
     """
     b = _as_batch(batch, params.heads)
-    values, cache = nets.forward(params.critic_stale, b.states, params.critic_cfg)
-    next_values, _ = nets.forward(params.critic_stale, b.next_states, params.critic_cfg)
+    values, cache = nets.forward(params.critic, b.states, params.critic_cfg)
+    next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
     targets = b.rewards + gamma * b.boot * next_values
     dvals = _value_grad((targets - values) * b.cols, params.critic_cfg.out_dim)
-    grads = nets.backward(params.critic_stale, cache, dvals, params.critic_cfg)
+    grads = nets.backward(params.critic, cache, dvals, params.critic_cfg)
     nets.accumulate(acc.d_critic, grads)
 
 
@@ -544,7 +520,7 @@ def joint_log_prob(probs: np.ndarray, actions: Sequence[tuple[int, ...]]) -> np.
 
 def ppo_surrogate_and_grad(
     actor: dict,
-    old_actor: dict,
+    logp_old: np.ndarray,
     batch: Sequence[Transition],
     advantages: np.ndarray,
     clip_eps: float,
@@ -554,18 +530,17 @@ def ppo_surrogate_and_grad(
     """Clipped surrogate objective and its ascent gradient.
 
     Per sample: min(rho * A, clip(rho, 1 - eps, 1 + eps) * A) with the
-    joint-action probability ratio rho. The unclipped branch is used
-    only where it is strictly smaller; elsewhere the clipped branch
-    contributes a gradient only strictly inside the clip window, so a
-    zero-width window pins the ratio and kills the actor gradient.
+    joint-action probability ratio rho = exp(log pi(a|s) - logp_old), where
+    ``logp_old`` is the pre-update policy's :func:`joint_log_prob` of each
+    sample. The unclipped branch is used only where it is strictly
+    smaller; elsewhere the clipped branch contributes a gradient only
+    strictly inside the clip window, so a zero-width window pins the
+    ratio and kills the actor gradient.
     """
     states = np.stack([t.state for t in batch])
     actions = [t.action for t in batch]
     _, probs, cache = policy_forward(actor, states, cfg, heads)
-    _, old_probs, _ = policy_forward(old_actor, states, cfg, heads)
-    logp = joint_log_prob(probs, actions)
-    logp_old = joint_log_prob(old_probs, actions)
-    ratio = np.exp(logp - logp_old)
+    ratio = np.exp(joint_log_prob(probs, actions) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
     s_plain = ratio * advantages
     s_clip = clipped * advantages
@@ -593,8 +568,9 @@ def ppo_update(
 ) -> None:
     """Several clipped-surrogate epochs on one rollout, plus critic fits.
 
-    Advantages are reward-to-go minus the stale critic's values; the
-    stale copies play the role of the pre-update policy.
+    Advantages are reward-to-go minus the pre-update critic's values, and
+    the ratios are taken against the pre-update actor's joint
+    log-probabilities; both are computed once, before the first epoch.
     """
     if not rollout:
         raise ValueError("cannot update from an empty rollout")
@@ -602,11 +578,13 @@ def ppo_update(
         raise ValueError("need at least one epoch")
     states = np.stack([t.state for t in rollout])
     returns = discounted_returns([t.reward for t in rollout], gamma)
-    values_old, _ = value_forward(params.critic_stale, states, params.critic_cfg)
+    values_old, _ = value_forward(params.critic, states, params.critic_cfg)
     adv = returns - values_old
+    _, probs_old, _ = policy_forward(params.actor, states, params.actor_cfg, params.heads)
+    logp_old = joint_log_prob(probs_old, [t.action for t in rollout])
     for _ in range(epochs):
         _, g_actor = ppo_surrogate_and_grad(
-            params.actor, params.actor_stale, rollout, adv, clip_eps,
+            params.actor, logp_old, rollout, adv, clip_eps,
             params.actor_cfg, params.heads,
         )
         nets.add_scaled(params.actor, g_actor, +lr)
@@ -621,7 +599,6 @@ def ppo_update(
 def run_training_episode(env, task, learner, rng: np.random.Generator, epsilon: float) -> dict:
     """One full episode of interaction and learning; returns episode stats."""
     state = env.reset(task, rng_seed=int(rng.integers(2**63 - 1)))
-    learner.begin_episode()
     while True:
         actions = learner.act(state, epsilon, rng)
         out = env.step(actions)
@@ -636,7 +613,7 @@ def run_training_episode(env, task, learner, rng: np.random.Generator, epsilon: 
 
 
 def meta_adapt(
-    meta: MetaState,
+    meta: PolicyParams,
     env,
     task,
     rng: np.random.Generator,
@@ -645,36 +622,33 @@ def meta_adapt(
 ) -> PolicyParams:
     """Adapt a clone of the meta parameters to one task.
 
-    Runs ``meta.inner_episodes`` actor-critic episodes starting from a
-    copy of the meta weights and returns the adapted copy; the meta
-    parameters themselves are never touched.
+    Runs ``agent_cfg.meta_inner_episodes`` actor-critic episodes starting
+    from a copy of the meta weights and returns the adapted copy; the
+    meta parameters themselves are never touched.
     """
-    if meta.inner_episodes < 1:
-        raise ValueError("inner loop needs at least one episode")
-    learner = ActorCriticLearner(meta.params.clone(), agent_cfg, lr=meta.inner_lr)
-    for _ in range(meta.inner_episodes):
-        stats = run_training_episode(env, task, learner, rng, epsilon=agent_cfg.policy_epsilon)
+    learner = ActorCriticLearner(meta.clone(), agent_cfg)
+    for _ in range(agent_cfg.meta_inner_episodes):
+        stats = run_training_episode(env, task, learner, rng, epsilon=0.0)
         if recorder is not None:
             recorder(stats)
     return learner.params
 
 
-def meta_outer_update(meta: MetaState, adapted: Sequence[PolicyParams]) -> None:
+def meta_outer_update(meta: PolicyParams, adapted: Sequence[PolicyParams], outer_lr: float) -> None:
     """Move the meta weights toward the mean adapted weights.
 
     First-order interpolation: meta += outer_lr * mean(adapted - meta),
-    applied key by key to actor and critic. Stale copies follow.
+    applied key by key to actor and critic.
     """
     if not adapted:
         raise ValueError("need at least one adapted parameter set")
     n = len(adapted)
-    for key in meta.params.actor:
-        delta = sum(a.actor[key] - meta.params.actor[key] for a in adapted) / n
-        meta.params.actor[key] += meta.outer_lr * delta
-    for key in meta.params.critic:
-        delta = sum(a.critic[key] - meta.params.critic[key] for a in adapted) / n
-        meta.params.critic[key] += meta.outer_lr * delta
-    meta.params.refresh_stale()
+    for key in meta.actor:
+        delta = sum(a.actor[key] - meta.actor[key] for a in adapted) / n
+        meta.actor[key] += outer_lr * delta
+    for key in meta.critic:
+        delta = sum(a.critic[key] - meta.critic[key] for a in adapted) / n
+        meta.critic[key] += outer_lr * delta
 
 
 # --- learner objects --------------------------------------------------------------
@@ -689,18 +663,13 @@ class ActorCriticLearner:
 
     uses_schedule = False
 
-    def __init__(self, params: PolicyParams, cfg: AgentConfig, lr: float | None = None) -> None:
+    def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
         self.params = params
         self.cfg = cfg
-        self.lr = AC_LEARNING_RATE if lr is None else lr
         self.memory = ReplayMemory(cfg.replay_capacity)
         self._episode: list[Transition] = []
-        self.mode = "sample" if cfg.action_mode == "auto" else cfg.action_mode
+        self.mode = "sample"
         self._optimised: PolicyParams | None = None
-
-    def begin_episode(self) -> None:
-        self.params.refresh_stale()
-        self._episode = []
 
     def act(self, state, epsilon, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, epsilon, rng, self.mode)
@@ -714,8 +683,8 @@ class ActorCriticLearner:
             return
         params = self.params
         if self._optimised is not params:
-            self._actor_opt = Adam(params.actor_cfg, self.lr, +1.0)
-            self._critic_opt = Adam(params.critic_cfg, self.lr, -1.0)
+            self._actor_opt = Adam(params.actor_cfg, AC_LEARNING_RATE, +1.0)
+            self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
             self._optimised = params
         acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
         actor_critic_accumulate(
@@ -739,16 +708,13 @@ class DQNLearner:
         self.cfg = cfg
         self.net_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
         self.heads = heads
-        self.q = nets.init_params(self.net_cfg, rng, cfg.init_scale)
+        self.q = nets.init_params(self.net_cfg, rng)
         self.target = nets.clone_params(self.q)
         self.memory = ReplayMemory(cfg.replay_capacity)
-        self.mode = "greedy" if cfg.action_mode == "auto" else cfg.action_mode
+        self.mode = "greedy"
         self._steps = 0
         self._updates = 0
         self._rng = rng
-
-    def begin_episode(self) -> None:
-        pass
 
     def act(self, state, epsilon, rng) -> tuple[int, ...]:
         raw, _ = nets.forward(self.q, np.atleast_2d(state), self.net_cfg)
@@ -782,11 +748,7 @@ class PPOLearner:
         self.params = params
         self.cfg = cfg
         self._rollout: list[Transition] = []
-        self.mode = "sample" if cfg.action_mode == "auto" else cfg.action_mode
-
-    def begin_episode(self) -> None:
-        self.params.refresh_stale()
-        self._rollout = []
+        self.mode = "sample"
 
     def act(self, state, epsilon, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, epsilon, rng, self.mode)
@@ -812,9 +774,6 @@ class RandomPolicy:
     def __init__(self, heads: int) -> None:
         self.heads = heads
 
-    def begin_episode(self) -> None:
-        pass
-
     def act(self, state, epsilon, rng) -> tuple[int, ...]:
         active = _active_count(state, self.heads)
         return tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
@@ -832,10 +791,8 @@ def _active_count(state: np.ndarray, heads: int) -> int:
 
 
 def _policy_act(params: PolicyParams, state, epsilon, rng, mode: str) -> tuple[int, ...]:
-    """Actions from the stale actor alone; acting needs no critic value."""
-    _, probs, _ = policy_forward(
-        params.actor_stale, np.atleast_2d(state), params.actor_cfg, params.heads
-    )
+    """Actions from the actor alone; acting needs no critic value."""
+    _, probs, _ = policy_forward(params.actor, np.atleast_2d(state), params.actor_cfg, params.heads)
     return select_action(probs[0], _active_count(state, params.heads), epsilon, rng, mode)
 
 

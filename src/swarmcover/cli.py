@@ -71,7 +71,6 @@ def _run_overrides(args) -> dict:
         run["algorithm"] = args.algo
     if getattr(args, "out", None) is not None and args.command == "run":
         run["out_dir"] = args.out
-    run["single_thread"] = args.single_thread
     return {"run": run}
 
 

@@ -56,7 +56,6 @@ class RunSettings:
     ma_window: int = 50
     plateau_tail: float = 0.1
     convergence_level: float = 0.9
-    single_thread: bool = True
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:

@@ -28,7 +28,7 @@ import numpy as np
 from .agents import (
     ActorCriticLearner,
     AgentConfig,
-    MetaState,
+    PolicyParams,
     epsilon_at,
     make_learner,
     make_policy_params,
@@ -164,14 +164,14 @@ def train_task(
 
     Exploration: learners with an epsilon schedule anneal over
     ``schedule_total`` episodes (offset by ``schedule_offset``); the
-    rest use the configured constant ``policy_epsilon``.
+    rest act without exploration.
     """
     stats_list = []
     for i in range(episodes):
         if getattr(learner, "uses_schedule", False) and schedule_total:
             eps = epsilon_at(schedule_offset + i, schedule_total, agent_cfg)
         else:
-            eps = agent_cfg.policy_epsilon
+            eps = 0.0
         stats = run_training_episode(env, task, learner, rng, eps)
         stats_list.append(stats)
         if recorder is not None:
@@ -185,7 +185,7 @@ def train_meta_params(
     episode_budget: int,
     rng: np.random.Generator,
     recorder: Callable[[dict], None] | None = None,
-) -> MetaState:
+) -> PolicyParams:
     """Meta-train an initialization over the environment's task family.
 
     Each outer round adapts clones of the meta weights on freshly
@@ -193,19 +193,15 @@ def train_meta_params(
     adapted result. Rounds run until the episode budget cannot fund
     another full round; consumed episodes = rounds x tasks x inner.
     """
-    meta = MetaState(
-        make_policy_params(env.state_dim, env.cfg.max_swarm, agent_cfg, rng,
-                           critic_outputs=env.cfg.max_swarm),
-        inner_episodes=agent_cfg.meta_inner_episodes,
-        outer_lr=agent_cfg.meta_outer_lr,
-    )
+    meta = make_policy_params(env.state_dim, env.cfg.max_swarm, agent_cfg, rng,
+                              critic_outputs=env.cfg.max_swarm)
     per_round = agent_cfg.meta_tasks_per_update * agent_cfg.meta_inner_episodes
     for _ in range(episode_budget // per_round):
         adapted = []
         for _ in range(agent_cfg.meta_tasks_per_update):
             task = env.sample_task(rng)
             adapted.append(meta_adapt(meta, env, task, rng, agent_cfg, recorder))
-        meta_outer_update(meta, adapted)
+        meta_outer_update(meta, adapted, agent_cfg.meta_outer_lr)
     return meta
 
 
@@ -219,7 +215,6 @@ def greedy_episode(
     """One evaluation episode: greedy actions, no exploration, no learning."""
     state = env.reset(task, rng_seed=rng_seed, start_cells=start_cells)
     rng = np.random.default_rng(rng_seed)
-    learner.begin_episode()
     old_mode = getattr(learner, "mode", None)
     if old_mode is not None:
         learner.mode = "greedy"
@@ -254,11 +249,11 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
     def record(stats: dict) -> None:
         metrics.append(EpisodeMetrics.from_stats(len(metrics), stats))
 
-    meta: MetaState | None = None
+    meta: PolicyParams | None = None
     if algorithm == "meta_rl":
         budget = int(round(agent_cfg.meta_fraction * episodes))
         meta = train_meta_params(env, agent_cfg, budget, rng)
-        learner = ActorCriticLearner(meta.params.clone(), agent_cfg)
+        learner = ActorCriticLearner(meta.clone(), agent_cfg)
     else:
         learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng)
 
@@ -273,7 +268,7 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
             if meta is not None:
                 # A meta-initialized learner restarts adaptation from the
                 # meta weights whenever the task changes.
-                learner = ActorCriticLearner(meta.params.clone(), agent_cfg)
+                learner = ActorCriticLearner(meta.clone(), agent_cfg)
         next_stop = min(
             (e.episode for e in pending if e.episode > len(metrics)),
             default=episodes,

@@ -37,12 +37,13 @@ def param_keys(cfg: NetConfig) -> list[str]:
     return keys
 
 
-def init_params(cfg: NetConfig, rng: np.random.Generator, scale: float = 1.0) -> dict:
+def init_params(cfg: NetConfig, rng: np.random.Generator) -> dict:
     """Fan-in scaled gaussian weights, zero biases."""
     params = {}
     dims = cfg.dims
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-        params[f"W{i}"] = rng.standard_normal((a, b)) * (scale / np.sqrt(a))
+        # Times the reciprocal, not divided: the two round differently.
+        params[f"W{i}"] = rng.standard_normal((a, b)) * (1.0 / np.sqrt(a))
         params[f"b{i}"] = np.zeros(b)
     return params
 

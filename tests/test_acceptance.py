@@ -151,11 +151,11 @@ def test_gradient_oracle_matches_finite_differences():
         params = _small_params(seed=1000 + i)
         episode = _batch(params, 3, seed=2000 + i)
 
-        # Policy-gradient term: advantages frozen from the stale critic.
+        # Policy-gradient term: advantages frozen from the critic.
         acc = ag.actor_critic_accumulate(params, episode, gamma)
         returns = ag.discounted_returns([t.reward for t in episode], gamma)
         states = np.stack([t.state for t in episode])
-        values, _ = ag.value_forward(params.critic_stale, states, params.critic_cfg)
+        values, _ = ag.value_forward(params.critic, states, params.critic_cfg)
         adv = returns - values
 
         def actor_objective(actor):
@@ -168,7 +168,7 @@ def test_gradient_oracle_matches_finite_differences():
 
         err = relative_error(
             nets.flatten_params(acc.d_actor, params.actor_cfg),
-            numeric_grad(params.actor_stale, params.actor_cfg, actor_objective),
+            numeric_grad(params.actor, params.actor_cfg, actor_objective),
         )
         worst["actor"] = max(worst["actor"], err)
 
@@ -179,7 +179,7 @@ def test_gradient_oracle_matches_finite_differences():
 
         err = relative_error(
             nets.flatten_params(acc.d_critic, params.critic_cfg),
-            numeric_grad(params.critic_stale, params.critic_cfg, critic_loss),
+            numeric_grad(params.critic, params.critic_cfg, critic_loss),
         )
         worst["critic"] = max(worst["critic"], err)
 
@@ -189,7 +189,7 @@ def test_gradient_oracle_matches_finite_differences():
         next_states = np.stack([t.next_state for t in episode])
         rewards = np.array([t.reward for t in episode])
         live = np.array([0.0 if t.done else 1.0 for t in episode])
-        frozen_next, _ = ag.value_forward(params.critic_stale, next_states, params.critic_cfg)
+        frozen_next, _ = ag.value_forward(params.critic, next_states, params.critic_cfg)
         targets = rewards + gamma * live * frozen_next
 
         def td_loss(critic):
@@ -198,7 +198,7 @@ def test_gradient_oracle_matches_finite_differences():
 
         err = relative_error(
             nets.flatten_params(td_acc.d_critic, params.critic_cfg),
-            numeric_grad(params.critic_stale, params.critic_cfg, td_loss),
+            numeric_grad(params.critic, params.critic_cfg, td_loss),
         )
         worst["td"] = max(worst["td"], err)
 
@@ -220,13 +220,15 @@ def test_gradient_oracle_matches_finite_differences():
 
         # Clipped importance-ratio surrogate against an old policy.
         old = _small_params(seed=4000 + i)
+        _, old_probs, _ = ag.policy_forward(old.actor, states, params.actor_cfg, params.heads)
+        logp_old = ag.joint_log_prob(old_probs, [t.action for t in episode])
         adv_ppo = np.random.default_rng(5000 + i).normal(size=len(episode))
         _, ppo_grads = ag.ppo_surrogate_and_grad(
-            params.actor, old.actor, episode, adv_ppo, 0.2, params.actor_cfg, params.heads)
+            params.actor, logp_old, episode, adv_ppo, 0.2, params.actor_cfg, params.heads)
 
         def ppo_objective(actor):
             obj, _ = ag.ppo_surrogate_and_grad(
-                actor, old.actor, episode, adv_ppo, 0.2, params.actor_cfg, params.heads)
+                actor, logp_old, episode, adv_ppo, 0.2, params.actor_cfg, params.heads)
             return obj
 
         err = relative_error(
@@ -306,7 +308,7 @@ def test_strategic_cells_visited_more_after_meta_training():
         rng = np.random.default_rng(seed)
         learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
-        learner.params = meta.params.clone()
+        learner.params = meta.clone()
         stats = train_task(env, task, learner, episodes, rng, cfg.agent,
                            schedule_total=episodes)
         ratios.append(_tail_visit_ratio(stats, strategic, env.n_cells))
@@ -340,7 +342,7 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
         rng = np.random.default_rng(seed)
         meta_learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
-        meta_learner.params = meta.params.clone()
+        meta_learner.params = meta.clone()
         train_task(env, base, meta_learner, e_pre, rng, cfg.agent,
                    schedule_total=e_pre + e_post)
         post_meta = train_task(env, changed, meta_learner, e_post, rng, cfg.agent,
@@ -388,7 +390,7 @@ def test_satisfaction_scales_with_swarm_size():
             rng = np.random.default_rng(seed)
             learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
             meta = train_meta_params(env, cfg.agent, pretrain, rng)
-            learner.params = meta.params.clone()
+            learner.params = meta.clone()
             stats = train_task(env, task, learner, episodes, rng, cfg.agent,
                                schedule_total=episodes)
             vals.append(_tail_mean(stats, "satisfaction"))

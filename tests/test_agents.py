@@ -183,7 +183,6 @@ def test_discounted_returns_gamma_zero_is_identity():
 def test_zero_advantage_means_zero_actor_gradient():
     params = tiny_params()
     nets.add_scaled(params.critic, params.critic, -1.0)  # critic == 0 everywhere
-    params.refresh_stale()
     batch = random_batch(params, 4)
     batch = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done) for t in batch]
     acc = ag.actor_critic_accumulate(params, batch, gamma=0.9)
@@ -216,7 +215,7 @@ def test_actor_gradient_matches_finite_differences():
 
     returns = ag.discounted_returns([t.reward for t in episode], gamma)
     states = np.stack([t.state for t in episode])
-    values, _ = ag.value_forward(params.critic_stale, states, params.critic_cfg)
+    values, _ = ag.value_forward(params.critic, states, params.critic_cfg)
     adv = returns - values
 
     def actor_objective(actor):
@@ -227,7 +226,7 @@ def test_actor_gradient_matches_finite_differences():
                 total += adv[t] * np.log(probs[t, u, a])
         return float(total)
 
-    assert_grad_close(acc.d_actor, params.actor_stale, params.actor_cfg, actor_objective)
+    assert_grad_close(acc.d_actor, params.actor, params.actor_cfg, actor_objective)
 
 
 def test_critic_gradient_matches_finite_differences():
@@ -243,7 +242,7 @@ def test_critic_gradient_matches_finite_differences():
         values, _ = ag.value_forward(critic, states, params.critic_cfg)
         return float(((returns - values) ** 2).sum())
 
-    assert_grad_close(acc.d_critic, params.critic_stale, params.critic_cfg, critic_loss)
+    assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, critic_loss)
 
 
 def test_replay_td_gradient_matches_finite_differences():
@@ -257,15 +256,15 @@ def test_replay_td_gradient_matches_finite_differences():
     next_states = np.stack([t.next_state for t in batch])
     rewards = np.array([t.reward for t in batch])
     live = np.array([0.0 if t.done else 1.0 for t in batch])
-    # Bootstrap targets come from the unperturbed stale critic.
-    frozen_next, _ = ag.value_forward(params.critic_stale, next_states, params.critic_cfg)
+    # Bootstrap targets come from the unperturbed critic.
+    frozen_next, _ = ag.value_forward(params.critic, next_states, params.critic_cfg)
     targets = rewards + gamma * live * frozen_next
 
     def td_loss(critic):
         values, _ = ag.value_forward(critic, states, params.critic_cfg)
         return float(((targets - values) ** 2).sum())
 
-    assert_grad_close(acc.d_critic, params.critic_stale, params.critic_cfg, td_loss)
+    assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, td_loss)
 
 
 # --- per-UAV credit: per-slot critic, TD advantages, entropy ---------------------------
@@ -299,11 +298,11 @@ def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndar
 
 
 def _bootstrap(tr: ag.Transition, u: int, params: ag.PolicyParams, gamma: float) -> float:
-    """gamma * V_u(s') from the stale critic, or 0 past the end or for a
+    """gamma * V_u(s') from the critic, or 0 past the end or for a
     slot that is idle in s'."""
     if tr.done or u >= round(tr.next_state[-1] * params.heads):
         return 0.0
-    return gamma * _values(params.critic_stale, tr.next_state, params)[u]
+    return gamma * _values(params.critic, tr.next_state, params)[u]
 
 
 def test_per_head_td_actor_gradient_matches_finite_differences():
@@ -317,19 +316,18 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
         _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
         total = 0.0
         for t, tr in enumerate(episode):
-            v = _values(params.critic_stale, tr.state, params)
+            v = _values(params.critic, tr.state, params)
             for u, a in enumerate(tr.action):
                 delta = tr.uav_rewards[u] + _bootstrap(tr, u, params, gamma) - v[u]
                 total += delta * np.log(probs[t, u, a])
         return float(total)
 
-    assert_grad_close(acc.d_actor, params.actor_stale, params.actor_cfg, actor_objective)
+    assert_grad_close(acc.d_actor, params.actor, params.actor_cfg, actor_objective)
 
 
 def test_entropy_gradient_matches_finite_differences():
     params = per_uav_params(seed=42)
     nets.add_scaled(params.critic, params.critic, -1.0)  # V == 0: no advantage term
-    params.refresh_stale()
     episode = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
                for t in per_uav_batch(params, 4, seed=43)]
     weight = 0.1
@@ -344,7 +342,7 @@ def test_entropy_gradient_matches_finite_differences():
                 total -= weight * float(np.sum(probs[t, u] * np.log(probs[t, u])))
         return total
 
-    assert_grad_close(acc.d_actor, params.actor_stale, params.actor_cfg, entropy_objective)
+    assert_grad_close(acc.d_actor, params.actor, params.actor_cfg, entropy_objective)
 
 
 @pytest.mark.parametrize("outputs", [3, 1])
@@ -369,7 +367,7 @@ def test_per_slot_critic_gradient_matches_finite_differences(outputs):
                 total += (returns[t, u] - v[u]) ** 2
         return float(total)
 
-    assert_grad_close(acc.d_critic, params.critic_stale, params.critic_cfg, critic_loss)
+    assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, critic_loss)
 
 
 @pytest.mark.parametrize("outputs", [3, 1])
@@ -389,7 +387,7 @@ def test_per_slot_replay_td_gradient_matches_finite_differences(outputs):
                 total += (target - v[u]) ** 2
         return float(total)
 
-    assert_grad_close(acc.d_critic, params.critic_stale, params.critic_cfg, td_loss)
+    assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, td_loss)
 
 
 def test_mixed_reward_kinds_rejected():
@@ -440,7 +438,7 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
     params = tiny_params(seed=12)
     batch = random_batch(params, 4, seed=13)
     cfg = params.actor_cfg
-    loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor_stale, batch, 0.0, cfg, params.heads)
+    loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, batch, 0.0, cfg, params.heads)
     raw, _ = nets.forward(params.actor, np.stack([t.state for t in batch]), cfg)
     q = raw.reshape(len(batch), params.heads, N_ACTIONS)
     expected = sum(
@@ -528,15 +526,23 @@ def test_dqn_gradient_matches_finite_differences():
 
 # --- PPO --------------------------------------------------------------------------
 
+def old_logp(actor: dict, batch: list[ag.Transition], params: ag.PolicyParams) -> np.ndarray:
+    """The pre-update joint log-probabilities that ``ppo_surrogate_and_grad`` takes."""
+    states = np.stack([t.state for t in batch])
+    _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+    return ag.joint_log_prob(probs, [t.action for t in batch])
+
+
 def test_ppo_wide_clip_equals_plain_surrogate():
     params = tiny_params(seed=19)
     batch = random_batch(params, 4, seed=20)
     adv = np.random.default_rng(21).normal(size=len(batch))
     # ratio == 1 everywhere (actor is its own old policy), inside any window
+    logp_old = old_logp(params.actor, batch, params)
     _, g_narrow = ag.ppo_surrogate_and_grad(
-        params.actor, params.actor, batch, adv, 0.2, params.actor_cfg, params.heads)
+        params.actor, logp_old, batch, adv, 0.2, params.actor_cfg, params.heads)
     _, g_wide = ag.ppo_surrogate_and_grad(
-        params.actor, params.actor, batch, adv, 1e9, params.actor_cfg, params.heads)
+        params.actor, logp_old, batch, adv, 1e9, params.actor_cfg, params.heads)
     for k in g_narrow:
         np.testing.assert_allclose(g_narrow[k], g_wide[k], rtol=1e-12)
 
@@ -546,7 +552,8 @@ def test_ppo_zero_clip_kills_actor_gradient():
     batch = random_batch(params, 4, seed=23)
     adv = np.random.default_rng(24).normal(size=len(batch))
     _, grads = ag.ppo_surrogate_and_grad(
-        params.actor, params.actor, batch, adv, 0.0, params.actor_cfg, params.heads)
+        params.actor, old_logp(params.actor, batch, params), batch, adv, 0.0,
+        params.actor_cfg, params.heads)
     for g in grads.values():
         np.testing.assert_array_equal(g, 0.0)
 
@@ -554,7 +561,6 @@ def test_ppo_zero_clip_kills_actor_gradient():
 def test_ppo_update_zero_clip_freezes_actor():
     cfg = ag.AgentConfig(hidden=(2,), ppo_clip=0.0)
     params = ag.make_policy_params(3, 1, cfg, np.random.default_rng(25))
-    params.refresh_stale()
     rollout = random_batch(params, 5, seed=26)
     before = nets.flatten_params(params.actor, params.actor_cfg).copy()
     critic_before = nets.flatten_params(params.critic, params.critic_cfg).copy()
@@ -565,18 +571,39 @@ def test_ppo_update_zero_clip_freezes_actor():
     )  # the value fit still runs
 
 
+def test_ppo_update_takes_the_pre_update_policy_once(monkeypatch):
+    real_forward = nets.forward
+    calls = []
+
+    def counting_forward(*args):
+        calls.append(args[2])
+        return real_forward(*args)
+
+    monkeypatch.setattr(nets, "forward", counting_forward)
+    for epochs in (1, 2, 4):
+        params = tiny_params(seed=25)
+        rollout = random_batch(params, 5, seed=26)
+        calls.clear()
+        ag.ppo_update(params, rollout, 0.2, epochs, 0.85, 0.01)
+        # Pre-update values and log-probabilities once, then one actor and
+        # one critic pass per epoch.
+        assert len(calls) == 2 + 2 * epochs
+        assert calls.count(params.actor_cfg) == 1 + epochs
+
+
 def test_ppo_surrogate_gradient_matches_finite_differences():
     params = tiny_params(seed=27)
     old = tiny_params(seed=28)
     batch = random_batch(params, 3, seed=29)
     adv = np.random.default_rng(30).normal(size=len(batch))
     clip = 0.2
+    logp_old = old_logp(old.actor, batch, params)
     _, grads = ag.ppo_surrogate_and_grad(
-        params.actor, old.actor, batch, adv, clip, params.actor_cfg, params.heads)
+        params.actor, logp_old, batch, adv, clip, params.actor_cfg, params.heads)
 
     def objective(actor):
         obj, _ = ag.ppo_surrogate_and_grad(
-            actor, old.actor, batch, adv, clip, params.actor_cfg, params.heads)
+            actor, logp_old, batch, adv, clip, params.actor_cfg, params.heads)
         return obj
 
     assert_grad_close(grads, params.actor, params.actor_cfg, objective)
@@ -642,9 +669,10 @@ def test_ppo_surrogate_matches_the_per_pair_loop():
         rng = np.random.default_rng(case)
         adv = rng.normal(size=len(batch))
         clip = float(rng.choice([0.0, 0.2, 1e9]))
-        args = (params.actor, old.actor, batch, adv, clip, params.actor_cfg, heads)
-        obj, grads = ag.ppo_surrogate_and_grad(*args)
-        ref_obj, ref_grads = loop_ppo_surrogate_and_grad(*args)
+        rest = (batch, adv, clip, params.actor_cfg, heads)
+        obj, grads = ag.ppo_surrogate_and_grad(
+            params.actor, old_logp(old.actor, batch, params), *rest)
+        ref_obj, ref_grads = loop_ppo_surrogate_and_grad(params.actor, old.actor, *rest)
         assert_bits_equal(obj, ref_obj)
         for key in ref_grads:
             assert_bits_equal(grads[key], ref_grads[key])
@@ -652,30 +680,23 @@ def test_ppo_surrogate_matches_the_per_pair_loop():
 
 # --- meta loop -----------------------------------------------------------------------
 
-def _meta_state(seed=31, inner=2):
-    params = tiny_params(state_dim=40, heads=3, seed=seed)
-    return ag.MetaState(params, inner_episodes=inner, inner_lr=1e-3, outer_lr=0.5)
+def _meta_params(seed=31) -> ag.PolicyParams:
+    return tiny_params(state_dim=40, heads=3, seed=seed)
 
 
 def test_meta_adapt_requires_inner_episodes():
-    env = small_env()
-    meta = _meta_state(inner=0)
-    with pytest.raises(ValueError, match="at least one episode"):
-        ag.meta_adapt(meta, env, env.nominal_task(), np.random.default_rng(0), ag.AgentConfig())
+    # meta_adapt reads its episode count from the validated AgentConfig.
+    with pytest.raises(ValueError, match="meta_inner_episodes must be at least 1"):
+        ag.AgentConfig(meta_inner_episodes=0)
 
 
 def test_meta_adapt_never_touches_meta_params():
     env = small_env()
-    cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
-    meta = ag.MetaState(
-        ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(1)),
-        inner_episodes=2, inner_lr=1e-3, outer_lr=0.5,
-    )
-    before = nets.flatten_params(meta.params.actor, meta.params.actor_cfg).copy()
+    cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
+    meta = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(1))
+    before = nets.flatten_params(meta.actor, meta.actor_cfg).copy()
     adapted = ag.meta_adapt(meta, env, env.nominal_task(), np.random.default_rng(2), cfg)
-    np.testing.assert_array_equal(
-        nets.flatten_params(meta.params.actor, meta.params.actor_cfg), before
-    )
+    np.testing.assert_array_equal(nets.flatten_params(meta.actor, meta.actor_cfg), before)
     assert not np.array_equal(
         nets.flatten_params(adapted.actor, adapted.actor_cfg), before
     )  # the clone moved
@@ -683,11 +704,8 @@ def test_meta_adapt_never_touches_meta_params():
 
 def test_meta_adapt_deterministic():
     env = small_env()
-    cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
-    meta = ag.MetaState(
-        ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(3)),
-        inner_episodes=2, inner_lr=1e-3, outer_lr=0.5,
-    )
+    cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
+    meta = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(3))
     task = env.nominal_task()
     a = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
     b = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
@@ -697,38 +715,33 @@ def test_meta_adapt_deterministic():
 
 
 def test_meta_outer_fixed_point():
-    meta = _meta_state()
-    before = nets.flatten_params(meta.params.actor, meta.params.actor_cfg).copy()
-    ag.meta_outer_update(meta, [meta.params.clone(), meta.params.clone()])
-    np.testing.assert_allclose(
-        nets.flatten_params(meta.params.actor, meta.params.actor_cfg), before, rtol=1e-15
-    )
+    meta = _meta_params()
+    before = nets.flatten_params(meta.actor, meta.actor_cfg).copy()
+    ag.meta_outer_update(meta, [meta.clone(), meta.clone()], 0.5)
+    np.testing.assert_allclose(nets.flatten_params(meta.actor, meta.actor_cfg), before, rtol=1e-15)
 
 
 def test_meta_outer_full_step_adopts_single_task():
-    meta = _meta_state()
-    meta.outer_lr = 1.0
-    adapted = meta.params.clone()
+    meta = _meta_params()
+    adapted = meta.clone()
     adapted.actor["b0"][:] += 3.0
-    ag.meta_outer_update(meta, [adapted])
-    np.testing.assert_allclose(meta.params.actor["b0"], adapted.actor["b0"], rtol=1e-15)
+    ag.meta_outer_update(meta, [adapted], 1.0)
+    np.testing.assert_allclose(meta.actor["b0"], adapted.actor["b0"], rtol=1e-15)
 
 
 def test_meta_outer_opposite_deltas_cancel():
-    meta = _meta_state()
-    before = nets.flatten_params(meta.params.actor, meta.params.actor_cfg).copy()
-    up, down = meta.params.clone(), meta.params.clone()
+    meta = _meta_params()
+    before = nets.flatten_params(meta.actor, meta.actor_cfg).copy()
+    up, down = meta.clone(), meta.clone()
     up.actor["b0"][:] += 1.5
     down.actor["b0"][:] -= 1.5
-    ag.meta_outer_update(meta, [up, down])
-    np.testing.assert_allclose(
-        nets.flatten_params(meta.params.actor, meta.params.actor_cfg), before, atol=1e-12
-    )
+    ag.meta_outer_update(meta, [up, down], 0.5)
+    np.testing.assert_allclose(nets.flatten_params(meta.actor, meta.actor_cfg), before, atol=1e-12)
 
 
 def test_meta_outer_requires_adapted_sets():
     with pytest.raises(ValueError):
-        ag.meta_outer_update(_meta_state(), [])
+        ag.meta_outer_update(_meta_params(), [], 0.5)
 
 
 # --- learner plumbing ---------------------------------------------------------------
@@ -738,14 +751,6 @@ def test_policy_params_clone_is_independent():
     twin = params.clone()
     twin.actor["b0"][0] += 1.0
     assert params.actor["b0"][0] != twin.actor["b0"][0]
-
-
-def test_refresh_stale_copies_current_weights():
-    params = tiny_params()
-    params.actor["b0"][0] += 5.0
-    assert params.actor_stale["b0"][0] != params.actor["b0"][0]
-    params.refresh_stale()
-    assert params.actor_stale["b0"][0] == params.actor["b0"][0]
 
 
 def test_forward_distributions_normalised():

@@ -76,6 +76,12 @@ def test_run_rejects_unknown_algorithm(scenario_file, capsys):
     assert "unknown algorithm" in capsys.readouterr().err
 
 
+def test_run_rejects_a_zero_count_with_exit_two(scenario_file, monkeypatch, capsys):
+    monkeypatch.setenv("SWARMCOVER__agent__meta_tasks_per_update", "0")
+    assert main(["run", str(scenario_file(algorithm="meta_rl"))]) == 2
+    assert "meta_tasks_per_update must be at least 1" in capsys.readouterr().err
+
+
 def test_compare_prints_a_table_and_writes_csv(scenario_file, tmp_path, capsys):
     a = scenario_file(algorithm="random")
     b = scenario_file(algorithm="actor_critic")

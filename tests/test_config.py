@@ -43,8 +43,14 @@ def test_empty_file_is_the_default_config(tmp_path):
 
 
 def test_typo_in_key_is_rejected_by_name(tmp_path):
-    with pytest.raises(ValueError, match=r"unknown key 'speeed' in config section 'mission'"):
-        load(tmp_path, {"mission": {"speeed": 11}})
+    # A typo, then knobs that no longer exist (they only ever held their default).
+    for section, key, value in (("mission", "speeed", 11),
+                                ("agent", "action_mode", "auto"),
+                                ("agent", "policy_epsilon", 0.0),
+                                ("agent", "init_scale", 1.0),
+                                ("run", "single_thread", True)):
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in config section '{section}'"):
+            load(tmp_path, {section: {key: value}})
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -62,6 +68,10 @@ def test_out_of_range_value_fails_in_the_dataclass(tmp_path):
         load(tmp_path, {"agent": {"gamma": 1.5}})
     with pytest.raises(ValueError, match="at least 1"):
         load(tmp_path, {"run": {"episodes": 0}})
+    for key in ("meta_tasks_per_update", "meta_inner_episodes", "dqn_update_interval",
+                "target_refresh", "ppo_epochs"):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+            load(tmp_path, {"agent": {key: 0}})
 
 
 def test_list_fields_coerced_to_tuples(tmp_path):
