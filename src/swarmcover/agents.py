@@ -1,31 +1,37 @@
 """Learners for the coverage MDP: actor-critic, DQN, PPO, and a first-order
 meta-initialization loop on top of the actor-critic.
 
-Every learner has ``act``, ``record`` and ``finish_episode`` and holds
-one copy of its weights. Only ``finish_episode`` changes them (DQN's
-``record`` too), so everything read during an episode sees the weights
-the episode started with. The actor-critic accumulates the episode's
-gradients at those weights and applies them in one Adam step afterwards
-(ascent for the actor, descent for the critic). Credit is per UAV: the
-critic has one value output per UAV slot, regressed on that UAV's own
-discounted return, and each active policy head is pushed by its own
-one-step TD advantage r_i + gamma * V_i(s') - V_i(s) plus an entropy
-bonus. The critic additionally takes a one-step temporal-difference
-term from a replay minibatch each episode. PPO takes the pre-update
-joint log-probabilities and values once per update, before its epochs
-move the weights. The meta loop adapts a clone of the meta parameters
-on a sampled task for ``AgentConfig.meta_inner_episodes`` episodes and
-then moves the meta parameters ``AgentConfig.meta_outer_lr`` of the way
+Every learner has ``act(state, rng)``, ``record(transition)`` and
+``finish_episode(rng)`` and holds one copy of its weights. Only
+``finish_episode`` changes them (DQN's ``record`` too), so everything
+read during an episode sees the weights the episode started with. The
+actor-critic and PPO sample from their actor. DQN acts epsilon-greedily
+and anneals epsilon itself, once per finished episode, over the run
+length it is built with; no caller passes an exploration rate.
+
+The actor-critic accumulates the episode's gradients at the episode's
+weights and applies them in one Adam step afterwards (ascent for the
+actor, descent for the critic). Credit is per UAV: the critic has one
+value output per UAV slot, regressed on that UAV's own discounted
+return, and each active policy head is pushed by its own one-step TD
+advantage r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The
+critic additionally takes a one-step temporal-difference term from a
+replay minibatch each episode. PPO takes the pre-update joint
+log-probabilities and values once per update, before its epochs move
+the weights. The meta loop adapts a clone of the meta parameters on a
+sampled task for ``AgentConfig.meta_inner_episodes`` episodes and then
+moves the meta parameters ``AgentConfig.meta_outer_lr`` of the way
 toward the mean adapted weights.
 
 All updates are plain in-place numpy arithmetic, single threaded, and
 deterministic given the generators passed in. The hot paths hold no
-per-UAV or per-(step, UAV) Python loop: action sampling inverts one
-uniform per UAV through row-wise CDFs, and the gradients index one-hot
-actions under an acting-head mask (``_action_arrays``). Both reproduce
-the per-UAV ``rng.choice`` draws and the per-(step, UAV) arithmetic bit
-for bit; the tests keep those loops as references. Acting runs the
-actor alone.
+per-(step, UAV) Python loop: action sampling inverts one uniform per UAV
+through row-wise CDFs, and the gradients index one-hot actions under an
+acting-head mask (``_action_arrays``). Both reproduce the per-UAV
+``rng.choice`` draws and the per-(step, UAV) arithmetic bit for bit; the
+tests keep those loops as references. Only DQN's exploration walks the
+UAVs one at a time, because its draws interleave. The policy learners
+act through the actor alone.
 """
 
 from __future__ import annotations
@@ -204,44 +210,18 @@ def epsilon_at(episode: int, total_episodes: int, cfg: AgentConfig) -> float:
     return cfg.eps_start + (cfg.eps_end - cfg.eps_start) * frac
 
 
-def select_action(
-    scores: np.ndarray,
-    active: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    mode: str = "greedy",
-) -> tuple[int, ...]:
-    """Pick one action id per active UAV from per-UAV scores.
+def select_action(probs: np.ndarray, active: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Sample one action id per active UAV from per-UAV probabilities.
 
-    ``scores`` is (heads, actions): probabilities in sample mode,
-    arbitrary preferences (e.g. Q-values) in greedy mode. With
-    probability ``epsilon`` a UAV acts uniformly at random instead.
-    Greedy ties resolve to the lowest action index.
-
+    ``probs`` is (heads, actions); rows past ``active`` are never read.
     Draws are those of a per-UAV ``rng.choice(N_ACTIONS, p=row / row.sum())``:
-    one uniform per sampled UAV, inverted through the row's normalised CDF
-    as ``searchsorted(side="right")`` would, so the stream and the actions
-    are the same. With ``epsilon > 0`` the exploration draws interleave
-    with the action draws, so the UAVs are drawn one at a time. A sampled
-    row that is NaN, negative or sums to zero raises ``ValueError``.
+    one uniform per UAV, inverted through the row's normalised CDF as
+    ``searchsorted(side="right")`` would, so the stream and the actions
+    are the same. A row that is NaN, negative or sums to zero raises
+    ``ValueError``.
     """
-    if mode == "greedy":
-        picks = np.asarray(scores)[:active].argmax(axis=1)
-        if epsilon <= 0.0:
-            return tuple(picks.tolist())
-    else:
-        cdf = _sampling_cdf(np.asarray(scores, dtype=np.float64)[:active])
-        if epsilon <= 0.0:
-            return tuple((cdf <= rng.random((active, 1))).sum(axis=1).tolist())
-    acts = []
-    for u in range(active):
-        if rng.random() < epsilon:
-            acts.append(int(rng.integers(N_ACTIONS)))
-        elif mode == "greedy":
-            acts.append(int(picks[u]))
-        else:
-            acts.append(int(np.count_nonzero(cdf[u] <= rng.random())))
-    return tuple(acts)
+    cdf = _sampling_cdf(np.asarray(probs, dtype=np.float64)[:active])
+    return tuple((cdf <= rng.random((active, 1))).sum(axis=1).tolist())
 
 
 #: The tolerance on a probability row's sum that ``Generator.choice`` allows.
@@ -596,11 +576,11 @@ def ppo_update(
 
 # --- meta loop ------------------------------------------------------------------
 
-def run_training_episode(env, task, learner, rng: np.random.Generator, epsilon: float) -> dict:
+def run_training_episode(env, task, learner, rng: np.random.Generator) -> dict:
     """One full episode of interaction and learning; returns episode stats."""
     state = env.reset(task, rng_seed=int(rng.integers(2**63 - 1)))
     while True:
-        actions = learner.act(state, epsilon, rng)
+        actions = learner.act(state, rng)
         out = env.step(actions)
         learner.record(
             Transition(state, actions, out.reward, out.state, out.done, out.uav_rewards)
@@ -618,7 +598,6 @@ def meta_adapt(
     task,
     rng: np.random.Generator,
     agent_cfg: AgentConfig,
-    recorder=None,
 ) -> PolicyParams:
     """Adapt a clone of the meta parameters to one task.
 
@@ -628,9 +607,7 @@ def meta_adapt(
     """
     learner = ActorCriticLearner(meta.clone(), agent_cfg)
     for _ in range(agent_cfg.meta_inner_episodes):
-        stats = run_training_episode(env, task, learner, rng, epsilon=0.0)
-        if recorder is not None:
-            recorder(stats)
+        run_training_episode(env, task, learner, rng)
     return learner.params
 
 
@@ -661,18 +638,15 @@ class ActorCriticLearner:
     learner, or a learner whose ``params`` are replaced, starts afresh.
     """
 
-    uses_schedule = False
-
     def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
         self.params = params
         self.cfg = cfg
         self.memory = ReplayMemory(cfg.replay_capacity)
         self._episode: list[Transition] = []
-        self.mode = "sample"
         self._optimised: PolicyParams | None = None
 
-    def act(self, state, epsilon, rng) -> tuple[int, ...]:
-        return _policy_act(self.params, state, epsilon, rng, self.mode)
+    def act(self, state, rng) -> tuple[int, ...]:
+        return _policy_act(self.params, state, rng)
 
     def record(self, transition: Transition) -> None:
         self._episode.append(transition)
@@ -700,27 +674,41 @@ class ActorCriticLearner:
 
 
 class DQNLearner:
-    """Factorised per-UAV Q-learning with a periodically frozen target."""
+    """Factorised per-UAV Q-learning with a periodically frozen target.
 
-    uses_schedule = True
+    Exploration is epsilon-greedy on a linear schedule over the
+    ``episodes`` the learner is built for: the k-th episode it plays acts
+    with ``epsilon_at(k, episodes, cfg)``.
+    """
 
-    def __init__(self, state_dim: int, heads: int, cfg: AgentConfig, rng: np.random.Generator) -> None:
+    def __init__(
+        self, state_dim: int, heads: int, cfg: AgentConfig, rng: np.random.Generator,
+        episodes: int,
+    ) -> None:
         self.cfg = cfg
         self.net_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
         self.heads = heads
         self.q = nets.init_params(self.net_cfg, rng)
         self.target = nets.clone_params(self.q)
         self.memory = ReplayMemory(cfg.replay_capacity)
-        self.mode = "greedy"
+        self.episodes = episodes
+        self._finished = 0
+        self.epsilon = epsilon_at(0, episodes, cfg)
         self._steps = 0
         self._updates = 0
         self._rng = rng
 
-    def act(self, state, epsilon, rng) -> tuple[int, ...]:
+    def act(self, state, rng) -> tuple[int, ...]:
+        """Each active UAV's argmax Q action (ties to the lowest index), or
+        with probability ``epsilon`` a uniform one. The UAVs draw in turn,
+        so each exploration draw precedes that UAV's random action."""
         raw, _ = nets.forward(self.q, np.atleast_2d(state), self.net_cfg)
-        scores = raw.reshape(self.heads, N_ACTIONS)
         active = _active_count(state, self.heads)
-        return select_action(scores, active, epsilon, rng, self.mode)
+        picks = raw.reshape(self.heads, N_ACTIONS)[:active].argmax(axis=1).tolist()
+        if self.epsilon <= 0.0:
+            return tuple(picks)
+        return tuple(int(rng.integers(N_ACTIONS)) if rng.random() < self.epsilon else a
+                     for a in picks)
 
     def record(self, transition: Transition) -> None:
         self.memory.push(transition)
@@ -736,22 +724,20 @@ class DQNLearner:
                 self.target = nets.clone_params(self.q)
 
     def finish_episode(self, rng) -> None:
-        pass
+        self._finished += 1
+        self.epsilon = epsilon_at(self._finished, self.episodes, self.cfg)
 
 
 class PPOLearner:
     """One-episode rollouts with several clipped-surrogate epochs."""
 
-    uses_schedule = False
-
     def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
         self.params = params
         self.cfg = cfg
         self._rollout: list[Transition] = []
-        self.mode = "sample"
 
-    def act(self, state, epsilon, rng) -> tuple[int, ...]:
-        return _policy_act(self.params, state, epsilon, rng, self.mode)
+    def act(self, state, rng) -> tuple[int, ...]:
+        return _policy_act(self.params, state, rng)
 
     def record(self, transition: Transition) -> None:
         self._rollout.append(transition)
@@ -769,12 +755,10 @@ class PPOLearner:
 class RandomPolicy:
     """Uniform action baseline; never learns."""
 
-    uses_schedule = False
-
     def __init__(self, heads: int) -> None:
         self.heads = heads
 
-    def act(self, state, epsilon, rng) -> tuple[int, ...]:
+    def act(self, state, rng) -> tuple[int, ...]:
         active = _active_count(state, self.heads)
         return tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
 
@@ -790,10 +774,10 @@ def _active_count(state: np.ndarray, heads: int) -> int:
     return int(round(float(state[-1]) * heads))
 
 
-def _policy_act(params: PolicyParams, state, epsilon, rng, mode: str) -> tuple[int, ...]:
-    """Actions from the actor alone; acting needs no critic value."""
+def _policy_act(params: PolicyParams, state, rng) -> tuple[int, ...]:
+    """Actions sampled from the actor alone; acting needs no critic value."""
     _, probs, _ = policy_forward(params.actor, np.atleast_2d(state), params.actor_cfg, params.heads)
-    return select_action(probs[0], _active_count(state, params.heads), epsilon, rng, mode)
+    return select_action(probs[0], _active_count(state, params.heads), rng)
 
 
 ALGORITHMS = ("meta_rl", "actor_critic", "dqn", "ppo", "random")
@@ -805,18 +789,17 @@ def make_learner(
     heads: int,
     cfg: AgentConfig,
     rng: np.random.Generator,
-    init: PolicyParams | None = None,
+    episodes: int,
 ):
-    """Learner factory; ``init`` seeds actor-critic style learners."""
+    """A fresh learner for a run of ``episodes`` episodes (the length of
+    DQN's exploration schedule)."""
     if algorithm in ("actor_critic", "meta_rl"):
-        params = (init.clone() if init is not None
-                  else make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads))
-        return ActorCriticLearner(params, cfg)
+        return ActorCriticLearner(
+            make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads), cfg)
     if algorithm == "ppo":
-        params = init.clone() if init is not None else make_policy_params(state_dim, heads, cfg, rng)
-        return PPOLearner(params, cfg)
+        return PPOLearner(make_policy_params(state_dim, heads, cfg, rng), cfg)
     if algorithm == "dqn":
-        return DQNLearner(state_dim, heads, cfg, rng)
+        return DQNLearner(state_dim, heads, cfg, rng, episodes)
     if algorithm == "random":
         return RandomPolicy(heads)
     raise ValueError(f"unknown algorithm {algorithm!r} (known: {', '.join(ALGORITHMS)})")

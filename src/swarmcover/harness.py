@@ -29,7 +29,6 @@ from .agents import (
     ActorCriticLearner,
     AgentConfig,
     PolicyParams,
-    epsilon_at,
     make_learner,
     make_policy_params,
     meta_adapt,
@@ -155,24 +154,17 @@ def train_task(
     learner,
     episodes: int,
     rng: np.random.Generator,
-    agent_cfg: AgentConfig,
-    schedule_total: int | None = None,
-    schedule_offset: int = 0,
     recorder: Callable[[dict], None] | None = None,
 ) -> list[dict]:
     """Train a learner on one fixed task for a number of episodes.
 
-    Exploration: learners with an epsilon schedule anneal over
-    ``schedule_total`` episodes (offset by ``schedule_offset``); the
-    rest act without exploration.
+    The learner owns its exploration: DQN continues its epsilon schedule
+    across calls, so a run split into chunks at swarm events anneals as
+    one unbroken run would.
     """
     stats_list = []
-    for i in range(episodes):
-        if getattr(learner, "uses_schedule", False) and schedule_total:
-            eps = epsilon_at(schedule_offset + i, schedule_total, agent_cfg)
-        else:
-            eps = 0.0
-        stats = run_training_episode(env, task, learner, rng, eps)
+    for _ in range(episodes):
+        stats = run_training_episode(env, task, learner, rng)
         stats_list.append(stats)
         if recorder is not None:
             recorder(stats)
@@ -184,7 +176,6 @@ def train_meta_params(
     agent_cfg: AgentConfig,
     episode_budget: int,
     rng: np.random.Generator,
-    recorder: Callable[[dict], None] | None = None,
 ) -> PolicyParams:
     """Meta-train an initialization over the environment's task family.
 
@@ -200,35 +191,9 @@ def train_meta_params(
         adapted = []
         for _ in range(agent_cfg.meta_tasks_per_update):
             task = env.sample_task(rng)
-            adapted.append(meta_adapt(meta, env, task, rng, agent_cfg, recorder))
+            adapted.append(meta_adapt(meta, env, task, rng, agent_cfg))
         meta_outer_update(meta, adapted, agent_cfg.meta_outer_lr)
     return meta
-
-
-def greedy_episode(
-    env: CoverageEnv,
-    task: TaskSpec,
-    learner,
-    rng_seed: int = 0,
-    start_cells: Sequence[int] | None = None,
-) -> dict:
-    """One evaluation episode: greedy actions, no exploration, no learning."""
-    state = env.reset(task, rng_seed=rng_seed, start_cells=start_cells)
-    rng = np.random.default_rng(rng_seed)
-    old_mode = getattr(learner, "mode", None)
-    if old_mode is not None:
-        learner.mode = "greedy"
-    try:
-        while True:
-            actions = learner.act(state, 0.0, rng)
-            out = env.step(actions)
-            state = out.state
-            if out.done:
-                break
-    finally:
-        if old_mode is not None:
-            learner.mode = old_mode
-    return env.episode_stats()
 
 
 def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
@@ -251,11 +216,11 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
 
     meta: PolicyParams | None = None
     if algorithm == "meta_rl":
-        budget = int(round(agent_cfg.meta_fraction * episodes))
-        meta = train_meta_params(env, agent_cfg, budget, rng)
+        meta = train_meta_params(env, agent_cfg, _pretrain_episodes(cfg), rng)
         learner = ActorCriticLearner(meta.clone(), agent_cfg)
     else:
-        learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng)
+        learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng,
+                               episodes)
 
     task = env.nominal_task()
     env.reset(task)  # leave no sampled pre-training task behind
@@ -274,12 +239,18 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
             default=episodes,
         )
         chunk = min(next_stop, episodes) - len(metrics)
-        train_task(
-            env, task, learner, chunk, rng, agent_cfg,
-            schedule_total=episodes, schedule_offset=len(metrics),
-            recorder=record,
-        )
+        train_task(env, task, learner, chunk, rng, recorder=record)
     return metrics
+
+
+def _pretrain_episodes(cfg: ExperimentConfig) -> int:
+    """Meta-pretraining episodes a run plays: the whole rounds that its
+    share ``meta_fraction`` of the episodes funds (none but for meta_rl)."""
+    if cfg.run.algorithm != "meta_rl":
+        return 0
+    agent = cfg.agent
+    per_round = agent.meta_tasks_per_update * agent.meta_inner_episodes
+    return int(round(agent.meta_fraction * cfg.run.episodes)) // per_round * per_round
 
 
 def _tail_slice(rows: Sequence, tail: float) -> Sequence:
@@ -298,10 +269,7 @@ def _summary(cfg: ExperimentConfig, seed: int, metrics: list[EpisodeMetrics]) ->
         "algorithm": run.algorithm,
         "seed": seed,
         "episodes": len(metrics),
-        "pretrain_episodes": (
-            int(round(cfg.agent.meta_fraction * run.episodes))
-            if run.algorithm == "meta_rl" else 0
-        ),
+        "pretrain_episodes": _pretrain_episodes(cfg),
         "swarm_size_initial": metrics[0].swarm_size,
         "swarm_size_final": metrics[-1].swarm_size,
         "strategic_cells": list(cfg.env.strategic_cells),

@@ -16,7 +16,6 @@ times its data time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -290,8 +289,3 @@ def devices_from_dicts(entries: Sequence[dict]) -> list[IotDevice]:
         for e in entries
     ]
 
-
-def write_layout(world: GridWorld, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(layout_to_dict(world), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,15 +1,14 @@
 """Dense policy/value networks with explicit numpy backprop.
 
 Parameters live in plain dicts ("W0", "b0", "W1", ...) so learners can
-clone, flatten, interpolate and serialize them without a framework.
-Hidden layers are tanh, the output layer is linear. The policy network
-emits one block of action logits per UAV slot; a separate value network
-emits a scalar.
+clone, flatten and interpolate them without a framework. Hidden layers
+are tanh, the output layer is linear. The policy network emits one block
+of action logits per UAV slot; a separate value network emits one value
+per value column.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +102,6 @@ def flatten_params(params: dict, cfg: NetConfig) -> np.ndarray:
     return np.concatenate([params[k].ravel() for k in param_keys(cfg)])
 
 
-def unflatten_params(vec: np.ndarray, cfg: NetConfig) -> dict:
-    return clone_params(flat_views(vec, cfg))
-
-
 def flat_views(vec: np.ndarray, cfg: NetConfig) -> dict:
     """Parameter-shaped views into ``vec``, in :func:`flatten_params` order;
     writing through a view writes ``vec``."""
@@ -127,44 +122,3 @@ def num_params(cfg: NetConfig) -> int:
     dims = cfg.dims
     return sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
 
-
-# --- checkpoints ------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, bundles: dict[str, tuple[dict, NetConfig]], extra: dict | None = None) -> None:
-    """Write named parameter bundles to an .npz checkpoint.
-
-    ``bundles`` maps a name (e.g. "actor") to (params, cfg). Shapes and
-    a format version ride along in a JSON header entry.
-    """
-    arrays = {}
-    meta = {"format_version": CHECKPOINT_VERSION, "nets": {}, "extra": extra or {}}
-    for name, (params, cfg) in bundles.items():
-        meta["nets"][name] = {
-            "input_dim": cfg.input_dim,
-            "hidden": list(cfg.hidden),
-            "out_dim": cfg.out_dim,
-        }
-        for k, v in params.items():
-            arrays[f"{name}__{k}"] = v
-    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> tuple[dict[str, tuple[dict, NetConfig]], dict]:
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(str(npz["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')!r}")
-        bundles = {}
-        for name, shape in meta["nets"].items():
-            cfg = NetConfig(int(shape["input_dim"]), tuple(shape["hidden"]), int(shape["out_dim"]))
-            params = {}
-            prefix = f"{name}__"
-            for key in npz.files:
-                if key.startswith(prefix):
-                    params[key[len(prefix):]] = npz[key].copy()
-            bundles[name] = (params, cfg)
-    return bundles, meta["extra"]

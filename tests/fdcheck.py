@@ -24,8 +24,8 @@ def numeric_grad(params: dict, cfg: nets.NetConfig, scalar_fn, step: float = FD_
         down = vec.copy()
         up[i] += step
         down[i] -= step
-        f_up = scalar_fn(nets.unflatten_params(up, cfg))
-        f_down = scalar_fn(nets.unflatten_params(down, cfg))
+        f_up = scalar_fn(nets.flat_views(up, cfg))
+        f_down = scalar_fn(nets.flat_views(down, cfg))
         out[i] = (f_up - f_down) / (2.0 * step)
     return out
 

@@ -27,7 +27,6 @@ from swarmcover.config import load_config
 from swarmcover.env import CoverageEnv, EnvConfig, strategic_reward, task_with_swarm
 from swarmcover.harness import (
     episodes_to_plateau,
-    greedy_episode,
     run_experiment,
     train_meta_params,
     train_task,
@@ -248,6 +247,19 @@ def test_gradient_oracle_matches_finite_differences():
 
 # --- 3: trained agent vs exhaustive optimum ------------------------------------------
 
+def _greedy_rollout(env: CoverageEnv, task, learner: ag.DQNLearner, start_cells) -> None:
+    """Play one episode on the argmax of the learner's Q heads: no
+    exploration, no learning. The UAV track stays in ``env``."""
+    state = env.reset(task, rng_seed=0, start_cells=start_cells)
+    done = False
+    while not done:
+        q, _ = nets.forward(learner.q, state, learner.net_cfg)
+        active = int(round(float(state[-1]) * learner.heads))
+        picks = q.reshape(learner.heads, ag.N_ACTIONS)[:active].argmax(axis=1)
+        out = env.step(tuple(picks.tolist()))
+        state, done = out.state, out.done
+
+
 @pytest.mark.slow
 def test_trained_agent_matches_exhaustive_optimum():
     budget_s = 300.0
@@ -276,9 +288,9 @@ def test_trained_agent_matches_exhaustive_optimum():
     wins = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        learner = make_learner("dqn", env.state_dim, env.cfg.max_swarm, cfg, rng)
-        train_task(env, task, learner, episodes, rng, cfg, schedule_total=episodes)
-        greedy_episode(env, task, learner, rng_seed=0, start_cells=(1,))
+        learner = make_learner("dqn", env.state_dim, env.cfg.max_swarm, cfg, rng, episodes)
+        train_task(env, task, learner, episodes, rng)
+        _greedy_rollout(env, task, learner, start_cells=(1,))
         trajectory = tuple(c for _, c in env.uav_track[0])
         report = verify_feasibility([trajectory], instance)
         wins.append(report.all_ok and report.objective_j <= 1.05 * best.objective_j)
@@ -306,11 +318,11 @@ def test_strategic_cells_visited_more_after_meta_training():
     ratios = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
+        learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng,
+                               episodes)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
         learner.params = meta.clone()
-        stats = train_task(env, task, learner, episodes, rng, cfg.agent,
-                           schedule_total=episodes)
+        stats = train_task(env, task, learner, episodes, rng)
         ratios.append(_tail_visit_ratio(stats, strategic, env.n_cells))
 
     elapsed = time.time() - t0
@@ -340,19 +352,18 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
         # Meta path: pretrain across the task family, settle on the base
         # task, then keep learning through the swarm change.
         rng = np.random.default_rng(seed)
-        meta_learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
+        meta_learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent,
+                                    rng, e_pre + e_post)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
         meta_learner.params = meta.clone()
-        train_task(env, base, meta_learner, e_pre, rng, cfg.agent,
-                   schedule_total=e_pre + e_post)
-        post_meta = train_task(env, changed, meta_learner, e_post, rng, cfg.agent,
-                               schedule_total=e_pre + e_post, schedule_offset=e_pre)
+        train_task(env, base, meta_learner, e_pre, rng)
+        post_meta = train_task(env, changed, meta_learner, e_post, rng)
 
         # Scratch path: identical configuration, post-change task only.
         rng2 = np.random.default_rng(seed)
-        scratch = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng2)
-        post_scratch = train_task(env, changed, scratch, e_post, rng2, cfg.agent,
-                                  schedule_total=e_post)
+        scratch = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng2,
+                               e_post)
+        post_scratch = train_task(env, changed, scratch, e_post, rng2)
 
         e_meta, _ = episodes_to_plateau(
             [s["reward"] for s in post_meta], window=window, level=0.9)
@@ -388,11 +399,11 @@ def test_satisfaction_scales_with_swarm_size():
         vals = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
+            learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent,
+                                   rng, episodes)
             meta = train_meta_params(env, cfg.agent, pretrain, rng)
             learner.params = meta.clone()
-            stats = train_task(env, task, learner, episodes, rng, cfg.agent,
-                               schedule_total=episodes)
+            stats = train_task(env, task, learner, episodes, rng)
             vals.append(_tail_mean(stats, "satisfaction"))
         means.append(float(np.mean(vals)))
     meta_at_7 = means[-1]
@@ -403,9 +414,9 @@ def test_satisfaction_scales_with_swarm_size():
         vals = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            learner = make_learner(algo, env.state_dim, env.cfg.max_swarm, cfg.agent, rng)
-            stats = train_task(env, task7, learner, episodes, rng, cfg.agent,
-                               schedule_total=episodes)
+            learner = make_learner(algo, env.state_dim, env.cfg.max_swarm, cfg.agent, rng,
+                                   episodes)
+            stats = train_task(env, task7, learner, episodes, rng)
             vals.append(_tail_mean(stats, "satisfaction"))
         baselines[algo] = float(np.mean(vals))
 

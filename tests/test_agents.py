@@ -75,79 +75,111 @@ def test_epsilon_schedule_endpoints():
     assert ag.epsilon_at(300, 1000, cfg) == pytest.approx((0.9 + 0.05) / 2.0)
 
 
-def test_select_action_greedy_takes_argmax():
-    scores = np.array([[0.1, 0.2, 0.5, 0.1, 0.1]])
-    act = ag.select_action(scores, 1, 0.0, np.random.default_rng(0), mode="greedy")
-    assert act == (2,)
+def fixed_q_dqn(q: np.ndarray, epsilon: float) -> ag.DQNLearner:
+    """A DQN learner whose Q heads output ``q`` [heads, actions] in every
+    state and which explores at a constant ``epsilon``."""
+    cfg = ag.AgentConfig(hidden=(2,), eps_start=epsilon, eps_end=epsilon)
+    learner = ag.DQNLearner(3, q.shape[0], cfg, np.random.default_rng(0), episodes=10)
+    for value in learner.q.values():
+        value[...] = 0.0
+    learner.q[f"b{learner.net_cfg.n_layers - 1}"][:] = q.ravel()
+    return learner
 
 
-def test_select_action_tie_breaks_low():
-    scores = np.array([[0.25, 0.25, 0.25, 0.25, 0.0]])
-    act = ag.select_action(scores, 1, 0.0, np.random.default_rng(0), mode="greedy")
-    assert act == (0,)
+def acting_state(active: int, heads: int) -> np.ndarray:
+    """A state whose trailing active-count feature reads ``active``."""
+    return np.array([0.0, 0.0, active / heads])
 
 
-def test_select_action_full_random_is_uniform():
+def test_dqn_act_greedy_takes_argmax():
+    learner = fixed_q_dqn(np.array([[0.1, 0.2, 0.5, 0.1, 0.1]]), 0.0)
+    assert learner.act(acting_state(1, 1), np.random.default_rng(0)) == (2,)
+
+
+def test_dqn_act_tie_breaks_low():
+    learner = fixed_q_dqn(np.array([[0.25, 0.25, 0.25, 0.25, 0.0]]), 0.0)
+    assert learner.act(acting_state(1, 1), np.random.default_rng(0)) == (0,)
+
+
+def test_dqn_act_full_random_is_uniform():
     rng = np.random.default_rng(0)
-    scores = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
+    learner = fixed_q_dqn(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), 1.0)
     counts = np.zeros(N_ACTIONS)
     draws = 10_000
     for _ in range(draws):
-        counts[ag.select_action(scores, 1, 1.0, rng, mode="greedy")[0]] += 1
+        counts[learner.act(acting_state(1, 1), rng)[0]] += 1
     np.testing.assert_allclose(counts / draws, 0.2, atol=0.02)
 
 
 def test_select_action_sample_mode_follows_distribution():
     rng = np.random.default_rng(0)
-    scores = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
+    probs = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
     for _ in range(20):
-        assert ag.select_action(scores, 1, 0.0, rng, mode="sample") == (2,)
+        assert ag.select_action(probs, 1, rng) == (2,)
 
 
-def loop_select_action(scores, active, epsilon, rng, mode):
+def loop_select_action(probs, active, rng):
     """Reference: one ``rng.choice`` per UAV, the draws ``select_action``
     must reproduce."""
     acts = []
     for u in range(active):
-        if epsilon > 0.0 and rng.random() < epsilon:
-            acts.append(int(rng.integers(N_ACTIONS)))
-        elif mode == "greedy":
-            acts.append(int(np.argmax(scores[u])))
-        else:
-            p = np.asarray(scores[u], dtype=np.float64)
-            p = p / p.sum()
-            acts.append(int(rng.choice(N_ACTIONS, p=p)))
+        p = np.asarray(probs[u], dtype=np.float64)
+        acts.append(int(rng.choice(N_ACTIONS, p=p / p.sum())))
     return tuple(acts)
 
 
-def random_scores(rng, heads: int, active: int, mode: str) -> np.ndarray:
+def loop_dqn_act(q, active, epsilon, rng):
+    """Reference: per UAV, an exploration draw and then either a uniform
+    action or the argmax, the draws ``DQNLearner.act`` must reproduce."""
+    acts = []
+    for u in range(active):
+        if epsilon > 0.0 and rng.random() < epsilon:
+            acts.append(int(rng.integers(N_ACTIONS)))
+        else:
+            acts.append(int(np.argmax(q[u])))
+    return tuple(acts)
+
+
+def random_probs(rng, heads: int, active: int) -> np.ndarray:
     """Softmax rows from peaked to flat, some with exact zeros or left
-    unnormalised, in sample mode; Q-values with ties in greedy mode. Idle
-    rows hold NaN, which must never be read."""
-    if mode == "greedy":
-        scores = np.round(rng.normal(size=(heads, N_ACTIONS)), int(rng.integers(0, 3)))
-    else:
-        z = rng.normal(scale=10.0 ** rng.uniform(-1, 1.5), size=(heads, N_ACTIONS))
-        scores = nets.softmax(z)
-        scores[rng.random(scores.shape) < 0.1] = 0.0
-        scores[scores.sum(axis=1) == 0.0, 0] = 1.0
-        scores *= rng.choice([1.0, rng.uniform(0.1, 10.0)])
-    scores[active:] = np.nan
-    return scores
+    unnormalised. Idle rows hold NaN, which must never be read."""
+    z = rng.normal(scale=10.0 ** rng.uniform(-1, 1.5), size=(heads, N_ACTIONS))
+    probs = nets.softmax(z)
+    probs[rng.random(probs.shape) < 0.1] = 0.0
+    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    probs *= rng.choice([1.0, rng.uniform(0.1, 10.0)])
+    probs[active:] = np.nan
+    return probs
 
 
 def test_select_action_matches_the_per_uav_draws():
     cases = np.random.default_rng(100)
-    for case in range(2400):
+    for case in range(1200):
         heads = int(cases.integers(1, 8))
         active = int(cases.integers(0, heads + 1))
-        mode = ("sample", "greedy")[case % 2]
-        epsilon = (0.0, float(cases.uniform(0.05, 0.95)))[(case // 2) % 2]
-        scores = random_scores(cases, heads, active, mode)
+        probs = random_probs(cases, heads, active)
         mine, ref = np.random.default_rng(case), np.random.default_rng(case)
-        got = ag.select_action(scores, active, epsilon, mine, mode)
-        want = loop_select_action(scores, active, epsilon, ref, mode)
-        assert got == want, (case, heads, active, mode, epsilon)
+        got = ag.select_action(probs, active, mine)
+        want = loop_select_action(probs, active, ref)
+        assert got == want, (case, heads, active)
+        assert all(type(a) is int for a in got)
+        assert mine.bit_generator.state == ref.bit_generator.state, case
+
+
+def test_dqn_act_matches_the_per_uav_draws():
+    cases = np.random.default_rng(101)
+    for case in range(1200):
+        heads = int(cases.integers(1, 8))
+        active = int(cases.integers(0, heads + 1))
+        epsilon = (0.0, float(cases.uniform(0.05, 0.95)))[case % 2]
+        # Q-values rounded to 0-2 decimals, so rows hold ties.
+        q = np.round(cases.normal(size=(heads, N_ACTIONS)), int(cases.integers(0, 3)))
+        q[active:] = np.nan
+        learner = fixed_q_dqn(q, epsilon)
+        mine, ref = np.random.default_rng(case), np.random.default_rng(case)
+        got = learner.act(acting_state(active, heads), mine)
+        want = loop_dqn_act(q, active, epsilon, ref)
+        assert got == want, (case, heads, active, epsilon)
         assert all(type(a) is int for a in got)
         assert mine.bit_generator.state == ref.bit_generator.state, case
 
@@ -155,8 +187,8 @@ def test_select_action_matches_the_per_uav_draws():
 @pytest.mark.parametrize("active", [1, 3])
 @pytest.mark.parametrize("bad", ["nan", "all_zero", "negative"])
 def test_select_action_rejects_invalid_probabilities(bad, active):
-    scores = np.full((4, N_ACTIONS), 0.2)
-    scores[active - 1] = {
+    probs = np.full((4, N_ACTIONS), 0.2)
+    probs[active - 1] = {
         "nan": [0.2, np.nan, 0.2, 0.2, 0.4],
         "all_zero": [0.0] * N_ACTIONS,
         "negative": [-0.1, 0.5, 0.3, 0.2, 0.1],
@@ -164,7 +196,7 @@ def test_select_action_rejects_invalid_probabilities(bad, active):
     with np.errstate(invalid="ignore"):
         for sample in (ag.select_action, loop_select_action):
             with pytest.raises(ValueError):
-                sample(scores, active, 0.0, np.random.default_rng(0), "sample")
+                sample(probs, active, np.random.default_rng(0))
 
 
 # --- returns -----------------------------------------------------------------------
@@ -421,11 +453,11 @@ def test_replacing_learner_params_restarts_adam():
     init = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg,
                                  np.random.default_rng(50), critic_outputs=env.cfg.max_swarm)
     reused = ag.ActorCriticLearner(init.clone(), cfg)
-    ag.run_training_episode(env, task, reused, np.random.default_rng(51), 0.0)
+    ag.run_training_episode(env, task, reused, np.random.default_rng(51))
     reused.params = init.clone()
-    ag.run_training_episode(env, task, reused, np.random.default_rng(52), 0.0)
+    ag.run_training_episode(env, task, reused, np.random.default_rng(52))
     fresh = ag.ActorCriticLearner(init.clone(), cfg)
-    ag.run_training_episode(env, task, fresh, np.random.default_rng(52), 0.0)
+    ag.run_training_episode(env, task, fresh, np.random.default_rng(52))
     np.testing.assert_array_equal(
         nets.flatten_params(reused.params.actor, init.actor_cfg),
         nets.flatten_params(fresh.params.actor, init.actor_cfg),
@@ -763,22 +795,13 @@ def test_forward_distributions_normalised():
 
 def test_make_learner_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown algorithm"):
-        ag.make_learner("sarsa", 10, 2, ag.AgentConfig(), np.random.default_rng(0))
-
-
-def test_make_learner_clones_the_init():
-    cfg = ag.AgentConfig(hidden=(2,))
-    init = ag.make_policy_params(4, 1, cfg, np.random.default_rng(1))
-    learner = ag.make_learner("actor_critic", 4, 1, cfg, np.random.default_rng(2), init=init)
-    learner.params.actor["b0"][0] += 1.0
-    assert init.actor["b0"][0] != learner.params.actor["b0"][0]
+        ag.make_learner("sarsa", 10, 2, ag.AgentConfig(), np.random.default_rng(0), 10)
 
 
 def test_random_policy_ignores_learning():
     env = small_env()
     learner = ag.RandomPolicy(heads=env.cfg.max_swarm)
-    stats = ag.run_training_episode(env, env.nominal_task(), learner,
-                                    np.random.default_rng(4), epsilon=0.0)
+    stats = ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(4))
     assert stats["steps"] == 6
     assert stats["swarm_size"] == 2
 
@@ -789,7 +812,7 @@ def test_training_episode_updates_actor_critic():
     params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(5))
     learner = ag.ActorCriticLearner(params, cfg)
     before = nets.flatten_params(params.actor, params.actor_cfg).copy()
-    ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(6), 0.0)
+    ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(6))
     assert not np.array_equal(
         nets.flatten_params(learner.params.actor, params.actor_cfg), before
     )

@@ -1,14 +1,14 @@
 """Experiment harness: files on disk, determinism, events, comparisons."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from swarmcover import agents as ag
 from swarmcover import config as cf
 from swarmcover import harness as hz
-from swarmcover.agents import ActorCriticLearner, AgentConfig, make_policy_params
-from swarmcover.env import CoverageEnv
 
 
 def tiny_cfg(**over):
@@ -158,7 +158,30 @@ def test_meta_pretraining_is_counted_but_not_recorded(tmp_path):
     assert len(rows) == 10  # the sampled warm-up tasks leave no rows behind
     assert all(m.swarm_size == 2 for m in rows)  # and no task state either
     summary = json.loads((d / "summary.json").read_text())
-    assert summary["pretrain_episodes"] == 5
+    # A budget of 5 funds two whole rounds of 2 tasks x 1 episode.
+    assert summary["pretrain_episodes"] == 4
+
+
+def test_dqn_anneals_over_the_whole_run_across_swarm_events(tmp_path, monkeypatch):
+    cfg = tiny_cfg(
+        run={"algorithm": "dqn"},
+        env={"events": [{"episode": 4, "kind": "join"},
+                        {"episode": 8, "kind": "leave", "count": 2}]},
+        agent={"eps_decay_frac": 0.8},
+    )
+    played = []  # (learner, epsilon) per finished episode
+    finish = ag.DQNLearner.finish_episode
+
+    def spy(self, rng):
+        played.append((self, self.epsilon))
+        finish(self, rng)
+
+    monkeypatch.setattr(ag.DQNLearner, "finish_episode", spy)
+    hz.run_experiment(cfg, tmp_path)
+    assert len({id(learner) for learner, _ in played}) == 1
+    assert [eps for _, eps in played] == [
+        ag.epsilon_at(k, 12, cfg.agent) for k in range(12)
+    ]
 
 
 def test_failed_seed_cleans_up_its_directory(tmp_path):
@@ -166,24 +189,6 @@ def test_failed_seed_cleans_up_its_directory(tmp_path):
     with pytest.raises(ValueError, match="maximum swarm size"):
         hz.run_experiment(cfg, tmp_path)
     assert not (tmp_path / "tiny_random" / "seed0").exists()
-
-
-def test_greedy_episode_restores_the_learner_mode():
-    cfg = tiny_cfg()
-    env = CoverageEnv(cfg.mission, cfg.link, cfg.radio, cfg.env)
-    agent_cfg = AgentConfig(hidden=(4,))
-    learner = ActorCriticLearner(
-        make_policy_params(env.state_dim, env.cfg.max_swarm, agent_cfg,
-                           np.random.default_rng(0)),
-        agent_cfg,
-    )
-    assert learner.mode == "sample"
-    stats = hz.greedy_episode(env, env.nominal_task(), learner)
-    assert learner.mode == "sample"
-    assert stats["steps"] == 6
-    # greedy evaluation is deterministic
-    again = hz.greedy_episode(env, env.nominal_task(), learner)
-    assert again["reward"] == stats["reward"]
 
 
 # --- comparisons -----------------------------------------------------------------------
@@ -258,3 +263,70 @@ def test_emit_rejects_unknown_kind(run_dir):
 def test_emit_needs_a_run_directory(tmp_path):
     with pytest.raises(FileNotFoundError, match="metrics.csv"):
         hz.emit_plot_data(tmp_path, "learning_curve")
+
+
+# --- pinned output bytes ------------------------------------------------------------------
+
+#: Test 7's 3x3 replay scenario with whole meta rounds (2 tasks x 2 inner
+#: episodes, 20 pretraining episodes) and a target refresh inside the run.
+_PINNED_OVERRIDES = {
+    "run": {"scenario": "replay", "episodes": 40, "seeds": [0]},
+    "mission": {"area_m": 264.0, "cells_per_side": 3, "slots": 6,
+                "frame_seconds": 144.0},
+    "env": {"max_swarm": 2, "swarm_size": 2, "swarm_min": 1, "swarm_max": 2,
+            "strategic_cells": [4], "device_count": 9},
+    "agent": {"hidden": [8], "meta_tasks_per_update": 2, "meta_inner_episodes": 2,
+              "target_refresh": 10},
+}
+_PINNED_EVENTS = [{"episode": 13, "kind": "leave"}, {"episode": 26, "kind": "join"}]
+_PINNED_FILES = ("metrics.csv", "heatmap.csv", "summary.json")
+#: sha256 of metrics.csv, heatmap.csv and summary.json per algorithm.
+_PINNED_DIGESTS = {
+    "meta_rl": (
+        "b4b5d8807ee324594af4f666cd8751b33bea3f11e1459f646842a97b8f05b121",
+        "4c0efebb49a7fd5185d085c4b2e0abdf89fdac482189693389398370b397b9b0",
+        "a31ee242071853e216157e759a04f2a29178be2c32640fd270a5a7c89b05f8d1",
+    ),
+    "actor_critic": (
+        "e2b5c516807228ba944c69ea3cba9486a10452edec7d8b286c9dc26fc82be815",
+        "7c73c113197b62a18cf65f9522bec6287e19c8566618caa37aacf7ac95f28b3f",
+        "b7327c1535a12f88d999cc91ec5784e4f19f1e69d43644bc05e9b43a84212078",
+    ),
+    "dqn": (
+        "83ddf665e7b057b51561146d9e39eb83cf3e3b5524821dc54b46fabb6ca707ec",
+        "2473b6a43217cc8224d118204d777da0636329afe22ab98f0abfe16b8e6c7666",
+        "e1da429d178fd207aaccad080b3c5ddbcb6e7d492017e3f3ac95076941589396",
+    ),
+    "ppo": (
+        "a0a721ae58cc14dcd316a9805cd96fec0f94877cdf9cf922b79e684f596dd1b8",
+        "0aadb138e1efc3f6d201ef203edfe79509839d71cc76a0da9588e768ad5db78a",
+        "be0afd95ed4b69edd13424e42f90de2fc8b36f13332514b08b55c6a7535f7061",
+    ),
+    "random": (
+        "b1f0cb7fd7d752f14dc652695b2dd5e6de375e12eff97478442db3d93e0c2e7a",
+        "862c6941a8275b5544fc7b0f8f2f10cc396ed3174484d47ed63efd76d3700b94",
+        "485184e83678535e11fff8c2b98ed609a47c3733ad020ca50f7f023265b92579",
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_PINNED_DIGESTS))
+def test_output_bytes_are_pinned(algorithm, tmp_path):
+    """The run files of every algorithm are pinned to the byte.
+
+    dqn and ppo play a leave and a join. A change that moves the random
+    stream or the float path of any learner changes these digests: such
+    a change must re-pin them here and say so in CHANGES.md.
+    """
+    env = dict(_PINNED_OVERRIDES["env"])
+    if algorithm in ("dqn", "ppo"):
+        env["events"] = _PINNED_EVENTS
+    cfg = cf.load_config(overrides={
+        **_PINNED_OVERRIDES,
+        "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm},
+        "env": env,
+    }, environ={})
+    seed_dir = hz.run_experiment(cfg, tmp_path)[0]
+    got = tuple(hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
+                for name in _PINNED_FILES)
+    assert got == _PINNED_DIGESTS[algorithm]

@@ -171,12 +171,10 @@ def test_default_layout_needs_enough_devices():
         ms.default_device_layout(CFG, [1, 2, 3], seed=0, count=2)
 
 
-def test_layout_round_trip(tmp_path):
+def test_layout_round_trip():
     devices = ms.default_device_layout(CFG, [6], seed=9, count=5)
     world = ms.build_grid(CFG, devices, [6])
-    path = tmp_path / "layout.json"
-    ms.write_layout(world, path)
-    raw = json.loads(path.read_text())
+    raw = json.loads(json.dumps(ms.layout_to_dict(world)))
     restored = ms.devices_from_dicts(raw["devices"])
     assert restored == devices
     assert raw["cells_per_side"] == 5
