@@ -27,7 +27,7 @@ All updates are plain in-place numpy arithmetic, single threaded, and
 deterministic given the generators passed in. The hot paths hold no
 per-(step, UAV) Python loop: action sampling inverts one uniform per UAV
 through row-wise CDFs, and the gradients index one-hot actions under an
-acting-head mask (``_action_arrays``). Both reproduce the per-UAV
+acting-head mask (``action_arrays``). Both reproduce the per-UAV
 ``rng.choice`` draws and the per-(step, UAV) arithmetic bit for bit; the
 tests keep those loops as references. Only DQN's exploration walks the
 UAVs one at a time, because its draws interleave. The policy learners
@@ -277,7 +277,7 @@ class _Batch:
     boot: np.ndarray        # [B, columns]
 
 
-def _action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.ndarray, np.ndarray]:
+def action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.ndarray, np.ndarray]:
     """Joint actions as ``(acts[B, heads], acting[B, heads])``: action ids
     in the head slots that acted (a prefix of the slots), 0 elsewhere."""
     acting = np.arange(heads) < np.array([len(a) for a in actions])[:, None]
@@ -288,7 +288,7 @@ def _action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.n
 
 def _as_batch(batch: Sequence[Transition], heads: int) -> _Batch:
     n = len(batch)
-    acts, acting = _action_arrays([t.action for t in batch], heads)
+    acts, acting = action_arrays([t.action for t in batch], heads)
     active = acting.astype(np.float64)
     live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
     states = np.stack([t.state for t in batch])
@@ -455,7 +455,7 @@ def dqn_loss_and_grad(
     raw_next, _ = nets.forward(target_params, next_states, cfg)
     best_next = raw_next.reshape(len(batch), heads, N_ACTIONS).max(axis=-1)
 
-    acts, acting = _action_arrays([t.action for t in batch], heads)
+    acts, acting = action_arrays([t.action for t in batch], heads)
     t_idx, u_idx = np.nonzero(acting)
     a_idx = acts[t_idx, u_idx]
     targets = rewards[t_idx] + gamma * live[t_idx] * best_next[t_idx, u_idx]
@@ -485,14 +485,14 @@ def dqn_update(
 
 # --- PPO ----------------------------------------------------------------------
 
-def joint_log_prob(probs: np.ndarray, actions: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Log probability of each joint action under per-UAV distributions,
-    each head's probability floored at 1e-12. The heads' logs are added
-    one head at a time, in head order (a row sum would pair the terms)."""
-    acts, acting = _action_arrays(actions, probs.shape[1])
+def joint_log_prob(probs: np.ndarray, acts: np.ndarray, acting: np.ndarray) -> np.ndarray:
+    """Log probability of each joint action, given as :func:`action_arrays`,
+    under per-UAV distributions, each head's probability floored at 1e-12.
+    The heads' logs are added one head at a time, in head order (a row sum
+    would pair the terms)."""
     taken = np.take_along_axis(probs, acts[:, :, None], axis=2)[:, :, 0]
     logs = np.where(acting, np.log(np.maximum(taken, 1e-12)), 0.0)
-    out = np.zeros(len(actions))
+    out = np.zeros(len(acts))
     for u in range(probs.shape[1]):
         out += logs[:, u]
     return out
@@ -501,26 +501,28 @@ def joint_log_prob(probs: np.ndarray, actions: Sequence[tuple[int, ...]]) -> np.
 def ppo_surrogate_and_grad(
     actor: dict,
     logp_old: np.ndarray,
-    batch: Sequence[Transition],
+    states: np.ndarray,
+    acts: np.ndarray,
+    acting: np.ndarray,
+    onehot: np.ndarray,
     advantages: np.ndarray,
     clip_eps: float,
     cfg: nets.NetConfig,
-    heads: int,
 ) -> tuple[float, dict]:
     """Clipped surrogate objective and its ascent gradient.
 
-    Per sample: min(rho * A, clip(rho, 1 - eps, 1 + eps) * A) with the
-    joint-action probability ratio rho = exp(log pi(a|s) - logp_old), where
-    ``logp_old`` is the pre-update policy's :func:`joint_log_prob` of each
-    sample. The unclipped branch is used only where it is strictly
-    smaller; elsewhere the clipped branch contributes a gradient only
-    strictly inside the clip window, so a zero-width window pins the
-    ratio and kills the actor gradient.
+    The batch comes as its stacked states, its joint actions as
+    :func:`action_arrays` and their one-hot rows ``np.eye(N_ACTIONS)[acts]``,
+    all fixed for a whole update. Per sample: min(rho * A, clip(rho, 1 -
+    eps, 1 + eps) * A) with the joint-action probability ratio rho =
+    exp(log pi(a|s) - logp_old), where ``logp_old`` is the pre-update
+    policy's :func:`joint_log_prob` of each sample. The unclipped branch is
+    used only where it is strictly smaller; elsewhere the clipped branch
+    contributes a gradient only strictly inside the clip window, so a
+    zero-width window pins the ratio and kills the actor gradient.
     """
-    states = np.stack([t.state for t in batch])
-    actions = [t.action for t in batch]
-    _, probs, cache = policy_forward(actor, states, cfg, heads)
-    ratio = np.exp(joint_log_prob(probs, actions) - logp_old)
+    _, probs, cache = policy_forward(actor, states, cfg, acts.shape[1])
+    ratio = np.exp(joint_log_prob(probs, acts, acting) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
     s_plain = ratio * advantages
     s_clip = clipped * advantages
@@ -531,10 +533,8 @@ def ppo_surrogate_and_grad(
     dratio = np.where(use_plain, advantages, advantages * inside)
     dlogp = dratio * ratio  # drho/dlogp = rho
 
-    acts, acting = _action_arrays(actions, heads)
-    onehot = np.eye(N_ACTIONS)[acts]
     dlogits = np.where(acting[:, :, None], dlogp[:, None, None] * (onehot - probs), 0.0)
-    grads = nets.backward(actor, cache, dlogits.reshape(len(batch), -1), cfg)
+    grads = nets.backward(actor, cache, dlogits.reshape(len(states), -1), cfg)
     return objective, grads
 
 
@@ -550,22 +550,25 @@ def ppo_update(
 
     Advantages are reward-to-go minus the pre-update critic's values, and
     the ratios are taken against the pre-update actor's joint
-    log-probabilities; both are computed once, before the first epoch.
+    log-probabilities; both, and the rollout's arrays, are computed once,
+    before the first epoch.
     """
     if not rollout:
         raise ValueError("cannot update from an empty rollout")
     if epochs < 1:
         raise ValueError("need at least one epoch")
     states = np.stack([t.state for t in rollout])
+    acts, acting = action_arrays([t.action for t in rollout], params.heads)
+    onehot = np.eye(N_ACTIONS)[acts]
     returns = discounted_returns([t.reward for t in rollout], gamma)
     values_old, _ = value_forward(params.critic, states, params.critic_cfg)
     adv = returns - values_old
     _, probs_old, _ = policy_forward(params.actor, states, params.actor_cfg, params.heads)
-    logp_old = joint_log_prob(probs_old, [t.action for t in rollout])
+    logp_old = joint_log_prob(probs_old, acts, acting)
     for _ in range(epochs):
         _, g_actor = ppo_surrogate_and_grad(
-            params.actor, logp_old, rollout, adv, clip_eps,
-            params.actor_cfg, params.heads,
+            params.actor, logp_old, states, acts, acting, onehot, adv, clip_eps,
+            params.actor_cfg,
         )
         nets.add_scaled(params.actor, g_actor, +lr)
         values, v_cache = value_forward(params.critic, states, params.critic_cfg)

@@ -29,13 +29,6 @@ class NetConfig:
         return len(self.hidden) + 1
 
 
-def param_keys(cfg: NetConfig) -> list[str]:
-    keys = []
-    for i in range(cfg.n_layers):
-        keys.extend((f"W{i}", f"b{i}"))
-    return keys
-
-
 def init_params(cfg: NetConfig, rng: np.random.Generator) -> dict:
     """Fan-in scaled gaussian weights, zero biases."""
     params = {}
@@ -98,13 +91,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 # --- flat-vector views (finite differencing, interpolation) ----------------
 
-def flatten_params(params: dict, cfg: NetConfig) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in param_keys(cfg)])
-
-
 def flat_views(vec: np.ndarray, cfg: NetConfig) -> dict:
-    """Parameter-shaped views into ``vec``, in :func:`flatten_params` order;
-    writing through a view writes ``vec``."""
+    """Parameter-shaped views into ``vec``, laid out layer by layer as
+    ``W0, b0, W1, b1, ...``, each row-major; writing through a view writes
+    ``vec``."""
     views = {}
     offset = 0
     dims = cfg.dims

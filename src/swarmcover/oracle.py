@@ -1,18 +1,31 @@
 """Exact reference solver for tiny mission instances.
 
-Enumerates every joint action sequence of a small swarm over a short
+Searches every joint action sequence of a small swarm over a short
 horizon under the same movement, collision and collection dynamics as
 the environment, keeps only sequences that satisfy the rate, deadline
 and coverage constraints (the altitude one holds by construction, as in
 the environment), and returns the feasible sequence with the least
-masked swarm energy. Sequences are explored hover-first
+masked swarm energy. Sequences are explored depth first and hover-first
 (hover, north, south, east, west per UAV), and ties on the objective go
 to the earliest sequence in that order, so a do-nothing optimum comes
 back as the all-hover plan.
 
-Only feasibility cuts prune the search (deadline overrun and rate
-violations can never heal), so the scan stays a certificate of
-optimality over the whole space.
+Three cuts skip branches that cannot hold a strictly cheaper plan than
+the best one found so far, so the search stays a certificate of
+optimality over the whole space and returns the plan, and the objective
+to the bit, that a scan of every sequence would:
+
+- Feasibility: a deadline overrun or a rate violation never heals.
+- Bound: the served UAVs' energy so far, summed as the objective sums
+  it, is at least the best objective. Energy only grows (powers are
+  non-negative, legs and collect times positive), a served UAV stays
+  served, and rounding is monotone, so no leaf below is cheaper; the
+  ``>=`` keeps the first strict minimum in search order.
+- Memo: a node whose exact search state (depth, positions, collected
+  devices, per-UAV legs, collect times and served flags, total delay,
+  and per-UAV strategic cells visited) was already reached. Its subtree
+  has the same leaves to the bit, already compared against a best
+  objective that can only have fallen since.
 """
 
 from __future__ import annotations
@@ -35,12 +48,16 @@ MAX_HORIZON = 10
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """The instance's joint action space is larger than its search budget."""
+    """The search generated more nodes than the instance's budget."""
 
 
 @dataclass(frozen=True)
 class ExactInstance:
-    """A mission small enough to solve by exhaustive enumeration."""
+    """A mission small enough to solve exactly.
+
+    ``budget`` caps the search nodes :func:`enumerate_optimum` generates
+    (one per joint action tried, whether it is then cut or expanded).
+    """
 
     mission: ms.MissionConfig
     link: lb.AirGroundParams
@@ -93,6 +110,10 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class ExactSolution:
+    """The optimum, plus search counters: ``leaves_evaluated`` complete
+    sequences reached, ``feasible_leaves`` of them meeting coverage, and
+    ``branches_pruned`` nodes cut by a feasibility, bound or memo cut."""
+
     feasible: bool
     objective_j: float | None
     unmasked_j: float | None
@@ -104,19 +125,16 @@ class ExactSolution:
 
 
 def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
-    """Scan the whole joint action space and return the cheapest feasible plan.
+    """Search the joint action space and return the cheapest feasible plan.
 
-    Raises :class:`EnumerationBudgetExceeded` if the space is larger than
-    the instance budget. An exhausted search without any feasible leaf is
-    reported through the ``feasible`` flag, not an exception.
+    A depth-first search in :data:`SEARCH_ORDER` with feasibility, bound
+    and memo cuts (see the module docstring). Raises
+    :class:`EnumerationBudgetExceeded` once it has generated more search
+    nodes than the instance budget. An exhausted search without any
+    feasible leaf is reported through the ``feasible`` flag, not an
+    exception.
     """
     n_uavs = len(instance.start_cells)
-    space = (N_ACTIONS ** n_uavs) ** instance.horizon
-    if space > instance.budget:
-        raise EnumerationBudgetExceeded(
-            f"{space} joint sequences exceed the budget of {instance.budget}"
-        )
-
     cfg = instance.mission
     tables = TaskTables.build(
         instance.build_world(), instance.link, instance.radio, instance.altitude_m
@@ -124,20 +142,29 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
     targets, queues, leg_time = tables.targets, tables.queues, tables.leg_time_s
     collect_time, rate_ok = tables.collect_time_s, tables.rate_ok
     device_strategic = tables.device_strategic
-    strategic = set(instance.strategic_cells)
+    strategic = frozenset(instance.strategic_cells)
     joint_choices = list(product(SEARCH_ORDER, repeat=n_uavs))
 
     best_objective = math.inf
     best_cells: tuple | None = None
     best_accounting: tuple | None = None
-    counters = {"leaves": 0, "feasible": 0, "pruned": 0}
+    counters = {"nodes": 0, "leaves": 0, "feasible": 0, "pruned": 0}
+    seen: set[tuple] = set()
     p_oper, p_comm = cfg.p_oper_watts, cfg.p_comm_watts
+
+    def served_energy(d_com, d_data, served) -> float:
+        # The objective's own expression and order, so a bound taken before
+        # the leaf rounds no higher than the leaf's objective.
+        return sum(
+            p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
+            for u in range(n_uavs)
+            if served[u]
+        )
 
     def coverage_met(visited: tuple[frozenset, ...]) -> bool:
         if instance.per_uav_coverage:
             return all(strategic <= v for v in visited)
-        union = frozenset().union(*visited) if visited else frozenset()
-        return strategic <= union
+        return strategic <= frozenset().union(*visited)
 
     def descend(depth, positions, collected, d_com, d_data, served, d_tot, visited, trail):
         nonlocal best_objective, best_cells, best_accounting
@@ -145,17 +172,18 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
             counters["leaves"] += 1
             if coverage_met(visited):
                 counters["feasible"] += 1
-                objective = sum(
-                    p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
-                    for u in range(n_uavs)
-                    if served[u]
-                )
+                objective = served_energy(d_com, d_data, served)
                 if objective < best_objective:
                     best_objective = objective
                     best_cells = trail
                     best_accounting = (d_com, d_data, served)
             return
         for joint in joint_choices:
+            counters["nodes"] += 1
+            if counters["nodes"] > instance.budget:
+                raise EnumerationBudgetExceeded(
+                    f"{counters['nodes']} search nodes exceed the budget of {instance.budget}"
+                )
             finals, _ = resolve_moves(
                 positions, [targets[positions[u]][joint[u]] for u in range(n_uavs)]
             )
@@ -182,20 +210,27 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
                         break
                 if violated:
                     break
-            if violated or d_tot + step_time > cfg.t_max_seconds:
+            if (
+                violated
+                or d_tot + step_time > cfg.t_max_seconds
+                or served_energy(new_d_com, new_d_data, new_served) >= best_objective
+            ):
                 counters["pruned"] += 1
                 continue
-            descend(
-                depth + 1,
-                tuple(finals),
-                new_collected,
-                tuple(new_d_com),
-                tuple(new_d_data),
-                tuple(new_served),
-                d_tot + step_time,
-                tuple(v | {finals[u]} for u, v in enumerate(visited)),
-                trail + (tuple(finals),),
+            cells = tuple(finals)
+            # The memo key is the child's whole search state (every argument
+            # of descend but the trail). Visited cells are kept only where
+            # strategic, the only ones coverage reads.
+            child = (
+                depth + 1, cells, new_collected, tuple(new_d_com), tuple(new_d_data),
+                tuple(new_served), d_tot + step_time,
+                tuple(v | {c} if c in strategic else v for v, c in zip(visited, cells)),
             )
+            if child in seen:
+                counters["pruned"] += 1
+                continue
+            seen.add(child)
+            descend(*child, trail + (cells,))
 
     start = tuple(instance.start_cells)
     descend(

@@ -15,9 +15,21 @@ FD_STEP = 1e-5
 FD_RTOL = 1e-4
 
 
+def param_keys(cfg: nets.NetConfig) -> list[str]:
+    keys = []
+    for i in range(cfg.n_layers):
+        keys.extend((f"W{i}", f"b{i}"))
+    return keys
+
+
+def flatten_params(params: dict, cfg: nets.NetConfig) -> np.ndarray:
+    """A copy of every parameter in one vector, in :func:`nets.flat_views` order."""
+    return np.concatenate([params[k].ravel() for k in param_keys(cfg)])
+
+
 def numeric_grad(params: dict, cfg: nets.NetConfig, scalar_fn, step: float = FD_STEP) -> np.ndarray:
     """Central-difference gradient of ``scalar_fn(params)`` over every entry."""
-    vec = nets.flatten_params(params, cfg)
+    vec = flatten_params(params, cfg)
     out = np.zeros_like(vec)
     for i in range(vec.size):
         up = vec.copy()
@@ -38,7 +50,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def assert_grad_close(analytic_grads: dict, params: dict, cfg: nets.NetConfig,
                       scalar_fn, rtol: float = FD_RTOL) -> None:
-    analytic = nets.flatten_params(analytic_grads, cfg)
+    analytic = flatten_params(analytic_grads, cfg)
     numeric = numeric_grad(params, cfg, scalar_fn)
     err = relative_error(analytic, numeric)
     assert err < rtol, f"gradient mismatch: relative error {err:.2e} >= {rtol:.0e}"

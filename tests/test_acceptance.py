@@ -32,7 +32,7 @@ from swarmcover.harness import (
     train_task,
 )
 from swarmcover.oracle import ExactInstance, enumerate_optimum, verify_feasibility
-from fdcheck import numeric_grad, relative_error
+from fdcheck import flatten_params, numeric_grad, relative_error
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -121,8 +121,8 @@ def test_channel_model_property_suite():
 def _small_params(seed: int) -> ag.PolicyParams:
     cfg = AgentConfig(hidden=(2,))
     params = ag.make_policy_params(3, 1, cfg, np.random.default_rng(seed))
-    assert nets.flatten_params(params.actor, params.actor_cfg).size <= 50
-    assert nets.flatten_params(params.critic, params.critic_cfg).size <= 50
+    assert flatten_params(params.actor, params.actor_cfg).size <= 50
+    assert flatten_params(params.critic, params.critic_cfg).size <= 50
     return params
 
 
@@ -166,7 +166,7 @@ def test_gradient_oracle_matches_finite_differences():
             return float(total)
 
         err = relative_error(
-            nets.flatten_params(acc.d_actor, params.actor_cfg),
+            flatten_params(acc.d_actor, params.actor_cfg),
             numeric_grad(params.actor, params.actor_cfg, actor_objective),
         )
         worst["actor"] = max(worst["actor"], err)
@@ -177,7 +177,7 @@ def test_gradient_oracle_matches_finite_differences():
             return float(((returns - v) ** 2).sum())
 
         err = relative_error(
-            nets.flatten_params(acc.d_critic, params.critic_cfg),
+            flatten_params(acc.d_critic, params.critic_cfg),
             numeric_grad(params.critic, params.critic_cfg, critic_loss),
         )
         worst["critic"] = max(worst["critic"], err)
@@ -196,7 +196,7 @@ def test_gradient_oracle_matches_finite_differences():
             return float(((targets - v) ** 2).sum())
 
         err = relative_error(
-            nets.flatten_params(td_acc.d_critic, params.critic_cfg),
+            flatten_params(td_acc.d_critic, params.critic_cfg),
             numeric_grad(params.critic, params.critic_cfg, td_loss),
         )
         worst["td"] = max(worst["td"], err)
@@ -212,7 +212,7 @@ def test_gradient_oracle_matches_finite_differences():
             return loss
 
         err = relative_error(
-            nets.flatten_params(dqn_grads, params.actor_cfg),
+            flatten_params(dqn_grads, params.actor_cfg),
             numeric_grad(params.actor, params.actor_cfg, dqn_loss),
         )
         worst["td"] = max(worst["td"], err)
@@ -220,18 +220,20 @@ def test_gradient_oracle_matches_finite_differences():
         # Clipped importance-ratio surrogate against an old policy.
         old = _small_params(seed=4000 + i)
         _, old_probs, _ = ag.policy_forward(old.actor, states, params.actor_cfg, params.heads)
-        logp_old = ag.joint_log_prob(old_probs, [t.action for t in episode])
+        acts, acting = ag.action_arrays([t.action for t in episode], params.heads)
+        logp_old = ag.joint_log_prob(old_probs, acts, acting)
         adv_ppo = np.random.default_rng(5000 + i).normal(size=len(episode))
+        arrays = (states, acts, acting, np.eye(ag.N_ACTIONS)[acts])
         _, ppo_grads = ag.ppo_surrogate_and_grad(
-            params.actor, logp_old, episode, adv_ppo, 0.2, params.actor_cfg, params.heads)
+            params.actor, logp_old, *arrays, adv_ppo, 0.2, params.actor_cfg)
 
         def ppo_objective(actor):
             obj, _ = ag.ppo_surrogate_and_grad(
-                actor, logp_old, episode, adv_ppo, 0.2, params.actor_cfg, params.heads)
+                actor, logp_old, *arrays, adv_ppo, 0.2, params.actor_cfg)
             return obj
 
         err = relative_error(
-            nets.flatten_params(ppo_grads, params.actor_cfg),
+            flatten_params(ppo_grads, params.actor_cfg),
             numeric_grad(params.actor, params.actor_cfg, ppo_objective),
         )
         worst["ppo"] = max(worst["ppo"], err)

@@ -11,7 +11,7 @@ import pytest
 from swarmcover import agents as ag
 from swarmcover import nets
 from conftest import small_env
-from fdcheck import assert_grad_close
+from fdcheck import assert_grad_close, flatten_params
 
 N_ACTIONS = ag.N_ACTIONS
 
@@ -432,17 +432,17 @@ def test_mixed_reward_kinds_rejected():
 
 def test_adam_first_step_moves_by_the_step_size_along_the_sign():
     params = tiny_params(seed=48)
-    before = nets.flatten_params(params.actor, params.actor_cfg).copy()
+    before = flatten_params(params.actor, params.actor_cfg).copy()
     grad = np.random.default_rng(49).normal(size=before.size)
     for sign in (+1.0, -1.0):
         opt = ag.Adam(params.actor_cfg, 1e-3, sign)
         opt.flat_grad[:] = grad
-        start = nets.flatten_params(params.actor, params.actor_cfg)
+        start = flatten_params(params.actor, params.actor_cfg)
         opt.step(params.actor)
-        moved = nets.flatten_params(params.actor, params.actor_cfg) - start
+        moved = flatten_params(params.actor, params.actor_cfg) - start
         np.testing.assert_allclose(moved, sign * 1e-3 * np.sign(grad), rtol=1e-6)
         np.testing.assert_array_equal(opt.flat_grad, 0.0)  # cleared for the next episode
-    np.testing.assert_allclose(nets.flatten_params(params.actor, params.actor_cfg), before,
+    np.testing.assert_allclose(flatten_params(params.actor, params.actor_cfg), before,
                                atol=1e-15)
 
 
@@ -459,8 +459,8 @@ def test_replacing_learner_params_restarts_adam():
     fresh = ag.ActorCriticLearner(init.clone(), cfg)
     ag.run_training_episode(env, task, fresh, np.random.default_rng(52))
     np.testing.assert_array_equal(
-        nets.flatten_params(reused.params.actor, init.actor_cfg),
-        nets.flatten_params(fresh.params.actor, init.actor_cfg),
+        flatten_params(reused.params.actor, init.actor_cfg),
+        flatten_params(fresh.params.actor, init.actor_cfg),
     )
 
 
@@ -558,11 +558,19 @@ def test_dqn_gradient_matches_finite_differences():
 
 # --- PPO --------------------------------------------------------------------------
 
+def ppo_arrays(batch: list[ag.Transition], heads: int) -> tuple[np.ndarray, ...]:
+    """The arrays ``ppo_update`` builds once per update and passes to every
+    ``ppo_surrogate_and_grad`` call: states, actions, acting mask, one-hot."""
+    states = np.stack([t.state for t in batch])
+    acts, acting = ag.action_arrays([t.action for t in batch], heads)
+    return states, acts, acting, np.eye(N_ACTIONS)[acts]
+
+
 def old_logp(actor: dict, batch: list[ag.Transition], params: ag.PolicyParams) -> np.ndarray:
     """The pre-update joint log-probabilities that ``ppo_surrogate_and_grad`` takes."""
-    states = np.stack([t.state for t in batch])
+    states, acts, acting, _ = ppo_arrays(batch, params.heads)
     _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
-    return ag.joint_log_prob(probs, [t.action for t in batch])
+    return ag.joint_log_prob(probs, acts, acting)
 
 
 def test_ppo_wide_clip_equals_plain_surrogate():
@@ -571,10 +579,11 @@ def test_ppo_wide_clip_equals_plain_surrogate():
     adv = np.random.default_rng(21).normal(size=len(batch))
     # ratio == 1 everywhere (actor is its own old policy), inside any window
     logp_old = old_logp(params.actor, batch, params)
+    arrays = ppo_arrays(batch, params.heads)
     _, g_narrow = ag.ppo_surrogate_and_grad(
-        params.actor, logp_old, batch, adv, 0.2, params.actor_cfg, params.heads)
+        params.actor, logp_old, *arrays, adv, 0.2, params.actor_cfg)
     _, g_wide = ag.ppo_surrogate_and_grad(
-        params.actor, logp_old, batch, adv, 1e9, params.actor_cfg, params.heads)
+        params.actor, logp_old, *arrays, adv, 1e9, params.actor_cfg)
     for k in g_narrow:
         np.testing.assert_allclose(g_narrow[k], g_wide[k], rtol=1e-12)
 
@@ -584,8 +593,8 @@ def test_ppo_zero_clip_kills_actor_gradient():
     batch = random_batch(params, 4, seed=23)
     adv = np.random.default_rng(24).normal(size=len(batch))
     _, grads = ag.ppo_surrogate_and_grad(
-        params.actor, old_logp(params.actor, batch, params), batch, adv, 0.0,
-        params.actor_cfg, params.heads)
+        params.actor, old_logp(params.actor, batch, params), *ppo_arrays(batch, params.heads),
+        adv, 0.0, params.actor_cfg)
     for g in grads.values():
         np.testing.assert_array_equal(g, 0.0)
 
@@ -594,12 +603,12 @@ def test_ppo_update_zero_clip_freezes_actor():
     cfg = ag.AgentConfig(hidden=(2,), ppo_clip=0.0)
     params = ag.make_policy_params(3, 1, cfg, np.random.default_rng(25))
     rollout = random_batch(params, 5, seed=26)
-    before = nets.flatten_params(params.actor, params.actor_cfg).copy()
-    critic_before = nets.flatten_params(params.critic, params.critic_cfg).copy()
+    before = flatten_params(params.actor, params.actor_cfg).copy()
+    critic_before = flatten_params(params.critic, params.critic_cfg).copy()
     ag.ppo_update(params, rollout, 0.0, 3, 0.85, 0.01)
-    np.testing.assert_array_equal(nets.flatten_params(params.actor, params.actor_cfg), before)
+    np.testing.assert_array_equal(flatten_params(params.actor, params.actor_cfg), before)
     assert not np.array_equal(
-        nets.flatten_params(params.critic, params.critic_cfg), critic_before
+        flatten_params(params.critic, params.critic_cfg), critic_before
     )  # the value fit still runs
 
 
@@ -630,12 +639,12 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
     adv = np.random.default_rng(30).normal(size=len(batch))
     clip = 0.2
     logp_old = old_logp(old.actor, batch, params)
+    arrays = ppo_arrays(batch, params.heads)
     _, grads = ag.ppo_surrogate_and_grad(
-        params.actor, logp_old, batch, adv, clip, params.actor_cfg, params.heads)
+        params.actor, logp_old, *arrays, adv, clip, params.actor_cfg)
 
     def objective(actor):
-        obj, _ = ag.ppo_surrogate_and_grad(
-            actor, logp_old, batch, adv, clip, params.actor_cfg, params.heads)
+        obj, _ = ag.ppo_surrogate_and_grad(actor, logp_old, *arrays, adv, clip, params.actor_cfg)
         return obj
 
     assert_grad_close(grads, params.actor, params.actor_cfg, objective)
@@ -644,7 +653,7 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
 def test_joint_log_prob_hand_case():
     probs = np.array([[[0.5, 0.2, 0.1, 0.1, 0.1],
                        [0.25, 0.25, 0.25, 0.25, 0.0]]])
-    lp = ag.joint_log_prob(probs, [(0, 1)])
+    lp = ag.joint_log_prob(probs, *ag.action_arrays([(0, 1)], 2))
     assert lp[0] == pytest.approx(np.log(0.5) + np.log(0.25), rel=1e-12)
 
 
@@ -689,7 +698,8 @@ def test_joint_log_prob_matches_the_per_pair_loop():
         probs[rng.random(probs.shape) < 0.05] = 0.0  # below the 1e-12 floor
         actions = [tuple(rng.integers(0, N_ACTIONS, size=rng.integers(1, heads + 1)).tolist())
                    for _ in range(n)]
-        assert_bits_equal(ag.joint_log_prob(probs, actions), loop_joint_log_prob(probs, actions))
+        assert_bits_equal(ag.joint_log_prob(probs, *ag.action_arrays(actions, heads)),
+                          loop_joint_log_prob(probs, actions))
 
 
 def test_ppo_surrogate_matches_the_per_pair_loop():
@@ -701,10 +711,11 @@ def test_ppo_surrogate_matches_the_per_pair_loop():
         rng = np.random.default_rng(case)
         adv = rng.normal(size=len(batch))
         clip = float(rng.choice([0.0, 0.2, 1e9]))
-        rest = (batch, adv, clip, params.actor_cfg, heads)
         obj, grads = ag.ppo_surrogate_and_grad(
-            params.actor, old_logp(old.actor, batch, params), *rest)
-        ref_obj, ref_grads = loop_ppo_surrogate_and_grad(params.actor, old.actor, *rest)
+            params.actor, old_logp(old.actor, batch, params), *ppo_arrays(batch, heads),
+            adv, clip, params.actor_cfg)
+        ref_obj, ref_grads = loop_ppo_surrogate_and_grad(
+            params.actor, old.actor, batch, adv, clip, params.actor_cfg, heads)
         assert_bits_equal(obj, ref_obj)
         for key in ref_grads:
             assert_bits_equal(grads[key], ref_grads[key])
@@ -726,11 +737,11 @@ def test_meta_adapt_never_touches_meta_params():
     env = small_env()
     cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
     meta = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(1))
-    before = nets.flatten_params(meta.actor, meta.actor_cfg).copy()
+    before = flatten_params(meta.actor, meta.actor_cfg).copy()
     adapted = ag.meta_adapt(meta, env, env.nominal_task(), np.random.default_rng(2), cfg)
-    np.testing.assert_array_equal(nets.flatten_params(meta.actor, meta.actor_cfg), before)
+    np.testing.assert_array_equal(flatten_params(meta.actor, meta.actor_cfg), before)
     assert not np.array_equal(
-        nets.flatten_params(adapted.actor, adapted.actor_cfg), before
+        flatten_params(adapted.actor, adapted.actor_cfg), before
     )  # the clone moved
 
 
@@ -742,15 +753,15 @@ def test_meta_adapt_deterministic():
     a = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
     b = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
     np.testing.assert_array_equal(
-        nets.flatten_params(a.actor, a.actor_cfg), nets.flatten_params(b.actor, b.actor_cfg)
+        flatten_params(a.actor, a.actor_cfg), flatten_params(b.actor, b.actor_cfg)
     )
 
 
 def test_meta_outer_fixed_point():
     meta = _meta_params()
-    before = nets.flatten_params(meta.actor, meta.actor_cfg).copy()
+    before = flatten_params(meta.actor, meta.actor_cfg).copy()
     ag.meta_outer_update(meta, [meta.clone(), meta.clone()], 0.5)
-    np.testing.assert_allclose(nets.flatten_params(meta.actor, meta.actor_cfg), before, rtol=1e-15)
+    np.testing.assert_allclose(flatten_params(meta.actor, meta.actor_cfg), before, rtol=1e-15)
 
 
 def test_meta_outer_full_step_adopts_single_task():
@@ -763,12 +774,12 @@ def test_meta_outer_full_step_adopts_single_task():
 
 def test_meta_outer_opposite_deltas_cancel():
     meta = _meta_params()
-    before = nets.flatten_params(meta.actor, meta.actor_cfg).copy()
+    before = flatten_params(meta.actor, meta.actor_cfg).copy()
     up, down = meta.clone(), meta.clone()
     up.actor["b0"][:] += 1.5
     down.actor["b0"][:] -= 1.5
     ag.meta_outer_update(meta, [up, down], 0.5)
-    np.testing.assert_allclose(nets.flatten_params(meta.actor, meta.actor_cfg), before, atol=1e-12)
+    np.testing.assert_allclose(flatten_params(meta.actor, meta.actor_cfg), before, atol=1e-12)
 
 
 def test_meta_outer_requires_adapted_sets():
@@ -811,8 +822,8 @@ def test_training_episode_updates_actor_critic():
     cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
     params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(5))
     learner = ag.ActorCriticLearner(params, cfg)
-    before = nets.flatten_params(params.actor, params.actor_cfg).copy()
+    before = flatten_params(params.actor, params.actor_cfg).copy()
     ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(6))
     assert not np.array_equal(
-        nets.flatten_params(learner.params.actor, params.actor_cfg), before
+        flatten_params(learner.params.actor, params.actor_cfg), before
     )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -108,6 +109,10 @@ def test_oracle_solves_and_verifies(instance_file, tmp_path, capsys):
     assert "objective_j 2648.238103201081" in stdout
     assert "uav 0 cells 0 -> 0 -> 1" in stdout
     assert "checks rate=True altitude=True deadline=True coverage=True" in stdout
+    # the search counters, on the line (and by the pattern) the benchmark
+    # reads to count a pass's work
+    counts = re.findall(r"^leaves (\d+) feasible (\d+) pruned (\d+)$", stdout, re.M)
+    assert counts == [("5", "1", "8")]
     payload = json.loads(out.read_text())
     assert payload["feasible"] is True
     assert payload["trajectories"] == [[0, 0, 1]]

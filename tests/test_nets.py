@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmcover import nets
-from fdcheck import assert_grad_close
+from fdcheck import assert_grad_close, flatten_params
 
 RNG = np.random.default_rng(12345)
 
@@ -60,7 +60,7 @@ def test_backward_matches_finite_differences():
 def test_flatten_round_trip():
     cfg = nets.NetConfig(6, (5, 4), 3)
     params = nets.init_params(cfg, np.random.default_rng(3))
-    vec = nets.flatten_params(params, cfg)
+    vec = flatten_params(params, cfg)
     assert vec.size == nets.num_params(cfg)
     back = nets.flat_views(vec, cfg)
     for key in params:
@@ -70,7 +70,7 @@ def test_flatten_round_trip():
 def test_flat_views_write_through_to_the_vector():
     cfg = nets.NetConfig(6, (5, 4), 3)
     params = nets.init_params(cfg, np.random.default_rng(4))
-    vec = nets.flatten_params(params, cfg)
+    vec = flatten_params(params, cfg)
     views = nets.flat_views(vec, cfg)
     for key in params:
         np.testing.assert_array_equal(views[key], params[key])
@@ -78,7 +78,7 @@ def test_flat_views_write_through_to_the_vector():
     views["b2"][:] = 0.0
     params["W1"][2, 3] += 1.0
     params["b2"][:] = 0.0
-    np.testing.assert_array_equal(vec, nets.flatten_params(params, cfg))
+    np.testing.assert_array_equal(vec, flatten_params(params, cfg))
 
 
 def test_unflatten_rejects_wrong_length():

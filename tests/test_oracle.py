@@ -1,11 +1,17 @@
-"""Exhaustive solver on instances small enough to re-enumerate by hand.
+"""Exact solver on instances small enough to re-enumerate by hand.
 
 The agreement tests rebuild the whole search with a separate, plain
 ``itertools`` walker that only shares the physics primitives (rates,
 delays, energies) with the package — not the solver's incremental
-accounting or pruning.
+accounting or pruning. The bounded, memoised search is also held to
+:func:`exhaustive_optimum`, a scan of every joint sequence with only
+feasibility cuts, which must return the same plan and the same
+objective to the bit.
 """
 
+import math
+import random
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -14,10 +20,20 @@ import pytest
 
 from swarmcover import link_budget as lb
 from swarmcover import mission as ms
-from swarmcover.env import CoverageEnv, EnvConfig
+from swarmcover.env import (
+    N_ACTIONS,
+    CoverageEnv,
+    EnvConfig,
+    TaskTables,
+    build_rate_table,
+    resolve_moves,
+)
 from swarmcover.oracle import (
+    SEARCH_ORDER,
     EnumerationBudgetExceeded,
     ExactInstance,
+    ExactSolution,
+    _actions_from_cells,
     enumerate_optimum,
     verify_feasibility,
 )
@@ -42,14 +58,14 @@ def two_by_two(horizon: int = 2, **mission_kw) -> ExactInstance:
     )
 
 
+def mission_center(mission: ms.MissionConfig, cell: int) -> tuple[float, float]:
+    row, col = divmod(cell, mission.cells_per_side)
+    return ((col + 0.5) * mission.cell_width_m, (row + 0.5) * mission.cell_width_m)
+
+
 def three_by_three() -> ExactInstance:
     """One UAV, two strategic cells, plus a decoy device off the cheap route."""
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=6)
-    width = mission.cell_width_m
-
-    def center(cell: int) -> tuple[float, float]:
-        row, col = divmod(cell, 3)
-        return ((col + 0.5) * width, (row + 0.5) * width)
 
     return ExactInstance(
         mission=mission,
@@ -57,9 +73,9 @@ def three_by_three() -> ExactInstance:
         radio=lb.RadioConfig(),
         strategic_cells=(4, 8),
         devices=(
-            ms.IotDevice(0, center(4), 1e6, 0.2),
-            ms.IotDevice(1, center(8), 1e6, 0.2),
-            ms.IotDevice(2, center(1), 1e6, 0.2),  # collecting this only costs time
+            ms.IotDevice(0, mission_center(mission, 4), 1e6, 0.2),
+            ms.IotDevice(1, mission_center(mission, 8), 1e6, 0.2),
+            ms.IotDevice(2, mission_center(mission, 1), 1e6, 0.2),  # collecting this only costs time
         ),
         start_cells=(0,),
         horizon=4,
@@ -125,6 +141,126 @@ def brute_force_best(instance: ExactInstance) -> float:
     return float(best)
 
 
+def exhaustive_optimum(instance: ExactInstance) -> ExactSolution:
+    """Scan the whole joint action space and return the cheapest feasible plan.
+
+    The reference for :func:`enumerate_optimum`: the same dynamics and
+    accounting in the same order, with only the feasibility cuts (deadline
+    overrun and rate violations can never heal), and a budget on the
+    number of joint sequences decided before the scan starts.
+    """
+    n_uavs = len(instance.start_cells)
+    space = (N_ACTIONS ** n_uavs) ** instance.horizon
+    if space > instance.budget:
+        raise EnumerationBudgetExceeded(
+            f"{space} joint sequences exceed the budget of {instance.budget}"
+        )
+
+    cfg = instance.mission
+    tables = TaskTables.build(
+        instance.build_world(), instance.link, instance.radio, instance.altitude_m
+    )
+    targets, queues, leg_time = tables.targets, tables.queues, tables.leg_time_s
+    collect_time, rate_ok = tables.collect_time_s, tables.rate_ok
+    device_strategic = tables.device_strategic
+    strategic = set(instance.strategic_cells)
+    joint_choices = list(product(SEARCH_ORDER, repeat=n_uavs))
+
+    best_objective = math.inf
+    best_cells: tuple | None = None
+    best_accounting: tuple | None = None
+    counters = {"leaves": 0, "feasible": 0, "pruned": 0}
+    p_oper, p_comm = cfg.p_oper_watts, cfg.p_comm_watts
+
+    def coverage_met(visited: tuple[frozenset, ...]) -> bool:
+        if instance.per_uav_coverage:
+            return all(strategic <= v for v in visited)
+        union = frozenset().union(*visited) if visited else frozenset()
+        return strategic <= union
+
+    def descend(depth, positions, collected, d_com, d_data, served, d_tot, visited, trail):
+        nonlocal best_objective, best_cells, best_accounting
+        if depth == instance.horizon:
+            counters["leaves"] += 1
+            if coverage_met(visited):
+                counters["feasible"] += 1
+                objective = sum(
+                    p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
+                    for u in range(n_uavs)
+                    if served[u]
+                )
+                if objective < best_objective:
+                    best_objective = objective
+                    best_cells = trail
+                    best_accounting = (d_com, d_data, served)
+            return
+        for joint in joint_choices:
+            finals, _ = resolve_moves(
+                positions, [targets[positions[u]][joint[u]] for u in range(n_uavs)]
+            )
+            new_collected = collected
+            new_d_com = list(d_com)
+            new_d_data = list(d_data)
+            new_served = list(served)
+            step_time = 0.0
+            violated = False
+            for u in range(n_uavs):
+                if finals[u] != positions[u]:
+                    new_d_com[u] += leg_time
+                    step_time += leg_time
+                for dev in queues[finals[u]]:
+                    bit = 1 << dev
+                    if not new_collected & bit:
+                        if not rate_ok[dev]:
+                            violated = True
+                        new_collected |= bit
+                        new_d_data[u] += collect_time[dev]
+                        step_time += collect_time[dev]
+                        if device_strategic[dev]:
+                            new_served[u] = True
+                        break
+                if violated:
+                    break
+            if violated or d_tot + step_time > cfg.t_max_seconds:
+                counters["pruned"] += 1
+                continue
+            descend(
+                depth + 1,
+                tuple(finals),
+                new_collected,
+                tuple(new_d_com),
+                tuple(new_d_data),
+                tuple(new_served),
+                d_tot + step_time,
+                tuple(v | {finals[u]} for u, v in enumerate(visited)),
+                trail + (tuple(finals),),
+            )
+
+    start = tuple(instance.start_cells)
+    descend(
+        0, start, 0, (0.0,) * n_uavs, (0.0,) * n_uavs, (False,) * n_uavs,
+        0.0, (frozenset(),) * n_uavs, (),
+    )
+
+    if best_cells is None:
+        return ExactSolution(
+            False, None, None, None, None,
+            counters["leaves"], counters["feasible"], counters["pruned"],
+        )
+    cells_per_slot = (start,) + best_cells
+    trajectories = tuple(
+        tuple(cells_per_slot[t][u] for t in range(instance.horizon + 1))
+        for u in range(n_uavs)
+    )
+    actions = _actions_from_cells(trajectories, targets)
+    d_com, d_data, served = best_accounting
+    unmasked = sum(p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u] for u in range(n_uavs))
+    return ExactSolution(
+        True, best_objective, unmasked, actions, trajectories,
+        counters["leaves"], counters["feasible"], counters["pruned"],
+    )
+
+
 # --- agreement with an independent enumeration ------------------------------------
 
 
@@ -156,10 +292,20 @@ def test_three_by_three_matches_brute_force():
 
 
 def test_search_counters_on_hand_instance():
+    scan = exhaustive_optimum(two_by_two())
+    assert scan.leaves_evaluated == 25  # 5 actions, horizon 2, nothing pruned
+    assert scan.branches_pruned == 0
+    assert scan.feasible_leaves == 8
+    # The search expands two of the root's five children, hover and the
+    # north hop: south and west clamp back to the hover state (memo), and
+    # east-then-hover costs what hover-then-east already found (bound). Below
+    # hover, the two clamped moves repeat it; below the north hop, hover
+    # repeats hover-then-north and the two clamped moves repeat that (memo).
+    # 5 leaves + 8 cuts + 2 expanded inner nodes are the 15 nodes generated.
     solution = enumerate_optimum(two_by_two())
-    assert solution.leaves_evaluated == 25  # 5 actions, horizon 2, nothing pruned
-    assert solution.branches_pruned == 0
-    assert solution.feasible_leaves == 8
+    assert solution.leaves_evaluated == 5
+    assert solution.branches_pruned == 8
+    assert solution.feasible_leaves == 1
 
 
 def test_hover_first_tie_break():
@@ -184,10 +330,16 @@ def test_impossible_deadline_reported_not_raised():
     assert not solution.feasible
     assert solution.objective_j is None
     assert solution.trajectories is None
-    # staying put survives three ways (hover plus two border-clamped moves),
-    # real hops are pruned at both levels: 3*3 leaves, 2 + 3*2 pruned branches,
-    # and 9 + 2*5 + 6*1 accounts for all 25 sequences
-    assert solution.leaves_evaluated == 9
+    # The scan: staying put survives three ways (hover plus two
+    # border-clamped moves), real hops are pruned at both levels: 3*3 leaves,
+    # 2 + 3*2 pruned branches, and 9 + 2*5 + 6*1 accounts for all 25 sequences.
+    scan = exhaustive_optimum(two_by_two(t_max_seconds=1.0))
+    assert not scan.feasible
+    assert scan.leaves_evaluated == 9
+    assert scan.branches_pruned == 8
+    # The search: the clamped moves repeat the hover state (memo), so only
+    # hover is expanded: 1 leaf, 2 hops + 2 repeats cut at each level.
+    assert solution.leaves_evaluated == 1
     assert solution.branches_pruned == 8
 
 
@@ -203,6 +355,106 @@ def test_relaxing_the_deadline_never_costs_more():
 def test_budget_guard():
     with pytest.raises(EnumerationBudgetExceeded, match="exceed the budget"):
         enumerate_optimum(replace(two_by_two(), budget=10))
+
+
+def test_budget_counts_generated_nodes():
+    # three_by_three() generates 170 nodes. With one fewer the search stops
+    # part-way; the old a-priori guard would have refused any budget below
+    # its 625 sequences before starting.
+    instance = three_by_three()
+    assert enumerate_optimum(replace(instance, budget=170)) == enumerate_optimum(instance)
+    with pytest.raises(EnumerationBudgetExceeded, match="170 search nodes exceed the budget of 169"):
+        enumerate_optimum(replace(instance, budget=169))
+
+
+# --- agreement with the exhaustive scan ---------------------------------------------
+
+
+def random_instance(seed: int) -> ExactInstance:
+    """A small random instance: any grid, swarm, horizon, deadline, rate
+    floor, power and coverage rule the exhaustive scan can afford."""
+    rng = random.Random(seed)
+    side = rng.choice((2, 3))
+    n_uavs = rng.choice((1, 2))
+    horizon = rng.randint(1, 6 if n_uavs == 1 else 3)
+    mission = ms.MissionConfig(
+        area_m=88.0 * side, cells_per_side=side, slots=horizon,
+        t_max_seconds=rng.choice((0.0, 5.0, 9.0, 18.0, 30.0, 60.0, 600.0, 600.0)),
+        p_oper_watts=rng.choice((0.0, 300.0, 300.0, 300.0)),
+        p_comm_watts=rng.choice((0.0, 5.0, 5.0, 5.0)),
+    )
+    cells = range(mission.n_cells)
+    strategic = tuple(rng.sample(cells, rng.choice((0, 1, 1, 2, 2))))
+    # Most strategic cells get a device at their centre. Extra devices sit
+    # on a random cell centre (equal rates, so distinct plans can reach
+    # equal accounting) or anywhere in the area.
+    spots = [mission_center(mission, c) for c in strategic if rng.random() < 0.8]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            spots.append(mission_center(mission, rng.choice(cells)))
+        else:
+            spots.append((rng.uniform(0.0, mission.area_m), rng.uniform(0.0, mission.area_m)))
+    devices = tuple(ms.IotDevice(i, xy, 1e6, 0.2) for i, xy in enumerate(spots))
+    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    instance = ExactInstance(
+        mission=mission, link=link, radio=radio, strategic_cells=strategic,
+        devices=devices, start_cells=tuple(rng.sample(cells, n_uavs)), horizon=horizon,
+        per_uav_coverage=rng.random() < 0.5,
+    )
+    if devices and rng.random() < 0.4:
+        # a floor between the weakest and the strongest link breaks some devices
+        rates = build_rate_table(instance.build_world(), link, radio, instance.altitude_m)
+        floor = rng.uniform(min(rates), max(rates))
+        instance = replace(instance, radio=lb.RadioConfig(rate_floor_bps=floor))
+    return instance
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_search_matches_the_exhaustive_scan(seed):
+    instance = random_instance(seed)
+    scan = exhaustive_optimum(instance)
+    solution = enumerate_optimum(instance)
+    assert solution.feasible == scan.feasible
+    assert solution.trajectories == scan.trajectories
+    assert solution.actions == scan.actions
+    assert solution.objective_j == scan.objective_j
+    assert solution.unmasked_j == scan.unmasked_j
+    assert solution.leaves_evaluated <= scan.leaves_evaluated
+
+
+# --- beyond the exhaustive scan's reach ---------------------------------------------
+
+
+def two_uav_acceptance_instance(horizon: int) -> ExactInstance:
+    """Acceptance test 3's grid with a second UAV: strategic cells 4 and 5,
+    one device on each, UAVs starting on cells 1 and 7."""
+    mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=8, frame_seconds=192.0)
+    return ExactInstance(
+        mission=mission, link=lb.params_from_preset("urban"), radio=lb.RadioConfig(),
+        strategic_cells=(4, 5),
+        devices=tuple(ms.default_device_layout(mission, (4, 5), seed=7, count=2)),
+        start_cells=(1, 7), horizon=horizon,
+    )
+
+
+def test_two_uavs_at_horizon_eight_solve_in_seconds():
+    # 25**8 = 1.5e11 joint sequences: out of reach for the exhaustive scan.
+    instance = two_uav_acceptance_instance(8)
+    began = time.perf_counter()
+    solution = enumerate_optimum(instance)
+    elapsed = time.perf_counter() - began
+    assert elapsed < 5.0
+    assert solution.feasible
+    report = verify_feasibility(solution.trajectories, instance)
+    assert report.all_ok
+    assert solution.objective_j == pytest.approx(report.objective_j, rel=1e-9)
+
+    # The horizon-4 optimum, then hovering, is a horizon-8 plan too.
+    short = enumerate_optimum(two_uav_acceptance_instance(4))
+    padded = [traj + (traj[-1],) * 4 for traj in short.trajectories]
+    padded_report = verify_feasibility(padded, instance)
+    if padded_report.all_ok:
+        assert solution.objective_j <= padded_report.objective_j
 
 
 # --- per-UAV coverage --------------------------------------------------------------
