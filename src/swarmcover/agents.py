@@ -32,11 +32,20 @@ acting-head mask (``action_arrays``). Both reproduce the per-UAV
 tests keep those loops as references. Only DQN's exploration walks the
 UAVs one at a time, because its draws interleave. The policy learners
 act through the actor alone.
+
+Every gradient reads transitions as one :class:`Batch` of arrays. An
+episode's list of ``Transition`` objects becomes one through
+:func:`as_batch`; the replay memory (DQN's, and the actor-critic's TD
+term) stores rows in preallocated arrays round a ring and samples a
+``Batch`` straight from them. It keeps one state per row: a row's next
+state is the next row's state, and only terminal rows, the newest row
+and rows whose successor does not continue them keep a next state of
+their own.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,6 +93,11 @@ class AgentConfig:
             raise ValueError("learning rate must be positive")
         if self.replay_capacity < 1 or self.minibatch < 1:
             raise ValueError("replay capacity and minibatch must be positive")
+        if self.minibatch > self.replay_capacity:
+            # The memory would never hold a minibatch: DQN would never update
+            # and the actor-critic never add its replay term.
+            raise ValueError(f"minibatch ({self.minibatch}) must not exceed "
+                             f"replay_capacity ({self.replay_capacity})")
         if not 0.0 <= self.ppo_clip < 1.0:
             raise ValueError("clip range must lie in [0, 1)")
         if not 0.0 <= self.meta_fraction < 1.0:
@@ -102,27 +116,6 @@ class Transition:
     done: bool = False
     #: One reward per acting UAV (summing to ``reward``), or None.
     uav_rewards: np.ndarray | None = None
-
-
-class ReplayMemory:
-    """FIFO transition store with uniform minibatch sampling."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.buffer: deque[Transition] = deque(maxlen=capacity)
-
-    def push(self, transition: Transition) -> None:
-        self.buffer.append(transition)
-
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        if n > len(self.buffer):
-            raise ValueError("cannot sample more transitions than stored")
-        picks = rng.choice(len(self.buffer), size=n, replace=False)
-        return [self.buffer[int(i)] for i in picks]
-
-    def __len__(self) -> int:
-        return len(self.buffer)
 
 
 @dataclass
@@ -257,10 +250,12 @@ def discounted_returns(rewards: Sequence[float] | np.ndarray, gamma: float) -> n
 # --- actor-critic -------------------------------------------------------------
 
 @dataclass
-class _Batch:
-    """A list of transitions as arrays.
+class Batch:
+    """Transitions as arrays, the one form every gradient reads.
 
-    Reward columns: one team column when the transitions carry scalar
+    ``reward`` and ``live`` (0.0 after a terminal step, else 1.0) are the
+    team reward and bootstrap mask DQN reads. The value losses read
+    reward columns: one team column when the transitions carry scalar
     rewards only, else one column per UAV slot (zero for idle slots).
     ``cols`` masks the columns a value loss counts and ``boot`` the
     bootstrap values V(s') a TD target may use: none after a terminal
@@ -268,13 +263,38 @@ class _Batch:
     trailing active-count feature).
     """
 
-    states: np.ndarray      # [B, state_dim]
+    states: np.ndarray       # [B, state_dim]
     next_states: np.ndarray  # [B, state_dim]
-    onehot: np.ndarray      # [B, heads, N_ACTIONS] taken actions
-    active: np.ndarray      # [B, heads] 1.0 for heads that acted
-    rewards: np.ndarray     # [B, columns]
-    cols: np.ndarray        # [B, columns]
-    boot: np.ndarray        # [B, columns]
+    reward: np.ndarray       # [B] team reward
+    live: np.ndarray         # [B]
+    acts: np.ndarray         # [B, heads] action ids, as action_arrays
+    acting: np.ndarray       # [B, heads] heads that acted
+    active: np.ndarray       # [B, heads] ``acting`` as 1.0 / 0.0
+    rewards: np.ndarray      # [B, columns]
+    cols: np.ndarray         # [B, columns]
+    boot: np.ndarray         # [B, columns]
+
+    @classmethod
+    def build(cls, states, next_states, reward, uav_rewards, per_uav, done, acts, acting) -> "Batch":
+        """The batch of rows given as arrays: ``uav_rewards`` [B, heads] is
+        zero-padded past each row's acting heads and read only where the
+        bool ``per_uav`` [B] is set, which must hold for all rows or none."""
+        n, heads = acting.shape
+        live = np.where(done, 0.0, 1.0)
+        active = acting.astype(np.float64)
+        if not per_uav.any():
+            rewards, cols, boot = reward[:, None], np.ones((n, 1)), live[:, None]
+        elif per_uav.all():
+            next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
+            rewards, cols, boot = uav_rewards, active, live[:, None] * next_active
+        else:
+            raise ValueError("transitions mix scalar and per-UAV rewards")
+        return cls(states, next_states, reward, live, acts, acting, active, rewards, cols, boot)
+
+    @property
+    def onehot(self) -> np.ndarray:
+        """[B, heads, N_ACTIONS] one-hot taken actions (action 0 on idle heads)."""
+        return np.eye(N_ACTIONS)[self.acts]
 
 
 def action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,25 +306,113 @@ def action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.nd
     return acts, acting
 
 
-def _as_batch(batch: Sequence[Transition], heads: int) -> _Batch:
-    n = len(batch)
-    acts, acting = action_arrays([t.action for t in batch], heads)
-    active = acting.astype(np.float64)
-    live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    per_uav = [t.uav_rewards is not None for t in batch]
-    if not any(per_uav):
-        rewards = np.array([[t.reward] for t in batch])
-        cols, boot = np.ones((n, 1)), live
-    elif all(per_uav):
-        rewards = np.zeros((n, heads))
-        rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
-        next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
-        cols, boot = active, live * next_active
-    else:
-        raise ValueError("transitions mix scalar and per-UAV rewards")
-    return _Batch(states, next_states, np.eye(N_ACTIONS)[acts], active, rewards, cols, boot)
+def as_batch(transitions: Sequence[Transition], heads: int) -> Batch:
+    """A list of transitions (an episode, say) as a :class:`Batch`."""
+    acts, acting = action_arrays([t.action for t in transitions], heads)
+    per_uav = np.array([t.uav_rewards is not None for t in transitions])
+    uav_rewards = np.zeros(acting.shape)
+    if per_uav.all():
+        uav_rewards[acting] = np.concatenate([t.uav_rewards for t in transitions])
+    return Batch.build(
+        np.stack([t.state for t in transitions]),
+        np.stack([t.next_state for t in transitions]),
+        np.array([t.reward for t in transitions], dtype=np.float64),
+        uav_rewards, per_uav, np.array([t.done for t in transitions], dtype=bool),
+        acts, acting,
+    )
+
+
+def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros on fresh anonymous pages, so only the pages later written to
+    become resident. (``np.zeros`` may take heap memory that ``calloc``
+    clears in full, or ask for huge pages.)"""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+class ReplayMemory:
+    """The last ``capacity`` transitions, sampled uniformly as a :class:`Batch`.
+
+    Rows live in preallocated arrays, filled in push order round a ring:
+    one [capacity, state_dim] state array, the team reward, the per-UAV
+    reward columns, the done flag and the joint action as
+    :func:`action_arrays` lays it out. A row's next state is the next
+    row's state, so no second state array exists. A next state is kept on
+    its own only where that chaining would be wrong: for a terminal row,
+    for the newest row (its successor is not pushed yet), and for a row
+    whose successor's state is not its next state (the same array, or
+    equal bit for bit). A kept next state is the pushed array, not a copy.
+    The arrays
+    sit on untouched pages until rows are written, so a memory that fills
+    a few hundred of its rows holds only those.
+    """
+
+    def __init__(self, capacity: int, state_dim: int, heads: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = capacity
+        self.states = _untouched_zeros((capacity, state_dim), np.float64)
+        self.reward = _untouched_zeros((capacity,), np.float64)
+        self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
+        self.per_uav = _untouched_zeros((capacity,), bool)
+        self.done = _untouched_zeros((capacity,), bool)
+        self.acts = _untouched_zeros((capacity, heads), np.int64)
+        self.acting = _untouched_zeros((capacity, heads), bool)
+        #: The next states kept on their own, by row.
+        self.next_states: dict[int, np.ndarray] = {}
+        self._prefix = np.arange(heads) < np.arange(heads + 1)[:, None]  # acting rows by count
+        self._size = 0
+        self._slot = 0  # the row the next push writes
+
+    def push(self, transition: Transition) -> None:
+        s, t = self._slot, transition
+        if self._size == self.capacity:  # row s holds the oldest transition
+            self.next_states.pop(s, None)
+            self.acts[s] = 0
+            self.uav_rewards[s] = 0.0
+        else:  # a row not written before, still all zeros
+            self._size += 1
+        self.states[s] = t.state
+        prev = s - 1 if s else self.capacity - 1
+        if self._size > 1 and not self.done[prev]:
+            kept = self.next_states[prev]
+            if t.state is kept or kept.tobytes() == self.states[s].tobytes():
+                del self.next_states[prev]
+        k = len(t.action)
+        self.reward[s] = t.reward
+        self.done[s] = t.done
+        self.acts[s, :k] = t.action
+        self.acting[s] = self._prefix[k]
+        self.per_uav[s] = t.uav_rewards is not None
+        if t.uav_rewards is not None:
+            self.uav_rewards[s, :k] = t.uav_rewards
+        self.next_states[s] = t.next_state
+        self._slot = s + 1 if s + 1 < self.capacity else 0
+
+    def sample(self, n: int, rng: np.random.Generator) -> Batch:
+        """``n`` distinct transitions, drawn as ``rng.choice`` over the held
+        ones ordered oldest first."""
+        if n > self._size:
+            raise ValueError("cannot sample more transitions than stored")
+        rows = rng.choice(self._size, size=n, replace=False)
+        if self._size == self.capacity:  # the oldest row is the next one written
+            rows = (rows + self._slot) % self.capacity
+        after = rows + 1
+        after[after == self.capacity] = 0
+        next_states = self.states[after]
+        for i, row in enumerate(rows.tolist()):
+            own = self.next_states.get(row)
+            if own is not None:
+                next_states[i] = own
+        return Batch.build(
+            self.states[rows], next_states, self.reward[rows], self.uav_rewards[rows],
+            self.per_uav[rows], self.done[rows], self.acts[rows], self.acting[rows],
+        )
+
+    def __len__(self) -> int:
+        return self._size
 
 
 def _value_grad(err: np.ndarray, outputs: int) -> np.ndarray:
@@ -338,7 +446,7 @@ def actor_critic_accumulate(
     if not episode:
         raise ValueError("cannot accumulate over an empty episode")
     acc = acc if acc is not None else GradAccumulator.zeros(params)
-    b = _as_batch(episode, params.heads)
+    b = as_batch(episode, params.heads)
     logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
     values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
     returns = discounted_returns(b.rewards, gamma)
@@ -367,7 +475,7 @@ def actor_critic_accumulate(
 
 def critic_td_accumulate(
     params: PolicyParams,
-    batch: Sequence[Transition],
+    batch: Batch,
     gamma: float,
     acc: GradAccumulator,
 ) -> None:
@@ -377,11 +485,10 @@ def critic_td_accumulate(
     reward columns, as in :func:`actor_critic_accumulate`. Semi-gradient:
     the bootstrap target gamma * V(s') is held constant.
     """
-    b = _as_batch(batch, params.heads)
-    values, cache = nets.forward(params.critic, b.states, params.critic_cfg)
-    next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
-    targets = b.rewards + gamma * b.boot * next_values
-    dvals = _value_grad((targets - values) * b.cols, params.critic_cfg.out_dim)
+    values, cache = nets.forward(params.critic, batch.states, params.critic_cfg)
+    next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
+    targets = batch.rewards + gamma * batch.boot * next_values
+    dvals = _value_grad((targets - values) * batch.cols, params.critic_cfg.out_dim)
     grads = nets.backward(params.critic, cache, dvals, params.critic_cfg)
     nets.accumulate(acc.d_critic, grads)
 
@@ -435,7 +542,7 @@ class Adam:
 def dqn_loss_and_grad(
     q_params: dict,
     target_params: dict,
-    batch: Sequence[Transition],
+    batch: Batch,
     gamma: float,
     cfg: nets.NetConfig,
     heads: int,
@@ -446,32 +553,28 @@ def dqn_loss_and_grad(
     the team reward r; the loss sums the errors in transition-then-head
     order.
     """
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    live = np.array([0.0 if t.done else 1.0 for t in batch])
-    raw, cache = nets.forward(q_params, states, cfg)
-    q = raw.reshape(len(batch), heads, N_ACTIONS)
-    raw_next, _ = nets.forward(target_params, next_states, cfg)
-    best_next = raw_next.reshape(len(batch), heads, N_ACTIONS).max(axis=-1)
+    n = len(batch.states)
+    raw, cache = nets.forward(q_params, batch.states, cfg)
+    q = raw.reshape(n, heads, N_ACTIONS)
+    raw_next, _ = nets.forward(target_params, batch.next_states, cfg)
+    best_next = raw_next.reshape(n, heads, N_ACTIONS).max(axis=-1)
 
-    acts, acting = action_arrays([t.action for t in batch], heads)
-    t_idx, u_idx = np.nonzero(acting)
-    a_idx = acts[t_idx, u_idx]
-    targets = rewards[t_idx] + gamma * live[t_idx] * best_next[t_idx, u_idx]
+    t_idx, u_idx = np.nonzero(batch.acting)
+    a_idx = batch.acts[t_idx, u_idx]
+    targets = batch.reward[t_idx] + gamma * batch.live[t_idx] * best_next[t_idx, u_idx]
     err = q[t_idx, u_idx, a_idx] - targets
     # cumsum adds in order, as a running Python sum would; sum() pairs terms.
     loss = float(np.cumsum(err * err)[-1]) if len(err) else 0.0
     dq = np.zeros_like(q)
     dq[t_idx, u_idx, a_idx] = 2.0 * err
-    grads = nets.backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
+    grads = nets.backward(q_params, cache, dq.reshape(n, -1), cfg)
     return loss, grads
 
 
 def dqn_update(
     q_params: dict,
     target_params: dict,
-    batch: Sequence[Transition],
+    batch: Batch,
     gamma: float,
     lr: float,
     cfg: nets.NetConfig,
@@ -644,7 +747,7 @@ class ActorCriticLearner:
     def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
         self.params = params
         self.cfg = cfg
-        self.memory = ReplayMemory(cfg.replay_capacity)
+        self.memory = ReplayMemory(cfg.replay_capacity, params.actor_cfg.input_dim, params.heads)
         self._episode: list[Transition] = []
         self._optimised: PolicyParams | None = None
 
@@ -693,7 +796,7 @@ class DQNLearner:
         self.heads = heads
         self.q = nets.init_params(self.net_cfg, rng)
         self.target = nets.clone_params(self.q)
-        self.memory = ReplayMemory(cfg.replay_capacity)
+        self.memory = ReplayMemory(cfg.replay_capacity, state_dim, heads)
         self.episodes = episodes
         self._finished = 0
         self.epsilon = epsilon_at(0, episodes, cfg)

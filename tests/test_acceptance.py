@@ -1,7 +1,7 @@
 """The acceptance gate: eight end-to-end claims this package ships on.
 
 One test per claim, in order: channel-model invariants at scale, the
-gradient oracle, agreement between a trained agent and the exhaustive
+gradient oracle, agreement between a trained agent and the exact
 solver, the three directional training claims (strategic visit bias,
 adaptation speed from a meta initialization, satisfaction vs swarm
 size), byte-identical replay, and the exact model arithmetic.
@@ -184,7 +184,8 @@ def test_gradient_oracle_matches_finite_differences():
 
         # One-step temporal-difference loss with bootstrap targets frozen.
         td_acc = ag.GradAccumulator.zeros(params)
-        ag.critic_td_accumulate(params, episode, gamma, td_acc)
+        batch = ag.as_batch(episode, params.heads)
+        ag.critic_td_accumulate(params, batch, gamma, td_acc)
         next_states = np.stack([t.next_state for t in episode])
         rewards = np.array([t.reward for t in episode])
         live = np.array([0.0 if t.done else 1.0 for t in episode])
@@ -204,11 +205,11 @@ def test_gradient_oracle_matches_finite_differences():
         # Q-learning squared TD loss against a separate target net.
         target = _small_params(seed=3000 + i)
         _, dqn_grads = ag.dqn_loss_and_grad(
-            params.actor, target.actor, episode, gamma, params.actor_cfg, params.heads)
+            params.actor, target.actor, batch, gamma, params.actor_cfg, params.heads)
 
         def dqn_loss(q_net):
             loss, _ = ag.dqn_loss_and_grad(
-                q_net, target.actor, episode, gamma, params.actor_cfg, params.heads)
+                q_net, target.actor, batch, gamma, params.actor_cfg, params.heads)
             return loss
 
         err = relative_error(
@@ -247,7 +248,7 @@ def test_gradient_oracle_matches_finite_differences():
     assert elapsed < budget_s
 
 
-# --- 3: trained agent vs exhaustive optimum ------------------------------------------
+# --- 3: trained agent vs exact optimum ----------------------------------------------
 
 def _greedy_rollout(env: CoverageEnv, task, learner: ag.DQNLearner, start_cells) -> None:
     """Play one episode on the argmax of the learner's Q heads: no
@@ -299,7 +300,7 @@ def test_trained_agent_matches_exhaustive_optimum():
 
     elapsed = time.time() - t0
     ok = sum(wins) >= 4 and elapsed < budget_s
-    _verdict("agent vs exhaustive optimum", ok,
+    _verdict("agent vs exact optimum", ok,
              f"{sum(wins)}/5 seeds within 5% of {best.objective_j:.1f} J, {elapsed:.0f}s")
     assert sum(wins) >= 4, f"only {sum(wins)}/5 seeds matched the optimum"
     assert elapsed < budget_s

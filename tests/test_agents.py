@@ -5,6 +5,8 @@ surrogate) is checked against central finite differences on networks
 small enough to difference exhaustively.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -36,33 +38,218 @@ def random_batch(params: ag.PolicyParams, n: int, seed: int = 0) -> list[ag.Tran
 
 # --- replay memory ---------------------------------------------------------------
 
+def memory_of(params: ag.PolicyParams, capacity: int) -> ag.ReplayMemory:
+    return ag.ReplayMemory(capacity, params.actor_cfg.input_dim, params.heads)
+
+
 def test_replay_evicts_oldest_first():
-    mem = ag.ReplayMemory(2)
-    a, b, c = random_batch(tiny_params(), 3)
+    params = tiny_params()
+    mem = memory_of(params, 2)
+    a, b, c = random_batch(params, 3)
     for t in (a, b, c):
         mem.push(t)
     assert len(mem) == 2
-    held = [id(t) for t in mem.sample(2, np.random.default_rng(0))]
-    assert id(a) not in held
-    assert id(b) in held and id(c) in held
+    held = mem.sample(2, np.random.default_rng(0))
+    rows = sorted(zip(held.reward.tolist(), held.states.tolist(), held.next_states.tolist()))
+    assert rows == sorted((t.reward, t.state.tolist(), t.next_state.tolist()) for t in (b, c))
 
 
 def test_replay_full_sample_is_permutation():
-    mem = ag.ReplayMemory(5)
-    batch = random_batch(tiny_params(), 5)
+    params = tiny_params()
+    mem = memory_of(params, 5)
+    batch = random_batch(params, 5)
     for t in batch:
         mem.push(t)
     drawn = mem.sample(5, np.random.default_rng(1))
-    assert sorted(id(t) for t in drawn) == sorted(id(t) for t in batch)
+    # The rewards are distinct, so each names the transition its row came from.
+    by_reward = {t.reward: t for t in batch}
+    assert sorted(drawn.reward.tolist()) == sorted(by_reward)
+    for i, r in enumerate(drawn.reward.tolist()):
+        t = by_reward[r]
+        assert drawn.states[i].tobytes() == t.state.tobytes()
+        assert drawn.next_states[i].tobytes() == t.next_state.tobytes()
+        assert drawn.live[i] == (0.0 if t.done else 1.0)
+        assert tuple(drawn.acts[i][drawn.acting[i]].tolist()) == t.action
 
 
 def test_replay_sampling_deterministic():
-    mem = ag.ReplayMemory(10)
-    for t in random_batch(tiny_params(), 10):
+    params = tiny_params()
+    mem = memory_of(params, 10)
+    for t in random_batch(params, 10):
         mem.push(t)
-    a = mem.sample(4, np.random.default_rng(7))
-    b = mem.sample(4, np.random.default_rng(7))
-    assert [id(t) for t in a] == [id(t) for t in b]
+    a = vars(mem.sample(4, np.random.default_rng(7)))
+    b = vars(mem.sample(4, np.random.default_rng(7)))
+    for name in a:
+        assert_bits_equal(a[name], b[name])
+
+
+class DequeReplayMemory:
+    """Reference: the transition-object store the array memory replaced."""
+
+    def __init__(self, capacity: int) -> None:
+        self.buffer = deque(maxlen=capacity)
+
+    def push(self, transition: ag.Transition) -> None:
+        self.buffer.append(transition)
+
+    def sample(self, n: int, rng: np.random.Generator) -> list[ag.Transition]:
+        if n > len(self.buffer):
+            raise ValueError("cannot sample more transitions than stored")
+        picks = rng.choice(len(self.buffer), size=n, replace=False)
+        return [self.buffer[int(i)] for i in picks]
+
+    def __len__(self) -> int:
+        return len(self.buffer)
+
+
+def reference_batch(batch: list[ag.Transition], heads: int) -> ag.Batch:
+    """Reference: the transition-list batch builder the array memory
+    replaced, each field built as it built it."""
+    n = len(batch)
+    acts, acting = ag.action_arrays([t.action for t in batch], heads)
+    active = acting.astype(np.float64)
+    live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
+    states = np.stack([t.state for t in batch])
+    next_states = np.stack([t.next_state for t in batch])
+    per_uav = [t.uav_rewards is not None for t in batch]
+    if not any(per_uav):
+        rewards = np.array([[t.reward] for t in batch])
+        cols, boot = np.ones((n, 1)), live
+    elif all(per_uav):
+        rewards = np.zeros((n, heads))
+        rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
+        next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
+        cols, boot = active, live * next_active
+    else:
+        raise ValueError("transitions mix scalar and per-UAV rewards")
+    return ag.Batch(states, next_states, np.array([t.reward for t in batch]), live[:, 0],
+                    acts, acting, active, rewards, cols, boot)
+
+
+def push_stream(rng: np.random.Generator, length: int, dim: int, heads: int,
+                per_uav: bool) -> list[ag.Transition]:
+    """Episodes of random length, each ending ``done`` and each with its own
+    active count, whose trailing state feature encodes that count. Within an
+    episode a push's state is mostly the previous ``next_state`` (the same
+    object or an equal copy), but sometimes a fresh state, or the previous
+    ``next_state`` with the sign of a zero flipped."""
+    stream: list[ag.Transition] = []
+    while len(stream) < length:
+        active = int(rng.integers(1, heads + 1))
+        state = rng.normal(size=dim)
+        steps = int(rng.integers(1, 8))
+        for step in range(steps):
+            next_state = np.round(rng.normal(size=dim), 1)  # some exact zeros
+            next_state[-1] = int(rng.integers(1, heads + 1)) / heads
+            action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
+            uav = np.round(rng.normal(size=active), 1) if per_uav else None
+            reward = float(uav.sum()) if per_uav else float(np.round(rng.normal(), 1))
+            done = step == steps - 1 or rng.random() < 0.2
+            stream.append(ag.Transition(state, action, reward, next_state, done, uav))
+            if done:
+                break
+            kind = rng.random()
+            if kind < 0.6:
+                state = next_state
+            elif kind < 0.7:
+                state = next_state.copy()
+            elif kind < 0.85:
+                state = rng.normal(size=dim)
+            else:
+                state = next_state.copy()
+                zeros = np.flatnonzero(state == 0.0)
+                if len(zeros):
+                    state[zeros[0]] = -state[zeros[0]]  # 0.0 <-> -0.0
+                else:
+                    state[0] = np.nextafter(state[0], np.inf)
+    return stream[:length]
+
+
+def test_array_replay_equals_the_deque_replay_bit_for_bit():
+    cases = np.random.default_rng(200)
+    for case in range(150):
+        heads = int(cases.integers(1, 8))
+        dim = int(cases.integers(2, 6))
+        length = int(cases.integers(2, 60))
+        capacity = int(cases.integers(1, length))
+        per_uav = bool(case % 2)
+        stream = push_stream(cases, length, dim, heads, per_uav)
+        params = ag.make_policy_params(dim, heads, ag.AgentConfig(hidden=(3,)),
+                                       np.random.default_rng(case),
+                                       critic_outputs=heads if case % 4 == 1 else 1)
+        target = ag.make_policy_params(dim, heads, ag.AgentConfig(hidden=(3,)),
+                                       np.random.default_rng(case + 1))
+        gamma = float(cases.uniform(0.0, 1.0))
+        mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
+        for pushed, t in enumerate(stream, start=1):
+            mem.push(t)
+            ref.push(t)
+            assert len(mem) == len(ref) == min(pushed, capacity)
+            if cases.random() < 0.5:
+                continue
+            n = int(cases.integers(1, len(ref) + 1))
+            mine, theirs = np.random.default_rng(pushed), np.random.default_rng(pushed)
+            got = mem.sample(n, mine)
+            drawn = ref.sample(n, theirs)
+            want = reference_batch(drawn, heads)
+            assert mine.bit_generator.state == theirs.bit_generator.state, case
+            for name in ("states", "next_states", "reward", "live", "rewards", "cols",
+                         "boot", "acts", "acting", "active"):
+                assert_bits_equal(getattr(got, name), getattr(want, name))
+
+            loss, grads = ag.dqn_loss_and_grad(params.actor, target.actor, got, gamma,
+                                               params.actor_cfg, heads)
+            for ref_loss, ref_grads in (
+                    ag.dqn_loss_and_grad(params.actor, target.actor, want, gamma,
+                                         params.actor_cfg, heads),
+                    loop_dqn_loss_and_grad(params.actor, target.actor, drawn, gamma,
+                                           params.actor_cfg, heads)):
+                assert_bits_equal(loss, ref_loss)
+                for key in ref_grads:
+                    assert_bits_equal(grads[key], ref_grads[key])
+
+            acc, ref_acc = ag.GradAccumulator.zeros(params), ag.GradAccumulator.zeros(params)
+            ag.critic_td_accumulate(params, got, gamma, acc)
+            ag.critic_td_accumulate(params, want, gamma, ref_acc)
+            for key in ref_acc.d_critic:
+                assert_bits_equal(acc.d_critic[key], ref_acc.d_critic[key])
+
+
+def test_replay_holds_one_state_per_transition():
+    capacity, dim, heads = 23, 6, 3
+    mem = ag.ReplayMemory(capacity, dim, heads)
+    rng = np.random.default_rng(300)
+    pushed = []
+    for episode in range(10):
+        state = rng.normal(size=dim)
+        for step in range(5):
+            next_state = rng.normal(size=dim)
+            t = ag.Transition(state, (1, 2), float(len(pushed)), next_state, step == 4,
+                              rng.normal(size=2))
+            mem.push(t)
+            pushed.append(t)
+            state = next_state
+            terminal_held = int(mem.done.sum())  # unwritten rows read False
+            assert len(mem.next_states) <= terminal_held + 1
+    assert len(mem) == capacity
+    full_size = [name for name, a in vars(mem).items()
+                 if isinstance(a, np.ndarray) and a.size >= capacity * dim]
+    assert full_size == ["states"]
+
+    # A push that does not continue the newest row: a fresh state, then the
+    # next state again but with a 0.0 turned into -0.0.
+    last = pushed[-1]
+    fresh = ag.Transition(rng.normal(size=dim), (0,), -1.0, np.zeros(dim), False, rng.normal(size=1))
+    signed = ag.Transition(-fresh.next_state, (3,), -2.0, rng.normal(size=dim), False,
+                           rng.normal(size=1))
+    for t in (fresh, signed):
+        mem.push(t)
+    everything = mem.sample(len(mem), np.random.default_rng(0))
+    for t in (last, fresh, signed):
+        i = everything.reward.tolist().index(t.reward)
+        assert everything.states[i].tobytes() == t.state.tobytes()
+        assert everything.next_states[i].tobytes() == t.next_state.tobytes()
+    assert fresh.next_state.tobytes() != signed.state.tobytes()
 
 
 # --- exploration -------------------------------------------------------------------
@@ -282,7 +469,7 @@ def test_replay_td_gradient_matches_finite_differences():
     batch = random_batch(params, 3, seed=10)
     gamma = 0.85
     acc = ag.GradAccumulator.zeros(params)
-    ag.critic_td_accumulate(params, batch, gamma, acc)
+    ag.critic_td_accumulate(params, ag.as_batch(batch, params.heads), gamma, acc)
 
     states = np.stack([t.state for t in batch])
     next_states = np.stack([t.next_state for t in batch])
@@ -408,7 +595,7 @@ def test_per_slot_replay_td_gradient_matches_finite_differences(outputs):
     batch = per_uav_batch(params, 5, seed=47)
     gamma = 0.85
     acc = ag.GradAccumulator.zeros(params)
-    ag.critic_td_accumulate(params, batch, gamma, acc)
+    ag.critic_td_accumulate(params, ag.as_batch(batch, params.heads), gamma, acc)
 
     def td_loss(critic):
         total = 0.0
@@ -428,6 +615,11 @@ def test_mixed_reward_kinds_rejected():
     batch[0] = ag.Transition(batch[0].state, batch[0].action, 1.0, batch[0].next_state)
     with pytest.raises(ValueError, match="mix"):
         ag.actor_critic_accumulate(params, batch, 0.85)
+    mem = memory_of(params, 2)
+    for t in batch:
+        mem.push(t)
+    with pytest.raises(ValueError, match="mix"):
+        mem.sample(2, np.random.default_rng(0))
 
 
 def test_adam_first_step_moves_by_the_step_size_along_the_sign():
@@ -470,7 +662,8 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
     params = tiny_params(seed=12)
     batch = random_batch(params, 4, seed=13)
     cfg = params.actor_cfg
-    loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, batch, 0.0, cfg, params.heads)
+    loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, ag.as_batch(batch, params.heads),
+                                   0.0, cfg, params.heads)
     raw, _ = nets.forward(params.actor, np.stack([t.state for t in batch]), cfg)
     q = raw.reshape(len(batch), params.heads, N_ACTIONS)
     expected = sum(
@@ -485,8 +678,8 @@ def test_dqn_zero_td_error_means_no_change():
     zero_net = nets.zeros_like_params(params.actor)
     batch = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done)
              for t in random_batch(params, 4, seed=15)]
-    loss = ag.dqn_update(zero_net, nets.zeros_like_params(params.actor), batch,
-                         0.9, 0.1, params.actor_cfg, params.heads)
+    loss = ag.dqn_update(zero_net, nets.zeros_like_params(params.actor),
+                         ag.as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads)
     assert loss == 0.0
     for v in zero_net.values():
         np.testing.assert_array_equal(v, 0.0)
@@ -534,9 +727,9 @@ def test_dqn_matches_the_per_pair_loop():
         target = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case + 1)
         batch = partial_swarm_batch(params, 1 + case % 17, seed=case)
         gamma = float(np.random.default_rng(case).uniform(0.0, 1.0))
-        args = (params.actor, target.actor, batch, gamma, params.actor_cfg, params.heads)
-        loss, grads = ag.dqn_loss_and_grad(*args)
-        ref_loss, ref_grads = loop_dqn_loss_and_grad(*args)
+        args = (params.actor, target.actor, gamma, params.actor_cfg, params.heads)
+        loss, grads = ag.dqn_loss_and_grad(*args[:2], ag.as_batch(batch, params.heads), *args[2:])
+        ref_loss, ref_grads = loop_dqn_loss_and_grad(*args[:2], batch, *args[2:])
         assert_bits_equal(loss, ref_loss)
         for key in ref_grads:
             assert_bits_equal(grads[key], ref_grads[key])
@@ -545,7 +738,7 @@ def test_dqn_matches_the_per_pair_loop():
 def test_dqn_gradient_matches_finite_differences():
     params = tiny_params(seed=16)
     target = tiny_params(seed=17)
-    batch = random_batch(params, 3, seed=18)
+    batch = ag.as_batch(random_batch(params, 3, seed=18), params.heads)
     cfg = params.actor_cfg
     _, grads = ag.dqn_loss_and_grad(params.actor, target.actor, batch, 0.85, cfg, params.heads)
 

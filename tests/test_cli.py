@@ -83,6 +83,13 @@ def test_run_rejects_a_zero_count_with_exit_two(scenario_file, monkeypatch, caps
     assert "meta_tasks_per_update must be at least 1" in capsys.readouterr().err
 
 
+def test_run_rejects_a_minibatch_the_replay_cannot_hold(scenario_file, monkeypatch, capsys):
+    monkeypatch.setenv("SWARMCOVER__agent__replay_capacity", "3")
+    assert main(["run", str(scenario_file(algorithm="dqn"))]) == 2
+    err = capsys.readouterr().err
+    assert "minibatch (4) must not exceed replay_capacity (3)" in err
+
+
 def test_compare_prints_a_table_and_writes_csv(scenario_file, tmp_path, capsys):
     a = scenario_file(algorithm="random")
     b = scenario_file(algorithm="actor_critic")

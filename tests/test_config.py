@@ -74,6 +74,13 @@ def test_out_of_range_value_fails_in_the_dataclass(tmp_path):
             load(tmp_path, {"agent": {key: 0}})
 
 
+def test_minibatch_larger_than_the_replay_is_rejected(tmp_path):
+    # The memory could never hold a minibatch, so DQN would never update.
+    with pytest.raises(ValueError, match=r"minibatch \(65\) must not exceed replay_capacity \(64\)"):
+        load(tmp_path, {"agent": {"replay_capacity": 64, "minibatch": 65}})
+    assert load(tmp_path, {"agent": {"replay_capacity": 64, "minibatch": 64}}).agent.minibatch == 64
+
+
 def test_list_fields_coerced_to_tuples(tmp_path):
     cfg = load(tmp_path, {"run": {"seeds": [0, 1, 2]}, "agent": {"hidden": [32, 32]}})
     assert cfg.run.seeds == (0, 1, 2)
