@@ -30,7 +30,7 @@ action sequence, every outcome is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -99,9 +99,9 @@ class StepOutcome:
     state: np.ndarray
     reward: float
     done: bool
-    info: dict = field(default_factory=dict)
+    info: dict
     #: One reward per active UAV, in UAV-id order; sums to ``reward``.
-    uav_rewards: np.ndarray | None = None
+    uav_rewards: np.ndarray
 
 
 def strategic_reward(satisfied_demand_sum: float) -> float:
@@ -224,11 +224,13 @@ class CoverageEnv:
     features lie in [0, 1].
 
     Episode state lives in per-UAV columns (``uav_cell``, ``uav_active``,
-    ``uav_energy_j``, ``uav_d_com_s``, ``uav_d_data_s``, ``uav_served``
-    and ``uav_track``, the ``(slot, cell)`` visits of each UAV), one row
-    per UAV that flew this frame, plus the remaining ``demand`` per
-    strategic location. Active rows fill the observation slots in row
-    order.
+    ``uav_energy_j``, ``uav_served`` and ``uav_track``, the
+    ``(slot, cell)`` visits of each UAV), one row per UAV that flew this
+    frame, plus the remaining ``demand`` per strategic location and per
+    cell counts: visits, energy, and a collection cursor (devices taken
+    so far from the front of the cell's queue). Commute and data time
+    are kept only as swarm totals. Active rows fill the observation
+    slots in row order.
     """
 
     def __init__(
@@ -264,14 +266,6 @@ class CoverageEnv:
     def state_dim(self) -> int:
         c = self.n_cells
         return c * self.cfg.max_swarm + (c + 1) * self.cfg.num_strategic + c + 1
-
-    @property
-    def slot(self) -> int:
-        return self._slot
-
-    @property
-    def done(self) -> bool:
-        return self._done
 
     # --- tasks ------------------------------------------------------------
 
@@ -379,19 +373,19 @@ class CoverageEnv:
         self._slot = 0
         self._done = False
         self.uav_cell, self.uav_active, self.uav_served = [], [], []
-        self.uav_energy_j, self.uav_d_com_s, self.uav_d_data_s = [], [], []
-        self.uav_track = []
+        self.uav_energy_j, self.uav_track = [], []
         for cell in start_cells:
             self._add_uav(int(cell))
         self.demand = [float(d) for d in task.initial_demands]
-        self._collected: set[int] = set()
+        # Devices taken per cell: collection always takes the first
+        # untaken device of a cell's queue, so the taken ones are a prefix.
+        self._taken = [0] * self.n_cells
         self._satisfied_units = 0.0
         self._total_demand = float(sum(task.initial_demands))
         self._d_com = 0.0
         self._d_data = 0.0
         self._collisions = 0
         self._visits = np.zeros(self.n_cells, dtype=np.int64)
-        self._visited = np.zeros(self.n_cells, dtype=np.float64)
         self._cell_energy = np.zeros(self.n_cells, dtype=np.float64)
         self._reward_sum = 0.0
         return self.encode_state()
@@ -400,8 +394,6 @@ class CoverageEnv:
         self.uav_cell.append(cell)
         self.uav_active.append(True)
         self.uav_energy_j.append(0.0)
-        self.uav_d_com_s.append(0.0)
-        self.uav_d_data_s.append(0.0)
         self.uav_served.append(False)
         self.uav_track.append([(self._slot, cell)])
 
@@ -422,72 +414,53 @@ class CoverageEnv:
         finals, collided = resolve_moves(origins, targets)
 
         self._slot += 1
-        step_energy = 0.0
-        uav_energy = []
-        rate_ok = [True] * len(rows)
-        collected_now = []
-        for i, row in enumerate(rows):
-            cell = finals[i]
-            leg_t = tables.leg_time_s if cell != origins[i] else 0.0
-            collect_t = 0.0
+        rate_ok, collected_now, uav_bonus, uav_energy = [], [], [], []
+        step_energy = bonuses = 0.0
+        for row, cell, origin, hit in zip(rows, finals, origins, collided):
+            leg_t = tables.leg_time_s if cell != origin else 0.0
+            collect_t, ok = 0.0, True
+            queue, taken = tables.queues[cell], self._taken[cell]
             # A cancelled mover forfeits its slot: no move, no collection.
-            dev_id = None if collided[i] else self._next_uncollected(cell)
-            if dev_id is not None:
+            if not hit and taken < len(queue):
+                dev_id = queue[taken]
+                self._taken[cell] = taken + 1
                 collect_t = tables.collect_time_s[dev_id]
-                self._collected.add(dev_id)
-                rate_ok[i] = tables.rate_ok[dev_id]
+                ok = tables.rate_ok[dev_id]
                 if tables.device_strategic[dev_id]:
                     self.uav_served[row] = True
                 collected_now.append(dev_id)
             e = ms.uav_energy_j(leg_t + collect_t, collect_t, self.mission_cfg)
             self.uav_cell[row] = cell
-            self.uav_d_com_s[row] += leg_t
-            self.uav_d_data_s[row] += collect_t
             self.uav_energy_j[row] += e
             self.uav_track[row].append((self._slot, cell))
             self._d_com += leg_t
             self._d_data += collect_t
             self._cell_energy[cell] += e
             self._visits[cell] += 1
-            self._visited[cell] = 1.0
-            step_energy += e
+            bonus = 0.0
+            loc = tables.location[cell]
+            if loc >= 0 and self.demand[loc] > 0.0:
+                bonus = strategic_reward(self._satisfied_units)
+                self.demand[loc] = max(0.0, self.demand[loc] - 1.0)
+                self._satisfied_units += 1.0
+            rate_ok.append(ok)
             uav_energy.append(e)
+            uav_bonus.append(bonus)
+            step_energy += e
+            bonuses += bonus
+        self._collisions += sum(collided)
 
         deadline_ok = ms.meets_deadline(
             ms.total_delay_s(self._d_data, self._d_com), self.mission_cfg.t_max_seconds
         )
-        reward = 0.0
-        ok_flags = []
-        for i in range(len(rows)):
-            if collided[i]:
-                reward -= 1.0
-                ok_flags.append(False)
-            elif rate_ok[i] and deadline_ok:
-                reward += 1.0
-                ok_flags.append(True)
-            else:
-                ok_flags.append(False)
-        self._collisions += sum(collided)
-
-        bonuses = 0.0
-        uav_bonus = [0.0] * len(rows)
-        for i, cell in enumerate(finals):
-            loc = tables.location[cell]
-            if loc >= 0 and self.demand[loc] > 0.0:
-                bonus = strategic_reward(self._satisfied_units)
-                bonuses += bonus
-                uav_bonus[i] = bonus
-                self.demand[loc] = max(0.0, self.demand[loc] - 1.0)
-                self._satisfied_units += 1.0
-        reward += bonuses
+        ok_flags = [not hit and ok and deadline_ok for hit, ok in zip(collided, rate_ok)]
+        base = [-1.0 if hit else float(ok) for hit, ok in zip(collided, ok_flags)]
         shaping = self.cfg.lambda_energy * step_energy / self.energy_norm_j
-        reward -= shaping
+        reward = sum(base) + bonuses - shaping
         self._reward_sum += reward
         scale = self.cfg.lambda_energy / self.energy_norm_j
-        uav_rewards = np.array([
-            (-1.0 if hit else float(ok)) + bonus - scale * e
-            for hit, ok, bonus, e in zip(collided, ok_flags, uav_bonus, uav_energy)
-        ])
+        uav_rewards = np.array([b + bonus - scale * e
+                                for b, bonus, e in zip(base, uav_bonus, uav_energy)])
 
         self._done = self._slot >= self.mission_cfg.slots
         info = {
@@ -503,12 +476,6 @@ class CoverageEnv:
             "cells": finals,
         }
         return StepOutcome(self.encode_state(), reward, self._done, info, uav_rewards)
-
-    def _next_uncollected(self, cell_index: int) -> int | None:
-        for dev_id in self.tables.queues[cell_index]:
-            if dev_id not in self._collected:
-                return dev_id
-        return None
 
     # --- observations and accounting ---------------------------------------
 
@@ -528,7 +495,7 @@ class CoverageEnv:
             if initial > 0.0:
                 vec[base + i * (c + 1) + c] = self.demand[i] / initial
         base += (c + 1) * self.cfg.num_strategic
-        vec[base : base + c] = self._visited
+        vec[base : base + c] = self._visits > 0
         vec[base + c] = len(rows) / self.cfg.max_swarm
         return vec
 

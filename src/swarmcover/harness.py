@@ -21,7 +21,7 @@ import math
 import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,7 +154,6 @@ def train_task(
     learner,
     episodes: int,
     rng: np.random.Generator,
-    recorder: Callable[[dict], None] | None = None,
 ) -> list[dict]:
     """Train a learner on one fixed task for a number of episodes.
 
@@ -162,13 +161,7 @@ def train_task(
     across calls, so a run split into chunks at swarm events anneals as
     one unbroken run would.
     """
-    stats_list = []
-    for _ in range(episodes):
-        stats = run_training_episode(env, task, learner, rng)
-        stats_list.append(stats)
-        if recorder is not None:
-            recorder(stats)
-    return stats_list
+    return [run_training_episode(env, task, learner, rng) for _ in range(episodes)]
 
 
 def train_meta_params(
@@ -210,10 +203,6 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
     agent_cfg = cfg.agent
     algorithm = cfg.run.algorithm
     metrics: list[EpisodeMetrics] = []
-
-    def record(stats: dict) -> None:
-        metrics.append(EpisodeMetrics.from_stats(len(metrics), stats))
-
     meta: PolicyParams | None = None
     if algorithm == "meta_rl":
         meta = train_meta_params(env, agent_cfg, _pretrain_episodes(cfg), rng)
@@ -239,7 +228,8 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
             default=episodes,
         )
         chunk = min(next_stop, episodes) - len(metrics)
-        train_task(env, task, learner, chunk, rng, recorder=record)
+        for stats in train_task(env, task, learner, chunk, rng):
+            metrics.append(EpisodeMetrics.from_stats(len(metrics), stats))
     return metrics
 
 

@@ -1,14 +1,22 @@
 """Exact reference solver for tiny mission instances.
 
 Searches every joint action sequence of a small swarm over a short
-horizon under the same movement, collision and collection dynamics as
-the environment, keeps only sequences that satisfy the rate, deadline
-and coverage constraints (the altitude one holds by construction, as in
-the environment), and returns the feasible sequence with the least
-masked swarm energy. Sequences are explored depth first and hover-first
-(hover, north, south, east, west per UAV), and ties on the objective go
-to the earliest sequence in that order, so a do-nothing optimum comes
-back as the all-hover plan.
+horizon under the environment's movement and collision rules and its
+per-cell collection order, keeps only sequences that satisfy the rate,
+deadline and coverage constraints (the altitude one holds by
+construction, as in the environment), and returns the feasible sequence
+with the least masked swarm energy. Sequences are explored depth first
+and hover-first (hover, north, south, east, west per UAV), and ties on
+the objective go to the earliest sequence in that order, so a
+do-nothing optimum comes back as the all-hover plan.
+
+The search scores cell sequences, as :func:`verify_feasibility` does:
+every UAV collects on the cell it ends a slot on, a mover whose move
+was cancelled included. The environment differs there, since a
+cancelled mover forfeits its collection, so an environment episode can
+cost less than the optimum found here. Compare an agent with the
+optimum by re-scoring the agent's cell sequences with
+:func:`verify_feasibility`.
 
 Three cuts skip branches that cannot hold a strictly cheaper plan than
 the best one found so far, so the search stays a certificate of

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as ``swarmcover --single-thread`` pins it: set before
+# anything imports numpy, so test timings do not depend on what else the
+# machine runs.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 from swarmcover import env as envmod

@@ -163,6 +163,14 @@ def test_per_uav_rewards_sum_to_the_scalar_reward():
                 out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
                 assert out.uav_rewards.shape == (active,)
                 assert out.uav_rewards.sum() == pytest.approx(out.reward, rel=1e-12, abs=1e-12)
+                # The scalar reward is its terms, summed to the bit.
+                info = out.info
+                base = sum(-1.0 if hit else float(ok)
+                           for hit, ok in zip(info["collided"], info["constraint_ok"]))
+                assert out.reward == base + info["bonuses"] - info["shaping"]
+                assert info["shaping"] == (
+                    env.cfg.lambda_energy * info["step_energy_j"] / env.energy_norm_j
+                )
                 done = out.done
             stats = env.episode_stats()
             assert sum(env.uav_energy_j) == pytest.approx(stats["energy_total_j"], rel=1e-9)
@@ -217,6 +225,59 @@ def test_reward_bounds_over_random_play():
             hi = 2.0 * active
             assert lo <= out.reward <= hi
             done = out.done
+
+
+def test_collection_invariants_over_random_play():
+    # A reference set-and-scan kept beside the env's per-cell cursors:
+    # every non-colliding UAV takes the first device of its cell's queue
+    # that nobody collected yet, and a colliding UAV takes nothing.
+    env = small_env(swarm=2, slots=12, max_swarm=4, device_count=18)
+    rng = np.random.default_rng(5)
+    head_ons = bounced_before_a_device = deep_takes = events = 0
+    for seed in range(30):
+        env.reset(rng_seed=seed)
+        queues = env.tables.queues
+        collected: set[int] = set()
+        done = False
+        while not done:
+            if rng.random() < 0.15:
+                n = env.current_swarm_size
+                if n < env.cfg.max_swarm and (n == 1 or rng.random() < 0.5):
+                    env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
+                else:
+                    env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 1))
+                events += 1
+            rows = [r for r, on in enumerate(env.uav_active) if on]
+            actions = rng.integers(0, envmod.N_ACTIONS, size=len(rows))
+            targets = [env.tables.targets[env.uav_cell[r]][a] for r, a in zip(rows, actions)]
+            energy_before = list(env.uav_energy_j)
+            out = env.step(actions)
+            hits, cells = out.info["collided"], out.info["cells"]
+            hit_targets = [t for t, hit in zip(targets, hits) if hit]
+            head_ons += len(set(hit_targets)) < len(hit_targets)
+
+            now = out.info["collected"]
+            assert len(set(now)) == len(now) and not collected & set(now)  # at most once
+            expected = []
+            for row, cell, hit in zip(rows, cells, hits):
+                nxt = next((d for d in queues[cell] if d not in collected), None)
+                if hit:
+                    bounced_before_a_device += nxt is not None
+                    assert env.uav_energy_j[row] == energy_before[row]
+                    continue
+                if nxt is not None:
+                    deep_takes += queues[cell].index(nxt) > 0
+                    collected.add(nxt)
+                    expected.append(nxt)
+            assert now == expected  # in queue order, none by a colliding UAV
+
+            c = env.n_cells
+            base = c * env.cfg.max_swarm + (c + 1) * env.cfg.num_strategic
+            np.testing.assert_array_equal(
+                out.state[base:base + c], (env.episode_stats()["visits"] > 0).astype(float)
+            )
+            done = out.done
+    assert head_ons > 0 and bounced_before_a_device > 0 and deep_takes > 0 and events > 10
 
 
 # --- episode shape and determinism ----------------------------------------------

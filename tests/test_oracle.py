@@ -21,6 +21,7 @@ import pytest
 from swarmcover import link_budget as lb
 from swarmcover import mission as ms
 from swarmcover.env import (
+    ACTIONS,
     N_ACTIONS,
     CoverageEnv,
     EnvConfig,
@@ -517,6 +518,47 @@ def test_env_replays_the_optimum_at_its_objective():
         env.step(joint)
     assert tuple(c for _, c in env.uav_track[0]) == best.trajectories[0]
     assert env.episode_stats()["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
+
+
+def test_env_bounce_undercuts_the_optimum_but_rescores_at_it():
+    # The solver lets a cancelled mover collect where it stays; the
+    # environment does not. UAV 0 walks west into the hovering UAV 1,
+    # bounces, keeps strategic cell 4 covered and collects nothing, so
+    # the env books 0 J against the solver's 8.238 J. Re-scoring the
+    # bounced cell sequences, as acceptance test 3 does, restores the
+    # solver's accounting.
+    mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=1)
+    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    env = CoverageEnv(mission, link, radio, EnvConfig(
+        max_swarm=2, num_strategic=1, strategic_cells=(4,), device_count=1,
+        swarm_size=2, swarm_min=1, swarm_max=2,
+    ))
+    task = env.nominal_task()
+    devices = tuple(ms.default_device_layout(
+        mission, task.strategic_cells, seed=task.device_seed, count=1,
+        tx_watts=radio.device_tx_watts,
+    ))
+    instance = ExactInstance(
+        mission=mission, link=link, radio=radio, strategic_cells=(4,),
+        devices=devices, start_cells=(4, 3), horizon=1,
+    )
+    best = enumerate_optimum(instance)
+    assert best.objective_j == pytest.approx(8.238, abs=5e-4)
+
+    west, hover = ACTIONS.index("west"), ACTIONS.index("hover")
+    env.reset(task, start_cells=instance.start_cells)
+    out = env.step([west, hover])
+    assert out.info["collided"] == [True, False]
+    assert out.info["collected"] == []
+    stats = env.episode_stats()
+    assert stats["coverage_ok"]
+    assert stats["energy_masked_j"] == 0.0
+
+    bounced = [tuple(c for _, c in track) for track in env.uav_track]
+    assert bounced == [(4, 4), (3, 3)]
+    report = verify_feasibility(bounced, instance)
+    assert report.all_ok
+    assert report.objective_j == pytest.approx(best.objective_j, rel=1e-12)
 
 
 def test_verifier_agrees_with_solver_accounting():
