@@ -11,10 +11,11 @@ length it is built with; no caller passes an exploration rate.
 
 The actor-critic accumulates the episode's gradients at the episode's
 weights and applies them in one Adam step afterwards (ascent for the
-actor, descent for the critic). Credit is per UAV: the critic has one
-value output per UAV slot, regressed on that UAV's own discounted
-return, and each active policy head is pushed by its own one-step TD
-advantage r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The
+actor, descent for the critic). Credit is per UAV: every transition
+carries one reward per acting UAV, the critic has one value output per
+UAV slot, regressed on that UAV's own discounted return, and each
+active policy head is pushed by its own one-step TD advantage
+r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The
 critic additionally takes a one-step temporal-difference term from a
 replay minibatch each episode. PPO takes the pre-update joint
 log-probabilities and values once per update, before its epochs move
@@ -113,9 +114,9 @@ class Transition:
     action: tuple[int, ...]
     reward: float
     next_state: np.ndarray
-    done: bool = False
-    #: One reward per acting UAV (summing to ``reward``), or None.
-    uav_rewards: np.ndarray | None = None
+    done: bool
+    #: One reward per acting UAV, summing to ``reward``.
+    uav_rewards: np.ndarray
 
 
 @dataclass
@@ -143,20 +144,17 @@ class GradAccumulator:
     d_actor: dict
     d_critic: dict
 
-    @classmethod
-    def zeros(cls, params: PolicyParams) -> "GradAccumulator":
-        return cls(nets.zeros_like_params(params.actor), nets.zeros_like_params(params.critic))
-
 
 def make_policy_params(
     state_dim: int,
     heads: int,
     cfg: AgentConfig,
     rng: np.random.Generator,
-    critic_outputs: int = 1,
+    critic_outputs: int,
 ) -> PolicyParams:
-    """Fresh actor and critic; the critic has one output per value column
-    (1 for a team value, ``heads`` for one value per UAV slot)."""
+    """Fresh actor and critic; the critic has ``critic_outputs`` value
+    outputs (``heads`` for the actor-critic's one value per UAV slot, 1 for
+    PPO's single value)."""
     actor_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
     critic_cfg = nets.NetConfig(state_dim, cfg.hidden, critic_outputs)
     return PolicyParams(
@@ -177,15 +175,14 @@ def policy_forward(
     return logits, nets.softmax(logits), cache
 
 def value_forward(critic: dict, states: np.ndarray, cfg: nets.NetConfig) -> tuple[np.ndarray, list]:
-    """First value output per state: the team value of a one-output critic,
-    UAV slot 0's value of a per-slot one."""
+    """The value of each state under a one-output critic (PPO's)."""
     raw, cache = nets.forward(critic, states, cfg)
     return raw[:, 0], cache
 
 
 def forward(params: PolicyParams, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-UAV action distributions and the first value output (see
-    :func:`value_forward`) for one state."""
+    """Per-UAV action distributions and the first critic output for one
+    state."""
     _, probs, _ = policy_forward(params.actor, np.atleast_2d(state), params.actor_cfg, params.heads)
     values, _ = value_forward(params.critic, np.atleast_2d(state), params.critic_cfg)
     return probs[0], float(values[0])
@@ -254,13 +251,11 @@ class Batch:
     """Transitions as arrays, the one form every gradient reads.
 
     ``reward`` and ``live`` (0.0 after a terminal step, else 1.0) are the
-    team reward and bootstrap mask DQN reads. The value losses read
-    reward columns: one team column when the transitions carry scalar
-    rewards only, else one column per UAV slot (zero for idle slots).
-    ``cols`` masks the columns a value loss counts and ``boot`` the
-    bootstrap values V(s') a TD target may use: none after a terminal
-    step, and per UAV none for a slot idle in s' (read from the state's
-    trailing active-count feature).
+    team reward and bootstrap mask DQN reads. The value losses read one
+    reward column per UAV slot (zero for idle slots). ``cols`` masks the
+    columns a value loss counts and ``boot`` the bootstrap values V(s') a
+    TD target may use: none after a terminal step, and per UAV none for a
+    slot idle in s' (read from the state's trailing active-count feature).
     """
 
     states: np.ndarray       # [B, state_dim]
@@ -270,26 +265,20 @@ class Batch:
     acts: np.ndarray         # [B, heads] action ids, as action_arrays
     acting: np.ndarray       # [B, heads] heads that acted
     active: np.ndarray       # [B, heads] ``acting`` as 1.0 / 0.0
-    rewards: np.ndarray      # [B, columns]
-    cols: np.ndarray         # [B, columns]
-    boot: np.ndarray         # [B, columns]
+    rewards: np.ndarray      # [B, heads]
+    cols: np.ndarray         # [B, heads]
+    boot: np.ndarray         # [B, heads]
 
     @classmethod
-    def build(cls, states, next_states, reward, uav_rewards, per_uav, done, acts, acting) -> "Batch":
+    def build(cls, states, next_states, reward, uav_rewards, done, acts, acting) -> "Batch":
         """The batch of rows given as arrays: ``uav_rewards`` [B, heads] is
-        zero-padded past each row's acting heads and read only where the
-        bool ``per_uav`` [B] is set, which must hold for all rows or none."""
-        n, heads = acting.shape
+        zero-padded past each row's acting heads."""
+        heads = acting.shape[1]
         live = np.where(done, 0.0, 1.0)
         active = acting.astype(np.float64)
-        if not per_uav.any():
-            rewards, cols, boot = reward[:, None], np.ones((n, 1)), live[:, None]
-        elif per_uav.all():
-            next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
-            rewards, cols, boot = uav_rewards, active, live[:, None] * next_active
-        else:
-            raise ValueError("transitions mix scalar and per-UAV rewards")
-        return cls(states, next_states, reward, live, acts, acting, active, rewards, cols, boot)
+        next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
+        return cls(states, next_states, reward, live, acts, acting, active,
+                   uav_rewards, active, live[:, None] * next_active)
 
     @property
     def onehot(self) -> np.ndarray:
@@ -309,15 +298,13 @@ def action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.nd
 def as_batch(transitions: Sequence[Transition], heads: int) -> Batch:
     """A list of transitions (an episode, say) as a :class:`Batch`."""
     acts, acting = action_arrays([t.action for t in transitions], heads)
-    per_uav = np.array([t.uav_rewards is not None for t in transitions])
     uav_rewards = np.zeros(acting.shape)
-    if per_uav.all():
-        uav_rewards[acting] = np.concatenate([t.uav_rewards for t in transitions])
+    uav_rewards[acting] = np.concatenate([t.uav_rewards for t in transitions])
     return Batch.build(
         np.stack([t.state for t in transitions]),
         np.stack([t.next_state for t in transitions]),
         np.array([t.reward for t in transitions], dtype=np.float64),
-        uav_rewards, per_uav, np.array([t.done for t in transitions], dtype=bool),
+        uav_rewards, np.array([t.done for t in transitions], dtype=bool),
         acts, acting,
     )
 
@@ -356,7 +343,6 @@ class ReplayMemory:
         self.states = _untouched_zeros((capacity, state_dim), np.float64)
         self.reward = _untouched_zeros((capacity,), np.float64)
         self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
-        self.per_uav = _untouched_zeros((capacity,), bool)
         self.done = _untouched_zeros((capacity,), bool)
         self.acts = _untouched_zeros((capacity, heads), np.int64)
         self.acting = _untouched_zeros((capacity, heads), bool)
@@ -385,9 +371,7 @@ class ReplayMemory:
         self.done[s] = t.done
         self.acts[s, :k] = t.action
         self.acting[s] = self._prefix[k]
-        self.per_uav[s] = t.uav_rewards is not None
-        if t.uav_rewards is not None:
-            self.uav_rewards[s, :k] = t.uav_rewards
+        self.uav_rewards[s, :k] = t.uav_rewards
         self.next_states[s] = t.next_state
         self._slot = s + 1 if s + 1 < self.capacity else 0
 
@@ -408,69 +392,50 @@ class ReplayMemory:
                 next_states[i] = own
         return Batch.build(
             self.states[rows], next_states, self.reward[rows], self.uav_rewards[rows],
-            self.per_uav[rows], self.done[rows], self.acts[rows], self.acting[rows],
+            self.done[rows], self.acts[rows], self.acting[rows],
         )
 
     def __len__(self) -> int:
         return self._size
 
 
-def _value_grad(err: np.ndarray, outputs: int) -> np.ndarray:
-    """d/dV of sum(err ** 2) with err = target - V, folded onto the critic's
-    outputs (a one-output critic serves every column)."""
-    dvals = -2.0 * err
-    return dvals if dvals.shape[1] == outputs else dvals.sum(axis=1, keepdims=True)
-
-
 def actor_critic_accumulate(
     params: PolicyParams,
     episode: Sequence[Transition],
     gamma: float,
-    acc: GradAccumulator | None = None,
-    td: bool = False,
-    entropy: float = 0.0,
-) -> GradAccumulator:
-    """Episode gradients at the current weights.
+    acc: GradAccumulator,
+) -> None:
+    """Add the episode's gradients at the current weights to ``acc``.
 
     Actor: ascent direction of
-      sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + entropy * H(pi_i(. | s_t))]
-    over the heads i that acted at step t. Critic: descent direction of
-    sum_t sum_c (R_tc - V_c(s_t))^2 over the reward columns c, with R the
-    discounted reward-to-go. With scalar rewards there is one team
-    column and A_ti = R_t - V(s_t) for every head; with per-UAV rewards
-    head i and value output i use UAV i's own rewards. ``td`` swaps the
-    Monte-Carlo advantage for the one-step TD error
-    r_ti + gamma * V_i(s'_t) - V_i(s_t). Passing an existing accumulator
-    adds to it instead of starting from zero.
+      sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + ENTROPY_WEIGHT * H(pi_i(. | s_t))]
+    over the heads i that acted at step t, with head i's one-step TD error
+    A_ti = r_ti + gamma * V_i(s'_t) - V_i(s_t) on UAV i's own reward.
+    Critic: descent direction of sum_t sum_i (R_ti - V_i(s_t))^2 over the
+    same heads, with R_ti UAV i's discounted reward-to-go.
     """
     if not episode:
         raise ValueError("cannot accumulate over an empty episode")
-    acc = acc if acc is not None else GradAccumulator.zeros(params)
     b = as_batch(episode, params.heads)
     logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
     values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
-    returns = discounted_returns(b.rewards, gamma)
-    if td:
-        next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
-        adv = b.rewards + gamma * b.boot * next_values - values
-    else:
-        adv = returns - values
+    next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
+    adv = b.rewards + gamma * b.boot * next_values - values
 
     mask = b.active[:, :, None]
     dlogits = adv[:, :, None] * (b.onehot - probs) * mask
-    if entropy:
-        z = logits - logits.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        ent = -(probs * logp).sum(axis=-1, keepdims=True)
-        dlogits -= entropy * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    ent = -(probs * logp).sum(axis=-1, keepdims=True)
+    dlogits -= ENTROPY_WEIGHT * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
     d_actor = nets.backward(
         params.actor, a_cache, dlogits.reshape(len(episode), -1), params.actor_cfg
     )
-    dvals = _value_grad((returns - values) * b.cols, params.critic_cfg.out_dim)
+    returns = discounted_returns(b.rewards, gamma)
+    dvals = -2.0 * ((returns - values) * b.cols)
     d_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg)
-    nets.accumulate(acc.d_actor, d_actor)
-    nets.accumulate(acc.d_critic, d_critic)
-    return acc
+    nets.add_scaled(acc.d_actor, d_actor, 1.0)
+    nets.add_scaled(acc.d_critic, d_critic, 1.0)
 
 
 def critic_td_accumulate(
@@ -481,16 +446,16 @@ def critic_td_accumulate(
 ) -> None:
     """Add the replay minibatch one-step TD term to the critic gradient.
 
-    Descent direction of sum_c (r_c + gamma * V_c(s') - V_c(s))^2 over the
-    reward columns, as in :func:`actor_critic_accumulate`. Semi-gradient:
+    Descent direction of sum_i (r_i + gamma * V_i(s') - V_i(s))^2 over the
+    acting heads, as in :func:`actor_critic_accumulate`. Semi-gradient:
     the bootstrap target gamma * V(s') is held constant.
     """
     values, cache = nets.forward(params.critic, batch.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
     targets = batch.rewards + gamma * batch.boot * next_values
-    dvals = _value_grad((targets - values) * batch.cols, params.critic_cfg.out_dim)
+    dvals = -2.0 * ((targets - values) * batch.cols)
     grads = nets.backward(params.critic, cache, dvals, params.critic_cfg)
-    nets.accumulate(acc.d_critic, grads)
+    nets.add_scaled(acc.d_critic, grads, 1.0)
 
 
 class Adam:
@@ -767,10 +732,7 @@ class ActorCriticLearner:
             self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
             self._optimised = params
         acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
-        actor_critic_accumulate(
-            params, self._episode, self.cfg.gamma, acc,
-            td=True, entropy=ENTROPY_WEIGHT,
-        )
+        actor_critic_accumulate(params, self._episode, self.cfg.gamma, acc)
         if len(self.memory) >= self.cfg.minibatch:
             batch = self.memory.sample(self.cfg.minibatch, rng)
             critic_td_accumulate(params, batch, self.cfg.gamma, acc)
@@ -903,7 +865,7 @@ def make_learner(
         return ActorCriticLearner(
             make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads), cfg)
     if algorithm == "ppo":
-        return PPOLearner(make_policy_params(state_dim, heads, cfg, rng), cfg)
+        return PPOLearner(make_policy_params(state_dim, heads, cfg, rng, critic_outputs=1), cfg)
     if algorithm == "dqn":
         return DQNLearner(state_dim, heads, cfg, rng, episodes)
     if algorithm == "random":

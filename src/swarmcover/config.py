@@ -30,7 +30,7 @@ from typing import Mapping
 from . import link_budget as lb
 from . import mission as ms
 from .agents import ALGORITHMS, AgentConfig
-from .env import EnvConfig, SwarmEvent
+from .env import EnvConfig, SwarmEvent, next_swarm_size
 from .oracle import ExactInstance
 
 ENV_PREFIX = "SWARMCOVER__"
@@ -151,7 +151,13 @@ def _build_env(section: dict) -> tuple[EnvConfig, tuple[SwarmEvent, ...]]:
     section = _coerce(section, ("strategic_cells",))
     if "strategic_cells" in section and "num_strategic" not in section:
         section["num_strategic"] = len(section["strategic_cells"])
-    return EnvConfig(**section), events
+    env_cfg = EnvConfig(**section)
+    # Replay the schedule as the harness applies it (a stable sort by
+    # episode), so a size it cannot reach fails here, not mid-run.
+    size = env_cfg.swarm_size
+    for event in sorted(events, key=lambda e: e.episode):
+        size = next_swarm_size(size, event, env_cfg.max_swarm)
+    return env_cfg, events
 
 
 def _build_agent(section: dict) -> AgentConfig:

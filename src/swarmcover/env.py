@@ -92,6 +92,23 @@ class SwarmEvent:
             raise ValueError(f"unknown swarm event kind {self.kind!r}")
         if self.count < 1:
             raise ValueError("event count must be at least 1")
+        if self.episode < 0:
+            raise ValueError("event episode must not be negative")
+
+
+def next_swarm_size(size: int, event: SwarmEvent, max_swarm: int) -> int:
+    """The swarm size after ``event``; ``ValueError`` if it would leave
+    [1, max_swarm]."""
+    if event.kind == "join":
+        size += event.count
+        if size > max_swarm:
+            raise ValueError(f"join at episode {event.episode} would exceed the "
+                             f"maximum swarm size ({max_swarm})")
+    else:
+        size -= event.count
+        if size < 1:
+            raise ValueError(f"leave at episode {event.episode} would empty the swarm")
+    return size
 
 
 @dataclass
@@ -297,14 +314,7 @@ class CoverageEnv:
         service and visits still count toward the episode's energy and
         coverage.
         """
-        if event.kind == "join":
-            new_size = self.current_swarm_size + event.count
-            if new_size > self.cfg.max_swarm:
-                raise ValueError("join would exceed the maximum swarm size")
-        else:
-            new_size = self.current_swarm_size - event.count
-            if new_size < 1:
-                raise ValueError("leave would empty the swarm")
+        new_size = next_swarm_size(self.current_swarm_size, event, self.cfg.max_swarm)
         self.current_swarm_size = new_size
         if not self._done:
             rows = self._active_rows()

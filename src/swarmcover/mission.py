@@ -235,13 +235,13 @@ def uav_energy_j(d_tot_s: float, d_data_s: float, config: MissionConfig) -> floa
     return config.p_oper_watts * d_tot_s + config.p_comm_watts * d_data_s
 
 
-def swarm_energy_j(per_uav: Iterable[tuple[float, bool]]) -> float:
+def swarm_energy_j(uavs: Iterable[tuple[float, bool]]) -> float:
     """Mission objective: per-UAV energies masked by the serving flag.
 
     Each entry is ``(energy_j, served_strategic)``; only UAVs that
     collected data from a strategic location count toward the total.
     """
-    return sum(e for e, serving in per_uav if serving)
+    return sum(e for e, serving in uavs if serving)
 
 
 def strategic_coverage_satisfied(

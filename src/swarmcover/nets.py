@@ -4,7 +4,7 @@ Parameters live in plain dicts ("W0", "b0", "W1", ...) so learners can
 clone, flatten and interpolate them without a framework. Hidden layers
 are tanh, the output layer is linear. The policy network emits one block
 of action logits per UAV slot; a separate value network emits one value
-per value column.
+per UAV slot (the actor-critic's) or a single value (PPO's).
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ def init_params(cfg: NetConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def zeros_like_params(params: dict) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def clone_params(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
 
@@ -52,11 +48,6 @@ def add_scaled(params: dict, grads: dict, scale: float) -> None:
     """In-place params += scale * grads."""
     for k in params:
         params[k] += scale * grads[k]
-
-
-def accumulate(into: dict, grads: dict, scale: float = 1.0) -> None:
-    for k in into:
-        into[k] += scale * grads[k]
 
 
 def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, list]:

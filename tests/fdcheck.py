@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from swarmcover import agents as ag
 from swarmcover import nets
 
 FD_STEP = 1e-5
@@ -20,6 +21,15 @@ def param_keys(cfg: nets.NetConfig) -> list[str]:
     for i in range(cfg.n_layers):
         keys.extend((f"W{i}", f"b{i}"))
     return keys
+
+
+def zeros_like_params(params: dict) -> dict:
+    return {k: np.zeros_like(v) for k, v in params.items()}
+
+
+def zero_grads(params: ag.PolicyParams) -> ag.GradAccumulator:
+    """An empty gradient accumulator shaped like ``params``."""
+    return ag.GradAccumulator(zeros_like_params(params.actor), zeros_like_params(params.critic))
 
 
 def flatten_params(params: dict, cfg: nets.NetConfig) -> np.ndarray:

@@ -32,7 +32,7 @@ from swarmcover.harness import (
     train_task,
 )
 from swarmcover.oracle import ExactInstance, enumerate_optimum, verify_feasibility
-from fdcheck import flatten_params, numeric_grad, relative_error
+from fdcheck import flatten_params, numeric_grad, relative_error, zero_grads
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -119,23 +119,30 @@ def test_channel_model_property_suite():
 # --- 2: gradient oracle --------------------------------------------------------------
 
 def _small_params(seed: int) -> ag.PolicyParams:
+    """Two heads and a critic with one output per head, as ``make_learner``
+    builds the actor-critic."""
     cfg = AgentConfig(hidden=(2,))
-    params = ag.make_policy_params(3, 1, cfg, np.random.default_rng(seed))
+    heads = 2
+    params = ag.make_policy_params(3, heads, cfg, np.random.default_rng(seed), critic_outputs=heads)
     assert flatten_params(params.actor, params.actor_cfg).size <= 50
     assert flatten_params(params.critic, params.critic_cfg).size <= 50
     return params
 
 
 def _batch(params: ag.PolicyParams, n: int, seed: int) -> list[ag.Transition]:
+    """Transitions with one reward per acting UAV. The trailing state
+    feature is the active count over the heads, as the environment writes it."""
     rng = np.random.default_rng(seed)
-    dim = params.actor_cfg.input_dim
+    dim, heads = params.actor_cfg.input_dim, params.heads
     out = []
     for _ in range(n):
-        action = tuple(int(a) for a in rng.integers(0, ag.N_ACTIONS, size=params.heads))
-        out.append(ag.Transition(
-            rng.normal(size=dim), action, float(rng.normal()),
-            rng.normal(size=dim), bool(rng.random() < 0.2),
-        ))
+        active, next_active = rng.integers(1, heads + 1, size=2)
+        state, next_state = rng.normal(size=dim), rng.normal(size=dim)
+        state[-1], next_state[-1] = active / heads, next_active / heads
+        action = tuple(int(a) for a in rng.integers(0, ag.N_ACTIONS, size=active))
+        uav_rewards = rng.normal(size=active)
+        out.append(ag.Transition(state, action, float(uav_rewards.sum()), next_state,
+                                 bool(rng.random() < 0.2), uav_rewards))
     return out
 
 
@@ -149,20 +156,43 @@ def test_gradient_oracle_matches_finite_differences():
     for i in range(draws):
         params = _small_params(seed=1000 + i)
         episode = _batch(params, 3, seed=2000 + i)
-
-        # Policy-gradient term: advantages frozen from the critic.
-        acc = ag.actor_critic_accumulate(params, episode, gamma)
-        returns = ag.discounted_returns([t.reward for t in episode], gamma)
         states = np.stack([t.state for t in episode])
-        values, _ = ag.value_forward(params.critic, states, params.critic_cfg)
-        adv = returns - values
+        # The (step, head) pairs that acted, and each one's frozen terms:
+        # its reward, its discounted return, its value V_u(s) and its
+        # bootstrap V_u(s'), zero after a terminal step or for a slot idle
+        # in s'.
+        pairs = [(t, u) for t, tr in enumerate(episode) for u in range(len(tr.action))]
+        values, _ = nets.forward(params.critic, states, params.critic_cfg)
+        next_values, _ = nets.forward(
+            params.critic, np.stack([t.next_state for t in episode]), params.critic_cfg)
+        reward = {(t, u): episode[t].uav_rewards[u] for t, u in pairs}
+        ret, running = {}, np.zeros(params.heads)
+        for t in reversed(range(len(episode))):
+            running = gamma * running
+            running[: len(episode[t].action)] += episode[t].uav_rewards
+            ret.update({(t, u): running[u] for u in range(len(episode[t].action))})
+        boot = {(t, u): 0.0 if episode[t].done
+                or u >= round(episode[t].next_state[-1] * params.heads)
+                else next_values[t, u] for t, u in pairs}
 
+        # As ActorCriticLearner.finish_episode: the episode's terms, then
+        # the replay TD term, into one accumulator.
+        acc = zero_grads(params)
+        ag.actor_critic_accumulate(params, episode, gamma, acc)
+        episode_critic = flatten_params(acc.d_critic, params.critic_cfg)
+        batch = ag.as_batch(episode, params.heads)
+        ag.critic_td_accumulate(params, batch, gamma, acc)
+
+        # Actor: per-head TD advantage (frozen) times log-probability, plus
+        # the entropy bonus.
         def actor_objective(actor):
             _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
             total = 0.0
-            for t, tr in enumerate(episode):
-                for u, a in enumerate(tr.action):
-                    total += adv[t] * np.log(probs[t, u, a])
+            for t, u in pairs:
+                p = probs[t, u]
+                adv = reward[t, u] + gamma * boot[t, u] - values[t, u]
+                total += adv * np.log(p[episode[t].action[u]])
+                total -= ag.ENTROPY_WEIGHT * float(np.sum(p * np.log(p)))
             return float(total)
 
         err = relative_error(
@@ -171,33 +201,24 @@ def test_gradient_oracle_matches_finite_differences():
         )
         worst["actor"] = max(worst["actor"], err)
 
-        # Monte-Carlo value regression.
+        # Critic, episode term: each head's value regressed on its UAV's return.
         def critic_loss(critic):
-            v, _ = ag.value_forward(critic, states, params.critic_cfg)
-            return float(((returns - v) ** 2).sum())
+            v, _ = nets.forward(critic, states, params.critic_cfg)
+            return float(sum((ret[t, u] - v[t, u]) ** 2 for t, u in pairs))
+
+        err = relative_error(
+            episode_critic, numeric_grad(params.critic, params.critic_cfg, critic_loss))
+        worst["critic"] = max(worst["critic"], err)
+
+        # Critic, the whole step: the episode term plus the one-step TD loss
+        # with bootstrap targets frozen.
+        def td_loss(critic):
+            v, _ = nets.forward(critic, states, params.critic_cfg)
+            return critic_loss(critic) + float(sum(
+                (reward[t, u] + gamma * boot[t, u] - v[t, u]) ** 2 for t, u in pairs))
 
         err = relative_error(
             flatten_params(acc.d_critic, params.critic_cfg),
-            numeric_grad(params.critic, params.critic_cfg, critic_loss),
-        )
-        worst["critic"] = max(worst["critic"], err)
-
-        # One-step temporal-difference loss with bootstrap targets frozen.
-        td_acc = ag.GradAccumulator.zeros(params)
-        batch = ag.as_batch(episode, params.heads)
-        ag.critic_td_accumulate(params, batch, gamma, td_acc)
-        next_states = np.stack([t.next_state for t in episode])
-        rewards = np.array([t.reward for t in episode])
-        live = np.array([0.0 if t.done else 1.0 for t in episode])
-        frozen_next, _ = ag.value_forward(params.critic, next_states, params.critic_cfg)
-        targets = rewards + gamma * live * frozen_next
-
-        def td_loss(critic):
-            v, _ = ag.value_forward(critic, states, params.critic_cfg)
-            return float(((targets - v) ** 2).sum())
-
-        err = relative_error(
-            flatten_params(td_acc.d_critic, params.critic_cfg),
             numeric_grad(params.critic, params.critic_cfg, td_loss),
         )
         worst["td"] = max(worst["td"], err)

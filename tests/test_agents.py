@@ -13,26 +13,33 @@ import pytest
 from swarmcover import agents as ag
 from swarmcover import nets
 from conftest import small_env
-from fdcheck import assert_grad_close, flatten_params
+from fdcheck import assert_grad_close, flatten_params, zero_grads, zeros_like_params
 
 N_ACTIONS = ag.N_ACTIONS
 
 
 def tiny_params(state_dim: int = 3, heads: int = 1, hidden=(2,), seed: int = 0) -> ag.PolicyParams:
+    """Small nets with the actor-critic's per-slot critic (one output per head)."""
     cfg = ag.AgentConfig(hidden=hidden)
-    return ag.make_policy_params(state_dim, heads, cfg, np.random.default_rng(seed))
+    return ag.make_policy_params(state_dim, heads, cfg, np.random.default_rng(seed),
+                                 critic_outputs=heads)
 
 
 def random_batch(params: ag.PolicyParams, n: int, seed: int = 0) -> list[ag.Transition]:
+    """Transitions of 1..heads acting UAVs, each with one reward per acting
+    UAV; the last state feature encodes the active count, as the
+    environment's does."""
     rng = np.random.default_rng(seed)
-    dim = params.actor_cfg.input_dim
+    dim, heads = params.actor_cfg.input_dim, params.heads
     batch = []
     for _ in range(n):
-        action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=params.heads))
-        batch.append(ag.Transition(
-            rng.normal(size=dim), action, float(rng.normal()),
-            rng.normal(size=dim), bool(rng.random() < 0.2),
-        ))
+        acting, next_acting = rng.integers(1, heads + 1, size=2)
+        state, next_state = rng.normal(size=dim), rng.normal(size=dim)
+        state[-1], next_state[-1] = acting / heads, next_acting / heads
+        action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=acting))
+        uav_rewards = rng.normal(size=acting)
+        batch.append(ag.Transition(state, action, float(uav_rewards.sum()), next_state,
+                                   bool(rng.random() < 0.2), uav_rewards))
     return batch
 
 
@@ -111,28 +118,21 @@ def reference_batch(batch: list[ag.Transition], heads: int) -> ag.Batch:
     live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
     states = np.stack([t.state for t in batch])
     next_states = np.stack([t.next_state for t in batch])
-    per_uav = [t.uav_rewards is not None for t in batch]
-    if not any(per_uav):
-        rewards = np.array([[t.reward] for t in batch])
-        cols, boot = np.ones((n, 1)), live
-    elif all(per_uav):
-        rewards = np.zeros((n, heads))
-        rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
-        next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
-        cols, boot = active, live * next_active
-    else:
-        raise ValueError("transitions mix scalar and per-UAV rewards")
+    rewards = np.zeros((n, heads))
+    rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
+    next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
+    cols, boot = active, live * next_active
     return ag.Batch(states, next_states, np.array([t.reward for t in batch]), live[:, 0],
                     acts, acting, active, rewards, cols, boot)
 
 
-def push_stream(rng: np.random.Generator, length: int, dim: int, heads: int,
-                per_uav: bool) -> list[ag.Transition]:
+def push_stream(rng: np.random.Generator, length: int, dim: int, heads: int) -> list[ag.Transition]:
     """Episodes of random length, each ending ``done`` and each with its own
-    active count, whose trailing state feature encodes that count. Within an
-    episode a push's state is mostly the previous ``next_state`` (the same
-    object or an equal copy), but sometimes a fresh state, or the previous
-    ``next_state`` with the sign of a zero flipped."""
+    active count, whose trailing state feature encodes that count, and one
+    reward per acting UAV. Within an episode a push's state is mostly the
+    previous ``next_state`` (the same object or an equal copy), but
+    sometimes a fresh state, or the previous ``next_state`` with the sign of
+    a zero flipped."""
     stream: list[ag.Transition] = []
     while len(stream) < length:
         active = int(rng.integers(1, heads + 1))
@@ -142,8 +142,8 @@ def push_stream(rng: np.random.Generator, length: int, dim: int, heads: int,
             next_state = np.round(rng.normal(size=dim), 1)  # some exact zeros
             next_state[-1] = int(rng.integers(1, heads + 1)) / heads
             action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
-            uav = np.round(rng.normal(size=active), 1) if per_uav else None
-            reward = float(uav.sum()) if per_uav else float(np.round(rng.normal(), 1))
+            uav = np.round(rng.normal(size=active), 1)
+            reward = float(uav.sum())
             done = step == steps - 1 or rng.random() < 0.2
             stream.append(ag.Transition(state, action, reward, next_state, done, uav))
             if done:
@@ -172,13 +172,9 @@ def test_array_replay_equals_the_deque_replay_bit_for_bit():
         dim = int(cases.integers(2, 6))
         length = int(cases.integers(2, 60))
         capacity = int(cases.integers(1, length))
-        per_uav = bool(case % 2)
-        stream = push_stream(cases, length, dim, heads, per_uav)
-        params = ag.make_policy_params(dim, heads, ag.AgentConfig(hidden=(3,)),
-                                       np.random.default_rng(case),
-                                       critic_outputs=heads if case % 4 == 1 else 1)
-        target = ag.make_policy_params(dim, heads, ag.AgentConfig(hidden=(3,)),
-                                       np.random.default_rng(case + 1))
+        stream = push_stream(cases, length, dim, heads)
+        params = tiny_params(dim, heads, hidden=(3,), seed=case)
+        target = tiny_params(dim, heads, hidden=(3,), seed=case + 1)
         gamma = float(cases.uniform(0.0, 1.0))
         mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
         for pushed, t in enumerate(stream, start=1):
@@ -208,7 +204,7 @@ def test_array_replay_equals_the_deque_replay_bit_for_bit():
                 for key in ref_grads:
                     assert_bits_equal(grads[key], ref_grads[key])
 
-            acc, ref_acc = ag.GradAccumulator.zeros(params), ag.GradAccumulator.zeros(params)
+            acc, ref_acc = zero_grads(params), zero_grads(params)
             ag.critic_td_accumulate(params, got, gamma, acc)
             ag.critic_td_accumulate(params, want, gamma, ref_acc)
             for key in ref_acc.d_critic:
@@ -398,23 +394,17 @@ def test_discounted_returns_gamma_zero_is_identity():
 
 
 # --- actor-critic gradients -----------------------------------------------------------
-
-def test_zero_advantage_means_zero_actor_gradient():
-    params = tiny_params()
-    nets.add_scaled(params.critic, params.critic, -1.0)  # critic == 0 everywhere
-    batch = random_batch(params, 4)
-    batch = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done) for t in batch]
-    acc = ag.actor_critic_accumulate(params, batch, gamma=0.9)
-    for g in acc.d_actor.values():
-        np.testing.assert_array_equal(g, 0.0)
-
+#
+# The objective ActorCriticLearner trains: per-UAV rewards, a critic with one
+# output per UAV slot, a one-step TD advantage per head and an entropy bonus.
 
 def test_accumulate_twice_doubles():
-    params = tiny_params(heads=2)
+    params = tiny_params(state_dim=4, heads=2)
     episode = random_batch(params, 5, seed=3)
-    once = ag.actor_critic_accumulate(params, episode, 0.85)
-    twice = ag.actor_critic_accumulate(params, episode, 0.85,
-                                       ag.actor_critic_accumulate(params, episode, 0.85))
+    once, twice = zero_grads(params), zero_grads(params)
+    ag.actor_critic_accumulate(params, episode, 0.85, once)
+    for _ in range(2):
+        ag.actor_critic_accumulate(params, episode, 0.85, twice)
     for k in once.d_actor:
         np.testing.assert_allclose(twice.d_actor[k], 2.0 * once.d_actor[k], rtol=1e-12)
     for k in once.d_critic:
@@ -422,98 +412,14 @@ def test_accumulate_twice_doubles():
 
 
 def test_empty_episode_rejected():
+    params = tiny_params()
     with pytest.raises(ValueError):
-        ag.actor_critic_accumulate(tiny_params(), [], 0.85)
-
-
-def test_actor_gradient_matches_finite_differences():
-    params = tiny_params(seed=5)
-    episode = random_batch(params, 1, seed=6)
-    gamma = 0.85
-    acc = ag.actor_critic_accumulate(params, episode, gamma)
-
-    returns = ag.discounted_returns([t.reward for t in episode], gamma)
-    states = np.stack([t.state for t in episode])
-    values, _ = ag.value_forward(params.critic, states, params.critic_cfg)
-    adv = returns - values
-
-    def actor_objective(actor):
-        _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
-        total = 0.0
-        for t, tr in enumerate(episode):
-            for u, a in enumerate(tr.action):
-                total += adv[t] * np.log(probs[t, u, a])
-        return float(total)
-
-    assert_grad_close(acc.d_actor, params.actor, params.actor_cfg, actor_objective)
-
-
-def test_critic_gradient_matches_finite_differences():
-    params = tiny_params(seed=7)
-    episode = random_batch(params, 1, seed=8)
-    gamma = 0.85
-    acc = ag.actor_critic_accumulate(params, episode, gamma)
-
-    returns = ag.discounted_returns([t.reward for t in episode], gamma)
-    states = np.stack([t.state for t in episode])
-
-    def critic_loss(critic):
-        values, _ = ag.value_forward(critic, states, params.critic_cfg)
-        return float(((returns - values) ** 2).sum())
-
-    assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, critic_loss)
-
-
-def test_replay_td_gradient_matches_finite_differences():
-    params = tiny_params(seed=9)
-    batch = random_batch(params, 3, seed=10)
-    gamma = 0.85
-    acc = ag.GradAccumulator.zeros(params)
-    ag.critic_td_accumulate(params, ag.as_batch(batch, params.heads), gamma, acc)
-
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    live = np.array([0.0 if t.done else 1.0 for t in batch])
-    # Bootstrap targets come from the unperturbed critic.
-    frozen_next, _ = ag.value_forward(params.critic, next_states, params.critic_cfg)
-    targets = rewards + gamma * live * frozen_next
-
-    def td_loss(critic):
-        values, _ = ag.value_forward(critic, states, params.critic_cfg)
-        return float(((targets - values) ** 2).sum())
-
-    assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, td_loss)
-
-
-# --- per-UAV credit: per-slot critic, TD advantages, entropy ---------------------------
-
-def per_uav_params(heads: int = 3, critic_outputs: int | None = None, seed: int = 0) -> ag.PolicyParams:
-    cfg = ag.AgentConfig(hidden=(2,))
-    outputs = heads if critic_outputs is None else critic_outputs
-    return ag.make_policy_params(4, heads, cfg, np.random.default_rng(seed), critic_outputs=outputs)
-
-
-def per_uav_batch(params: ag.PolicyParams, n: int, seed: int = 0) -> list[ag.Transition]:
-    """Transitions with one reward per acting UAV; the last state feature
-    encodes the active count, as the environment's does."""
-    rng = np.random.default_rng(seed)
-    dim, heads = params.actor_cfg.input_dim, params.heads
-    batch = []
-    for _ in range(n):
-        acting, next_acting = rng.integers(1, heads + 1, size=2)
-        state, next_state = rng.normal(size=dim), rng.normal(size=dim)
-        state[-1], next_state[-1] = acting / heads, next_acting / heads
-        action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=acting))
-        uav_rewards = rng.normal(size=acting)
-        batch.append(ag.Transition(state, action, float(uav_rewards.sum()), next_state,
-                                   bool(rng.random() < 0.2), uav_rewards))
-    return batch
+        ag.actor_critic_accumulate(params, [], 0.85, zero_grads(params))
 
 
 def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndarray:
     out, _ = nets.forward(critic, state, params.critic_cfg)
-    return np.broadcast_to(out[0], (params.heads,))
+    return out[0]
 
 
 def _bootstrap(tr: ag.Transition, u: int, params: ag.PolicyParams, gamma: float) -> float:
@@ -524,11 +430,16 @@ def _bootstrap(tr: ag.Transition, u: int, params: ag.PolicyParams, gamma: float)
     return gamma * _values(params.critic, tr.next_state, params)[u]
 
 
+def _entropy(p: np.ndarray) -> float:
+    return -float(np.sum(p * np.log(p)))
+
+
 def test_per_head_td_actor_gradient_matches_finite_differences():
-    params = per_uav_params(seed=40)
-    episode = per_uav_batch(params, 4, seed=41)
+    params = tiny_params(state_dim=4, heads=3, seed=40)
+    episode = random_batch(params, 4, seed=41)
     gamma = 0.85
-    acc = ag.actor_critic_accumulate(params, episode, gamma, td=True)
+    acc = zero_grads(params)
+    ag.actor_critic_accumulate(params, episode, gamma, acc)
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
@@ -538,19 +449,19 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
             v = _values(params.critic, tr.state, params)
             for u, a in enumerate(tr.action):
                 delta = tr.uav_rewards[u] + _bootstrap(tr, u, params, gamma) - v[u]
-                total += delta * np.log(probs[t, u, a])
+                total += delta * np.log(probs[t, u, a]) + ag.ENTROPY_WEIGHT * _entropy(probs[t, u])
         return float(total)
 
     assert_grad_close(acc.d_actor, params.actor, params.actor_cfg, actor_objective)
 
 
 def test_entropy_gradient_matches_finite_differences():
-    params = per_uav_params(seed=42)
+    params = tiny_params(state_dim=4, heads=3, seed=42)
     nets.add_scaled(params.critic, params.critic, -1.0)  # V == 0: no advantage term
     episode = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
-               for t in per_uav_batch(params, 4, seed=43)]
-    weight = 0.1
-    acc = ag.actor_critic_accumulate(params, episode, 0.85, td=True, entropy=weight)
+               for t in random_batch(params, 4, seed=43)]
+    acc = zero_grads(params)
+    ag.actor_critic_accumulate(params, episode, 0.85, acc)
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
@@ -558,18 +469,19 @@ def test_entropy_gradient_matches_finite_differences():
         total = 0.0
         for t, tr in enumerate(episode):
             for u in range(len(tr.action)):
-                total -= weight * float(np.sum(probs[t, u] * np.log(probs[t, u])))
+                total += ag.ENTROPY_WEIGHT * _entropy(probs[t, u])
         return total
 
     assert_grad_close(acc.d_actor, params.actor, params.actor_cfg, entropy_objective)
 
 
-@pytest.mark.parametrize("outputs", [3, 1])
-def test_per_slot_critic_gradient_matches_finite_differences(outputs):
-    params = per_uav_params(critic_outputs=outputs, seed=44)
-    episode = per_uav_batch(params, 4, seed=45)
+@pytest.mark.parametrize("heads", [3, 1])
+def test_per_slot_critic_gradient_matches_finite_differences(heads):
+    params = tiny_params(state_dim=4, heads=heads, seed=44)
+    episode = random_batch(params, 4, seed=45)
     gamma = 0.85
-    acc = ag.actor_critic_accumulate(params, episode, gamma, td=True, entropy=0.1)
+    acc = zero_grads(params)
+    ag.actor_critic_accumulate(params, episode, gamma, acc)
     returns = np.zeros((len(episode), params.heads))
     running = np.zeros(params.heads)
     for t in reversed(range(len(episode))):
@@ -589,12 +501,12 @@ def test_per_slot_critic_gradient_matches_finite_differences(outputs):
     assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, critic_loss)
 
 
-@pytest.mark.parametrize("outputs", [3, 1])
-def test_per_slot_replay_td_gradient_matches_finite_differences(outputs):
-    params = per_uav_params(critic_outputs=outputs, seed=46)
-    batch = per_uav_batch(params, 5, seed=47)
+@pytest.mark.parametrize("heads", [3, 1])
+def test_per_slot_replay_td_gradient_matches_finite_differences(heads):
+    params = tiny_params(state_dim=4, heads=heads, seed=46)
+    batch = random_batch(params, 5, seed=47)
     gamma = 0.85
-    acc = ag.GradAccumulator.zeros(params)
+    acc = zero_grads(params)
     ag.critic_td_accumulate(params, ag.as_batch(batch, params.heads), gamma, acc)
 
     def td_loss(critic):
@@ -607,19 +519,6 @@ def test_per_slot_replay_td_gradient_matches_finite_differences(outputs):
         return float(total)
 
     assert_grad_close(acc.d_critic, params.critic, params.critic_cfg, td_loss)
-
-
-def test_mixed_reward_kinds_rejected():
-    params = per_uav_params()
-    batch = per_uav_batch(params, 2)
-    batch[0] = ag.Transition(batch[0].state, batch[0].action, 1.0, batch[0].next_state)
-    with pytest.raises(ValueError, match="mix"):
-        ag.actor_critic_accumulate(params, batch, 0.85)
-    mem = memory_of(params, 2)
-    for t in batch:
-        mem.push(t)
-    with pytest.raises(ValueError, match="mix"):
-        mem.sample(2, np.random.default_rng(0))
 
 
 def test_adam_first_step_moves_by_the_step_size_along_the_sign():
@@ -642,8 +541,7 @@ def test_replacing_learner_params_restarts_adam():
     env = small_env()
     task = env.nominal_task()
     cfg = ag.AgentConfig(hidden=(4,))
-    init = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg,
-                                 np.random.default_rng(50), critic_outputs=env.cfg.max_swarm)
+    init = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=50)
     reused = ag.ActorCriticLearner(init.clone(), cfg)
     ag.run_training_episode(env, task, reused, np.random.default_rng(51))
     reused.params = init.clone()
@@ -675,10 +573,10 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
 
 def test_dqn_zero_td_error_means_no_change():
     params = tiny_params(seed=14)
-    zero_net = nets.zeros_like_params(params.actor)
-    batch = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done)
+    zero_net = zeros_like_params(params.actor)
+    batch = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
              for t in random_batch(params, 4, seed=15)]
-    loss = ag.dqn_update(zero_net, nets.zeros_like_params(params.actor),
+    loss = ag.dqn_update(zero_net, zeros_like_params(params.actor),
                          ag.as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads)
     assert loss == 0.0
     for v in zero_net.values():
@@ -706,15 +604,6 @@ def loop_dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads):
     return loss, nets.backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
 
 
-def partial_swarm_batch(params: ag.PolicyParams, n: int, seed: int) -> list[ag.Transition]:
-    """Transitions whose joint actions cover 1..heads UAVs."""
-    rng = np.random.default_rng(seed)
-    batch = random_batch(params, n, seed=seed)
-    for tr in batch:
-        tr.action = tr.action[: int(rng.integers(1, params.heads + 1))]
-    return batch
-
-
 def assert_bits_equal(a, b) -> None:
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
@@ -725,7 +614,7 @@ def test_dqn_matches_the_per_pair_loop():
     for case in range(200):
         params = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case)
         target = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case + 1)
-        batch = partial_swarm_batch(params, 1 + case % 17, seed=case)
+        batch = random_batch(params, 1 + case % 17, seed=case)
         gamma = float(np.random.default_rng(case).uniform(0.0, 1.0))
         args = (params.actor, target.actor, gamma, params.actor_cfg, params.heads)
         loss, grads = ag.dqn_loss_and_grad(*args[:2], ag.as_batch(batch, params.heads), *args[2:])
@@ -794,7 +683,7 @@ def test_ppo_zero_clip_kills_actor_gradient():
 
 def test_ppo_update_zero_clip_freezes_actor():
     cfg = ag.AgentConfig(hidden=(2,), ppo_clip=0.0)
-    params = ag.make_policy_params(3, 1, cfg, np.random.default_rng(25))
+    params = ag.make_policy_params(3, 1, cfg, np.random.default_rng(25), critic_outputs=1)
     rollout = random_batch(params, 5, seed=26)
     before = flatten_params(params.actor, params.actor_cfg).copy()
     critic_before = flatten_params(params.critic, params.critic_cfg).copy()
@@ -900,7 +789,7 @@ def test_ppo_surrogate_matches_the_per_pair_loop():
         heads = 1 + case % 7
         params = tiny_params(state_dim=5, heads=heads, hidden=(6,), seed=case)
         old = tiny_params(state_dim=5, heads=heads, hidden=(6,), seed=case + 1)
-        batch = partial_swarm_batch(params, 1 + case % 17, seed=case)
+        batch = random_batch(params, 1 + case % 17, seed=case)
         rng = np.random.default_rng(case)
         adv = rng.normal(size=len(batch))
         clip = float(rng.choice([0.0, 0.2, 1e9]))
@@ -929,7 +818,7 @@ def test_meta_adapt_requires_inner_episodes():
 def test_meta_adapt_never_touches_meta_params():
     env = small_env()
     cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
-    meta = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(1))
+    meta = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=1)
     before = flatten_params(meta.actor, meta.actor_cfg).copy()
     adapted = ag.meta_adapt(meta, env, env.nominal_task(), np.random.default_rng(2), cfg)
     np.testing.assert_array_equal(flatten_params(meta.actor, meta.actor_cfg), before)
@@ -941,7 +830,7 @@ def test_meta_adapt_never_touches_meta_params():
 def test_meta_adapt_deterministic():
     env = small_env()
     cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
-    meta = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(3))
+    meta = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=3)
     task = env.nominal_task()
     a = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
     b = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
@@ -1013,7 +902,7 @@ def test_random_policy_ignores_learning():
 def test_training_episode_updates_actor_critic():
     env = small_env()
     cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
-    params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, cfg, np.random.default_rng(5))
+    params = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=5)
     learner = ag.ActorCriticLearner(params, cfg)
     before = flatten_params(params.actor, params.actor_cfg).copy()
     ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(6))

@@ -90,6 +90,14 @@ def test_run_rejects_a_minibatch_the_replay_cannot_hold(scenario_file, monkeypat
     assert "minibatch (4) must not exceed replay_capacity (3)" in err
 
 
+def test_run_rejects_an_unreachable_swarm_event_before_training(scenario_file, tmp_path,
+                                                                 monkeypatch, capsys):
+    monkeypatch.setenv("SWARMCOVER__env__events", '[{"episode": 2, "kind": "join", "count": 4}]')
+    assert main(["run", str(scenario_file())]) == 2
+    assert "would exceed the maximum swarm size (3)" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_compare_prints_a_table_and_writes_csv(scenario_file, tmp_path, capsys):
     a = scenario_file(algorithm="random")
     b = scenario_file(algorithm="actor_critic")

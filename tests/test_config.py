@@ -128,6 +128,24 @@ def test_swarm_events_parsed_in_order(tmp_path):
     assert (cfg.events[1].episode, cfg.events[1].kind, cfg.events[1].count) == (9, "leave", 2)
 
 
+def test_swarm_event_schedule_is_checked_at_load(tmp_path):
+    # Default swarm: 4 UAVs of at most 7.
+    def events(*schedule):
+        return {"env": {"events": [dict(zip(("episode", "kind", "count"), e)) for e in schedule]}}
+
+    with pytest.raises(ValueError, match="join at episode 20 would exceed the maximum swarm size"):
+        load(tmp_path, events((20, "join", 4)))
+    with pytest.raises(ValueError, match="leave at episode 5 would empty the swarm"):
+        load(tmp_path, events((5, "leave", 4)))
+    with pytest.raises(ValueError, match="episode must not be negative"):
+        load(tmp_path, events((-3, "join", 1)))
+    # The schedule is replayed in episode order, as the harness applies it,
+    # not in file order.
+    with pytest.raises(ValueError, match="join at episode 5"):
+        load(tmp_path, events((9, "leave", 3), (5, "join", 4)))
+    assert len(load(tmp_path, events((9, "leave", 4), (5, "join", 3))).events) == 2
+
+
 def test_strategic_cells_imply_their_count(tmp_path):
     cfg = load(tmp_path, {"env": {"strategic_cells": [1, 2, 3, 4]}})
     assert cfg.env.num_strategic == 4

@@ -1,5 +1,6 @@
 """Experiment harness: files on disk, determinism, events, comparisons."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -9,6 +10,7 @@ import pytest
 from swarmcover import agents as ag
 from swarmcover import config as cf
 from swarmcover import harness as hz
+from swarmcover.env import SwarmEvent
 
 
 def tiny_cfg(**over):
@@ -185,7 +187,9 @@ def test_dqn_anneals_over_the_whole_run_across_swarm_events(tmp_path, monkeypatc
 
 
 def test_failed_seed_cleans_up_its_directory(tmp_path):
-    cfg = tiny_cfg(env={"events": [{"episode": 2, "kind": "join", "count": 5}]})
+    # load_config rejects this schedule, so it goes onto the loaded config
+    # directly: the seed fails when the join comes, after two episodes.
+    cfg = dataclasses.replace(tiny_cfg(), events=(SwarmEvent(2, "join", 5),))
     with pytest.raises(ValueError, match="maximum swarm size"):
         hz.run_experiment(cfg, tmp_path)
     assert not (tmp_path / "tiny_random" / "seed0").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmcover import nets
-from fdcheck import assert_grad_close, flatten_params
+from fdcheck import assert_grad_close, flatten_params, zeros_like_params
 
 RNG = np.random.default_rng(12345)
 
@@ -16,7 +16,7 @@ def test_num_params_arithmetic():
 
 def test_zero_params_give_zero_output_and_uniform_policy():
     cfg = nets.NetConfig(4, (3,), 10)
-    params = nets.zeros_like_params(nets.init_params(cfg, RNG))
+    params = zeros_like_params(nets.init_params(cfg, RNG))
     out, _ = nets.forward(params, np.ones((1, 4)), cfg)
     assert np.all(out == 0.0)
     probs = nets.softmax(out.reshape(1, 2, 5))
@@ -89,6 +89,8 @@ def test_unflatten_rejects_wrong_length():
 
 
 def test_add_scaled_and_accumulate():
+    # add_scaled is both the SGD step and, at scale 1.0, the in-place
+    # gradient accumulation.
     cfg = nets.NetConfig(2, (2,), 1)
     params = nets.init_params(cfg, np.random.default_rng(4))
     grads = {k: np.ones_like(v) for k, v in params.items()}
@@ -97,9 +99,9 @@ def test_add_scaled_and_accumulate():
     for k in params:
         np.testing.assert_allclose(params[k], before[k] + 0.5)
 
-    acc = nets.zeros_like_params(params)
-    nets.accumulate(acc, grads)
-    nets.accumulate(acc, grads)
+    acc = zeros_like_params(params)
+    nets.add_scaled(acc, grads, 1.0)
+    nets.add_scaled(acc, grads, 1.0)
     for k in acc:
         np.testing.assert_allclose(acc[k], 2.0)
 
