@@ -1,12 +1,13 @@
 """Episodic MDP over the mission world for a centrally-controlled UAV swarm.
 
-One environment step is one mission slot: every active UAV picks one of
-five moves (the four compass directions or hover), moves between cell
-centers, and then automatically collects at most one packet from an
-uncollected device assigned to its cell. Moves off the grid border
-degrade to hover. Two UAVs are never allowed to occupy one cell: moves
-that would end on an occupied or contested cell are cancelled and the
-offending movers are penalised.
+One environment step is one mission slot (:func:`play_slot`, shared
+with the exact solver): every active UAV picks one of five moves (the
+four compass directions or hover), moves between cell centers, and then
+collects at most one packet from an uncollected device assigned to the
+cell it ends the slot on. Moves off the grid border degrade to hover.
+Two UAVs are never allowed to occupy one cell: moves that would end on
+an occupied or contested cell are cancelled, and the offending movers
+are penalised but still collect on the cell they stay on.
 
 The scalar step reward is
   +1 for every UAV that did not collide and whose link rate and mission
@@ -155,6 +156,8 @@ def resolve_moves(
     """
     if len(set(origins)) != len(origins):
         raise ValueError("UAVs must start on distinct cells")
+    if len(set(targets)) == len(targets):  # uncontested: a sweep would cancel nothing
+        return list(targets), [False] * len(targets)
     final = list(targets)
     moving = [f != o for f, o in zip(final, origins)]
     collided = [False] * len(origins)
@@ -231,6 +234,29 @@ class TaskTables:
         )
 
 
+def play_slot(
+    tables: TaskTables, origins: Sequence[int], actions: Sequence[int], taken: tuple[int, ...]
+) -> tuple[list[int], list[bool], list[int | None], tuple[int, ...]]:
+    """Resolve the moves, then let every UAV, a bounced mover included,
+    take the first untaken device of the queue of the cell it ends on.
+
+    ``taken`` counts, per cell, the devices taken from the front of its
+    queue. Returns the final cells, the collision flags, each UAV's
+    device (``None`` for none) and the advanced cursors."""
+    finals, collided = resolve_moves(
+        origins, [tables.targets[cell][action] for cell, action in zip(origins, actions)]
+    )
+    devices: list[int | None] = []
+    for cell in finals:
+        queue, k = tables.queues[cell], taken[cell]
+        if k < len(queue):
+            devices.append(queue[k])
+            taken = taken[:cell] + (k + 1,) + taken[cell + 1:]
+        else:
+            devices.append(None)
+    return finals, collided, devices, taken
+
+
 class CoverageEnv:
     """Data-collection MDP over the :class:`TaskTables` of a task.
 
@@ -244,10 +270,9 @@ class CoverageEnv:
     ``uav_energy_j``, ``uav_served`` and ``uav_track``, the
     ``(slot, cell)`` visits of each UAV), one row per UAV that flew this
     frame, plus the remaining ``demand`` per strategic location and per
-    cell counts: visits, energy, and a collection cursor (devices taken
-    so far from the front of the cell's queue). Commute and data time
-    are kept only as swarm totals. Active rows fill the observation
-    slots in row order.
+    cell counts: visits, energy, and the collection cursors of
+    :func:`play_slot`. Commute and data time are kept only as swarm
+    totals. Active rows fill the observation slots in row order.
     """
 
     def __init__(
@@ -387,9 +412,7 @@ class CoverageEnv:
         for cell in start_cells:
             self._add_uav(int(cell))
         self.demand = [float(d) for d in task.initial_demands]
-        # Devices taken per cell: collection always takes the first
-        # untaken device of a cell's queue, so the taken ones are a prefix.
-        self._taken = [0] * self.n_cells
+        self._taken = (0,) * self.n_cells
         self._satisfied_units = 0.0
         self._total_demand = float(sum(task.initial_demands))
         self._d_com = 0.0
@@ -420,25 +443,19 @@ class CoverageEnv:
             raise ValueError("need one action per active UAV")
 
         origins = [self.uav_cell[row] for row in rows]
-        targets = [tables.targets[cell][action] for cell, action in zip(origins, actions)]
-        finals, collided = resolve_moves(origins, targets)
+        finals, collided, devices, self._taken = play_slot(tables, origins, actions, self._taken)
 
         self._slot += 1
-        rate_ok, collected_now, uav_bonus, uav_energy = [], [], [], []
+        rate_ok, uav_bonus, uav_energy = [], [], []
         step_energy = bonuses = 0.0
-        for row, cell, origin, hit in zip(rows, finals, origins, collided):
+        for row, cell, origin, dev_id in zip(rows, finals, origins, devices):
             leg_t = tables.leg_time_s if cell != origin else 0.0
             collect_t, ok = 0.0, True
-            queue, taken = tables.queues[cell], self._taken[cell]
-            # A cancelled mover forfeits its slot: no move, no collection.
-            if not hit and taken < len(queue):
-                dev_id = queue[taken]
-                self._taken[cell] = taken + 1
+            if dev_id is not None:
                 collect_t = tables.collect_time_s[dev_id]
                 ok = tables.rate_ok[dev_id]
                 if tables.device_strategic[dev_id]:
                     self.uav_served[row] = True
-                collected_now.append(dev_id)
             e = ms.uav_energy_j(leg_t + collect_t, collect_t, self.mission_cfg)
             self.uav_cell[row] = cell
             self.uav_energy_j[row] += e
@@ -482,7 +499,7 @@ class CoverageEnv:
             "step_energy_j": step_energy,
             "bonuses": bonuses,
             "shaping": shaping,
-            "collected": collected_now,
+            "collected": [dev_id for dev_id in devices if dev_id is not None],
             "cells": finals,
         }
         return StepOutcome(self.encode_state(), reward, self._done, info, uav_rewards)

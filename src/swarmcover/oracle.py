@@ -1,22 +1,14 @@
 """Exact reference solver for tiny mission instances.
 
 Searches every joint action sequence of a small swarm over a short
-horizon under the environment's movement and collision rules and its
-per-cell collection order, keeps only sequences that satisfy the rate,
-deadline and coverage constraints (the altitude one holds by
+horizon, each slot played by the environment's own
+:func:`~swarmcover.env.play_slot`, keeps only sequences that satisfy
+the rate, deadline and coverage constraints (the altitude one holds by
 construction, as in the environment), and returns the feasible sequence
 with the least masked swarm energy. Sequences are explored depth first
 and hover-first (hover, north, south, east, west per UAV), and ties on
 the objective go to the earliest sequence in that order, so a
 do-nothing optimum comes back as the all-hover plan.
-
-The search scores cell sequences, as :func:`verify_feasibility` does:
-every UAV collects on the cell it ends a slot on, a mover whose move
-was cancelled included. The environment differs there, since a
-cancelled mover forfeits its collection, so an environment episode can
-cost less than the optimum found here. Compare an agent with the
-optimum by re-scoring the agent's cell sequences with
-:func:`verify_feasibility`.
 
 Three cuts skip branches that cannot hold a strictly cheaper plan than
 the best one found so far, so the search stays a certificate of
@@ -29,11 +21,11 @@ to the bit, that a scan of every sequence would:
   non-negative, legs and collect times positive), a served UAV stays
   served, and rounding is monotone, so no leaf below is cheaper; the
   ``>=`` keeps the first strict minimum in search order.
-- Memo: a node whose exact search state (depth, positions, collected
-  devices, per-UAV legs, collect times and served flags, total delay,
-  and per-UAV strategic cells visited) was already reached. Its subtree
-  has the same leaves to the bit, already compared against a best
-  objective that can only have fallen since.
+- Memo: a node whose exact search state (depth, positions, per-cell
+  collection cursors, per-UAV legs, collect times and served flags,
+  total delay, and per-UAV strategic cells visited) was already
+  reached. Its subtree has the same leaves to the bit, already compared
+  against a best objective that can only have fallen since.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from typing import Sequence
 
 from . import link_budget as lb
 from . import mission as ms
-from .env import ACTIONS, N_ACTIONS, TaskTables, move_target, resolve_moves
+from .env import ACTIONS, N_ACTIONS, TaskTables, move_target, play_slot
 
 #: Per-UAV exploration order: hover before any movement.
 SEARCH_ORDER = (4, 0, 1, 2, 3)
@@ -147,7 +139,7 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
     tables = TaskTables.build(
         instance.build_world(), instance.link, instance.radio, instance.altitude_m
     )
-    targets, queues, leg_time = tables.targets, tables.queues, tables.leg_time_s
+    targets, leg_time = tables.targets, tables.leg_time_s
     collect_time, rate_ok = tables.collect_time_s, tables.rate_ok
     device_strategic = tables.device_strategic
     strategic = frozenset(instance.strategic_cells)
@@ -174,7 +166,7 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
             return all(strategic <= v for v in visited)
         return strategic <= frozenset().union(*visited)
 
-    def descend(depth, positions, collected, d_com, d_data, served, d_tot, visited, trail):
+    def descend(depth, positions, taken, d_com, d_data, served, d_tot, visited, trail):
         nonlocal best_objective, best_cells, best_accounting
         if depth == instance.horizon:
             counters["leaves"] += 1
@@ -192,35 +184,25 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
                 raise EnumerationBudgetExceeded(
                     f"{counters['nodes']} search nodes exceed the budget of {instance.budget}"
                 )
-            finals, _ = resolve_moves(
-                positions, [targets[positions[u]][joint[u]] for u in range(n_uavs)]
-            )
-            new_collected = collected
+            finals, _, devices, new_taken = play_slot(tables, positions, joint, taken)
             new_d_com = list(d_com)
             new_d_data = list(d_data)
             new_served = list(served)
             step_time = 0.0
-            violated = False
-            for u in range(n_uavs):
+            for u, dev in enumerate(devices):
                 if finals[u] != positions[u]:
                     new_d_com[u] += leg_time
                     step_time += leg_time
-                for dev in queues[finals[u]]:
-                    bit = 1 << dev
-                    if not new_collected & bit:
-                        if not rate_ok[dev]:
-                            violated = True
-                        new_collected |= bit
-                        new_d_data[u] += collect_time[dev]
-                        step_time += collect_time[dev]
-                        if device_strategic[dev]:
-                            new_served[u] = True
+                if dev is not None:
+                    if not rate_ok[dev]:
+                        step_time = math.inf  # a rate violation never heals: prune as an overrun
                         break
-                if violated:
-                    break
+                    new_d_data[u] += collect_time[dev]
+                    step_time += collect_time[dev]
+                    if device_strategic[dev]:
+                        new_served[u] = True
             if (
-                violated
-                or d_tot + step_time > cfg.t_max_seconds
+                d_tot + step_time > cfg.t_max_seconds
                 or served_energy(new_d_com, new_d_data, new_served) >= best_objective
             ):
                 counters["pruned"] += 1
@@ -230,7 +212,7 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
             # of descend but the trail). Visited cells are kept only where
             # strategic, the only ones coverage reads.
             child = (
-                depth + 1, cells, new_collected, tuple(new_d_com), tuple(new_d_data),
+                depth + 1, cells, new_taken, tuple(new_d_com), tuple(new_d_data),
                 tuple(new_served), d_tot + step_time,
                 tuple(v | {c} if c in strategic else v for v, c in zip(visited, cells)),
             )
@@ -242,7 +224,7 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
 
     start = tuple(instance.start_cells)
     descend(
-        0, start, 0, (0.0,) * n_uavs, (0.0,) * n_uavs, (False,) * n_uavs,
+        0, start, (0,) * cfg.n_cells, (0.0,) * n_uavs, (0.0,) * n_uavs, (False,) * n_uavs,
         0.0, (frozenset(),) * n_uavs, (),
     )
 

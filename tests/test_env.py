@@ -93,15 +93,66 @@ def test_swap_is_allowed():
     assert env.uav_cell == [1, 0]
 
 
-def test_collided_uav_is_penalised_and_collects_nothing():
-    # Cell 1 holds a device; both movers bounce, so nobody collects it.
-    env = small_env(strategic=(1,), device_count=1)
+def sweep_to_fixpoint(origins, targets):
+    """Reference move resolution: each sweep cancels every mover whose
+    destination is claimed at the sweep's start, until one cancels none."""
+    final, collided = list(targets), [False] * len(origins)
+    moving = [t != o for t, o in zip(targets, origins)]
+    changed = True
+    while changed:
+        claimed = list(final)
+        changed = False
+        for i, origin in enumerate(origins):
+            if moving[i] and claimed.count(final[i]) > 1:
+                final[i], moving[i], collided[i], changed = origin, False, True, True
+    return final, collided
+
+
+def test_resolve_moves_matches_the_fixpoint_sweep():
+    rng = np.random.default_rng(2)
+    seen = {"head_on": 0, "into_hoverer": 0, "swap": 0, "chain": 0, "uncontested": 0}
+    for _ in range(4000):
+        side = int(rng.integers(2, 5))
+        n = int(rng.integers(1, min(side * side, 7) + 1))
+        origins = [int(c) for c in rng.choice(side * side, size=n, replace=False)]
+        if rng.random() < 0.5:  # compass moves, as the env makes them
+            targets = [envmod.move_target(o, int(a), side)
+                       for o, a in zip(origins, rng.integers(0, envmod.N_ACTIONS, size=n))]
+        else:  # any cells, half of them another UAV's origin
+            targets = [int(rng.choice(origins)) if rng.random() < 0.5
+                       else int(rng.integers(0, side * side)) for _ in origins]
+        assert envmod.resolve_moves(origins, targets) == sweep_to_fixpoint(origins, targets)
+
+        movers = [i for i in range(n) if targets[i] != origins[i]]
+        hovering = {origins[i] for i in range(n) if targets[i] == origins[i]}
+        seen["head_on"] += any(targets.count(targets[i]) > 1 for i in movers)
+        seen["into_hoverer"] += any(targets[i] in hovering for i in movers)
+        seen["swap"] += any(targets[i] == origins[j] and targets[j] == origins[i]
+                            for i in movers for j in movers if i < j)
+        seen["chain"] += any(targets[i] == origins[j] and targets[j] != origins[i]
+                             for i in movers for j in movers)
+        seen["uncontested"] += len(set(targets)) == n
+    assert min(seen.values()) > 100, seen
+
+
+def test_bounced_uav_is_penalised_but_collects_where_it_stays():
+    # The only device sits on strategic cell 0. Both movers bounce off
+    # cell 1; UAV 0 stays on cell 0 and still collects the device.
+    env = small_env(strategic=(0,), device_count=1)
     env.reset(start_cells=[0, 2])
+    (dev,) = env.tables.queues[0]
     out = env.step([EAST, WEST])
     assert out.info["collided"] == [True, True]
-    assert out.info["collected"] == []
-    assert out.info["step_energy_j"] == 0.0
-    assert out.reward == -2.0
+    assert out.info["collected"] == [dev]
+    collect_t = env.tables.collect_time_s[dev]
+    energy = ms.uav_energy_j(collect_t, collect_t, env.mission_cfg)
+    assert energy > 0.0
+    assert env.uav_energy_j == [energy, 0.0]
+    assert out.info["step_energy_j"] == energy
+    shaping = env.cfg.lambda_energy * energy / env.energy_norm_j
+    assert out.info["shaping"] == shaping
+    assert out.reward == -2.0 + 1.0 - shaping  # both -1s, UAV 0's coverage bonus
+    np.testing.assert_allclose(out.uav_rewards, [-1.0 + 1.0 - shaping, -1.0], rtol=1e-12)
 
 
 # --- rewards -----------------------------------------------------------------------
@@ -229,8 +280,8 @@ def test_reward_bounds_over_random_play():
 
 def test_collection_invariants_over_random_play():
     # A reference set-and-scan kept beside the env's per-cell cursors:
-    # every non-colliding UAV takes the first device of its cell's queue
-    # that nobody collected yet, and a colliding UAV takes nothing.
+    # every UAV, a bounced one included, takes the first device of the
+    # queue of the cell it ends on that nobody collected yet.
     env = small_env(swarm=2, slots=12, max_swarm=4, device_count=18)
     rng = np.random.default_rng(5)
     head_ons = bounced_before_a_device = deep_takes = events = 0
@@ -261,15 +312,17 @@ def test_collection_invariants_over_random_play():
             expected = []
             for row, cell, hit in zip(rows, cells, hits):
                 nxt = next((d for d in queues[cell] if d not in collected), None)
-                if hit:
-                    bounced_before_a_device += nxt is not None
-                    assert env.uav_energy_j[row] == energy_before[row]
-                    continue
                 if nxt is not None:
                     deep_takes += queues[cell].index(nxt) > 0
                     collected.add(nxt)
                     expected.append(nxt)
-            assert now == expected  # in queue order, none by a colliding UAV
+                if hit:
+                    # No leg: a bounced UAV pays for its collection only.
+                    bounced_before_a_device += nxt is not None
+                    collect_t = 0.0 if nxt is None else env.tables.collect_time_s[nxt]
+                    assert env.uav_energy_j[row] == energy_before[row] + ms.uav_energy_j(
+                        collect_t, collect_t, env.mission_cfg)
+            assert now == expected  # in queue order, bounced UAVs included
 
             c = env.n_cells
             base = c * env.cfg.max_swarm + (c + 1) * env.cfg.num_strategic

@@ -287,29 +287,29 @@ _PINNED_FILES = ("metrics.csv", "heatmap.csv", "summary.json")
 #: sha256 of metrics.csv, heatmap.csv and summary.json per algorithm.
 _PINNED_DIGESTS = {
     "meta_rl": (
-        "b4b5d8807ee324594af4f666cd8751b33bea3f11e1459f646842a97b8f05b121",
+        "4a5c1ba4f3f6b27d2d530b15e7c54ee4cd7781643a5d276101db17985e8df9a2",
         "4c0efebb49a7fd5185d085c4b2e0abdf89fdac482189693389398370b397b9b0",
-        "a31ee242071853e216157e759a04f2a29178be2c32640fd270a5a7c89b05f8d1",
+        "47c932b51a9638f1f7dd120eca20ad4574437b0ffa5a445244c0474bface8d4c",
     ),
     "actor_critic": (
-        "e2b5c516807228ba944c69ea3cba9486a10452edec7d8b286c9dc26fc82be815",
+        "2826905865671ceee84b2d77ff6621e149a955f8cb54e5b455bf38d9b74c42d3",
         "7c73c113197b62a18cf65f9522bec6287e19c8566618caa37aacf7ac95f28b3f",
-        "b7327c1535a12f88d999cc91ec5784e4f19f1e69d43644bc05e9b43a84212078",
+        "83013b067448e04ba419f4dde294560204462ef1d901800206ca8ba349215e0c",
     ),
     "dqn": (
-        "83ddf665e7b057b51561146d9e39eb83cf3e3b5524821dc54b46fabb6ca707ec",
+        "9b0c6eff36b39b8101d8c67abf128e050f4397153ad76bfdce25d07a00d2742b",
         "2473b6a43217cc8224d118204d777da0636329afe22ab98f0abfe16b8e6c7666",
-        "e1da429d178fd207aaccad080b3c5ddbcb6e7d492017e3f3ac95076941589396",
+        "bd5a6c1565306359643f6609056d83d7220775704b62f429decf1dfa0d1c2f84",
     ),
     "ppo": (
-        "a0a721ae58cc14dcd316a9805cd96fec0f94877cdf9cf922b79e684f596dd1b8",
+        "d6a1e4678130f382250912506a7a07981ccedca1529b8fe7989ea6d1d8312cd3",
         "0aadb138e1efc3f6d201ef203edfe79509839d71cc76a0da9588e768ad5db78a",
-        "be0afd95ed4b69edd13424e42f90de2fc8b36f13332514b08b55c6a7535f7061",
+        "3fdf1a11124652e655508d93b88783706614624d45d2ce425fb8f231a579a3af",
     ),
     "random": (
-        "b1f0cb7fd7d752f14dc652695b2dd5e6de375e12eff97478442db3d93e0c2e7a",
+        "5ab733f89aaa3e488b29142ac97763d6adb7aa78e431f24716eab3e6d780dc46",
         "862c6941a8275b5544fc7b0f8f2f10cc396ed3174484d47ed63efd76d3700b94",
-        "485184e83678535e11fff8c2b98ed609a47c3733ad020ca50f7f023265b92579",
+        "52fdb6159cec07850ab37a765edd7ae814c7c9a018aafd6b163250c7281de379",
     ),
 }
 

@@ -520,13 +520,11 @@ def test_env_replays_the_optimum_at_its_objective():
     assert env.episode_stats()["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
 
-def test_env_bounce_undercuts_the_optimum_but_rescores_at_it():
-    # The solver lets a cancelled mover collect where it stays; the
-    # environment does not. UAV 0 walks west into the hovering UAV 1,
-    # bounces, keeps strategic cell 4 covered and collects nothing, so
-    # the env books 0 J against the solver's 8.238 J. Re-scoring the
-    # bounced cell sequences, as acceptance test 3 does, restores the
-    # solver's accounting.
+def test_env_bounce_books_the_optimum():
+    # A bounced mover collects on the cell it stays on, in the env as in
+    # the solver. UAV 0 walks west into the hovering UAV 1, bounces, and
+    # collects the device of strategic cell 4 where it stays: the env
+    # books the solver's 8.238 J optimum, not a free coverage.
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=1)
     link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
@@ -547,18 +545,63 @@ def test_env_bounce_undercuts_the_optimum_but_rescores_at_it():
 
     west, hover = ACTIONS.index("west"), ACTIONS.index("hover")
     env.reset(task, start_cells=instance.start_cells)
+    (dev,) = env.tables.queues[4]
     out = env.step([west, hover])
     assert out.info["collided"] == [True, False]
-    assert out.info["collected"] == []
+    assert out.info["collected"] == [dev]
     stats = env.episode_stats()
     assert stats["coverage_ok"]
-    assert stats["energy_masked_j"] == 0.0
+    assert stats["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
     bounced = [tuple(c for _, c in track) for track in env.uav_track]
     assert bounced == [(4, 4), (3, 3)]
     report = verify_feasibility(bounced, instance)
     assert report.all_ok
     assert report.objective_j == pytest.approx(best.objective_j, rel=1e-12)
+
+
+def test_env_books_the_verifier_energy_of_random_play():
+    # Whatever the plan, bounces included, the env's own energy accounting
+    # equals the independent re-scoring of its cell sequences.
+    rng = np.random.default_rng(11)
+    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    bounced_onto_a_device = 0
+    for _ in range(300):
+        side = int(rng.integers(2, 4))
+        n_cells = side * side
+        uavs = int(rng.integers(1, 3))
+        slots = int(rng.integers(1, 7))
+        strategic = tuple(sorted(int(c) for c in rng.choice(
+            n_cells, size=int(rng.integers(1, 3)), replace=False)))
+        mission = ms.MissionConfig(area_m=88.0 * side, cells_per_side=side, slots=slots,
+                                   frame_seconds=24.0 * slots)
+        env = CoverageEnv(mission, link, radio, EnvConfig(
+            max_swarm=2, num_strategic=len(strategic), strategic_cells=strategic,
+            device_count=int(rng.integers(2 * n_cells, 4 * n_cells + 1)),
+            swarm_size=uavs, swarm_min=1, swarm_max=2,
+            device_seed=int(rng.integers(0, 2**31 - 1)),
+        ))
+        task = env.nominal_task()
+        starts = tuple(int(c) for c in rng.choice(n_cells, size=uavs, replace=False))
+        env.reset(task, start_cells=starts)
+        queues, collected = env.tables.queues, set()
+        instance = ExactInstance(
+            mission=mission, link=link, radio=radio, strategic_cells=strategic,
+            devices=tuple(env.tables.world.devices), start_cells=starts, horizon=slots,
+        )
+        bounce_on_a_device = False
+        for _ in range(slots):
+            origins = list(env.uav_cell)
+            out = env.step(rng.integers(0, N_ACTIONS, size=uavs))
+            bounce_on_a_device |= any(hit and not collected.issuperset(queues[cell])
+                                      for hit, cell in zip(out.info["collided"], origins))
+            collected.update(out.info["collected"])
+        bounced_onto_a_device += bounce_on_a_device
+        stats = env.episode_stats()
+        report = verify_feasibility([[c for _, c in track] for track in env.uav_track], instance)
+        assert stats["energy_masked_j"] == pytest.approx(report.objective_j, rel=1e-12)
+        assert stats["energy_total_j"] == pytest.approx(report.unmasked_j, rel=1e-12)
+    assert bounced_onto_a_device > 30
 
 
 def test_verifier_agrees_with_solver_accounting():
