@@ -252,7 +252,7 @@ class Batch:
 
     ``reward`` and ``live`` (0.0 after a terminal step, else 1.0) are the
     team reward and bootstrap mask DQN reads. The value losses read one
-    reward column per UAV slot (zero for idle slots). ``cols`` masks the
+    reward column per UAV slot (zero for idle slots). ``active`` masks the
     columns a value loss counts and ``boot`` the bootstrap values V(s') a
     TD target may use: none after a terminal step, and per UAV none for a
     slot idle in s' (read from the state's trailing active-count feature).
@@ -266,7 +266,6 @@ class Batch:
     acting: np.ndarray       # [B, heads] heads that acted
     active: np.ndarray       # [B, heads] ``acting`` as 1.0 / 0.0
     rewards: np.ndarray      # [B, heads]
-    cols: np.ndarray         # [B, heads]
     boot: np.ndarray         # [B, heads]
 
     @classmethod
@@ -278,7 +277,7 @@ class Batch:
         active = acting.astype(np.float64)
         next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
         return cls(states, next_states, reward, live, acts, acting, active,
-                   uav_rewards, active, live[:, None] * next_active)
+                   uav_rewards, live[:, None] * next_active)
 
     @property
     def onehot(self) -> np.ndarray:
@@ -432,7 +431,7 @@ def actor_critic_accumulate(
         params.actor, a_cache, dlogits.reshape(len(episode), -1), params.actor_cfg
     )
     returns = discounted_returns(b.rewards, gamma)
-    dvals = -2.0 * ((returns - values) * b.cols)
+    dvals = -2.0 * ((returns - values) * b.active)
     d_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg)
     nets.add_scaled(acc.d_actor, d_actor, 1.0)
     nets.add_scaled(acc.d_critic, d_critic, 1.0)
@@ -453,7 +452,7 @@ def critic_td_accumulate(
     values, cache = nets.forward(params.critic, batch.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
     targets = batch.rewards + gamma * batch.boot * next_values
-    dvals = -2.0 * ((targets - values) * batch.cols)
+    dvals = -2.0 * ((targets - values) * batch.active)
     grads = nets.backward(params.critic, cache, dvals, params.critic_cfg)
     nets.add_scaled(acc.d_critic, grads, 1.0)
 

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-_THREAD_VARS = (
+THREAD_VARS = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
 )
@@ -154,7 +154,7 @@ def _cmd_emit(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.single_thread:
-        for var in _THREAD_VARS:
+        for var in THREAD_VARS:
             os.environ[var] = "1"
     handlers = {
         "run": _cmd_run,

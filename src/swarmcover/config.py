@@ -149,8 +149,6 @@ def _build_env(section: dict) -> tuple[EnvConfig, tuple[SwarmEvent, ...]]:
         for e in section.pop("events", [])
     )
     section = _coerce(section, ("strategic_cells",))
-    if "strategic_cells" in section and "num_strategic" not in section:
-        section["num_strategic"] = len(section["strategic_cells"])
     env_cfg = EnvConfig(**section)
     # Replay the schedule as the harness applies it (a stable sort by
     # episode), so a size it cannot reach fails here, not mid-run.

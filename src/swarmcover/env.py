@@ -1,7 +1,7 @@
 """Episodic MDP over the mission world for a centrally-controlled UAV swarm.
 
 One environment step is one mission slot (:func:`play_slot`, shared
-with the exact solver): every active UAV picks one of five moves (the
+with the exact solver): every UAV picks one of five moves (the
 four compass directions or hover), moves between cell centers, and then
 collects at most one packet from an uncollected device assigned to the
 cell it ends the slot on. Moves off the grid border degrade to hover.
@@ -21,12 +21,14 @@ The scalar step reward is
   an energy shaping term: -lambda_energy times the step energy of the
      swarm in units of one hover slot of operating energy.
 
-Every step also reports one reward per active UAV, built from the same
-terms: that UAV's +1 or -1, its own coverage bonus and its own energy
-shaping. The per-UAV rewards sum to the scalar reward up to rounding.
+Every step also reports one reward per UAV, built from the same terms:
+that UAV's +1 or -1, its own coverage bonus and its own energy shaping.
+The per-UAV rewards sum to the scalar reward up to rounding.
 
-An episode lasts exactly ``slots`` steps. Given the same seed, task and
-action sequence, every outcome is reproducible bit for bit.
+An episode lasts exactly ``slots`` steps and flies one fixed set of
+UAVs: swarm events (joins and leaves) take effect at the next reset.
+Given the same seed, task and action sequence, every outcome is
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class EnvConfig:
     """Swarm-level knobs that are not mission geometry."""
 
     max_swarm: int = 7
-    num_strategic: int = 3
     initial_demand: float = 3.0
     lambda_energy: float = 0.1
     device_count: int = 25
@@ -66,8 +67,10 @@ class EnvConfig:
             raise ValueError("swarm size range must fit inside max_swarm")
         if self.lambda_energy < 0.0:
             raise ValueError("shaping weight must be non-negative")
-        if len(self.strategic_cells) != self.num_strategic:
-            raise ValueError("strategic cell list must match num_strategic")
+
+    @property
+    def num_strategic(self) -> int:
+        return len(self.strategic_cells)
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class SwarmEvent:
-    """A scheduled swarm-size change applied between episodes."""
+    """A scheduled swarm-size change, effective at the next reset."""
 
     episode: int
     kind: str  # "join" or "leave"
@@ -118,7 +121,7 @@ class StepOutcome:
     reward: float
     done: bool
     info: dict
-    #: One reward per active UAV, in UAV-id order; sums to ``reward``.
+    #: One reward per UAV, in UAV-id order; sums to ``reward``.
     uav_rewards: np.ndarray
 
 
@@ -261,18 +264,18 @@ class CoverageEnv:
     """Data-collection MDP over the :class:`TaskTables` of a task.
 
     The observation is a flat float vector: one cell one-hot per UAV
-    slot (inactive slots stay zero), then per strategic location a cell
-    one-hot plus its normalised remaining demand, then the visited-cell
-    bitmap of the frame, then the normalised active-UAV count. All
-    features lie in [0, 1].
+    slot (slots past the swarm size stay zero), then per strategic
+    location a cell one-hot plus its normalised remaining demand, then
+    the visited-cell bitmap of the frame, then the normalised swarm
+    size. All features lie in [0, 1].
 
-    Episode state lives in per-UAV columns (``uav_cell``, ``uav_active``,
-    ``uav_energy_j``, ``uav_served`` and ``uav_track``, the
-    ``(slot, cell)`` visits of each UAV), one row per UAV that flew this
-    frame, plus the remaining ``demand`` per strategic location and per
-    cell counts: visits, energy, and the collection cursors of
-    :func:`play_slot`. Commute and data time are kept only as swarm
-    totals. Active rows fill the observation slots in row order.
+    Episode state lives in per-UAV columns (``uav_cell``,
+    ``uav_energy_j``, ``uav_served`` and ``uav_track``, the cells of
+    each UAV from its start cell on), one row per UAV of the episode,
+    plus the remaining ``demand`` per strategic location and per cell
+    counts: visits (a UAV ending a slot on the cell), energy, and the
+    collection cursors of :func:`play_slot`. Commute and data time are
+    kept only as swarm totals. Rows fill the observation slots in order.
     """
 
     def __init__(
@@ -294,7 +297,6 @@ class CoverageEnv:
         self._tables_key: tuple | None = None
         self.task: TaskSpec | None = None
         self.current_swarm_size = env_cfg.swarm_size
-        self._rng = np.random.default_rng(0)
         self._done = True
         self._slot = 0
 
@@ -330,29 +332,14 @@ class CoverageEnv:
         return TaskSpec(size, tuple(int(c) for c in np.sort(cells)), seed, demands)
 
     def apply_swarm_event(self, event: SwarmEvent) -> int:
-        """Resize the swarm; returns the new size.
+        """Resize the swarm for the next bare reset; returns the new size.
 
-        Effective at the next reset (events are scheduled on episode
-        boundaries). Applied mid-episode, joining UAVs spawn at once on
-        free cells and take the next observation slots, and the highest
-        active slots leave. A departed UAV keeps its row: its energy,
-        service and visits still count toward the episode's energy and
-        coverage.
+        A running episode keeps the UAVs it started with to its end.
         """
-        new_size = next_swarm_size(self.current_swarm_size, event, self.cfg.max_swarm)
-        self.current_swarm_size = new_size
-        if not self._done:
-            rows = self._active_rows()
-            if event.kind == "leave":
-                for row in rows[new_size:]:
-                    self.uav_active[row] = False
-            else:
-                occupied = {self.uav_cell[r] for r in rows}
-                free = [c for c in range(self.n_cells) if c not in occupied]
-                fresh = self._rng.choice(len(free), size=new_size - len(rows), replace=False)
-                for pick in fresh:
-                    self._add_uav(free[int(pick)])
-        return new_size
+        self.current_swarm_size = next_swarm_size(
+            self.current_swarm_size, event, self.cfg.max_swarm
+        )
+        return self.current_swarm_size
 
     # --- episode lifecycle --------------------------------------------------
 
@@ -383,7 +370,6 @@ class CoverageEnv:
             raise ValueError("one demand per strategic cell required")
         self.task = task
         self.current_swarm_size = task.swarm_size
-        self._rng = np.random.default_rng(rng_seed)
 
         key = (task.strategic_cells, task.device_seed, task.initial_demands)
         if key != self._tables_key:
@@ -400,17 +386,17 @@ class CoverageEnv:
             self.tables = TaskTables.build(world, self.link_params, self.radio, self.altitude_m)
             self._tables_key = key
         if start_cells is None:
-            picks = self._rng.choice(self.n_cells, size=task.swarm_size, replace=False)
-            start_cells = [int(c) for c in picks]
+            rng = np.random.default_rng(rng_seed)
+            start_cells = rng.choice(self.n_cells, size=task.swarm_size, replace=False)
         elif len(set(start_cells)) != task.swarm_size:
             raise ValueError("start cells must be distinct and match the swarm size")
 
         self._slot = 0
         self._done = False
-        self.uav_cell, self.uav_active, self.uav_served = [], [], []
-        self.uav_energy_j, self.uav_track = [], []
-        for cell in start_cells:
-            self._add_uav(int(cell))
+        self.uav_cell = [int(c) for c in start_cells]
+        self.uav_energy_j = [0.0] * task.swarm_size
+        self.uav_served = [False] * task.swarm_size
+        self.uav_track = [[cell] for cell in self.uav_cell]
         self.demand = [float(d) for d in task.initial_demands]
         self._taken = (0,) * self.n_cells
         self._satisfied_units = 0.0
@@ -423,32 +409,21 @@ class CoverageEnv:
         self._reward_sum = 0.0
         return self.encode_state()
 
-    def _add_uav(self, cell: int) -> None:
-        self.uav_cell.append(cell)
-        self.uav_active.append(True)
-        self.uav_energy_j.append(0.0)
-        self.uav_served.append(False)
-        self.uav_track.append([(self._slot, cell)])
-
-    def _active_rows(self) -> list[int]:
-        return [row for row, on in enumerate(self.uav_active) if on]
-
     def step(self, actions: Sequence[int]) -> StepOutcome:
-        """Advance one slot. ``actions`` holds one action id per active UAV."""
+        """Advance one slot. ``actions`` holds one action id per UAV."""
         if self._done or self.tables is None:
             raise RuntimeError("step() called on a finished episode; call reset()")
         tables = self.tables
-        rows = self._active_rows()
-        if len(actions) < len(rows):
-            raise ValueError("need one action per active UAV")
+        origins = list(self.uav_cell)
+        if len(actions) < len(origins):
+            raise ValueError("need one action per UAV")
 
-        origins = [self.uav_cell[row] for row in rows]
         finals, collided, devices, self._taken = play_slot(tables, origins, actions, self._taken)
 
         self._slot += 1
         rate_ok, uav_bonus, uav_energy = [], [], []
         step_energy = bonuses = 0.0
-        for row, cell, origin, dev_id in zip(rows, finals, origins, devices):
+        for row, (cell, origin, dev_id) in enumerate(zip(finals, origins, devices)):
             leg_t = tables.leg_time_s if cell != origin else 0.0
             collect_t, ok = 0.0, True
             if dev_id is not None:
@@ -459,7 +434,7 @@ class CoverageEnv:
             e = ms.uav_energy_j(leg_t + collect_t, collect_t, self.mission_cfg)
             self.uav_cell[row] = cell
             self.uav_energy_j[row] += e
-            self.uav_track[row].append((self._slot, cell))
+            self.uav_track[row].append(cell)
             self._d_com += leg_t
             self._d_data += collect_t
             self._cell_energy[cell] += e
@@ -491,11 +466,8 @@ class CoverageEnv:
 
         self._done = self._slot >= self.mission_cfg.slots
         info = {
-            "slot": self._slot,
             "collided": collided,
             "constraint_ok": ok_flags,
-            "deadline_ok": deadline_ok,
-            "rate_ok": rate_ok,
             "step_energy_j": step_energy,
             "bonuses": bonuses,
             "shaping": shaping,
@@ -512,9 +484,8 @@ class CoverageEnv:
             raise RuntimeError("encode_state() before reset()")
         c = self.n_cells
         vec = np.zeros(self.state_dim, dtype=np.float64)
-        rows = self._active_rows()
-        for slot, row in enumerate(rows):
-            vec[slot * c + self.uav_cell[row]] = 1.0
+        for slot, cell in enumerate(self.uav_cell):
+            vec[slot * c + cell] = 1.0
         base = c * self.cfg.max_swarm
         task = self.task
         for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
@@ -523,21 +494,21 @@ class CoverageEnv:
                 vec[base + i * (c + 1) + c] = self.demand[i] / initial
         base += (c + 1) * self.cfg.num_strategic
         vec[base : base + c] = self._visits > 0
-        vec[base + c] = len(rows) / self.cfg.max_swarm
+        vec[base + c] = len(self.uav_cell) / self.cfg.max_swarm
         return vec
 
     def episode_stats(self) -> dict:
         """Accounting snapshot used by the harness after each episode.
 
-        Energy and coverage count every UAV that flew this frame,
-        including ones that left mid-episode.
+        Coverage holds when a UAV ended some slot on every strategic
+        cell; a start cell alone does not count.
         """
         strategic = self.task.strategic_cells
         strategic_energy = float(sum(self._cell_energy[c] for c in sorted(strategic)))
         total_energy = float(self._cell_energy.sum())
         return {
             "reward": self._reward_sum,
-            "swarm_size": len(self._active_rows()),
+            "swarm_size": len(self.uav_cell),
             "steps": self._slot,
             "energy_total_j": total_energy,
             "energy_masked_j": float(ms.swarm_energy_j(zip(self.uav_energy_j, self.uav_served))),
@@ -551,7 +522,7 @@ class CoverageEnv:
             "collisions": self._collisions,
             "d_data_s": self._d_data,
             "d_com_s": self._d_com,
-            "coverage_ok": ms.strategic_coverage_satisfied(strategic, self.uav_track),
+            "coverage_ok": all(self._visits[c] > 0 for c in strategic),
             "visits": self._visits.copy(),
         }
 

@@ -244,19 +244,6 @@ def swarm_energy_j(uavs: Iterable[tuple[float, bool]]) -> float:
     return sum(e for e, serving in uavs if serving)
 
 
-def strategic_coverage_satisfied(
-    strategic_cells: Iterable[int], tracks: Iterable[Sequence[tuple[int, int]]]
-) -> bool:
-    """True when every strategic cell was visited this frame.
-
-    ``tracks`` holds one ``(slot, cell)`` sequence per UAV. A visit is a
-    UAV ending some slot on the cell; the sampled start position alone
-    (slot 0) does not count.
-    """
-    visited = {cell for track in tracks for slot, cell in track if slot > 0}
-    return set(strategic_cells) <= visited
-
-
 # --- layout files ---------------------------------------------------------
 
 def layout_to_dict(world: GridWorld) -> dict:

@@ -2,8 +2,10 @@ import os
 
 # One BLAS thread, as ``swarmcover --single-thread`` pins it: set before
 # anything imports numpy, so test timings do not depend on what else the
-# machine runs.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+# machine runs. ``swarmcover.cli`` imports only the standard library.
+from swarmcover.cli import THREAD_VARS
+
+for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import pytest
@@ -47,7 +49,6 @@ def small_env(side: int = 3, swarm: int = 2, slots: int = 6,
     )
     env_cfg = envmod.EnvConfig(
         max_swarm=max_swarm,
-        num_strategic=len(strategic),
         strategic_cells=tuple(strategic),
         swarm_size=swarm,
         swarm_min=1,

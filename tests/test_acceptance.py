@@ -292,7 +292,7 @@ def test_trained_agent_matches_exhaustive_optimum():
     link = lb.params_from_preset("urban")
     radio = lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
-        max_swarm=1, num_strategic=2, strategic_cells=(4, 5), device_count=2,
+        max_swarm=1, strategic_cells=(4, 5), device_count=2,
         swarm_size=1, swarm_min=1, swarm_max=1, lambda_energy=0.5,
     ))
     task = env.nominal_task()
@@ -315,7 +315,7 @@ def test_trained_agent_matches_exhaustive_optimum():
         learner = make_learner("dqn", env.state_dim, env.cfg.max_swarm, cfg, rng, episodes)
         train_task(env, task, learner, episodes, rng)
         _greedy_rollout(env, task, learner, start_cells=(1,))
-        trajectory = tuple(c for _, c in env.uav_track[0])
+        trajectory = tuple(env.uav_track[0])
         report = verify_feasibility([trajectory], instance)
         wins.append(report.all_ok and report.objective_j <= 1.05 * best.objective_j)
 

@@ -121,9 +121,9 @@ def reference_batch(batch: list[ag.Transition], heads: int) -> ag.Batch:
     rewards = np.zeros((n, heads))
     rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
     next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
-    cols, boot = active, live * next_active
+    boot = live * next_active
     return ag.Batch(states, next_states, np.array([t.reward for t in batch]), live[:, 0],
-                    acts, acting, active, rewards, cols, boot)
+                    acts, acting, active, rewards, boot)
 
 
 def push_stream(rng: np.random.Generator, length: int, dim: int, heads: int) -> list[ag.Transition]:
@@ -189,7 +189,7 @@ def test_array_replay_equals_the_deque_replay_bit_for_bit():
             drawn = ref.sample(n, theirs)
             want = reference_batch(drawn, heads)
             assert mine.bit_generator.state == theirs.bit_generator.state, case
-            for name in ("states", "next_states", "reward", "live", "rewards", "cols",
+            for name in ("states", "next_states", "reward", "live", "rewards",
                          "boot", "acts", "acting", "active"):
                 assert_bits_equal(getattr(got, name), getattr(want, name))
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from swarmcover.cli import main
+from swarmcover.cli import THREAD_VARS, main
 
 INSTANCE = {
     "area_m": 176.0,
@@ -162,11 +162,11 @@ def test_emit_unknown_kind(scenario_file, tmp_path, capsys):
 
 
 def test_single_thread_pin_is_the_default(scenario_file, monkeypatch, capsys):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     main(["run", str(scenario_file()), "--episodes", "2"])
     capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert all(os.environ[var] == "1" for var in THREAD_VARS)
 
 
 def test_module_entry_point(instance_file):

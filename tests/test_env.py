@@ -191,28 +191,20 @@ def test_per_uav_rewards_split_the_terms_by_uav():
 
 
 def test_per_uav_rewards_sum_to_the_scalar_reward():
-    # Also checks, at every episode end, that UAVs which left mid-episode
-    # keep their energy in the swarm totals.
+    # Events between episodes take the swarm from one UAV up to max_swarm.
     env = envmod.make_env()
     rng = np.random.default_rng(3)
-    joins = leaves = departed_servers = 0
-    for size in range(1, env.cfg.max_swarm + 1):
-        task = envmod.task_with_swarm(env.nominal_task(), size)
+    env.apply_swarm_event(envmod.SwarmEvent(0, "leave", env.current_swarm_size - 1))
+    for n in range(1, env.cfg.max_swarm + 1):
+        if n > 1:
+            env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
         for seed in range(4):
-            env.reset(task, rng_seed=seed)
+            env.reset(rng_seed=seed)
+            assert len(env.uav_cell) == n
             done = False
             while not done:
-                if rng.random() < 0.1:  # a mid-episode join or leave
-                    n = env.current_swarm_size
-                    if n < env.cfg.max_swarm and (n == 1 or rng.random() < 0.5):
-                        env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
-                        joins += 1
-                    elif n > 1:
-                        env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 1))
-                        leaves += 1
-                active = sum(env.uav_active)
-                out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
-                assert out.uav_rewards.shape == (active,)
+                out = env.step(rng.integers(0, envmod.N_ACTIONS, size=n))
+                assert out.uav_rewards.shape == (n,)
                 assert out.uav_rewards.sum() == pytest.approx(out.reward, rel=1e-12, abs=1e-12)
                 # The scalar reward is its terms, summed to the bit.
                 info = out.info
@@ -224,13 +216,10 @@ def test_per_uav_rewards_sum_to_the_scalar_reward():
                 )
                 done = out.done
             stats = env.episode_stats()
+            assert stats["swarm_size"] == n
             assert sum(env.uav_energy_j) == pytest.approx(stats["energy_total_j"], rel=1e-9)
             served = [e for e, s in zip(env.uav_energy_j, env.uav_served) if s]
             assert stats["energy_masked_j"] == pytest.approx(sum(served), rel=1e-12)
-            departed_servers += sum(
-                s and not a for s, a in zip(env.uav_served, env.uav_active)
-            )
-    assert joins > 10 and leaves > 10 and departed_servers > 0
 
 
 def test_strategic_bonus_decays_with_served_demand():
@@ -270,10 +259,10 @@ def test_reward_bounds_over_random_play():
         env.reset(rng_seed=seed)
         done = False
         while not done:
-            active = sum(env.uav_active)
-            out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
-            lo = -active - env.cfg.lambda_energy
-            hi = 2.0 * active
+            n = len(env.uav_cell)
+            out = env.step(rng.integers(0, envmod.N_ACTIONS, size=n))
+            lo = -n - env.cfg.lambda_energy
+            hi = 2.0 * n
             assert lo <= out.reward <= hi
             done = out.done
 
@@ -282,25 +271,23 @@ def test_collection_invariants_over_random_play():
     # A reference set-and-scan kept beside the env's per-cell cursors:
     # every UAV, a bounced one included, takes the first device of the
     # queue of the cell it ends on that nobody collected yet.
+    # A join or a leave before every episode varies the swarm size.
     env = small_env(swarm=2, slots=12, max_swarm=4, device_count=18)
     rng = np.random.default_rng(5)
-    head_ons = bounced_before_a_device = deep_takes = events = 0
+    head_ons = bounced_before_a_device = deep_takes = 0
+    sizes = set()
     for seed in range(30):
+        n = env.current_swarm_size
+        join = n < env.cfg.max_swarm and (n == 1 or rng.random() < 0.5)
+        env.apply_swarm_event(envmod.SwarmEvent(0, "join" if join else "leave", 1))
         env.reset(rng_seed=seed)
+        sizes.add(len(env.uav_cell))
         queues = env.tables.queues
         collected: set[int] = set()
         done = False
         while not done:
-            if rng.random() < 0.15:
-                n = env.current_swarm_size
-                if n < env.cfg.max_swarm and (n == 1 or rng.random() < 0.5):
-                    env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
-                else:
-                    env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 1))
-                events += 1
-            rows = [r for r, on in enumerate(env.uav_active) if on]
-            actions = rng.integers(0, envmod.N_ACTIONS, size=len(rows))
-            targets = [env.tables.targets[env.uav_cell[r]][a] for r, a in zip(rows, actions)]
+            actions = rng.integers(0, envmod.N_ACTIONS, size=len(env.uav_cell))
+            targets = [env.tables.targets[cell][a] for cell, a in zip(env.uav_cell, actions)]
             energy_before = list(env.uav_energy_j)
             out = env.step(actions)
             hits, cells = out.info["collided"], out.info["cells"]
@@ -310,7 +297,7 @@ def test_collection_invariants_over_random_play():
             now = out.info["collected"]
             assert len(set(now)) == len(now) and not collected & set(now)  # at most once
             expected = []
-            for row, cell, hit in zip(rows, cells, hits):
+            for row, (cell, hit) in enumerate(zip(cells, hits)):
                 nxt = next((d for d in queues[cell] if d not in collected), None)
                 if nxt is not None:
                     deep_takes += queues[cell].index(nxt) > 0
@@ -330,7 +317,8 @@ def test_collection_invariants_over_random_play():
                 out.state[base:base + c], (env.episode_stats()["visits"] > 0).astype(float)
             )
             done = out.done
-    assert head_ons > 0 and bounced_before_a_device > 0 and deep_takes > 0 and events > 10
+    assert head_ons > 0 and bounced_before_a_device > 0 and deep_takes > 0
+    assert sizes == set(range(1, env.cfg.max_swarm + 1))
 
 
 # --- episode shape and determinism ----------------------------------------------
@@ -352,8 +340,7 @@ def test_full_determinism_of_rollouts():
         rewards = []
         done = False
         while not done:
-            active = sum(env.uav_active)
-            out = env.step(rng.integers(0, envmod.N_ACTIONS, size=active))
+            out = env.step(rng.integers(0, envmod.N_ACTIONS, size=len(env.uav_cell)))
             rewards.append(out.reward)
             done = out.done
         return rewards, env.episode_stats()
@@ -453,11 +440,42 @@ def test_active_count_is_last_feature():
 
 def test_join_and_leave_events():
     env = envmod.make_env()
-    env.reset(rng_seed=6)
     assert env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1)) == 5
-    assert sum(env.uav_active) == 5
+    env.reset(rng_seed=6)
+    assert len(env.uav_cell) == 5
     assert env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 2)) == 3
-    assert sum(env.uav_active) == 3
+    env.reset(rng_seed=6)
+    assert len(env.uav_cell) == 3
+
+
+def test_event_mid_episode_changes_nothing_in_that_episode():
+    def rollout(events):
+        env = envmod.make_env()
+        rng = np.random.default_rng(12)
+        states = [env.reset(rng_seed=4)]
+        rewards, uav_rewards = [], []
+        done = False
+        while not done:
+            if len(rewards) in events:
+                env.apply_swarm_event(envmod.SwarmEvent(0, *events[len(rewards)]))
+            out = env.step(rng.integers(0, envmod.N_ACTIONS, size=len(env.uav_cell)))
+            states.append(out.state)
+            rewards.append(out.reward)
+            uav_rewards.append(out.uav_rewards)
+            done = out.done
+        return env, states, rewards, uav_rewards, env.episode_stats()
+
+    _, *plain = rollout({})
+    for events, size in (({3: ("join", 2)}, 6), ({1: ("leave", 1), 5: ("leave", 2)}, 1)):
+        env, *resized = rollout(events)
+        for got, want in zip(resized[:3], plain[:3]):
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+        got_stats, want_stats = resized[3], plain[3]
+        assert got_stats.keys() == want_stats.keys()
+        for key in want_stats:
+            np.testing.assert_array_equal(got_stats[key], want_stats[key])
+        env.reset(rng_seed=4)
+        assert len(env.uav_cell) == size
 
 
 def test_leave_to_zero_rejected():
@@ -485,7 +503,7 @@ def test_nominal_task_ignores_events_but_bare_reset_keeps_them():
     env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
     assert env.nominal_task().swarm_size == 4
     env.reset()
-    assert sum(env.uav_active) == 5
+    assert len(env.uav_cell) == 5
 
 
 # --- task sampling ------------------------------------------------------------------

@@ -149,6 +149,18 @@ def test_swarm_events_show_up_in_the_metrics_rows(tmp_path):
     assert summary["swarm_size_initial"] == 2 and summary["swarm_size_final"] == 1
 
 
+def test_join_at_episode_zero_sizes_every_row_and_replays(tmp_path):
+    cfg = tiny_cfg(run={"algorithm": "actor_critic", "episodes": 4},
+                   env={"events": [{"episode": 0, "kind": "join"}]})
+    a = hz.run_experiment(cfg, tmp_path / "a")[0]
+    b = hz.run_experiment(cfg, tmp_path / "b")[0]
+    rows = hz.read_metrics(a / "metrics.csv")
+    assert [m.swarm_size for m in rows] == [3] * 4
+    assert all(sum(m.visits) == 3 * 6 for m in rows)
+    for name in ("metrics.csv", "heatmap.csv", "summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_meta_pretraining_is_counted_but_not_recorded(tmp_path):
     cfg = tiny_cfg(
         run={"algorithm": "meta_rl", "episodes": 10},

@@ -1,4 +1,4 @@
-"""Grid geometry, delay bookkeeping, and the energy model."""
+"""Grid geometry, delay bookkeeping, the energy model, and strategic coverage."""
 
 import json
 import math
@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swarmcover import env as envmod
 from swarmcover import mission as ms
+from conftest import small_env
 
 CFG = ms.MissionConfig()  # 440 m, 5x5, 600 s frame, 25 slots
 
@@ -130,26 +132,36 @@ def test_swarm_energy_additivity(pairs):
 
 
 # --- coverage -------------------------------------------------------------------
+# A strategic cell is covered when a UAV ends some slot on it (slot >= 1);
+# the start cell alone does not count. The env books it in ``coverage_ok``.
 
-def _tracks(trajectories):
-    """One (slot, cell) track per UAV, starting at slot 0."""
-    return [list(enumerate(cells)) for cells in trajectories]
+EAST = envmod.ACTIONS.index("east")
+WEST = envmod.ACTIONS.index("west")
+HOVER = envmod.ACTIONS.index("hover")
+
+
+def _coverage_ok(strategic, start, moves):
+    env = small_env(swarm=1, strategic=strategic)
+    env.reset(start_cells=[start])
+    for move in moves:
+        env.step([move])
+    return env.episode_stats()["coverage_ok"]
 
 
 def test_coverage_all_visited():
-    assert ms.strategic_coverage_satisfied([1, 2], _tracks([[0, 1, 2]]))
+    assert _coverage_ok((1, 2), 0, [EAST, EAST])  # 0 -> 1 -> 2
 
 
 def test_coverage_one_missed():
-    assert not ms.strategic_coverage_satisfied([1, 7], _tracks([[0, 1, 2]]))
+    assert not _coverage_ok((1, 7), 0, [EAST, EAST])  # 7 never reached
 
 
 def test_coverage_start_cell_does_not_count():
-    assert not ms.strategic_coverage_satisfied([5], _tracks([[5, 6, 7]]))
+    assert not _coverage_ok((5,), 5, [WEST, WEST])  # 5 -> 4 -> 3
 
 
 def test_coverage_vacuous_without_strategic_cells():
-    assert ms.strategic_coverage_satisfied([], _tracks([[0, 0]]))
+    assert _coverage_ok((), 0, [HOVER])
 
 
 # --- device layout ---------------------------------------------------------------

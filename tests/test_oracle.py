@@ -500,7 +500,7 @@ def test_env_replays_the_optimum_at_its_objective():
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=8, frame_seconds=192.0)
     link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
-        max_swarm=1, num_strategic=2, strategic_cells=(4, 5), device_count=2,
+        max_swarm=1, strategic_cells=(4, 5), device_count=2,
         swarm_size=1, swarm_min=1, swarm_max=1, lambda_energy=0.5,
     ))
     task = env.nominal_task()
@@ -516,7 +516,7 @@ def test_env_replays_the_optimum_at_its_objective():
     env.reset(task, start_cells=instance.start_cells)
     for joint in best.actions:
         env.step(joint)
-    assert tuple(c for _, c in env.uav_track[0]) == best.trajectories[0]
+    assert tuple(env.uav_track[0]) == best.trajectories[0]
     assert env.episode_stats()["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
 
@@ -528,7 +528,7 @@ def test_env_bounce_books_the_optimum():
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=1)
     link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
-        max_swarm=2, num_strategic=1, strategic_cells=(4,), device_count=1,
+        max_swarm=2, strategic_cells=(4,), device_count=1,
         swarm_size=2, swarm_min=1, swarm_max=2,
     ))
     task = env.nominal_task()
@@ -553,9 +553,8 @@ def test_env_bounce_books_the_optimum():
     assert stats["coverage_ok"]
     assert stats["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
-    bounced = [tuple(c for _, c in track) for track in env.uav_track]
-    assert bounced == [(4, 4), (3, 3)]
-    report = verify_feasibility(bounced, instance)
+    assert env.uav_track == [[4, 4], [3, 3]]
+    report = verify_feasibility(env.uav_track, instance)
     assert report.all_ok
     assert report.objective_j == pytest.approx(best.objective_j, rel=1e-12)
 
@@ -576,7 +575,7 @@ def test_env_books_the_verifier_energy_of_random_play():
         mission = ms.MissionConfig(area_m=88.0 * side, cells_per_side=side, slots=slots,
                                    frame_seconds=24.0 * slots)
         env = CoverageEnv(mission, link, radio, EnvConfig(
-            max_swarm=2, num_strategic=len(strategic), strategic_cells=strategic,
+            max_swarm=2, strategic_cells=strategic,
             device_count=int(rng.integers(2 * n_cells, 4 * n_cells + 1)),
             swarm_size=uavs, swarm_min=1, swarm_max=2,
             device_seed=int(rng.integers(0, 2**31 - 1)),
@@ -598,9 +597,10 @@ def test_env_books_the_verifier_energy_of_random_play():
             collected.update(out.info["collected"])
         bounced_onto_a_device += bounce_on_a_device
         stats = env.episode_stats()
-        report = verify_feasibility([[c for _, c in track] for track in env.uav_track], instance)
+        report = verify_feasibility(env.uav_track, instance)
         assert stats["energy_masked_j"] == pytest.approx(report.objective_j, rel=1e-12)
         assert stats["energy_total_j"] == pytest.approx(report.unmasked_j, rel=1e-12)
+        assert stats["coverage_ok"] == report.coverage_ok
     assert bounced_onto_a_device > 30
 
 
