@@ -25,14 +25,15 @@ moves the meta parameters ``AgentConfig.meta_outer_lr`` of the way
 toward the mean adapted weights.
 
 All updates are plain in-place numpy arithmetic, single threaded, and
-deterministic given the generators passed in. The hot paths hold no
-per-(step, UAV) Python loop: action sampling inverts one uniform per UAV
-through row-wise CDFs, and the gradients index one-hot actions under an
-acting-head mask (``action_arrays``). Both reproduce the per-UAV
-``rng.choice`` draws and the per-(step, UAV) arithmetic bit for bit; the
-tests keep those loops as references. Only DQN's exploration walks the
-UAVs one at a time, because its draws interleave. The policy learners
-act through the actor alone.
+deterministic given the generators passed in. Action sampling draws one
+uniform per UAV in one call and inverts each through its row's CDF, built
+on Python floats (a few five-wide rows cost less there than in numpy);
+the gradients hold no per-(step, UAV) Python loop and index one-hot
+actions under an acting-head mask (``action_arrays``). Both reproduce the
+per-UAV ``rng.choice`` draws and the per-(step, UAV) arithmetic bit for
+bit; the tests keep those loops as references. Only DQN's exploration
+walks the UAVs one at a time, because its draws interleave. The policy
+learners act through the actor alone, softmaxing the active heads only.
 
 Every gradient reads transitions as one :class:`Batch` of arrays. An
 episode's list of ``Transition`` objects becomes one through
@@ -208,40 +209,60 @@ def select_action(probs: np.ndarray, active: int, rng: np.random.Generator) -> t
     one uniform per UAV, inverted through the row's normalised CDF as
     ``searchsorted(side="right")`` would, so the stream and the actions
     are the same. A row that is NaN, negative or sums to zero raises
-    ``ValueError``.
+    ``ValueError`` before anything is drawn.
     """
-    cdf = _sampling_cdf(np.asarray(probs, dtype=np.float64)[:active])
-    return tuple((cdf <= rng.random((active, 1))).sum(axis=1).tolist())
+    sums = [_running_sums(row) for row in np.asarray(probs, dtype=np.float64)[:active].tolist()]
+    picks = []
+    for cdf, u in zip(sums, rng.random(active).tolist()):
+        last, k = cdf[-1], 0
+        for c in cdf:
+            if c / last <= u:  # choice's cdf /= cdf[-1], then the search
+                k += 1
+        picks.append(k)
+    return tuple(picks)
 
 
 #: The tolerance on a probability row's sum that ``Generator.choice`` allows.
 _P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def _sampling_cdf(probs: np.ndarray) -> np.ndarray:
-    """Row-wise CDFs of [rows, actions] unnormalised probabilities, built
-    as ``Generator.choice`` builds its CDF from ``p = row / row.sum()``,
-    and rejected where ``choice`` would reject ``p``."""
-    p = probs / probs.sum(axis=1, keepdims=True)
-    cdf = p.cumsum(axis=1)
-    totals = cdf[:, -1:]
-    # A handful of rows: the sum check is cheaper on Python floats.
-    if not ((p >= 0.0).all()
-            and all(abs(t - 1.0) <= _P_SUM_ATOL for t in totals[:, 0].tolist())):
+def _running_sums(row: list[float]) -> list[float]:
+    """The running sums of ``p = row / row.sum()``, as ``Generator.choice``
+    builds them before normalising, on Python floats; ``ValueError`` where
+    ``choice`` would reject ``p``. Both sums add left to right, as numpy's
+    sum and cumsum of a five-wide row do, and each divide is numpy's."""
+    total = 0.0
+    for x in row:
+        total += x
+    if total == 0.0:
         raise ValueError("action probabilities must be non-negative with a positive finite sum")
-    return cdf / totals
+    acc, sums = 0.0, []
+    for x in row:
+        p = x / total
+        if not p >= 0.0:  # negative or NaN
+            raise ValueError("action probabilities must be non-negative with a positive finite sum")
+        acc += p
+        sums.append(acc)
+    if not abs(acc - 1.0) <= _P_SUM_ATOL:
+        raise ValueError("action probabilities must be non-negative with a positive finite sum")
+    return sums
 
 
 def discounted_returns(rewards: Sequence[float] | np.ndarray, gamma: float) -> np.ndarray:
     """Reward-to-go of each step of one episode (along the first axis, so
-    a [steps, columns] array gives one return per column)."""
+    a [steps, columns] array gives one return per column).
+
+    Each column runs ``acc = r + gamma * acc`` backwards from 0.0 on Python
+    floats, the arithmetic of a per-step numpy loop."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.zeros_like(rewards)
-    acc = np.zeros(rewards.shape[1:])
-    for t in reversed(range(len(rewards))):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
+    width = int(np.prod(rewards.shape[1:]))
+    rows = rewards.reshape(len(rewards), width).tolist()
+    acc, out = [0.0] * width, []
+    for row in reversed(rows):
+        acc = [r + gamma * a for r, a in zip(row, acc)]
+        out.append(acc)
+    out.reverse()
+    return np.array(out, dtype=np.float64).reshape(rewards.shape)
 
 
 # --- actor-critic -------------------------------------------------------------
@@ -769,7 +790,7 @@ class DQNLearner:
         """Each active UAV's argmax Q action (ties to the lowest index), or
         with probability ``epsilon`` a uniform one. The UAVs draw in turn,
         so each exploration draw precedes that UAV's random action."""
-        raw, _ = nets.forward(self.q, np.atleast_2d(state), self.net_cfg)
+        raw, _ = nets.forward(self.q, state, self.net_cfg)
         active = _active_count(state, self.heads)
         picks = raw.reshape(self.heads, N_ACTIONS)[:active].argmax(axis=1).tolist()
         if self.epsilon <= 0.0:
@@ -842,9 +863,12 @@ def _active_count(state: np.ndarray, heads: int) -> int:
 
 
 def _policy_act(params: PolicyParams, state, rng) -> tuple[int, ...]:
-    """Actions sampled from the actor alone; acting needs no critic value."""
-    _, probs, _ = policy_forward(params.actor, np.atleast_2d(state), params.actor_cfg, params.heads)
-    return select_action(probs[0], _active_count(state, params.heads), rng)
+    """Actions sampled from the actor alone; acting needs no critic value.
+    Only the active heads' logits pass through the softmax."""
+    raw, _ = nets.forward(params.actor, state, params.actor_cfg)
+    active = _active_count(state, params.heads)
+    probs = nets.softmax(raw[0, : active * N_ACTIONS].reshape(active, N_ACTIONS))
+    return select_action(probs, active, rng)
 
 
 ALGORITHMS = ("meta_rl", "actor_critic", "dqn", "ppo", "random")

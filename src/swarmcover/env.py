@@ -201,7 +201,9 @@ class TaskTables:
     The environment and the exact solver read the same tables. Each
     device sits in exactly one cell's queue, so device facts are indexed
     by device id. Every move spans one cell width at a fixed altitude,
-    so one leg time serves every move.
+    so one leg time serves every move, and one UAV's energy in a slot
+    depends only on whether it moved and which device it collected:
+    ``slot_energy_j[moved][device + 1]``, with column 0 for no device.
     """
 
     world: ms.GridWorld
@@ -212,6 +214,7 @@ class TaskTables:
     collect_time_s: tuple[float, ...]  # [device] packet bits over uplink rate
     rate_ok: tuple[bool, ...]  # [device] uplink rate clears the floor
     device_strategic: tuple[bool, ...]  # [device] sits on a strategic cell
+    slot_energy_j: tuple[tuple[float, ...], ...]  # [moved][device + 1] one UAV's slot energy
 
     @classmethod
     def build(cls, world: ms.GridWorld, params: lb.AirGroundParams,
@@ -222,18 +225,24 @@ class TaskTables:
         location = [-1] * cfg.n_cells
         for loc in world.strategic:
             location[loc.cell_index] = loc.id
+        leg_time_s = cfg.cell_width_m / cfg.speed_mps
+        collect_time_s = tuple(d.packet_bits / r for d, r in zip(world.devices, rates))
         return cls(
             world=world,
             targets=tuple(
                 tuple(move_target(c, a, cfg.cells_per_side) for a in range(N_ACTIONS))
                 for c in cells
             ),
-            leg_time_s=cfg.cell_width_m / cfg.speed_mps,
+            leg_time_s=leg_time_s,
             queues=tuple(tuple(world.device_queue(c)) for c in cells),
             location=tuple(location),
-            collect_time_s=tuple(d.packet_bits / r for d, r in zip(world.devices, rates)),
+            collect_time_s=collect_time_s,
             rate_ok=tuple(lb.rate_feasible(r, radio) for r in rates),
             device_strategic=tuple(c in world.strategic_cells for c in world.device_cell),
+            slot_energy_j=tuple(
+                tuple(ms.uav_energy_j(leg + ct, ct, cfg) for ct in (0.0, *collect_time_s))
+                for leg in (0.0, leg_time_s)
+            ),
         )
 
 
@@ -267,7 +276,10 @@ class CoverageEnv:
     slot (slots past the swarm size stay zero), then per strategic
     location a cell one-hot plus its normalised remaining demand, then
     the visited-cell bitmap of the frame, then the normalised swarm
-    size. All features lie in [0, 1].
+    size. All features lie in [0, 1]. The env keeps the vector: ``reset``
+    builds it and ``step`` writes only the entries a slot changes (a
+    mover's one-hot, a visited bit, a demand fraction that drops);
+    :meth:`encode_state` hands out copies.
 
     Episode state lives in per-UAV columns (``uav_cell``,
     ``uav_energy_j``, ``uav_served`` and ``uav_track``, the cells of
@@ -293,6 +305,10 @@ class CoverageEnv:
         self.cfg = env_cfg
         self.altitude_m = min(mission_cfg.uav_altitude_m, lb.max_altitude_m(link_params))
         self.energy_norm_j = mission_cfg.p_oper_watts * mission_cfg.slot_seconds
+        c = mission_cfg.n_cells
+        # Offsets into the observation: strategic blocks, then visited bits.
+        self._strategic_at = c * env_cfg.max_swarm
+        self._visited_at = self._strategic_at + (c + 1) * env_cfg.num_strategic
         self.tables: TaskTables | None = None
         self._tables_key: tuple | None = None
         self.task: TaskSpec | None = None
@@ -404,9 +420,20 @@ class CoverageEnv:
         self._d_com = 0.0
         self._d_data = 0.0
         self._collisions = 0
-        self._visits = np.zeros(self.n_cells, dtype=np.int64)
-        self._cell_energy = np.zeros(self.n_cells, dtype=np.float64)
+        self._visits = [0] * self.n_cells
+        self._cell_energy = [0.0] * self.n_cells
         self._reward_sum = 0.0
+
+        c = self.n_cells
+        obs = np.zeros(self.state_dim, dtype=np.float64)
+        for slot, cell in enumerate(self.uav_cell):
+            obs[slot * c + cell] = 1.0
+        for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
+            obs[self._strategic_at + i * (c + 1) + cell] = 1.0
+            if initial > 0.0:
+                obs[self._strategic_at + i * (c + 1) + c] = self.demand[i] / initial
+        obs[self._visited_at + c] = len(self.uav_cell) / self.cfg.max_swarm
+        self._obs = obs
         return self.encode_state()
 
     def step(self, actions: Sequence[int]) -> StepOutcome:
@@ -414,46 +441,59 @@ class CoverageEnv:
         if self._done or self.tables is None:
             raise RuntimeError("step() called on a finished episode; call reset()")
         tables = self.tables
-        origins = list(self.uav_cell)
-        if len(actions) < len(origins):
-            raise ValueError("need one action per UAV")
+        origins = self.uav_cell
+        if len(actions) != len(origins):
+            raise ValueError(f"need one action per UAV: got {len(actions)} actions "
+                             f"for {len(origins)} UAVs")
 
         finals, collided, devices, self._taken = play_slot(tables, origins, actions, self._taken)
 
         self._slot += 1
+        c, obs, demand = self.n_cells, self._obs, self.demand
+        initial = self.task.initial_demands
+        visited_at, demand_at = self._visited_at, self._strategic_at + c
+        slot_energy, location = tables.slot_energy_j, tables.location
+        d_com, d_data = self._d_com, self._d_data
         rate_ok, uav_bonus, uav_energy = [], [], []
         step_energy = bonuses = 0.0
         for row, (cell, origin, dev_id) in enumerate(zip(finals, origins, devices)):
-            leg_t = tables.leg_time_s if cell != origin else 0.0
-            collect_t, ok = 0.0, True
-            if dev_id is not None:
-                collect_t = tables.collect_time_s[dev_id]
+            moved = cell != origin
+            if moved:
+                d_com += tables.leg_time_s
+                obs[row * c + origin] = 0.0
+                obs[row * c + cell] = 1.0
+            ok = True
+            if dev_id is None:
+                e = slot_energy[moved][0]
+            else:
+                e = slot_energy[moved][dev_id + 1]
+                d_data += tables.collect_time_s[dev_id]
                 ok = tables.rate_ok[dev_id]
                 if tables.device_strategic[dev_id]:
                     self.uav_served[row] = True
-            e = ms.uav_energy_j(leg_t + collect_t, collect_t, self.mission_cfg)
-            self.uav_cell[row] = cell
             self.uav_energy_j[row] += e
             self.uav_track[row].append(cell)
-            self._d_com += leg_t
-            self._d_data += collect_t
             self._cell_energy[cell] += e
             self._visits[cell] += 1
+            obs[visited_at + cell] = 1.0
             bonus = 0.0
-            loc = tables.location[cell]
-            if loc >= 0 and self.demand[loc] > 0.0:
+            loc = location[cell]
+            if loc >= 0 and demand[loc] > 0.0:
                 bonus = strategic_reward(self._satisfied_units)
-                self.demand[loc] = max(0.0, self.demand[loc] - 1.0)
+                demand[loc] = max(0.0, demand[loc] - 1.0)
                 self._satisfied_units += 1.0
+                obs[demand_at + loc * (c + 1)] = demand[loc] / initial[loc]
             rate_ok.append(ok)
             uav_energy.append(e)
             uav_bonus.append(bonus)
             step_energy += e
             bonuses += bonus
+        self._d_com, self._d_data = d_com, d_data
+        self.uav_cell = finals
         self._collisions += sum(collided)
 
         deadline_ok = ms.meets_deadline(
-            ms.total_delay_s(self._d_data, self._d_com), self.mission_cfg.t_max_seconds
+            ms.total_delay_s(d_data, d_com), self.mission_cfg.t_max_seconds
         )
         ok_flags = [not hit and ok and deadline_ok for hit, ok in zip(collided, rate_ok)]
         base = [-1.0 if hit else float(ok) for hit, ok in zip(collided, ok_flags)]
@@ -472,30 +512,18 @@ class CoverageEnv:
             "bonuses": bonuses,
             "shaping": shaping,
             "collected": [dev_id for dev_id in devices if dev_id is not None],
-            "cells": finals,
+            "cells": list(finals),
         }
         return StepOutcome(self.encode_state(), reward, self._done, info, uav_rewards)
 
     # --- observations and accounting ---------------------------------------
 
     def encode_state(self) -> np.ndarray:
-        """Flat observation vector for the current episode state."""
+        """The observation of the current episode state, as a fresh array
+        (the replay memory keeps pushed states by reference)."""
         if self.tables is None:
             raise RuntimeError("encode_state() before reset()")
-        c = self.n_cells
-        vec = np.zeros(self.state_dim, dtype=np.float64)
-        for slot, cell in enumerate(self.uav_cell):
-            vec[slot * c + cell] = 1.0
-        base = c * self.cfg.max_swarm
-        task = self.task
-        for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
-            vec[base + i * (c + 1) + cell] = 1.0
-            if initial > 0.0:
-                vec[base + i * (c + 1) + c] = self.demand[i] / initial
-        base += (c + 1) * self.cfg.num_strategic
-        vec[base : base + c] = self._visits > 0
-        vec[base + c] = len(self.uav_cell) / self.cfg.max_swarm
-        return vec
+        return self._obs.copy()
 
     def episode_stats(self) -> dict:
         """Accounting snapshot used by the harness after each episode.
@@ -504,8 +532,9 @@ class CoverageEnv:
         cell; a start cell alone does not count.
         """
         strategic = self.task.strategic_cells
-        strategic_energy = float(sum(self._cell_energy[c] for c in sorted(strategic)))
-        total_energy = float(self._cell_energy.sum())
+        cell_energy = np.array(self._cell_energy)
+        strategic_energy = float(sum(cell_energy[c] for c in sorted(strategic)))
+        total_energy = float(cell_energy.sum())
         return {
             "reward": self._reward_sum,
             "swarm_size": len(self.uav_cell),
@@ -523,7 +552,7 @@ class CoverageEnv:
             "d_data_s": self._d_data,
             "d_com_s": self._d_com,
             "coverage_ok": all(self._visits[c] > 0 for c in strategic),
-            "visits": self._visits.copy(),
+            "visits": np.array(self._visits, dtype=np.int64),
         }
 
 

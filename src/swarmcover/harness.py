@@ -212,7 +212,9 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
                                episodes)
 
     task = env.nominal_task()
-    env.reset(task)  # leave no sampled pre-training task behind
+    # Events resize from the scenario's swarm, not from the last
+    # pre-training task's.
+    env.current_swarm_size = task.swarm_size
     pending = sorted(cfg.events, key=lambda e: e.episode)
     while len(metrics) < episodes:
         while pending and pending[0].episode <= len(metrics):

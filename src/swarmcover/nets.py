@@ -10,6 +10,7 @@ per UAV slot (the actor-critic's) or a single value (PPO's).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,11 @@ class NetConfig:
     @property
     def n_layers(self) -> int:
         return len(self.hidden) + 1
+
+    @cached_property
+    def layer_keys(self) -> tuple[tuple[str, str], ...]:
+        """``(weight key, bias key)`` of every layer, input side first."""
+        return tuple((f"W{i}", f"b{i}") for i in range(self.n_layers))
 
 
 def init_params(cfg: NetConfig, rng: np.random.Generator) -> dict:
@@ -47,17 +53,23 @@ def clone_params(params: dict) -> dict:
 def add_scaled(params: dict, grads: dict, scale: float) -> None:
     """In-place params += scale * grads."""
     for k in params:
-        params[k] += scale * grads[k]
+        # 1.0 * g == g bit for bit, so a unit step adds without a temporary.
+        params[k] += grads[k] if scale == 1.0 else scale * grads[k]
 
 
 def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, list]:
     """Run the net on a batch; returns output and the activation cache."""
     h = np.atleast_2d(x)
     cache = [h]
-    for i in range(cfg.n_layers):
-        z = h @ params[f"W{i}"] + params[f"b{i}"]
-        h = np.tanh(z) if i < cfg.n_layers - 1 else z
+    *hidden, (w_out, b_out) = cfg.layer_keys
+    for w, b in hidden:
+        h = h @ params[w]
+        h += params[b]
+        np.tanh(h, out=h)
         cache.append(h)
+    h = h @ params[w_out]
+    h += params[b_out]
+    cache.append(h)
     return h, cache
 
 

@@ -382,6 +382,102 @@ def test_select_action_rejects_invalid_probabilities(bad, active):
                 sample(probs, active, np.random.default_rng(0))
 
 
+# The acting path as it was before it was trimmed for speed: the net on a
+# (1, state_dim) batch with a temporary per layer, every head through the
+# softmax, and numpy CDFs. ``act`` must keep its actions and its draws.
+
+def reference_forward(params: dict, x: np.ndarray, cfg: nets.NetConfig) -> np.ndarray:
+    h = np.atleast_2d(x)
+    for i in range(cfg.n_layers):
+        z = h @ params[f"W{i}"] + params[f"b{i}"]
+        h = np.tanh(z) if i < cfg.n_layers - 1 else z
+    return h
+
+
+def reference_sampling_cdf(probs: np.ndarray) -> np.ndarray:
+    p = probs / probs.sum(axis=1, keepdims=True)
+    cdf = p.cumsum(axis=1)
+    totals = cdf[:, -1:]
+    if not ((p >= 0.0).all()
+            and all(abs(t - 1.0) <= ag._P_SUM_ATOL for t in totals[:, 0].tolist())):
+        raise ValueError("invalid probabilities")
+    return cdf / totals
+
+
+def reference_policy_act(learner, state, rng) -> tuple[int, ...]:
+    params = learner.params
+    raw = reference_forward(params.actor, np.atleast_2d(state), params.actor_cfg)
+    probs = nets.softmax(raw.reshape(1, params.heads, N_ACTIONS))[0]
+    active = int(round(float(state[-1]) * params.heads))
+    cdf = reference_sampling_cdf(probs[:active])
+    return tuple((cdf <= rng.random((active, 1))).sum(axis=1).tolist())
+
+
+def reference_dqn_act(learner: ag.DQNLearner, state, rng) -> tuple[int, ...]:
+    raw = reference_forward(learner.q, np.atleast_2d(state), learner.net_cfg)
+    active = int(round(float(state[-1]) * learner.heads))
+    picks = raw.reshape(learner.heads, N_ACTIONS)[:active].argmax(axis=1).tolist()
+    if learner.epsilon <= 0.0:
+        return tuple(picks)
+    return tuple(int(rng.integers(N_ACTIONS)) if rng.random() < learner.epsilon else a
+                 for a in picks)
+
+
+@pytest.mark.parametrize("shape", [(279, 7, (64, 64)), (11, 3, (8,))])
+def test_act_matches_the_reference_acting_path(shape):
+    state_dim, heads, hidden = shape
+    cases = np.random.default_rng(state_dim)
+    cfg = ag.AgentConfig(hidden=hidden)
+    learners = [ag.make_learner(name, state_dim, heads, cfg, np.random.default_rng(i), 10)
+                for i, name in enumerate(("actor_critic", "ppo", "dqn"))]
+    for learner in learners:
+        # Sharpen the outputs, so rows run from flat to nearly one-hot.
+        net = learner.q if isinstance(learner, ag.DQNLearner) else learner.params.actor
+        net[f"W{len(hidden)}"] *= 12.0
+    checked = 0
+    for case in range(1000):
+        active = case % heads + 1
+        state = cases.random(state_dim) * (cases.random(state_dim) < 0.3)
+        state[-1] = active / heads
+        for learner in learners:
+            reference = reference_policy_act
+            if isinstance(learner, ag.DQNLearner):
+                learner.epsilon = (0.0, float(cases.uniform(0.05, 0.95)))[case % 2]
+                reference = reference_dqn_act
+            mine, ref = np.random.default_rng(case), np.random.default_rng(case)
+            got = learner.act(state, mine)
+            assert got == reference(learner, state, ref), (case, type(learner).__name__)
+            assert all(type(a) is int for a in got)
+            assert mine.bit_generator.state == ref.bit_generator.state, case
+            checked += 1
+    assert checked == 3000
+
+
+class BoundaryDraws:
+    """Stands in for a generator whose uniforms are given in advance."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, n):
+        drawn, self.uniforms = self.uniforms[:n], self.uniforms[n:]
+        return np.array(drawn)
+
+
+def test_select_action_inverts_exactly_at_the_cdf_boundaries():
+    # Uniforms on, just below and just above each entry of the reference
+    # CDF: a CDF one ulp off its numpy value picks a different action.
+    cases = np.random.default_rng(103)
+    for case in range(1500):
+        heads = int(cases.integers(1, 8))
+        probs = random_probs(cases, heads, heads)
+        cdf = reference_sampling_cdf(probs)
+        for k in range(N_ACTIONS):
+            for u in (cdf[:, k], np.nextafter(cdf[:, k], 0.0), np.nextafter(cdf[:, k], 2.0)):
+                want = tuple((cdf <= u[:, None]).sum(axis=1).tolist())
+                assert ag.select_action(probs, heads, BoundaryDraws(u)) == want, (case, k)
+
+
 # --- returns -----------------------------------------------------------------------
 
 def test_discounted_returns_hand_case():
@@ -391,6 +487,28 @@ def test_discounted_returns_hand_case():
 def test_discounted_returns_gamma_zero_is_identity():
     rewards = [3.0, -1.0, 2.0]
     np.testing.assert_allclose(ag.discounted_returns(rewards, 1e-12), rewards, atol=1e-9)
+
+
+def test_discounted_returns_match_the_numpy_loop():
+    def numpy_loop(rewards, gamma):
+        rewards = np.asarray(rewards, dtype=np.float64)
+        out = np.zeros_like(rewards)
+        acc = np.zeros(rewards.shape[1:])
+        for t in reversed(range(len(rewards))):
+            acc = rewards[t] + gamma * acc
+            out[t] = acc
+        return out
+
+    rng = np.random.default_rng(3)
+    for shape in [(40,), (40, 7), (1, 3), (0,), (0, 2)]:
+        rewards = rng.normal(scale=3.0, size=shape) * (rng.random(shape) < 0.7)
+        for gamma in (0.85, 1.0, 0.3):
+            got = ag.discounted_returns(rewards, gamma)
+            want = numpy_loop(rewards, gamma)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (shape, gamma)
+    as_list = rng.normal(size=40).tolist()
+    assert ag.discounted_returns(as_list, 0.85).tobytes() == numpy_loop(as_list, 0.85).tobytes()
 
 
 # --- actor-critic gradients -----------------------------------------------------------

@@ -52,6 +52,20 @@ def test_task_tables_follow_the_initial_demands():
     assert env.demand == [1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("world", ["default", "3x3"])
+def test_slot_energy_table_is_the_energy_model(world):
+    env = envmod.make_env() if world == "default" else small_env()
+    env.reset(rng_seed=2)
+    tables, cfg = env.tables, env.mission_cfg
+    assert len(tables.slot_energy_j) == 2
+    for moved, row in enumerate(tables.slot_energy_j):
+        leg = (0.0, tables.leg_time_s)[moved]
+        collect = (0.0, *tables.collect_time_s)
+        assert len(row) == len(collect) == len(tables.world.devices) + 1
+        for ct, energy in zip(collect, row):
+            assert energy == ms.uav_energy_j(leg + ct, ct, cfg)
+
+
 def test_reset_validates_explicit_start_cells():
     env = small_env()
     with pytest.raises(ValueError, match="distinct"):
@@ -332,6 +346,16 @@ def test_episode_runs_exactly_slots_steps():
         env.step([HOVER])
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_step_rejects_a_joint_action_of_the_wrong_length(count):
+    env = small_env(swarm=2)
+    env.reset(start_cells=[0, 8])
+    with pytest.raises(ValueError, match="one action per UAV"):
+        env.step([HOVER] * count)
+    out = env.step([HOVER, HOVER])  # the rejected call changed nothing
+    assert out.info["cells"] == [0, 8] and env.uav_track == [[0, 0], [8, 8]]
+
+
 def test_full_determinism_of_rollouts():
     def rollout():
         env = envmod.make_env()
@@ -434,6 +458,62 @@ def test_active_count_is_last_feature():
     env = envmod.make_env()
     state = env.reset(rng_seed=5)
     assert state[-1] == pytest.approx(4 / 7)
+
+
+def encode_from_scratch(env: envmod.CoverageEnv) -> np.ndarray:
+    """Reference: the observation built from the public episode state alone,
+    as the env encoded every step before it kept its vector."""
+    c = env.n_cells
+    vec = np.zeros(env.state_dim, dtype=np.float64)
+    for slot, cell in enumerate(env.uav_cell):
+        vec[slot * c + cell] = 1.0
+    base = c * env.cfg.max_swarm
+    task = env.task
+    for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
+        vec[base + i * (c + 1) + cell] = 1.0
+        if initial > 0.0:
+            vec[base + i * (c + 1) + c] = env.demand[i] / initial
+    base += (c + 1) * env.cfg.num_strategic
+    for track in env.uav_track:
+        for cell in track[1:]:  # a start cell alone is no visit
+            vec[base + cell] = 1.0
+    vec[base + c] = len(env.uav_cell) / env.cfg.max_swarm
+    return vec
+
+
+@pytest.mark.parametrize("world", ["default", "3x3"])
+def test_kept_observation_matches_a_from_scratch_encoding(world):
+    env = envmod.make_env() if world == "default" else small_env(
+        swarm=3, max_swarm=7, strategic=(2, 4), slots=8, device_count=12)
+    rng = np.random.default_rng(17)
+    sizes = set()
+    for episode in range(40):
+        # Walk the swarm size over 1..max_swarm with events between episodes;
+        # every other episode plays a freshly sampled layout instead.
+        target = int(rng.integers(1, env.cfg.max_swarm + 1))
+        while env.current_swarm_size != target:
+            kind = "join" if env.current_swarm_size < target else "leave"
+            env.apply_swarm_event(envmod.SwarmEvent(episode, kind))
+        if episode % 2:
+            state = env.reset(rng_seed=episode)
+        else:
+            task = envmod.task_with_swarm(env.sample_task(rng), target)
+            state = env.reset(task, rng_seed=episode)
+        sizes.add(len(env.uav_cell))
+        handed_out = [(state, state.tobytes())]
+        done = False
+        while True:
+            assert state.tobytes() == encode_from_scratch(env).tobytes(), episode
+            assert not np.shares_memory(state, env.encode_state())
+            if done:
+                break
+            out = env.step(rng.integers(0, envmod.N_ACTIONS, size=len(env.uav_cell)))
+            state, done = out.state, out.done
+            assert not any(np.shares_memory(state, kept) for kept, _ in handed_out)
+            handed_out.append((state, state.tobytes()))
+        # Nothing the env handed out changed afterwards.
+        assert all(kept.tobytes() == raw for kept, raw in handed_out)
+    assert sizes == set(range(1, env.cfg.max_swarm + 1))
 
 
 # --- events ----------------------------------------------------------------------

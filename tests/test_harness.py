@@ -10,7 +10,7 @@ import pytest
 from swarmcover import agents as ag
 from swarmcover import config as cf
 from swarmcover import harness as hz
-from swarmcover.env import SwarmEvent
+from swarmcover.env import CoverageEnv, SwarmEvent
 
 
 def tiny_cfg(**over):
@@ -174,6 +174,39 @@ def test_meta_pretraining_is_counted_but_not_recorded(tmp_path):
     summary = json.loads((d / "summary.json").read_text())
     # A budget of 5 funds two whole rounds of 2 tasks x 1 episode.
     assert summary["pretrain_episodes"] == 4
+
+
+def test_every_reset_of_a_meta_run_is_a_seeded_played_episode(tmp_path, monkeypatch):
+    # Pre-training tasks fly 3 UAVs and the scenario 2, so an event before
+    # the first recorded episode must resize the scenario's swarm, not the
+    # last task's.
+    cfg = tiny_cfg(
+        run={"algorithm": "meta_rl", "episodes": 10},
+        env={"swarm_min": 3, "events": [{"episode": 0, "kind": "leave"},
+                                        {"episode": 6, "kind": "join"}]},
+        agent={"meta_tasks_per_update": 2, "meta_inner_episodes": 1,
+               "meta_fraction": 0.5, "hidden": [4]},
+    )
+    seeds, played = [], []
+    reset, finish = CoverageEnv.reset, ag.ActorCriticLearner.finish_episode
+
+    def spy_reset(self, task=None, rng_seed=None, start_cells=None):
+        seeds.append(rng_seed)
+        return reset(self, task, rng_seed, start_cells)
+
+    def spy_finish(self, rng):
+        played.append(len(seeds))
+        finish(self, rng)
+
+    monkeypatch.setattr(CoverageEnv, "reset", spy_reset)
+    monkeypatch.setattr(ag.ActorCriticLearner, "finish_episode", spy_finish)
+    d = hz.run_experiment(cfg, tmp_path)[0]
+    summary = json.loads((d / "summary.json").read_text())
+    assert summary["pretrain_episodes"] == 4
+    assert played == list(range(1, 4 + 10 + 1))  # one reset before each episode
+    assert all(isinstance(seed, int) for seed in seeds)
+    rows = hz.read_metrics(d / "metrics.csv")
+    assert [m.swarm_size for m in rows] == [1] * 6 + [2] * 4
 
 
 def test_dqn_anneals_over_the_whole_run_across_swarm_events(tmp_path, monkeypatch):

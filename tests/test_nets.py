@@ -33,6 +33,30 @@ def test_forward_is_pure():
     np.testing.assert_array_equal(a, b)
 
 
+def test_forward_matches_the_per_layer_temporaries():
+    # Reference: each layer as ``z = h @ W + b`` then ``tanh(z)``, with
+    # fresh arrays; the in-place layers must give the same bits, in the
+    # output and in every cached activation, and leave the input alone.
+    rng = np.random.default_rng(3)
+    for cfg in (nets.NetConfig(279, (64, 64), 35), nets.NetConfig(11, (8,), 1),
+                nets.NetConfig(6, (), 4)):
+        params = nets.init_params(cfg, rng)
+        for rows in (None, 1, 2, 26, 64):
+            x = rng.random(cfg.input_dim if rows is None else (rows, cfg.input_dim))
+            x_before = x.copy()
+            out, cache = nets.forward(params, x, cfg)
+            h = np.atleast_2d(x)
+            want = [h]
+            for i in range(cfg.n_layers):
+                z = h @ params[f"W{i}"] + params[f"b{i}"]
+                h = np.tanh(z) if i < cfg.n_layers - 1 else z
+                want.append(h)
+            assert out.shape == (1 if rows is None else rows, cfg.out_dim)
+            assert out.tobytes() == h.tobytes()
+            assert [a.tobytes() for a in cache] == [a.tobytes() for a in want]
+            assert x.tobytes() == x_before.tobytes()
+
+
 def test_softmax_rows_sum_to_one():
     logits = np.random.default_rng(2).normal(scale=30.0, size=(7, 3, 5))
     probs = nets.softmax(logits)
@@ -104,6 +128,16 @@ def test_add_scaled_and_accumulate():
     nets.add_scaled(acc, grads, 1.0)
     for k in acc:
         np.testing.assert_allclose(acc[k], 2.0)
+
+    # A unit step is the plain sum, bit for bit, and leaves the gradients be.
+    rng = np.random.default_rng(6)
+    grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    want = {k: params[k] + 1.0 * grads[k] for k in params}
+    kept = nets.clone_params(grads)
+    nets.add_scaled(params, grads, 1.0)
+    for k in params:
+        assert params[k].tobytes() == want[k].tobytes()
+        assert grads[k].tobytes() == kept[k].tobytes()
 
 
 def test_clone_is_independent():
