@@ -39,10 +39,15 @@ Every gradient reads transitions as one :class:`Batch` of arrays. An
 episode's list of ``Transition`` objects becomes one through
 :func:`as_batch`; the replay memory (DQN's, and the actor-critic's TD
 term) stores rows in preallocated arrays round a ring and samples a
-``Batch`` straight from them. It keeps one state per row: a row's next
+``Batch`` straight from them. It keeps one state per row, as one byte per
+feature (the observation is almost all exact 0.0 and 1.0), with float64
+values only for the columns that have held anything else: a row's next
 state is the next row's state, and only terminal rows, the newest row
 and rows whose successor does not continue them keep a next state of
-their own.
+their own. DQN pushes each step; the actor-critic pushes a finished
+episode as one block, from the ``Batch`` its gradients were taken on.
+DQN, PPO and the actor-critic take their gradients into buffers they
+own, so an update allocates no parameter-sized arrays.
 """
 
 from __future__ import annotations
@@ -339,28 +344,49 @@ def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
+#: The bit pattern of 1.0, the one state value besides +0.0 a byte holds.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
 class ReplayMemory:
     """The last ``capacity`` transitions, sampled uniformly as a :class:`Batch`.
 
     Rows live in preallocated arrays, filled in push order round a ring:
-    one [capacity, state_dim] state array, the team reward, the per-UAV
-    reward columns, the done flag and the joint action as
-    :func:`action_arrays` lays it out. A row's next state is the next
-    row's state, so no second state array exists. A next state is kept on
-    its own only where that chaining would be wrong: for a terminal row,
-    for the newest row (its successor is not pushed yet), and for a row
-    whose successor's state is not its next state (the same array, or
-    equal bit for bit). A kept next state is the pushed array, not a copy.
-    The arrays
-    sit on untouched pages until rows are written, so a memory that fills
-    a few hundred of its rows holds only those.
+    one [capacity, state_dim] state array of one byte per feature, the
+    team reward, the per-UAV reward columns, the done flag and the joint
+    action as :func:`action_arrays` lays it out. A byte holds a feature
+    that is exactly +0.0 or 1.0, which almost every feature of the
+    coverage observation is. The columns that have ever held any other
+    bit pattern (-0.0 and NaN included) are found from the pushed data
+    and keep their float64 values in ``exact``, one column per entry of
+    ``exact_cols``; a push that first shows such a column widens
+    ``exact`` and copies only the rows already written. A sampled state
+    is rebuilt from both, bit for bit.
+
+    A row's next state is the next row's state, so no second state array
+    exists. A next state is kept on its own, as a float64 copy, only
+    where that chaining would be wrong: for a terminal row, for the
+    newest row (its successor is not pushed yet), and for a row whose
+    successor's state is not its next state bit for bit. The arrays sit
+    on untouched pages until rows are written, so a memory that fills a
+    few hundred of its rows holds only those.
+
+    :meth:`push` writes one transition and :meth:`push_batch` a block of
+    them in order, such as a finished episode; both are the same write.
     """
 
     def __init__(self, capacity: int, state_dim: int, heads: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.states = _untouched_zeros((capacity, state_dim), np.float64)
+        self.heads = heads
+        self.states = _untouched_zeros((capacity, state_dim), np.uint8)
+        #: The columns that have held a value other than +0.0 or 1.0, in
+        #: the order they first did, and their values by row.
+        self.exact_cols = np.zeros(0, dtype=np.intp)
+        self.exact = _untouched_zeros((capacity, 0), np.float64)
+        #: All bits set in the columns that ``states`` holds, none in the others.
+        self._byte_cols = np.full(state_dim, np.iinfo(np.uint64).max, dtype=np.uint64)
         self.reward = _untouched_zeros((capacity,), np.float64)
         self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
         self.done = _untouched_zeros((capacity,), bool)
@@ -373,27 +399,82 @@ class ReplayMemory:
         self._slot = 0  # the row the next push writes
 
     def push(self, transition: Transition) -> None:
-        s, t = self._slot, transition
-        if self._size == self.capacity:  # row s holds the oldest transition
-            self.next_states.pop(s, None)
-            self.acts[s] = 0
-            self.uav_rewards[s] = 0.0
-        else:  # a row not written before, still all zeros
-            self._size += 1
-        self.states[s] = t.state
-        prev = s - 1 if s else self.capacity - 1
-        if self._size > 1 and not self.done[prev]:
-            kept = self.next_states[prev]
-            if t.state is kept or kept.tobytes() == self.states[s].tobytes():
+        """One transition: the one-row case of :meth:`push_batch`."""
+        t, k = transition, len(transition.action)
+        acts = np.zeros((1, self.heads), dtype=np.int64)
+        acts[0, :k] = t.action
+        uav_rewards = np.zeros((1, self.heads))
+        uav_rewards[0, :k] = t.uav_rewards
+        self._write(
+            np.asarray(t.state, dtype=np.float64)[None],
+            np.asarray(t.next_state, dtype=np.float64)[None],
+            np.array([t.reward], dtype=np.float64), uav_rewards,
+            np.array([t.done]), acts, self._prefix[k][None],
+        )
+
+    def push_batch(self, batch: Batch) -> None:
+        """The batch's rows, in order, as that many :meth:`push` calls
+        would write them."""
+        self._write(np.asarray(batch.states, dtype=np.float64),
+                    np.asarray(batch.next_states, dtype=np.float64), batch.reward,
+                    batch.rewards, batch.live == 0.0, batch.acts, batch.acting)
+
+    def _write(self, states, next_states, reward, uav_rewards, done, acts, acting) -> None:
+        """Write rows from the ring's next row on; ``uav_rewards`` and
+        ``acts`` are zero past each row's acting heads."""
+        s, n = self._slot, len(states)
+        if s + n > self.capacity:  # up to the ring's end, then from row 0 on
+            cut = self.capacity - s
+            columns = (states, next_states, reward, uav_rewards, done, acts, acting)
+            self._write(*(a[:cut] for a in columns))
+            self._write(*(a[cut:] for a in columns))
+            return
+        end = s + n
+        prev = s - 1 if s else self.capacity - 1  # the newest row so far
+        # Row prev stops keeping its next state if this write continues it
+        # (and leaves it in the ring).
+        if self._size and n < self.capacity and not self.done[prev]:
+            if self.next_states[prev].tobytes() == states[0].tobytes():
                 del self.next_states[prev]
-        k = len(t.action)
-        self.reward[s] = t.reward
-        self.done[s] = t.done
-        self.acts[s, :k] = t.action
-        self.acting[s] = self._prefix[k]
-        self.uav_rewards[s, :k] = t.uav_rewards
-        self.next_states[s] = t.next_state
-        self._slot = s + 1 if s + 1 < self.capacity else 0
+        if self.next_states:
+            for row in range(s, end):  # the rows overwritten
+                self.next_states.pop(row, None)
+
+        bits = states.view(np.uint64)
+        masked = bits & self._byte_cols  # 0 in the exact columns
+        ones = masked == _ONE_BITS
+        if np.count_nonzero(masked) != np.count_nonzero(ones):
+            # Some byte column holds neither +0.0 nor 1.0: it becomes exact
+            # (and its bytes from here on are never read).
+            self._add_exact(np.flatnonzero(((masked != 0) > ones).any(axis=0)))
+        self.states[s:end] = ones
+        np.take(states, self.exact_cols, axis=1, out=self.exact[s:end])
+        self.reward[s:end] = reward
+        self.uav_rewards[s:end] = uav_rewards
+        self.done[s:end] = done
+        self.acts[s:end] = acts
+        self.acting[s:end] = acting
+
+        keep = done.tolist()  # terminal rows, the newest row, and rows
+        keep[-1] = True       # whose successor does not continue them
+        if n > 1:
+            breaks = (next_states[:-1].view(np.uint64) != bits[1:]).any(axis=1).tolist()
+            keep = [k or b for k, b in zip(keep, breaks)] + [True]
+        for i, kept in enumerate(keep):
+            if kept:
+                self.next_states[s + i] = next_states[i].copy()
+        self._size = max(self._size, end)
+        self._slot = end if end < self.capacity else 0
+
+    def _add_exact(self, cols: np.ndarray) -> None:
+        """Give ``cols`` float64 storage. The rows written so far held only
+        +0.0 and 1.0 there, so their bytes give the values."""
+        held, old = self._size, self.exact
+        self.exact_cols = np.concatenate([self.exact_cols, cols])
+        self.exact = _untouched_zeros((self.capacity, len(self.exact_cols)), np.float64)
+        self.exact[:held, : old.shape[1]] = old[:held]
+        self.exact[:held, old.shape[1]:] = self.states[:held][:, cols]
+        self._byte_cols[cols] = 0
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         """``n`` distinct transitions, drawn as ``rng.choice`` over the held
@@ -405,13 +486,17 @@ class ReplayMemory:
             rows = (rows + self._slot) % self.capacity
         after = rows + 1
         after[after == self.capacity] = 0
-        next_states = self.states[after]
+        # Each row's state and the next row's, rebuilt bit for bit as pushed.
+        both = np.concatenate([rows, after])
+        decoded = self.states[both].astype(np.float64)
+        decoded[:, self.exact_cols] = self.exact[both]
+        states, next_states = decoded[:n], decoded[n:]
         for i, row in enumerate(rows.tolist()):
             own = self.next_states.get(row)
             if own is not None:
                 next_states[i] = own
         return Batch.build(
-            self.states[rows], next_states, self.reward[rows], self.uav_rewards[rows],
+            states, next_states, self.reward[rows], self.uav_rewards[rows],
             self.done[rows], self.acts[rows], self.acting[rows],
         )
 
@@ -421,22 +506,26 @@ class ReplayMemory:
 
 def actor_critic_accumulate(
     params: PolicyParams,
-    episode: Sequence[Transition],
+    episode: Batch,
     gamma: float,
     acc: GradAccumulator,
+    scratch: GradAccumulator | None = None,
 ) -> None:
-    """Add the episode's gradients at the current weights to ``acc``.
+    """Add the gradients of one episode, as :func:`as_batch` lays it out,
+    at the current weights to ``acc``.
 
     Actor: ascent direction of
       sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + ENTROPY_WEIGHT * H(pi_i(. | s_t))]
     over the heads i that acted at step t, with head i's one-step TD error
     A_ti = r_ti + gamma * V_i(s'_t) - V_i(s_t) on UAV i's own reward.
     Critic: descent direction of sum_t sum_i (R_ti - V_i(s_t))^2 over the
-    same heads, with R_ti UAV i's discounted reward-to-go.
+    same heads, with R_ti UAV i's discounted reward-to-go. Each gradient is
+    taken into ``scratch`` when given (see :func:`nets.grad_buffers`)
+    before it is added to ``acc``.
     """
-    if not episode:
+    b = episode
+    if not len(b.states):
         raise ValueError("cannot accumulate over an empty episode")
-    b = as_batch(episode, params.heads)
     logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
     values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
@@ -449,11 +538,13 @@ def actor_critic_accumulate(
     ent = -(probs * logp).sum(axis=-1, keepdims=True)
     dlogits -= ENTROPY_WEIGHT * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
     d_actor = nets.backward(
-        params.actor, a_cache, dlogits.reshape(len(episode), -1), params.actor_cfg
+        params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
+        out=None if scratch is None else scratch.d_actor,
     )
     returns = discounted_returns(b.rewards, gamma)
     dvals = -2.0 * ((returns - values) * b.active)
-    d_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg)
+    d_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg,
+                             out=None if scratch is None else scratch.d_critic)
     nets.add_scaled(acc.d_actor, d_actor, 1.0)
     nets.add_scaled(acc.d_critic, d_critic, 1.0)
 
@@ -463,18 +554,21 @@ def critic_td_accumulate(
     batch: Batch,
     gamma: float,
     acc: GradAccumulator,
+    scratch: GradAccumulator | None = None,
 ) -> None:
     """Add the replay minibatch one-step TD term to the critic gradient.
 
     Descent direction of sum_i (r_i + gamma * V_i(s') - V_i(s))^2 over the
-    acting heads, as in :func:`actor_critic_accumulate`. Semi-gradient:
-    the bootstrap target gamma * V(s') is held constant.
+    acting heads, as in :func:`actor_critic_accumulate`, which ``scratch``
+    also follows. Semi-gradient: the bootstrap target gamma * V(s') is held
+    constant.
     """
     values, cache = nets.forward(params.critic, batch.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
     targets = batch.rewards + gamma * batch.boot * next_values
     dvals = -2.0 * ((targets - values) * batch.active)
-    grads = nets.backward(params.critic, cache, dvals, params.critic_cfg)
+    grads = nets.backward(params.critic, cache, dvals, params.critic_cfg,
+                          out=None if scratch is None else scratch.d_critic)
     nets.add_scaled(acc.d_critic, grads, 1.0)
 
 
@@ -531,12 +625,14 @@ def dqn_loss_and_grad(
     gamma: float,
     cfg: nets.NetConfig,
     heads: int,
+    out: dict | None = None,
 ) -> tuple[float, dict]:
     """Squared TD error of per-UAV Q heads against a frozen target net.
 
     Each acting head's target is r + gamma * max_a' Q_target(s', a') with
     the team reward r; the loss sums the errors in transition-then-head
-    order.
+    order. The gradient goes into ``out`` when given (see
+    :func:`nets.backward`).
     """
     n = len(batch.states)
     raw, cache = nets.forward(q_params, batch.states, cfg)
@@ -552,7 +648,7 @@ def dqn_loss_and_grad(
     loss = float(np.cumsum(err * err)[-1]) if len(err) else 0.0
     dq = np.zeros_like(q)
     dq[t_idx, u_idx, a_idx] = 2.0 * err
-    grads = nets.backward(q_params, cache, dq.reshape(n, -1), cfg)
+    grads = nets.backward(q_params, cache, dq.reshape(n, -1), cfg, out=out)
     return loss, grads
 
 
@@ -564,11 +660,23 @@ def dqn_update(
     lr: float,
     cfg: nets.NetConfig,
     heads: int,
+    grads: dict | None = None,
 ) -> float:
-    """One semi-gradient descent step on the TD loss; returns the loss."""
-    loss, grads = dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads)
-    nets.add_scaled(q_params, grads, -lr)
+    """One semi-gradient descent step on the TD loss; returns the loss.
+
+    The gradient is taken into ``grads`` when given (the learner's own
+    buffers, see :func:`nets.grad_buffers`) and scaled there in place."""
+    loss, grads = dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads, out=grads)
+    _step(q_params, grads, -lr)
     return loss
+
+
+def _step(params: dict, grads: dict, scale: float) -> None:
+    """``nets.add_scaled(params, grads, scale)`` with the scaled gradient
+    formed in ``grads`` itself (the same products, no temporaries)."""
+    for g in grads.values():
+        g *= scale
+    nets.add_scaled(params, grads, 1.0)
 
 
 # --- PPO ----------------------------------------------------------------------
@@ -596,6 +704,8 @@ def ppo_surrogate_and_grad(
     advantages: np.ndarray,
     clip_eps: float,
     cfg: nets.NetConfig,
+    out: dict | None = None,
+    forwarded: tuple[np.ndarray, list] | None = None,
 ) -> tuple[float, dict]:
     """Clipped surrogate objective and its ascent gradient.
 
@@ -608,8 +718,15 @@ def ppo_surrogate_and_grad(
     used only where it is strictly smaller; elsewhere the clipped branch
     contributes a gradient only strictly inside the clip window, so a
     zero-width window pins the ratio and kills the actor gradient.
+
+    ``forwarded`` is ``(probs, cache)`` of :func:`policy_forward` of
+    ``actor`` on ``states`` when the caller has them; ``out`` takes the
+    gradient (see :func:`nets.backward`).
     """
-    _, probs, cache = policy_forward(actor, states, cfg, acts.shape[1])
+    if forwarded is None:
+        _, probs, cache = policy_forward(actor, states, cfg, acts.shape[1])
+    else:
+        probs, cache = forwarded
     ratio = np.exp(joint_log_prob(probs, acts, acting) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
     s_plain = ratio * advantages
@@ -622,7 +739,7 @@ def ppo_surrogate_and_grad(
     dlogp = dratio * ratio  # drho/dlogp = rho
 
     dlogits = np.where(acting[:, :, None], dlogp[:, None, None] * (onehot - probs), 0.0)
-    grads = nets.backward(actor, cache, dlogits.reshape(len(states), -1), cfg)
+    grads = nets.backward(actor, cache, dlogits.reshape(len(states), -1), cfg, out=out)
     return objective, grads
 
 
@@ -633,13 +750,17 @@ def ppo_update(
     epochs: int,
     gamma: float,
     lr: float,
+    grads: GradAccumulator | None = None,
 ) -> None:
     """Several clipped-surrogate epochs on one rollout, plus critic fits.
 
     Advantages are reward-to-go minus the pre-update critic's values, and
     the ratios are taken against the pre-update actor's joint
     log-probabilities; both, and the rollout's arrays, are computed once,
-    before the first epoch.
+    before the first epoch. The first epoch's weights are the pre-update
+    ones, so it reuses those two forward passes. The gradients are taken
+    into ``grads`` when given (the learner's own buffers) and scaled
+    there in place.
     """
     if not rollout:
         raise ValueError("cannot update from an empty rollout")
@@ -649,20 +770,24 @@ def ppo_update(
     acts, acting = action_arrays([t.action for t in rollout], params.heads)
     onehot = np.eye(N_ACTIONS)[acts]
     returns = discounted_returns([t.reward for t in rollout], gamma)
-    values_old, _ = value_forward(params.critic, states, params.critic_cfg)
-    adv = returns - values_old
-    _, probs_old, _ = policy_forward(params.actor, states, params.actor_cfg, params.heads)
+    values, v_cache = value_forward(params.critic, states, params.critic_cfg)
+    adv = returns - values
+    _, probs_old, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
     logp_old = joint_log_prob(probs_old, acts, acting)
-    for _ in range(epochs):
+    forwarded = probs_old, a_cache
+    d_actor, d_critic = (None, None) if grads is None else (grads.d_actor, grads.d_critic)
+    for epoch in range(epochs):
         _, g_actor = ppo_surrogate_and_grad(
             params.actor, logp_old, states, acts, acting, onehot, adv, clip_eps,
-            params.actor_cfg,
+            params.actor_cfg, out=d_actor, forwarded=forwarded,
         )
-        nets.add_scaled(params.actor, g_actor, +lr)
-        values, v_cache = value_forward(params.critic, states, params.critic_cfg)
+        _step(params.actor, g_actor, +lr)
+        if epoch:  # the actor step leaves the critic as it was before epoch 0
+            values, v_cache = value_forward(params.critic, states, params.critic_cfg)
         dvals = (-2.0 * (returns - values))[:, None]
-        g_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg)
-        nets.add_scaled(params.critic, g_critic, -lr)
+        g_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg, out=d_critic)
+        _step(params.critic, g_critic, -lr)
+        forwarded = None
 
 
 # --- meta loop ------------------------------------------------------------------
@@ -741,7 +866,6 @@ class ActorCriticLearner:
 
     def record(self, transition: Transition) -> None:
         self._episode.append(transition)
-        self.memory.push(transition)
 
     def finish_episode(self, rng) -> None:
         if not self._episode:
@@ -750,12 +874,18 @@ class ActorCriticLearner:
         if self._optimised is not params:
             self._actor_opt = Adam(params.actor_cfg, AC_LEARNING_RATE, +1.0)
             self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
+            self._scratch = GradAccumulator(nets.grad_buffers(params.actor_cfg),
+                                            nets.grad_buffers(params.critic_cfg))
             self._optimised = params
         acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
-        actor_critic_accumulate(params, self._episode, self.cfg.gamma, acc)
+        episode = as_batch(self._episode, params.heads)
+        actor_critic_accumulate(params, episode, self.cfg.gamma, acc, self._scratch)
+        # The memory is read only from here on, so the episode goes in as
+        # one block, from the batch its gradients were taken on.
+        self.memory.push_batch(episode)
         if len(self.memory) >= self.cfg.minibatch:
             batch = self.memory.sample(self.cfg.minibatch, rng)
-            critic_td_accumulate(params, batch, self.cfg.gamma, acc)
+            critic_td_accumulate(params, batch, self.cfg.gamma, acc, self._scratch)
         self._actor_opt.step(params.actor)
         self._critic_opt.step(params.critic)
         self._episode = []
@@ -779,6 +909,7 @@ class DQNLearner:
         self.q = nets.init_params(self.net_cfg, rng)
         self.target = nets.clone_params(self.q)
         self.memory = ReplayMemory(cfg.replay_capacity, state_dim, heads)
+        self._grads = nets.grad_buffers(self.net_cfg)
         self.episodes = episodes
         self._finished = 0
         self.epsilon = epsilon_at(0, episodes, cfg)
@@ -805,7 +936,7 @@ class DQNLearner:
             batch = self.memory.sample(self.cfg.minibatch, self._rng)
             dqn_update(
                 self.q, self.target, batch, self.cfg.gamma,
-                self.cfg.learning_rate, self.net_cfg, self.heads,
+                self.cfg.learning_rate, self.net_cfg, self.heads, self._grads,
             )
             self._updates += 1
             if self._updates % self.cfg.target_refresh == 0:
@@ -823,6 +954,8 @@ class PPOLearner:
         self.params = params
         self.cfg = cfg
         self._rollout: list[Transition] = []
+        self._grads = GradAccumulator(nets.grad_buffers(params.actor_cfg),
+                                      nets.grad_buffers(params.critic_cfg))
 
     def act(self, state, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, rng)
@@ -835,7 +968,7 @@ class PPOLearner:
             return
         ppo_update(
             self.params, self._rollout, self.cfg.ppo_clip, self.cfg.ppo_epochs,
-            self.cfg.gamma, self.cfg.learning_rate,
+            self.cfg.gamma, self.cfg.learning_rate, self._grads,
         )
         self._rollout = []
 

@@ -416,7 +416,10 @@ class CoverageEnv:
         self.demand = [float(d) for d in task.initial_demands]
         self._taken = (0,) * self.n_cells
         self._satisfied_units = 0.0
-        self._total_demand = float(sum(task.initial_demands))
+        total = 0.0
+        for d in task.initial_demands:  # left to right on every Python, as ms.swarm_energy_j
+            total += d
+        self._total_demand = total
         self._d_com = 0.0
         self._d_data = 0.0
         self._collisions = 0
@@ -520,7 +523,8 @@ class CoverageEnv:
 
     def encode_state(self) -> np.ndarray:
         """The observation of the current episode state, as a fresh array
-        (the replay memory keeps pushed states by reference)."""
+        (the learners keep an episode's transitions by reference until it
+        ends)."""
         if self.tables is None:
             raise RuntimeError("encode_state() before reset()")
         return self._obs.copy()

@@ -240,8 +240,15 @@ def swarm_energy_j(uavs: Iterable[tuple[float, bool]]) -> float:
 
     Each entry is ``(energy_j, served_strategic)``; only UAVs that
     collected data from a strategic location count toward the total.
+    The energies add left to right: the builtin ``sum`` compensates its
+    float additions from Python 3.12 on, which would make the total
+    depend on the interpreter.
     """
-    return sum(e for e, serving in uavs if serving)
+    total = 0.0
+    for e, serving in uavs:
+        if serving:
+            total += e
+    return total
 
 
 # --- layout files ---------------------------------------------------------

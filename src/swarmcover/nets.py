@@ -73,17 +73,30 @@ def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, li
     return h, cache
 
 
-def backward(params: dict, cache: list, dout: np.ndarray, cfg: NetConfig) -> dict:
-    """Gradients of sum(dout * output) w.r.t. every parameter."""
-    grads = {}
+def backward(params: dict, cache: list, dout: np.ndarray, cfg: NetConfig,
+             out: dict | None = None) -> dict:
+    """Gradients of sum(dout * output) w.r.t. every parameter; written into
+    ``out``'s parameter-shaped arrays when given (and ``out`` returned),
+    with the same bits as fresh arrays."""
+    grads = {} if out is None else out
     d = np.atleast_2d(dout)
     for i in reversed(range(cfg.n_layers)):
-        h_prev = cache[i]
-        grads[f"W{i}"] = h_prev.T @ d
-        grads[f"b{i}"] = d.sum(axis=0)
+        w, b = cfg.layer_keys[i]
+        if out is None:
+            grads[w] = cache[i].T @ d
+            grads[b] = d.sum(axis=0)
+        else:
+            np.matmul(cache[i].T, d, out=out[w])
+            d.sum(axis=0, out=out[b])
         if i > 0:
-            d = (d @ params[f"W{i}"].T) * (1.0 - cache[i] ** 2)  # tanh'
+            d = (d @ params[w].T) * (1.0 - cache[i] ** 2)  # tanh'
     return grads
+
+
+def grad_buffers(cfg: NetConfig) -> dict:
+    """Parameter-shaped arrays for :func:`backward`'s ``out``: views into
+    one flat zero vector, laid out as :func:`flat_views` lays it out."""
+    return flat_views(np.zeros(num_params(cfg)), cfg)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -178,9 +178,9 @@ def test_gradient_oracle_matches_finite_differences():
         # As ActorCriticLearner.finish_episode: the episode's terms, then
         # the replay TD term, into one accumulator.
         acc = zero_grads(params)
-        ag.actor_critic_accumulate(params, episode, gamma, acc)
-        episode_critic = flatten_params(acc.d_critic, params.critic_cfg)
         batch = ag.as_batch(episode, params.heads)
+        ag.actor_critic_accumulate(params, batch, gamma, acc)
+        episode_critic = flatten_params(acc.d_critic, params.critic_cfg)
         ag.critic_td_accumulate(params, batch, gamma, acc)
 
         # Actor: per-head TD advantage (frozen) times log-probability, plus

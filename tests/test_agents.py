@@ -12,6 +12,7 @@ import pytest
 
 from swarmcover import agents as ag
 from swarmcover import nets
+from swarmcover.env import make_env
 from conftest import small_env
 from fdcheck import assert_grad_close, flatten_params, zero_grads, zeros_like_params
 
@@ -230,7 +231,10 @@ def test_replay_holds_one_state_per_transition():
     assert len(mem) == capacity
     full_size = [name for name, a in vars(mem).items()
                  if isinstance(a, np.ndarray) and a.size >= capacity * dim]
-    assert full_size == ["states"]
+    # One byte per feature, and float64 values for the columns that held
+    # more than 0.0 and 1.0: every column, as these states are continuous.
+    assert full_size == ["states", "exact"] and mem.states.dtype == np.uint8
+    assert mem.exact.shape == (capacity, dim)
 
     # A push that does not continue the newest row: a fresh state, then the
     # next state again but with a 0.0 turned into -0.0.
@@ -246,6 +250,163 @@ def test_replay_holds_one_state_per_transition():
         assert everything.states[i].tobytes() == t.state.tobytes()
         assert everything.next_states[i].tobytes() == t.next_state.tobytes()
     assert fresh.next_state.tobytes() != signed.state.tobytes()
+
+
+#: Values a state byte cannot hold: -0.0, NaNs (one with a payload),
+#: subnormals and ordinary reals, some one ulp from 0.0 or 1.0.
+ODD_VALUES = np.array([-0.0, np.nan, -np.nan, 5e-324, -1e-310, 0.5, -1.0, 2.0,
+                       np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1e300])
+ODD_VALUES[2:3].view(np.uint64)[0] = 0x7FF0000000000001  # a NaN with a payload
+
+
+def byte_stream(rng: np.random.Generator, length: int, capacity: int, dim: int, heads: int,
+                continuous: bool) -> list[ag.Transition]:
+    """Env-like transitions: 0/1 features and a trailing active count over
+    ``heads``. A few columns turn real at a random push, one of them only
+    after the ring of ``capacity`` rows has wrapped; with ``continuous``,
+    every feature is real from the start. A push's state is mostly the
+    previous ``next_state`` (the same object or a copy), but sometimes a
+    fresh state, or the previous ``next_state`` with a 0.0 made -0.0."""
+    debut = np.full(dim, length)
+    real = rng.choice(dim - 1, size=min(3, dim - 1), replace=False)
+    debut[real] = rng.integers(0, length, size=len(real))
+    debut[real[0]] = rng.integers(capacity + 1, length + 1)
+
+    def observation(pushed: int, active: int) -> np.ndarray:
+        x = (rng.random(dim) < 0.3).astype(np.float64)
+        if continuous:
+            x = rng.normal(size=dim)
+        odd = (debut <= pushed) & (rng.random(dim) < 0.5)
+        x[odd] = rng.choice(ODD_VALUES, size=int(odd.sum()))
+        x[-1] = active / heads
+        return x
+
+    stream: list[ag.Transition] = []
+    while len(stream) < length:
+        active = int(rng.integers(1, heads + 1))
+        state = observation(len(stream), active)
+        for step in range(int(rng.integers(1, 8))):
+            next_state = observation(len(stream) + 1, active)
+            action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
+            uav = np.round(rng.normal(size=active), 1)
+            done = rng.random() < 0.25
+            stream.append(ag.Transition(state, action, float(uav.sum()), next_state, done, uav))
+            if done or len(stream) == length:
+                break
+            kind = rng.random()
+            if kind < 0.6:
+                state = next_state
+            elif kind < 0.75:
+                state = next_state.copy()
+            elif kind < 0.9:
+                state = observation(len(stream), active)
+            else:
+                state = next_state.copy()
+                zeros = np.flatnonzero(state.view(np.uint64) == 0)
+                if len(zeros):
+                    state[zeros[0]] = -0.0
+    return stream
+
+
+def odd_columns(states) -> set[int]:
+    """The columns in which some state holds neither +0.0 nor 1.0."""
+    bits = np.stack(states).view(np.uint64)
+    one = np.float64(1.0).view(np.uint64)
+    return set(np.flatnonzero(((bits != 0) & (bits != one)).any(axis=0)).tolist())
+
+
+def assert_same_memory(got: ag.ReplayMemory, want: ag.ReplayMemory) -> None:
+    """Equal contents: the same rows and kept next states, the same exact
+    columns, and bit-equal samples of everything held."""
+    assert len(got) == len(want)
+    assert sorted(got.exact_cols.tolist()) == sorted(want.exact_cols.tolist())
+    assert got.next_states.keys() == want.next_states.keys()
+    for row, kept in want.next_states.items():
+        assert_bits_equal(got.next_states[row], kept)
+    plain = np.setdiff1d(np.arange(got.states.shape[1]), got.exact_cols)
+    assert_bits_equal(got.states[:, plain], want.states[:, plain])
+    for name in ("reward", "uav_rewards", "done", "acts", "acting"):
+        assert_bits_equal(getattr(got, name), getattr(want, name))
+    mine, theirs = np.random.default_rng(len(got)), np.random.default_rng(len(got))
+    a, b = got.sample(len(got), mine), want.sample(len(want), theirs)
+    for name in vars(b):
+        assert_bits_equal(getattr(a, name), getattr(b, name))
+
+
+def test_byte_replay_equals_the_deque_replay_bit_for_bit():
+    cases = np.random.default_rng(400)
+    late_after_wrap = 0
+    for case in range(120):
+        heads = int(cases.integers(1, 8))
+        dim = int(cases.integers(3, 12))
+        length = int(cases.integers(4, 80))
+        capacity = int(cases.integers(2, length))
+        stream = byte_stream(cases, length, capacity, dim, heads, continuous=case % 8 == 0)
+        mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
+        block, pending = ag.ReplayMemory(capacity, dim, heads), []
+        for pushed, t in enumerate(stream, start=1):
+            widths = len(mem.exact_cols)
+            mem.push(t)
+            ref.push(t)
+            late_after_wrap += pushed > capacity and len(mem.exact_cols) > widths
+            assert set(mem.exact_cols.tolist()) == odd_columns([u.state for u in stream[:pushed]])
+            # Blocks of episodes, or of parts of one, as push_batch takes them.
+            pending.append(t)
+            if t.done or pushed == len(stream) or cases.random() < 0.2:
+                block.push_batch(ag.as_batch(pending, heads))
+                pending = []
+                assert_same_memory(block, mem)
+            if cases.random() < 0.5:
+                continue
+            n = int(cases.integers(1, len(ref) + 1))
+            mine, theirs = np.random.default_rng(pushed), np.random.default_rng(pushed)
+            got = mem.sample(n, mine)
+            want = reference_batch(ref.sample(n, theirs), heads)
+            assert mine.bit_generator.state == theirs.bit_generator.state, case
+            for name in vars(want):
+                assert_bits_equal(getattr(got, name), getattr(want, name))
+    assert late_after_wrap > 20  # columns that first turned real after the ring wrapped
+
+
+def test_actor_critic_memory_after_each_episode_equals_per_step_pushes():
+    env = small_env(swarm=2, slots=6, max_swarm=3)
+    cfg = ag.AgentConfig(hidden=(8,), replay_capacity=20, minibatch=4)  # wraps mid-episode
+    rng = np.random.default_rng(11)
+    learner = ag.make_learner("actor_critic", env.state_dim, env.cfg.max_swarm, cfg, rng, 9)
+    steps = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, env.cfg.max_swarm)
+    record = learner.record
+
+    def record_and_push(t: ag.Transition) -> None:
+        steps.push(t)
+        record(t)
+
+    learner.record = record_and_push
+    for _ in range(9):
+        ag.run_training_episode(env, env.nominal_task(), learner, rng)
+        assert_same_memory(learner.memory, steps)
+    assert len(learner.memory.exact_cols) > 0
+
+
+def test_full_default_world_memory_fits_in_a_few_megabytes():
+    env = make_env()  # the default world: 279 features
+    cfg = ag.AgentConfig()
+    heads = env.cfg.max_swarm
+    mem = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, heads)
+    rng = np.random.default_rng(12)
+    policy = ag.RandomPolicy(heads)
+    while len(mem) < cfg.replay_capacity:
+        episode, state = [], env.reset(env.nominal_task(), rng_seed=int(rng.integers(2**31)))
+        while True:
+            action = policy.act(state, rng)
+            out = env.step(action)
+            episode.append(ag.Transition(state, action, out.reward, out.state, out.done,
+                                         out.uav_rewards))
+            state = out.state
+            if out.done:
+                break
+        mem.push_batch(ag.as_batch(episode, heads))
+    assert len(mem) == 10_000 and env.state_dim == 279 and mem.states.dtype == np.uint8
+    assert mem.states.nbytes + mem.exact.nbytes <= 3.5e6, len(mem.exact_cols)
 
 
 # --- exploration -------------------------------------------------------------------
@@ -520,19 +681,43 @@ def test_accumulate_twice_doubles():
     params = tiny_params(state_dim=4, heads=2)
     episode = random_batch(params, 5, seed=3)
     once, twice = zero_grads(params), zero_grads(params)
-    ag.actor_critic_accumulate(params, episode, 0.85, once)
+    batch = ag.as_batch(episode, params.heads)
+    ag.actor_critic_accumulate(params, batch, 0.85, once)
     for _ in range(2):
-        ag.actor_critic_accumulate(params, episode, 0.85, twice)
+        ag.actor_critic_accumulate(params, batch, 0.85, twice)
     for k in once.d_actor:
         np.testing.assert_allclose(twice.d_actor[k], 2.0 * once.d_actor[k], rtol=1e-12)
     for k in once.d_critic:
         np.testing.assert_allclose(twice.d_critic[k], 2.0 * once.d_critic[k], rtol=1e-12)
 
 
+def test_accumulating_through_scratch_buffers_changes_no_bit():
+    for case in range(30):
+        heads = 1 + case % 7
+        params = tiny_params(state_dim=9, heads=heads, hidden=(8, 6), seed=case)
+        scratch = ag.GradAccumulator(nets.grad_buffers(params.actor_cfg),
+                                     nets.grad_buffers(params.critic_cfg))
+        fresh, buffered = zero_grads(params), zero_grads(params)
+        for part in range(3):  # the scratch buffers hold the last gradient
+            episode = ag.as_batch(random_batch(params, 1 + (case + part) % 25, seed=case + part),
+                                  heads)
+            replay = ag.as_batch(random_batch(params, 7, seed=100 + case + part), heads)
+            ag.actor_critic_accumulate(params, episode, 0.85, fresh)
+            ag.critic_td_accumulate(params, replay, 0.85, fresh)
+            ag.actor_critic_accumulate(params, episode, 0.85, buffered, scratch)
+            ag.critic_td_accumulate(params, replay, 0.85, buffered, scratch)
+            for key in fresh.d_actor:
+                assert_bits_equal(buffered.d_actor[key], fresh.d_actor[key])
+            for key in fresh.d_critic:
+                assert_bits_equal(buffered.d_critic[key], fresh.d_critic[key])
+
+
 def test_empty_episode_rejected():
     params = tiny_params()
+    one = ag.as_batch(random_batch(params, 1), params.heads)
+    empty = ag.Batch(**{name: rows[:0] for name, rows in vars(one).items()})
     with pytest.raises(ValueError):
-        ag.actor_critic_accumulate(params, [], 0.85, zero_grads(params))
+        ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params))
 
 
 def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndarray:
@@ -557,7 +742,7 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
     episode = random_batch(params, 4, seed=41)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, episode, gamma, acc)
+    ag.actor_critic_accumulate(params, ag.as_batch(episode, params.heads), gamma, acc)
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
@@ -579,7 +764,7 @@ def test_entropy_gradient_matches_finite_differences():
     episode = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
                for t in random_batch(params, 4, seed=43)]
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, episode, 0.85, acc)
+    ag.actor_critic_accumulate(params, ag.as_batch(episode, params.heads), 0.85, acc)
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
@@ -599,7 +784,7 @@ def test_per_slot_critic_gradient_matches_finite_differences(heads):
     episode = random_batch(params, 4, seed=45)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, episode, gamma, acc)
+    ag.actor_critic_accumulate(params, ag.as_batch(episode, params.heads), gamma, acc)
     returns = np.zeros((len(episode), params.heads))
     running = np.zeros(params.heads)
     for t in reversed(range(len(episode))):
@@ -742,6 +927,27 @@ def test_dqn_matches_the_per_pair_loop():
             assert_bits_equal(grads[key], ref_grads[key])
 
 
+def test_dqn_update_into_learner_buffers_matches_add_scaled():
+    for case in range(60):
+        heads = 1 + case % 7
+        params = tiny_params(state_dim=9, heads=heads, hidden=(8, 6), seed=case)
+        target = tiny_params(state_dim=9, heads=heads, hidden=(8, 6), seed=case + 1)
+        reference = nets.clone_params(params.actor)
+        buffers = nets.grad_buffers(params.actor_cfg)
+        lr = float(np.random.default_rng(case).choice([1e-4, 0.01, 1.0]))
+        for update in range(3):  # the buffers hold the last update's gradient
+            batch = ag.as_batch(random_batch(params, 1 + (case + update) % 9, seed=case + update),
+                                heads)
+            loss = ag.dqn_update(params.actor, target.actor, batch, 0.9, lr,
+                                 params.actor_cfg, heads, buffers)
+            ref_loss, grads = ag.dqn_loss_and_grad(reference, target.actor, batch, 0.9,
+                                                   params.actor_cfg, heads)
+            nets.add_scaled(reference, grads, -lr)
+            assert_bits_equal(loss, ref_loss)
+            for key in reference:
+                assert_bits_equal(params.actor[key], reference[key])
+
+
 def test_dqn_gradient_matches_finite_differences():
     params = tiny_params(seed=16)
     target = tiny_params(seed=17)
@@ -812,6 +1018,48 @@ def test_ppo_update_zero_clip_freezes_actor():
     )  # the value fit still runs
 
 
+def reference_ppo_update(params: ag.PolicyParams, rollout, clip_eps: float, epochs: int,
+                         gamma: float, lr: float) -> None:
+    """Reference: ``ppo_update`` with both forward passes in every epoch,
+    fresh gradient arrays and ``nets.add_scaled`` steps."""
+    states, acts, acting, onehot = ppo_arrays(rollout, params.heads)
+    returns = ag.discounted_returns([t.reward for t in rollout], gamma)
+    values_old, _ = ag.value_forward(params.critic, states, params.critic_cfg)
+    adv = returns - values_old
+    logp_old = old_logp(params.actor, rollout, params)
+    for _ in range(epochs):
+        _, g_actor = ag.ppo_surrogate_and_grad(params.actor, logp_old, states, acts, acting,
+                                               onehot, adv, clip_eps, params.actor_cfg)
+        nets.add_scaled(params.actor, g_actor, +lr)
+        values, cache = ag.value_forward(params.critic, states, params.critic_cfg)
+        dvals = (-2.0 * (returns - values))[:, None]
+        nets.add_scaled(params.critic, nets.backward(params.critic, cache, dvals,
+                                                     params.critic_cfg), -lr)
+
+
+def test_ppo_update_matches_the_reference_with_and_without_buffers():
+    for case in range(40):
+        heads = 1 + case % 7
+        cfg = ag.AgentConfig(hidden=(8, 6))
+        params = ag.make_policy_params(9, heads, cfg, np.random.default_rng(case), critic_outputs=1)
+        unbuffered, reference = params.clone(), params.clone()
+        buffers = ag.GradAccumulator(nets.grad_buffers(params.actor_cfg),
+                                     nets.grad_buffers(params.critic_cfg))
+        clip = (0.0, 0.2, 0.9)[case % 3]
+        lr = (1e-4, 0.01, 1.0)[case % 3]
+        for update in range(3):  # the buffers hold the last update's gradients
+            rollout = random_batch(params, 1 + (case + update) % 25, seed=case + update)
+            epochs = 1 + (case + update) % 4
+            ag.ppo_update(params, rollout, clip, epochs, 0.85, lr, buffers)
+            ag.ppo_update(unbuffered, rollout, clip, epochs, 0.85, lr)
+            reference_ppo_update(reference, rollout, clip, epochs, 0.85, lr)
+            for got in (params, unbuffered):
+                for key in reference.actor:
+                    assert_bits_equal(got.actor[key], reference.actor[key])
+                for key in reference.critic:
+                    assert_bits_equal(got.critic[key], reference.critic[key])
+
+
 def test_ppo_update_takes_the_pre_update_policy_once(monkeypatch):
     real_forward = nets.forward
     calls = []
@@ -826,10 +1074,10 @@ def test_ppo_update_takes_the_pre_update_policy_once(monkeypatch):
         rollout = random_batch(params, 5, seed=26)
         calls.clear()
         ag.ppo_update(params, rollout, 0.2, epochs, 0.85, 0.01)
-        # Pre-update values and log-probabilities once, then one actor and
-        # one critic pass per epoch.
-        assert len(calls) == 2 + 2 * epochs
-        assert calls.count(params.actor_cfg) == 1 + epochs
+        # Pre-update values and log-probabilities once, which the first
+        # epoch reuses, then one actor and one critic pass per later epoch.
+        assert len(calls) == 2 * epochs
+        assert calls.count(params.actor_cfg) == epochs
 
 
 def test_ppo_surrogate_gradient_matches_finite_differences():

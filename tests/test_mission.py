@@ -124,6 +124,18 @@ def test_swarm_energy_masks_by_flag():
     assert ms.swarm_energy_j([]) == 0.0
 
 
+def test_swarm_energy_adds_left_to_right():
+    # Ten 0.1 J UAVs: a left-to-right sum rounds at every add and gives
+    # 0.9999999999999999, the correctly rounded sum (math.fsum, and the
+    # builtin sum from Python 3.12 on) gives 1.0. metrics.csv holds the
+    # former on every interpreter.
+    served = [(0.1, True)] * 10
+    assert math.fsum([0.1] * 10) == 1.0
+    assert ms.swarm_energy_j(served) == 0.9999999999999999
+    assert ms.swarm_energy_j(served + [(0.5, False)]) == 0.9999999999999999
+    assert isinstance(ms.swarm_energy_j([]), float)
+
+
 @given(pairs=st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)), max_size=8))
 def test_swarm_energy_additivity(pairs):
     # All flags raised: the mask must reduce to a plain sum.

@@ -81,6 +81,25 @@ def test_backward_matches_finite_differences():
     assert_grad_close(grads, params, cfg, scalar)
 
 
+def test_backward_into_buffers_equals_fresh_arrays():
+    rng = np.random.default_rng(8)
+    for dims, rows in [((279, (64, 64), 35), 64), ((279, (64, 64), 7), 25),
+                       ((279, (64, 64), 1), 25), ((5, (3,), 2), 1), ((4, (6, 5), 3), 9)]:
+        cfg = nets.NetConfig(dims[0], dims[1], dims[2])
+        params = nets.init_params(cfg, rng)
+        x = rng.normal(size=(rows, cfg.input_dim)) * (rng.random((rows, cfg.input_dim)) < 0.3)
+        _, cache = nets.forward(params, x, cfg)
+        dout = rng.normal(size=(rows, cfg.out_dim))
+        want = nets.backward(params, cache, dout, cfg)
+        buffers = nets.grad_buffers(cfg)
+        for _ in range(2):  # buffers that already hold a gradient are overwritten
+            got = nets.backward(params, cache, dout, cfg, out=buffers)
+            assert got is buffers and got.keys() == want.keys()
+            for key in want:
+                assert got[key].shape == want[key].shape
+                assert got[key].tobytes() == want[key].tobytes(), (dims, key)
+
+
 def test_flatten_round_trip():
     cfg = nets.NetConfig(6, (5, 4), 3)
     params = nets.init_params(cfg, np.random.default_rng(3))
