@@ -39,13 +39,16 @@ Every gradient reads transitions as one :class:`Batch` of arrays. An
 episode's list of ``Transition`` objects becomes one through
 :func:`as_batch`; the replay memory (DQN's, and the actor-critic's TD
 term) stores rows in preallocated arrays round a ring and samples a
-``Batch`` straight from them. It keeps one state per row, as one byte per
-feature (the observation is almost all exact 0.0 and 1.0), with float64
-values only for the columns that have held anything else: a row's next
-state is the next row's state, and only terminal rows, the newest row
-and rows whose successor does not continue them keep a next state of
-their own. DQN pushes each step; the actor-critic pushes a finished
-episode as one block, from the ``Batch`` its gradients were taken on.
+``Batch`` straight from them. It keeps each row at its information size:
+one state per row as one bit per feature (the observation is almost all
+exact 0.0 and 1.0), with float64 values only for the columns that have
+held anything else, and ``int8`` action ids and acting-head counts. A
+row's next state is the next row's state; only terminal rows, the newest
+row and rows whose successor does not continue them keep a next state of
+their own, packed the same way. Rows go in as blocks: the actor-critic
+pushes a finished episode from the ``Batch`` its gradients were taken
+on, and DQN writes the rows it has recorded just before each sample and
+at each episode's end.
 DQN, PPO and the actor-critic take their gradients into buffers they
 own, so an update allocates no parameter-sized arrays.
 """
@@ -344,88 +347,105 @@ def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-#: The bit pattern of 1.0, the one state value besides +0.0 a byte holds.
+#: The bit pattern of 1.0, the one state value besides +0.0 a bit holds.
 _ONE_BITS = np.float64(1.0).view(np.uint64)
+#: A kept next state, ``(bits, cols, values)``: see ``ReplayMemory._pack``.
+_Packed = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ReplayMemory:
     """The last ``capacity`` transitions, sampled uniformly as a :class:`Batch`.
 
-    Rows live in preallocated arrays, filled in push order round a ring:
-    one [capacity, state_dim] state array of one byte per feature, the
-    team reward, the per-UAV reward columns, the done flag and the joint
-    action as :func:`action_arrays` lays it out. A byte holds a feature
-    that is exactly +0.0 or 1.0, which almost every feature of the
-    coverage observation is. The columns that have ever held any other
-    bit pattern (-0.0 and NaN included) are found from the pushed data
-    and keep their float64 values in ``exact``, one column per entry of
+    Rows live in preallocated arrays, filled in push order round a ring,
+    each at its information size: the state as one bit per feature
+    (``np.packbits`` order, [capacity, ceil(state_dim / 8)] bytes), the
+    team reward, the per-UAV reward columns, the done flag, the action
+    ids as ``int8`` (laid out as :func:`action_arrays` does) and the
+    count of acting heads as ``int8``. A bit holds a feature that is
+    exactly +0.0 or 1.0, which almost every feature of the coverage
+    observation is. The columns that have ever held any other bit
+    pattern (-0.0 and NaN included) are found from the pushed states and
+    keep their float64 values in ``exact``, one column per entry of
     ``exact_cols``; a push that first shows such a column widens
-    ``exact`` and copies only the rows already written. A sampled state
-    is rebuilt from both, bit for bit.
+    ``exact`` and copies only the rows already written, the new columns
+    from their bits. A sampled state is rebuilt from both, bit for bit.
 
     A row's next state is the next row's state, so no second state array
-    exists. A next state is kept on its own, as a float64 copy, only
-    where that chaining would be wrong: for a terminal row, for the
-    newest row (its successor is not pushed yet), and for a row whose
-    successor's state is not its next state bit for bit. The arrays sit
-    on untouched pages until rows are written, so a memory that fills a
-    few hundred of its rows holds only those.
+    exists. A next state is kept on its own only where that chaining
+    would be wrong: for a terminal row, for the newest row (its
+    successor is not pushed yet), and for a row whose successor's state
+    is not its next state bit for bit. It is kept packed the same way,
+    as its bits and the float64 values of the columns they cannot give:
+    ``exact_cols`` at the time, plus any column in which it holds a
+    pattern no pushed state has shown. The arrays sit on untouched pages
+    until rows are written, so a memory that fills a few hundred of its
+    rows holds only those.
 
-    :meth:`push` writes one transition and :meth:`push_batch` a block of
-    them in order, such as a finished episode; both are the same write.
+    :meth:`push` writes one transition, :meth:`push_rows` a block of them
+    in order (DQN's recorded steps) and :meth:`push_batch` a block given
+    as a :class:`Batch` (a finished episode); all are the same write.
     """
 
     def __init__(self, capacity: int, state_dim: int, heads: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
+        if heads > np.iinfo(np.int8).max:
+            raise ValueError(f"at most {np.iinfo(np.int8).max} heads fit the int8 head count")
         self.capacity = capacity
+        self.state_dim = state_dim
         self.heads = heads
-        self.states = _untouched_zeros((capacity, state_dim), np.uint8)
+        self.states = _untouched_zeros((capacity, -(-state_dim // 8)), np.uint8)
         #: The columns that have held a value other than +0.0 or 1.0, in
         #: the order they first did, and their values by row.
         self.exact_cols = np.zeros(0, dtype=np.intp)
         self.exact = _untouched_zeros((capacity, 0), np.float64)
         #: All bits set in the columns that ``states`` holds, none in the others.
-        self._byte_cols = np.full(state_dim, np.iinfo(np.uint64).max, dtype=np.uint64)
+        self._bit_cols = np.full(state_dim, np.iinfo(np.uint64).max, dtype=np.uint64)
         self.reward = _untouched_zeros((capacity,), np.float64)
         self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
         self.done = _untouched_zeros((capacity,), bool)
-        self.acts = _untouched_zeros((capacity, heads), np.int64)
-        self.acting = _untouched_zeros((capacity, heads), bool)
-        #: The next states kept on their own, by row.
-        self.next_states: dict[int, np.ndarray] = {}
+        self.acts = _untouched_zeros((capacity, heads), np.int8)
+        self.acting_count = _untouched_zeros((capacity,), np.int8)
+        #: The next states kept on their own, by row, packed by :meth:`_pack`.
+        self.next_states: dict[int, _Packed] = {}
         self._prefix = np.arange(heads) < np.arange(heads + 1)[:, None]  # acting rows by count
         self._size = 0
         self._slot = 0  # the row the next push writes
 
     def push(self, transition: Transition) -> None:
-        """One transition: the one-row case of :meth:`push_batch`."""
-        t, k = transition, len(transition.action)
-        acts = np.zeros((1, self.heads), dtype=np.int64)
-        acts[0, :k] = t.action
-        uav_rewards = np.zeros((1, self.heads))
-        uav_rewards[0, :k] = t.uav_rewards
+        """One transition: the one-row case of :meth:`push_rows`."""
+        self.push_rows([transition])
+
+    def push_rows(self, transitions: Sequence[Transition]) -> None:
+        """The transitions, in order, as one block: the same write as that
+        many :meth:`push` calls."""
+        counts = [len(t.action) for t in transitions]
+        acts = np.zeros((len(counts), self.heads), dtype=np.int8)
+        uav_rewards = np.zeros((len(counts), self.heads))
+        for i, (t, k) in enumerate(zip(transitions, counts)):
+            acts[i, :k] = t.action
+            uav_rewards[i, :k] = t.uav_rewards
         self._write(
-            np.asarray(t.state, dtype=np.float64)[None],
-            np.asarray(t.next_state, dtype=np.float64)[None],
-            np.array([t.reward], dtype=np.float64), uav_rewards,
-            np.array([t.done]), acts, self._prefix[k][None],
+            np.array([t.state for t in transitions], dtype=np.float64),
+            np.array([t.next_state for t in transitions], dtype=np.float64),
+            np.array([t.reward for t in transitions], dtype=np.float64), uav_rewards,
+            np.array([t.done for t in transitions]), acts, counts,
         )
 
     def push_batch(self, batch: Batch) -> None:
-        """The batch's rows, in order, as that many :meth:`push` calls
-        would write them."""
+        """The batch's rows, in order, as :meth:`push_rows` writes them."""
         self._write(np.asarray(batch.states, dtype=np.float64),
                     np.asarray(batch.next_states, dtype=np.float64), batch.reward,
-                    batch.rewards, batch.live == 0.0, batch.acts, batch.acting)
+                    batch.rewards, batch.live == 0.0, batch.acts,
+                    np.count_nonzero(batch.acting, axis=1))
 
-    def _write(self, states, next_states, reward, uav_rewards, done, acts, acting) -> None:
+    def _write(self, states, next_states, reward, uav_rewards, done, acts, counts) -> None:
         """Write rows from the ring's next row on; ``uav_rewards`` and
-        ``acts`` are zero past each row's acting heads."""
+        ``acts`` are zero past each row's ``counts`` acting heads."""
         s, n = self._slot, len(states)
         if s + n > self.capacity:  # up to the ring's end, then from row 0 on
             cut = self.capacity - s
-            columns = (states, next_states, reward, uav_rewards, done, acts, acting)
+            columns = (states, next_states, reward, uav_rewards, done, acts, counts)
             self._write(*(a[:cut] for a in columns))
             self._write(*(a[cut:] for a in columns))
             return
@@ -434,47 +454,74 @@ class ReplayMemory:
         # Row prev stops keeping its next state if this write continues it
         # (and leaves it in the ring).
         if self._size and n < self.capacity and not self.done[prev]:
-            if self.next_states[prev].tobytes() == states[0].tobytes():
+            if self._unpack(self.next_states[prev]).tobytes() == states[0].tobytes():
                 del self.next_states[prev]
         if self.next_states:
             for row in range(s, end):  # the rows overwritten
                 self.next_states.pop(row, None)
 
         bits = states.view(np.uint64)
-        masked = bits & self._byte_cols  # 0 in the exact columns
+        masked = bits & self._bit_cols  # 0 in the exact columns
         ones = masked == _ONE_BITS
         if np.count_nonzero(masked) != np.count_nonzero(ones):
-            # Some byte column holds neither +0.0 nor 1.0: it becomes exact
-            # (and its bytes from here on are never read).
+            # Some bit column holds neither +0.0 nor 1.0: it becomes exact
+            # (and its bits from here on are never read).
             self._add_exact(np.flatnonzero(((masked != 0) > ones).any(axis=0)))
-        self.states[s:end] = ones
+        self.states[s:end] = np.packbits(ones, axis=1)
         np.take(states, self.exact_cols, axis=1, out=self.exact[s:end])
         self.reward[s:end] = reward
         self.uav_rewards[s:end] = uav_rewards
         self.done[s:end] = done
         self.acts[s:end] = acts
-        self.acting[s:end] = acting
+        self.acting_count[s:end] = counts
 
-        keep = done.tolist()  # terminal rows, the newest row, and rows
-        keep[-1] = True       # whose successor does not continue them
+        keep = np.array(done, dtype=bool)  # terminal rows, the newest row, and
+        keep[-1] = True                    # rows whose successor does not continue them
         if n > 1:
-            breaks = (next_states[:-1].view(np.uint64) != bits[1:]).any(axis=1).tolist()
-            keep = [k or b for k, b in zip(keep, breaks)] + [True]
-        for i, kept in enumerate(keep):
-            if kept:
-                self.next_states[s + i] = next_states[i].copy()
+            keep[:-1] |= (next_states[:-1].view(np.uint64) != bits[1:]).any(axis=1)
+        rows = np.flatnonzero(keep)
+        for row, packed in zip(rows.tolist(), self._pack(next_states[rows])):
+            self.next_states[s + row] = packed
         self._size = max(self._size, end)
         self._slot = end if end < self.capacity else 0
 
+    def _pack(self, states: np.ndarray) -> list[_Packed]:
+        """Each state as ``(bits, cols, values)``: its features packed as
+        the ``states`` rows are, and its exact values in ``cols``, which are
+        ``exact_cols`` plus the columns where it alone holds a value other
+        than +0.0 or 1.0."""
+        masked = states.view(np.uint64) & self._bit_cols
+        ones = masked == _ONE_BITS
+        stray = (masked != 0) > ones
+        packed = np.packbits(ones, axis=1)
+        values = states[:, self.exact_cols]
+        out = []
+        for i, odd in enumerate(stray.any(axis=1).tolist()):
+            if odd:
+                cols = np.concatenate([self.exact_cols, np.flatnonzero(stray[i])])
+                out.append((packed[i], cols, states[i, cols]))
+            else:
+                out.append((packed[i], self.exact_cols, values[i]))
+        return out
+
+    def _unpack(self, packed: _Packed) -> np.ndarray:
+        """The float64 state :meth:`_pack` packed, bit for bit."""
+        bits, cols, values = packed
+        state = np.unpackbits(bits, count=self.state_dim).astype(np.float64)
+        state[cols] = values
+        return state
+
     def _add_exact(self, cols: np.ndarray) -> None:
         """Give ``cols`` float64 storage. The rows written so far held only
-        +0.0 and 1.0 there, so their bytes give the values."""
+        +0.0 and 1.0 there, so their bits give the values: feature ``c`` is
+        bit ``7 - c % 8`` of byte ``c // 8``, as ``np.packbits`` lays it out."""
         held, old = self._size, self.exact
         self.exact_cols = np.concatenate([self.exact_cols, cols])
         self.exact = _untouched_zeros((self.capacity, len(self.exact_cols)), np.float64)
         self.exact[:held, : old.shape[1]] = old[:held]
-        self.exact[:held, old.shape[1]:] = self.states[:held][:, cols]
-        self._byte_cols[cols] = 0
+        shift = (7 - cols % 8).astype(np.uint8)
+        self.exact[:held, old.shape[1]:] = (self.states[:held, cols // 8] >> shift) & 1
+        self._bit_cols[cols] = 0
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         """``n`` distinct transitions, drawn as ``rng.choice`` over the held
@@ -486,18 +533,18 @@ class ReplayMemory:
             rows = (rows + self._slot) % self.capacity
         after = rows + 1
         after[after == self.capacity] = 0
-        # Each row's state and the next row's, rebuilt bit for bit as pushed.
+        # Each row's state and the next row's, unpacked bit for bit as pushed.
         both = np.concatenate([rows, after])
-        decoded = self.states[both].astype(np.float64)
+        decoded = np.unpackbits(self.states[both], axis=1, count=self.state_dim).astype(np.float64)
         decoded[:, self.exact_cols] = self.exact[both]
         states, next_states = decoded[:n], decoded[n:]
         for i, row in enumerate(rows.tolist()):
             own = self.next_states.get(row)
             if own is not None:
-                next_states[i] = own
+                next_states[i] = self._unpack(own)
         return Batch.build(
-            states, next_states, self.reward[rows], self.uav_rewards[rows],
-            self.done[rows], self.acts[rows], self.acting[rows],
+            states, next_states, self.reward[rows], self.uav_rewards[rows], self.done[rows],
+            self.acts[rows].astype(np.int64), self._prefix[self.acting_count[rows]],
         )
 
     def __len__(self) -> int:
@@ -909,6 +956,7 @@ class DQNLearner:
         self.q = nets.init_params(self.net_cfg, rng)
         self.target = nets.clone_params(self.q)
         self.memory = ReplayMemory(cfg.replay_capacity, state_dim, heads)
+        self._pending: list[Transition] = []  # recorded, not yet in the memory
         self._grads = nets.grad_buffers(self.net_cfg)
         self.episodes = episodes
         self._finished = 0
@@ -930,9 +978,15 @@ class DQNLearner:
                      for a in picks)
 
     def record(self, transition: Transition) -> None:
-        self.memory.push(transition)
+        """Keep the transition and, every ``dqn_update_interval`` steps once
+        the memory would hold a minibatch, write the kept rows to it as one
+        block and take an update from a sample. The memory is the same at
+        every sample as with a push per step."""
+        self._pending.append(transition)
         self._steps += 1
-        if len(self.memory) >= self.cfg.minibatch and self._steps % self.cfg.dqn_update_interval == 0:
+        if (len(self.memory) + len(self._pending) >= self.cfg.minibatch
+                and self._steps % self.cfg.dqn_update_interval == 0):
+            self._flush()
             batch = self.memory.sample(self.cfg.minibatch, self._rng)
             dqn_update(
                 self.q, self.target, batch, self.cfg.gamma,
@@ -943,8 +997,15 @@ class DQNLearner:
                 self.target = nets.clone_params(self.q)
 
     def finish_episode(self, rng) -> None:
+        self._flush()
         self._finished += 1
         self.epsilon = epsilon_at(self._finished, self.episodes, self.cfg)
+
+    def _flush(self) -> None:
+        """Write the pending transitions to the memory as one block."""
+        if self._pending:
+            self.memory.push_rows(self._pending)
+            self._pending = []
 
 
 class PPOLearner:

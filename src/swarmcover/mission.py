@@ -201,7 +201,7 @@ def travel_time_s(
     """Time to fly one leg at constant speed. Zero-length legs cost nothing."""
     if speed_mps <= 0.0:
         raise ValueError("speed must be positive")
-    dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(from_xyz, to_xyz)))
+    dist = math.sqrt(add_left_to_right((a - b) ** 2 for a, b in zip(from_xyz, to_xyz)))
     return dist / speed_mps
 
 
@@ -235,20 +235,25 @@ def uav_energy_j(d_tot_s: float, d_data_s: float, config: MissionConfig) -> floa
     return config.p_oper_watts * d_tot_s + config.p_comm_watts * d_data_s
 
 
+def add_left_to_right(values: Iterable[float]) -> float:
+    """``sum(values)`` as Python 3.11 adds floats: left to right from the
+    integer 0, each add rounded, so an empty sum is the integer 0. From
+    3.12 on the builtin ``sum`` compensates float additions, which would
+    make the written totals depend on the interpreter."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def swarm_energy_j(uavs: Iterable[tuple[float, bool]]) -> float:
     """Mission objective: per-UAV energies masked by the serving flag.
 
     Each entry is ``(energy_j, served_strategic)``; only UAVs that
-    collected data from a strategic location count toward the total.
-    The energies add left to right: the builtin ``sum`` compensates its
-    float additions from Python 3.12 on, which would make the total
-    depend on the interpreter.
+    collected data from a strategic location count toward the total,
+    added left to right (:func:`add_left_to_right`); no UAV gives 0.0.
     """
-    total = 0.0
-    for e, serving in uavs:
-        if serving:
-            total += e
-    return total
+    return float(add_left_to_right(e for e, serving in uavs if serving))
 
 
 # --- layout files ---------------------------------------------------------

@@ -154,12 +154,14 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
 
     def served_energy(d_com, d_data, served) -> float:
         # The objective's own expression and order, so a bound taken before
-        # the leaf rounds no higher than the leaf's objective.
-        return sum(
-            p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
-            for u in range(n_uavs)
-            if served[u]
-        )
+        # the leaf rounds no higher than the leaf's objective. The loop is
+        # ms.add_left_to_right's, inline on this hot path: the integer 0
+        # when no UAV serves.
+        total = 0
+        for u in range(n_uavs):
+            if served[u]:
+                total += p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
+        return total
 
     def coverage_met(visited: tuple[frozenset, ...]) -> bool:
         if instance.per_uav_coverage:
@@ -240,7 +242,7 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
     )
     actions = _actions_from_cells(trajectories, targets)
     d_com, d_data, served = best_accounting
-    unmasked = sum(p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u] for u in range(n_uavs))
+    unmasked = served_energy(d_com, d_data, (True,) * n_uavs)
     return ExactSolution(
         True, best_objective, unmasked, actions, trajectories,
         counters["leaves"], counters["feasible"], counters["pruned"],
@@ -329,7 +331,7 @@ def verify_feasibility(
                     if world.device_cell[dev] in strategic:
                         served[u] = True
                     break
-        d_tot = ms.total_delay_s(sum(d_data), sum(d_com))
+        d_tot = ms.total_delay_s(ms.add_left_to_right(d_data), ms.add_left_to_right(d_com))
         if deadline_ok and not ms.meets_deadline(d_tot, cfg.t_max_seconds):
             deadline_ok = False
             first_violation["deadline"] = t
@@ -355,5 +357,5 @@ def verify_feasibility(
         coverage_ok=coverage_ok,
         first_violation=first_violation,
         objective_j=objective,
-        unmasked_j=sum(energies),
+        unmasked_j=ms.add_left_to_right(energies),
     )

@@ -5,6 +5,7 @@ surrogate) is checked against central finite differences on networks
 small enough to difference exhaustively.
 """
 
+import copy
 from collections import deque
 
 import numpy as np
@@ -231,10 +232,10 @@ def test_replay_holds_one_state_per_transition():
     assert len(mem) == capacity
     full_size = [name for name, a in vars(mem).items()
                  if isinstance(a, np.ndarray) and a.size >= capacity * dim]
-    # One byte per feature, and float64 values for the columns that held
-    # more than 0.0 and 1.0: every column, as these states are continuous.
-    assert full_size == ["states", "exact"] and mem.states.dtype == np.uint8
-    assert mem.exact.shape == (capacity, dim)
+    # Float64 values for the columns that held more than 0.0 and 1.0: every
+    # column, as these states are continuous; beside them one bit per feature.
+    assert full_size == ["exact"] and mem.exact.shape == (capacity, dim)
+    assert mem.states.shape == (capacity, 1) and mem.states.dtype == np.uint8
 
     # A push that does not continue the newest row: a fresh state, then the
     # next state again but with a 0.0 turned into -0.0.
@@ -270,7 +271,8 @@ def byte_stream(rng: np.random.Generator, length: int, capacity: int, dim: int, 
     debut = np.full(dim, length)
     real = rng.choice(dim - 1, size=min(3, dim - 1), replace=False)
     debut[real] = rng.integers(0, length, size=len(real))
-    debut[real[0]] = rng.integers(capacity + 1, length + 1)
+    if len(real):
+        debut[real[0]] = rng.integers(capacity + 1, length + 1)
 
     def observation(pushed: int, active: int) -> np.ndarray:
         x = (rng.random(dim) < 0.3).astype(np.float64)
@@ -315,6 +317,11 @@ def odd_columns(states) -> set[int]:
     return set(np.flatnonzero(((bits != 0) & (bits != one)).any(axis=0)).tolist())
 
 
+def unpacked_bits(mem: ag.ReplayMemory) -> np.ndarray:
+    """The memory's state bits, one uint8 per feature."""
+    return np.unpackbits(mem.states, axis=1, count=mem.state_dim)
+
+
 def assert_same_memory(got: ag.ReplayMemory, want: ag.ReplayMemory) -> None:
     """Equal contents: the same rows and kept next states, the same exact
     columns, and bit-equal samples of everything held."""
@@ -322,10 +329,10 @@ def assert_same_memory(got: ag.ReplayMemory, want: ag.ReplayMemory) -> None:
     assert sorted(got.exact_cols.tolist()) == sorted(want.exact_cols.tolist())
     assert got.next_states.keys() == want.next_states.keys()
     for row, kept in want.next_states.items():
-        assert_bits_equal(got.next_states[row], kept)
-    plain = np.setdiff1d(np.arange(got.states.shape[1]), got.exact_cols)
-    assert_bits_equal(got.states[:, plain], want.states[:, plain])
-    for name in ("reward", "uav_rewards", "done", "acts", "acting"):
+        assert_bits_equal(got._unpack(got.next_states[row]), want._unpack(kept))
+    plain = np.setdiff1d(np.arange(got.state_dim), got.exact_cols)
+    assert_bits_equal(unpacked_bits(got)[:, plain], unpacked_bits(want)[:, plain])
+    for name in ("reward", "uav_rewards", "done", "acts", "acting_count"):
         assert_bits_equal(getattr(got, name), getattr(want, name))
     mine, theirs = np.random.default_rng(len(got)), np.random.default_rng(len(got))
     a, b = got.sample(len(got), mine), want.sample(len(want), theirs)
@@ -368,6 +375,195 @@ def test_byte_replay_equals_the_deque_replay_bit_for_bit():
     assert late_after_wrap > 20  # columns that first turned real after the ring wrapped
 
 
+def assert_samples_match(mem: ag.ReplayMemory, ref: DequeReplayMemory, heads: int,
+                         seed: int) -> None:
+    """Every held row, sampled from the memory and from the reference with
+    the same draws, bit for bit."""
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mem.sample(len(mem), mine)
+    want = reference_batch(ref.sample(len(ref), theirs), heads)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    for name in vars(want):
+        assert_bits_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 279])
+def test_packed_replay_equals_the_deque_replay_at_every_width(dim):
+    # Widths below, at and either side of a byte boundary, and the default
+    # world's, so the padding bits of the last byte are written and read.
+    cases = np.random.default_rng(500 + dim)
+    for case in range(12):
+        heads = int(cases.integers(1, 8))
+        length = int(cases.integers(4, 60))
+        capacity = int(cases.integers(2, length))
+        stream = byte_stream(cases, length, capacity, dim, heads, continuous=case == 0)
+        mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
+        block = ag.ReplayMemory(capacity, dim, heads)
+        assert mem.states.shape == (capacity, (dim + 7) // 8)
+        for pushed, t in enumerate(stream, start=1):
+            mem.push(t)
+            ref.push(t)
+            if cases.random() < 0.3:
+                assert_samples_match(mem, ref, heads, seed=pushed)
+        block.push_batch(ag.as_batch(stream, heads))
+        assert_same_memory(block, mem)
+        assert_samples_match(block, ref, heads, seed=case)
+        rows = ag.ReplayMemory(capacity, dim, heads)
+        rows.push_rows(stream)
+        assert_same_memory(rows, mem)
+
+
+def test_kept_next_states_keep_patterns_no_pushed_state_has_shown():
+    # 0/1 states throughout, so no column is exact; the next states the
+    # memory keeps on its own (terminal, chain-breaking and newest rows)
+    # hold -0.0, a NaN with a payload and subnormals, and come back exactly.
+    dim, heads, capacity = 9, 2, 8
+    rng = np.random.default_rng(600)
+    nan = np.array([np.nan])
+    nan.view(np.uint64)[0] = 0x7FF0000000000123
+    # By step: the column and value, and column 6's value, of the next state.
+    odd = {2: (2, -0.0, -1e-310), 4: (5, nan[0], -0.0), 6: (0, 5e-324, -0.0)}
+
+    def bits() -> np.ndarray:
+        x = (rng.random(dim) < 0.5).astype(np.float64)
+        x[-1] = 1.0  # both heads act
+        return x
+
+    stream, state = [], bits()
+    for step in range(7):
+        next_state = bits()
+        if step in odd:  # terminal, chain-breaking, newest
+            col, value, six = odd[step]
+            next_state[col], next_state[6] = value, six
+        stream.append(ag.Transition(state, (1, 3), float(step), next_state, step == 2,
+                                    np.array([0.5, -0.5])))
+        state = bits() if step in (2, 4) else next_state
+    mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
+    block = ag.ReplayMemory(capacity, dim, heads)
+    for t in stream:
+        mem.push(t)
+        ref.push(t)
+    block.push_batch(ag.as_batch(stream, heads))
+    assert len(mem.exact_cols) == 0 and sorted(mem.next_states) == [2, 4, 6]
+    assert_same_memory(block, mem)
+    for m in (mem, block):
+        assert_samples_match(m, ref, heads, seed=1)
+    # A later state that shows one of those patterns makes its column
+    # exact; the kept next states still come back as they were pushed.
+    t = ag.Transition(stream[-1].next_state, (0, 0), 9.0, bits(), False, np.zeros(2))
+    for m in (mem, ref):
+        m.push(t)
+    assert set(mem.exact_cols.tolist()) == {0, 6}
+    assert_samples_match(mem, ref, heads, seed=2)
+
+
+def test_a_column_first_real_after_the_ring_wrapped_keeps_its_old_rows():
+    # Rows written while column 4 held only 0.0 and 1.0 get their exact
+    # values from their bits when the column turns real, after the wrap.
+    dim, heads, capacity = 11, 3, 5
+    rng = np.random.default_rng(700)
+    mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
+    state = (rng.random(dim) < 0.5).astype(np.float64)
+    for step in range(9):
+        next_state = (rng.random(dim) < 0.5).astype(np.float64)
+        if step == 8:
+            next_state[4] = 0.25
+        t = ag.Transition(state, (step % N_ACTIONS,), float(step), next_state, False,
+                          np.array([float(step)]))
+        mem.push(t)
+        ref.push(t)
+        state = next_state
+    assert len(mem.exact_cols) == 0
+    t = ag.Transition(state, (4, 4, 4), 9.0, state.copy(), True, np.ones(3))
+    mem.push(t)
+    ref.push(t)
+    assert mem.exact_cols.tolist() == [4]
+    assert_samples_match(mem, ref, heads, seed=3)
+
+
+def test_a_block_longer_than_the_capacity_keeps_its_last_rows():
+    cases = np.random.default_rng(800)
+    for case in range(20):
+        heads, dim = int(cases.integers(1, 5)), int(cases.integers(1, 20))
+        capacity = int(cases.integers(1, 6))
+        before = int(cases.integers(0, 2 * capacity))  # rows held before the block
+        length = before + int(cases.integers(capacity + 1, 4 * capacity + 2))
+        stream = byte_stream(cases, length, capacity, dim, heads, continuous=case % 5 == 0)
+        rows, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
+        block = ag.ReplayMemory(capacity, dim, heads)
+        for t in stream:
+            rows.push(t)
+            ref.push(t)
+        listed = ag.ReplayMemory(capacity, dim, heads)
+        if before:
+            block.push_batch(ag.as_batch(stream[:before], heads))
+            listed.push_rows(stream[:before])
+        block.push_batch(ag.as_batch(stream[before:], heads))
+        listed.push_rows(stream[before:])
+        for memory in (block, listed):
+            assert_same_memory(memory, rows)
+            assert_samples_match(memory, ref, heads, seed=case)
+
+
+class PerStepDQN(ag.DQNLearner):
+    """Reference: the DQN learner as it was when it pushed every step."""
+
+    def record(self, transition: ag.Transition) -> None:
+        self.memory.push(transition)
+        self._steps += 1
+        if (len(self.memory) >= self.cfg.minibatch
+                and self._steps % self.cfg.dqn_update_interval == 0):
+            batch = self.memory.sample(self.cfg.minibatch, self._rng)
+            ag.dqn_update(self.q, self.target, batch, self.cfg.gamma, self.cfg.learning_rate,
+                          self.net_cfg, self.heads, self._grads)
+            self._updates += 1
+            if self._updates % self.cfg.target_refresh == 0:
+                self.target = nets.clone_params(self.q)
+
+
+def test_dqn_block_writes_equal_per_step_pushes():
+    # The learner writes its recorded rows when it samples and when an
+    # episode ends. Its memory at every sample and every episode end, its
+    # weights and its generator equal those of a learner that pushes each
+    # step, over a join and a leave and a ring that wraps mid-episode.
+    from swarmcover.env import task_with_swarm
+
+    envs = [small_env(swarm=2, slots=7, max_swarm=3) for _ in range(2)]
+    cfg = ag.AgentConfig(hidden=(8,), replay_capacity=30, minibatch=10, target_refresh=3)
+    learners = [cls(envs[0].state_dim, 3, cfg, np.random.default_rng(13), episodes=12)
+                for cls in (ag.DQNLearner, PerStepDQN)]
+    def frozen(memory: ag.ReplayMemory) -> ag.ReplayMemory:
+        copied = copy.deepcopy(memory)
+        del copied.sample  # the copy samples itself, unwatched
+        return copied
+
+    snapshots: list[list[ag.ReplayMemory]] = [[], []]
+    for learner, shots in zip(learners, snapshots):
+        sample = learner.memory.sample
+
+        def sample_and_keep(n, rng, sample=sample, memory=learner.memory, shots=shots):
+            shots.append(frozen(memory))
+            return sample(n, rng)
+
+        learner.memory.sample = sample_and_keep
+    rngs = [np.random.default_rng(14), np.random.default_rng(14)]
+    sizes = [2] * 4 + [3] * 4 + [1] * 4  # a join, then a leave of two
+    for size in sizes:
+        for env, learner, rng in zip(envs, learners, rngs):
+            ag.run_training_episode(env, task_with_swarm(env.nominal_task(), size), learner, rng)
+        assert_same_memory(*(frozen(learner.memory) for learner in learners))
+    assert len(snapshots[0]) == len(snapshots[1]) > 10
+    for got, want in zip(*snapshots):
+        assert_same_memory(got, want)
+    block, steps = learners
+    assert block._updates == steps._updates >= cfg.target_refresh
+    for net in ("q", "target"):
+        for key, value in getattr(steps, net).items():
+            assert_bits_equal(getattr(block, net)[key], value)
+    assert block._rng.bit_generator.state == steps._rng.bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_actor_critic_memory_after_each_episode_equals_per_step_pushes():
     env = small_env(swarm=2, slots=6, max_swarm=3)
     cfg = ag.AgentConfig(hidden=(8,), replay_capacity=20, minibatch=4)  # wraps mid-episode
@@ -385,6 +581,13 @@ def test_actor_critic_memory_after_each_episode_equals_per_step_pushes():
         ag.run_training_episode(env, env.nominal_task(), learner, rng)
         assert_same_memory(learner.memory, steps)
     assert len(learner.memory.exact_cols) > 0
+
+
+def memory_nbytes(mem: ag.ReplayMemory) -> int:
+    """The bytes of the memory's arrays and of its kept next states (a
+    ``cols`` array they share is counted once per state)."""
+    arrays = sum(a.nbytes for a in vars(mem).values() if isinstance(a, np.ndarray))
+    return arrays + sum(a.nbytes for kept in mem.next_states.values() for a in kept)
 
 
 def test_full_default_world_memory_fits_in_a_few_megabytes():
@@ -405,8 +608,8 @@ def test_full_default_world_memory_fits_in_a_few_megabytes():
             if out.done:
                 break
         mem.push_batch(ag.as_batch(episode, heads))
-    assert len(mem) == 10_000 and env.state_dim == 279 and mem.states.dtype == np.uint8
-    assert mem.states.nbytes + mem.exact.nbytes <= 3.5e6, len(mem.exact_cols)
+    assert len(mem) == 10_000 and env.state_dim == 279 and mem.states.shape == (10_000, 35)
+    assert memory_nbytes(mem) <= 1.6e6, (memory_nbytes(mem), len(mem.exact_cols))
 
 
 # --- exploration -------------------------------------------------------------------

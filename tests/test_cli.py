@@ -1,14 +1,21 @@
 """End-to-end command-line runs on tiny scenarios."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from swarmcover import mission as ms
 from swarmcover.cli import THREAD_VARS, main
+from swarmcover.env import EnvConfig
+from swarmcover.link_budget import RadioConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 INSTANCE = {
     "area_m": 176.0,
@@ -132,6 +139,42 @@ def test_oracle_solves_and_verifies(instance_file, tmp_path, capsys):
     assert payload["feasible"] is True
     assert payload["trajectories"] == [[0, 0, 1]]
     assert payload["actions"] == [[4], [2]]
+
+
+def acceptance_test_3_instance() -> dict:
+    """Acceptance test 3's instance as an ``oracle`` input file: one UAV from
+    cell 1 on the 3x3 grid, strategic cells 4 and 5, horizon 8."""
+    grid = {"area_m": 264.0, "cells_per_side": 3, "slots": 8, "frame_seconds": 192.0}
+    mission = ms.MissionConfig(**grid)
+    devices = ms.default_device_layout(mission, (4, 5), seed=EnvConfig().device_seed, count=2,
+                                       tx_watts=RadioConfig().device_tx_watts)
+    world = ms.build_grid(mission, devices, (4, 5))
+    return dict(ms.layout_to_dict(world), **grid, start_cells=[1], horizon=8)
+
+
+#: sha256 of the file ``oracle --out`` writes, by instance.
+ORACLE_OUT_SHA256 = {
+    "small_instance": "57928532510e530b6599d5d47d99d1cfd99dc6c4b97df922d6ebe676545aaf7e",
+    "acceptance_3": "b5e800818698c6459d5248eb6486fde0caa59399598a87c42de1133e47db95da",
+}
+
+
+def test_oracle_output_bytes_are_pinned(tmp_path, capsys):
+    """What ``oracle --out`` writes is pinned to the byte, for the shipped
+    small instance and for acceptance test 3's (whose optimum the benchmark
+    also checks). A change to the search's float sums shows here."""
+    accept = tmp_path / "acceptance_3.json"
+    accept.write_text(json.dumps(acceptance_test_3_instance()))
+    inputs = {"small_instance": ROOT / "configs" / "small_instance.json",
+              "acceptance_3": accept}
+    got = {}
+    for name, path in inputs.items():
+        out = tmp_path / f"{name}.out.json"
+        assert main(["oracle", str(path), "--out", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert json.loads((tmp_path / "acceptance_3.out.json").read_text())["objective_j"] == \
+        5296.476206402162
+    assert got == ORACLE_OUT_SHA256
 
 
 def test_oracle_reports_infeasibility_with_exit_one(instance_file, capsys):

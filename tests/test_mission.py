@@ -67,6 +67,17 @@ def test_travel_time_diagonal_pinned():
     assert t == pytest.approx(12.445079348883237, rel=1e-12)
 
 
+def test_travel_time_adds_the_squares_left_to_right():
+    # 630.0100000000001 + 8281.0 + 9662.89 rounds at each add; the
+    # correctly rounded sum (math.fsum, the builtin sum from Python 3.12
+    # on) lands one ulp away, and so does its square root.
+    squares = [25.1 ** 2, 91.0 ** 2, 98.3 ** 2]
+    left_to_right = (squares[0] + squares[1]) + squares[2]
+    assert math.sqrt(math.fsum(squares)) != math.sqrt(left_to_right)
+    leg = ms.travel_time_s((0.0, 0.0, 0.0), (25.1, 91.0, 98.3), 1.0)
+    assert leg == math.sqrt(left_to_right) == 136.2860961360329
+
+
 def test_data_delay_single_packet():
     assert ms.data_delay_s([(1.0e6, 1.0e6)]) == 1.0
 
@@ -134,6 +145,17 @@ def test_swarm_energy_adds_left_to_right():
     assert ms.swarm_energy_j(served) == 0.9999999999999999
     assert ms.swarm_energy_j(served + [(0.5, False)]) == 0.9999999999999999
     assert isinstance(ms.swarm_energy_j([]), float)
+
+
+def test_add_left_to_right_rounds_every_add():
+    # Three and more terms where each rounded add and the correctly rounded
+    # sum differ; an empty sum is the integer 0, as the builtin's.
+    assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
+    assert ms.add_left_to_right([1.0, 1e-16, 1e-16]) == 1.0
+    assert ms.add_left_to_right(iter([0.1] * 10)) == 0.9999999999999999
+    assert ms.add_left_to_right([0.5, 0.25]) == 0.75
+    total = ms.add_left_to_right([])
+    assert total == 0 and type(total) is int
 
 
 @given(pairs=st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)), max_size=8))
