@@ -379,3 +379,42 @@ def test_output_bytes_are_pinned(algorithm, tmp_path):
     got = tuple(hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
                 for name in _PINNED_FILES)
     assert got == _PINNED_DIGESTS[algorithm]
+
+
+#: The pinned run with a replay ring of 38 rows and minibatches of 16: 38 is
+#: a multiple of neither the 6 slots nor DQN's update interval of 4, so the
+#: ring wraps inside a DQN write block and across an actor-critic episode.
+_WRAPPING_AGENT = {"replay_capacity": 38, "minibatch": 16}
+#: sha256 of metrics.csv, heatmap.csv and summary.json per algorithm.
+_WRAPPING_DIGESTS = {
+    "dqn": (
+        "0eeb6620b48275c90a20ca1be61c138e13a4750316bd4476d8db621547b2fe40",
+        "8fd07a59eea2b851540bd1bc362e7216fd5edb065a946cce7eeb23ed3932872f",
+        "a727a874e8a9edaf8c63b3cee59195038de75c9dfd5fb66fe3c81353738745d1",
+    ),
+    "meta_rl": (
+        "9c0a1cc8906dc958759e7b734d18f8b1436f06bea5834c8954d5f0c6116b3d34",
+        "32c96e5deeea5a916e8c1000a58bbc194397f29b0321660238803efb1281d7d0",
+        "02d10217e3a09e1491e08e5b6c406939b706195070f7478f051e0408d263be98",
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_WRAPPING_DIGESTS))
+def test_output_bytes_are_pinned_through_a_wrapping_replay(algorithm, tmp_path):
+    """The pinned run bytes of the two replay users while their memory
+    wraps its ring several times over: DQN writes 240 rows, the meta
+    run's trained actor-critic 120."""
+    env = dict(_PINNED_OVERRIDES["env"])
+    if algorithm == "dqn":
+        env["events"] = _PINNED_EVENTS
+    cfg = cf.load_config(overrides={
+        **_PINNED_OVERRIDES,
+        "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm},
+        "env": env,
+        "agent": {**_PINNED_OVERRIDES["agent"], **_WRAPPING_AGENT},
+    }, environ={})
+    seed_dir = hz.run_experiment(cfg, tmp_path)[0]
+    got = tuple(hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
+                for name in _PINNED_FILES)
+    assert got == _WRAPPING_DIGESTS[algorithm]
