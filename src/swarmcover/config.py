@@ -29,7 +29,6 @@ from typing import Mapping
 
 from . import link_budget as lb
 from . import mission as ms
-from .agents import ALGORITHMS, AgentConfig
 from .env import EnvConfig, SwarmEvent, next_swarm_size
 from .oracle import ExactInstance
 
@@ -42,6 +41,9 @@ _LINK_DB_KEYS = ("psi_los_db", "psi_nlos_db", "noise_dbm", "min_snr_db")
 
 #: Alternative noise convention: per-Hz density integrated over the radio bandwidth.
 _LINK_DENSITY_KEY = "noise_dbm_per_hz"
+
+#: The learners ``agents.make_learner`` builds, by name.
+ALGORITHMS = ("meta_rl", "actor_critic", "dqn", "ppo", "random")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,53 @@ class RunSettings:
             raise ValueError("plateau tail must lie in (0, 1]")
         if not 0.0 < self.convergence_level <= 1.0:
             raise ValueError("convergence level must lie in (0, 1]")
+
+
+#: The counts and periods of ``AgentConfig``; each divides or bounds a loop.
+_COUNTS = ("target_refresh", "dqn_update_interval", "ppo_epochs",
+           "meta_inner_episodes", "meta_tasks_per_update")
+
+
+@dataclass(frozen=True)
+class AgentConfig:
+    """The learners' settings, read by :mod:`swarmcover.agents`."""
+
+    gamma: float = 0.85
+    learning_rate: float = 1e-4  # SGD step of DQN and PPO; see agents.AC_LEARNING_RATE
+    hidden: tuple[int, ...] = (64, 64)
+    replay_capacity: int = 10_000
+    minibatch: int = 64
+    target_refresh: int = 100
+    dqn_update_interval: int = 4
+    ppo_clip: float = 0.2
+    ppo_epochs: int = 4
+    meta_outer_lr: float = 0.5
+    meta_inner_episodes: int = 10
+    meta_tasks_per_update: int = 5
+    meta_fraction: float = 0.5
+    eps_start: float = 0.9
+    eps_end: float = 0.05
+    eps_decay_frac: float = 0.6
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError("discount must lie in (0, 1]")
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning rate must be positive")
+        if self.replay_capacity < 1 or self.minibatch < 1:
+            raise ValueError("replay capacity and minibatch must be positive")
+        if self.minibatch > self.replay_capacity:
+            # The memory would never hold a minibatch: DQN would never update
+            # and the actor-critic never add its replay term.
+            raise ValueError(f"minibatch ({self.minibatch}) must not exceed "
+                             f"replay_capacity ({self.replay_capacity})")
+        if not 0.0 <= self.ppo_clip < 1.0:
+            raise ValueError("clip range must lie in [0, 1)")
+        if not 0.0 <= self.meta_fraction < 1.0:
+            raise ValueError("meta fraction must lie in [0, 1)")
+        for name in _COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)

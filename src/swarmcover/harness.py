@@ -27,7 +27,6 @@ import numpy as np
 
 from .agents import (
     ActorCriticLearner,
-    AgentConfig,
     PolicyParams,
     make_learner,
     make_policy_params,
@@ -35,7 +34,7 @@ from .agents import (
     meta_outer_update,
     run_training_episode,
 )
-from .config import ExperimentConfig, resolved_dict, write_resolved
+from .config import AgentConfig, ExperimentConfig, resolved_dict, write_resolved
 from .env import CoverageEnv, TaskSpec, task_with_swarm
 
 PLOT_KINDS = ("heatmap", "learning_curve", "energy_bars", "satisfaction_bars")

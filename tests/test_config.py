@@ -1,6 +1,9 @@
 """Config resolution: defaults, files, overrides, environment variables."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -236,3 +239,13 @@ def test_load_instance_honours_link_and_radio_sections(tmp_path):
     assert inst.link.min_snr == pytest.approx(1.0)
     assert inst.radio.rate_floor_bps == 2e5
     assert inst.link.omega1 == 11.95  # urban preset is still the base
+
+
+def test_loading_a_config_compiles_no_learner():
+    # swarmcover oracle and load_instance read configs; neither should load
+    # the learners or the networks.
+    code = ("import sys, swarmcover.config; "
+            "print(sorted(m for m in ('swarmcover.agents', 'swarmcover.nets') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert proc.stdout.strip() == "[]"
