@@ -1,8 +1,10 @@
 """Learners for the coverage MDP: actor-critic, DQN, PPO, and a first-order
 meta-initialization loop on top of the actor-critic.
 
-Every learner has ``act(state, rng)``, ``record(transition)`` and
-``finish_episode(rng)`` and holds one copy of its weights. Only
+Every learner has ``act(state, rng)``, ``record(episode)`` and
+``finish_episode(rng)`` and holds one copy of its weights. ``record``
+is called after each step with the env's ``EpisodeArrays``, which hold
+the episode's rows up to that step. Only
 ``finish_episode`` changes them (DQN's ``record`` too), so everything
 read during an episode sees the weights the episode started with. The
 actor-critic and PPO sample from their actor. DQN acts epsilon-greedily
@@ -29,27 +31,25 @@ deterministic given the generators passed in. Action sampling draws one
 uniform per UAV in one call and inverts each through its row's CDF, built
 on Python floats (a few five-wide rows cost less there than in numpy);
 the gradients hold no per-(step, UAV) Python loop and index one-hot
-actions under an acting-head mask (``action_arrays``). Both reproduce the
+actions under an acting-head mask (``Batch.acting``). Both reproduce the
 per-UAV ``rng.choice`` draws and the per-(step, UAV) arithmetic bit for
 bit; the tests keep those loops as references. Only DQN's exploration
 walks the UAVs one at a time, because its draws interleave. The policy
 learners act through the actor alone, softmaxing the active heads only.
 
-Every gradient reads transitions as one :class:`Batch` of arrays. An
-episode's list of ``Transition`` objects becomes one through
-:func:`as_batch`; the replay memory (DQN's, and the actor-critic's TD
-term) stores rows in preallocated arrays round a ring and samples a
-``Batch`` straight from them. It keeps each row at its information size:
-one state per row as one bit per feature (the observation is almost all
-exact 0.0 and 1.0), with float64 values only for the columns that have
-held anything else, and ``int8`` action ids and acting-head counts. A
-row's next state is the next row's state; only terminal rows, the newest
-row and rows whose successor does not continue them keep a next state of
-their own, packed the same way. Rows go in as blocks: the actor-critic
-pushes a finished episode from the ``Batch`` its gradients were taken
-on, and DQN writes the rows it has recorded just before each sample and
-at each episode's end.
-DQN, PPO and the actor-critic take their gradients into buffers they
+Every gradient reads transitions as one :class:`Batch` of arrays. A
+finished episode is one by slicing (:meth:`Batch.of_episode`: the states
+are ``obs[:-1]``, the next states ``obs[1:]``). The replay memory (DQN's,
+and the actor-critic's TD term) copies an episode's rows in step order
+into preallocated arrays round a ring and samples a ``Batch`` straight
+from them. It keeps each row at its information size: one state per row
+as one bit per feature, with float64 values only for the columns the env
+declares not 0/1 (``CoverageEnv.real_cols``), and ``int8`` action ids
+and acting-head counts. A row's next state is the next row's state; only
+terminal rows and the newest row keep a next state of their own. The
+actor-critic writes each finished episode whole, and DQN writes the
+episode's steps up to the current one just before each sample and the
+rest at the episode's end. DQN, PPO and the actor-critic take their gradients into buffers they
 own, so an update allocates no parameter-sized arrays.
 """
 
@@ -73,15 +73,6 @@ AC_LEARNING_RATE = 1e-3
 #: test, 0.05 collapses to hovering (visit ratio 1.07) and 0.15 keeps too
 #: much randomness (1.65), against 2.28 at 0.1.
 ENTROPY_WEIGHT = 0.1
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: tuple[int, ...]
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    #: One reward per acting UAV, summing to ``reward``.
-    uav_rewards: np.ndarray
 
 
 @dataclass
@@ -247,7 +238,7 @@ class Batch:
     next_states: np.ndarray  # [B, state_dim]
     reward: np.ndarray       # [B] team reward
     live: np.ndarray         # [B]
-    acts: np.ndarray         # [B, heads] action ids, as action_arrays
+    acts: np.ndarray         # [B, heads] action ids, 0 on idle heads
     acting: np.ndarray       # [B, heads] heads that acted
     active: np.ndarray       # [B, heads] ``acting`` as 1.0 / 0.0
     rewards: np.ndarray      # [B, heads]
@@ -264,33 +255,19 @@ class Batch:
         return cls(states, next_states, reward, live, acts, acting, active,
                    uav_rewards, live[:, None] * next_active)
 
+    @classmethod
+    def of_episode(cls, episode) -> "Batch":
+        """The written steps of an ``env.EpisodeArrays`` as views of its
+        arrays: states ``obs[:-1]``, next states ``obs[1:]``."""
+        n, heads = episode.steps, episode.acts.shape[1]
+        acting = np.arange(heads) < np.full((n, 1), episode.uavs)
+        return cls.build(episode.obs[:n], episode.obs[1:n + 1], episode.reward[:n],
+                         episode.uav_rewards[:n], episode.done[:n], episode.acts[:n], acting)
+
     @property
     def onehot(self) -> np.ndarray:
         """[B, heads, N_ACTIONS] one-hot taken actions (action 0 on idle heads)."""
         return np.eye(N_ACTIONS)[self.acts]
-
-
-def action_arrays(actions: Sequence[tuple[int, ...]], heads: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint actions as ``(acts[B, heads], acting[B, heads])``: action ids
-    in the head slots that acted (a prefix of the slots), 0 elsewhere."""
-    acting = np.arange(heads) < np.array([len(a) for a in actions])[:, None]
-    acts = np.zeros(acting.shape, dtype=np.int64)
-    acts[acting] = [a for joint in actions for a in joint]  # row-major fill
-    return acts, acting
-
-
-def as_batch(transitions: Sequence[Transition], heads: int) -> Batch:
-    """A list of transitions (an episode, say) as a :class:`Batch`."""
-    acts, acting = action_arrays([t.action for t in transitions], heads)
-    uav_rewards = np.zeros(acting.shape)
-    uav_rewards[acting] = np.concatenate([t.uav_rewards for t in transitions])
-    return Batch.build(
-        np.stack([t.state for t in transitions]),
-        np.stack([t.next_state for t in transitions]),
-        np.array([t.reward for t in transitions], dtype=np.float64),
-        uav_rewards, np.array([t.done for t in transitions], dtype=bool),
-        acts, acting,
-    )
 
 
 def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -303,181 +280,86 @@ def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-#: The bit pattern of 1.0, the one state value besides +0.0 a bit holds.
+#: The bit pattern of 1.0, the one value besides +0.0 a bit holds.
 _ONE_BITS = np.float64(1.0).view(np.uint64)
-#: A kept next state, ``(bits, cols, values)``: see ``ReplayMemory._pack``.
-_Packed = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class ReplayMemory:
     """The last ``capacity`` transitions, sampled uniformly as a :class:`Batch`.
 
-    Rows live in preallocated arrays, filled in push order round a ring,
-    each at its information size: the state as one bit per feature
-    (``np.packbits`` order, [capacity, ceil(state_dim / 8)] bytes), the
-    team reward, the per-UAV reward columns, the done flag, the action
-    ids as ``int8`` (laid out as :func:`action_arrays` does) and the
-    count of acting heads as ``int8``. A bit holds a feature that is
-    exactly +0.0 or 1.0, which almost every feature of the coverage
-    observation is. The columns that have ever held any other bit
-    pattern (-0.0 and NaN included) are found from the pushed states and
-    keep their float64 values in ``exact``, one column per entry of
-    ``exact_cols``; a push that first shows such a column widens
-    ``exact`` and copies only the rows already written, the new columns
-    from their bits. A sampled state is rebuilt from both, bit for bit.
+    Rows are written from episodes (``env.EpisodeArrays``) in step order
+    round a ring of preallocated arrays, each at its information size:
+    the state as one bit per feature (``np.packbits`` order,
+    [capacity, ceil(state_dim / 8)] bytes) beside the float64 values of
+    the ``real_cols`` the env declares not 0/1 (``exact``), the team
+    reward, the per-UAV reward columns, the done flag, the action ids as
+    ``int8`` and the count of acting heads as ``int8``. A write whose
+    states hold anything but +0.0 or 1.0 outside ``real_cols`` raises.
 
-    A row's next state is the next row's state, so no second state array
-    exists. A next state is kept on its own only where that chaining
-    would be wrong: for a terminal row, for the newest row (its
-    successor is not pushed yet), and for a row whose successor's state
-    is not its next state bit for bit. It is kept packed the same way,
-    as its bits and the float64 values of the columns they cannot give:
-    ``exact_cols`` at the time, plus any column in which it holds a
-    pattern no pushed state has shown. The arrays sit on untouched pages
-    until rows are written, so a memory that fills a few hundred of its
-    rows holds only those.
-
-    :meth:`push` writes one transition, :meth:`push_rows` a block of them
-    in order (DQN's recorded steps) and :meth:`push_batch` a block given
-    as a :class:`Batch` (a finished episode); all are the same write.
+    A row's next state is the next row's state. A write keeps its last
+    row's next state on its own (``next_states``: its bits and its
+    ``real_cols`` values), and the next write, which continues that row,
+    drops it unless the row is terminal; an episode's steps end at the
+    terminal one. So only terminal rows and the newest row keep one. The
+    arrays sit on untouched pages until rows are written, so a memory that
+    fills a few hundred of its rows holds only those.
     """
 
-    def __init__(self, capacity: int, state_dim: int, heads: int) -> None:
+    def __init__(self, capacity: int, state_dim: int, heads: int,
+                 real_cols: Sequence[int]) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         if heads > np.iinfo(np.int8).max:
             raise ValueError(f"at most {np.iinfo(np.int8).max} heads fit the int8 head count")
         self.capacity = capacity
         self.state_dim = state_dim
-        self.heads = heads
+        self.real_cols = np.asarray(real_cols, dtype=np.intp)
         self.states = _untouched_zeros((capacity, -(-state_dim // 8)), np.uint8)
-        #: The columns that have held a value other than +0.0 or 1.0, in
-        #: the order they first did, and their values by row.
-        self.exact_cols = np.zeros(0, dtype=np.intp)
-        self.exact = _untouched_zeros((capacity, 0), np.float64)
-        #: All bits set in the columns that ``states`` holds, none in the others.
-        self._bit_cols = np.full(state_dim, np.iinfo(np.uint64).max, dtype=np.uint64)
+        self.exact = _untouched_zeros((capacity, len(self.real_cols)), np.float64)
+        #: All bits set in the columns that ``states`` holds, none in ``real_cols``.
+        self._bit_mask = np.full(state_dim, np.iinfo(np.uint64).max, dtype=np.uint64)
+        self._bit_mask[self.real_cols] = 0
         self.reward = _untouched_zeros((capacity,), np.float64)
         self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
         self.done = _untouched_zeros((capacity,), bool)
         self.acts = _untouched_zeros((capacity, heads), np.int8)
         self.acting_count = _untouched_zeros((capacity,), np.int8)
-        #: The next states kept on their own, by row, packed by :meth:`_pack`.
-        self.next_states: dict[int, _Packed] = {}
+        #: The next states kept on their own, by row, as ``(bits, values)``.
+        self.next_states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._prefix = np.arange(heads) < np.arange(heads + 1)[:, None]  # acting rows by count
         self._size = 0
-        self._slot = 0  # the row the next push writes
+        self._slot = 0  # the row the next write starts at
 
-    def push(self, transition: Transition) -> None:
-        """One transition: the one-row case of :meth:`push_rows`."""
-        self.push_rows([transition])
-
-    def push_rows(self, transitions: Sequence[Transition]) -> None:
-        """The transitions, in order, as one block: the same write as that
-        many :meth:`push` calls."""
-        counts = [len(t.action) for t in transitions]
-        acts = np.zeros((len(counts), self.heads), dtype=np.int8)
-        uav_rewards = np.zeros((len(counts), self.heads))
-        for i, (t, k) in enumerate(zip(transitions, counts)):
-            acts[i, :k] = t.action
-            uav_rewards[i, :k] = t.uav_rewards
-        self._write(
-            np.array([t.state for t in transitions], dtype=np.float64),
-            np.array([t.next_state for t in transitions], dtype=np.float64),
-            np.array([t.reward for t in transitions], dtype=np.float64), uav_rewards,
-            np.array([t.done for t in transitions]), acts, counts,
-        )
-
-    def push_batch(self, batch: Batch) -> None:
-        """The batch's rows, in order, as :meth:`push_rows` writes them."""
-        self._write(np.asarray(batch.states, dtype=np.float64),
-                    np.asarray(batch.next_states, dtype=np.float64), batch.reward,
-                    batch.rewards, batch.live == 0.0, batch.acts,
-                    np.count_nonzero(batch.acting, axis=1))
-
-    def _write(self, states, next_states, reward, uav_rewards, done, acts, counts) -> None:
-        """Write rows from the ring's next row on; ``uav_rewards`` and
-        ``acts`` are zero past each row's ``counts`` acting heads."""
-        s, n = self._slot, len(states)
-        if s + n > self.capacity:  # up to the ring's end, then from row 0 on
-            cut = self.capacity - s
-            columns = (states, next_states, reward, uav_rewards, done, acts, counts)
-            self._write(*(a[:cut] for a in columns))
-            self._write(*(a[cut:] for a in columns))
-            return
-        end = s + n
-        prev = s - 1 if s else self.capacity - 1  # the newest row so far
-        # Row prev stops keeping its next state if this write continues it
-        # (and leaves it in the ring).
-        if self._size and n < self.capacity and not self.done[prev]:
-            if self._unpack(self.next_states[prev]).tobytes() == states[0].tobytes():
-                del self.next_states[prev]
-        if self.next_states:
-            for row in range(s, end):  # the rows overwritten
-                self.next_states.pop(row, None)
-
-        bits = states.view(np.uint64)
-        masked = bits & self._bit_cols  # 0 in the exact columns
+    def write(self, episode, start: int, stop: int) -> None:
+        """Steps ``start`` to ``stop - 1`` of ``episode``, in order, from
+        the ring's next row on."""
+        n = stop - start
+        start = max(start, stop - self.capacity)  # earlier steps this write overwrites
+        obs = episode.obs[start:stop + 1]
+        masked = obs.view(np.uint64) & self._bit_mask  # 0 in the real columns
         ones = masked == _ONE_BITS
         if np.count_nonzero(masked) != np.count_nonzero(ones):
-            # Some bit column holds neither +0.0 nor 1.0: it becomes exact
-            # (and its bits from here on are never read).
-            self._add_exact(np.flatnonzero(((masked != 0) > ones).any(axis=0)))
-        self.states[s:end] = np.packbits(ones, axis=1)
-        np.take(states, self.exact_cols, axis=1, out=self.exact[s:end])
-        self.reward[s:end] = reward
-        self.uav_rewards[s:end] = uav_rewards
-        self.done[s:end] = done
-        self.acts[s:end] = acts
-        self.acting_count[s:end] = counts
-
-        keep = np.array(done, dtype=bool)  # terminal rows, the newest row, and
-        keep[-1] = True                    # rows whose successor does not continue them
-        if n > 1:
-            keep[:-1] |= (next_states[:-1].view(np.uint64) != bits[1:]).any(axis=1)
-        rows = np.flatnonzero(keep)
-        for row, packed in zip(rows.tolist(), self._pack(next_states[rows])):
-            self.next_states[s + row] = packed
-        self._size = max(self._size, end)
-        self._slot = end if end < self.capacity else 0
-
-    def _pack(self, states: np.ndarray) -> list[_Packed]:
-        """Each state as ``(bits, cols, values)``: its features packed as
-        the ``states`` rows are, and its exact values in ``cols``, which are
-        ``exact_cols`` plus the columns where it alone holds a value other
-        than +0.0 or 1.0."""
-        masked = states.view(np.uint64) & self._bit_cols
-        ones = masked == _ONE_BITS
-        stray = (masked != 0) > ones
-        packed = np.packbits(ones, axis=1)
-        values = states[:, self.exact_cols]
-        out = []
-        for i, odd in enumerate(stray.any(axis=1).tolist()):
-            if odd:
-                cols = np.concatenate([self.exact_cols, np.flatnonzero(stray[i])])
-                out.append((packed[i], cols, states[i, cols]))
-            else:
-                out.append((packed[i], self.exact_cols, values[i]))
-        return out
-
-    def _unpack(self, packed: _Packed) -> np.ndarray:
-        """The float64 state :meth:`_pack` packed, bit for bit."""
-        bits, cols, values = packed
-        state = np.unpackbits(bits, count=self.state_dim).astype(np.float64)
-        state[cols] = values
-        return state
-
-    def _add_exact(self, cols: np.ndarray) -> None:
-        """Give ``cols`` float64 storage. The rows written so far held only
-        +0.0 and 1.0 there, so their bits give the values: feature ``c`` is
-        bit ``7 - c % 8`` of byte ``c // 8``, as ``np.packbits`` lays it out."""
-        held, old = self._size, self.exact
-        self.exact_cols = np.concatenate([self.exact_cols, cols])
-        self.exact = _untouched_zeros((self.capacity, len(self.exact_cols)), np.float64)
-        self.exact[:held, : old.shape[1]] = old[:held]
-        shift = (7 - cols % 8).astype(np.uint8)
-        self.exact[:held, old.shape[1]:] = (self.states[:held, cols // 8] >> shift) & 1
-        self._bit_cols[cols] = 0
+            t, col = np.argwhere((masked != 0) > ones)[0]
+            raise ValueError(f"state column {col} holds {obs[t, col]!r}, which is "
+                             "neither 0.0 nor 1.0 and not a declared real column")
+        newest = (self._slot - 1) % self.capacity
+        if self._size and not self.done[newest]:
+            del self.next_states[newest]  # this write continues it
+        rows = (self._slot + n + np.arange(start - stop, 0)) % self.capacity
+        for row in rows.tolist():  # the rows overwritten
+            self.next_states.pop(row, None)
+        bits = np.packbits(ones, axis=1)
+        values = obs[:, self.real_cols]
+        self.states[rows] = bits[:-1]
+        self.exact[rows] = values[:-1]
+        self.reward[rows] = episode.reward[start:stop]
+        self.uav_rewards[rows] = episode.uav_rewards[start:stop]
+        self.done[rows] = episode.done[start:stop]
+        self.acts[rows] = episode.acts[start:stop]
+        self.acting_count[rows] = episode.uavs
+        self.next_states[int(rows[-1])] = (bits[-1].copy(), values[-1].copy())
+        self._size = min(self._size + n, self.capacity)
+        self._slot = (self._slot + n) % self.capacity
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
         """``n`` distinct transitions, drawn as ``rng.choice`` over the held
@@ -487,17 +369,17 @@ class ReplayMemory:
         rows = rng.choice(self._size, size=n, replace=False)
         if self._size == self.capacity:  # the oldest row is the next one written
             rows = (rows + self._slot) % self.capacity
-        after = rows + 1
-        after[after == self.capacity] = 0
-        # Each row's state and the next row's, unpacked bit for bit as pushed.
-        both = np.concatenate([rows, after])
+        # Each row's state and the next row's, unpacked bit for bit as written.
+        both = np.concatenate([rows, (rows + 1) % self.capacity])
         decoded = np.unpackbits(self.states[both], axis=1, count=self.state_dim).astype(np.float64)
-        decoded[:, self.exact_cols] = self.exact[both]
+        decoded[:, self.real_cols] = self.exact[both]
         states, next_states = decoded[:n], decoded[n:]
         for i, row in enumerate(rows.tolist()):
             own = self.next_states.get(row)
             if own is not None:
-                next_states[i] = self._unpack(own)
+                bits, values = own
+                next_states[i] = np.unpackbits(bits, count=self.state_dim)
+                next_states[i, self.real_cols] = values
         return Batch.build(
             states, next_states, self.reward[rows], self.uav_rewards[rows], self.done[rows],
             self.acts[rows].astype(np.int64), self._prefix[self.acting_count[rows]],
@@ -514,8 +396,8 @@ def actor_critic_accumulate(
     acc: GradAccumulator,
     scratch: GradAccumulator | None = None,
 ) -> None:
-    """Add the gradients of one episode, as :func:`as_batch` lays it out,
-    at the current weights to ``acc``.
+    """Add the gradients of one episode, as :meth:`Batch.of_episode` lays
+    it out, at the current weights to ``acc``.
 
     Actor: ascent direction of
       sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + ENTROPY_WEIGHT * H(pi_i(. | s_t))]
@@ -685,8 +567,8 @@ def _step(params: dict, grads: dict, scale: float) -> None:
 # --- PPO ----------------------------------------------------------------------
 
 def joint_log_prob(probs: np.ndarray, acts: np.ndarray, acting: np.ndarray) -> np.ndarray:
-    """Log probability of each joint action, given as :func:`action_arrays`,
-    under per-UAV distributions, each head's probability floored at 1e-12.
+    """Log probability of each joint action, given as a :class:`Batch`'s
+    ``acts`` and ``acting``, under per-UAV distributions, each head's probability floored at 1e-12.
     The heads' logs are added one head at a time, in head order (a row sum
     would pair the terms)."""
     taken = np.take_along_axis(probs, acts[:, :, None], axis=2)[:, :, 0]
@@ -712,8 +594,8 @@ def ppo_surrogate_and_grad(
 ) -> tuple[float, dict]:
     """Clipped surrogate objective and its ascent gradient.
 
-    The batch comes as its stacked states, its joint actions as
-    :func:`action_arrays` and their one-hot rows ``np.eye(N_ACTIONS)[acts]``,
+    The batch comes as its states, its joint actions as a :class:`Batch`'s
+    ``acts`` and ``acting`` and their one-hot rows ``np.eye(N_ACTIONS)[acts]``,
     all fixed for a whole update. Per sample: min(rho * A, clip(rho, 1 -
     eps, 1 + eps) * A) with the joint-action probability ratio rho =
     exp(log pi(a|s) - logp_old), where ``logp_old`` is the pre-update
@@ -748,7 +630,7 @@ def ppo_surrogate_and_grad(
 
 def ppo_update(
     params: PolicyParams,
-    rollout: Sequence[Transition],
+    rollout: Batch,
     clip_eps: float,
     epochs: int,
     gamma: float,
@@ -765,14 +647,12 @@ def ppo_update(
     into ``grads`` when given (the learner's own buffers) and scaled
     there in place.
     """
-    if not rollout:
+    if not len(rollout.states):
         raise ValueError("cannot update from an empty rollout")
     if epochs < 1:
         raise ValueError("need at least one epoch")
-    states = np.stack([t.state for t in rollout])
-    acts, acting = action_arrays([t.action for t in rollout], params.heads)
-    onehot = np.eye(N_ACTIONS)[acts]
-    returns = discounted_returns([t.reward for t in rollout], gamma)
+    states, acts, acting, onehot = rollout.states, rollout.acts, rollout.acting, rollout.onehot
+    returns = discounted_returns(rollout.reward, gamma)
     values, v_cache = value_forward(params.critic, states, params.critic_cfg)
     adv = returns - values
     _, probs_old, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
@@ -799,11 +679,8 @@ def run_training_episode(env, task, learner, rng: np.random.Generator) -> dict:
     """One full episode of interaction and learning; returns episode stats."""
     state = env.reset(task, rng_seed=int(rng.integers(2**63 - 1)))
     while True:
-        actions = learner.act(state, rng)
-        out = env.step(actions)
-        learner.record(
-            Transition(state, actions, out.reward, out.state, out.done, out.uav_rewards)
-        )
+        out = env.step(learner.act(state, rng))
+        learner.record(env.episode)
         state = out.state
         if out.done:
             break
@@ -824,7 +701,7 @@ def meta_adapt(
     from a copy of the meta weights and returns the adapted copy; the
     meta parameters themselves are never touched.
     """
-    learner = ActorCriticLearner(meta.clone(), agent_cfg)
+    learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
     for _ in range(agent_cfg.meta_inner_episodes):
         run_training_episode(env, task, learner, rng)
     return learner.params
@@ -857,21 +734,22 @@ class ActorCriticLearner:
     learner, or a learner whose ``params`` are replaced, starts afresh.
     """
 
-    def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
+    def __init__(self, params: PolicyParams, cfg: AgentConfig, real_cols: Sequence[int]) -> None:
         self.params = params
         self.cfg = cfg
-        self.memory = ReplayMemory(cfg.replay_capacity, params.actor_cfg.input_dim, params.heads)
-        self._episode: list[Transition] = []
+        self.memory = ReplayMemory(cfg.replay_capacity, params.actor_cfg.input_dim, params.heads,
+                                   real_cols)
+        self._episode = None
         self._optimised: PolicyParams | None = None
 
     def act(self, state, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, rng)
 
-    def record(self, transition: Transition) -> None:
-        self._episode.append(transition)
+    def record(self, episode) -> None:
+        self._episode = episode
 
     def finish_episode(self, rng) -> None:
-        if not self._episode:
+        if self._episode is None:
             return
         params = self.params
         if self._optimised is not params:
@@ -881,17 +759,16 @@ class ActorCriticLearner:
                                             nets.grad_buffers(params.critic_cfg))
             self._optimised = params
         acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
-        episode = as_batch(self._episode, params.heads)
-        actor_critic_accumulate(params, episode, self.cfg.gamma, acc, self._scratch)
-        # The memory is read only from here on, so the episode goes in as
-        # one block, from the batch its gradients were taken on.
-        self.memory.push_batch(episode)
+        episode = self._episode
+        actor_critic_accumulate(params, Batch.of_episode(episode), self.cfg.gamma, acc,
+                                self._scratch)
+        self.memory.write(episode, 0, episode.steps)
         if len(self.memory) >= self.cfg.minibatch:
             batch = self.memory.sample(self.cfg.minibatch, rng)
             critic_td_accumulate(params, batch, self.cfg.gamma, acc, self._scratch)
         self._actor_opt.step(params.actor)
         self._critic_opt.step(params.critic)
-        self._episode = []
+        self._episode = None
 
 
 class DQNLearner:
@@ -904,15 +781,16 @@ class DQNLearner:
 
     def __init__(
         self, state_dim: int, heads: int, cfg: AgentConfig, rng: np.random.Generator,
-        episodes: int,
+        episodes: int, real_cols: Sequence[int],
     ) -> None:
         self.cfg = cfg
         self.net_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
         self.heads = heads
         self.q = nets.init_params(self.net_cfg, rng)
         self.target = nets.clone_params(self.q)
-        self.memory = ReplayMemory(cfg.replay_capacity, state_dim, heads)
-        self._pending: list[Transition] = []  # recorded, not yet in the memory
+        self.memory = ReplayMemory(cfg.replay_capacity, state_dim, heads, real_cols)
+        self._episode = None
+        self._written = 0  # the episode's steps in the memory
         self._grads = nets.grad_buffers(self.net_cfg)
         self.episodes = episodes
         self._finished = 0
@@ -933,14 +811,15 @@ class DQNLearner:
         return tuple(int(rng.integers(N_ACTIONS)) if rng.random() < self.epsilon else a
                      for a in picks)
 
-    def record(self, transition: Transition) -> None:
-        """Keep the transition and, every ``dqn_update_interval`` steps once
-        the memory would hold a minibatch, write the kept rows to it as one
-        block and take an update from a sample. The memory is the same at
-        every sample as with a push per step."""
-        self._pending.append(transition)
+    def record(self, episode) -> None:
+        """Count the step just written to ``episode`` and, every
+        ``dqn_update_interval`` steps once the memory would hold a
+        minibatch, write the episode's steps up to this one to the memory
+        and take an update from a sample. The memory is the same at every
+        sample as with a write per step."""
+        self._episode = episode
         self._steps += 1
-        if (len(self.memory) + len(self._pending) >= self.cfg.minibatch
+        if (len(self.memory) + episode.steps - self._written >= self.cfg.minibatch
                 and self._steps % self.cfg.dqn_update_interval == 0):
             self._flush()
             batch = self.memory.sample(self.cfg.minibatch, self._rng)
@@ -954,14 +833,16 @@ class DQNLearner:
 
     def finish_episode(self, rng) -> None:
         self._flush()
+        self._episode, self._written = None, 0
         self._finished += 1
         self.epsilon = epsilon_at(self._finished, self.episodes, self.cfg)
 
     def _flush(self) -> None:
-        """Write the pending transitions to the memory as one block."""
-        if self._pending:
-            self.memory.push_rows(self._pending)
-            self._pending = []
+        """Write the episode's steps not yet in the memory."""
+        episode = self._episode
+        if episode is not None and episode.steps > self._written:
+            self.memory.write(episode, self._written, episode.steps)
+            self._written = episode.steps
 
 
 class PPOLearner:
@@ -970,24 +851,24 @@ class PPOLearner:
     def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
         self.params = params
         self.cfg = cfg
-        self._rollout: list[Transition] = []
+        self._episode = None
         self._grads = GradAccumulator(nets.grad_buffers(params.actor_cfg),
                                       nets.grad_buffers(params.critic_cfg))
 
     def act(self, state, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, rng)
 
-    def record(self, transition: Transition) -> None:
-        self._rollout.append(transition)
+    def record(self, episode) -> None:
+        self._episode = episode
 
     def finish_episode(self, rng) -> None:
-        if not self._rollout:
+        if self._episode is None:
             return
         ppo_update(
-            self.params, self._rollout, self.cfg.ppo_clip, self.cfg.ppo_epochs,
+            self.params, Batch.of_episode(self._episode), self.cfg.ppo_clip, self.cfg.ppo_epochs,
             self.cfg.gamma, self.cfg.learning_rate, self._grads,
         )
-        self._rollout = []
+        self._episode = None
 
 
 class RandomPolicy:
@@ -1000,7 +881,7 @@ class RandomPolicy:
         active = _active_count(state, self.heads)
         return tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
 
-    def record(self, transition: Transition) -> None:
+    def record(self, episode) -> None:
         pass
 
     def finish_episode(self, rng) -> None:
@@ -1028,16 +909,18 @@ def make_learner(
     cfg: AgentConfig,
     rng: np.random.Generator,
     episodes: int,
+    real_cols: Sequence[int],
 ):
     """A fresh learner for a run of ``episodes`` episodes (the length of
-    DQN's exploration schedule)."""
+    DQN's exploration schedule) on states whose ``real_cols`` are the
+    only ones not 0/1 (``CoverageEnv.real_cols``)."""
     if algorithm in ("actor_critic", "meta_rl"):
         return ActorCriticLearner(
-            make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads), cfg)
+            make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads), cfg, real_cols)
     if algorithm == "ppo":
         return PPOLearner(make_policy_params(state_dim, heads, cfg, rng, critic_outputs=1), cfg)
     if algorithm == "dqn":
-        return DQNLearner(state_dim, heads, cfg, rng, episodes)
+        return DQNLearner(state_dim, heads, cfg, rng, episodes, real_cols)
     if algorithm == "random":
         return RandomPolicy(heads)
     raise ValueError(f"unknown algorithm {algorithm!r} (known: {', '.join(ALGORITHMS)})")

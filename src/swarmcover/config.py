@@ -154,16 +154,10 @@ def _coerce(section: dict, tuple_keys: tuple[str, ...]) -> dict:
     return out
 
 
-def _build_run(section: dict) -> RunSettings:
-    allowed = _field_names(RunSettings)
-    _reject_unknown("run", section, allowed)
-    return RunSettings(**_coerce(section, ("seeds",)))
-
-
-def _build_mission(section: dict) -> ms.MissionConfig:
-    allowed = _field_names(ms.MissionConfig)
-    _reject_unknown("mission", section, allowed)
-    return ms.MissionConfig(**section)
+def _build(cls, name: str, section: dict, tuple_keys: tuple[str, ...] = ()):
+    """``cls`` from config section ``name``, whose keys must be its fields."""
+    _reject_unknown(name, section, _field_names(cls))
+    return cls(**_coerce(section, tuple_keys))
 
 
 def _build_link(section: dict, bandwidth_hz: float) -> lb.AirGroundParams:
@@ -183,15 +177,8 @@ def _build_link(section: dict, bandwidth_hz: float) -> lb.AirGroundParams:
     return lb.params_from_preset(preset, **section)
 
 
-def _build_radio(section: dict) -> lb.RadioConfig:
-    allowed = _field_names(lb.RadioConfig)
-    _reject_unknown("radio", section, allowed)
-    return lb.RadioConfig(**section)
-
-
 def _build_env(section: dict) -> tuple[EnvConfig, tuple[SwarmEvent, ...]]:
-    allowed = _field_names(EnvConfig) | {"events"}
-    _reject_unknown("env", section, allowed)
+    _reject_unknown("env", section, _field_names(EnvConfig) | {"events"})
     section = dict(section)
     events = tuple(
         SwarmEvent(int(e["episode"]), str(e["kind"]), int(e.get("count", 1)))
@@ -205,12 +192,6 @@ def _build_env(section: dict) -> tuple[EnvConfig, tuple[SwarmEvent, ...]]:
     for event in sorted(events, key=lambda e: e.episode):
         size = next_swarm_size(size, event, env_cfg.max_swarm)
     return env_cfg, events
-
-
-def _build_agent(section: dict) -> AgentConfig:
-    allowed = _field_names(AgentConfig)
-    _reject_unknown("agent", section, allowed)
-    return AgentConfig(**_coerce(section, ("hidden",)))
 
 
 def _env_overrides(environ: Mapping[str, str]) -> dict:
@@ -278,14 +259,14 @@ def load_config(
     _merge(raw, env_over)
 
     env_cfg, events = _build_env(raw.get("env", {}))
-    radio = _build_radio(raw.get("radio", {}))
+    radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
     return ExperimentConfig(
-        run=_build_run(raw.get("run", {})),
-        mission=_build_mission(raw.get("mission", {})),
+        run=_build(RunSettings, "run", raw.get("run", {}), ("seeds",)),
+        mission=_build(ms.MissionConfig, "mission", raw.get("mission", {})),
         link=_build_link(raw.get("link", {}), radio.bandwidth_hz),
         radio=radio,
         env=env_cfg,
-        agent=_build_agent(raw.get("agent", {})),
+        agent=_build(AgentConfig, "agent", raw.get("agent", {}), ("hidden",)),
         events=events,
     )
 
@@ -351,7 +332,7 @@ def load_instance(path: str | Path) -> ExactInstance:
         if key in raw:
             mission_kwargs[key] = raw[key]
     mission = ms.MissionConfig(**mission_kwargs)
-    radio = _build_radio(raw.get("radio", {}))
+    radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
     return ExactInstance(
         mission=mission,
         link=_build_link(raw.get("link", {}), radio.bandwidth_hz),

@@ -27,6 +27,10 @@ The per-UAV rewards sum to the scalar reward up to rounding.
 
 An episode lasts exactly ``slots`` steps and flies one fixed set of
 UAVs: swarm events (joins and leaves) take effect at the next reset.
+The env writes each episode once, into one :class:`EpisodeArrays`: an
+observation row per state, and per step the actions, the per-UAV and
+team rewards and the done flag; the learners read those rows. It
+declares the observation columns that are not 0/1 in ``real_cols``.
 Given the same seed, task and action sequence, every outcome is
 reproducible bit for bit.
 """
@@ -117,12 +121,29 @@ def next_swarm_size(size: int, event: SwarmEvent, max_swarm: int) -> int:
 
 @dataclass
 class StepOutcome:
-    state: np.ndarray
+    state: np.ndarray  # a row of the episode's ``obs``
     reward: float
     done: bool
     info: dict
     #: One reward per UAV, in UAV-id order; sums to ``reward``.
     uav_rewards: np.ndarray
+
+
+@dataclass
+class EpisodeArrays:
+    """One episode as the env writes it, a row per step: row t of ``obs``
+    is the state step t acts on, row t + 1 the state it leads to. The
+    episode's ``uavs`` UAVs fill the first of the ``heads`` UAV slots of
+    ``acts`` and ``uav_rewards``; the rest stay 0. The first ``steps``
+    rows (``steps + 1`` of ``obs``) are written."""
+
+    obs: np.ndarray          # [slots + 1, state_dim]
+    acts: np.ndarray         # [slots, heads] action ids
+    uav_rewards: np.ndarray  # [slots, heads]
+    reward: np.ndarray       # [slots] team reward
+    done: np.ndarray         # [slots]
+    uavs: int
+    steps: int = 0
 
 
 def strategic_reward(satisfied_demand_sum: float) -> float:
@@ -276,10 +297,14 @@ class CoverageEnv:
     slot (slots past the swarm size stay zero), then per strategic
     location a cell one-hot plus its normalised remaining demand, then
     the visited-cell bitmap of the frame, then the normalised swarm
-    size. All features lie in [0, 1]. The env keeps the vector: ``reset``
-    builds it and ``step`` writes only the entries a slot changes (a
-    mover's one-hot, a visited bit, a demand fraction that drops);
-    :meth:`encode_state` hands out copies.
+    size. All features lie in [0, 1]; all but ``real_cols`` (the demand
+    and swarm-size fractions) are exactly 0.0 or 1.0.
+
+    ``reset`` starts a fresh :class:`EpisodeArrays` in ``episode`` and
+    writes its observation row 0; step t copies row t to row t + 1, writes
+    there only what the slot changes (a mover's one-hot, a visited bit, a
+    demand fraction that drops), then the step's actions and rewards.
+    ``reset`` and ``step`` return those rows, which nothing writes again.
 
     Episode state lives in per-UAV columns (``uav_cell``,
     ``uav_energy_j``, ``uav_served`` and ``uav_track``, the cells of
@@ -309,12 +334,15 @@ class CoverageEnv:
         # Offsets into the observation: strategic blocks, then visited bits.
         self._strategic_at = c * env_cfg.max_swarm
         self._visited_at = self._strategic_at + (c + 1) * env_cfg.num_strategic
+        #: The observation columns that are not 0/1: each strategic
+        #: location's demand fraction, then the swarm-size fraction.
+        self.real_cols = tuple(self._strategic_at + i * (c + 1) + c
+                               for i in range(env_cfg.num_strategic)) + (self.state_dim - 1,)
         self.tables: TaskTables | None = None
         self._tables_key: tuple | None = None
         self.task: TaskSpec | None = None
+        self.episode: EpisodeArrays | None = None
         self.current_swarm_size = env_cfg.swarm_size
-        self._done = True
-        self._slot = 0
 
     # --- sizing -----------------------------------------------------------
 
@@ -365,7 +393,7 @@ class CoverageEnv:
         rng_seed: int | None = None,
         start_cells: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Start a fresh frame of ``task``.
+        """Start a fresh frame of ``task`` and return its first state.
 
         Start cells are sampled uniformly without collision unless given
         explicitly. The seed fixes start cells and nothing else; the
@@ -378,8 +406,6 @@ class CoverageEnv:
             task = task_with_swarm(self.nominal_task(), self.current_swarm_size)
         if task.swarm_size > self.cfg.max_swarm:
             raise ValueError("task swarm size exceeds max_swarm")
-        if task.swarm_size > self.n_cells:
-            raise ValueError("more UAVs than cells")
         if len(task.strategic_cells) != self.cfg.num_strategic:
             raise ValueError("task must carry num_strategic strategic cells")
         if len(task.initial_demands) != len(task.strategic_cells):
@@ -407,8 +433,6 @@ class CoverageEnv:
         elif len(set(start_cells)) != task.swarm_size:
             raise ValueError("start cells must be distinct and match the swarm size")
 
-        self._slot = 0
-        self._done = False
         self.uav_cell = [int(c) for c in start_cells]
         self.uav_energy_j = [0.0] * task.swarm_size
         self.uav_served = [False] * task.swarm_size
@@ -427,21 +451,29 @@ class CoverageEnv:
         self._cell_energy = [0.0] * self.n_cells
         self._reward_sum = 0.0
 
-        c = self.n_cells
-        obs = np.zeros(self.state_dim, dtype=np.float64)
+        c, slots, heads = self.n_cells, self.mission_cfg.slots, self.cfg.max_swarm
+        self.episode = EpisodeArrays(
+            obs=np.zeros((slots + 1, self.state_dim)),
+            acts=np.zeros((slots, heads), dtype=np.int64),
+            uav_rewards=np.zeros((slots, heads)),
+            reward=np.zeros(slots),
+            done=np.zeros(slots, dtype=bool),
+            uavs=task.swarm_size,
+        )
+        obs = self.episode.obs[0]
         for slot, cell in enumerate(self.uav_cell):
             obs[slot * c + cell] = 1.0
         for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
             obs[self._strategic_at + i * (c + 1) + cell] = 1.0
             if initial > 0.0:
                 obs[self._strategic_at + i * (c + 1) + c] = self.demand[i] / initial
-        obs[self._visited_at + c] = len(self.uav_cell) / self.cfg.max_swarm
-        self._obs = obs
-        return self.encode_state()
+        obs[self._visited_at + c] = len(self.uav_cell) / heads
+        return obs
 
     def step(self, actions: Sequence[int]) -> StepOutcome:
         """Advance one slot. ``actions`` holds one action id per UAV."""
-        if self._done or self.tables is None:
+        ep = self.episode
+        if ep is None or ep.steps == self.mission_cfg.slots:
             raise RuntimeError("step() called on a finished episode; call reset()")
         tables = self.tables
         origins = self.uav_cell
@@ -451,8 +483,9 @@ class CoverageEnv:
 
         finals, collided, devices, self._taken = play_slot(tables, origins, actions, self._taken)
 
-        self._slot += 1
-        c, obs, demand = self.n_cells, self._obs, self.demand
+        t = ep.steps
+        ep.obs[t + 1] = ep.obs[t]
+        c, obs, demand = self.n_cells, ep.obs[t + 1], self.demand
         initial = self.task.initial_demands
         visited_at, demand_at = self._visited_at, self._strategic_at + c
         slot_energy, location = tables.slot_energy_j, tables.location
@@ -504,10 +537,13 @@ class CoverageEnv:
         reward = sum(base) + bonuses - shaping
         self._reward_sum += reward
         scale = self.cfg.lambda_energy / self.energy_norm_j
-        uav_rewards = np.array([b + bonus - scale * e
-                                for b, bonus, e in zip(base, uav_bonus, uav_energy)])
-
-        self._done = self._slot >= self.mission_cfg.slots
+        n = len(finals)
+        ep.uav_rewards[t, :n] = [b + bonus - scale * e
+                                 for b, bonus, e in zip(base, uav_bonus, uav_energy)]
+        ep.acts[t, :n] = actions
+        ep.reward[t] = reward
+        ep.steps = t + 1
+        done = ep.done[t] = ep.steps == self.mission_cfg.slots
         info = {
             "collided": collided,
             "constraint_ok": ok_flags,
@@ -517,17 +553,15 @@ class CoverageEnv:
             "collected": [dev_id for dev_id in devices if dev_id is not None],
             "cells": list(finals),
         }
-        return StepOutcome(self.encode_state(), reward, self._done, info, uav_rewards)
+        return StepOutcome(obs, reward, done, info, ep.uav_rewards[t, :n])
 
     # --- observations and accounting ---------------------------------------
 
     def encode_state(self) -> np.ndarray:
-        """The observation of the current episode state, as a fresh array
-        (the learners keep an episode's transitions by reference until it
-        ends)."""
-        if self.tables is None:
+        """A copy of the observation of the current episode state."""
+        if self.episode is None:
             raise RuntimeError("encode_state() before reset()")
-        return self._obs.copy()
+        return self.episode.obs[self.episode.steps].copy()
 
     def episode_stats(self) -> dict:
         """Accounting snapshot used by the harness after each episode.
@@ -542,7 +576,7 @@ class CoverageEnv:
         return {
             "reward": self._reward_sum,
             "swarm_size": len(self.uav_cell),
-            "steps": self._slot,
+            "steps": self.episode.steps,
             "energy_total_j": total_energy,
             "energy_masked_j": float(ms.swarm_energy_j(zip(self.uav_energy_j, self.uav_served))),
             "energy_strategic_j": strategic_energy,

@@ -205,10 +205,10 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
     meta: PolicyParams | None = None
     if algorithm == "meta_rl":
         meta = train_meta_params(env, agent_cfg, _pretrain_episodes(cfg), rng)
-        learner = ActorCriticLearner(meta.clone(), agent_cfg)
+        learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
     else:
         learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng,
-                               episodes)
+                               episodes, env.real_cols)
 
     task = env.nominal_task()
     # Events resize from the scenario's swarm, not from the last
@@ -223,7 +223,7 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
             if meta is not None:
                 # A meta-initialized learner restarts adaptation from the
                 # meta weights whenever the task changes.
-                learner = ActorCriticLearner(meta.clone(), agent_cfg)
+                learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
         next_stop = min(
             (e.episode for e in pending if e.episode > len(metrics)),
             default=episodes,

@@ -33,6 +33,7 @@ from swarmcover.harness import (
 )
 from swarmcover.oracle import ExactInstance, enumerate_optimum, verify_feasibility
 from fdcheck import flatten_params, numeric_grad, relative_error, zero_grads
+from transitions import Transition, action_arrays, as_batch
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -129,7 +130,7 @@ def _small_params(seed: int) -> ag.PolicyParams:
     return params
 
 
-def _batch(params: ag.PolicyParams, n: int, seed: int) -> list[ag.Transition]:
+def _batch(params: ag.PolicyParams, n: int, seed: int) -> list[Transition]:
     """Transitions with one reward per acting UAV. The trailing state
     feature is the active count over the heads, as the environment writes it."""
     rng = np.random.default_rng(seed)
@@ -141,8 +142,8 @@ def _batch(params: ag.PolicyParams, n: int, seed: int) -> list[ag.Transition]:
         state[-1], next_state[-1] = active / heads, next_active / heads
         action = tuple(int(a) for a in rng.integers(0, ag.N_ACTIONS, size=active))
         uav_rewards = rng.normal(size=active)
-        out.append(ag.Transition(state, action, float(uav_rewards.sum()), next_state,
-                                 bool(rng.random() < 0.2), uav_rewards))
+        out.append(Transition(state, action, float(uav_rewards.sum()), next_state,
+                              bool(rng.random() < 0.2), uav_rewards))
     return out
 
 
@@ -178,7 +179,7 @@ def test_gradient_oracle_matches_finite_differences():
         # As ActorCriticLearner.finish_episode: the episode's terms, then
         # the replay TD term, into one accumulator.
         acc = zero_grads(params)
-        batch = ag.as_batch(episode, params.heads)
+        batch = as_batch(episode, params.heads)
         ag.actor_critic_accumulate(params, batch, gamma, acc)
         episode_critic = flatten_params(acc.d_critic, params.critic_cfg)
         ag.critic_td_accumulate(params, batch, gamma, acc)
@@ -242,7 +243,7 @@ def test_gradient_oracle_matches_finite_differences():
         # Clipped importance-ratio surrogate against an old policy.
         old = _small_params(seed=4000 + i)
         _, old_probs, _ = ag.policy_forward(old.actor, states, params.actor_cfg, params.heads)
-        acts, acting = ag.action_arrays([t.action for t in episode], params.heads)
+        acts, acting = action_arrays([t.action for t in episode], params.heads)
         logp_old = ag.joint_log_prob(old_probs, acts, acting)
         adv_ppo = np.random.default_rng(5000 + i).normal(size=len(episode))
         arrays = (states, acts, acting, np.eye(ag.N_ACTIONS)[acts])
@@ -312,7 +313,8 @@ def test_trained_agent_matches_exhaustive_optimum():
     wins = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        learner = make_learner("dqn", env.state_dim, env.cfg.max_swarm, cfg, rng, episodes)
+        learner = make_learner("dqn", env.state_dim, env.cfg.max_swarm, cfg, rng, episodes,
+                               env.real_cols)
         train_task(env, task, learner, episodes, rng)
         _greedy_rollout(env, task, learner, start_cells=(1,))
         trajectory = tuple(env.uav_track[0])
@@ -343,7 +345,7 @@ def test_strategic_cells_visited_more_after_meta_training():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng,
-                               episodes)
+                               episodes, env.real_cols)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
         learner.params = meta.clone()
         stats = train_task(env, task, learner, episodes, rng)
@@ -377,7 +379,7 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
         # task, then keep learning through the swarm change.
         rng = np.random.default_rng(seed)
         meta_learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent,
-                                    rng, e_pre + e_post)
+                                    rng, e_pre + e_post, env.real_cols)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
         meta_learner.params = meta.clone()
         train_task(env, base, meta_learner, e_pre, rng)
@@ -386,7 +388,7 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
         # Scratch path: identical configuration, post-change task only.
         rng2 = np.random.default_rng(seed)
         scratch = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng2,
-                               e_post)
+                               e_post, env.real_cols)
         post_scratch = train_task(env, changed, scratch, e_post, rng2)
 
         e_meta, _ = episodes_to_plateau(
@@ -424,7 +426,7 @@ def test_satisfaction_scales_with_swarm_size():
         for seed in seeds:
             rng = np.random.default_rng(seed)
             learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent,
-                                   rng, episodes)
+                                   rng, episodes, env.real_cols)
             meta = train_meta_params(env, cfg.agent, pretrain, rng)
             learner.params = meta.clone()
             stats = train_task(env, task, learner, episodes, rng)
@@ -439,7 +441,7 @@ def test_satisfaction_scales_with_swarm_size():
         for seed in seeds:
             rng = np.random.default_rng(seed)
             learner = make_learner(algo, env.state_dim, env.cfg.max_swarm, cfg.agent, rng,
-                                   episodes)
+                                   episodes, env.real_cols)
             stats = train_task(env, task7, learner, episodes, rng)
             vals.append(_tail_mean(stats, "satisfaction"))
         baselines[algo] = float(np.mean(vals))

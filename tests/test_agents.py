@@ -10,12 +10,16 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcover import agents as ag
+from swarmcover import env as envmod
 from swarmcover import nets
 from swarmcover.env import make_env
 from conftest import small_env
 from fdcheck import assert_grad_close, flatten_params, zero_grads, zeros_like_params
+from transitions import Transition, action_arrays, as_batch, transitions_of
 
 N_ACTIONS = ag.N_ACTIONS
 
@@ -27,7 +31,7 @@ def tiny_params(state_dim: int = 3, heads: int = 1, hidden=(2,), seed: int = 0) 
                                  critic_outputs=heads)
 
 
-def random_batch(params: ag.PolicyParams, n: int, seed: int = 0) -> list[ag.Transition]:
+def random_batch(params: ag.PolicyParams, n: int, seed: int = 0) -> list[Transition]:
     """Transitions of 1..heads acting UAVs, each with one reward per acting
     UAV; the last state feature encodes the active count, as the
     environment's does."""
@@ -40,57 +44,23 @@ def random_batch(params: ag.PolicyParams, n: int, seed: int = 0) -> list[ag.Tran
         state[-1], next_state[-1] = acting / heads, next_acting / heads
         action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=acting))
         uav_rewards = rng.normal(size=acting)
-        batch.append(ag.Transition(state, action, float(uav_rewards.sum()), next_state,
-                                   bool(rng.random() < 0.2), uav_rewards))
+        batch.append(Transition(state, action, float(uav_rewards.sum()), next_state,
+                                bool(rng.random() < 0.2), uav_rewards))
     return batch
 
 
+def assert_bits_equal(a, b) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_batch(got: ag.Batch, want: ag.Batch) -> None:
+    for name in vars(want):
+        assert_bits_equal(getattr(got, name), getattr(want, name))
+
+
 # --- replay memory ---------------------------------------------------------------
-
-def memory_of(params: ag.PolicyParams, capacity: int) -> ag.ReplayMemory:
-    return ag.ReplayMemory(capacity, params.actor_cfg.input_dim, params.heads)
-
-
-def test_replay_evicts_oldest_first():
-    params = tiny_params()
-    mem = memory_of(params, 2)
-    a, b, c = random_batch(params, 3)
-    for t in (a, b, c):
-        mem.push(t)
-    assert len(mem) == 2
-    held = mem.sample(2, np.random.default_rng(0))
-    rows = sorted(zip(held.reward.tolist(), held.states.tolist(), held.next_states.tolist()))
-    assert rows == sorted((t.reward, t.state.tolist(), t.next_state.tolist()) for t in (b, c))
-
-
-def test_replay_full_sample_is_permutation():
-    params = tiny_params()
-    mem = memory_of(params, 5)
-    batch = random_batch(params, 5)
-    for t in batch:
-        mem.push(t)
-    drawn = mem.sample(5, np.random.default_rng(1))
-    # The rewards are distinct, so each names the transition its row came from.
-    by_reward = {t.reward: t for t in batch}
-    assert sorted(drawn.reward.tolist()) == sorted(by_reward)
-    for i, r in enumerate(drawn.reward.tolist()):
-        t = by_reward[r]
-        assert drawn.states[i].tobytes() == t.state.tobytes()
-        assert drawn.next_states[i].tobytes() == t.next_state.tobytes()
-        assert drawn.live[i] == (0.0 if t.done else 1.0)
-        assert tuple(drawn.acts[i][drawn.acting[i]].tolist()) == t.action
-
-
-def test_replay_sampling_deterministic():
-    params = tiny_params()
-    mem = memory_of(params, 10)
-    for t in random_batch(params, 10):
-        mem.push(t)
-    a = vars(mem.sample(4, np.random.default_rng(7)))
-    b = vars(mem.sample(4, np.random.default_rng(7)))
-    for name in a:
-        assert_bits_equal(a[name], b[name])
-
 
 class DequeReplayMemory:
     """Reference: the transition-object store the array memory replaced."""
@@ -98,10 +68,10 @@ class DequeReplayMemory:
     def __init__(self, capacity: int) -> None:
         self.buffer = deque(maxlen=capacity)
 
-    def push(self, transition: ag.Transition) -> None:
+    def push(self, transition: Transition) -> None:
         self.buffer.append(transition)
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[ag.Transition]:
+    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
         if n > len(self.buffer):
             raise ValueError("cannot sample more transitions than stored")
         picks = rng.choice(len(self.buffer), size=n, replace=False)
@@ -111,11 +81,11 @@ class DequeReplayMemory:
         return len(self.buffer)
 
 
-def reference_batch(batch: list[ag.Transition], heads: int) -> ag.Batch:
+def reference_batch(batch: list[Transition], heads: int) -> ag.Batch:
     """Reference: the transition-list batch builder the array memory
     replaced, each field built as it built it."""
     n = len(batch)
-    acts, acting = ag.action_arrays([t.action for t in batch], heads)
+    acts, acting = action_arrays([t.action for t in batch], heads)
     active = acting.astype(np.float64)
     live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
     states = np.stack([t.state for t in batch])
@@ -128,263 +98,191 @@ def reference_batch(batch: list[ag.Transition], heads: int) -> ag.Batch:
                     acts, acting, active, rewards, boot)
 
 
-def push_stream(rng: np.random.Generator, length: int, dim: int, heads: int) -> list[ag.Transition]:
-    """Episodes of random length, each ending ``done`` and each with its own
-    active count, whose trailing state feature encodes that count, and one
-    reward per acting UAV. Within an episode a push's state is mostly the
-    previous ``next_state`` (the same object or an equal copy), but
-    sometimes a fresh state, or the previous ``next_state`` with the sign of
-    a zero flipped."""
-    stream: list[ag.Transition] = []
-    while len(stream) < length:
-        active = int(rng.integers(1, heads + 1))
-        state = rng.normal(size=dim)
-        steps = int(rng.integers(1, 8))
-        for step in range(steps):
-            next_state = np.round(rng.normal(size=dim), 1)  # some exact zeros
-            next_state[-1] = int(rng.integers(1, heads + 1)) / heads
-            action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
-            uav = np.round(rng.normal(size=active), 1)
-            reward = float(uav.sum())
-            done = step == steps - 1 or rng.random() < 0.2
-            stream.append(ag.Transition(state, action, reward, next_state, done, uav))
-            if done:
-                break
-            kind = rng.random()
-            if kind < 0.6:
-                state = next_state
-            elif kind < 0.7:
-                state = next_state.copy()
-            elif kind < 0.85:
-                state = rng.normal(size=dim)
-            else:
-                state = next_state.copy()
-                zeros = np.flatnonzero(state == 0.0)
-                if len(zeros):
-                    state[zeros[0]] = -state[zeros[0]]  # 0.0 <-> -0.0
-                else:
-                    state[0] = np.nextafter(state[0], np.inf)
-    return stream[:length]
-
-
-def test_array_replay_equals_the_deque_replay_bit_for_bit():
-    cases = np.random.default_rng(200)
-    for case in range(150):
-        heads = int(cases.integers(1, 8))
-        dim = int(cases.integers(2, 6))
-        length = int(cases.integers(2, 60))
-        capacity = int(cases.integers(1, length))
-        stream = push_stream(cases, length, dim, heads)
-        params = tiny_params(dim, heads, hidden=(3,), seed=case)
-        target = tiny_params(dim, heads, hidden=(3,), seed=case + 1)
-        gamma = float(cases.uniform(0.0, 1.0))
-        mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
-        for pushed, t in enumerate(stream, start=1):
-            mem.push(t)
-            ref.push(t)
-            assert len(mem) == len(ref) == min(pushed, capacity)
-            if cases.random() < 0.5:
-                continue
-            n = int(cases.integers(1, len(ref) + 1))
-            mine, theirs = np.random.default_rng(pushed), np.random.default_rng(pushed)
-            got = mem.sample(n, mine)
-            drawn = ref.sample(n, theirs)
-            want = reference_batch(drawn, heads)
-            assert mine.bit_generator.state == theirs.bit_generator.state, case
-            for name in ("states", "next_states", "reward", "live", "rewards",
-                         "boot", "acts", "acting", "active"):
-                assert_bits_equal(getattr(got, name), getattr(want, name))
-
-            loss, grads = ag.dqn_loss_and_grad(params.actor, target.actor, got, gamma,
-                                               params.actor_cfg, heads)
-            for ref_loss, ref_grads in (
-                    ag.dqn_loss_and_grad(params.actor, target.actor, want, gamma,
-                                         params.actor_cfg, heads),
-                    loop_dqn_loss_and_grad(params.actor, target.actor, drawn, gamma,
-                                           params.actor_cfg, heads)):
-                assert_bits_equal(loss, ref_loss)
-                for key in ref_grads:
-                    assert_bits_equal(grads[key], ref_grads[key])
-
-            acc, ref_acc = zero_grads(params), zero_grads(params)
-            ag.critic_td_accumulate(params, got, gamma, acc)
-            ag.critic_td_accumulate(params, want, gamma, ref_acc)
-            for key in ref_acc.d_critic:
-                assert_bits_equal(acc.d_critic[key], ref_acc.d_critic[key])
-
-
-def test_replay_holds_one_state_per_transition():
-    capacity, dim, heads = 23, 6, 3
-    mem = ag.ReplayMemory(capacity, dim, heads)
-    rng = np.random.default_rng(300)
-    pushed = []
-    for episode in range(10):
-        state = rng.normal(size=dim)
-        for step in range(5):
-            next_state = rng.normal(size=dim)
-            t = ag.Transition(state, (1, 2), float(len(pushed)), next_state, step == 4,
-                              rng.normal(size=2))
-            mem.push(t)
-            pushed.append(t)
-            state = next_state
-            terminal_held = int(mem.done.sum())  # unwritten rows read False
-            assert len(mem.next_states) <= terminal_held + 1
-    assert len(mem) == capacity
-    full_size = [name for name, a in vars(mem).items()
-                 if isinstance(a, np.ndarray) and a.size >= capacity * dim]
-    # Float64 values for the columns that held more than 0.0 and 1.0: every
-    # column, as these states are continuous; beside them one bit per feature.
-    assert full_size == ["exact"] and mem.exact.shape == (capacity, dim)
-    assert mem.states.shape == (capacity, 1) and mem.states.dtype == np.uint8
-
-    # A push that does not continue the newest row: a fresh state, then the
-    # next state again but with a 0.0 turned into -0.0.
-    last = pushed[-1]
-    fresh = ag.Transition(rng.normal(size=dim), (0,), -1.0, np.zeros(dim), False, rng.normal(size=1))
-    signed = ag.Transition(-fresh.next_state, (3,), -2.0, rng.normal(size=dim), False,
-                           rng.normal(size=1))
-    for t in (fresh, signed):
-        mem.push(t)
-    everything = mem.sample(len(mem), np.random.default_rng(0))
-    for t in (last, fresh, signed):
-        i = everything.reward.tolist().index(t.reward)
-        assert everything.states[i].tobytes() == t.state.tobytes()
-        assert everything.next_states[i].tobytes() == t.next_state.tobytes()
-    assert fresh.next_state.tobytes() != signed.state.tobytes()
-
-
-#: Values a state byte cannot hold: -0.0, NaNs (one with a payload),
-#: subnormals and ordinary reals, some one ulp from 0.0 or 1.0.
+#: Values a declared real column holds bit for bit: -0.0, NaNs (one with a
+#: payload), subnormals and ordinary reals, some one ulp from 0.0 or 1.0.
 ODD_VALUES = np.array([-0.0, np.nan, -np.nan, 5e-324, -1e-310, 0.5, -1.0, 2.0,
                        np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1e300])
 ODD_VALUES[2:3].view(np.uint64)[0] = 0x7FF0000000000001  # a NaN with a payload
 
 
-def byte_stream(rng: np.random.Generator, length: int, capacity: int, dim: int, heads: int,
-                continuous: bool) -> list[ag.Transition]:
-    """Env-like transitions: 0/1 features and a trailing active count over
-    ``heads``. A few columns turn real at a random push, one of them only
-    after the ring of ``capacity`` rows has wrapped; with ``continuous``,
-    every feature is real from the start. A push's state is mostly the
-    previous ``next_state`` (the same object or a copy), but sometimes a
-    fresh state, or the previous ``next_state`` with a 0.0 made -0.0."""
-    debut = np.full(dim, length)
-    real = rng.choice(dim - 1, size=min(3, dim - 1), replace=False)
-    debut[real] = rng.integers(0, length, size=len(real))
-    if len(real):
-        debut[real[0]] = rng.integers(capacity + 1, length + 1)
-
-    def observation(pushed: int, active: int) -> np.ndarray:
-        x = (rng.random(dim) < 0.3).astype(np.float64)
-        if continuous:
-            x = rng.normal(size=dim)
-        odd = (debut <= pushed) & (rng.random(dim) < 0.5)
-        x[odd] = rng.choice(ODD_VALUES, size=int(odd.sum()))
-        x[-1] = active / heads
-        return x
-
-    stream: list[ag.Transition] = []
-    while len(stream) < length:
-        active = int(rng.integers(1, heads + 1))
-        state = observation(len(stream), active)
-        for step in range(int(rng.integers(1, 8))):
-            next_state = observation(len(stream) + 1, active)
-            action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=active))
-            uav = np.round(rng.normal(size=active), 1)
-            done = rng.random() < 0.25
-            stream.append(ag.Transition(state, action, float(uav.sum()), next_state, done, uav))
-            if done or len(stream) == length:
-                break
-            kind = rng.random()
-            if kind < 0.6:
-                state = next_state
-            elif kind < 0.75:
-                state = next_state.copy()
-            elif kind < 0.9:
-                state = observation(len(stream), active)
-            else:
-                state = next_state.copy()
-                zeros = np.flatnonzero(state.view(np.uint64) == 0)
-                if len(zeros):
-                    state[zeros[0]] = -0.0
-    return stream
+def declared_columns(rng: np.random.Generator, dim: int) -> tuple[int, ...]:
+    """A few real columns and the trailing active-count column, as the env
+    declares its demand and swarm-size fractions."""
+    real = rng.choice(dim - 1, size=int(rng.integers(0, min(3, dim - 1) + 1)), replace=False)
+    return tuple(sorted(real.tolist())) + (dim - 1,)
 
 
-def odd_columns(states) -> set[int]:
-    """The columns in which some state holds neither +0.0 nor 1.0."""
-    bits = np.stack(states).view(np.uint64)
-    one = np.float64(1.0).view(np.uint64)
-    return set(np.flatnonzero(((bits != 0) & (bits != one)).any(axis=0)).tolist())
+def random_episode(rng: np.random.Generator, slots: int, dim: int, heads: int,
+                   real_cols: tuple[int, ...], least: int = 1) -> envmod.EpisodeArrays:
+    """An episode laid out as the env writes one, of ``least``..slots steps
+    with the last one terminal: 0/1 features but in ``real_cols``, which
+    hold reals and the odd patterns, and the active count over ``heads``
+    last."""
+    uavs, steps = int(rng.integers(1, heads + 1)), int(rng.integers(least, slots + 1))
+    obs = (rng.random((slots + 1, dim)) < 0.3).astype(np.float64)
+    values = np.round(rng.normal(size=(slots + 1, len(real_cols))), 1)
+    odd = rng.random(values.shape) < 0.2
+    values[odd] = rng.choice(ODD_VALUES, size=int(odd.sum()))
+    obs[:, list(real_cols)] = values
+    obs[:, -1] = uavs / heads
+    acts = np.zeros((slots, heads), dtype=np.int64)
+    acts[:, :uavs] = rng.integers(0, N_ACTIONS, size=(slots, uavs))
+    uav_rewards = np.zeros((slots, heads))
+    uav_rewards[:, :uavs] = np.round(rng.normal(size=(slots, uavs)), 1)
+    done = np.arange(slots) == steps - 1
+    return envmod.EpisodeArrays(obs, acts, uav_rewards, uav_rewards.sum(axis=1), done, uavs,
+                                steps)
 
 
-def unpacked_bits(mem: ag.ReplayMemory) -> np.ndarray:
-    """The memory's state bits, one uint8 per feature."""
-    return np.unpackbits(mem.states, axis=1, count=mem.state_dim)
+def write_in_blocks(rng: np.random.Generator, episode: envmod.EpisodeArrays):
+    """Random ``(start, stop)`` blocks covering the episode's steps in order."""
+    start = 0
+    while start < episode.steps:
+        stop = int(rng.integers(start + 1, episode.steps + 1))
+        yield start, stop
+        start = stop
 
 
 def assert_same_memory(got: ag.ReplayMemory, want: ag.ReplayMemory) -> None:
-    """Equal contents: the same rows and kept next states, the same exact
-    columns, and bit-equal samples of everything held."""
+    """Equal contents: the same rows and kept next states, and bit-equal
+    samples of everything held."""
     assert len(got) == len(want)
-    assert sorted(got.exact_cols.tolist()) == sorted(want.exact_cols.tolist())
     assert got.next_states.keys() == want.next_states.keys()
     for row, kept in want.next_states.items():
-        assert_bits_equal(got._unpack(got.next_states[row]), want._unpack(kept))
-    plain = np.setdiff1d(np.arange(got.state_dim), got.exact_cols)
-    assert_bits_equal(unpacked_bits(got)[:, plain], unpacked_bits(want)[:, plain])
-    for name in ("reward", "uav_rewards", "done", "acts", "acting_count"):
-        assert_bits_equal(getattr(got, name), getattr(want, name))
+        for a, b in zip(got.next_states[row], kept):
+            assert_bits_equal(a, b)
+    for name in ("states", "exact", "reward", "uav_rewards", "done", "acts", "acting_count"):
+        assert_bits_equal(getattr(got, name)[:len(got)], getattr(want, name)[:len(want)])
     mine, theirs = np.random.default_rng(len(got)), np.random.default_rng(len(got))
-    a, b = got.sample(len(got), mine), want.sample(len(want), theirs)
-    for name in vars(b):
-        assert_bits_equal(getattr(a, name), getattr(b, name))
+    assert_same_batch(got.sample(len(got), mine), want.sample(len(want), theirs))
+
+
+def assert_samples_match(mem: ag.ReplayMemory, ref: DequeReplayMemory, heads: int, n: int,
+                         seed: int) -> tuple[ag.Batch, list[Transition]]:
+    """``n`` rows sampled from the memory and from the reference with the
+    same draws, bit for bit; returns both samples."""
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mem.sample(n, mine)
+    drawn = ref.sample(n, theirs)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    assert_same_batch(got, reference_batch(drawn, heads))
+    return got, drawn
+
+
+def test_replay_evicts_oldest_first():
+    mem = ag.ReplayMemory(2, 3, 1, (2,))
+    episode = random_episode(np.random.default_rng(0), 3, 3, 1, (2,))
+    episode.steps, episode.reward[:] = 3, [1.0, 2.0, 3.0]
+    mem.write(episode, 0, 3)
+    assert len(mem) == 2
+    held = mem.sample(2, np.random.default_rng(0))
+    assert sorted(held.reward.tolist()) == [2.0, 3.0]
+    for i, r in enumerate(held.reward.tolist()):
+        t = int(r) - 1
+        assert_bits_equal(held.states[i], episode.obs[t])
+        assert_bits_equal(held.next_states[i], episode.obs[t + 1])
+
+
+def test_replay_full_sample_is_permutation():
+    rng = np.random.default_rng(1)
+    heads, dim, real = 3, 6, (2, 5)
+    mem = ag.ReplayMemory(5, dim, heads, real)
+    episode = random_episode(rng, 5, dim, heads, real)
+    episode.steps, episode.done[:] = 5, np.arange(5) == 4
+    episode.reward[:] = np.arange(5.0)  # each names the step its row came from
+    mem.write(episode, 0, 5)
+    drawn = mem.sample(5, np.random.default_rng(1))
+    assert sorted(drawn.reward.tolist()) == list(range(5))
+    for i, t in enumerate(drawn.reward.astype(int).tolist()):
+        assert_bits_equal(drawn.states[i], episode.obs[t])
+        assert_bits_equal(drawn.next_states[i], episode.obs[t + 1])
+        assert drawn.live[i] == (0.0 if t == 4 else 1.0)
+        assert_bits_equal(drawn.acts[i], episode.acts[t])
+        assert drawn.acting[i].sum() == episode.uavs
+
+
+def test_replay_sampling_deterministic():
+    rng = np.random.default_rng(2)
+    mem = ag.ReplayMemory(10, 4, 2, (3,))
+    while len(mem) < 10:
+        episode = random_episode(rng, 4, 4, 2, (3,))
+        mem.write(episode, 0, episode.steps)
+    a = mem.sample(4, np.random.default_rng(7))
+    b = mem.sample(4, np.random.default_rng(7))
+    assert_same_batch(a, b)
+
+
+def fed_in_blocks(cases: np.random.Generator):
+    """Random episodes, each written in random blocks of steps (as DQN
+    writes) to one memory, a step at a time to another and as transitions
+    to the deque; yields ``(memory, per_step, deque, wrapped)`` after each
+    block, ``wrapped`` when the ring wrapped inside it. The ring is small,
+    so it wraps inside blocks and blocks outrun it."""
+    heads, dim = int(cases.integers(1, 8)), int(cases.integers(2, 12))
+    real = declared_columns(cases, dim)
+    slots, capacity = int(cases.integers(1, 9)), int(cases.integers(1, 30))
+    mem, per_step = (ag.ReplayMemory(capacity, dim, heads, real) for _ in range(2))
+    ref = DequeReplayMemory(capacity)
+    written = 0
+    for _ in range(int(cases.integers(1, 8))):
+        episode = random_episode(cases, slots, dim, heads, real)
+        for start, stop in write_in_blocks(cases, episode):
+            wrapped = 0 < capacity - written % capacity < stop - start
+            written += stop - start
+            mem.write(episode, start, stop)
+            for t, transition in enumerate(transitions_of(episode, start, stop), start):
+                per_step.write(episode, t, t + 1)
+                ref.push(transition)
+            assert len(mem) == len(ref) == min(written, capacity)
+            yield mem, per_step, ref, wrapped
 
 
 def test_byte_replay_equals_the_deque_replay_bit_for_bit():
+    # The declared columns hold reals, -0.0, NaN payloads and subnormals;
+    # every block write leaves the memory a write per step leaves.
     cases = np.random.default_rng(400)
-    late_after_wrap = 0
-    for case in range(120):
-        heads = int(cases.integers(1, 8))
-        dim = int(cases.integers(3, 12))
-        length = int(cases.integers(4, 80))
-        capacity = int(cases.integers(2, length))
-        stream = byte_stream(cases, length, capacity, dim, heads, continuous=case % 8 == 0)
-        mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
-        block, pending = ag.ReplayMemory(capacity, dim, heads), []
-        for pushed, t in enumerate(stream, start=1):
-            widths = len(mem.exact_cols)
-            mem.push(t)
-            ref.push(t)
-            late_after_wrap += pushed > capacity and len(mem.exact_cols) > widths
-            assert set(mem.exact_cols.tolist()) == odd_columns([u.state for u in stream[:pushed]])
-            # Blocks of episodes, or of parts of one, as push_batch takes them.
-            pending.append(t)
-            if t.done or pushed == len(stream) or cases.random() < 0.2:
-                block.push_batch(ag.as_batch(pending, heads))
-                pending = []
-                assert_same_memory(block, mem)
+    wrapped_mid_block = 0
+    for case in range(150):
+        for mem, per_step, ref, wrapped in fed_in_blocks(cases):
+            wrapped_mid_block += wrapped
+            assert_same_memory(mem, per_step)
+            if cases.random() < 0.5:
+                n = int(cases.integers(1, len(ref) + 1))
+                assert_samples_match(mem, ref, mem.acts.shape[1], n, seed=case)
+    assert wrapped_mid_block > 30
+
+
+def test_array_replay_equals_the_deque_replay_bit_for_bit():
+    # Samples, and the DQN and replay TD gradients taken on them, equal
+    # the reference's built from the sampled transitions.
+    cases = np.random.default_rng(200)
+    for case in range(100):
+        for mem, _, ref, _ in fed_in_blocks(cases):
             if cases.random() < 0.5:
                 continue
+            heads, dim = mem.acts.shape[1], mem.state_dim
+            params = tiny_params(dim, heads, hidden=(3,), seed=case)
+            target = tiny_params(dim, heads, hidden=(3,), seed=case + 1)
+            gamma = float(cases.uniform(0.0, 1.0))
             n = int(cases.integers(1, len(ref) + 1))
-            mine, theirs = np.random.default_rng(pushed), np.random.default_rng(pushed)
-            got = mem.sample(n, mine)
-            want = reference_batch(ref.sample(n, theirs), heads)
-            assert mine.bit_generator.state == theirs.bit_generator.state, case
-            for name in vars(want):
-                assert_bits_equal(getattr(got, name), getattr(want, name))
-    assert late_after_wrap > 20  # columns that first turned real after the ring wrapped
-
-
-def assert_samples_match(mem: ag.ReplayMemory, ref: DequeReplayMemory, heads: int,
-                         seed: int) -> None:
-    """Every held row, sampled from the memory and from the reference with
-    the same draws, bit for bit."""
-    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = mem.sample(len(mem), mine)
-    want = reference_batch(ref.sample(len(ref), theirs), heads)
-    assert mine.bit_generator.state == theirs.bit_generator.state
-    for name in vars(want):
-        assert_bits_equal(getattr(got, name), getattr(want, name))
+            got, drawn = assert_samples_match(mem, ref, heads, n, seed=case)
+            want = reference_batch(drawn, heads)
+            with np.errstate(invalid="ignore"):  # NaN states give NaN gradients
+                loss, grads = ag.dqn_loss_and_grad(params.actor, target.actor, got, gamma,
+                                                   params.actor_cfg, heads)
+                refs = [ag.dqn_loss_and_grad(params.actor, target.actor, want, gamma,
+                                             params.actor_cfg, heads),
+                        loop_dqn_loss_and_grad(params.actor, target.actor, drawn, gamma,
+                                               params.actor_cfg, heads)]
+                acc, ref_acc = zero_grads(params), zero_grads(params)
+                ag.critic_td_accumulate(params, got, gamma, acc)
+                ag.critic_td_accumulate(params, want, gamma, ref_acc)
+            for ref_loss, ref_grads in refs:
+                assert_bits_equal(loss, ref_loss)
+                for key in ref_grads:
+                    assert_bits_equal(grads[key], ref_grads[key])
+            for key in ref_acc.d_critic:
+                assert_bits_equal(acc.d_critic[key], ref_acc.d_critic[key])
 
 
 @pytest.mark.parametrize("dim", [1, 7, 8, 9, 279])
@@ -393,92 +291,57 @@ def test_packed_replay_equals_the_deque_replay_at_every_width(dim):
     # world's, so the padding bits of the last byte are written and read.
     cases = np.random.default_rng(500 + dim)
     for case in range(12):
-        heads = int(cases.integers(1, 8))
-        length = int(cases.integers(4, 60))
-        capacity = int(cases.integers(2, length))
-        stream = byte_stream(cases, length, capacity, dim, heads, continuous=case == 0)
-        mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
-        block = ag.ReplayMemory(capacity, dim, heads)
+        heads, capacity = int(cases.integers(1, 8)), int(cases.integers(2, 40))
+        real = declared_columns(cases, dim)
+        mem, ref = ag.ReplayMemory(capacity, dim, heads, real), DequeReplayMemory(capacity)
         assert mem.states.shape == (capacity, (dim + 7) // 8)
-        for pushed, t in enumerate(stream, start=1):
-            mem.push(t)
-            ref.push(t)
-            if cases.random() < 0.3:
-                assert_samples_match(mem, ref, heads, seed=pushed)
-        block.push_batch(ag.as_batch(stream, heads))
-        assert_same_memory(block, mem)
-        assert_samples_match(block, ref, heads, seed=case)
-        rows = ag.ReplayMemory(capacity, dim, heads)
-        rows.push_rows(stream)
-        assert_same_memory(rows, mem)
+        assert mem.exact.shape == (capacity, len(real))
+        for _ in range(int(cases.integers(1, 10))):
+            episode = random_episode(cases, 8, dim, heads, real)
+            mem.write(episode, 0, episode.steps)
+            for transition in transitions_of(episode, 0, episode.steps):
+                ref.push(transition)
+            assert_samples_match(mem, ref, heads, len(ref), seed=case)
 
 
-def test_kept_next_states_keep_patterns_no_pushed_state_has_shown():
-    # 0/1 states throughout, so no column is exact; the next states the
-    # memory keeps on its own (terminal, chain-breaking and newest rows)
-    # hold -0.0, a NaN with a payload and subnormals, and come back exactly.
-    dim, heads, capacity = 9, 2, 8
-    rng = np.random.default_rng(600)
-    nan = np.array([np.nan])
-    nan.view(np.uint64)[0] = 0x7FF0000000000123
-    # By step: the column and value, and column 6's value, of the next state.
-    odd = {2: (2, -0.0, -1e-310), 4: (5, nan[0], -0.0), 6: (0, 5e-324, -0.0)}
-
-    def bits() -> np.ndarray:
-        x = (rng.random(dim) < 0.5).astype(np.float64)
-        x[-1] = 1.0  # both heads act
-        return x
-
-    stream, state = [], bits()
-    for step in range(7):
-        next_state = bits()
-        if step in odd:  # terminal, chain-breaking, newest
-            col, value, six = odd[step]
-            next_state[col], next_state[6] = value, six
-        stream.append(ag.Transition(state, (1, 3), float(step), next_state, step == 2,
-                                    np.array([0.5, -0.5])))
-        state = bits() if step in (2, 4) else next_state
-    mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
-    block = ag.ReplayMemory(capacity, dim, heads)
-    for t in stream:
-        mem.push(t)
-        ref.push(t)
-    block.push_batch(ag.as_batch(stream, heads))
-    assert len(mem.exact_cols) == 0 and sorted(mem.next_states) == [2, 4, 6]
-    assert_same_memory(block, mem)
-    for m in (mem, block):
-        assert_samples_match(m, ref, heads, seed=1)
-    # A later state that shows one of those patterns makes its column
-    # exact; the kept next states still come back as they were pushed.
-    t = ag.Transition(stream[-1].next_state, (0, 0), 9.0, bits(), False, np.zeros(2))
-    for m in (mem, ref):
-        m.push(t)
-    assert set(mem.exact_cols.tolist()) == {0, 6}
-    assert_samples_match(mem, ref, heads, seed=2)
+def test_replay_holds_one_state_per_transition():
+    # A next state of its own only for each terminal row and the newest row.
+    capacity, dim, heads, real = 23, 6, 3, (5,)
+    mem = ag.ReplayMemory(capacity, dim, heads, real)
+    rng = np.random.default_rng(300)
+    for _ in range(10):
+        episode = random_episode(rng, 5, dim, heads, real)
+        for start, stop in write_in_blocks(rng, episode):
+            mem.write(episode, start, stop)
+            terminal = int(mem.done[:len(mem)].sum())
+            newest = (mem._slot - 1) % capacity
+            assert sorted(mem.next_states) == sorted(
+                set(np.flatnonzero(mem.done[:len(mem)]).tolist()) | {newest})
+            assert len(mem.next_states) == terminal + (not mem.done[newest])
+    assert len(mem) == capacity
+    # One bit per feature, and float64 only for the declared column.
+    full_size = [name for name, a in vars(mem).items()
+                 if isinstance(a, np.ndarray) and a.size >= capacity * dim]
+    assert full_size == []
+    assert mem.states.shape == (capacity, 1) and mem.states.dtype == np.uint8
+    assert mem.exact.shape == (capacity, 1)
 
 
-def test_a_column_first_real_after_the_ring_wrapped_keeps_its_old_rows():
-    # Rows written while column 4 held only 0.0 and 1.0 get their exact
-    # values from their bits when the column turns real, after the wrap.
-    dim, heads, capacity = 11, 3, 5
-    rng = np.random.default_rng(700)
-    mem, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
-    state = (rng.random(dim) < 0.5).astype(np.float64)
-    for step in range(9):
-        next_state = (rng.random(dim) < 0.5).astype(np.float64)
-        if step == 8:
-            next_state[4] = 0.25
-        t = ag.Transition(state, (step % N_ACTIONS,), float(step), next_state, False,
-                          np.array([float(step)]))
-        mem.push(t)
-        ref.push(t)
-        state = next_state
-    assert len(mem.exact_cols) == 0
-    t = ag.Transition(state, (4, 4, 4), 9.0, state.copy(), True, np.ones(3))
-    mem.push(t)
-    ref.push(t)
-    assert mem.exact_cols.tolist() == [4]
-    assert_samples_match(mem, ref, heads, seed=3)
+@pytest.mark.parametrize("value", ODD_VALUES.tolist() + [np.float64(3.0)])
+@pytest.mark.parametrize("where", ["state", "last next state"])
+def test_a_write_that_breaks_the_declared_columns_raises(value, where):
+    # A value other than +0.0 and 1.0 in a column the env does not declare
+    # real is refused, and the write leaves the memory as it was.
+    rng = np.random.default_rng(900)
+    dim, heads, real = 9, 2, (4, 8)
+    mem, twin = (ag.ReplayMemory(6, dim, heads, real) for _ in range(2))
+    first, second = (random_episode(rng, 5, dim, heads, real) for _ in range(2))
+    for memory in (mem, twin):
+        memory.write(first, 0, first.steps)
+    second.obs[0 if where == "state" else second.steps, 6] = value
+    with pytest.raises(ValueError, match="state column 6 holds"):
+        mem.write(second, 0, second.steps)
+    assert_same_memory(mem, twin)
 
 
 def test_a_block_longer_than_the_capacity_keeps_its_last_rows():
@@ -486,30 +349,77 @@ def test_a_block_longer_than_the_capacity_keeps_its_last_rows():
     for case in range(20):
         heads, dim = int(cases.integers(1, 5)), int(cases.integers(1, 20))
         capacity = int(cases.integers(1, 6))
-        before = int(cases.integers(0, 2 * capacity))  # rows held before the block
-        length = before + int(cases.integers(capacity + 1, 4 * capacity + 2))
-        stream = byte_stream(cases, length, capacity, dim, heads, continuous=case % 5 == 0)
-        rows, ref = ag.ReplayMemory(capacity, dim, heads), DequeReplayMemory(capacity)
-        block = ag.ReplayMemory(capacity, dim, heads)
-        for t in stream:
-            rows.push(t)
-            ref.push(t)
-        listed = ag.ReplayMemory(capacity, dim, heads)
-        if before:
-            block.push_batch(ag.as_batch(stream[:before], heads))
-            listed.push_rows(stream[:before])
-        block.push_batch(ag.as_batch(stream[before:], heads))
-        listed.push_rows(stream[before:])
-        for memory in (block, listed):
-            assert_same_memory(memory, rows)
-            assert_samples_match(memory, ref, heads, seed=case)
+        real = declared_columns(cases, dim)
+        block, per_step = (ag.ReplayMemory(capacity, dim, heads, real) for _ in range(2))
+        ref = DequeReplayMemory(capacity)
+        for _ in range(3):
+            episode = random_episode(cases, 4 * capacity + 2, dim, heads, real,
+                                     least=capacity + 1)
+            block.write(episode, 0, episode.steps)
+            for t, transition in enumerate(transitions_of(episode, 0, episode.steps)):
+                per_step.write(episode, t, t + 1)
+                ref.push(transition)
+            assert_same_memory(block, per_step)
+            assert_samples_match(block, ref, heads, len(ref), seed=case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(side=st.integers(2, 4), max_swarm=st.integers(1, 4), slots=st.integers(1, 7),
+       capacity=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_episode_arrays_equal_the_per_step_transitions(side, max_swarm, slots, capacity, seed):
+    # Random plays over small worlds, with the swarm resized between
+    # episodes. After every step the env's rows are the copies and the
+    # step results a per-step loop would keep; each episode sliced is the
+    # batch of those transitions; and a memory written the episodes' rows
+    # in random blocks samples what the deque of those transitions does.
+    env = small_env(side=side, swarm=1, slots=slots, strategic=(side * side - 1,),
+                    max_swarm=max_swarm)
+    heads = env.cfg.max_swarm
+    rng = np.random.default_rng(seed)
+    mem = ag.ReplayMemory(capacity, env.state_dim, heads, env.real_cols)
+    ref = DequeReplayMemory(capacity)
+    for number in range(4):
+        size = int(rng.integers(1, heads + 1))
+        while env.current_swarm_size != size:
+            kind = "join" if env.current_swarm_size < size else "leave"
+            env.apply_swarm_event(envmod.SwarmEvent(number, kind))
+        env.reset(rng_seed=int(rng.integers(2**31)))
+        episode, kept, steps, written = env.episode, env.encode_state(), [], 0
+        assert_bits_equal(episode.obs[0], kept)
+        while not steps or not steps[-1].done:
+            action = tuple(int(a) for a in rng.integers(0, N_ACTIONS, size=size))
+            out = env.step(action)
+            after = env.encode_state()
+            steps.append(Transition(kept, action, out.reward, after, out.done,
+                                    out.uav_rewards.copy()))
+            kept = after
+            n = len(steps)
+            assert env.episode is episode and episode.steps == n
+            assert_bits_equal(out.state, after)
+            assert_bits_equal(episode.obs[:n + 1], np.stack([t.state for t in steps] + [after]))
+            acts, acting = action_arrays([t.action for t in steps], heads)
+            uav_rewards = np.zeros(acting.shape)
+            uav_rewards[acting] = np.concatenate([t.uav_rewards for t in steps])
+            assert_bits_equal(episode.acts[:n], acts)
+            assert_bits_equal(episode.uav_rewards[:n], uav_rewards)
+            assert_bits_equal(episode.reward[:n], np.array([t.reward for t in steps]))
+            assert_bits_equal(episode.done[:n], np.array([t.done for t in steps]))
+            if out.done or rng.random() < 0.4:
+                mem.write(episode, written, n)
+                for transition in steps[written:]:
+                    ref.push(transition)
+                written = n
+                assert_samples_match(mem, ref, heads, int(rng.integers(1, len(ref) + 1)),
+                                     seed=int(rng.integers(2**31)))
+        assert_same_batch(ag.Batch.of_episode(episode), as_batch(steps, heads))
+        assert_samples_match(mem, ref, heads, len(ref), seed=number)
 
 
 class PerStepDQN(ag.DQNLearner):
-    """Reference: the DQN learner as it was when it pushed every step."""
+    """Reference: the DQN learner as it was when it wrote every step."""
 
-    def record(self, transition: ag.Transition) -> None:
-        self.memory.push(transition)
+    def record(self, episode) -> None:
+        self.memory.write(episode, episode.steps - 1, episode.steps)
         self._steps += 1
         if (len(self.memory) >= self.cfg.minibatch
                 and self._steps % self.cfg.dqn_update_interval == 0):
@@ -522,16 +432,17 @@ class PerStepDQN(ag.DQNLearner):
 
 
 def test_dqn_block_writes_equal_per_step_pushes():
-    # The learner writes its recorded rows when it samples and when an
+    # The learner writes the episode's steps when it samples and when the
     # episode ends. Its memory at every sample and every episode end, its
-    # weights and its generator equal those of a learner that pushes each
+    # weights and its generator equal those of a learner that writes each
     # step, over a join and a leave and a ring that wraps mid-episode.
     from swarmcover.env import task_with_swarm
 
     envs = [small_env(swarm=2, slots=7, max_swarm=3) for _ in range(2)]
     cfg = ag.AgentConfig(hidden=(8,), replay_capacity=30, minibatch=10, target_refresh=3)
-    learners = [cls(envs[0].state_dim, 3, cfg, np.random.default_rng(13), episodes=12)
+    learners = [cls(envs[0].state_dim, 3, cfg, np.random.default_rng(13), 12, envs[0].real_cols)
                 for cls in (ag.DQNLearner, PerStepDQN)]
+
     def frozen(memory: ag.ReplayMemory) -> ag.ReplayMemory:
         copied = copy.deepcopy(memory)
         del copied.sample  # the copy samples itself, unwatched
@@ -568,24 +479,24 @@ def test_actor_critic_memory_after_each_episode_equals_per_step_pushes():
     env = small_env(swarm=2, slots=6, max_swarm=3)
     cfg = ag.AgentConfig(hidden=(8,), replay_capacity=20, minibatch=4)  # wraps mid-episode
     rng = np.random.default_rng(11)
-    learner = ag.make_learner("actor_critic", env.state_dim, env.cfg.max_swarm, cfg, rng, 9)
-    steps = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, env.cfg.max_swarm)
+    learner = ag.make_learner("actor_critic", env.state_dim, env.cfg.max_swarm, cfg, rng, 9,
+                              env.real_cols)
+    assert learner.memory.real_cols.tolist() == list(env.real_cols)
+    steps = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, env.cfg.max_swarm, env.real_cols)
     record = learner.record
 
-    def record_and_push(t: ag.Transition) -> None:
-        steps.push(t)
-        record(t)
+    def record_and_write(episode) -> None:
+        steps.write(episode, episode.steps - 1, episode.steps)
+        record(episode)
 
-    learner.record = record_and_push
+    learner.record = record_and_write
     for _ in range(9):
         ag.run_training_episode(env, env.nominal_task(), learner, rng)
         assert_same_memory(learner.memory, steps)
-    assert len(learner.memory.exact_cols) > 0
 
 
 def memory_nbytes(mem: ag.ReplayMemory) -> int:
-    """The bytes of the memory's arrays and of its kept next states (a
-    ``cols`` array they share is counted once per state)."""
+    """The bytes of the memory's arrays and of its kept next states."""
     arrays = sum(a.nbytes for a in vars(mem).values() if isinstance(a, np.ndarray))
     return arrays + sum(a.nbytes for kept in mem.next_states.values() for a in kept)
 
@@ -594,22 +505,17 @@ def test_full_default_world_memory_fits_in_a_few_megabytes():
     env = make_env()  # the default world: 279 features
     cfg = ag.AgentConfig()
     heads = env.cfg.max_swarm
-    mem = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, heads)
+    mem = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, heads, env.real_cols)
     rng = np.random.default_rng(12)
     policy = ag.RandomPolicy(heads)
     while len(mem) < cfg.replay_capacity:
-        episode, state = [], env.reset(env.nominal_task(), rng_seed=int(rng.integers(2**31)))
-        while True:
-            action = policy.act(state, rng)
-            out = env.step(action)
-            episode.append(ag.Transition(state, action, out.reward, out.state, out.done,
-                                         out.uav_rewards))
-            state = out.state
-            if out.done:
-                break
-        mem.push_batch(ag.as_batch(episode, heads))
+        state, done = env.reset(env.nominal_task(), rng_seed=int(rng.integers(2**31))), False
+        while not done:
+            out = env.step(policy.act(state, rng))
+            state, done = out.state, out.done
+        mem.write(env.episode, 0, env.episode.steps)
     assert len(mem) == 10_000 and env.state_dim == 279 and mem.states.shape == (10_000, 35)
-    assert memory_nbytes(mem) <= 1.6e6, (memory_nbytes(mem), len(mem.exact_cols))
+    assert memory_nbytes(mem) <= 1.6e6, memory_nbytes(mem)
 
 
 # --- exploration -------------------------------------------------------------------
@@ -626,7 +532,7 @@ def fixed_q_dqn(q: np.ndarray, epsilon: float) -> ag.DQNLearner:
     """A DQN learner whose Q heads output ``q`` [heads, actions] in every
     state and which explores at a constant ``epsilon``."""
     cfg = ag.AgentConfig(hidden=(2,), eps_start=epsilon, eps_end=epsilon)
-    learner = ag.DQNLearner(3, q.shape[0], cfg, np.random.default_rng(0), episodes=10)
+    learner = ag.DQNLearner(3, q.shape[0], cfg, np.random.default_rng(0), 10, (2,))
     for value in learner.q.values():
         value[...] = 0.0
     learner.q[f"b{learner.net_cfg.n_layers - 1}"][:] = q.ravel()
@@ -792,7 +698,8 @@ def test_act_matches_the_reference_acting_path(shape):
     state_dim, heads, hidden = shape
     cases = np.random.default_rng(state_dim)
     cfg = ag.AgentConfig(hidden=hidden)
-    learners = [ag.make_learner(name, state_dim, heads, cfg, np.random.default_rng(i), 10)
+    learners = [ag.make_learner(name, state_dim, heads, cfg, np.random.default_rng(i), 10,
+                                (state_dim - 1,))
                 for i, name in enumerate(("actor_critic", "ppo", "dqn"))]
     for learner in learners:
         # Sharpen the outputs, so rows run from flat to nearly one-hot.
@@ -884,7 +791,7 @@ def test_accumulate_twice_doubles():
     params = tiny_params(state_dim=4, heads=2)
     episode = random_batch(params, 5, seed=3)
     once, twice = zero_grads(params), zero_grads(params)
-    batch = ag.as_batch(episode, params.heads)
+    batch = as_batch(episode, params.heads)
     ag.actor_critic_accumulate(params, batch, 0.85, once)
     for _ in range(2):
         ag.actor_critic_accumulate(params, batch, 0.85, twice)
@@ -902,9 +809,9 @@ def test_accumulating_through_scratch_buffers_changes_no_bit():
                                      nets.grad_buffers(params.critic_cfg))
         fresh, buffered = zero_grads(params), zero_grads(params)
         for part in range(3):  # the scratch buffers hold the last gradient
-            episode = ag.as_batch(random_batch(params, 1 + (case + part) % 25, seed=case + part),
+            episode = as_batch(random_batch(params, 1 + (case + part) % 25, seed=case + part),
                                   heads)
-            replay = ag.as_batch(random_batch(params, 7, seed=100 + case + part), heads)
+            replay = as_batch(random_batch(params, 7, seed=100 + case + part), heads)
             ag.actor_critic_accumulate(params, episode, 0.85, fresh)
             ag.critic_td_accumulate(params, replay, 0.85, fresh)
             ag.actor_critic_accumulate(params, episode, 0.85, buffered, scratch)
@@ -917,7 +824,7 @@ def test_accumulating_through_scratch_buffers_changes_no_bit():
 
 def test_empty_episode_rejected():
     params = tiny_params()
-    one = ag.as_batch(random_batch(params, 1), params.heads)
+    one = as_batch(random_batch(params, 1), params.heads)
     empty = ag.Batch(**{name: rows[:0] for name, rows in vars(one).items()})
     with pytest.raises(ValueError):
         ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params))
@@ -928,7 +835,7 @@ def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndar
     return out[0]
 
 
-def _bootstrap(tr: ag.Transition, u: int, params: ag.PolicyParams, gamma: float) -> float:
+def _bootstrap(tr: Transition, u: int, params: ag.PolicyParams, gamma: float) -> float:
     """gamma * V_u(s') from the critic, or 0 past the end or for a
     slot that is idle in s'."""
     if tr.done or u >= round(tr.next_state[-1] * params.heads):
@@ -945,7 +852,7 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
     episode = random_batch(params, 4, seed=41)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, ag.as_batch(episode, params.heads), gamma, acc)
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
@@ -964,10 +871,10 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
 def test_entropy_gradient_matches_finite_differences():
     params = tiny_params(state_dim=4, heads=3, seed=42)
     nets.add_scaled(params.critic, params.critic, -1.0)  # V == 0: no advantage term
-    episode = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
+    episode = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
                for t in random_batch(params, 4, seed=43)]
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, ag.as_batch(episode, params.heads), 0.85, acc)
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), 0.85, acc)
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
@@ -987,7 +894,7 @@ def test_per_slot_critic_gradient_matches_finite_differences(heads):
     episode = random_batch(params, 4, seed=45)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, ag.as_batch(episode, params.heads), gamma, acc)
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
     returns = np.zeros((len(episode), params.heads))
     running = np.zeros(params.heads)
     for t in reversed(range(len(episode))):
@@ -1013,7 +920,7 @@ def test_per_slot_replay_td_gradient_matches_finite_differences(heads):
     batch = random_batch(params, 5, seed=47)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.critic_td_accumulate(params, ag.as_batch(batch, params.heads), gamma, acc)
+    ag.critic_td_accumulate(params, as_batch(batch, params.heads), gamma, acc)
 
     def td_loss(critic):
         total = 0.0
@@ -1048,11 +955,11 @@ def test_replacing_learner_params_restarts_adam():
     task = env.nominal_task()
     cfg = ag.AgentConfig(hidden=(4,))
     init = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=50)
-    reused = ag.ActorCriticLearner(init.clone(), cfg)
+    reused = ag.ActorCriticLearner(init.clone(), cfg, env.real_cols)
     ag.run_training_episode(env, task, reused, np.random.default_rng(51))
     reused.params = init.clone()
     ag.run_training_episode(env, task, reused, np.random.default_rng(52))
-    fresh = ag.ActorCriticLearner(init.clone(), cfg)
+    fresh = ag.ActorCriticLearner(init.clone(), cfg, env.real_cols)
     ag.run_training_episode(env, task, fresh, np.random.default_rng(52))
     np.testing.assert_array_equal(
         flatten_params(reused.params.actor, init.actor_cfg),
@@ -1066,7 +973,7 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
     params = tiny_params(seed=12)
     batch = random_batch(params, 4, seed=13)
     cfg = params.actor_cfg
-    loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, ag.as_batch(batch, params.heads),
+    loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, as_batch(batch, params.heads),
                                    0.0, cfg, params.heads)
     raw, _ = nets.forward(params.actor, np.stack([t.state for t in batch]), cfg)
     q = raw.reshape(len(batch), params.heads, N_ACTIONS)
@@ -1080,10 +987,10 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
 def test_dqn_zero_td_error_means_no_change():
     params = tiny_params(seed=14)
     zero_net = zeros_like_params(params.actor)
-    batch = [ag.Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
+    batch = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
              for t in random_batch(params, 4, seed=15)]
     loss = ag.dqn_update(zero_net, zeros_like_params(params.actor),
-                         ag.as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads)
+                         as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads)
     assert loss == 0.0
     for v in zero_net.values():
         np.testing.assert_array_equal(v, 0.0)
@@ -1110,12 +1017,6 @@ def loop_dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads):
     return loss, nets.backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
 
 
-def assert_bits_equal(a, b) -> None:
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape and a.dtype == b.dtype
-    assert a.tobytes() == b.tobytes()
-
-
 def test_dqn_matches_the_per_pair_loop():
     for case in range(200):
         params = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case)
@@ -1123,7 +1024,7 @@ def test_dqn_matches_the_per_pair_loop():
         batch = random_batch(params, 1 + case % 17, seed=case)
         gamma = float(np.random.default_rng(case).uniform(0.0, 1.0))
         args = (params.actor, target.actor, gamma, params.actor_cfg, params.heads)
-        loss, grads = ag.dqn_loss_and_grad(*args[:2], ag.as_batch(batch, params.heads), *args[2:])
+        loss, grads = ag.dqn_loss_and_grad(*args[:2], as_batch(batch, params.heads), *args[2:])
         ref_loss, ref_grads = loop_dqn_loss_and_grad(*args[:2], batch, *args[2:])
         assert_bits_equal(loss, ref_loss)
         for key in ref_grads:
@@ -1139,7 +1040,7 @@ def test_dqn_update_into_learner_buffers_matches_add_scaled():
         buffers = nets.grad_buffers(params.actor_cfg)
         lr = float(np.random.default_rng(case).choice([1e-4, 0.01, 1.0]))
         for update in range(3):  # the buffers hold the last update's gradient
-            batch = ag.as_batch(random_batch(params, 1 + (case + update) % 9, seed=case + update),
+            batch = as_batch(random_batch(params, 1 + (case + update) % 9, seed=case + update),
                                 heads)
             loss = ag.dqn_update(params.actor, target.actor, batch, 0.9, lr,
                                  params.actor_cfg, heads, buffers)
@@ -1154,7 +1055,7 @@ def test_dqn_update_into_learner_buffers_matches_add_scaled():
 def test_dqn_gradient_matches_finite_differences():
     params = tiny_params(seed=16)
     target = tiny_params(seed=17)
-    batch = ag.as_batch(random_batch(params, 3, seed=18), params.heads)
+    batch = as_batch(random_batch(params, 3, seed=18), params.heads)
     cfg = params.actor_cfg
     _, grads = ag.dqn_loss_and_grad(params.actor, target.actor, batch, 0.85, cfg, params.heads)
 
@@ -1167,15 +1068,15 @@ def test_dqn_gradient_matches_finite_differences():
 
 # --- PPO --------------------------------------------------------------------------
 
-def ppo_arrays(batch: list[ag.Transition], heads: int) -> tuple[np.ndarray, ...]:
+def ppo_arrays(batch: list[Transition], heads: int) -> tuple[np.ndarray, ...]:
     """The arrays ``ppo_update`` builds once per update and passes to every
     ``ppo_surrogate_and_grad`` call: states, actions, acting mask, one-hot."""
     states = np.stack([t.state for t in batch])
-    acts, acting = ag.action_arrays([t.action for t in batch], heads)
+    acts, acting = action_arrays([t.action for t in batch], heads)
     return states, acts, acting, np.eye(N_ACTIONS)[acts]
 
 
-def old_logp(actor: dict, batch: list[ag.Transition], params: ag.PolicyParams) -> np.ndarray:
+def old_logp(actor: dict, batch: list[Transition], params: ag.PolicyParams) -> np.ndarray:
     """The pre-update joint log-probabilities that ``ppo_surrogate_and_grad`` takes."""
     states, acts, acting, _ = ppo_arrays(batch, params.heads)
     _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
@@ -1214,7 +1115,7 @@ def test_ppo_update_zero_clip_freezes_actor():
     rollout = random_batch(params, 5, seed=26)
     before = flatten_params(params.actor, params.actor_cfg).copy()
     critic_before = flatten_params(params.critic, params.critic_cfg).copy()
-    ag.ppo_update(params, rollout, 0.0, 3, 0.85, 0.01)
+    ag.ppo_update(params, as_batch(rollout, params.heads), 0.0, 3, 0.85, 0.01)
     np.testing.assert_array_equal(flatten_params(params.actor, params.actor_cfg), before)
     assert not np.array_equal(
         flatten_params(params.critic, params.critic_cfg), critic_before
@@ -1253,8 +1154,9 @@ def test_ppo_update_matches_the_reference_with_and_without_buffers():
         for update in range(3):  # the buffers hold the last update's gradients
             rollout = random_batch(params, 1 + (case + update) % 25, seed=case + update)
             epochs = 1 + (case + update) % 4
-            ag.ppo_update(params, rollout, clip, epochs, 0.85, lr, buffers)
-            ag.ppo_update(unbuffered, rollout, clip, epochs, 0.85, lr)
+            batch = as_batch(rollout, heads)
+            ag.ppo_update(params, batch, clip, epochs, 0.85, lr, buffers)
+            ag.ppo_update(unbuffered, batch, clip, epochs, 0.85, lr)
             reference_ppo_update(reference, rollout, clip, epochs, 0.85, lr)
             for got in (params, unbuffered):
                 for key in reference.actor:
@@ -1276,7 +1178,7 @@ def test_ppo_update_takes_the_pre_update_policy_once(monkeypatch):
         params = tiny_params(seed=25)
         rollout = random_batch(params, 5, seed=26)
         calls.clear()
-        ag.ppo_update(params, rollout, 0.2, epochs, 0.85, 0.01)
+        ag.ppo_update(params, as_batch(rollout, params.heads), 0.2, epochs, 0.85, 0.01)
         # Pre-update values and log-probabilities once, which the first
         # epoch reuses, then one actor and one critic pass per later epoch.
         assert len(calls) == 2 * epochs
@@ -1304,7 +1206,7 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
 def test_joint_log_prob_hand_case():
     probs = np.array([[[0.5, 0.2, 0.1, 0.1, 0.1],
                        [0.25, 0.25, 0.25, 0.25, 0.0]]])
-    lp = ag.joint_log_prob(probs, *ag.action_arrays([(0, 1)], 2))
+    lp = ag.joint_log_prob(probs, *action_arrays([(0, 1)], 2))
     assert lp[0] == pytest.approx(np.log(0.5) + np.log(0.25), rel=1e-12)
 
 
@@ -1349,7 +1251,7 @@ def test_joint_log_prob_matches_the_per_pair_loop():
         probs[rng.random(probs.shape) < 0.05] = 0.0  # below the 1e-12 floor
         actions = [tuple(rng.integers(0, N_ACTIONS, size=rng.integers(1, heads + 1)).tolist())
                    for _ in range(n)]
-        assert_bits_equal(ag.joint_log_prob(probs, *ag.action_arrays(actions, heads)),
+        assert_bits_equal(ag.joint_log_prob(probs, *action_arrays(actions, heads)),
                           loop_joint_log_prob(probs, actions))
 
 
@@ -1457,7 +1359,7 @@ def test_forward_distributions_normalised():
 
 def test_make_learner_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown algorithm"):
-        ag.make_learner("sarsa", 10, 2, ag.AgentConfig(), np.random.default_rng(0), 10)
+        ag.make_learner("sarsa", 10, 2, ag.AgentConfig(), np.random.default_rng(0), 10, (9,))
 
 
 def test_random_policy_ignores_learning():
@@ -1472,7 +1374,7 @@ def test_training_episode_updates_actor_critic():
     env = small_env()
     cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
     params = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=5)
-    learner = ag.ActorCriticLearner(params, cfg)
+    learner = ag.ActorCriticLearner(params, cfg, env.real_cols)
     before = flatten_params(params.actor, params.actor_cfg).copy()
     ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(6))
     assert not np.array_equal(

@@ -460,6 +460,35 @@ def test_active_count_is_last_feature():
     assert state[-1] == pytest.approx(4 / 7)
 
 
+def test_declared_real_columns_are_the_demand_and_swarm_fractions():
+    env = envmod.make_env()
+    # Per strategic location a 25-cell one-hot, then its demand fraction,
+    # after the 7 UAV slots' one-hots; the swarm-size fraction is last.
+    assert env.real_cols == (200, 226, 252, 278)
+    small = small_env(side=3, max_swarm=2, strategic=(1, 7))
+    assert small.real_cols == (18 + 9, 18 + 10 + 9, small.state_dim - 1)
+
+
+@pytest.mark.parametrize("world", ["default", "3x3"])
+def test_only_the_declared_columns_hold_anything_but_zero_and_one(world):
+    env = envmod.make_env() if world == "default" else small_env(
+        swarm=3, max_swarm=3, strategic=(2, 4), slots=8, device_count=12)
+    plain = np.setdiff1d(np.arange(env.state_dim), env.real_cols)
+    rng = np.random.default_rng(19)
+    seen_real = set()
+    for episode in range(20):
+        size = int(rng.integers(1, env.cfg.max_swarm + 1))
+        env.reset(envmod.task_with_swarm(env.nominal_task(), size), rng_seed=episode)
+        while not env.step(rng.integers(0, envmod.N_ACTIONS, size=size)).done:
+            pass
+        obs = env.episode.obs
+        bits = obs[:, plain].view(np.uint64)
+        assert np.all((bits == 0) | (bits == np.float64(1.0).view(np.uint64))), episode
+        real = obs[:, list(env.real_cols)]
+        seen_real.update(np.flatnonzero(((real != 0.0) & (real != 1.0)).any(axis=0)).tolist())
+    assert seen_real == set(range(len(env.real_cols)))  # each declared column is used
+
+
 def encode_from_scratch(env: envmod.CoverageEnv) -> np.ndarray:
     """Reference: the observation built from the public episode state alone,
     as the env encoded every step before it kept its vector."""
