@@ -49,8 +49,9 @@ and acting-head counts. A row's next state is the next row's state; only
 terminal rows and the newest row keep a next state of their own. The
 actor-critic writes each finished episode whole, and DQN writes the
 episode's steps up to the current one just before each sample and the
-rest at the episode's end. DQN, PPO and the actor-critic take their gradients into buffers they
-own, so an update allocates no parameter-sized arrays.
+rest at the episode's end. DQN, PPO and the actor-critic take their
+gradients into buffers they own, so an update allocates no
+parameter-sized arrays.
 """
 
 from __future__ import annotations
