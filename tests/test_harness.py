@@ -418,3 +418,56 @@ def test_output_bytes_are_pinned_through_a_wrapping_replay(algorithm, tmp_path):
     got = tuple(hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
                 for name in _PINNED_FILES)
     assert got == _WRAPPING_DIGESTS[algorithm]
+
+
+#: sha256 of the four files ``emit_plot_data`` writes for the pinned meta_rl
+#: run with the pinned leave and join, and of that run's resolved_config.json.
+_EMITTED_DIGESTS = {
+    "plot_heatmap.csv":
+        "10c0c2d24c1f2a40619d821817c7a318be7437debcb6ed79278d451bb5340b59",
+    "plot_learning_curve.csv":
+        "5601d9781b7bf3fe8a8ef7f595510ddee508e6d39e56131fd79aa148f1e7197b",
+    "plot_energy_bars.csv":
+        "2d0049f5441a18930477ee9c2d2086c7860ab38c9d29a76245a161fa752ee4a2",
+    "plot_satisfaction_bars.csv":
+        "8ad4c25815b401ca53a814a78198cc90389487dc3d5d9999b2db46c096c491bd",
+    "resolved_config.json":
+        "13b812a58933338b2b8fd4c439d717a58293af42010ea2f80e3410e70a5d350c",
+}
+
+
+def test_emitted_plot_data_and_resolved_config_are_pinned(tmp_path):
+    """Every ``emit`` kind and the resolved config are pinned to the byte.
+    The run plays the events, so the resolved config echoes a schedule, and
+    ``out_dir`` is fixed, since the resolved config echoes it too."""
+    cfg = cf.load_config(overrides={
+        **_PINNED_OVERRIDES,
+        "run": {**_PINNED_OVERRIDES["run"], "algorithm": "meta_rl", "out_dir": "pinned"},
+        "env": {**_PINNED_OVERRIDES["env"], "events": _PINNED_EVENTS},
+    }, environ={})
+    seed_dir = hz.run_experiment(cfg, tmp_path)[0]
+    for kind in hz.PLOT_KINDS:
+        hz.emit_plot_data(seed_dir, kind)
+    got = {name: hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
+           for name in _EMITTED_DIGESTS}
+    assert got == _EMITTED_DIGESTS
+
+
+#: sha256 of comparison.csv for dqn against ppo on the pinned world.
+_COMPARISON_DIGEST = "a107d67caab1a07147208da8af3282a22f251051d48f02ce5a7a4ad158e28190"
+
+
+def test_comparison_bytes_are_pinned(tmp_path):
+    """comparison.csv is pinned to the byte: dqn against ppo over two seeds,
+    each run playing the leave and the join. A short window and a full
+    convergence level give ppo's two seeds different plateau episodes, so
+    its plateau std is not 0."""
+    cfgs = [cf.load_config(overrides={
+        **_PINNED_OVERRIDES,
+        "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm, "seeds": [0, 1],
+                "ma_window": 3, "convergence_level": 1.0},
+        "env": {**_PINNED_OVERRIDES["env"], "events": _PINNED_EVENTS},
+    }, environ={}) for algorithm in ("dqn", "ppo")]
+    out = tmp_path / "comparison.csv"
+    hz.compare_algorithms(cfgs, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _COMPARISON_DIGEST
