@@ -107,7 +107,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .config import load_instance
+    from .config import load_instance, write_json
     from .oracle import enumerate_optimum, verify_feasibility
 
     inst = load_instance(args.instance)
@@ -127,7 +127,7 @@ def _cmd_oracle(args) -> int:
           f"rate={report.rate_ok} altitude={report.altitude_ok} "
           f"deadline={report.deadline_ok} coverage={report.coverage_ok}")
     if args.out:
-        payload = {
+        write_json(args.out, {
             "feasible": sol.feasible,
             "objective_j": sol.objective_j,
             "unmasked_j": sol.unmasked_j,
@@ -135,10 +135,7 @@ def _cmd_oracle(args) -> int:
             "actions": [list(a) for a in sol.actions],
             "leaves_evaluated": sol.leaves_evaluated,
             "feasible_leaves": sol.feasible_leaves,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         print(f"wrote {args.out}")
     return 0
 

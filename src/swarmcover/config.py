@@ -1,6 +1,6 @@
 """Experiment configuration: JSON files, defaults, overrides, validation.
 
-A config file is a JSON object with up to seven sections::
+A config file is a JSON object with up to six sections::
 
     {
       "run":     {scenario, algorithm, episodes, seeds, out_dir, ...},
@@ -271,40 +271,17 @@ def load_config(
     )
 
 
-def resolved_dict(cfg: ExperimentConfig) -> dict:
-    """Plain-JSON echo of a fully-resolved config (for provenance)."""
-    out = {
-        "run": dataclasses.asdict(cfg.run),
-        "mission": dataclasses.asdict(cfg.mission),
-        "link": dataclasses.asdict(cfg.link),
-        "radio": dataclasses.asdict(cfg.radio),
-        "env": dataclasses.asdict(cfg.env),
-        "agent": dataclasses.asdict(cfg.agent),
-        "events": [dataclasses.asdict(e) for e in cfg.events],
-    }
-
-    def plain(value):
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        if isinstance(value, dict):
-            return {k: plain(v) for k, v in value.items()}
-        return value
-
-    return plain(out)
-
-
-def write_resolved(cfg: ExperimentConfig, path: str | Path) -> None:
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as UTF-8 JSON, keys sorted, indented by two, ending
+    in ``\\n``. The one JSON writer of the package: the run summaries, the
+    resolved configs (``dataclasses.asdict`` of an :class:`ExperimentConfig`)
+    and the exact solver's solutions."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(resolved_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 # --- exact-solver instance files -------------------------------------------
-
-_INSTANCE_MISSION_KEYS = (
-    "frame_seconds", "slots", "speed_mps", "p_oper_watts", "p_comm_watts",
-    "t_max_seconds", "packet_bits", "uav_altitude_m",
-)
 
 
 def load_instance(path: str | Path) -> ExactInstance:
@@ -312,27 +289,32 @@ def load_instance(path: str | Path) -> ExactInstance:
 
     The file uses the same keys as a written world layout (``area_m``,
     ``cells_per_side``, ``strategic_cells``, ``devices``) plus
-    ``start_cells`` and ``horizon``, optional mission timing overrides,
-    and optional ``link``/``radio`` sections like the experiment config.
+    ``start_cells`` and ``horizon``, optional overrides of the other
+    mission fields, and optional ``link``/``radio`` sections like the
+    experiment config. Every device transmits at ``radio.device_tx_watts``;
+    a device's own ``tx_watts``, if given, must equal it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    mission_keys = _field_names(ms.MissionConfig)
     allowed = {
-        "area_m", "cells_per_side", "strategic_cells", "initial_demand", "devices",
-        "start_cells", "horizon", "budget", "per_uav_coverage", "link", "radio",
-        *_INSTANCE_MISSION_KEYS,
+        "strategic_cells", "initial_demand", "devices", "start_cells", "horizon",
+        "budget", "per_uav_coverage", "link", "radio", *mission_keys,
     }
     _reject_unknown("instance", raw, allowed)
     for key in ("start_cells", "horizon", "devices"):
         if key not in raw:
             raise ValueError(f"instance file is missing the {key!r} key")
 
-    mission_kwargs = {k: raw[k] for k in _INSTANCE_MISSION_KEYS if k in raw}
-    for key in ("area_m", "cells_per_side"):
-        if key in raw:
-            mission_kwargs[key] = raw[key]
-    mission = ms.MissionConfig(**mission_kwargs)
+    mission = ms.MissionConfig(**{k: raw[k] for k in mission_keys if k in raw})
     radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
+    for device in raw["devices"]:
+        tx_watts = device.get("tx_watts", radio.device_tx_watts)
+        if tx_watts != radio.device_tx_watts:
+            raise ValueError(
+                f"device {device.get('id')!r} gives tx_watts {tx_watts!r}, but every device "
+                f"transmits at radio.device_tx_watts ({radio.device_tx_watts!r})"
+            )
     return ExactInstance(
         mission=mission,
         link=_build_link(raw.get("link", {}), radio.bandwidth_hz),

@@ -420,7 +420,6 @@ class CoverageEnv:
                 task.strategic_cells,
                 seed=task.device_seed,
                 count=max(self.cfg.device_count, len(task.strategic_cells)),
-                tx_watts=self.radio.device_tx_watts,
             )
             world = ms.build_grid(
                 self.mission_cfg, devices, task.strategic_cells, task.initial_demands

@@ -8,8 +8,10 @@ Every seed gets its own output directory containing
 - ``summary.json``  scalar end-of-run aggregates,
 - ``resolved_config.json``  the fully-resolved config for reproduction.
 
-All floats are written with ``repr`` and all files with ``\\n`` line
-endings, so identically-seeded single-threaded runs are byte-identical.
+Every CSV file goes through :func:`write_csv` and every JSON file
+through :func:`swarmcover.config.write_json`; both write UTF-8 with
+``\\n`` line endings, and ``write_csv`` writes floats with ``repr``, so
+identically-seeded single-threaded runs are byte-identical.
 Partially-written seed directories are removed when a run fails.
 """
 
@@ -19,9 +21,9 @@ import csv
 import json
 import math
 import shutil
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .agents import (
     meta_outer_update,
     run_training_episode,
 )
-from .config import AgentConfig, ExperimentConfig, resolved_dict, write_resolved
+from .config import AgentConfig, ExperimentConfig, write_json
 from .env import CoverageEnv, TaskSpec, task_with_swarm
 
 PLOT_KINDS = ("heatmap", "learning_curve", "energy_bars", "satisfaction_bars")
@@ -79,17 +81,22 @@ def _cell(value) -> str:
     return str(value)
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV with ``\\n`` line endings, every
+    value through :func:`_cell`. The one CSV writer of the package."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 def write_metrics(path: Path, rows: Sequence[EpisodeMetrics]) -> None:
     if not rows:
         raise ValueError("refusing to write an empty metrics file")
     n_cells = len(rows[0].visits)
     header = [f.name for f in _SCALAR_FIELDS] + [f"visits_{i}" for i in range(n_cells)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            scalars = [getattr(row, f.name) for f in _SCALAR_FIELDS]
-            writer.writerow([_cell(v) for v in scalars] + [str(v) for v in row.visits])
+    write_csv(path, header, ([getattr(row, f.name) for f in _SCALAR_FIELDS] + list(row.visits)
+                             for row in rows))
 
 
 def read_metrics(path: Path) -> list[EpisodeMetrics]:
@@ -285,13 +292,10 @@ def _write_heatmap(path: Path, metrics: Sequence[EpisodeMetrics], summary: dict)
     rows = _tail_slice(metrics, summary["plateau_tail"])
     n_side = summary["cells_per_side"]
     strategic = set(summary["strategic_cells"])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_x", "cell_y", "visits", "is_strategic"])
-        for i in range(len(metrics[0].visits)):
-            writer.writerow([
-                i % n_side, i // n_side, sum(m.visits[i] for m in rows), int(i in strategic),
-            ])
+    write_csv(path, ["cell_x", "cell_y", "visits", "is_strategic"], (
+        [i % n_side, i // n_side, sum(m.visits[i] for m in rows), i in strategic]
+        for i in range(len(metrics[0].visits))
+    ))
 
 
 def run_experiment(cfg: ExperimentConfig, base_dir: str | Path | None = None) -> list[Path]:
@@ -313,10 +317,8 @@ def run_experiment(cfg: ExperimentConfig, base_dir: str | Path | None = None) ->
             summary = _summary(cfg, seed, metrics)
             write_metrics(seed_dir / "metrics.csv", metrics)
             _write_heatmap(seed_dir / "heatmap.csv", metrics, summary)
-            with open(seed_dir / "summary.json", "w", encoding="utf-8") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            write_resolved(cfg, seed_dir / "resolved_config.json")
+            write_json(seed_dir / "summary.json", summary)
+            write_json(seed_dir / "resolved_config.json", asdict(cfg))
         except BaseException:
             shutil.rmtree(seed_dir, ignore_errors=True)
             raise
@@ -326,13 +328,17 @@ def run_experiment(cfg: ExperimentConfig, base_dir: str | Path | None = None) ->
 
 # --- cross-algorithm comparison -----------------------------------------------
 
-COMPARISON_COLUMNS = (
-    "scenario", "algorithm", "seeds",
-    "episodes_to_plateau_mean", "episodes_to_plateau_std",
-    "final_satisfaction_mean", "final_satisfaction_std",
-    "energy_strategic_mean", "energy_nonstrategic_mean",
-    "plateau_reward_mean",
+#: comparison.csv's per-algorithm aggregates: (column, summary key, reduction over seeds).
+_COMPARED = (
+    ("episodes_to_plateau_mean", "plateau_episode", np.mean),
+    ("episodes_to_plateau_std", "plateau_episode", np.std),
+    ("final_satisfaction_mean", "satisfaction_tail_mean", np.mean),
+    ("final_satisfaction_std", "satisfaction_tail_mean", np.std),
+    ("energy_strategic_mean", "energy_strategic_tail_mean", np.mean),
+    ("energy_nonstrategic_mean", "energy_nonstrategic_tail_mean", np.mean),
+    ("plateau_reward_mean", "plateau_reward", np.mean),
 )
+COMPARISON_COLUMNS = ("scenario", "algorithm", "seeds") + tuple(c for c, _, _ in _COMPARED)
 
 
 def compare_algorithms(
@@ -355,35 +361,20 @@ def compare_algorithms(
 
     rows = []
     for cfg in cfgs:
-        plateau_eps, sats, e_strat, e_non, plateaus = [], [], [], [], []
-        for seed in cfg.run.seeds:
-            summary = _summary(cfg, seed, _train_one_seed(cfg, seed))
-            plateau_eps.append(summary["plateau_episode"])
-            plateaus.append(summary["plateau_reward"])
-            sats.append(summary["satisfaction_tail_mean"])
-            e_strat.append(summary["energy_strategic_tail_mean"])
-            e_non.append(summary["energy_nonstrategic_tail_mean"])
+        summaries = [_summary(cfg, seed, _train_one_seed(cfg, seed)) for seed in cfg.run.seeds]
         rows.append({
             "scenario": cfg.run.scenario,
             "algorithm": cfg.run.algorithm,
             "seeds": "|".join(str(s) for s in cfg.run.seeds),
-            "episodes_to_plateau_mean": float(np.mean(plateau_eps)),
-            "episodes_to_plateau_std": float(np.std(plateau_eps)),
-            "final_satisfaction_mean": float(np.mean(sats)),
-            "final_satisfaction_std": float(np.std(sats)),
-            "energy_strategic_mean": float(np.mean(e_strat)),
-            "energy_nonstrategic_mean": float(np.mean(e_non)),
-            "plateau_reward_mean": float(np.mean(plateaus)),
+            **{column: float(reduce([s[key] for s in summaries]))
+               for column, key, reduce in _COMPARED},
         })
 
     if out_path is not None:
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(COMPARISON_COLUMNS)
-            for row in rows:
-                writer.writerow([_cell(row[c]) for c in COMPARISON_COLUMNS])
+        write_csv(out_path, COMPARISON_COLUMNS,
+                  ([row[c] for c in COMPARISON_COLUMNS] for row in rows))
     return rows
 
 
@@ -416,32 +407,24 @@ def emit_plot_data(
     out.parent.mkdir(parents=True, exist_ok=True)
     if kind == "heatmap":
         _write_heatmap(out, metrics, summary)
-        return out
-
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if kind == "learning_curve":
-            ma = moving_average([m.reward for m in metrics], int(summary["ma_window"]))
-            writer.writerow(["episode", "reward", "reward_ma", "swarm_size", "satisfaction"])
-            for m, avg in zip(metrics, ma):
-                writer.writerow([m.episode, _cell(m.reward), _cell(float(avg)),
-                                 m.swarm_size, _cell(m.satisfaction)])
-        elif kind == "energy_bars":
-            writer.writerow(["algorithm", "scenario", "energy_strategic_j",
-                             "energy_nonstrategic_j", "energy_total_j"])
-            writer.writerow([
-                summary["algorithm"], summary["scenario"],
-                _cell(float(summary["energy_strategic_tail_mean"])),
-                _cell(float(summary["energy_nonstrategic_tail_mean"])),
-                _cell(float(summary["energy_total_tail_mean"])),
-            ])
-        else:  # satisfaction_bars
-            tail = _tail_slice(metrics, float(summary["plateau_tail"]))
-            sats = [m.satisfaction for m in tail]
-            writer.writerow(["algorithm", "scenario", "swarm_size",
-                             "satisfaction_mean", "satisfaction_std"])
-            writer.writerow([
-                summary["algorithm"], summary["scenario"], metrics[-1].swarm_size,
-                _cell(float(np.mean(sats))), _cell(float(np.std(sats))),
-            ])
+    elif kind == "learning_curve":
+        ma = moving_average([m.reward for m in metrics], int(summary["ma_window"]))
+        write_csv(out, ["episode", "reward", "reward_ma", "swarm_size", "satisfaction"],
+                  ([m.episode, m.reward, float(avg), m.swarm_size, m.satisfaction]
+                   for m, avg in zip(metrics, ma)))
+    elif kind == "energy_bars":
+        write_csv(out, ["algorithm", "scenario", "energy_strategic_j",
+                        "energy_nonstrategic_j", "energy_total_j"], [[
+            summary["algorithm"], summary["scenario"],
+            float(summary["energy_strategic_tail_mean"]),
+            float(summary["energy_nonstrategic_tail_mean"]),
+            float(summary["energy_total_tail_mean"]),
+        ]])
+    else:  # satisfaction_bars
+        sats = [m.satisfaction for m in _tail_slice(metrics, float(summary["plateau_tail"]))]
+        write_csv(out, ["algorithm", "scenario", "swarm_size",
+                        "satisfaction_mean", "satisfaction_std"], [[
+            summary["algorithm"], summary["scenario"], metrics[-1].swarm_size,
+            float(np.mean(sats)), float(np.std(sats)),
+        ]])
     return out

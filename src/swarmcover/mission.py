@@ -67,12 +67,12 @@ class MissionConfig:
 
 @dataclass(frozen=True)
 class IotDevice:
-    """One ground device holding a single uncollected packet."""
+    """One ground device holding a single uncollected packet. Every device
+    transmits at ``link_budget.RadioConfig.device_tx_watts``."""
 
     id: int
     position_xy: tuple[float, float]
     packet_bits: float
-    tx_watts: float
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,6 @@ def default_device_layout(
     seed: int,
     count: int = 25,
     packet_bits: float | None = None,
-    tx_watts: float = 0.2,
 ) -> list[IotDevice]:
     """Deterministic device layout: one device pinned to each strategic
     cell center, the rest placed uniformly over the area from ``seed``."""
@@ -188,10 +187,10 @@ def default_device_layout(
     devices = []
     for i, cell in enumerate(strategic_cells):
         col, row = cell % n, cell // n
-        devices.append(IotDevice(i, ((col + 0.5) * w, (row + 0.5) * w), bits, tx_watts))
+        devices.append(IotDevice(i, ((col + 0.5) * w, (row + 0.5) * w), bits))
     for i in range(len(strategic_cells), count):
         x, y = rng.uniform(0.0, config.area_m, size=2)
-        devices.append(IotDevice(i, (float(x), float(y)), bits, tx_watts))
+        devices.append(IotDevice(i, (float(x), float(y)), bits))
     return devices
 
 
@@ -270,7 +269,6 @@ def layout_to_dict(world: GridWorld) -> dict:
                 "id": d.id,
                 "position_xy": list(d.position_xy),
                 "packet_bits": d.packet_bits,
-                "tx_watts": d.tx_watts,
             }
             for d in world.devices
         ],
@@ -283,7 +281,6 @@ def devices_from_dicts(entries: Sequence[dict]) -> list[IotDevice]:
             int(e["id"]),
             (float(e["position_xy"][0]), float(e["position_xy"][1])),
             float(e["packet_bits"]),
-            float(e["tx_watts"]),
         )
         for e in entries
     ]

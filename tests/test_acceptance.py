@@ -299,7 +299,6 @@ def test_trained_agent_matches_exhaustive_optimum():
     task = env.nominal_task()
     devices = tuple(ms.default_device_layout(
         mission, task.strategic_cells, seed=task.device_seed, count=2,
-        tx_watts=radio.device_tx_watts,
     ))
     instance = ExactInstance(
         mission=mission, link=link, radio=radio, strategic_cells=(4, 5),

@@ -13,7 +13,6 @@ import pytest
 from swarmcover import mission as ms
 from swarmcover.cli import THREAD_VARS, main
 from swarmcover.env import EnvConfig
-from swarmcover.link_budget import RadioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,8 +145,7 @@ def acceptance_test_3_instance() -> dict:
     cell 1 on the 3x3 grid, strategic cells 4 and 5, horizon 8."""
     grid = {"area_m": 264.0, "cells_per_side": 3, "slots": 8, "frame_seconds": 192.0}
     mission = ms.MissionConfig(**grid)
-    devices = ms.default_device_layout(mission, (4, 5), seed=EnvConfig().device_seed, count=2,
-                                       tx_watts=RadioConfig().device_tx_watts)
+    devices = ms.default_device_layout(mission, (4, 5), seed=EnvConfig().device_seed, count=2)
     world = ms.build_grid(mission, devices, (4, 5))
     return dict(ms.layout_to_dict(world), **grid, start_cells=[1], horizon=8)
 
@@ -175,6 +173,19 @@ def test_oracle_output_bytes_are_pinned(tmp_path, capsys):
     assert json.loads((tmp_path / "acceptance_3.out.json").read_text())["objective_j"] == \
         5296.476206402162
     assert got == ORACLE_OUT_SHA256
+
+
+def test_oracle_out_loads_no_learner(tmp_path):
+    # Solving an instance and writing its solution needs neither the
+    # learners nor the networks, so the oracle starts without compiling them.
+    out = tmp_path / "solution.json"
+    argv = ["oracle", str(ROOT / "configs" / "small_instance.json"), "--out", str(out)]
+    code = (f"import sys; from swarmcover.cli import main; assert main({argv!r}) == 0; "
+            "print(sorted(m for m in ('swarmcover.agents', 'swarmcover.nets') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ORACLE_OUT_SHA256["small_instance"]
 
 
 def test_oracle_reports_infeasibility_with_exit_one(instance_file, capsys):

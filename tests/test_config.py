@@ -1,5 +1,6 @@
 """Config resolution: defaults, files, overrides, environment variables."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from swarmcover import config as cf
 from swarmcover import link_budget as lb
+from swarmcover import mission as ms
 
 
 def write(tmp_path, payload) -> str:
@@ -179,7 +181,7 @@ def test_noise_given_twice_is_an_error(tmp_path):
 def test_resolved_echo_is_plain_json(tmp_path):
     cfg = cf.load_config(environ={})
     out = tmp_path / "resolved.json"
-    cf.write_resolved(cfg, out)
+    cf.write_json(out, dataclasses.asdict(cfg))
     echoed = json.loads(out.read_text())
     assert set(echoed) == {"run", "mission", "link", "radio", "env", "agent", "events"}
     assert echoed["env"]["strategic_cells"] == [6, 13, 21]
@@ -226,6 +228,37 @@ def test_load_instance_rejects_unknown_keys(tmp_path):
     p.write_text(json.dumps({**INSTANCE, "horzon": 2}))
     with pytest.raises(ValueError, match="unknown key 'horzon'"):
         cf.load_instance(p)
+
+
+def test_load_instance_takes_every_mission_field(tmp_path):
+    mission = ms.MissionConfig(
+        area_m=176.0, cells_per_side=2, frame_seconds=100.0, slots=4, speed_mps=12.5,
+        p_oper_watts=250.0, p_comm_watts=4.0, t_max_seconds=500.0, packet_bits=2e6,
+        uav_altitude_m=80.0,
+    )
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps({**INSTANCE, **dataclasses.asdict(mission)}))
+    assert cf.load_instance(p).mission == mission
+
+
+def test_load_instance_refuses_a_device_power_the_radio_does_not_use(tmp_path):
+    # The link model reads radio.device_tx_watts only, so a device's own
+    # tx_watts may restate it or be left out, never differ from it.
+    p = tmp_path / "inst.json"
+
+    def with_second_device(extra: dict, radio_watts: float = 0.2):
+        devices = [INSTANCE["devices"][0],
+                   {"id": 1, "position_xy": [44.0, 44.0], "packet_bits": 1e6, **extra}]
+        p.write_text(json.dumps({**INSTANCE, "devices": devices,
+                                 "radio": {"device_tx_watts": radio_watts}}))
+        return p
+
+    assert len(cf.load_instance(with_second_device({"tx_watts": 0.2})).devices) == 2
+    assert len(cf.load_instance(with_second_device({})).devices) == 2
+    with pytest.raises(ValueError, match=r"device 1 gives tx_watts 0\.5"):
+        cf.load_instance(with_second_device({"tx_watts": 0.5}))
+    with pytest.raises(ValueError, match=r"device 0 gives tx_watts 0\.2"):
+        cf.load_instance(with_second_device({}, radio_watts=0.1))
 
 
 def test_load_instance_honours_link_and_radio_sections(tmp_path):

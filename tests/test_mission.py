@@ -228,12 +228,12 @@ def test_layout_round_trip():
 
 
 def test_build_grid_rejects_stray_device():
-    bad = [ms.IotDevice(0, (10_000.0, 0.0), 1e6, 0.2)]
+    bad = [ms.IotDevice(0, (10_000.0, 0.0), 1e6)]
     with pytest.raises(ValueError, match="outside"):
         ms.build_grid(CFG, bad, [])
 
 
 def test_build_grid_rejects_gapped_ids():
-    bad = [ms.IotDevice(1, (10.0, 10.0), 1e6, 0.2)]
+    bad = [ms.IotDevice(1, (10.0, 10.0), 1e6)]
     with pytest.raises(ValueError, match="contiguous"):
         ms.build_grid(CFG, bad, [])

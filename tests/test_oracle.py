@@ -53,7 +53,7 @@ def two_by_two(horizon: int = 2, **mission_kw) -> ExactInstance:
         link=lb.params_from_preset("urban"),
         radio=lb.RadioConfig(),
         strategic_cells=(1,),
-        devices=(ms.IotDevice(0, (132.0, 44.0), 1e6, 0.2),),
+        devices=(ms.IotDevice(0, (132.0, 44.0), 1e6),),
         start_cells=(0,),
         horizon=horizon,
     )
@@ -74,9 +74,9 @@ def three_by_three() -> ExactInstance:
         radio=lb.RadioConfig(),
         strategic_cells=(4, 8),
         devices=(
-            ms.IotDevice(0, mission_center(mission, 4), 1e6, 0.2),
-            ms.IotDevice(1, mission_center(mission, 8), 1e6, 0.2),
-            ms.IotDevice(2, mission_center(mission, 1), 1e6, 0.2),  # collecting this only costs time
+            ms.IotDevice(0, mission_center(mission, 4), 1e6),
+            ms.IotDevice(1, mission_center(mission, 8), 1e6),
+            ms.IotDevice(2, mission_center(mission, 1), 1e6),  # collecting this only costs time
         ),
         start_cells=(0,),
         horizon=4,
@@ -396,7 +396,7 @@ def random_instance(seed: int) -> ExactInstance:
             spots.append(mission_center(mission, rng.choice(cells)))
         else:
             spots.append((rng.uniform(0.0, mission.area_m), rng.uniform(0.0, mission.area_m)))
-    devices = tuple(ms.IotDevice(i, xy, 1e6, 0.2) for i, xy in enumerate(spots))
+    devices = tuple(ms.IotDevice(i, xy, 1e6) for i, xy in enumerate(spots))
     link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
     instance = ExactInstance(
         mission=mission, link=link, radio=radio, strategic_cells=strategic,
@@ -470,8 +470,8 @@ def pair_instance(per_uav: bool) -> ExactInstance:
         radio=lb.RadioConfig(),
         strategic_cells=(1, 2),
         devices=(
-            ms.IotDevice(0, (132.0, 44.0), 1e6, 0.2),
-            ms.IotDevice(1, (44.0, 132.0), 1e6, 0.2),
+            ms.IotDevice(0, (132.0, 44.0), 1e6),
+            ms.IotDevice(1, (44.0, 132.0), 1e6),
         ),
         start_cells=(0, 3),
         horizon=2,
@@ -507,7 +507,6 @@ def test_env_replays_the_optimum_at_its_objective():
     task = env.nominal_task()
     devices = tuple(ms.default_device_layout(
         mission, task.strategic_cells, seed=task.device_seed, count=2,
-        tx_watts=radio.device_tx_watts,
     ))
     instance = ExactInstance(
         mission=mission, link=link, radio=radio, strategic_cells=(4, 5),
@@ -535,7 +534,6 @@ def test_env_bounce_books_the_optimum():
     task = env.nominal_task()
     devices = tuple(ms.default_device_layout(
         mission, task.strategic_cells, seed=task.device_seed, count=1,
-        tx_watts=radio.device_tx_watts,
     ))
     instance = ExactInstance(
         mission=mission, link=link, radio=radio, strategic_cells=(4,),
