@@ -283,7 +283,6 @@ def write_json(path: str | Path, payload) -> None:
 
 # --- exact-solver instance files -------------------------------------------
 
-
 def load_instance(path: str | Path) -> ExactInstance:
     """Read an exact-solver instance from a world-layout JSON file.
 

@@ -454,17 +454,17 @@ def test_emitted_plot_data_and_resolved_config_are_pinned(tmp_path):
 
 
 #: sha256 of comparison.csv for dqn against ppo on the pinned world.
-_COMPARISON_DIGEST = "a107d67caab1a07147208da8af3282a22f251051d48f02ce5a7a4ad158e28190"
+_COMPARISON_DIGEST = "40656bbe04d81ae792718884ca6fa70ce3dacfc0e8eefa199e9e75372afda533"
 
 
 def test_comparison_bytes_are_pinned(tmp_path):
-    """comparison.csv is pinned to the byte: dqn against ppo over two seeds,
-    each run playing the leave and the join. A short window and a full
-    convergence level give ppo's two seeds different plateau episodes, so
-    its plateau std is not 0."""
+    """comparison.csv is pinned to the byte: dqn against ppo over three
+    seeds, each run playing the leave and the join. A short window and a
+    full convergence level give ppo's seeds different plateau episodes, so
+    every mean and std column differs from its twin."""
     cfgs = [cf.load_config(overrides={
         **_PINNED_OVERRIDES,
-        "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm, "seeds": [0, 1],
+        "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm, "seeds": [0, 1, 2],
                 "ma_window": 3, "convergence_level": 1.0},
         "env": {**_PINNED_OVERRIDES["env"], "events": _PINNED_EVENTS},
     }, environ={}) for algorithm in ("dqn", "ppo")]
