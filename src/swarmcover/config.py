@@ -272,11 +272,11 @@ def load_config(
 
 
 def write_json(path: str | Path, payload) -> None:
-    """Write ``payload`` as UTF-8 JSON, keys sorted, indented by two, ending
-    in ``\\n``. The one JSON writer of the package: the run summaries, the
-    resolved configs (``dataclasses.asdict`` of an :class:`ExperimentConfig`)
-    and the exact solver's solutions."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``payload`` as UTF-8 JSON, keys sorted, indented by two, with
+    ``\\n`` line endings on every platform and one at the end. The one JSON
+    writer of the package: run summaries, resolved configs (``dataclasses.asdict``
+    of an :class:`ExperimentConfig`) and the exact solver's solutions."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
