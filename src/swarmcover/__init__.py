@@ -2,27 +2,9 @@
 coverage MDP, learners with a meta-initialization loop, an exact
 small-instance solver, and a seeded experiment harness.
 
-Submodules are imported lazily so the command-line layer can configure
-the numeric environment before anything heavy loads.
+``import swarmcover`` loads no submodule, so the command-line layer can
+configure the numeric environment before anything heavy loads; import
+each submodule by name (``from swarmcover import env``).
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "link_budget", "mission", "env", "nets", "agents",
-    "oracle", "config", "harness", "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_SUBMODULES))

@@ -49,8 +49,9 @@ and acting-head counts. A row's next state is the next row's state; only
 terminal rows and the newest row keep a next state of their own. The
 actor-critic writes each finished episode whole, and DQN writes the
 episode's steps up to the current one just before each sample and the
-rest at the episode's end. DQN, PPO and the actor-critic take their
-gradients into buffers they own, so an update allocates no
+rest at the episode's end. Every gradient function writes into
+parameter-shaped buffers its caller passes (:func:`nets.grad_buffers`).
+DQN, PPO and the actor-critic own theirs, so an update allocates no
 parameter-sized arrays.
 """
 
@@ -395,7 +396,7 @@ def actor_critic_accumulate(
     episode: Batch,
     gamma: float,
     acc: GradAccumulator,
-    scratch: GradAccumulator | None = None,
+    scratch: GradAccumulator,
 ) -> None:
     """Add the gradients of one episode, as :meth:`Batch.of_episode` lays
     it out, at the current weights to ``acc``.
@@ -406,8 +407,8 @@ def actor_critic_accumulate(
     A_ti = r_ti + gamma * V_i(s'_t) - V_i(s_t) on UAV i's own reward.
     Critic: descent direction of sum_t sum_i (R_ti - V_i(s_t))^2 over the
     same heads, with R_ti UAV i's discounted reward-to-go. Each gradient is
-    taken into ``scratch`` when given (see :func:`nets.grad_buffers`)
-    before it is added to ``acc``.
+    taken into ``scratch`` (see :func:`nets.grad_buffers`) before it is
+    added to ``acc``.
     """
     b = episode
     if not len(b.states):
@@ -423,16 +424,13 @@ def actor_critic_accumulate(
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     ent = -(probs * logp).sum(axis=-1, keepdims=True)
     dlogits -= ENTROPY_WEIGHT * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
-    d_actor = nets.backward(
-        params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
-        out=None if scratch is None else scratch.d_actor,
-    )
+    nets.backward(params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
+                  scratch.d_actor)
     returns = discounted_returns(b.rewards, gamma)
     dvals = -2.0 * ((returns - values) * b.active)
-    d_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg,
-                             out=None if scratch is None else scratch.d_critic)
-    nets.add_scaled(acc.d_actor, d_actor, 1.0)
-    nets.add_scaled(acc.d_critic, d_critic, 1.0)
+    nets.backward(params.critic, v_cache, dvals, params.critic_cfg, scratch.d_critic)
+    nets.add(acc.d_actor, scratch.d_actor)
+    nets.add(acc.d_critic, scratch.d_critic)
 
 
 def critic_td_accumulate(
@@ -440,7 +438,7 @@ def critic_td_accumulate(
     batch: Batch,
     gamma: float,
     acc: GradAccumulator,
-    scratch: GradAccumulator | None = None,
+    scratch: GradAccumulator,
 ) -> None:
     """Add the replay minibatch one-step TD term to the critic gradient.
 
@@ -453,9 +451,8 @@ def critic_td_accumulate(
     next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
     targets = batch.rewards + gamma * batch.boot * next_values
     dvals = -2.0 * ((targets - values) * batch.active)
-    grads = nets.backward(params.critic, cache, dvals, params.critic_cfg,
-                          out=None if scratch is None else scratch.d_critic)
-    nets.add_scaled(acc.d_critic, grads, 1.0)
+    nets.backward(params.critic, cache, dvals, params.critic_cfg, scratch.d_critic)
+    nets.add(acc.d_critic, scratch.d_critic)
 
 
 class Adam:
@@ -511,14 +508,13 @@ def dqn_loss_and_grad(
     gamma: float,
     cfg: nets.NetConfig,
     heads: int,
-    out: dict | None = None,
+    out: dict,
 ) -> tuple[float, dict]:
     """Squared TD error of per-UAV Q heads against a frozen target net.
 
     Each acting head's target is r + gamma * max_a' Q_target(s', a') with
     the team reward r; the loss sums the errors in transition-then-head
-    order. The gradient goes into ``out`` when given (see
-    :func:`nets.backward`).
+    order. The gradient goes into ``out`` (see :func:`nets.backward`).
     """
     n = len(batch.states)
     raw, cache = nets.forward(q_params, batch.states, cfg)
@@ -534,8 +530,7 @@ def dqn_loss_and_grad(
     loss = float(np.cumsum(err * err)[-1]) if len(err) else 0.0
     dq = np.zeros_like(q)
     dq[t_idx, u_idx, a_idx] = 2.0 * err
-    grads = nets.backward(q_params, cache, dq.reshape(n, -1), cfg, out=out)
-    return loss, grads
+    return loss, nets.backward(q_params, cache, dq.reshape(n, -1), cfg, out)
 
 
 def dqn_update(
@@ -546,23 +541,23 @@ def dqn_update(
     lr: float,
     cfg: nets.NetConfig,
     heads: int,
-    grads: dict | None = None,
+    grads: dict,
 ) -> float:
     """One semi-gradient descent step on the TD loss; returns the loss.
 
-    The gradient is taken into ``grads`` when given (the learner's own
-    buffers, see :func:`nets.grad_buffers`) and scaled there in place."""
-    loss, grads = dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads, out=grads)
+    The gradient is taken into ``grads`` (the learner's own buffers, see
+    :func:`nets.grad_buffers`) and scaled there in place."""
+    loss, _ = dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads, grads)
     _step(q_params, grads, -lr)
     return loss
 
 
 def _step(params: dict, grads: dict, scale: float) -> None:
-    """``nets.add_scaled(params, grads, scale)`` with the scaled gradient
-    formed in ``grads`` itself (the same products, no temporaries)."""
+    """``params += scale * grads``, with the scaled gradient formed in
+    ``grads`` itself (no temporaries)."""
     for g in grads.values():
         g *= scale
-    nets.add_scaled(params, grads, 1.0)
+    nets.add(params, grads)
 
 
 # --- PPO ----------------------------------------------------------------------
@@ -583,19 +578,20 @@ def joint_log_prob(probs: np.ndarray, acts: np.ndarray, acting: np.ndarray) -> n
 def ppo_surrogate_and_grad(
     actor: dict,
     logp_old: np.ndarray,
-    states: np.ndarray,
+    probs: np.ndarray,
+    cache: list,
     acts: np.ndarray,
     acting: np.ndarray,
     onehot: np.ndarray,
     advantages: np.ndarray,
     clip_eps: float,
     cfg: nets.NetConfig,
-    out: dict | None = None,
-    forwarded: tuple[np.ndarray, list] | None = None,
+    out: dict,
 ) -> tuple[float, dict]:
     """Clipped surrogate objective and its ascent gradient.
 
-    The batch comes as its states, its joint actions as a :class:`Batch`'s
+    ``probs`` and ``cache`` are :func:`policy_forward`'s of ``actor`` on
+    the batch's states. The batch's joint actions come as a :class:`Batch`'s
     ``acts`` and ``acting`` and their one-hot rows ``np.eye(N_ACTIONS)[acts]``,
     all fixed for a whole update. Per sample: min(rho * A, clip(rho, 1 -
     eps, 1 + eps) * A) with the joint-action probability ratio rho =
@@ -604,15 +600,8 @@ def ppo_surrogate_and_grad(
     used only where it is strictly smaller; elsewhere the clipped branch
     contributes a gradient only strictly inside the clip window, so a
     zero-width window pins the ratio and kills the actor gradient.
-
-    ``forwarded`` is ``(probs, cache)`` of :func:`policy_forward` of
-    ``actor`` on ``states`` when the caller has them; ``out`` takes the
-    gradient (see :func:`nets.backward`).
+    ``out`` takes the gradient (see :func:`nets.backward`).
     """
-    if forwarded is None:
-        _, probs, cache = policy_forward(actor, states, cfg, acts.shape[1])
-    else:
-        probs, cache = forwarded
     ratio = np.exp(joint_log_prob(probs, acts, acting) - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
     s_plain = ratio * advantages
@@ -625,8 +614,7 @@ def ppo_surrogate_and_grad(
     dlogp = dratio * ratio  # drho/dlogp = rho
 
     dlogits = np.where(acting[:, :, None], dlogp[:, None, None] * (onehot - probs), 0.0)
-    grads = nets.backward(actor, cache, dlogits.reshape(len(states), -1), cfg, out=out)
-    return objective, grads
+    return objective, nets.backward(actor, cache, dlogits.reshape(len(acts), -1), cfg, out)
 
 
 def ppo_update(
@@ -636,7 +624,7 @@ def ppo_update(
     epochs: int,
     gamma: float,
     lr: float,
-    grads: GradAccumulator | None = None,
+    grads: GradAccumulator,
 ) -> None:
     """Several clipped-surrogate epochs on one rollout, plus critic fits.
 
@@ -644,9 +632,9 @@ def ppo_update(
     the ratios are taken against the pre-update actor's joint
     log-probabilities; both, and the rollout's arrays, are computed once,
     before the first epoch. The first epoch's weights are the pre-update
-    ones, so it reuses those two forward passes. The gradients are taken
-    into ``grads`` when given (the learner's own buffers) and scaled
-    there in place.
+    ones, so it reuses those two forward passes; each later epoch forwards
+    both nets at its own weights. The gradients are taken into ``grads``
+    (the learner's own buffers) and scaled there in place.
     """
     if not len(rollout.states):
         raise ValueError("cannot update from an empty rollout")
@@ -656,22 +644,18 @@ def ppo_update(
     returns = discounted_returns(rollout.reward, gamma)
     values, v_cache = value_forward(params.critic, states, params.critic_cfg)
     adv = returns - values
-    _, probs_old, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
-    logp_old = joint_log_prob(probs_old, acts, acting)
-    forwarded = probs_old, a_cache
-    d_actor, d_critic = (None, None) if grads is None else (grads.d_actor, grads.d_critic)
+    _, probs, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
+    logp_old = joint_log_prob(probs, acts, acting)
     for epoch in range(epochs):
-        _, g_actor = ppo_surrogate_and_grad(
-            params.actor, logp_old, states, acts, acting, onehot, adv, clip_eps,
-            params.actor_cfg, out=d_actor, forwarded=forwarded,
-        )
-        _step(params.actor, g_actor, +lr)
-        if epoch:  # the actor step leaves the critic as it was before epoch 0
+        if epoch:
+            _, probs, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
             values, v_cache = value_forward(params.critic, states, params.critic_cfg)
+        ppo_surrogate_and_grad(params.actor, logp_old, probs, a_cache, acts, acting, onehot, adv,
+                               clip_eps, params.actor_cfg, grads.d_actor)
+        _step(params.actor, grads.d_actor, +lr)
         dvals = (-2.0 * (returns - values))[:, None]
-        g_critic = nets.backward(params.critic, v_cache, dvals, params.critic_cfg, out=d_critic)
-        _step(params.critic, g_critic, -lr)
-        forwarded = None
+        nets.backward(params.critic, v_cache, dvals, params.critic_cfg, grads.d_critic)
+        _step(params.critic, grads.d_critic, -lr)
 
 
 # --- meta loop ------------------------------------------------------------------

@@ -308,6 +308,7 @@ def load_instance(path: str | Path) -> ExactInstance:
     mission = ms.MissionConfig(**{k: raw[k] for k in mission_keys if k in raw})
     radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
     for device in raw["devices"]:
+        _reject_unknown("devices", device, {"id", "position_xy", "packet_bits", "tx_watts"})
         tx_watts = device.get("tx_watts", radio.device_tx_watts)
         if tx_watts != radio.device_tx_watts:
             raise ValueError(

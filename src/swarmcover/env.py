@@ -25,8 +25,10 @@ Every step also reports one reward per UAV, built from the same terms:
 that UAV's +1 or -1, its own coverage bonus and its own energy shaping.
 The per-UAV rewards sum to the scalar reward up to rounding.
 
-An episode lasts exactly ``slots`` steps and flies one fixed set of
-UAVs: swarm events (joins and leaves) take effect at the next reset.
+An episode lasts exactly ``slots`` steps and flies the fixed set of
+UAVs its task gives. The swarm size lives in the task alone: a swarm
+event (join or leave) yields a resized task, which takes effect at the
+reset that starts it.
 The env writes each episode once, into one :class:`EpisodeArrays`: an
 observation row per state, and per step the actions, the per-UAV and
 team rewards and the done flag; the learners read those rows. It
@@ -307,8 +309,7 @@ class CoverageEnv:
     ``reset`` and ``step`` return those rows, which nothing writes again.
 
     Episode state lives in per-UAV columns (``uav_cell``,
-    ``uav_energy_j``, ``uav_served`` and ``uav_track``, the cells of
-    each UAV from its start cell on), one row per UAV of the episode,
+    ``uav_energy_j`` and ``uav_served``), one row per UAV of the episode,
     plus the remaining ``demand`` per strategic location and per cell
     counts: visits (a UAV ending a slot on the cell), energy, and the
     collection cursors of :func:`play_slot`. Commute and data time are
@@ -342,7 +343,6 @@ class CoverageEnv:
         self._tables_key: tuple | None = None
         self.task: TaskSpec | None = None
         self.episode: EpisodeArrays | None = None
-        self.current_swarm_size = env_cfg.swarm_size
 
     # --- sizing -----------------------------------------------------------
 
@@ -375,15 +375,12 @@ class CoverageEnv:
         demands = (self.cfg.initial_demand,) * self.cfg.num_strategic
         return TaskSpec(size, tuple(int(c) for c in np.sort(cells)), seed, demands)
 
-    def apply_swarm_event(self, event: SwarmEvent) -> int:
-        """Resize the swarm for the next bare reset; returns the new size.
+    def apply_swarm_event(self, task: TaskSpec, event: SwarmEvent) -> TaskSpec:
+        """``task`` with the swarm size after ``event``.
 
         A running episode keeps the UAVs it started with to its end.
         """
-        self.current_swarm_size = next_swarm_size(
-            self.current_swarm_size, event, self.cfg.max_swarm
-        )
-        return self.current_swarm_size
+        return replace(task, swarm_size=next_swarm_size(task.swarm_size, event, self.cfg.max_swarm))
 
     # --- episode lifecycle --------------------------------------------------
 
@@ -393,7 +390,8 @@ class CoverageEnv:
         rng_seed: int | None = None,
         start_cells: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Start a fresh frame of ``task`` and return its first state.
+        """Start a fresh frame of ``task`` (the nominal task when ``None``)
+        and return its first state.
 
         Start cells are sampled uniformly without collision unless given
         explicitly. The seed fixes start cells and nothing else; the
@@ -402,8 +400,7 @@ class CoverageEnv:
         initial demands change.
         """
         if task is None:
-            # A bare reset keeps the swarm size left behind by events.
-            task = task_with_swarm(self.nominal_task(), self.current_swarm_size)
+            task = self.nominal_task()
         if task.swarm_size > self.cfg.max_swarm:
             raise ValueError("task swarm size exceeds max_swarm")
         if len(task.strategic_cells) != self.cfg.num_strategic:
@@ -411,7 +408,6 @@ class CoverageEnv:
         if len(task.initial_demands) != len(task.strategic_cells):
             raise ValueError("one demand per strategic cell required")
         self.task = task
-        self.current_swarm_size = task.swarm_size
 
         key = (task.strategic_cells, task.device_seed, task.initial_demands)
         if key != self._tables_key:
@@ -435,14 +431,10 @@ class CoverageEnv:
         self.uav_cell = [int(c) for c in start_cells]
         self.uav_energy_j = [0.0] * task.swarm_size
         self.uav_served = [False] * task.swarm_size
-        self.uav_track = [[cell] for cell in self.uav_cell]
         self.demand = [float(d) for d in task.initial_demands]
         self._taken = (0,) * self.n_cells
         self._satisfied_units = 0.0
-        total = 0.0
-        for d in task.initial_demands:  # left to right on every Python, as ms.swarm_energy_j
-            total += d
-        self._total_demand = total
+        self._total_demand = ms.add_left_to_right(task.initial_demands)
         self._d_com = 0.0
         self._d_data = 0.0
         self._collisions = 0
@@ -507,7 +499,6 @@ class CoverageEnv:
                 if tables.device_strategic[dev_id]:
                     self.uav_served[row] = True
             self.uav_energy_j[row] += e
-            self.uav_track[row].append(cell)
             self._cell_energy[cell] += e
             self._visits[cell] += 1
             obs[visited_at + cell] = 1.0
@@ -606,7 +597,3 @@ def make_env(
         radio or lb.RadioConfig(),
         env_cfg or EnvConfig(),
     )
-
-
-def task_with_swarm(task: TaskSpec, swarm_size: int) -> TaskSpec:
-    return replace(task, swarm_size=swarm_size)

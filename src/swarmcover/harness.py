@@ -37,7 +37,7 @@ from .agents import (
     run_training_episode,
 )
 from .config import AgentConfig, ExperimentConfig, write_json
-from .env import CoverageEnv, TaskSpec, task_with_swarm
+from .env import CoverageEnv, TaskSpec
 
 PLOT_KINDS = ("heatmap", "learning_curve", "energy_bars", "satisfaction_bars")
 
@@ -218,15 +218,10 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
                                episodes, env.real_cols)
 
     task = env.nominal_task()
-    # Events resize from the scenario's swarm, not from the last
-    # pre-training task's.
-    env.current_swarm_size = task.swarm_size
     pending = sorted(cfg.events, key=lambda e: e.episode)
     while len(metrics) < episodes:
         while pending and pending[0].episode <= len(metrics):
-            event = pending.pop(0)
-            new_size = env.apply_swarm_event(event)
-            task = task_with_swarm(task, new_size)
+            task = env.apply_swarm_event(task, pending.pop(0))
             if meta is not None:
                 # A meta-initialized learner restarts adaptation from the
                 # meta weights whenever the task changes.

@@ -50,11 +50,10 @@ def clone_params(params: dict) -> dict:
     return {k: v.copy() for k, v in params.items()}
 
 
-def add_scaled(params: dict, grads: dict, scale: float) -> None:
-    """In-place params += scale * grads."""
+def add(params: dict, grads: dict) -> None:
+    """In-place params += grads."""
     for k in params:
-        # 1.0 * g == g bit for bit, so a unit step adds without a temporary.
-        params[k] += grads[k] if scale == 1.0 else scale * grads[k]
+        params[k] += grads[k]
 
 
 def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, list]:
@@ -73,24 +72,18 @@ def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, li
     return h, cache
 
 
-def backward(params: dict, cache: list, dout: np.ndarray, cfg: NetConfig,
-             out: dict | None = None) -> dict:
-    """Gradients of sum(dout * output) w.r.t. every parameter; written into
-    ``out``'s parameter-shaped arrays when given (and ``out`` returned),
-    with the same bits as fresh arrays."""
-    grads = {} if out is None else out
+def backward(params: dict, cache: list, dout: np.ndarray, cfg: NetConfig, out: dict) -> dict:
+    """Gradients of sum(dout * output) w.r.t. every parameter, written into
+    ``out``'s parameter-shaped arrays (see :func:`grad_buffers`); returns
+    ``out``."""
     d = np.atleast_2d(dout)
     for i in reversed(range(cfg.n_layers)):
         w, b = cfg.layer_keys[i]
-        if out is None:
-            grads[w] = cache[i].T @ d
-            grads[b] = d.sum(axis=0)
-        else:
-            np.matmul(cache[i].T, d, out=out[w])
-            d.sum(axis=0, out=out[b])
+        np.matmul(cache[i].T, d, out=out[w])
+        d.sum(axis=0, out=out[b])
         if i > 0:
             d = (d @ params[w].T) * (1.0 - cache[i] ** 2)  # tanh'
-    return grads
+    return out
 
 
 def grad_buffers(cfg: NetConfig) -> dict:

@@ -59,6 +59,14 @@ def small_env(side: int = 3, swarm: int = 2, slots: int = 6,
     return envmod.make_env(mission_cfg, env_cfg=env_cfg)
 
 
+def uav_tracks(env: envmod.CoverageEnv) -> list[list[int]]:
+    """Each UAV's cells over the written steps of ``env``'s episode, start
+    cell first: where its slot's cell one-hot sits in each observation row."""
+    ep, c = env.episode, env.n_cells
+    return [ep.obs[:ep.steps + 1, u * c:(u + 1) * c].argmax(axis=1).tolist()
+            for u in range(ep.uavs)]
+
+
 @pytest.fixture
 def env3() -> envmod.CoverageEnv:
     return small_env()

@@ -2,7 +2,9 @@
 
 Every analytic gradient in the package is validated against the slow,
 obviously-correct estimate (f(x + h) - f(x - h)) / 2h applied to each
-parameter entry in turn.
+parameter entry in turn. The fresh-array :func:`backward` and
+:func:`add_scaled` are the references the package's buffered gradients
+and in-place steps are held to bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,27 @@ def param_keys(cfg: nets.NetConfig) -> list[str]:
     for i in range(cfg.n_layers):
         keys.extend((f"W{i}", f"b{i}"))
     return keys
+
+
+def backward(params: dict, cache: list, dout: np.ndarray, cfg: nets.NetConfig) -> dict:
+    """Reference for :func:`nets.backward`: the same gradients, each in a
+    fresh array."""
+    grads = {}
+    d = np.atleast_2d(dout)
+    for i in reversed(range(cfg.n_layers)):
+        w, b = cfg.layer_keys[i]
+        grads[w] = cache[i].T @ d
+        grads[b] = d.sum(axis=0)
+        if i > 0:
+            d = (d @ params[w].T) * (1.0 - cache[i] ** 2)  # tanh'
+    return grads
+
+
+def add_scaled(params: dict, grads: dict, scale: float) -> None:
+    """Reference step: in-place params += scale * grads, each product a
+    fresh array."""
+    for k in params:
+        params[k] += scale * grads[k]
 
 
 def zeros_like_params(params: dict) -> dict:

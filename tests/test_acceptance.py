@@ -13,6 +13,7 @@ are marked ``slow``, so ``pytest -m "not slow"`` gives a quick cycle.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from swarmcover import mission as ms
 from swarmcover import nets
 from swarmcover.agents import AgentConfig, make_learner
 from swarmcover.config import load_config
-from swarmcover.env import CoverageEnv, EnvConfig, strategic_reward, task_with_swarm
+from swarmcover.env import CoverageEnv, EnvConfig, strategic_reward
 from swarmcover.harness import (
     episodes_to_plateau,
     run_experiment,
@@ -180,9 +181,9 @@ def test_gradient_oracle_matches_finite_differences():
         # the replay TD term, into one accumulator.
         acc = zero_grads(params)
         batch = as_batch(episode, params.heads)
-        ag.actor_critic_accumulate(params, batch, gamma, acc)
+        ag.actor_critic_accumulate(params, batch, gamma, acc, zero_grads(params))
         episode_critic = flatten_params(acc.d_critic, params.critic_cfg)
-        ag.critic_td_accumulate(params, batch, gamma, acc)
+        ag.critic_td_accumulate(params, batch, gamma, acc, zero_grads(params))
 
         # Actor: per-head TD advantage (frozen) times log-probability, plus
         # the entropy bonus.
@@ -227,11 +228,13 @@ def test_gradient_oracle_matches_finite_differences():
         # Q-learning squared TD loss against a separate target net.
         target = _small_params(seed=3000 + i)
         _, dqn_grads = ag.dqn_loss_and_grad(
-            params.actor, target.actor, batch, gamma, params.actor_cfg, params.heads)
+            params.actor, target.actor, batch, gamma, params.actor_cfg, params.heads,
+            nets.grad_buffers(params.actor_cfg))
 
         def dqn_loss(q_net):
             loss, _ = ag.dqn_loss_and_grad(
-                q_net, target.actor, batch, gamma, params.actor_cfg, params.heads)
+                q_net, target.actor, batch, gamma, params.actor_cfg, params.heads,
+                nets.grad_buffers(params.actor_cfg))
             return loss
 
         err = relative_error(
@@ -246,13 +249,18 @@ def test_gradient_oracle_matches_finite_differences():
         acts, acting = action_arrays([t.action for t in episode], params.heads)
         logp_old = ag.joint_log_prob(old_probs, acts, acting)
         adv_ppo = np.random.default_rng(5000 + i).normal(size=len(episode))
-        arrays = (states, acts, acting, np.eye(ag.N_ACTIONS)[acts])
-        _, ppo_grads = ag.ppo_surrogate_and_grad(
-            params.actor, logp_old, *arrays, adv_ppo, 0.2, params.actor_cfg)
+        onehot = np.eye(ag.N_ACTIONS)[acts]
+
+        def ppo_surrogate(actor):
+            _, probs, cache = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+            return ag.ppo_surrogate_and_grad(
+                actor, logp_old, probs, cache, acts, acting, onehot, adv_ppo, 0.2,
+                params.actor_cfg, nets.grad_buffers(params.actor_cfg))
+
+        _, ppo_grads = ppo_surrogate(params.actor)
 
         def ppo_objective(actor):
-            obj, _ = ag.ppo_surrogate_and_grad(
-                actor, logp_old, *arrays, adv_ppo, 0.2, params.actor_cfg)
+            obj, _ = ppo_surrogate(actor)
             return obj
 
         err = relative_error(
@@ -316,7 +324,7 @@ def test_trained_agent_matches_exhaustive_optimum():
                                env.real_cols)
         train_task(env, task, learner, episodes, rng)
         _greedy_rollout(env, task, learner, start_cells=(1,))
-        trajectory = tuple(env.uav_track[0])
+        trajectory = tuple(conftest.uav_tracks(env)[0])
         report = verify_feasibility([trajectory], instance)
         wins.append(report.all_ok and report.objective_j <= 1.05 * best.objective_j)
 
@@ -368,7 +376,7 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
     cfg = load_config(environ={})
     env = CoverageEnv(cfg.mission, cfg.link, cfg.radio, cfg.env)
     base = env.nominal_task()
-    changed = task_with_swarm(base, 6)
+    changed = replace(base, swarm_size=6)
     e_pre, e_post, pretrain = 1000, 2000, 2000
     window = max(1, e_post // 50)
 
@@ -420,7 +428,7 @@ def test_satisfaction_scales_with_swarm_size():
 
     means = []
     for size in sizes:
-        task = task_with_swarm(env.nominal_task(), size)
+        task = replace(env.nominal_task(), swarm_size=size)
         vals = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
@@ -434,7 +442,7 @@ def test_satisfaction_scales_with_swarm_size():
     meta_at_7 = means[-1]
 
     baselines = {}
-    task7 = task_with_swarm(env.nominal_task(), 7)
+    task7 = replace(env.nominal_task(), swarm_size=7)
     for algo in ("actor_critic", "dqn", "ppo"):
         vals = []
         for seed in seeds:

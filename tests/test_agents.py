@@ -7,6 +7,7 @@ small enough to difference exhaustively.
 
 import copy
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from swarmcover import env as envmod
 from swarmcover import nets
 from swarmcover.env import make_env
 from conftest import small_env
-from fdcheck import assert_grad_close, flatten_params, zero_grads, zeros_like_params
+from fdcheck import (add_scaled, assert_grad_close, backward, flatten_params, zero_grads,
+                     zeros_like_params)
 from transitions import Transition, action_arrays, as_batch, transitions_of
 
 N_ACTIONS = ag.N_ACTIONS
@@ -268,14 +270,16 @@ def test_array_replay_equals_the_deque_replay_bit_for_bit():
             want = reference_batch(drawn, heads)
             with np.errstate(invalid="ignore"):  # NaN states give NaN gradients
                 loss, grads = ag.dqn_loss_and_grad(params.actor, target.actor, got, gamma,
-                                                   params.actor_cfg, heads)
+                                                   params.actor_cfg, heads,
+                                                   nets.grad_buffers(params.actor_cfg))
                 refs = [ag.dqn_loss_and_grad(params.actor, target.actor, want, gamma,
-                                             params.actor_cfg, heads),
+                                             params.actor_cfg, heads,
+                                             nets.grad_buffers(params.actor_cfg)),
                         loop_dqn_loss_and_grad(params.actor, target.actor, drawn, gamma,
                                                params.actor_cfg, heads)]
                 acc, ref_acc = zero_grads(params), zero_grads(params)
-                ag.critic_td_accumulate(params, got, gamma, acc)
-                ag.critic_td_accumulate(params, want, gamma, ref_acc)
+                ag.critic_td_accumulate(params, got, gamma, acc, zero_grads(params))
+                ag.critic_td_accumulate(params, want, gamma, ref_acc, zero_grads(params))
             for ref_loss, ref_grads in refs:
                 assert_bits_equal(loss, ref_loss)
                 for key in ref_grads:
@@ -377,12 +381,13 @@ def test_episode_arrays_equal_the_per_step_transitions(side, max_swarm, slots, c
     rng = np.random.default_rng(seed)
     mem = ag.ReplayMemory(capacity, env.state_dim, heads, env.real_cols)
     ref = DequeReplayMemory(capacity)
+    task = env.nominal_task()
     for number in range(4):
         size = int(rng.integers(1, heads + 1))
-        while env.current_swarm_size != size:
-            kind = "join" if env.current_swarm_size < size else "leave"
-            env.apply_swarm_event(envmod.SwarmEvent(number, kind))
-        env.reset(rng_seed=int(rng.integers(2**31)))
+        while task.swarm_size != size:
+            kind = "join" if task.swarm_size < size else "leave"
+            task = env.apply_swarm_event(task, envmod.SwarmEvent(number, kind))
+        env.reset(task, rng_seed=int(rng.integers(2**31)))
         episode, kept, steps, written = env.episode, env.encode_state(), [], 0
         assert_bits_equal(episode.obs[0], kept)
         while not steps or not steps[-1].done:
@@ -435,8 +440,6 @@ def test_dqn_block_writes_equal_per_step_pushes():
     # episode ends. Its memory at every sample and every episode end, its
     # weights and its generator equal those of a learner that writes each
     # step, over a join and a leave and a ring that wraps mid-episode.
-    from swarmcover.env import task_with_swarm
-
     envs = [small_env(swarm=2, slots=7, max_swarm=3) for _ in range(2)]
     cfg = ag.AgentConfig(hidden=(8,), replay_capacity=30, minibatch=10, target_refresh=3)
     learners = [cls(envs[0].state_dim, 3, cfg, np.random.default_rng(13), 12, envs[0].real_cols)
@@ -460,7 +463,8 @@ def test_dqn_block_writes_equal_per_step_pushes():
     sizes = [2] * 4 + [3] * 4 + [1] * 4  # a join, then a leave of two
     for size in sizes:
         for env, learner, rng in zip(envs, learners, rngs):
-            ag.run_training_episode(env, task_with_swarm(env.nominal_task(), size), learner, rng)
+            ag.run_training_episode(env, replace(env.nominal_task(), swarm_size=size), learner,
+                                    rng)
         assert_same_memory(*(frozen(learner.memory) for learner in learners))
     assert len(snapshots[0]) == len(snapshots[1]) > 10
     for got, want in zip(*snapshots):
@@ -791,9 +795,9 @@ def test_accumulate_twice_doubles():
     episode = random_batch(params, 5, seed=3)
     once, twice = zero_grads(params), zero_grads(params)
     batch = as_batch(episode, params.heads)
-    ag.actor_critic_accumulate(params, batch, 0.85, once)
+    ag.actor_critic_accumulate(params, batch, 0.85, once, zero_grads(params))
     for _ in range(2):
-        ag.actor_critic_accumulate(params, batch, 0.85, twice)
+        ag.actor_critic_accumulate(params, batch, 0.85, twice, zero_grads(params))
     for k in once.d_actor:
         np.testing.assert_allclose(twice.d_actor[k], 2.0 * once.d_actor[k], rtol=1e-12)
     for k in once.d_critic:
@@ -811,8 +815,8 @@ def test_accumulating_through_scratch_buffers_changes_no_bit():
             episode = as_batch(random_batch(params, 1 + (case + part) % 25, seed=case + part),
                                   heads)
             replay = as_batch(random_batch(params, 7, seed=100 + case + part), heads)
-            ag.actor_critic_accumulate(params, episode, 0.85, fresh)
-            ag.critic_td_accumulate(params, replay, 0.85, fresh)
+            ag.actor_critic_accumulate(params, episode, 0.85, fresh, zero_grads(params))
+            ag.critic_td_accumulate(params, replay, 0.85, fresh, zero_grads(params))
             ag.actor_critic_accumulate(params, episode, 0.85, buffered, scratch)
             ag.critic_td_accumulate(params, replay, 0.85, buffered, scratch)
             for key in fresh.d_actor:
@@ -826,7 +830,7 @@ def test_empty_episode_rejected():
     one = as_batch(random_batch(params, 1), params.heads)
     empty = ag.Batch(**{name: rows[:0] for name, rows in vars(one).items()})
     with pytest.raises(ValueError):
-        ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params))
+        ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params), zero_grads(params))
 
 
 def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndarray:
@@ -851,7 +855,8 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
     episode = random_batch(params, 4, seed=41)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc,
+                               zero_grads(params))
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
@@ -869,11 +874,12 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
 
 def test_entropy_gradient_matches_finite_differences():
     params = tiny_params(state_dim=4, heads=3, seed=42)
-    nets.add_scaled(params.critic, params.critic, -1.0)  # V == 0: no advantage term
+    add_scaled(params.critic, params.critic, -1.0)  # V == 0: no advantage term
     episode = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
                for t in random_batch(params, 4, seed=43)]
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), 0.85, acc)
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), 0.85, acc,
+                               zero_grads(params))
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
@@ -893,7 +899,8 @@ def test_per_slot_critic_gradient_matches_finite_differences(heads):
     episode = random_batch(params, 4, seed=45)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc,
+                               zero_grads(params))
     returns = np.zeros((len(episode), params.heads))
     running = np.zeros(params.heads)
     for t in reversed(range(len(episode))):
@@ -919,7 +926,7 @@ def test_per_slot_replay_td_gradient_matches_finite_differences(heads):
     batch = random_batch(params, 5, seed=47)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.critic_td_accumulate(params, as_batch(batch, params.heads), gamma, acc)
+    ag.critic_td_accumulate(params, as_batch(batch, params.heads), gamma, acc, zero_grads(params))
 
     def td_loss(critic):
         total = 0.0
@@ -973,7 +980,7 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
     batch = random_batch(params, 4, seed=13)
     cfg = params.actor_cfg
     loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, as_batch(batch, params.heads),
-                                   0.0, cfg, params.heads)
+                                   0.0, cfg, params.heads, nets.grad_buffers(cfg))
     raw, _ = nets.forward(params.actor, np.stack([t.state for t in batch]), cfg)
     q = raw.reshape(len(batch), params.heads, N_ACTIONS)
     expected = sum(
@@ -989,7 +996,8 @@ def test_dqn_zero_td_error_means_no_change():
     batch = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
              for t in random_batch(params, 4, seed=15)]
     loss = ag.dqn_update(zero_net, zeros_like_params(params.actor),
-                         as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads)
+                         as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads,
+                         nets.grad_buffers(params.actor_cfg))
     assert loss == 0.0
     for v in zero_net.values():
         np.testing.assert_array_equal(v, 0.0)
@@ -1013,7 +1021,7 @@ def loop_dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads):
             err = q[t, u, a] - target
             loss += float(err * err)
             dq[t, u, a] = 2.0 * err
-    return loss, nets.backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
+    return loss, backward(q_params, cache, dq.reshape(len(batch), -1), cfg)
 
 
 def test_dqn_matches_the_per_pair_loop():
@@ -1023,7 +1031,8 @@ def test_dqn_matches_the_per_pair_loop():
         batch = random_batch(params, 1 + case % 17, seed=case)
         gamma = float(np.random.default_rng(case).uniform(0.0, 1.0))
         args = (params.actor, target.actor, gamma, params.actor_cfg, params.heads)
-        loss, grads = ag.dqn_loss_and_grad(*args[:2], as_batch(batch, params.heads), *args[2:])
+        loss, grads = ag.dqn_loss_and_grad(*args[:2], as_batch(batch, params.heads), *args[2:],
+                                           nets.grad_buffers(params.actor_cfg))
         ref_loss, ref_grads = loop_dqn_loss_and_grad(*args[:2], batch, *args[2:])
         assert_bits_equal(loss, ref_loss)
         for key in ref_grads:
@@ -1044,8 +1053,9 @@ def test_dqn_update_into_learner_buffers_matches_add_scaled():
             loss = ag.dqn_update(params.actor, target.actor, batch, 0.9, lr,
                                  params.actor_cfg, heads, buffers)
             ref_loss, grads = ag.dqn_loss_and_grad(reference, target.actor, batch, 0.9,
-                                                   params.actor_cfg, heads)
-            nets.add_scaled(reference, grads, -lr)
+                                                   params.actor_cfg, heads,
+                                                   nets.grad_buffers(params.actor_cfg))
+            add_scaled(reference, grads, -lr)
             assert_bits_equal(loss, ref_loss)
             for key in reference:
                 assert_bits_equal(params.actor[key], reference[key])
@@ -1056,10 +1066,12 @@ def test_dqn_gradient_matches_finite_differences():
     target = tiny_params(seed=17)
     batch = as_batch(random_batch(params, 3, seed=18), params.heads)
     cfg = params.actor_cfg
-    _, grads = ag.dqn_loss_and_grad(params.actor, target.actor, batch, 0.85, cfg, params.heads)
+    _, grads = ag.dqn_loss_and_grad(params.actor, target.actor, batch, 0.85, cfg, params.heads,
+                                    nets.grad_buffers(cfg))
 
     def loss_fn(q_net):
-        loss, _ = ag.dqn_loss_and_grad(q_net, target.actor, batch, 0.85, cfg, params.heads)
+        loss, _ = ag.dqn_loss_and_grad(q_net, target.actor, batch, 0.85, cfg, params.heads,
+                                       nets.grad_buffers(cfg))
         return loss
 
     assert_grad_close(grads, params.actor, cfg, loss_fn)
@@ -1067,19 +1079,28 @@ def test_dqn_gradient_matches_finite_differences():
 
 # --- PPO --------------------------------------------------------------------------
 
-def ppo_arrays(batch: list[Transition], heads: int) -> tuple[np.ndarray, ...]:
-    """The arrays ``ppo_update`` builds once per update and passes to every
-    ``ppo_surrogate_and_grad`` call: states, actions, acting mask, one-hot."""
+def ppo_arrays(actor: dict, batch: list[Transition], params: ag.PolicyParams) -> tuple:
+    """What ``ppo_update`` passes to ``ppo_surrogate_and_grad`` at ``actor``:
+    :func:`ag.policy_forward`'s probabilities and cache on the batch's
+    states, then the actions, acting mask and one-hot rows, which it builds
+    once per update."""
     states = np.stack([t.state for t in batch])
-    acts, acting = action_arrays([t.action for t in batch], heads)
-    return states, acts, acting, np.eye(N_ACTIONS)[acts]
+    acts, acting = action_arrays([t.action for t in batch], params.heads)
+    _, probs, cache = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+    return probs, cache, acts, acting, np.eye(N_ACTIONS)[acts]
 
 
 def old_logp(actor: dict, batch: list[Transition], params: ag.PolicyParams) -> np.ndarray:
     """The pre-update joint log-probabilities that ``ppo_surrogate_and_grad`` takes."""
-    states, acts, acting, _ = ppo_arrays(batch, params.heads)
-    _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+    probs, _, acts, acting, _ = ppo_arrays(actor, batch, params)
     return ag.joint_log_prob(probs, acts, acting)
+
+
+def surrogate(actor: dict, logp_old, batch: list[Transition], params: ag.PolicyParams,
+              adv, clip: float) -> tuple[float, dict]:
+    """``ppo_surrogate_and_grad`` at ``actor``, its gradient in fresh buffers."""
+    return ag.ppo_surrogate_and_grad(actor, logp_old, *ppo_arrays(actor, batch, params), adv,
+                                     clip, params.actor_cfg, nets.grad_buffers(params.actor_cfg))
 
 
 def test_ppo_wide_clip_equals_plain_surrogate():
@@ -1088,11 +1109,8 @@ def test_ppo_wide_clip_equals_plain_surrogate():
     adv = np.random.default_rng(21).normal(size=len(batch))
     # ratio == 1 everywhere (actor is its own old policy), inside any window
     logp_old = old_logp(params.actor, batch, params)
-    arrays = ppo_arrays(batch, params.heads)
-    _, g_narrow = ag.ppo_surrogate_and_grad(
-        params.actor, logp_old, *arrays, adv, 0.2, params.actor_cfg)
-    _, g_wide = ag.ppo_surrogate_and_grad(
-        params.actor, logp_old, *arrays, adv, 1e9, params.actor_cfg)
+    _, g_narrow = surrogate(params.actor, logp_old, batch, params, adv, 0.2)
+    _, g_wide = surrogate(params.actor, logp_old, batch, params, adv, 1e9)
     for k in g_narrow:
         np.testing.assert_allclose(g_narrow[k], g_wide[k], rtol=1e-12)
 
@@ -1101,9 +1119,8 @@ def test_ppo_zero_clip_kills_actor_gradient():
     params = tiny_params(seed=22)
     batch = random_batch(params, 4, seed=23)
     adv = np.random.default_rng(24).normal(size=len(batch))
-    _, grads = ag.ppo_surrogate_and_grad(
-        params.actor, old_logp(params.actor, batch, params), *ppo_arrays(batch, params.heads),
-        adv, 0.0, params.actor_cfg)
+    _, grads = surrogate(params.actor, old_logp(params.actor, batch, params), batch, params, adv,
+                         0.0)
     for g in grads.values():
         np.testing.assert_array_equal(g, 0.0)
 
@@ -1114,7 +1131,7 @@ def test_ppo_update_zero_clip_freezes_actor():
     rollout = random_batch(params, 5, seed=26)
     before = flatten_params(params.actor, params.actor_cfg).copy()
     critic_before = flatten_params(params.critic, params.critic_cfg).copy()
-    ag.ppo_update(params, as_batch(rollout, params.heads), 0.0, 3, 0.85, 0.01)
+    ag.ppo_update(params, as_batch(rollout, params.heads), 0.0, 3, 0.85, 0.01, zero_grads(params))
     np.testing.assert_array_equal(flatten_params(params.actor, params.actor_cfg), before)
     assert not np.array_equal(
         flatten_params(params.critic, params.critic_cfg), critic_before
@@ -1124,20 +1141,19 @@ def test_ppo_update_zero_clip_freezes_actor():
 def reference_ppo_update(params: ag.PolicyParams, rollout, clip_eps: float, epochs: int,
                          gamma: float, lr: float) -> None:
     """Reference: ``ppo_update`` with both forward passes in every epoch,
-    fresh gradient arrays and ``nets.add_scaled`` steps."""
-    states, acts, acting, onehot = ppo_arrays(rollout, params.heads)
+    the critic's after the actor step, fresh gradient arrays and
+    ``add_scaled`` steps."""
+    states = np.stack([t.state for t in rollout])
     returns = ag.discounted_returns([t.reward for t in rollout], gamma)
     values_old, _ = ag.value_forward(params.critic, states, params.critic_cfg)
     adv = returns - values_old
     logp_old = old_logp(params.actor, rollout, params)
     for _ in range(epochs):
-        _, g_actor = ag.ppo_surrogate_and_grad(params.actor, logp_old, states, acts, acting,
-                                               onehot, adv, clip_eps, params.actor_cfg)
-        nets.add_scaled(params.actor, g_actor, +lr)
+        _, g_actor = surrogate(params.actor, logp_old, rollout, params, adv, clip_eps)
+        add_scaled(params.actor, g_actor, +lr)
         values, cache = ag.value_forward(params.critic, states, params.critic_cfg)
         dvals = (-2.0 * (returns - values))[:, None]
-        nets.add_scaled(params.critic, nets.backward(params.critic, cache, dvals,
-                                                     params.critic_cfg), -lr)
+        add_scaled(params.critic, backward(params.critic, cache, dvals, params.critic_cfg), -lr)
 
 
 def test_ppo_update_matches_the_reference_with_and_without_buffers():
@@ -1145,7 +1161,7 @@ def test_ppo_update_matches_the_reference_with_and_without_buffers():
         heads = 1 + case % 7
         cfg = ag.AgentConfig(hidden=(8, 6))
         params = ag.make_policy_params(9, heads, cfg, np.random.default_rng(case), critic_outputs=1)
-        unbuffered, reference = params.clone(), params.clone()
+        reference = params.clone()
         buffers = ag.GradAccumulator(nets.grad_buffers(params.actor_cfg),
                                      nets.grad_buffers(params.critic_cfg))
         clip = (0.0, 0.2, 0.9)[case % 3]
@@ -1155,13 +1171,11 @@ def test_ppo_update_matches_the_reference_with_and_without_buffers():
             epochs = 1 + (case + update) % 4
             batch = as_batch(rollout, heads)
             ag.ppo_update(params, batch, clip, epochs, 0.85, lr, buffers)
-            ag.ppo_update(unbuffered, batch, clip, epochs, 0.85, lr)
             reference_ppo_update(reference, rollout, clip, epochs, 0.85, lr)
-            for got in (params, unbuffered):
-                for key in reference.actor:
-                    assert_bits_equal(got.actor[key], reference.actor[key])
-                for key in reference.critic:
-                    assert_bits_equal(got.critic[key], reference.critic[key])
+            for key in reference.actor:
+                assert_bits_equal(params.actor[key], reference.actor[key])
+            for key in reference.critic:
+                assert_bits_equal(params.critic[key], reference.critic[key])
 
 
 def test_ppo_update_takes_the_pre_update_policy_once(monkeypatch):
@@ -1177,7 +1191,8 @@ def test_ppo_update_takes_the_pre_update_policy_once(monkeypatch):
         params = tiny_params(seed=25)
         rollout = random_batch(params, 5, seed=26)
         calls.clear()
-        ag.ppo_update(params, as_batch(rollout, params.heads), 0.2, epochs, 0.85, 0.01)
+        ag.ppo_update(params, as_batch(rollout, params.heads), 0.2, epochs, 0.85, 0.01,
+                      zero_grads(params))
         # Pre-update values and log-probabilities once, which the first
         # epoch reuses, then one actor and one critic pass per later epoch.
         assert len(calls) == 2 * epochs
@@ -1191,12 +1206,10 @@ def test_ppo_surrogate_gradient_matches_finite_differences():
     adv = np.random.default_rng(30).normal(size=len(batch))
     clip = 0.2
     logp_old = old_logp(old.actor, batch, params)
-    arrays = ppo_arrays(batch, params.heads)
-    _, grads = ag.ppo_surrogate_and_grad(
-        params.actor, logp_old, *arrays, adv, clip, params.actor_cfg)
+    _, grads = surrogate(params.actor, logp_old, batch, params, adv, clip)
 
     def objective(actor):
-        obj, _ = ag.ppo_surrogate_and_grad(actor, logp_old, *arrays, adv, clip, params.actor_cfg)
+        obj, _ = surrogate(actor, logp_old, batch, params, adv, clip)
         return obj
 
     assert_grad_close(grads, params.actor, params.actor_cfg, objective)
@@ -1239,7 +1252,7 @@ def loop_ppo_surrogate_and_grad(actor, old_actor, batch, advantages, clip_eps, c
             onehot = np.zeros(N_ACTIONS)
             onehot[a] = 1.0
             dlogits[t, u] = dlogp[t] * (onehot - probs[t, u])
-    return objective, nets.backward(actor, cache, dlogits.reshape(len(batch), -1), cfg)
+    return objective, backward(actor, cache, dlogits.reshape(len(batch), -1), cfg)
 
 
 def test_joint_log_prob_matches_the_per_pair_loop():
@@ -1263,9 +1276,8 @@ def test_ppo_surrogate_matches_the_per_pair_loop():
         rng = np.random.default_rng(case)
         adv = rng.normal(size=len(batch))
         clip = float(rng.choice([0.0, 0.2, 1e9]))
-        obj, grads = ag.ppo_surrogate_and_grad(
-            params.actor, old_logp(old.actor, batch, params), *ppo_arrays(batch, heads),
-            adv, clip, params.actor_cfg)
+        obj, grads = surrogate(params.actor, old_logp(old.actor, batch, params), batch, params,
+                               adv, clip)
         ref_obj, ref_grads = loop_ppo_surrogate_and_grad(
             params.actor, old.actor, batch, adv, clip, params.actor_cfg, heads)
         assert_bits_equal(obj, ref_obj)

@@ -230,6 +230,15 @@ def test_load_instance_rejects_unknown_keys(tmp_path):
         cf.load_instance(p)
 
 
+def test_load_instance_rejects_unknown_device_keys(tmp_path):
+    # A misspelt device key would otherwise fall back to its default unseen.
+    device = {**INSTANCE["devices"][0], "tx_wats": 0.5, "packet_bitz": 2e6}
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps({**INSTANCE, "devices": [device]}))
+    with pytest.raises(ValueError, match="unknown key 'tx_wats' in config section 'devices'"):
+        cf.load_instance(p)
+
+
 def test_load_instance_takes_every_mission_field(tmp_path):
     mission = ms.MissionConfig(
         area_m=176.0, cells_per_side=2, frame_seconds=100.0, slots=4, speed_mps=12.5,
@@ -276,9 +285,17 @@ def test_load_instance_honours_link_and_radio_sections(tmp_path):
 
 def test_loading_a_config_compiles_no_learner():
     # swarmcover oracle and load_instance read configs; neither should load
-    # the learners or the networks.
-    code = ("import sys, swarmcover.config; "
-            "print(sorted(m for m in ('swarmcover.agents', 'swarmcover.nets') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    assert proc.stdout.strip() == "[]"
+    # the learners or the networks. The bare package loads no submodule.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for code in (
+        "import sys, swarmcover.config; "
+        "print(sorted(m for m in ('swarmcover.agents', 'swarmcover.nets') if m in sys.modules))",
+        "import sys, swarmcover; "
+        "print(sorted(m for m in sys.modules if m.startswith('swarmcover.')))",
+    ):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "[]", code
+    proc = subprocess.run([sys.executable, "-m", "swarmcover", "--help"], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: swarmcover"), proc.stderr

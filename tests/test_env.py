@@ -1,11 +1,13 @@
 """Swarm MDP dynamics: moves, collisions, rewards, encoding, events."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from swarmcover import env as envmod
 from swarmcover import mission as ms
-from conftest import small_env
+from conftest import small_env, uav_tracks
 
 HOVER = envmod.ACTIONS.index("hover")
 EAST = envmod.ACTIONS.index("east")
@@ -208,12 +210,13 @@ def test_per_uav_rewards_sum_to_the_scalar_reward():
     # Events between episodes take the swarm from one UAV up to max_swarm.
     env = envmod.make_env()
     rng = np.random.default_rng(3)
-    env.apply_swarm_event(envmod.SwarmEvent(0, "leave", env.current_swarm_size - 1))
+    task = env.nominal_task()
+    task = env.apply_swarm_event(task, envmod.SwarmEvent(0, "leave", task.swarm_size - 1))
     for n in range(1, env.cfg.max_swarm + 1):
         if n > 1:
-            env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
+            task = env.apply_swarm_event(task, envmod.SwarmEvent(0, "join", 1))
         for seed in range(4):
-            env.reset(rng_seed=seed)
+            env.reset(task, rng_seed=seed)
             assert len(env.uav_cell) == n
             done = False
             while not done:
@@ -290,11 +293,12 @@ def test_collection_invariants_over_random_play():
     rng = np.random.default_rng(5)
     head_ons = bounced_before_a_device = deep_takes = 0
     sizes = set()
+    task = env.nominal_task()
     for seed in range(30):
-        n = env.current_swarm_size
+        n = task.swarm_size
         join = n < env.cfg.max_swarm and (n == 1 or rng.random() < 0.5)
-        env.apply_swarm_event(envmod.SwarmEvent(0, "join" if join else "leave", 1))
-        env.reset(rng_seed=seed)
+        task = env.apply_swarm_event(task, envmod.SwarmEvent(0, "join" if join else "leave", 1))
+        env.reset(task, rng_seed=seed)
         sizes.add(len(env.uav_cell))
         queues = env.tables.queues
         collected: set[int] = set()
@@ -353,7 +357,7 @@ def test_step_rejects_a_joint_action_of_the_wrong_length(count):
     with pytest.raises(ValueError, match="one action per UAV"):
         env.step([HOVER] * count)
     out = env.step([HOVER, HOVER])  # the rejected call changed nothing
-    assert out.info["cells"] == [0, 8] and env.uav_track == [[0, 0], [8, 8]]
+    assert out.info["cells"] == [0, 8] and uav_tracks(env) == [[0, 0], [8, 8]]
 
 
 def test_full_determinism_of_rollouts():
@@ -478,7 +482,7 @@ def test_only_the_declared_columns_hold_anything_but_zero_and_one(world):
     seen_real = set()
     for episode in range(20):
         size = int(rng.integers(1, env.cfg.max_swarm + 1))
-        env.reset(envmod.task_with_swarm(env.nominal_task(), size), rng_seed=episode)
+        env.reset(replace(env.nominal_task(), swarm_size=size), rng_seed=episode)
         while not env.step(rng.integers(0, envmod.N_ACTIONS, size=size)).done:
             pass
         obs = env.episode.obs
@@ -503,9 +507,7 @@ def encode_from_scratch(env: envmod.CoverageEnv) -> np.ndarray:
         if initial > 0.0:
             vec[base + i * (c + 1) + c] = env.demand[i] / initial
     base += (c + 1) * env.cfg.num_strategic
-    for track in env.uav_track:
-        for cell in track[1:]:  # a start cell alone is no visit
-            vec[base + cell] = 1.0
+    vec[base:base + c] = env.episode_stats()["visits"] > 0  # a start cell alone is no visit
     vec[base + c] = len(env.uav_cell) / env.cfg.max_swarm
     return vec
 
@@ -516,17 +518,18 @@ def test_kept_observation_matches_a_from_scratch_encoding(world):
         swarm=3, max_swarm=7, strategic=(2, 4), slots=8, device_count=12)
     rng = np.random.default_rng(17)
     sizes = set()
+    resized = env.nominal_task()
     for episode in range(40):
         # Walk the swarm size over 1..max_swarm with events between episodes;
         # every other episode plays a freshly sampled layout instead.
         target = int(rng.integers(1, env.cfg.max_swarm + 1))
-        while env.current_swarm_size != target:
-            kind = "join" if env.current_swarm_size < target else "leave"
-            env.apply_swarm_event(envmod.SwarmEvent(episode, kind))
+        while resized.swarm_size != target:
+            kind = "join" if resized.swarm_size < target else "leave"
+            resized = env.apply_swarm_event(resized, envmod.SwarmEvent(episode, kind))
         if episode % 2:
-            state = env.reset(rng_seed=episode)
+            state = env.reset(resized, rng_seed=episode)
         else:
-            task = envmod.task_with_swarm(env.sample_task(rng), target)
+            task = replace(env.sample_task(rng), swarm_size=target)
             state = env.reset(task, rng_seed=episode)
         sizes.add(len(env.uav_cell))
         handed_out = [(state, state.tobytes())]
@@ -549,11 +552,13 @@ def test_kept_observation_matches_a_from_scratch_encoding(world):
 
 def test_join_and_leave_events():
     env = envmod.make_env()
-    assert env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1)) == 5
-    env.reset(rng_seed=6)
+    task = env.apply_swarm_event(env.nominal_task(), envmod.SwarmEvent(0, "join", 1))
+    assert task == replace(env.nominal_task(), swarm_size=5)
+    env.reset(task, rng_seed=6)
     assert len(env.uav_cell) == 5
-    assert env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 2)) == 3
-    env.reset(rng_seed=6)
+    task = env.apply_swarm_event(task, envmod.SwarmEvent(0, "leave", 2))
+    assert task.swarm_size == 3
+    env.reset(task, rng_seed=6)
     assert len(env.uav_cell) == 3
 
 
@@ -561,29 +566,30 @@ def test_event_mid_episode_changes_nothing_in_that_episode():
     def rollout(events):
         env = envmod.make_env()
         rng = np.random.default_rng(12)
-        states = [env.reset(rng_seed=4)]
+        task = env.nominal_task()
+        states = [env.reset(task, rng_seed=4)]
         rewards, uav_rewards = [], []
         done = False
         while not done:
             if len(rewards) in events:
-                env.apply_swarm_event(envmod.SwarmEvent(0, *events[len(rewards)]))
+                task = env.apply_swarm_event(task, envmod.SwarmEvent(0, *events[len(rewards)]))
             out = env.step(rng.integers(0, envmod.N_ACTIONS, size=len(env.uav_cell)))
             states.append(out.state)
             rewards.append(out.reward)
             uav_rewards.append(out.uav_rewards)
             done = out.done
-        return env, states, rewards, uav_rewards, env.episode_stats()
+        return (env, task), states, rewards, uav_rewards, env.episode_stats()
 
     _, *plain = rollout({})
     for events, size in (({3: ("join", 2)}, 6), ({1: ("leave", 1), 5: ("leave", 2)}, 1)):
-        env, *resized = rollout(events)
+        (env, task), *resized = rollout(events)
         for got, want in zip(resized[:3], plain[:3]):
             np.testing.assert_array_equal(np.array(got), np.array(want))
         got_stats, want_stats = resized[3], plain[3]
         assert got_stats.keys() == want_stats.keys()
         for key in want_stats:
             np.testing.assert_array_equal(got_stats[key], want_stats[key])
-        env.reset(rng_seed=4)
+        env.reset(task, rng_seed=4)
         assert len(env.uav_cell) == size
 
 
@@ -591,14 +597,14 @@ def test_leave_to_zero_rejected():
     env = small_env(swarm=1)
     env.reset(start_cells=[0])
     with pytest.raises(ValueError, match="empty the swarm"):
-        env.apply_swarm_event(envmod.SwarmEvent(0, "leave", 1))
+        env.apply_swarm_event(env.task, envmod.SwarmEvent(0, "leave", 1))
 
 
 def test_join_beyond_capacity_rejected():
     env = envmod.make_env()
     env.reset(rng_seed=7)
     with pytest.raises(ValueError, match="maximum swarm size"):
-        env.apply_swarm_event(envmod.SwarmEvent(0, "join", 4))
+        env.apply_swarm_event(env.task, envmod.SwarmEvent(0, "join", 4))
 
 
 def test_event_kind_validated():
@@ -606,13 +612,14 @@ def test_event_kind_validated():
         envmod.SwarmEvent(0, "respawn", 1)
 
 
-def test_nominal_task_ignores_events_but_bare_reset_keeps_them():
+def test_events_leave_the_nominal_task_and_a_bare_reset_as_they_were():
+    # The swarm size lives in the task alone.
     env = envmod.make_env()
     env.reset(rng_seed=8)
-    env.apply_swarm_event(envmod.SwarmEvent(0, "join", 1))
-    assert env.nominal_task().swarm_size == 4
+    joined = env.apply_swarm_event(env.task, envmod.SwarmEvent(0, "join", 1))
+    assert joined.swarm_size == 5 and env.nominal_task().swarm_size == 4
     env.reset()
-    assert len(env.uav_cell) == 5
+    assert env.task == env.nominal_task() and len(env.uav_cell) == 4
 
 
 # --- task sampling ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swarmcover import nets
-from fdcheck import assert_grad_close, flatten_params, zeros_like_params
+from fdcheck import add_scaled, assert_grad_close, backward, flatten_params, zeros_like_params
 
 RNG = np.random.default_rng(12345)
 
@@ -72,7 +72,7 @@ def test_backward_matches_finite_differences():
     dout = rng.normal(size=(4, 2))
 
     out, cache = nets.forward(params, x, cfg)
-    grads = nets.backward(params, cache, dout, cfg)
+    grads = nets.backward(params, cache, dout, cfg, nets.grad_buffers(cfg))
 
     def scalar(p):
         y, _ = nets.forward(p, x, cfg)
@@ -90,10 +90,10 @@ def test_backward_into_buffers_equals_fresh_arrays():
         x = rng.normal(size=(rows, cfg.input_dim)) * (rng.random((rows, cfg.input_dim)) < 0.3)
         _, cache = nets.forward(params, x, cfg)
         dout = rng.normal(size=(rows, cfg.out_dim))
-        want = nets.backward(params, cache, dout, cfg)
+        want = backward(params, cache, dout, cfg)
         buffers = nets.grad_buffers(cfg)
         for _ in range(2):  # buffers that already hold a gradient are overwritten
-            got = nets.backward(params, cache, dout, cfg, out=buffers)
+            got = nets.backward(params, cache, dout, cfg, buffers)
             assert got is buffers and got.keys() == want.keys()
             for key in want:
                 assert got[key].shape == want[key].shape
@@ -131,29 +131,30 @@ def test_unflatten_rejects_wrong_length():
         nets.flat_views(np.zeros(nets.num_params(cfg) + 1), cfg)
 
 
-def test_add_scaled_and_accumulate():
-    # add_scaled is both the SGD step and, at scale 1.0, the in-place
-    # gradient accumulation.
+def test_add_accumulates_in_place():
+    # add is both the gradient accumulation and the step of a gradient
+    # already scaled in place.
     cfg = nets.NetConfig(2, (2,), 1)
     params = nets.init_params(cfg, np.random.default_rng(4))
     grads = {k: np.ones_like(v) for k, v in params.items()}
     before = nets.clone_params(params)
-    nets.add_scaled(params, grads, 0.5)
+    add_scaled(params, grads, 0.5)
     for k in params:
         np.testing.assert_allclose(params[k], before[k] + 0.5)
 
     acc = zeros_like_params(params)
-    nets.add_scaled(acc, grads, 1.0)
-    nets.add_scaled(acc, grads, 1.0)
+    nets.add(acc, grads)
+    nets.add(acc, grads)
     for k in acc:
         np.testing.assert_allclose(acc[k], 2.0)
 
-    # A unit step is the plain sum, bit for bit, and leaves the gradients be.
+    # It is the reference's unit step, bit for bit, and leaves the gradients be.
     rng = np.random.default_rng(6)
     grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-    want = {k: params[k] + 1.0 * grads[k] for k in params}
+    want = nets.clone_params(params)
+    add_scaled(want, grads, 1.0)
     kept = nets.clone_params(grads)
-    nets.add_scaled(params, grads, 1.0)
+    nets.add(params, grads)
     for k in params:
         assert params[k].tobytes() == want[k].tobytes()
         assert grads[k].tobytes() == kept[k].tobytes()

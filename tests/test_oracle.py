@@ -38,6 +38,7 @@ from swarmcover.oracle import (
     enumerate_optimum,
     verify_feasibility,
 )
+from conftest import uav_tracks
 
 # Single UAV on a 2x2 grid, one device parked at the centre of the only
 # strategic cell. Cheapest plan: hover once, then one 8.8 s hop east.
@@ -516,7 +517,7 @@ def test_env_replays_the_optimum_at_its_objective():
     env.reset(task, start_cells=instance.start_cells)
     for joint in best.actions:
         env.step(joint)
-    assert tuple(env.uav_track[0]) == best.trajectories[0]
+    assert tuple(uav_tracks(env)[0]) == best.trajectories[0]
     assert env.episode_stats()["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
 
@@ -552,8 +553,8 @@ def test_env_bounce_books_the_optimum():
     assert stats["coverage_ok"]
     assert stats["energy_masked_j"] == pytest.approx(best.objective_j, rel=1e-12)
 
-    assert env.uav_track == [[4, 4], [3, 3]]
-    report = verify_feasibility(env.uav_track, instance)
+    assert uav_tracks(env) == [[4, 4], [3, 3]]
+    report = verify_feasibility(uav_tracks(env), instance)
     assert report.all_ok
     assert report.objective_j == pytest.approx(best.objective_j, rel=1e-12)
 
@@ -596,7 +597,7 @@ def test_env_books_the_verifier_energy_of_random_play():
             collected.update(out.info["collected"])
         bounced_onto_a_device += bounce_on_a_device
         stats = env.episode_stats()
-        report = verify_feasibility(env.uav_track, instance)
+        report = verify_feasibility(uav_tracks(env), instance)
         assert stats["energy_masked_j"] == pytest.approx(report.objective_j, rel=1e-12)
         assert stats["energy_total_j"] == pytest.approx(report.unmasked_j, rel=1e-12)
         assert stats["coverage_ok"] == report.coverage_ok
