@@ -460,6 +460,43 @@ def test_two_uavs_at_horizon_eight_solve_in_seconds():
         assert solution.objective_j <= padded_report.objective_j
 
 
+#: The whole ExactSolution of each 2-UAV search, floats by repr: feasible,
+#: objective, unmasked energy, trajectories, actions, leaves, feasible
+#: leaves, pruned branches. Horizon 4 is the benchmark's seed-0 2-UAV
+#: instance; no 1-UAV or 2x2 pin reaches a 2-UAV search.
+TWO_UAV_PINS = {
+    "horizon4": (
+        True, "5296.476206402162", "5296.476206402162",
+        ((1, 1, 1, 1, 1), (7, 7, 7, 4, 5)),
+        ((4, 4), (4, 4), (4, 1), (4, 2)),
+        295, 1, 5610,
+    ),
+    "horizon8": (
+        True, "5296.476206402162", "5296.476206402162",
+        ((1, 1, 1, 1, 1, 1, 1, 1, 1), (7, 7, 7, 7, 7, 7, 7, 4, 5)),
+        ((4, 4), (4, 4), (4, 4), (4, 4), (4, 4), (4, 4), (4, 1), (4, 2)),
+        1886, 1, 78707,
+    ),
+    "horizon4_per_uav": (
+        True, "7936.476206402162", "13216.476206402162",
+        ((1, 1, 1, 4, 5), (7, 7, 4, 5, 8)),
+        ((4, 4), (4, 1), (0, 2), (2, 0)),
+        776, 1, 9689,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_UAV_PINS))
+def test_two_uav_searches_are_pinned(name):
+    horizon = 8 if name == "horizon8" else 4
+    instance = replace(two_uav_acceptance_instance(horizon),
+                       per_uav_coverage=name.endswith("per_uav"))
+    s = enumerate_optimum(instance)
+    got = (s.feasible, repr(s.objective_j), repr(s.unmasked_j), s.trajectories, s.actions,
+           s.leaves_evaluated, s.feasible_leaves, s.branches_pruned)
+    assert got == TWO_UAV_PINS[name]
+
+
 # --- per-UAV coverage --------------------------------------------------------------
 
 
