@@ -29,7 +29,7 @@ from typing import Mapping
 
 from . import link_budget as lb
 from . import mission as ms
-from .env import EnvConfig, SwarmEvent, next_swarm_size
+from .env import EnvConfig, SwarmEvent, next_swarm_size, swarm_schedule
 from .oracle import ExactInstance
 
 ENV_PREFIX = "SWARMCOVER__"
@@ -186,11 +186,11 @@ def _build_env(section: dict) -> tuple[EnvConfig, tuple[SwarmEvent, ...]]:
     )
     section = _coerce(section, ("strategic_cells",))
     env_cfg = EnvConfig(**section)
-    # Replay the schedule as the harness applies it (a stable sort by
-    # episode), so a size it cannot reach fails here, not mid-run.
-    size = env_cfg.swarm_size
-    for event in sorted(events, key=lambda e: e.episode):
-        size = next_swarm_size(size, event, env_cfg.max_swarm)
+    # Replay the whole schedule as the harness does, so a size it cannot
+    # reach fails here, not mid-run.
+    for _ in swarm_schedule(events, env_cfg.swarm_size,
+                            lambda size, event: next_swarm_size(size, event, env_cfg.max_swarm)):
+        pass
     return env_cfg, events
 
 

@@ -1,7 +1,8 @@
 """Episodic MDP over the mission world for a centrally-controlled UAV swarm.
 
-One environment step is one mission slot (:func:`play_slot`, shared
-with the exact solver): every UAV picks one of five moves (the
+One environment step is one mission slot (:func:`play_slot`, whose two
+halves, :func:`resolve_moves` and :func:`collect_devices`, the exact
+solver shares): every UAV picks one of five moves (the
 four compass directions or hover), moves between cell centers, and then
 collects at most one packet from an uncollected device assigned to the
 cell it ends the slot on. Moves off the grid border degrade to hover.
@@ -40,7 +41,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,6 +120,23 @@ def next_swarm_size(size: int, event: SwarmEvent, max_swarm: int) -> int:
         if size < 1:
             raise ValueError(f"leave at episode {event.episode} would empty the swarm")
     return size
+
+
+def swarm_schedule(
+    events: Iterable[SwarmEvent], state, apply: Callable
+) -> Iterator[tuple[object, int | None]]:
+    """Replay a swarm-event schedule in the order a run meets it, a
+    stable sort by episode.
+
+    Yields ``(state, until)`` for each stretch of episodes: the state in
+    force and the episode of the event that ends the stretch (``None``
+    for the last). ``apply(state, event)`` gives the state after an
+    event, and runs only when the next stretch is asked for, so an event
+    that cannot apply fails where the run reaches it."""
+    for event in sorted(events, key=lambda e: e.episode):
+        yield state, event.episode
+        state = apply(state, event)
+    yield state, None
 
 
 @dataclass
@@ -281,15 +299,26 @@ def play_slot(
     finals, collided = resolve_moves(
         origins, [tables.targets[cell][action] for cell, action in zip(origins, actions)]
     )
+    devices, taken = collect_devices(tables, finals, taken)
+    return finals, collided, devices, taken
+
+
+def collect_devices(
+    tables: TaskTables, cells: Sequence[int], taken: tuple[int, ...]
+) -> tuple[list[int | None], tuple[int, ...]]:
+    """The collection half of :func:`play_slot`: the UAV on each of the
+    distinct ``cells`` takes the first untaken device of the cell's queue.
+    Returns each UAV's device (``None`` for none) and the advanced cursors."""
     devices: list[int | None] = []
-    for cell in finals:
-        queue, k = tables.queues[cell], taken[cell]
+    queues = tables.queues
+    for cell in cells:
+        queue, k = queues[cell], taken[cell]
         if k < len(queue):
             devices.append(queue[k])
             taken = taken[:cell] + (k + 1,) + taken[cell + 1:]
         else:
             devices.append(None)
-    return finals, collided, devices, taken
+    return devices, taken
 
 
 class CoverageEnv:

@@ -37,7 +37,7 @@ from .agents import (
     run_training_episode,
 )
 from .config import AgentConfig, ExperimentConfig, write_json
-from .env import CoverageEnv, TaskSpec
+from .env import CoverageEnv, TaskSpec, swarm_schedule
 
 PLOT_KINDS = ("heatmap", "learning_curve", "energy_bars", "satisfaction_bars")
 
@@ -217,22 +217,17 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
         learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng,
                                episodes, env.real_cols)
 
-    task = env.nominal_task()
-    pending = sorted(cfg.events, key=lambda e: e.episode)
-    while len(metrics) < episodes:
-        while pending and pending[0].episode <= len(metrics):
-            task = env.apply_swarm_event(task, pending.pop(0))
-            if meta is not None:
-                # A meta-initialized learner restarts adaptation from the
-                # meta weights whenever the task changes.
-                learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
-        next_stop = min(
-            (e.episode for e in pending if e.episode > len(metrics)),
-            default=episodes,
-        )
-        chunk = min(next_stop, episodes) - len(metrics)
-        for stats in train_task(env, task, learner, chunk, rng):
+    stretches = swarm_schedule(cfg.events, env.nominal_task(), env.apply_swarm_event)
+    for stretch, (task, until) in enumerate(stretches):
+        if stretch and meta is not None:
+            # A meta-initialized learner restarts adaptation from the
+            # meta weights whenever the task changes.
+            learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
+        stop = episodes if until is None else min(until, episodes)
+        for stats in train_task(env, task, learner, stop - len(metrics), rng):
             metrics.append(EpisodeMetrics.from_stats(len(metrics), stats))
+        if stop == episodes:
+            break
     return metrics
 
 

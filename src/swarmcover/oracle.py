@@ -1,14 +1,17 @@
 """Exact reference solver for tiny mission instances.
 
 Searches every joint action sequence of a small swarm over a short
-horizon, each slot played by the environment's own
-:func:`~swarmcover.env.play_slot`, keeps only sequences that satisfy
-the rate, deadline and coverage constraints (the altitude one holds by
-construction, as in the environment), and returns the feasible sequence
-with the least masked swarm energy. Sequences are explored depth first
-and hover-first (hover, north, south, east, west per UAV), and ties on
-the objective go to the earliest sequence in that order, so a
-do-nothing optimum comes back as the all-hover plan.
+horizon, each slot played by the two halves of the environment's own
+:func:`~swarmcover.env.play_slot`: the moves by
+:func:`~swarmcover.env.resolve_moves`, once per search for each set of
+positions and joint action (:func:`joint_moves`), and the devices by
+:func:`~swarmcover.env.collect_devices`. It keeps only sequences that
+satisfy the rate, deadline and coverage constraints (the altitude one
+holds by construction, as in the environment), and returns the feasible
+sequence with the least masked swarm energy. Sequences are explored
+depth first and hover-first (hover, north, south, east, west per UAV),
+and ties on the objective go to the earliest sequence in that order, so
+a do-nothing optimum comes back as the all-hover plan.
 
 Three cuts skip branches that cannot hold a strictly cheaper plan than
 the best one found so far, so the search stays a certificate of
@@ -23,21 +26,26 @@ to the bit, that a scan of every sequence would:
   ``>=`` keeps the first strict minimum in search order.
 - Memo: a node whose exact search state (depth, positions, per-cell
   collection cursors, per-UAV legs, collect times and served flags,
-  total delay, and per-UAV strategic cells visited) was already
-  reached. Its subtree has the same leaves to the bit, already compared
-  against a best objective that can only have fallen since.
+  total delay, and per-UAV strategic cells visited, one bitmask per
+  UAV) was already reached. Its subtree has the same leaves to the bit,
+  already compared against a best objective that can only have fallen
+  since. A joint action that ends on the same cells as an earlier one
+  from the same node reaches the same child, which its cut or this one
+  already took out: it is cut before its state is rebuilt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import ne, or_
 from typing import Sequence
 
 from . import link_budget as lb
 from . import mission as ms
-from .env import ACTIONS, N_ACTIONS, TaskTables, move_target, play_slot
+from .env import ACTIONS, N_ACTIONS, TaskTables, collect_devices, move_target, resolve_moves
 
 #: Per-UAV exploration order: hover before any movement.
 SEARCH_ORDER = (4, 0, 1, 2, 3)
@@ -142,59 +150,60 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
     targets, leg_time = tables.targets, tables.leg_time_s
     collect_time, rate_ok = tables.collect_time_s, tables.rate_ok
     device_strategic = tables.device_strategic
-    strategic = frozenset(instance.strategic_cells)
-    joint_choices = list(product(SEARCH_ORDER, repeat=n_uavs))
+    horizon, budget, t_max = instance.horizon, instance.budget, cfg.t_max_seconds
+    p_oper, p_comm = cfg.p_oper_watts, cfg.p_comm_watts
+    uavs = range(n_uavs)
+    # Visited strategic cells as one bitmask per UAV: a cell's bit, 0 off
+    # the strategic cells, and every strategic bit set.
+    strategic_bit = tuple(
+        1 << c if c in instance.strategic_cells else 0 for c in range(cfg.n_cells)
+    )
+    all_strategic = reduce(or_, strategic_bit, 0)
+    per_uav_coverage = instance.per_uav_coverage
 
     best_objective = math.inf
     best_cells: tuple | None = None
     best_accounting: tuple | None = None
-    counters = {"nodes": 0, "leaves": 0, "feasible": 0, "pruned": 0}
+    nodes = leaves = feasible = pruned = 0
+    moves_from: dict[tuple, tuple] = {}  # positions -> joint_moves(targets, positions)
     seen: set[tuple] = set()
-    p_oper, p_comm = cfg.p_oper_watts, cfg.p_comm_watts
 
-    def served_energy(d_com, d_data, served) -> float:
-        # The objective's own expression and order, so a bound taken before
-        # the leaf rounds no higher than the leaf's objective. The loop is
-        # ms.add_left_to_right's, inline on this hot path: the integer 0
-        # when no UAV serves.
-        total = 0
-        for u in range(n_uavs):
-            if served[u]:
-                total += p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
-        return total
-
-    def coverage_met(visited: tuple[frozenset, ...]) -> bool:
-        if instance.per_uav_coverage:
-            return all(strategic <= v for v in visited)
-        return strategic <= frozenset().union(*visited)
-
-    def descend(depth, positions, taken, d_com, d_data, served, d_tot, visited, trail):
-        nonlocal best_objective, best_cells, best_accounting
-        if depth == instance.horizon:
-            counters["leaves"] += 1
-            if coverage_met(visited):
-                counters["feasible"] += 1
-                objective = served_energy(d_com, d_data, served)
-                if objective < best_objective:
-                    best_objective = objective
+    def descend(depth, positions, taken, d_com, d_data, served, d_tot, visited, energy, trail):
+        nonlocal best_objective, best_cells, best_accounting, nodes, leaves, feasible, pruned
+        if depth == horizon:
+            leaves += 1
+            if (
+                all(v == all_strategic for v in visited) if per_uav_coverage
+                else reduce(or_, visited) == all_strategic
+            ):
+                feasible += 1
+                if energy < best_objective:
+                    best_objective = energy
                     best_cells = trail
                     best_accounting = (d_com, d_data, served)
             return
-        for joint in joint_choices:
-            counters["nodes"] += 1
-            if counters["nodes"] > instance.budget:
+        moves = moves_from.get(positions)
+        if moves is None:
+            moves = moves_from[positions] = joint_moves(targets, positions)
+        for cells, moved, repeat in moves:
+            nodes += 1
+            if nodes > budget:
                 raise EnumerationBudgetExceeded(
-                    f"{counters['nodes']} search nodes exceed the budget of {instance.budget}"
+                    f"{nodes} search nodes exceed the budget of {budget}"
                 )
-            finals, _, devices, new_taken = play_slot(tables, positions, joint, taken)
+            if repeat:
+                pruned += 1
+                continue
+            devices, new_taken = collect_devices(tables, cells, taken)
             new_d_com = list(d_com)
             new_d_data = list(d_data)
             new_served = list(served)
             step_time = 0.0
-            for u, dev in enumerate(devices):
-                if finals[u] != positions[u]:
+            for u in uavs:
+                if moved[u]:
                     new_d_com[u] += leg_time
                     step_time += leg_time
+                dev = devices[u]
                 if dev is not None:
                     if not rate_ok[dev]:
                         step_time = math.inf  # a rate violation never heals: prune as an overrun
@@ -203,50 +212,69 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
                     step_time += collect_time[dev]
                     if device_strategic[dev]:
                         new_served[u] = True
-            if (
-                d_tot + step_time > cfg.t_max_seconds
-                or served_energy(new_d_com, new_d_data, new_served) >= best_objective
-            ):
-                counters["pruned"] += 1
+            if d_tot + step_time > t_max:
+                pruned += 1
                 continue
-            cells = tuple(finals)
-            # The memo key is the child's whole search state (every argument
-            # of descend but the trail). Visited cells are kept only where
-            # strategic, the only ones coverage reads.
+            # The served UAVs' energy, summed left to right from the integer
+            # 0 (0 when none serves): a leaf's objective, and a bound that
+            # rounds no higher than the objective of any leaf below.
+            new_energy = 0
+            for u in uavs:
+                if new_served[u]:
+                    new_energy += p_oper * (new_d_com[u] + new_d_data[u]) + p_comm * new_d_data[u]
+            if new_energy >= best_objective:
+                pruned += 1
+                continue
+            # The memo key is the child's whole search state: every argument
+            # of descend but the energy, which the key fixes, and the trail.
             child = (
                 depth + 1, cells, new_taken, tuple(new_d_com), tuple(new_d_data),
                 tuple(new_served), d_tot + step_time,
-                tuple(v | {c} if c in strategic else v for v, c in zip(visited, cells)),
+                tuple(v | strategic_bit[c] for v, c in zip(visited, cells)),
             )
             if child in seen:
-                counters["pruned"] += 1
+                pruned += 1
                 continue
             seen.add(child)
-            descend(*child, trail + (cells,))
+            descend(*child, new_energy, trail + (cells,))
 
     start = tuple(instance.start_cells)
     descend(
         0, start, (0,) * cfg.n_cells, (0.0,) * n_uavs, (0.0,) * n_uavs, (False,) * n_uavs,
-        0.0, (frozenset(),) * n_uavs, (),
+        0.0, (0,) * n_uavs, 0, (),
     )
 
     if best_cells is None:
-        return ExactSolution(
-            False, None, None, None, None,
-            counters["leaves"], counters["feasible"], counters["pruned"],
-        )
+        return ExactSolution(False, None, None, None, None, leaves, feasible, pruned)
     cells_per_slot = (start,) + best_cells
     trajectories = tuple(
-        tuple(cells_per_slot[t][u] for t in range(instance.horizon + 1))
-        for u in range(n_uavs)
+        tuple(cells_per_slot[t][u] for t in range(horizon + 1)) for u in uavs
     )
     actions = _actions_from_cells(trajectories, targets)
     d_com, d_data, served = best_accounting
-    unmasked = served_energy(d_com, d_data, (True,) * n_uavs)
+    unmasked = 0  # the objective's sum with every UAV served
+    for u in uavs:
+        unmasked += p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
     return ExactSolution(
-        True, best_objective, unmasked, actions, trajectories,
-        counters["leaves"], counters["feasible"], counters["pruned"],
+        True, best_objective, unmasked, actions, trajectories, leaves, feasible, pruned
     )
+
+
+def joint_moves(
+    targets: Sequence[Sequence[int]], positions: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[bool, ...], bool], ...]:
+    """Every joint action from ``positions``, in search order, as
+    :func:`~swarmcover.env.resolve_moves` resolves it: the final cells,
+    which UAVs moved, and whether an earlier joint action ends on the same
+    cells."""
+    resolved = []
+    reached = set()
+    for dests in product(*([targets[p][a] for a in SEARCH_ORDER] for p in positions)):
+        finals, _ = resolve_moves(positions, dests)
+        cells = tuple(finals)
+        resolved.append((cells, tuple(map(ne, cells, positions)), cells in reached))
+        reached.add(cells)
+    return tuple(resolved)
 
 
 def _actions_from_cells(

@@ -593,6 +593,29 @@ def test_event_mid_episode_changes_nothing_in_that_episode():
         assert len(env.uav_cell) == size
 
 
+
+def test_swarm_schedule_sorts_stably_and_applies_lazily():
+    events = [envmod.SwarmEvent(8, "leave", 2), envmod.SwarmEvent(4, "join", 3),
+              envmod.SwarmEvent(4, "leave", 1)]
+    applied = []
+
+    def apply(size, event):
+        applied.append(event)
+        return envmod.next_swarm_size(size, event, 7)
+
+    stretches = envmod.swarm_schedule(events, 2, apply)
+    assert next(stretches) == (2, 4)
+    assert applied == []  # nothing applies before the run asks for the next stretch
+    assert list(stretches) == [(5, 4), (4, 8), (2, None)]
+    assert applied == [events[1], events[2], events[0]]
+    assert list(envmod.swarm_schedule((), 3, apply)) == [(3, None)]
+
+    # A size the schedule cannot reach fails at its event, not before.
+    stretches = envmod.swarm_schedule([envmod.SwarmEvent(5, "join", 9)], 2, apply)
+    assert next(stretches) == (2, 5)
+    with pytest.raises(ValueError, match="maximum swarm size"):
+        next(stretches)
+
 def test_leave_to_zero_rejected():
     env = small_env(swarm=1)
     env.reset(start_cells=[0])

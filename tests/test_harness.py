@@ -240,6 +240,35 @@ def test_failed_seed_cleans_up_its_directory(tmp_path):
     assert not (tmp_path / "tiny_random" / "seed0").exists()
 
 
+
+def test_a_failing_event_fails_when_the_run_reaches_it(tmp_path, monkeypatch):
+    # The schedule is replayed lazily: the two episodes before the join are
+    # played, and the seed fails at the join, not before its first episode.
+    cfg = dataclasses.replace(tiny_cfg(), events=(SwarmEvent(2, "join", 5),))
+    resets = []
+    reset = CoverageEnv.reset
+
+    def spy_reset(self, *args, **kwargs):
+        resets.append(1)
+        return reset(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoverageEnv, "reset", spy_reset)
+    with pytest.raises(ValueError, match="maximum swarm size"):
+        hz.run_experiment(cfg, tmp_path)
+    assert len(resets) == 2
+
+
+def test_events_given_out_of_order_play_in_episode_order(tmp_path):
+    # load_config checks the schedule in the order the run plays it, and
+    # the resolved config echoes the events as given.
+    given = [{"episode": 8, "kind": "leave", "count": 2}, {"episode": 4, "kind": "join"}]
+    cfg = tiny_cfg(env={"events": given})
+    d = hz.run_experiment(cfg, tmp_path)[0]
+    rows = hz.read_metrics(d / "metrics.csv")
+    assert [m.swarm_size for m in rows] == [2] * 4 + [3] * 4 + [1] * 4
+    echoed = json.loads((d / "resolved_config.json").read_text())["events"]
+    assert [(e["episode"], e["kind"], e["count"]) for e in echoed] == [(8, "leave", 2), (4, "join", 1)]
+
 # --- comparisons -----------------------------------------------------------------------
 
 

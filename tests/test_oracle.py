@@ -27,6 +27,7 @@ from swarmcover.env import (
     EnvConfig,
     TaskTables,
     build_rate_table,
+    move_target,
     resolve_moves,
 )
 from swarmcover.oracle import (
@@ -36,6 +37,7 @@ from swarmcover.oracle import (
     ExactSolution,
     _actions_from_cells,
     enumerate_optimum,
+    joint_moves,
     verify_feasibility,
 )
 from conftest import uav_tracks
@@ -370,6 +372,30 @@ def test_budget_counts_generated_nodes():
         enumerate_optimum(replace(instance, budget=169))
 
 
+def test_joint_moves_resolve_as_the_env_does():
+    # Every start of one UAV and every ordered pair of distinct starts of
+    # two on a 4x4 grid: row k of the table is the k-th joint action in
+    # search order, resolved by env.resolve_moves, and a repeat when an
+    # earlier row ends on the same cells.
+    side = 4
+    targets = [[move_target(c, a, side) for a in range(N_ACTIONS)] for c in range(side * side)]
+    starts = [(c,) for c in range(side * side)] + [
+        (a, b) for a in range(side * side) for b in range(side * side) if a != b
+    ]
+    for positions in starts:
+        table = joint_moves(targets, positions)
+        joints = list(product(SEARCH_ORDER, repeat=len(positions)))
+        assert len(table) == len(joints)
+        for k, (joint, (cells, moved, repeat)) in enumerate(zip(joints, table)):
+            finals, _ = resolve_moves(
+                positions, [targets[p][a] for p, a in zip(positions, joint)]
+            )
+            assert cells == tuple(finals)
+            assert moved == tuple(f != p for f, p in zip(finals, positions))
+            assert repeat == any(row[0] == cells for row in table[:k])
+        assert table[0] == (positions, (False,) * len(positions), False)  # all hover comes first
+
+
 # --- agreement with the exhaustive scan ---------------------------------------------
 
 
@@ -423,6 +449,30 @@ def test_search_matches_the_exhaustive_scan(seed):
     assert solution.objective_j == scan.objective_j
     assert solution.unmasked_j == scan.unmasked_j
     assert solution.leaves_evaluated <= scan.leaves_evaluated
+
+
+#: The search's (leaves, feasible leaves, pruned) on random_instance(seed),
+#: seeds 0-59 in order: counters the exhaustive scan cannot check.
+RANDOM_SEARCH_COUNTERS = (
+    (13, 0, 12), (1, 0, 12), (3, 0, 2), (6, 1, 11), (1, 1, 24), (1, 1, 72),
+    (0, 0, 25), (0, 0, 5), (1, 1, 48), (6, 1, 139), (0, 0, 25), (17, 0, 248),
+    (1, 1, 72), (2, 0, 119), (8, 1, 37), (1, 1, 20), (32, 0, 233), (1, 1, 48),
+    (11, 1, 98), (8, 1, 93), (1, 1, 72), (6, 1, 67), (3, 1, 2), (4, 0, 1),
+    (1, 1, 8), (11, 1, 6), (0, 0, 5), (16, 1, 81), (7, 0, 86), (13, 2, 348),
+    (8, 0, 101), (7, 0, 18), (1, 1, 8), (8, 1, 33), (1, 1, 8), (58, 2, 435),
+    (3, 0, 2), (18, 1, 167), (0, 0, 25), (0, 0, 25), (6, 1, 7), (4, 0, 21),
+    (7, 1, 98), (1, 1, 72), (1, 1, 8), (38, 1, 299), (1, 1, 24), (21, 0, 84),
+    (12, 1, 33), (0, 0, 25), (1, 1, 48), (8, 1, 9), (1, 1, 24), (1, 1, 72),
+    (8, 0, 257), (2, 1, 11), (1, 1, 72), (0, 0, 25), (7, 1, 98), (11, 1, 110),
+)
+
+
+def test_search_counters_on_random_instances_are_pinned():
+    got = []
+    for seed in range(len(RANDOM_SEARCH_COUNTERS)):
+        s = enumerate_optimum(random_instance(seed))
+        got.append((s.leaves_evaluated, s.feasible_leaves, s.branches_pruned))
+    assert tuple(got) == RANDOM_SEARCH_COUNTERS
 
 
 # --- beyond the exhaustive scan's reach ---------------------------------------------
