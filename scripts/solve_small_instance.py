@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Exhaustively solve a hand-sized mission and cross-check the answer.
+"""Exactly solve a hand-sized mission and cross-check the answer.
 
-Loads a world-layout instance (2x2 grid by default), enumerates every
-joint trajectory, prints the cheapest feasible plan, then replays it
-through the independent feasibility checker.
+Loads a world-layout instance (2x2 grid by default), finds the cheapest
+feasible plan with the exact bounded search (a depth-first search that
+skips only branches that cannot hold a cheaper plan), prints it, then
+replays it through the independent feasibility checker.
 """
 
 import argparse

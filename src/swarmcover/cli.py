@@ -3,8 +3,8 @@
 Subcommands: ``run`` (train one experiment), ``compare`` (train several
 configs and tabulate them), ``oracle`` (exactly solve a tiny instance),
 ``emit`` (derive plot-ready files from a finished run). Heavy imports
-happen inside ``main`` so that ``--single-thread`` can pin the numeric
-libraries to one thread before they load.
+happen inside ``main`` so that it can pin the numeric libraries to one
+thread (:data:`THREAD_VARS`) before they load.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="UAV swarm data-collection experiments: training runs, "
                     "algorithm comparisons, exact small-instance solving, "
                     "and plot-data emission.",
-    )
-    parser.add_argument(
-        "--single-thread", action=argparse.BooleanOptionalAction, default=True,
-        help="pin numeric libraries to one thread for reproducible runs (default on)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -150,9 +146,9 @@ def _cmd_emit(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.single_thread:
-        for var in THREAD_VARS:
-            os.environ[var] = "1"
+    # One thread per numeric library, so same config and seed give the same bytes.
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,

@@ -1,20 +1,25 @@
 """Experiment configuration: JSON files, defaults, overrides, validation.
 
-A config file is a JSON object with up to six sections::
+A config file is a JSON object with up to six sections, each the fields
+of one dataclass::
 
     {
-      "run":     {scenario, algorithm, episodes, seeds, out_dir, ...},
+      "run":     {... RunSettings fields ...},
       "mission": {... MissionConfig fields ...},
-      "link":    {"preset": "urban", ... AirGroundParams fields or *_db keys ...},
+      "link":    {... AirGroundParams fields ...},
       "radio":   {... RadioConfig fields ...},
-      "env":     {... EnvConfig fields ..., "events": [{episode, kind, count}]},
+      "env":     {... EnvConfig fields, "events": [{episode, kind, count}] ...},
       "agent":   {... AgentConfig fields ...}
     }
 
-Every key is optional; an empty file (or no file) resolves to the full
-default parameter set. Unknown sections and unknown keys are rejected
-by name rather than ignored, and out-of-range values fail inside the
-dataclass constructors. Any key can also be overridden through the
+Every section is built by :func:`_build`, so each setting has one
+spelling, its field name. Every key is optional but an event's
+``episode`` and ``kind``; an empty file (or no file) resolves to the
+full default parameter set. Unknown sections and unknown keys are
+rejected by name rather than ignored, and out-of-range values fail
+inside the dataclass constructors. ``dataclasses.asdict`` of an
+:class:`ExperimentConfig`, written as ``resolved_config.json``, loads
+back into an equal config. Any key can also be overridden through the
 process environment as ``SWARMCOVER__<section>__<key>=<json value>``.
 """
 
@@ -29,18 +34,12 @@ from typing import Mapping
 
 from . import link_budget as lb
 from . import mission as ms
-from .env import EnvConfig, SwarmEvent, next_swarm_size, swarm_schedule
+from .env import EnvConfig, SwarmEvent
 from .oracle import ExactInstance
 
 ENV_PREFIX = "SWARMCOVER__"
 
 SECTIONS = ("run", "mission", "link", "radio", "env", "agent")
-
-#: dB-valued spellings accepted in the link section besides the linear fields.
-_LINK_DB_KEYS = ("psi_los_db", "psi_nlos_db", "noise_dbm", "min_snr_db")
-
-#: Alternative noise convention: per-Hz density integrated over the radio bandwidth.
-_LINK_DENSITY_KEY = "noise_dbm_per_hz"
 
 #: The learners ``agents.make_learner`` builds, by name.
 ALGORITHMS = ("meta_rl", "actor_critic", "dqn", "ppo", "random")
@@ -133,7 +132,6 @@ class ExperimentConfig:
     radio: lb.RadioConfig
     env: EnvConfig
     agent: AgentConfig
-    events: tuple[SwarmEvent, ...] = ()
 
 
 def _reject_unknown(section: str, given: Mapping, allowed: set[str]) -> None:
@@ -142,56 +140,28 @@ def _reject_unknown(section: str, given: Mapping, allowed: set[str]) -> None:
             raise ValueError(f"unknown key {key!r} in config section {section!r}")
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-def _coerce(section: dict, tuple_keys: tuple[str, ...]) -> dict:
+def _build(cls, name: str, section: dict, tuple_keys: tuple[str, ...] = (),
+           items: Mapping[str, type] | None = None):
+    """``cls`` from config section ``name``, whose keys must be its fields
+    and must include each field that has no default. A list under a key
+    of ``tuple_keys`` becomes a tuple; one under a key of ``items``
+    becomes a tuple of that dataclass, each entry built the same way."""
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be an object")
+    fields = dataclasses.fields(cls)
+    _reject_unknown(name, section, {f.name for f in fields})
+    for f in fields:
+        if (f.name not in section and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ValueError(f"config section {name!r} is missing the {f.name!r} key")
     out = dict(section)
     for key in tuple_keys:
-        if key in out and isinstance(out[key], list):
+        if isinstance(out.get(key), list):
             out[key] = tuple(out[key])
-    return out
-
-
-def _build(cls, name: str, section: dict, tuple_keys: tuple[str, ...] = ()):
-    """``cls`` from config section ``name``, whose keys must be its fields."""
-    _reject_unknown(name, section, _field_names(cls))
-    return cls(**_coerce(section, tuple_keys))
-
-
-def _build_link(section: dict, bandwidth_hz: float) -> lb.AirGroundParams:
-    allowed = (
-        _field_names(lb.AirGroundParams)
-        | set(_LINK_DB_KEYS)
-        | {"preset", _LINK_DENSITY_KEY}
-    )
-    _reject_unknown("link", section, allowed)
-    section = dict(section)
-    preset = section.pop("preset", "urban")
-    density = section.pop(_LINK_DENSITY_KEY, None)
-    if density is not None:
-        if "noise_watts" in section or "noise_dbm" in section:
-            raise ValueError("give the noise level once: total power or per-Hz density")
-        section["noise_watts"] = lb.noise_from_density_watts(density, bandwidth_hz)
-    return lb.params_from_preset(preset, **section)
-
-
-def _build_env(section: dict) -> tuple[EnvConfig, tuple[SwarmEvent, ...]]:
-    _reject_unknown("env", section, _field_names(EnvConfig) | {"events"})
-    section = dict(section)
-    events = tuple(
-        SwarmEvent(int(e["episode"]), str(e["kind"]), int(e.get("count", 1)))
-        for e in section.pop("events", [])
-    )
-    section = _coerce(section, ("strategic_cells",))
-    env_cfg = EnvConfig(**section)
-    # Replay the whole schedule as the harness does, so a size it cannot
-    # reach fails here, not mid-run.
-    for _ in swarm_schedule(events, env_cfg.swarm_size,
-                            lambda size, event: next_swarm_size(size, event, env_cfg.max_swarm)):
-        pass
-    return env_cfg, events
+    for key, item in (items or {}).items():
+        if key in out:
+            out[key] = tuple(_build(item, f"{name}.{key}", entry) for entry in out[key])
+    return cls(**out)
 
 
 def _env_overrides(environ: Mapping[str, str]) -> dict:
@@ -258,16 +228,14 @@ def load_config(
             raise ValueError(f"unknown config section {section!r} in environment override")
     _merge(raw, env_over)
 
-    env_cfg, events = _build_env(raw.get("env", {}))
-    radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
     return ExperimentConfig(
         run=_build(RunSettings, "run", raw.get("run", {}), ("seeds",)),
         mission=_build(ms.MissionConfig, "mission", raw.get("mission", {})),
-        link=_build_link(raw.get("link", {}), radio.bandwidth_hz),
-        radio=radio,
-        env=env_cfg,
+        link=_build(lb.AirGroundParams, "link", raw.get("link", {})),
+        radio=_build(lb.RadioConfig, "radio", raw.get("radio", {})),
+        env=_build(EnvConfig, "env", raw.get("env", {}), ("strategic_cells",),
+                   {"events": SwarmEvent}),
         agent=_build(AgentConfig, "agent", raw.get("agent", {}), ("hidden",)),
-        events=events,
     )
 
 
@@ -295,7 +263,7 @@ def load_instance(path: str | Path) -> ExactInstance:
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    mission_keys = _field_names(ms.MissionConfig)
+    mission_keys = {f.name for f in dataclasses.fields(ms.MissionConfig)}
     allowed = {
         "strategic_cells", "initial_demand", "devices", "start_cells", "horizon",
         "budget", "per_uav_coverage", "link", "radio", *mission_keys,
@@ -317,7 +285,7 @@ def load_instance(path: str | Path) -> ExactInstance:
             )
     return ExactInstance(
         mission=mission,
-        link=_build_link(raw.get("link", {}), radio.bandwidth_hz),
+        link=_build(lb.AirGroundParams, "link", raw.get("link", {})),
         radio=radio,
         strategic_cells=tuple(int(c) for c in raw.get("strategic_cells", [])),
         devices=tuple(ms.devices_from_dicts(raw["devices"])),

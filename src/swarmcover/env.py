@@ -67,6 +67,9 @@ class EnvConfig:
     swarm_max: int = 7
     strategic_cells: tuple[int, ...] = (6, 13, 21)
     device_seed: int = 7
+    #: The swarm-size changes of a run, in any order; see :func:`swarm_schedule`.
+    events: tuple[SwarmEvent, ...] = ()
+
     def __post_init__(self) -> None:
         if not 1 <= self.swarm_size <= self.max_swarm:
             raise ValueError("default swarm size must lie in [1, max_swarm]")
@@ -74,6 +77,16 @@ class EnvConfig:
             raise ValueError("swarm size range must fit inside max_swarm")
         if self.lambda_energy < 0.0:
             raise ValueError("shaping weight must be non-negative")
+        if self.initial_demand < 0.0:
+            raise ValueError(f"initial_demand must not be negative (got {self.initial_demand!r})")
+        if self.device_count < len(self.strategic_cells):
+            raise ValueError(f"device_count ({self.device_count}) must be at least the number "
+                             f"of strategic cells ({len(self.strategic_cells)})")
+        # Replay the whole schedule as the harness does, so a size it cannot
+        # reach fails here, not mid-run.
+        for _ in swarm_schedule(self.events, self.swarm_size,
+                                lambda size, event: next_swarm_size(size, event, self.max_swarm)):
+            pass
 
     @property
     def num_strategic(self) -> int:
@@ -444,7 +457,7 @@ class CoverageEnv:
                 self.mission_cfg,
                 task.strategic_cells,
                 seed=task.device_seed,
-                count=max(self.cfg.device_count, len(task.strategic_cells)),
+                count=self.cfg.device_count,
             )
             world = ms.build_grid(
                 self.mission_cfg, devices, task.strategic_cells, task.initial_demands
@@ -612,17 +625,3 @@ class CoverageEnv:
             "visits": np.array(self._visits, dtype=np.int64),
         }
 
-
-def make_env(
-    mission_cfg: ms.MissionConfig | None = None,
-    link_params: lb.AirGroundParams | None = None,
-    radio: lb.RadioConfig | None = None,
-    env_cfg: EnvConfig | None = None,
-) -> CoverageEnv:
-    """Environment with every default filled in (urban propagation)."""
-    return CoverageEnv(
-        mission_cfg or ms.MissionConfig(),
-        link_params or lb.params_from_preset("urban"),
-        radio or lb.RadioConfig(),
-        env_cfg or EnvConfig(),
-    )

@@ -217,7 +217,7 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
         learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng,
                                episodes, env.real_cols)
 
-    stretches = swarm_schedule(cfg.events, env.nominal_task(), env.apply_swarm_event)
+    stretches = swarm_schedule(cfg.env.events, env.nominal_task(), env.apply_swarm_event)
     for stretch, (task, until) in enumerate(stretches):
         if stretch and meta is not None:
             # A meta-initialized learner restarts adaptation from the

@@ -8,8 +8,10 @@ Shannon rate of a device-to-UAV uplink and the altitude ceiling at
 which the worst-case pure-LoS link still closes at the required SNR.
 
 Everything here is a pure function of explicit inputs. All quantities
-are linear-scale SI units; dB and dBm conversion happens only at the
-config boundary (see ``params_from_preset``).
+are linear-scale SI units. The defaults of :class:`AirGroundParams` are
+the urban constants, written from their dB values with
+:func:`db_to_linear` and :func:`dbm_to_watts`; a config gives the
+linear fields themselves.
 """
 
 from __future__ import annotations
@@ -19,28 +21,10 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT_MPS = 299_792_458.0
 
-#: Logistic curve constants and excess losses (dB) for named propagation
-#: environments. Excess losses are converted to linear scale on load.
-ENVIRONMENT_PRESETS = {
-    "urban": {
-        "omega1": 11.95,
-        "omega2": 0.14,
-        "psi_los_db": 3.0,
-        "psi_nlos_db": 23.0,
-    },
-}
-
 
 def db_to_linear(value_db: float) -> float:
     """Convert a dB quantity to linear scale."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear quantity to dB."""
-    if value <= 0.0:
-        raise ValueError(f"dB undefined for non-positive value {value!r}")
-    return 10.0 * math.log10(value)
 
 
 def dbm_to_watts(value_dbm: float) -> float:
@@ -48,20 +32,9 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
-def noise_from_density_watts(dbm_per_hz: float, bandwidth_hz: float) -> float:
-    """Total noise power of a flat spectral density over a bandwidth.
-
-    Supports configs that quote noise per Hz instead of as a total; the
-    result plugs straight into ``AirGroundParams.noise_watts``.
-    """
-    if bandwidth_hz <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    return dbm_to_watts(dbm_per_hz) * bandwidth_hz
-
-
 @dataclass(frozen=True)
 class AirGroundParams:
-    """Propagation constants for one environment.
+    """Propagation constants for one environment; the defaults are urban.
 
     Attributes:
         omega1: Logistic offset of the LoS-probability curve (degrees).
@@ -74,10 +47,10 @@ class AirGroundParams:
         max_tx_watts: Largest transmit power available on the link.
     """
 
-    omega1: float
-    omega2: float
-    psi_los: float
-    psi_nlos: float
+    omega1: float = 11.95
+    omega2: float = 0.14
+    psi_los: float = db_to_linear(3.0)
+    psi_nlos: float = db_to_linear(23.0)
     carrier_hz: float = 2.0e9
     noise_watts: float = dbm_to_watts(-170.0)
     min_snr: float = 10.0
@@ -96,36 +69,6 @@ class AirGroundParams:
             raise ValueError("noise power must be positive")
         if self.min_snr <= 0.0 or self.max_tx_watts <= 0.0:
             raise ValueError("SNR threshold and transmit power must be positive")
-
-
-def params_from_preset(name: str = "urban", **overrides) -> AirGroundParams:
-    """Build :class:`AirGroundParams` from a named preset.
-
-    Accepts the raw preset keys (``psi_los_db``, ``psi_nlos_db``,
-    ``noise_dbm``, ``min_snr_db``) as well as any field of
-    :class:`AirGroundParams`; dB-valued keys are converted to linear
-    scale here so the dataclass only ever sees linear units.
-    """
-    try:
-        base = dict(ENVIRONMENT_PRESETS[name])
-    except KeyError:
-        known = ", ".join(sorted(ENVIRONMENT_PRESETS))
-        raise ValueError(f"unknown environment preset {name!r} (known: {known})") from None
-    base.update(overrides)
-
-    psi_los_db = base.pop("psi_los_db", None)
-    psi_nlos_db = base.pop("psi_nlos_db", None)
-    noise_dbm = base.pop("noise_dbm", None)
-    min_snr_db = base.pop("min_snr_db", None)
-    if psi_los_db is not None:
-        base.setdefault("psi_los", db_to_linear(psi_los_db))
-    if psi_nlos_db is not None:
-        base.setdefault("psi_nlos", db_to_linear(psi_nlos_db))
-    if noise_dbm is not None:
-        base.setdefault("noise_watts", dbm_to_watts(noise_dbm))
-    if min_snr_db is not None:
-        base.setdefault("min_snr", db_to_linear(min_snr_db))
-    return AirGroundParams(**base)
 
 
 @dataclass(frozen=True)

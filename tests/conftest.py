@@ -1,6 +1,6 @@
 import os
 
-# One BLAS thread, as ``swarmcover --single-thread`` pins it: set before
+# One BLAS thread, as ``swarmcover`` pins it: set before
 # anything imports numpy, so test timings do not depend on what else the
 # machine runs. ``swarmcover.cli`` imports only the standard library.
 from swarmcover.cli import THREAD_VARS
@@ -29,12 +29,20 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def urban() -> lb.AirGroundParams:
-    return lb.params_from_preset("urban")
+    return lb.AirGroundParams()
 
 
 @pytest.fixture
 def radio() -> lb.RadioConfig:
     return lb.RadioConfig()
+
+
+def make_env(mission_cfg: ms.MissionConfig | None = None,
+             env_cfg: envmod.EnvConfig | None = None) -> envmod.CoverageEnv:
+    """An environment of the default world, or of the given mission and
+    swarm settings, with urban propagation and the default radio."""
+    return envmod.CoverageEnv(mission_cfg or ms.MissionConfig(), lb.AirGroundParams(),
+                              lb.RadioConfig(), env_cfg or envmod.EnvConfig())
 
 
 def small_env(side: int = 3, swarm: int = 2, slots: int = 6,
@@ -56,7 +64,7 @@ def small_env(side: int = 3, swarm: int = 2, slots: int = 6,
         device_count=side * side if device_count is None else device_count,
         **env_kw,
     )
-    return envmod.make_env(mission_cfg, env_cfg=env_cfg)
+    return make_env(mission_cfg, env_cfg=env_cfg)
 
 
 def uav_tracks(env: envmod.CoverageEnv) -> list[list[int]]:

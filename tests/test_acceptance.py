@@ -298,7 +298,7 @@ def test_trained_agent_matches_exhaustive_optimum():
     budget_s = 300.0
     t0 = time.time()
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=8, frame_seconds=192.0)
-    link = lb.params_from_preset("urban")
+    link = lb.AirGroundParams()
     radio = lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
         max_swarm=1, strategic_cells=(4, 5), device_count=2,

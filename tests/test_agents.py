@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from swarmcover import agents as ag
 from swarmcover import env as envmod
 from swarmcover import nets
-from swarmcover.env import make_env
-from conftest import small_env
+from conftest import make_env, small_env
 from fdcheck import (add_scaled, assert_grad_close, backward, flatten_params, zero_grads,
                      zeros_like_params)
 from transitions import Transition, action_arrays, as_batch, transitions_of

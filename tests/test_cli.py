@@ -12,7 +12,9 @@ import pytest
 
 from swarmcover import mission as ms
 from swarmcover.cli import THREAD_VARS, main
+from swarmcover.config import load_config
 from swarmcover.env import EnvConfig
+from swarmcover.harness import read_metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,6 +104,53 @@ def test_run_rejects_an_unreachable_swarm_event_before_training(scenario_file, t
     assert main(["run", str(scenario_file())]) == 2
     assert "would exceed the maximum swarm size (3)" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("link", "psi_los_db", 10.0, "unknown key 'psi_los_db' in config section 'link'"),
+    ("link", "noise_dbm_per_hz", -200.0,
+     "unknown key 'noise_dbm_per_hz' in config section 'link'"),
+    ("link", "preset", "urban", "unknown key 'preset' in config section 'link'"),
+    ("env", "events", [{"episode": 2, "kind": "leave", "cuont": 1}],
+     "unknown key 'cuont' in config section 'env.events'"),
+    ("env", "events", [{"kind": "leave"}],
+     "config section 'env.events' is missing the 'episode' key"),
+    ("env", "events", [{"episode": 2}], "config section 'env.events' is missing the 'kind' key"),
+])
+def test_run_rejects_a_key_that_is_no_field_by_name(scenario_file, tmp_path, monkeypatch, capsys,
+                                                    section, key, value, named):
+    monkeypatch.setenv(f"SWARMCOVER__{section}__{key}", json.dumps(value))
+    assert main(["run", str(scenario_file())]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("name", ["default", "swarm_events"])
+def test_a_resolved_config_reruns_as_given(name, tmp_path, capsys):
+    """resolved_config.json loads back into the config that wrote it, and
+    a run of it writes the same bytes."""
+    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    if name == "swarm_events":
+        # The file's schedule a thousand times sooner and in reverse, so that
+        # a short run plays both events, out of the order they are given in.
+        raw["env"]["events"] = [{**event, "episode": event["episode"] // 1000}
+                                for event in reversed(raw["env"]["events"])]
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(raw))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", str(given), "--seed", "0", "--episodes", "3", "--out", str(first)]) == 0
+    seed_dir = first / f"{name}_meta_rl" / "seed0"
+    resolved = seed_dir / "resolved_config.json"
+    wrote = load_config(given, overrides={"run": {"seeds": [0], "episodes": 3,
+                                                  "out_dir": str(first)}}, environ={})
+    assert load_config(resolved, environ={}) == wrote
+
+    assert main(["run", str(resolved), "--out", str(again)]) == 0
+    rerun_dir = again / f"{name}_meta_rl" / "seed0"
+    for file in ("metrics.csv", "heatmap.csv", "summary.json"):
+        assert (rerun_dir / file).read_bytes() == (seed_dir / file).read_bytes(), file
+    sizes = [m.swarm_size for m in read_metrics(seed_dir / "metrics.csv")]
+    assert sizes == ([4, 4, 4] if name == "default" else [4, 5, 3])
 
 
 def test_compare_prints_a_table_and_writes_csv(scenario_file, tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_no_file_resolves_to_full_defaults():
     assert cfg.env.max_swarm == 7 and cfg.env.swarm_size == 4
     assert cfg.env.strategic_cells == (6, 13, 21)
     assert cfg.agent.gamma == 0.85
-    assert cfg.events == ()
+    assert cfg.env.events == ()
 
 
 def test_empty_file_is_the_default_config(tmp_path):
@@ -128,9 +128,10 @@ def test_swarm_events_parsed_in_order(tmp_path):
         {"episode": 5, "kind": "join"},
         {"episode": 9, "kind": "leave", "count": 2},
     ]}})
-    assert len(cfg.events) == 2
-    assert (cfg.events[0].episode, cfg.events[0].kind, cfg.events[0].count) == (5, "join", 1)
-    assert (cfg.events[1].episode, cfg.events[1].kind, cfg.events[1].count) == (9, "leave", 2)
+    events = cfg.env.events
+    assert len(events) == 2
+    assert (events[0].episode, events[0].kind, events[0].count) == (5, "join", 1)
+    assert (events[1].episode, events[1].kind, events[1].count) == (9, "leave", 2)
 
 
 def test_swarm_event_schedule_is_checked_at_load(tmp_path):
@@ -148,7 +149,7 @@ def test_swarm_event_schedule_is_checked_at_load(tmp_path):
     # not in file order.
     with pytest.raises(ValueError, match="join at episode 5"):
         load(tmp_path, events((9, "leave", 3), (5, "join", 4)))
-    assert len(load(tmp_path, events((9, "leave", 4), (5, "join", 3))).events) == 2
+    assert len(load(tmp_path, events((9, "leave", 4), (5, "join", 3))).env.events) == 2
 
 
 def test_strategic_cells_imply_their_count(tmp_path):
@@ -157,25 +158,31 @@ def test_strategic_cells_imply_their_count(tmp_path):
     assert cfg.env.strategic_cells == (1, 2, 3, 4)
 
 
-def test_link_db_spellings_convert_at_the_boundary(tmp_path):
-    cfg = load(tmp_path, {"link": {"psi_nlos_db": 20.0, "min_snr_db": 0.0}})
-    assert cfg.link.psi_nlos == pytest.approx(100.0, rel=1e-12)
-    assert cfg.link.min_snr == pytest.approx(1.0, rel=1e-12)
-    assert cfg.link.psi_los == pytest.approx(10 ** 0.3, rel=1e-12)  # preset survives
+def test_link_section_takes_only_the_airground_fields(tmp_path):
+    # One spelling per setting: a dB key, a noise density or a preset name
+    # is rejected by name, also beside its linear twin.
+    assert cf.load_config(environ={}).link == lb.AirGroundParams()
+    for link in ({"psi_los_db": 10.0}, {"psi_los": 1.5, "psi_los_db": 10.0},
+                 {"psi_nlos_db": 20.0}, {"noise_dbm": -170.0}, {"min_snr_db": 0.0},
+                 {"noise_dbm_per_hz": -200.0}, {"preset": "urban"}):
+        key = list(link)[-1]
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in config section 'link'"):
+            load(tmp_path, {"link": link})
+    cfg = load(tmp_path, {"link": {"psi_nlos": 100.0, "min_snr": 1.0}})
+    assert cfg.link == lb.AirGroundParams(psi_nlos=100.0, min_snr=1.0)
 
 
-def test_noise_density_integrates_over_the_bandwidth(tmp_path):
-    cfg = load(tmp_path, {
-        "link": {"noise_dbm_per_hz": -200.0},
-        "radio": {"bandwidth_hz": 1e6},
-    })
-    assert cfg.link.noise_watts == pytest.approx(1e-17, rel=1e-9)
-
-
-def test_noise_given_twice_is_an_error(tmp_path):
-    for clash in ({"noise_dbm": -170.0}, {"noise_watts": 1e-20}):
-        with pytest.raises(ValueError, match="give the noise level once"):
-            load(tmp_path, {"link": {"noise_dbm_per_hz": -200.0, **clash}})
+def test_env_config_rejects_negative_demand_and_too_few_devices(tmp_path):
+    with pytest.raises(ValueError, match="initial_demand must not be negative"):
+        load(tmp_path, {"env": {"initial_demand": -1.0}})
+    # The default world has three strategic cells, each with its own device.
+    with pytest.raises(ValueError, match=r"device_count \(2\) must be at least the number "
+                                         r"of strategic cells \(3\)"):
+        load(tmp_path, {"env": {"device_count": 2}})
+    with pytest.raises(ValueError, match="device_count"):
+        load(tmp_path, {"env": {"device_count": 0}})
+    cfg = load(tmp_path, {"env": {"device_count": 3, "initial_demand": 0.0}})
+    assert (cfg.env.device_count, cfg.env.initial_demand) == (3, 0.0)
 
 
 def test_resolved_echo_is_plain_json(tmp_path):
@@ -183,10 +190,10 @@ def test_resolved_echo_is_plain_json(tmp_path):
     out = tmp_path / "resolved.json"
     cf.write_json(out, dataclasses.asdict(cfg))
     echoed = json.loads(out.read_text())
-    assert set(echoed) == {"run", "mission", "link", "radio", "env", "agent", "events"}
+    assert set(echoed) == {"run", "mission", "link", "radio", "env", "agent"}
     assert echoed["env"]["strategic_cells"] == [6, 13, 21]
     assert echoed["run"]["seeds"] == [0]
-    assert echoed["events"] == []
+    assert echoed["env"]["events"] == []
 
 
 # --- exact-solver instance files ---------------------------------------------------
@@ -274,13 +281,15 @@ def test_load_instance_honours_link_and_radio_sections(tmp_path):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps({
         **INSTANCE,
-        "link": {"min_snr_db": 0.0},
+        "link": {"min_snr": 1.0},
         "radio": {"rate_floor_bps": 2e5},
     }))
     inst = cf.load_instance(p)
-    assert inst.link.min_snr == pytest.approx(1.0)
+    assert inst.link == lb.AirGroundParams(min_snr=1.0)  # the other fields keep the urban defaults
     assert inst.radio.rate_floor_bps == 2e5
-    assert inst.link.omega1 == 11.95  # urban preset is still the base
+    p.write_text(json.dumps({**INSTANCE, "link": {"min_snr_db": 0.0}}))
+    with pytest.raises(ValueError, match="unknown key 'min_snr_db' in config section 'link'"):
+        cf.load_instance(p)
 
 
 def test_loading_a_config_compiles_no_learner():

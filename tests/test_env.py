@@ -7,7 +7,7 @@ import pytest
 
 from swarmcover import env as envmod
 from swarmcover import mission as ms
-from conftest import small_env, uav_tracks
+from conftest import make_env, small_env, uav_tracks
 
 HOVER = envmod.ACTIONS.index("hover")
 EAST = envmod.ACTIONS.index("east")
@@ -19,7 +19,7 @@ NORTH = envmod.ACTIONS.index("north")
 # --- reset ---------------------------------------------------------------------
 
 def test_reset_sampled_starts_are_distinct_and_deterministic():
-    env = envmod.make_env()
+    env = make_env()
     env.reset(rng_seed=11)
     cells_a = env.uav_cell
     env.reset(rng_seed=11)
@@ -56,7 +56,7 @@ def test_task_tables_follow_the_initial_demands():
 
 @pytest.mark.parametrize("world", ["default", "3x3"])
 def test_slot_energy_table_is_the_energy_model(world):
-    env = envmod.make_env() if world == "default" else small_env()
+    env = make_env() if world == "default" else small_env()
     env.reset(rng_seed=2)
     tables, cfg = env.tables, env.mission_cfg
     assert len(tables.slot_energy_j) == 2
@@ -208,7 +208,7 @@ def test_per_uav_rewards_split_the_terms_by_uav():
 
 def test_per_uav_rewards_sum_to_the_scalar_reward():
     # Events between episodes take the swarm from one UAV up to max_swarm.
-    env = envmod.make_env()
+    env = make_env()
     rng = np.random.default_rng(3)
     task = env.nominal_task()
     task = env.apply_swarm_event(task, envmod.SwarmEvent(0, "leave", task.swarm_size - 1))
@@ -270,7 +270,7 @@ def test_strategic_reward_scalar_cases():
 
 
 def test_reward_bounds_over_random_play():
-    env = envmod.make_env()
+    env = make_env()
     rng = np.random.default_rng(0)
     for seed in range(3):
         env.reset(rng_seed=seed)
@@ -362,7 +362,7 @@ def test_step_rejects_a_joint_action_of_the_wrong_length(count):
 
 def test_full_determinism_of_rollouts():
     def rollout():
-        env = envmod.make_env()
+        env = make_env()
         rng = np.random.default_rng(99)
         env.reset(rng_seed=5)
         rewards = []
@@ -383,7 +383,7 @@ def test_full_determinism_of_rollouts():
 # --- accounting ------------------------------------------------------------------
 
 def test_energy_split_closes():
-    env = envmod.make_env()
+    env = make_env()
     rng = np.random.default_rng(1)
     env.reset(rng_seed=1)
     done = False
@@ -415,7 +415,7 @@ def test_masked_energy_counts_only_strategic_servers():
 
 
 def test_visits_sum_matches_uav_steps():
-    env = envmod.make_env()
+    env = make_env()
     rng = np.random.default_rng(2)
     env.reset(rng_seed=2)
     done = False
@@ -428,14 +428,14 @@ def test_visits_sum_matches_uav_steps():
 # --- encoding --------------------------------------------------------------------
 
 def test_state_dimension_default_world():
-    env = envmod.make_env()
+    env = make_env()
     assert env.state_dim == 25 * 7 + 26 * 3 + 25 + 1  # 279
     state = env.reset(rng_seed=0)
     assert state.shape == (279,)
 
 
 def test_state_features_in_unit_interval():
-    env = envmod.make_env()
+    env = make_env()
     state = env.reset(rng_seed=3)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -444,7 +444,7 @@ def test_state_features_in_unit_interval():
 
 
 def test_visited_bitmap_zero_at_reset():
-    env = envmod.make_env()
+    env = make_env()
     state = env.reset(rng_seed=4)
     base = 25 * 7 + 26 * 3
     np.testing.assert_array_equal(state[base:base + 25], 0.0)
@@ -459,13 +459,13 @@ def test_identical_worlds_encode_identically():
 
 
 def test_active_count_is_last_feature():
-    env = envmod.make_env()
+    env = make_env()
     state = env.reset(rng_seed=5)
     assert state[-1] == pytest.approx(4 / 7)
 
 
 def test_declared_real_columns_are_the_demand_and_swarm_fractions():
-    env = envmod.make_env()
+    env = make_env()
     # Per strategic location a 25-cell one-hot, then its demand fraction,
     # after the 7 UAV slots' one-hots; the swarm-size fraction is last.
     assert env.real_cols == (200, 226, 252, 278)
@@ -475,7 +475,7 @@ def test_declared_real_columns_are_the_demand_and_swarm_fractions():
 
 @pytest.mark.parametrize("world", ["default", "3x3"])
 def test_only_the_declared_columns_hold_anything_but_zero_and_one(world):
-    env = envmod.make_env() if world == "default" else small_env(
+    env = make_env() if world == "default" else small_env(
         swarm=3, max_swarm=3, strategic=(2, 4), slots=8, device_count=12)
     plain = np.setdiff1d(np.arange(env.state_dim), env.real_cols)
     rng = np.random.default_rng(19)
@@ -514,7 +514,7 @@ def encode_from_scratch(env: envmod.CoverageEnv) -> np.ndarray:
 
 @pytest.mark.parametrize("world", ["default", "3x3"])
 def test_kept_observation_matches_a_from_scratch_encoding(world):
-    env = envmod.make_env() if world == "default" else small_env(
+    env = make_env() if world == "default" else small_env(
         swarm=3, max_swarm=7, strategic=(2, 4), slots=8, device_count=12)
     rng = np.random.default_rng(17)
     sizes = set()
@@ -551,7 +551,7 @@ def test_kept_observation_matches_a_from_scratch_encoding(world):
 # --- events ----------------------------------------------------------------------
 
 def test_join_and_leave_events():
-    env = envmod.make_env()
+    env = make_env()
     task = env.apply_swarm_event(env.nominal_task(), envmod.SwarmEvent(0, "join", 1))
     assert task == replace(env.nominal_task(), swarm_size=5)
     env.reset(task, rng_seed=6)
@@ -564,7 +564,7 @@ def test_join_and_leave_events():
 
 def test_event_mid_episode_changes_nothing_in_that_episode():
     def rollout(events):
-        env = envmod.make_env()
+        env = make_env()
         rng = np.random.default_rng(12)
         task = env.nominal_task()
         states = [env.reset(task, rng_seed=4)]
@@ -624,7 +624,7 @@ def test_leave_to_zero_rejected():
 
 
 def test_join_beyond_capacity_rejected():
-    env = envmod.make_env()
+    env = make_env()
     env.reset(rng_seed=7)
     with pytest.raises(ValueError, match="maximum swarm size"):
         env.apply_swarm_event(env.task, envmod.SwarmEvent(0, "join", 4))
@@ -637,7 +637,7 @@ def test_event_kind_validated():
 
 def test_events_leave_the_nominal_task_and_a_bare_reset_as_they_were():
     # The swarm size lives in the task alone.
-    env = envmod.make_env()
+    env = make_env()
     env.reset(rng_seed=8)
     joined = env.apply_swarm_event(env.task, envmod.SwarmEvent(0, "join", 1))
     assert joined.swarm_size == 5 and env.nominal_task().swarm_size == 4
@@ -648,14 +648,14 @@ def test_events_leave_the_nominal_task_and_a_bare_reset_as_they_were():
 # --- task sampling ------------------------------------------------------------------
 
 def test_sample_task_deterministic_under_seed():
-    env = envmod.make_env()
+    env = make_env()
     a = env.sample_task(np.random.default_rng(42))
     b = env.sample_task(np.random.default_rng(42))
     assert a == b
 
 
 def test_sample_task_covers_swarm_range():
-    env = envmod.make_env()
+    env = make_env()
     rng = np.random.default_rng(0)
     sizes = set()
     for _ in range(1000):

@@ -10,7 +10,7 @@ import pytest
 from swarmcover import agents as ag
 from swarmcover import config as cf
 from swarmcover import harness as hz
-from swarmcover.env import CoverageEnv, SwarmEvent
+from swarmcover.env import CoverageEnv
 
 
 def tiny_cfg(**over):
@@ -231,20 +231,28 @@ def test_dqn_anneals_over_the_whole_run_across_swarm_events(tmp_path, monkeypatc
     ]
 
 
-def test_failed_seed_cleans_up_its_directory(tmp_path):
-    # load_config rejects this schedule, so it goes onto the loaded config
-    # directly: the seed fails when the join comes, after two episodes.
-    cfg = dataclasses.replace(tiny_cfg(), events=(SwarmEvent(2, "join", 5),))
+def oversize_every_join(monkeypatch):
+    """Make each join add five UAVs when a run plays it. EnvConfig checks a
+    schedule when it is built, so only this way can a run fail at an event."""
+    apply = CoverageEnv.apply_swarm_event
+    monkeypatch.setattr(CoverageEnv, "apply_swarm_event", lambda self, task, event: apply(
+        self, task, dataclasses.replace(event, count=5)))
+
+
+def test_failed_seed_cleans_up_its_directory(tmp_path, monkeypatch):
+    # The seed fails when the join comes, after two episodes.
+    cfg = tiny_cfg(env={"events": [{"episode": 2, "kind": "join"}]})
+    oversize_every_join(monkeypatch)
     with pytest.raises(ValueError, match="maximum swarm size"):
         hz.run_experiment(cfg, tmp_path)
     assert not (tmp_path / "tiny_random" / "seed0").exists()
 
 
-
 def test_a_failing_event_fails_when_the_run_reaches_it(tmp_path, monkeypatch):
     # The schedule is replayed lazily: the two episodes before the join are
     # played, and the seed fails at the join, not before its first episode.
-    cfg = dataclasses.replace(tiny_cfg(), events=(SwarmEvent(2, "join", 5),))
+    cfg = tiny_cfg(env={"events": [{"episode": 2, "kind": "join"}]})
+    oversize_every_join(monkeypatch)
     resets = []
     reset = CoverageEnv.reset
 
@@ -266,7 +274,7 @@ def test_events_given_out_of_order_play_in_episode_order(tmp_path):
     d = hz.run_experiment(cfg, tmp_path)[0]
     rows = hz.read_metrics(d / "metrics.csv")
     assert [m.swarm_size for m in rows] == [2] * 4 + [3] * 4 + [1] * 4
-    echoed = json.loads((d / "resolved_config.json").read_text())["events"]
+    echoed = json.loads((d / "resolved_config.json").read_text())["env"]["events"]
     assert [(e["episode"], e["kind"], e["count"]) for e in echoed] == [(8, "leave", 2), (4, "join", 1)]
 
 # --- comparisons -----------------------------------------------------------------------
@@ -461,7 +469,7 @@ _EMITTED_DIGESTS = {
     "plot_satisfaction_bars.csv":
         "8ad4c25815b401ca53a814a78198cc90389487dc3d5d9999b2db46c096c491bd",
     "resolved_config.json":
-        "13b812a58933338b2b8fd4c439d717a58293af42010ea2f80e3410e70a5d350c",
+        "a992734f4fbc91490546f10607a410ebe12633655d2a7665ae17ef517662df3c",
 }
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from swarmcover import link_budget as lb
 
-URBAN = lb.params_from_preset("urban")
+URBAN = lb.AirGroundParams()
 RADIO = lb.RadioConfig()
 
 # degrees(asin(100 / sqrt(88^2 + 88^2 + 100^2)))
@@ -79,7 +79,7 @@ def test_los_probability_strictly_increasing(theta, gap):
 
 def test_path_loss_unit_at_wavelength_scale():
     # At d = c / (4 pi f_c) the spreading bracket is exactly 1.
-    params = lb.params_from_preset("urban", psi_los=1.0, psi_nlos=1.0)
+    params = lb.AirGroundParams(psi_los=1.0, psi_nlos=1.0)
     d = lb.SPEED_OF_LIGHT_MPS / (4.0 * math.pi * params.carrier_hz)
     assert lb.path_loss_los(d, params) == pytest.approx(1.0, rel=1e-12)
     assert lb.path_loss_nlos(d, params) == pytest.approx(1.0, rel=1e-12)
@@ -115,7 +115,7 @@ def test_mean_path_loss_overhead_pinned():
 
 
 def test_mean_path_loss_degenerate_mixture():
-    params = lb.params_from_preset("urban", psi_nlos_db=3.0)  # == psi_los_db
+    params = lb.AirGroundParams(psi_nlos=lb.db_to_linear(3.0))  # == psi_los
     geom = lb.LinkGeometry((50.0, -20.0, 80.0), (0.0, 0.0))
     assert lb.mean_path_loss(geom, params) == pytest.approx(
         lb.path_loss_los(geom.distance_m, params), rel=1e-12
@@ -214,10 +214,9 @@ def test_snr_at_ceiling_closes_exactly():
        psi_db=st.floats(min_value=0.0, max_value=10.0),
        carrier=st.floats(min_value=1e8, max_value=1e10))
 def test_altitude_snr_round_trip(tx_dbm, noise_dbm, snr_db, psi_db, carrier):
-    params = lb.params_from_preset(
-        "urban",
-        psi_los_db=psi_db, psi_nlos_db=max(psi_db, 23.0),
-        noise_dbm=noise_dbm, min_snr_db=snr_db,
+    params = lb.AirGroundParams(
+        psi_los=lb.db_to_linear(psi_db), psi_nlos=lb.db_to_linear(max(psi_db, 23.0)),
+        noise_watts=lb.dbm_to_watts(noise_dbm), min_snr=lb.db_to_linear(snr_db),
         max_tx_watts=lb.dbm_to_watts(tx_dbm), carrier_hz=carrier,
     )
     h = lb.max_altitude_m(params)
@@ -229,12 +228,7 @@ def test_altitude_snr_round_trip(tx_dbm, noise_dbm, snr_db, psi_db, carrier):
 
 @given(db=st.floats(min_value=-300.0, max_value=300.0))
 def test_db_round_trip(db):
-    assert lb.linear_to_db(lb.db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-
-
-def test_linear_to_db_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        lb.linear_to_db(0.0)
+    assert 10.0 * math.log10(lb.db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
 def test_dbm_to_watts_reference_points():
@@ -242,28 +236,11 @@ def test_dbm_to_watts_reference_points():
     assert lb.dbm_to_watts(-170.0) == pytest.approx(1e-20, rel=1e-12)
 
 
-def test_noise_from_density_matches_total():
-    # -230 dBm/Hz over 1 MHz is the same power as -170 dBm total.
-    assert lb.noise_from_density_watts(-230.0, 1.0e6) == pytest.approx(
-        lb.dbm_to_watts(-170.0), rel=1e-12
-    )
-
-
-def test_noise_from_density_rejects_bad_bandwidth():
-    with pytest.raises(ValueError):
-        lb.noise_from_density_watts(-200.0, 0.0)
-
-
 def test_preset_is_converted_to_linear():
     assert URBAN.psi_los == pytest.approx(10.0 ** 0.3, rel=1e-12)
     assert URBAN.psi_nlos == pytest.approx(10.0 ** 2.3, rel=1e-12)
     assert URBAN.noise_watts == pytest.approx(1e-20, rel=1e-12)
     assert URBAN.min_snr == pytest.approx(10.0, rel=1e-12)
-
-
-def test_unknown_preset_rejected():
-    with pytest.raises(ValueError, match="unknown environment preset"):
-        lb.params_from_preset("lunar")
 
 
 def test_params_validation():

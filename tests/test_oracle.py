@@ -53,7 +53,7 @@ def two_by_two(horizon: int = 2, **mission_kw) -> ExactInstance:
     mission = ms.MissionConfig(area_m=176.0, cells_per_side=2, slots=4, **mission_kw)
     return ExactInstance(
         mission=mission,
-        link=lb.params_from_preset("urban"),
+        link=lb.AirGroundParams(),
         radio=lb.RadioConfig(),
         strategic_cells=(1,),
         devices=(ms.IotDevice(0, (132.0, 44.0), 1e6),),
@@ -73,7 +73,7 @@ def three_by_three() -> ExactInstance:
 
     return ExactInstance(
         mission=mission,
-        link=lb.params_from_preset("urban"),
+        link=lb.AirGroundParams(),
         radio=lb.RadioConfig(),
         strategic_cells=(4, 8),
         devices=(
@@ -424,7 +424,7 @@ def random_instance(seed: int) -> ExactInstance:
         else:
             spots.append((rng.uniform(0.0, mission.area_m), rng.uniform(0.0, mission.area_m)))
     devices = tuple(ms.IotDevice(i, xy, 1e6) for i, xy in enumerate(spots))
-    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    link, radio = lb.AirGroundParams(), lb.RadioConfig()
     instance = ExactInstance(
         mission=mission, link=link, radio=radio, strategic_cells=strategic,
         devices=devices, start_cells=tuple(rng.sample(cells, n_uavs)), horizon=horizon,
@@ -483,7 +483,7 @@ def two_uav_acceptance_instance(horizon: int) -> ExactInstance:
     one device on each, UAVs starting on cells 1 and 7."""
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=8, frame_seconds=192.0)
     return ExactInstance(
-        mission=mission, link=lb.params_from_preset("urban"), radio=lb.RadioConfig(),
+        mission=mission, link=lb.AirGroundParams(), radio=lb.RadioConfig(),
         strategic_cells=(4, 5),
         devices=tuple(ms.default_device_layout(mission, (4, 5), seed=7, count=2)),
         start_cells=(1, 7), horizon=horizon,
@@ -554,7 +554,7 @@ def pair_instance(per_uav: bool) -> ExactInstance:
     mission = ms.MissionConfig(area_m=176.0, cells_per_side=2, slots=4)
     return ExactInstance(
         mission=mission,
-        link=lb.params_from_preset("urban"),
+        link=lb.AirGroundParams(),
         radio=lb.RadioConfig(),
         strategic_cells=(1, 2),
         devices=(
@@ -587,7 +587,7 @@ def test_env_replays_the_optimum_at_its_objective():
     # Acceptance test 3's instance: the solver and the environment read the
     # same task tables, so replaying the optimal plan costs the optimum.
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=8, frame_seconds=192.0)
-    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    link, radio = lb.AirGroundParams(), lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
         max_swarm=1, strategic_cells=(4, 5), device_count=2,
         swarm_size=1, swarm_min=1, swarm_max=1, lambda_energy=0.5,
@@ -614,7 +614,7 @@ def test_env_bounce_books_the_optimum():
     # collects the device of strategic cell 4 where it stays: the env
     # books the solver's 8.238 J optimum, not a free coverage.
     mission = ms.MissionConfig(area_m=264.0, cells_per_side=3, slots=1)
-    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    link, radio = lb.AirGroundParams(), lb.RadioConfig()
     env = CoverageEnv(mission, link, radio, EnvConfig(
         max_swarm=2, strategic_cells=(4,), device_count=1,
         swarm_size=2, swarm_min=1, swarm_max=2,
@@ -650,7 +650,7 @@ def test_env_books_the_verifier_energy_of_random_play():
     # Whatever the plan, bounces included, the env's own energy accounting
     # equals the independent re-scoring of its cell sequences.
     rng = np.random.default_rng(11)
-    link, radio = lb.params_from_preset("urban"), lb.RadioConfig()
+    link, radio = lb.AirGroundParams(), lb.RadioConfig()
     bounced_onto_a_device = 0
     for _ in range(300):
         side = int(rng.integers(2, 4))
