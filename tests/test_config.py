@@ -159,17 +159,42 @@ def test_strategic_cells_imply_their_count(tmp_path):
 
 
 def test_link_section_takes_only_the_airground_fields(tmp_path):
-    # One spelling per setting: a dB key, a noise density or a preset name
-    # is rejected by name, also beside its linear twin.
     assert cf.load_config(environ={}).link == lb.AirGroundParams()
-    for link in ({"psi_los_db": 10.0}, {"psi_los": 1.5, "psi_los_db": 10.0},
-                 {"psi_nlos_db": 20.0}, {"noise_dbm": -170.0}, {"min_snr_db": 0.0},
-                 {"noise_dbm_per_hz": -200.0}, {"preset": "urban"}):
-        key = list(link)[-1]
-        with pytest.raises(ValueError, match=f"unknown key '{key}' in config section 'link'"):
-            load(tmp_path, {"link": link})
+    # A second spelling is rejected by name also beside its linear twin.
+    with pytest.raises(ValueError, match="unknown key 'psi_los_db' in config section 'link'"):
+        load(tmp_path, {"link": {"psi_los": 1.5, "psi_los_db": 10.0}})
     cfg = load(tmp_path, {"link": {"psi_nlos": 100.0, "min_snr": 1.0}})
     assert cfg.link == lb.AirGroundParams(psi_nlos=100.0, min_snr=1.0)
+
+
+def test_link_db_spellings_convert_at_the_boundary(tmp_path):
+    # The file takes linear values only; a caller holding dB converts with
+    # db_to_linear before writing, and a *_db key is an error that names it.
+    cfg = load(tmp_path, {"link": {"psi_nlos": lb.db_to_linear(20.0),
+                                   "min_snr": lb.db_to_linear(0.0)}})
+    assert cfg.link.psi_nlos == pytest.approx(100.0, rel=1e-12)
+    assert cfg.link.min_snr == pytest.approx(1.0, rel=1e-12)
+    assert cfg.link.psi_los == pytest.approx(10 ** 0.3, rel=1e-12)  # default survives
+    for key in ("psi_los_db", "psi_nlos_db", "noise_dbm", "min_snr_db"):
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in config section 'link'"):
+            load(tmp_path, {"link": {key: 0.0}})
+
+
+def test_noise_density_integrates_over_the_bandwidth(tmp_path):
+    # The file gives the total noise power; a density is integrated over the
+    # bandwidth before it is written, and a density key is an error naming it.
+    noise = lb.dbm_to_watts(-200.0) * 1e6
+    cfg = load(tmp_path, {"link": {"noise_watts": noise}, "radio": {"bandwidth_hz": 1e6}})
+    assert cfg.link.noise_watts == pytest.approx(1e-17, rel=1e-9)
+    with pytest.raises(ValueError,
+                       match="unknown key 'noise_dbm_per_hz' in config section 'link'"):
+        load(tmp_path, {"link": {"noise_dbm_per_hz": -200.0}})
+
+
+def test_noise_given_twice_is_an_error(tmp_path):
+    for clash in ("noise_dbm", "noise_dbm_per_hz"):
+        with pytest.raises(ValueError, match=f"unknown key '{clash}' in config section 'link'"):
+            load(tmp_path, {"link": {"noise_watts": 1e-20, clash: -170.0}})
 
 
 def test_env_config_rejects_negative_demand_and_too_few_devices(tmp_path):

@@ -6,6 +6,7 @@ loss, Shannon rate, altitude ceiling) with an independent script; the
 tests assert the library reproduces them.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmcover import config
 from swarmcover import link_budget as lb
 
 URBAN = lb.AirGroundParams()
@@ -241,6 +243,15 @@ def test_preset_is_converted_to_linear():
     assert URBAN.psi_nlos == pytest.approx(10.0 ** 2.3, rel=1e-12)
     assert URBAN.noise_watts == pytest.approx(1e-20, rel=1e-12)
     assert URBAN.min_snr == pytest.approx(10.0, rel=1e-12)
+
+
+def test_unknown_preset_rejected(tmp_path):
+    # There is no preset table: the link section takes the AirGroundParams
+    # fields, so any preset name is an unknown key.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"link": {"preset": "lunar"}}))
+    with pytest.raises(ValueError, match="unknown key 'preset' in config section 'link'"):
+        config.load_config(str(path), environ={})
 
 
 def test_params_validation():
