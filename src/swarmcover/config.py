@@ -12,32 +12,33 @@ of one dataclass::
       "agent":   {... AgentConfig fields ...}
     }
 
-Every section is built by :func:`_build`, so each setting has one
-spelling, its field name. Every key is optional but an event's
-``episode`` and ``kind``; an empty file (or no file) resolves to the
-full default parameter set. Unknown sections and unknown keys are
-rejected by name rather than ignored, and out-of-range values fail
-inside the dataclass constructors. ``dataclasses.asdict`` of an
+A config comes from three places only: the built-in defaults, the
+file, and the ``overrides`` a caller passes (the CLI flags). Every
+section is built by :func:`_build`, so each setting has one spelling,
+its field name. Every key is optional but an event's ``episode`` and
+``kind``; an empty file (or no file) resolves to the full default
+parameter set. Unknown sections and unknown keys are rejected by name
+rather than ignored, a value whose JSON type does not fit its field is
+rejected by ``section.key``, and out-of-range values fail inside the
+dataclass constructors. ``dataclasses.asdict`` of an
 :class:`ExperimentConfig`, written as ``resolved_config.json``, loads
-back into an equal config. Any key can also be overridden through the
-process environment as ``SWARMCOVER__<section>__<key>=<json value>``.
+back into an equal config.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from . import link_budget as lb
 from . import mission as ms
-from .env import EnvConfig, SwarmEvent
+from .env import EnvConfig
 from .oracle import ExactInstance
-
-ENV_PREFIX = "SWARMCOVER__"
 
 SECTIONS = ("run", "mission", "link", "radio", "env", "agent")
 
@@ -67,6 +68,10 @@ class RunSettings:
             raise ValueError("episodes must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            # A repeated seed would train twice into one directory and
+            # count twice in a comparison's mean and std.
+            raise ValueError(f"seeds must be distinct (got {list(self.seeds)})")
         if self.ma_window < 1:
             raise ValueError("moving-average window must be at least 1")
         if not 0.0 < self.plateau_tail <= 1.0:
@@ -140,12 +145,36 @@ def _reject_unknown(section: str, given: Mapping, allowed: set[str]) -> None:
             raise ValueError(f"unknown key {key!r} in config section {section!r}")
 
 
-def _build(cls, name: str, section: dict, tuple_keys: tuple[str, ...] = (),
-           items: Mapping[str, type] | None = None):
+@functools.cache
+def _field_types(cls) -> dict:
+    """The type of each field of dataclass ``cls``. Resolving the string
+    annotations costs several times the rest of a load, and one process
+    may load several files (``compare``, a benchmark pass)."""
+    return typing.get_type_hints(cls)
+
+
+def _typed(value, hint, where: str):
+    """``value`` as a field of type ``hint`` holds it, or a ``ValueError``
+    naming ``where``. A list (or tuple) fits a ``tuple[X, ...]`` field and
+    becomes a tuple, each item taken the same way; an object fits a
+    dataclass field and is built by :func:`_build`. Any number fits a
+    float field, and ``true``/``false`` fit only a bool field."""
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list (got {value!r})")
+        return tuple(_typed(v, typing.get_args(hint)[0], where) for v in value)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, where, value)
+    fits = (int, float) if hint is float else hint
+    if not isinstance(value, fits) or (isinstance(value, bool) and hint is not bool):
+        raise ValueError(f"{where} must be {hint.__name__} (got {value!r})")
+    return value
+
+
+def _build(cls, name: str, section: dict):
     """``cls`` from config section ``name``, whose keys must be its fields
-    and must include each field that has no default. A list under a key
-    of ``tuple_keys`` becomes a tuple; one under a key of ``items``
-    becomes a tuple of that dataclass, each entry built the same way."""
+    and must include each field that has no default, each value of the
+    field's type (:func:`_typed`)."""
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be an object")
     fields = dataclasses.fields(cls)
@@ -154,58 +183,19 @@ def _build(cls, name: str, section: dict, tuple_keys: tuple[str, ...] = (),
         if (f.name not in section and f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING):
             raise ValueError(f"config section {name!r} is missing the {f.name!r} key")
-    out = dict(section)
-    for key in tuple_keys:
-        if isinstance(out.get(key), list):
-            out[key] = tuple(out[key])
-    for key, item in (items or {}).items():
-        if key in out:
-            out[key] = tuple(_build(item, f"{name}.{key}", entry) for entry in out[key])
-    return cls(**out)
-
-
-def _env_overrides(environ: Mapping[str, str]) -> dict:
-    """Collect SWARMCOVER__section__key=value entries into nested dicts.
-
-    Values are parsed as JSON where possible and kept as plain strings
-    otherwise (so ``...__algorithm=dqn`` works without quoting).
-    """
-    out: dict[str, dict] = {}
-    for name, raw in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        parts = name[len(ENV_PREFIX):].split("__")
-        if len(parts) != 2 or not all(parts):
-            raise ValueError(f"override variable {name!r} must look like "
-                             f"{ENV_PREFIX}section__key")
-        section, key = parts
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        out.setdefault(section, {})[key] = value
-    return out
-
-
-def _merge(base: dict, extra: Mapping[str, Mapping]) -> dict:
-    for section, content in extra.items():
-        base.setdefault(section, {})
-        if not isinstance(base[section], dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        base[section].update(content)
-    return base
+    hints = _field_types(cls)
+    return cls(**{key: _typed(value, hints[key], f"{name}.{key}")
+                  for key, value in section.items()})
 
 
 def load_config(
     path: str | Path | None = None,
     overrides: Mapping[str, Mapping] | None = None,
-    environ: Mapping[str, str] | None = None,
 ) -> ExperimentConfig:
     """Resolve a config file plus overrides into an :class:`ExperimentConfig`.
 
-    Precedence, lowest to highest: built-in defaults, the file,
-    ``overrides`` (e.g. from CLI flags), then ``SWARMCOVER__*``
-    environment variables. ``environ`` defaults to ``os.environ``.
+    Precedence, lowest to highest: built-in defaults, the file, then
+    ``overrides`` (e.g. from CLI flags).
     """
     raw: dict = {}
     if path is not None:
@@ -215,28 +205,19 @@ def load_config(
         if not isinstance(loaded, dict):
             raise ValueError("config file must contain a JSON object")
         raw = loaded
+    for section, content in (overrides or {}).items():
+        raw.setdefault(section, {})
+        if not isinstance(raw[section], dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        raw[section].update(content)
     for section in raw:
         if section not in SECTIONS:
             raise ValueError(
                 f"unknown config section {section!r} (known: {', '.join(SECTIONS)})"
             )
-    if overrides:
-        _merge(raw, overrides)
-    env_over = _env_overrides(os.environ if environ is None else environ)
-    for section in env_over:
-        if section not in SECTIONS:
-            raise ValueError(f"unknown config section {section!r} in environment override")
-    _merge(raw, env_over)
-
-    return ExperimentConfig(
-        run=_build(RunSettings, "run", raw.get("run", {}), ("seeds",)),
-        mission=_build(ms.MissionConfig, "mission", raw.get("mission", {})),
-        link=_build(lb.AirGroundParams, "link", raw.get("link", {})),
-        radio=_build(lb.RadioConfig, "radio", raw.get("radio", {})),
-        env=_build(EnvConfig, "env", raw.get("env", {}), ("strategic_cells",),
-                   {"events": SwarmEvent}),
-        agent=_build(AgentConfig, "agent", raw.get("agent", {}), ("hidden",)),
-    )
+    hints = _field_types(ExperimentConfig)
+    return ExperimentConfig(**{name: _build(hints[name], name, raw.get(name, {}))
+                               for name in SECTIONS})
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -251,6 +232,10 @@ def write_json(path: str | Path, payload) -> None:
 
 # --- exact-solver instance files -------------------------------------------
 
+#: The :class:`ExactInstance` fields an instance file gives as plain values.
+_INSTANCE_KEYS = ("strategic_cells", "start_cells", "horizon", "budget", "per_uav_coverage")
+
+
 def load_instance(path: str | Path) -> ExactInstance:
     """Read an exact-solver instance from a world-layout JSON file.
 
@@ -264,16 +249,12 @@ def load_instance(path: str | Path) -> ExactInstance:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     mission_keys = {f.name for f in dataclasses.fields(ms.MissionConfig)}
-    allowed = {
-        "strategic_cells", "initial_demand", "devices", "start_cells", "horizon",
-        "budget", "per_uav_coverage", "link", "radio", *mission_keys,
-    }
+    allowed = {*_INSTANCE_KEYS, "devices", "link", "radio", *mission_keys}
     _reject_unknown("instance", raw, allowed)
     for key in ("start_cells", "horizon", "devices"):
         if key not in raw:
             raise ValueError(f"instance file is missing the {key!r} key")
 
-    mission = ms.MissionConfig(**{k: raw[k] for k in mission_keys if k in raw})
     radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
     for device in raw["devices"]:
         _reject_unknown("devices", device, {"id", "position_xy", "packet_bits", "tx_watts"})
@@ -283,14 +264,14 @@ def load_instance(path: str | Path) -> ExactInstance:
                 f"device {device.get('id')!r} gives tx_watts {tx_watts!r}, but every device "
                 f"transmits at radio.device_tx_watts ({radio.device_tx_watts!r})"
             )
+    hints = _field_types(ExactInstance)
+    plain = {key: _typed(raw[key], hints[key], f"instance.{key}")
+             for key in _INSTANCE_KEYS if key in raw}
+    plain.setdefault("strategic_cells", ())
     return ExactInstance(
-        mission=mission,
+        mission=_build(ms.MissionConfig, "instance", {k: raw[k] for k in mission_keys if k in raw}),
         link=_build(lb.AirGroundParams, "link", raw.get("link", {})),
         radio=radio,
-        strategic_cells=tuple(int(c) for c in raw.get("strategic_cells", [])),
         devices=tuple(ms.devices_from_dicts(raw["devices"])),
-        start_cells=tuple(int(c) for c in raw["start_cells"]),
-        horizon=int(raw["horizon"]),
-        budget=int(raw.get("budget", 10_000_000)),
-        per_uav_coverage=bool(raw.get("per_uav_coverage", False)),
+        **plain,
     )

@@ -26,10 +26,12 @@ Every step also reports one reward per UAV, built from the same terms:
 that UAV's +1 or -1, its own coverage bonus and its own energy shaping.
 The per-UAV rewards sum to the scalar reward up to rounding.
 
-An episode lasts exactly ``slots`` steps and flies the fixed set of
-UAVs its task gives. The swarm size lives in the task alone: a swarm
-event (join or leave) yields a resized task, which takes effect at the
-reset that starts it.
+A task (:class:`TaskSpec`) gives the swarm size, the strategic cells
+and the device layout seed; every strategic location starts a frame
+with the same ``EnvConfig.initial_demand`` units. An episode lasts
+exactly ``slots`` steps and flies the fixed set of UAVs its task gives.
+The swarm size lives in the task alone: a swarm event (join or leave)
+yields a resized task, which takes effect at the reset that starts it.
 The env writes each episode once, into one :class:`EpisodeArrays`: an
 observation row per state, and per step the actions, the per-UAV and
 team rewards and the done flag; the learners read those rows. It
@@ -100,7 +102,6 @@ class TaskSpec:
     swarm_size: int
     strategic_cells: tuple[int, ...]
     device_seed: int
-    initial_demands: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,6 @@ class TaskTables:
     ``slot_energy_j[moved][device + 1]``, with column 0 for no device.
     """
 
-    world: ms.GridWorld
     targets: tuple[tuple[int, ...], ...]  # [cell][action] -> destination cell
     leg_time_s: float
     queues: tuple[tuple[int, ...], ...]  # [cell] -> device ids in collection order
@@ -277,12 +277,11 @@ class TaskTables:
         cells = range(cfg.n_cells)
         rates = build_rate_table(world, params, radio, altitude_m)
         location = [-1] * cfg.n_cells
-        for loc in world.strategic:
-            location[loc.cell_index] = loc.id
+        for i, cell in enumerate(world.strategic_cells):
+            location[cell] = i
         leg_time_s = cfg.cell_width_m / cfg.speed_mps
         collect_time_s = tuple(d.packet_bits / r for d, r in zip(world.devices, rates))
         return cls(
-            world=world,
             targets=tuple(
                 tuple(move_target(c, a, cfg.cells_per_side) for a in range(N_ACTIONS))
                 for c in cells
@@ -405,7 +404,6 @@ class CoverageEnv:
             swarm_size=self.cfg.swarm_size,
             strategic_cells=tuple(self.cfg.strategic_cells),
             device_seed=self.cfg.device_seed,
-            initial_demands=(self.cfg.initial_demand,) * self.cfg.num_strategic,
         )
 
     def sample_task(self, rng: np.random.Generator) -> TaskSpec:
@@ -414,8 +412,7 @@ class CoverageEnv:
         size = int(rng.integers(self.cfg.swarm_min, self.cfg.swarm_max + 1))
         cells = rng.choice(self.n_cells, size=self.cfg.num_strategic, replace=False)
         seed = int(rng.integers(0, 2**31 - 1))
-        demands = (self.cfg.initial_demand,) * self.cfg.num_strategic
-        return TaskSpec(size, tuple(int(c) for c in np.sort(cells)), seed, demands)
+        return TaskSpec(size, tuple(int(c) for c in np.sort(cells)), seed)
 
     def apply_swarm_event(self, task: TaskSpec, event: SwarmEvent) -> TaskSpec:
         """``task`` with the swarm size after ``event``.
@@ -438,8 +435,9 @@ class CoverageEnv:
         Start cells are sampled uniformly without collision unless given
         explicitly. The seed fixes start cells and nothing else; the
         device layout comes from the task's own seed. The task tables
-        are rebuilt only when the strategic cells, the layout seed or the
-        initial demands change.
+        are rebuilt only when the strategic cells or the layout seed
+        change. Every strategic location starts with
+        ``EnvConfig.initial_demand``.
         """
         if task is None:
             task = self.nominal_task()
@@ -447,11 +445,9 @@ class CoverageEnv:
             raise ValueError("task swarm size exceeds max_swarm")
         if len(task.strategic_cells) != self.cfg.num_strategic:
             raise ValueError("task must carry num_strategic strategic cells")
-        if len(task.initial_demands) != len(task.strategic_cells):
-            raise ValueError("one demand per strategic cell required")
         self.task = task
 
-        key = (task.strategic_cells, task.device_seed, task.initial_demands)
+        key = (task.strategic_cells, task.device_seed)
         if key != self._tables_key:
             devices = ms.default_device_layout(
                 self.mission_cfg,
@@ -459,9 +455,7 @@ class CoverageEnv:
                 seed=task.device_seed,
                 count=self.cfg.device_count,
             )
-            world = ms.build_grid(
-                self.mission_cfg, devices, task.strategic_cells, task.initial_demands
-            )
+            world = ms.build_grid(self.mission_cfg, devices, task.strategic_cells)
             self.tables = TaskTables.build(world, self.link_params, self.radio, self.altitude_m)
             self._tables_key = key
         if start_cells is None:
@@ -473,10 +467,11 @@ class CoverageEnv:
         self.uav_cell = [int(c) for c in start_cells]
         self.uav_energy_j = [0.0] * task.swarm_size
         self.uav_served = [False] * task.swarm_size
-        self.demand = [float(d) for d in task.initial_demands]
+        initial, n = self.cfg.initial_demand, len(task.strategic_cells)
+        self.demand = [float(initial)] * n
         self._taken = (0,) * self.n_cells
         self._satisfied_units = 0.0
-        self._total_demand = ms.add_left_to_right(task.initial_demands)
+        self._total_demand = ms.add_left_to_right((initial,) * n)
         self._d_com = 0.0
         self._d_data = 0.0
         self._collisions = 0
@@ -496,7 +491,7 @@ class CoverageEnv:
         obs = self.episode.obs[0]
         for slot, cell in enumerate(self.uav_cell):
             obs[slot * c + cell] = 1.0
-        for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
+        for i, cell in enumerate(task.strategic_cells):
             obs[self._strategic_at + i * (c + 1) + cell] = 1.0
             if initial > 0.0:
                 obs[self._strategic_at + i * (c + 1) + c] = self.demand[i] / initial
@@ -519,7 +514,7 @@ class CoverageEnv:
         t = ep.steps
         ep.obs[t + 1] = ep.obs[t]
         c, obs, demand = self.n_cells, ep.obs[t + 1], self.demand
-        initial = self.task.initial_demands
+        initial = self.cfg.initial_demand
         visited_at, demand_at = self._visited_at, self._strategic_at + c
         slot_energy, location = tables.slot_energy_j, tables.location
         d_com, d_data = self._d_com, self._d_data
@@ -550,7 +545,7 @@ class CoverageEnv:
                 bonus = strategic_reward(self._satisfied_units)
                 demand[loc] = max(0.0, demand[loc] - 1.0)
                 self._satisfied_units += 1.0
-                obs[demand_at + loc * (c + 1)] = demand[loc] / initial[loc]
+                obs[demand_at + loc * (c + 1)] = demand[loc] / initial
             rate_ok.append(ok)
             uav_energy.append(e)
             uav_bonus.append(bonus)

@@ -4,8 +4,9 @@ The mission area is a square split into ``cells_per_side ** 2`` equal
 cells, laid out row-major with cell ``(col i, row j)`` centered at
 ``((i + 0.5) * w, (j + 0.5) * w)``. A mission frame lasts
 ``frame_seconds`` and is divided into ``slots`` equal decision slots.
-Ground devices each hold one data packet; strategic locations carry the
-demand a frame starts with (the environment counts it down).
+Ground devices each hold one data packet; strategic cells are the cells
+the swarm must serve (their demand is the environment's
+``EnvConfig.initial_demand``, counted down there).
 
 Delay accounting splits into data time (packet bits over link rate,
 summed across collected packets) and commute time (leg length over
@@ -75,30 +76,23 @@ class IotDevice:
     packet_bits: float
 
 
-@dataclass(frozen=True)
-class StrategicLocation:
-    """A cell that must be served, with the demand it starts a frame with."""
-
-    id: int
-    cell_index: int
-    initial_demand: float
-
-
 class GridWorld:
-    """Cell centers, devices and strategic locations: the static part of a mission."""
+    """Cell centers, devices and strategic cells: the static part of a mission.
+
+    ``strategic_cells`` keeps the given order: strategic location ``i``
+    is the cell at index ``i``."""
 
     def __init__(
         self,
         config: MissionConfig,
         centers: list[tuple[float, float]],
         devices: list[IotDevice],
-        strategic: list[StrategicLocation],
+        strategic_cells: tuple[int, ...],
     ) -> None:
         self.config = config
         self.centers = centers
         self.devices = devices
-        self.strategic = strategic
-        self.strategic_cells = {s.cell_index for s in strategic}
+        self.strategic_cells = strategic_cells
         # Nearest-center assignment of devices to cells, and per-cell
         # collection order (closest to the center first, id breaks ties).
         self.device_cell = [self.cell_of_position(*d.position_xy) for d in devices]
@@ -133,13 +127,8 @@ def build_grid(
     config: MissionConfig,
     device_layout: Sequence[IotDevice] | None,
     strategic_cells: Sequence[int],
-    initial_demand: float | Sequence[float] = 3.0,
 ) -> GridWorld:
-    """Assemble a :class:`GridWorld` from a device layout and strategic cells.
-
-    ``initial_demand`` is either one value shared by every strategic
-    location or a per-location sequence.
-    """
+    """Assemble a :class:`GridWorld` from a device layout and strategic cells."""
     n = config.cells_per_side
     w = config.cell_width_m
     if len(set(strategic_cells)) != len(strategic_cells):
@@ -156,15 +145,7 @@ def build_grid(
         x, y = dev.position_xy
         if not (0.0 <= x <= config.area_m and 0.0 <= y <= config.area_m):
             raise ValueError(f"device {dev.id} lies outside the mission area")
-
-    if isinstance(initial_demand, (int, float)):
-        demands = [float(initial_demand)] * len(strategic_cells)
-    else:
-        demands = [float(d) for d in initial_demand]
-        if len(demands) != len(strategic_cells):
-            raise ValueError("one demand per strategic cell required")
-    strategic = [StrategicLocation(i, cell, demands[i]) for i, cell in enumerate(strategic_cells)]
-    return GridWorld(config, centers, devices, strategic)
+    return GridWorld(config, centers, devices, tuple(strategic_cells))
 
 
 def default_device_layout(
@@ -172,7 +153,6 @@ def default_device_layout(
     strategic_cells: Sequence[int],
     seed: int,
     count: int = 25,
-    packet_bits: float | None = None,
 ) -> list[IotDevice]:
     """Deterministic device layout: one device pinned to each strategic
     cell center, the rest placed uniformly over the area from ``seed``."""
@@ -180,7 +160,7 @@ def default_device_layout(
 
     if count < len(strategic_cells):
         raise ValueError("need at least one device per strategic cell")
-    bits = config.packet_bits if packet_bits is None else packet_bits
+    bits = config.packet_bits
     rng = np.random.default_rng(seed)
     n = config.cells_per_side
     w = config.cell_width_m
@@ -262,8 +242,7 @@ def layout_to_dict(world: GridWorld) -> dict:
     return {
         "area_m": world.config.area_m,
         "cells_per_side": world.config.cells_per_side,
-        "strategic_cells": [s.cell_index for s in world.strategic],
-        "initial_demand": [s.initial_demand for s in world.strategic],
+        "strategic_cells": list(world.strategic_cells),
         "devices": [
             {
                 "id": d.id,

@@ -342,7 +342,7 @@ def test_trained_agent_matches_exhaustive_optimum():
 def test_strategic_cells_visited_more_after_meta_training():
     budget_s = 900.0
     t0 = time.time()
-    cfg = load_config(environ={})
+    cfg = load_config()
     env = CoverageEnv(cfg.mission, cfg.link, cfg.radio, cfg.env)
     task = env.nominal_task()
     strategic = set(cfg.env.strategic_cells)
@@ -373,7 +373,7 @@ def test_strategic_cells_visited_more_after_meta_training():
 def test_meta_initialization_speeds_adaptation_after_swarm_change():
     budget_s = 1800.0
     t0 = time.time()
-    cfg = load_config(environ={})
+    cfg = load_config()
     env = CoverageEnv(cfg.mission, cfg.link, cfg.radio, cfg.env)
     base = env.nominal_task()
     changed = replace(base, swarm_size=6)
@@ -420,7 +420,7 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
 def test_satisfaction_scales_with_swarm_size():
     budget_s = 3600.0
     t0 = time.time()
-    cfg = load_config(environ={})
+    cfg = load_config()
     env = CoverageEnv(cfg.mission, cfg.link, cfg.radio, cfg.env)
     episodes, pretrain = 300, 150
     seeds = range(3)
@@ -484,8 +484,7 @@ def test_deterministic_replay_byte_identical(tmp_path):
     for run in ("a", "b"):
         cfg = load_config(overrides={**overrides,
                                      "run": {**overrides["run"],
-                                             "out_dir": str(tmp_path / run)}},
-                          environ={})
+                                             "out_dir": str(tmp_path / run)}})
         runs.append(run_experiment(cfg))
     compared = 0
     for dir_a, dir_b in zip(*runs):

@@ -33,7 +33,9 @@ INSTANCE = {
 
 @pytest.fixture()
 def scenario_file(tmp_path):
-    def write(name="cli", algorithm="random", **extra_run):
+    def write(name="cli", algorithm="random", sections=None, **extra_run):
+        """The tiny scenario's file; ``sections`` adds keys to its
+        sections, ``extra_run`` to its run section."""
         cfg = {
             "run": {"scenario": name, "algorithm": algorithm, "episodes": 6,
                     "seeds": [0], "ma_window": 3,
@@ -44,6 +46,8 @@ def scenario_file(tmp_path):
                     "strategic_cells": [4], "device_count": 9},
             "agent": {"hidden": [4], "minibatch": 4},
         }
+        for section, extra in (sections or {}).items():
+            cfg.setdefault(section, {}).update(extra)
         path = tmp_path / f"{name}_{algorithm}.json"
         path.write_text(json.dumps(cfg))
         return path
@@ -85,23 +89,35 @@ def test_run_rejects_unknown_algorithm(scenario_file, capsys):
     assert "unknown algorithm" in capsys.readouterr().err
 
 
-def test_run_rejects_a_zero_count_with_exit_two(scenario_file, monkeypatch, capsys):
-    monkeypatch.setenv("SWARMCOVER__agent__meta_tasks_per_update", "0")
-    assert main(["run", str(scenario_file(algorithm="meta_rl"))]) == 2
+def test_run_reads_no_process_environment(scenario_file, tmp_path, monkeypatch, capsys):
+    # Variables that once overrode config keys change nothing: the run
+    # trains the file's algorithm for the file's episode count.
+    monkeypatch.setenv("SWARMCOVER__run__episodes", "1")
+    monkeypatch.setenv("SWARMCOVER__run__algorithm", "dqn")
+    monkeypatch.setenv("SWARMCOVER__foo__bar", "1")
+    assert main(["run", str(scenario_file())]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == ["cli_random"]
+    metrics = read_metrics(tmp_path / "results" / "cli_random" / "seed0" / "metrics.csv")
+    assert len(metrics) == 6
+
+
+def test_run_rejects_a_zero_count_with_exit_two(scenario_file, capsys):
+    path = scenario_file(algorithm="meta_rl", sections={"agent": {"meta_tasks_per_update": 0}})
+    assert main(["run", str(path)]) == 2
     assert "meta_tasks_per_update must be at least 1" in capsys.readouterr().err
 
 
-def test_run_rejects_a_minibatch_the_replay_cannot_hold(scenario_file, monkeypatch, capsys):
-    monkeypatch.setenv("SWARMCOVER__agent__replay_capacity", "3")
-    assert main(["run", str(scenario_file(algorithm="dqn"))]) == 2
+def test_run_rejects_a_minibatch_the_replay_cannot_hold(scenario_file, capsys):
+    assert main(["run", str(scenario_file(algorithm="dqn",
+                                          sections={"agent": {"replay_capacity": 3}}))]) == 2
     err = capsys.readouterr().err
     assert "minibatch (4) must not exceed replay_capacity (3)" in err
 
 
-def test_run_rejects_an_unreachable_swarm_event_before_training(scenario_file, tmp_path,
-                                                                 monkeypatch, capsys):
-    monkeypatch.setenv("SWARMCOVER__env__events", '[{"episode": 2, "kind": "join", "count": 4}]')
-    assert main(["run", str(scenario_file())]) == 2
+def test_run_rejects_an_unreachable_swarm_event_before_training(scenario_file, tmp_path, capsys):
+    path = scenario_file(sections={"env": {"events": [{"episode": 2, "kind": "join", "count": 4}]}})
+    assert main(["run", str(path)]) == 2
     assert "would exceed the maximum swarm size (3)" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
@@ -117,10 +133,23 @@ def test_run_rejects_an_unreachable_swarm_event_before_training(scenario_file, t
      "config section 'env.events' is missing the 'episode' key"),
     ("env", "events", [{"episode": 2}], "config section 'env.events' is missing the 'kind' key"),
 ])
-def test_run_rejects_a_key_that_is_no_field_by_name(scenario_file, tmp_path, monkeypatch, capsys,
+def test_run_rejects_a_key_that_is_no_field_by_name(scenario_file, tmp_path, capsys,
                                                     section, key, value, named):
-    monkeypatch.setenv(f"SWARMCOVER__{section}__{key}", json.dumps(value))
-    assert main(["run", str(scenario_file())]) == 2
+    assert main(["run", str(scenario_file(sections={section: {key: value}}))]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("run", "episodes", "5", "run.episodes must be int (got '5')"),
+    ("run", "seeds", [0, 0], "seeds must be distinct (got [0, 0])"),
+    ("env", "swarm_size", 2.0, "env.swarm_size must be int (got 2.0)"),
+    ("env", "events", [{"episode": "5", "kind": "join"}],
+     "env.events.episode must be int (got '5')"),
+])
+def test_run_rejects_a_wrong_value_with_exit_two(scenario_file, tmp_path, capsys,
+                                                 section, key, value, named):
+    assert main(["run", str(scenario_file(sections={section: {key: value}}))]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
@@ -142,8 +171,8 @@ def test_a_resolved_config_reruns_as_given(name, tmp_path, capsys):
     seed_dir = first / f"{name}_meta_rl" / "seed0"
     resolved = seed_dir / "resolved_config.json"
     wrote = load_config(given, overrides={"run": {"seeds": [0], "episodes": 3,
-                                                  "out_dir": str(first)}}, environ={})
-    assert load_config(resolved, environ={}) == wrote
+                                                  "out_dir": str(first)}})
+    assert load_config(resolved) == wrote
 
     assert main(["run", str(resolved), "--out", str(again)]) == 0
     rerun_dir = again / f"{name}_meta_rl" / "seed0"
@@ -235,6 +264,17 @@ def test_oracle_out_loads_no_learner(tmp_path):
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ORACLE_OUT_SHA256["small_instance"]
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("initial_demand", [50.0], "unknown key 'initial_demand' in config section 'instance'"),
+    ("per_uav_coverage", "false", "instance.per_uav_coverage must be bool (got 'false')"),
+    ("horizon", 2.9, "instance.horizon must be int (got 2.9)"),
+])
+def test_oracle_rejects_a_wrong_instance_key_with_exit_two(instance_file, capsys,
+                                                           key, value, named):
+    assert main(["oracle", str(instance_file(**{key: value}))]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_oracle_reports_infeasibility_with_exit_one(instance_file, capsys):

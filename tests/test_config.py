@@ -1,4 +1,4 @@
-"""Config resolution: defaults, files, overrides, environment variables."""
+"""Config resolution: defaults, files, overrides, JSON types."""
 
 import dataclasses
 import json
@@ -20,11 +20,11 @@ def write(tmp_path, payload) -> str:
 
 
 def load(tmp_path, payload, **kw):
-    return cf.load_config(write(tmp_path, payload), environ=kw.pop("environ", {}), **kw)
+    return cf.load_config(write(tmp_path, payload), **kw)
 
 
 def test_no_file_resolves_to_full_defaults():
-    cfg = cf.load_config(environ={})
+    cfg = cf.load_config()
     assert cfg.run.algorithm == "meta_rl"
     assert cfg.run.episodes == 300 and cfg.run.seeds == (0,)
     assert cfg.mission.area_m == 440.0 and cfg.mission.cells_per_side == 5
@@ -43,8 +43,8 @@ def test_no_file_resolves_to_full_defaults():
 
 def test_empty_file_is_the_default_config(tmp_path):
     for payload in ("", "{}"):
-        cfg = cf.load_config(write(tmp_path, payload), environ={})
-        assert cfg == cf.load_config(environ={})
+        cfg = cf.load_config(write(tmp_path, payload))
+        assert cfg == cf.load_config()
 
 
 def test_typo_in_key_is_rejected_by_name(tmp_path):
@@ -92,35 +92,52 @@ def test_list_fields_coerced_to_tuples(tmp_path):
     assert cfg.agent.hidden == (32, 32)
 
 
-def test_precedence_defaults_file_overrides_environment(tmp_path):
+def test_precedence_defaults_file_overrides(tmp_path):
     path = write(tmp_path, {"run": {"episodes": 100, "algorithm": "dqn"}})
-    cfg = cf.load_config(
-        path,
-        overrides={"run": {"episodes": 200}},
-        environ={"SWARMCOVER__run__episodes": "300"},
-    )
-    assert cfg.run.episodes == 300      # environment beats the explicit override
+    cfg = cf.load_config(path, overrides={"run": {"episodes": 200}})
+    assert cfg.run.episodes == 200      # the explicit override beats the file
     assert cfg.run.algorithm == "dqn"   # untouched keys keep the file value
     assert cfg.mission.area_m == 440.0  # and everything else keeps the default
 
 
-def test_environment_values_parse_as_json_or_stay_strings():
-    cfg = cf.load_config(environ={
-        "SWARMCOVER__run__algorithm": "dqn",          # bare string
-        "SWARMCOVER__run__seeds": "[3, 4]",           # JSON list
-        "SWARMCOVER__mission__speed_mps": "12.5",     # JSON number
-        "IRRELEVANT": "ignored",
-    })
-    assert cfg.run.algorithm == "dqn"
-    assert cfg.run.seeds == (3, 4)
-    assert cfg.mission.speed_mps == 12.5
+def test_unknown_override_section_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown config section 'misison'"):
+        load(tmp_path, {}, overrides={"misison": {"speed_mps": 12.0}})
 
 
-def test_malformed_override_variable_rejected():
-    with pytest.raises(ValueError, match="must look like"):
-        cf.load_config(environ={"SWARMCOVER__runepisodes": "5"})
-    with pytest.raises(ValueError, match="unknown config section 'foo'"):
-        cf.load_config(environ={"SWARMCOVER__foo__bar": "1"})
+@pytest.mark.parametrize("payload, named", [
+    ({"run": {"episodes": "5"}}, "run.episodes must be int"),
+    ({"run": {"out_dir": 5}}, "run.out_dir must be str"),
+    ({"run": {"seeds": 0}}, "run.seeds must be a list"),
+    ({"run": {"seeds": [0, 1.0]}}, "run.seeds must be int"),
+    ({"env": {"swarm_size": 4.0}}, "env.swarm_size must be int"),
+    ({"env": {"events": [{"episode": "5", "kind": "join"}]}},
+     "env.events.episode must be int"),
+    ({"env": {"events": [{"episode": 5, "kind": 1}]}}, "env.events.kind must be str"),
+    ({"env": {"strategic_cells": [6, "13"]}}, "env.strategic_cells must be int"),
+    ({"mission": {"area_m": True}}, "mission.area_m must be float"),
+    ({"mission": {"slots": False}}, "mission.slots must be int"),
+    ({"link": {"psi_los": "2.0"}}, "link.psi_los must be float"),
+    ({"agent": {"hidden": [64.0]}}, "agent.hidden must be int"),
+])
+def test_a_value_of_the_wrong_json_type_is_rejected_by_name(tmp_path, payload, named):
+    with pytest.raises(ValueError, match=named):
+        load(tmp_path, payload)
+
+
+def test_any_number_fits_a_float_field(tmp_path):
+    cfg = load(tmp_path, {"mission": {"area_m": 440, "speed_mps": 12}, "agent": {"gamma": 1}})
+    assert (cfg.mission.area_m, cfg.mission.speed_mps, cfg.agent.gamma) == (440, 12, 1)
+    assert cfg.mission == ms.MissionConfig(speed_mps=12.0)
+
+
+def test_repeated_seed_rejected(tmp_path):
+    # It would train one seed twice into one directory and count it twice
+    # in a comparison's mean and std.
+    with pytest.raises(ValueError, match=r"seeds must be distinct \(got \[0, 1, 0\]\)"):
+        load(tmp_path, {"run": {"seeds": [0, 1, 0]}})
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        load(tmp_path, {"run": {"seeds": [2]}}, overrides={"run": {"seeds": [3, 3]}})
 
 
 def test_swarm_events_parsed_in_order(tmp_path):
@@ -159,7 +176,7 @@ def test_strategic_cells_imply_their_count(tmp_path):
 
 
 def test_link_section_takes_only_the_airground_fields(tmp_path):
-    assert cf.load_config(environ={}).link == lb.AirGroundParams()
+    assert cf.load_config().link == lb.AirGroundParams()
     # A second spelling is rejected by name also beside its linear twin.
     with pytest.raises(ValueError, match="unknown key 'psi_los_db' in config section 'link'"):
         load(tmp_path, {"link": {"psi_los": 1.5, "psi_los_db": 10.0}})
@@ -211,7 +228,7 @@ def test_env_config_rejects_negative_demand_and_too_few_devices(tmp_path):
 
 
 def test_resolved_echo_is_plain_json(tmp_path):
-    cfg = cf.load_config(environ={})
+    cfg = cf.load_config()
     out = tmp_path / "resolved.json"
     cf.write_json(out, dataclasses.asdict(cfg))
     echoed = json.loads(out.read_text())
@@ -256,10 +273,43 @@ def test_load_instance_missing_key(tmp_path):
 
 
 def test_load_instance_rejects_unknown_keys(tmp_path):
+    # A typo, and a demand: every strategic location starts with the env's
+    # initial_demand, so an instance has no demand of its own to give.
     p = tmp_path / "inst.json"
-    p.write_text(json.dumps({**INSTANCE, "horzon": 2}))
-    with pytest.raises(ValueError, match="unknown key 'horzon'"):
+    for key, value in (("horzon", 2), ("initial_demand", [50.0])):
+        p.write_text(json.dumps({**INSTANCE, key: value}))
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in config section 'instance'"):
+            cf.load_instance(p)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("horizon", 2.9, "instance.horizon must be int"),
+    ("horizon", "2", "instance.horizon must be int"),
+    ("budget", "5", "instance.budget must be int"),
+    ("per_uav_coverage", "false", "instance.per_uav_coverage must be bool"),
+    ("per_uav_coverage", 0, "instance.per_uav_coverage must be bool"),
+    ("start_cells", [0.0], "instance.start_cells must be int"),
+    ("start_cells", 0, "instance.start_cells must be a list"),
+    ("strategic_cells", ["1"], "instance.strategic_cells must be int"),
+    ("area_m", "176", "instance.area_m must be float"),
+])
+def test_load_instance_rejects_a_wrong_json_type_by_name(tmp_path, key, value, named):
+    # No value is coerced: bool("false") would turn the constraint on, and
+    # int(2.9) would search a horizon of 2.
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps({**INSTANCE, key: value}))
+    with pytest.raises(ValueError, match=named):
         cf.load_instance(p)
+
+
+def test_load_instance_takes_the_plain_values_as_given(tmp_path):
+    p = tmp_path / "inst.json"
+    p.write_text(json.dumps({**INSTANCE, "budget": 99, "per_uav_coverage": True}))
+    inst = cf.load_instance(p)
+    assert (inst.budget, inst.per_uav_coverage) == (99, True)
+    assert inst.start_cells == (0,) and inst.strategic_cells == (1,)
+    p.write_text(json.dumps({k: v for k, v in INSTANCE.items() if k != "strategic_cells"}))
+    assert cf.load_instance(p).strategic_cells == ()
 
 
 def test_load_instance_rejects_unknown_device_keys(tmp_path):

@@ -39,19 +39,7 @@ def test_reset_restores_initial_demands():
     env.step([HOVER, HOVER])  # burns one demand unit on cell 4
     assert env.demand[0] == 2.0
     env.reset(start_cells=[4, 0], rng_seed=0)
-    assert env.demand[0] == env.task.initial_demands[0] == 3.0
-
-
-def test_task_tables_follow_the_initial_demands():
-    env = small_env(side=4, strategic=(1, 6, 11))
-    first = env.nominal_task()
-    assert first.initial_demands == (3.0, 3.0, 3.0)
-    env.reset(first, rng_seed=0)
-    second = envmod.TaskSpec(first.swarm_size, first.strategic_cells,
-                             first.device_seed, (1.0, 2.0, 3.0))
-    env.reset(second, rng_seed=0)
-    assert [loc.initial_demand for loc in env.tables.world.strategic] == [1.0, 2.0, 3.0]
-    assert env.demand == [1.0, 2.0, 3.0]
+    assert env.demand[0] == env.cfg.initial_demand == 3.0
 
 
 @pytest.mark.parametrize("world", ["default", "3x3"])
@@ -63,7 +51,7 @@ def test_slot_energy_table_is_the_energy_model(world):
     for moved, row in enumerate(tables.slot_energy_j):
         leg = (0.0, tables.leg_time_s)[moved]
         collect = (0.0, *tables.collect_time_s)
-        assert len(row) == len(collect) == len(tables.world.devices) + 1
+        assert len(row) == len(collect) == env.cfg.device_count + 1
         for ct, energy in zip(collect, row):
             assert energy == ms.uav_energy_j(leg + ct, ct, cfg)
 
@@ -502,7 +490,8 @@ def encode_from_scratch(env: envmod.CoverageEnv) -> np.ndarray:
         vec[slot * c + cell] = 1.0
     base = c * env.cfg.max_swarm
     task = env.task
-    for i, (cell, initial) in enumerate(zip(task.strategic_cells, task.initial_demands)):
+    initial = env.cfg.initial_demand
+    for i, cell in enumerate(task.strategic_cells):
         vec[base + i * (c + 1) + cell] = 1.0
         if initial > 0.0:
             vec[base + i * (c + 1) + c] = env.demand[i] / initial

@@ -26,7 +26,7 @@ def tiny_cfg(**over):
     }
     for section, kv in over.items():
         overrides.setdefault(section, {}).update(kv)
-    return cf.load_config(overrides=overrides, environ={})
+    return cf.load_config(overrides=overrides)
 
 
 def synthetic_rows(n: int = 3, n_cells: int = 4) -> list[hz.EpisodeMetrics]:
@@ -411,7 +411,7 @@ def test_output_bytes_are_pinned(algorithm, tmp_path):
         **_PINNED_OVERRIDES,
         "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm},
         "env": env,
-    }, environ={})
+    })
     seed_dir = hz.run_experiment(cfg, tmp_path)[0]
     got = tuple(hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
                 for name in _PINNED_FILES)
@@ -450,7 +450,7 @@ def test_output_bytes_are_pinned_through_a_wrapping_replay(algorithm, tmp_path):
         "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm},
         "env": env,
         "agent": {**_PINNED_OVERRIDES["agent"], **_WRAPPING_AGENT},
-    }, environ={})
+    })
     seed_dir = hz.run_experiment(cfg, tmp_path)[0]
     got = tuple(hashlib.sha256((seed_dir / name).read_bytes()).hexdigest()
                 for name in _PINNED_FILES)
@@ -481,7 +481,7 @@ def test_emitted_plot_data_and_resolved_config_are_pinned(tmp_path):
         **_PINNED_OVERRIDES,
         "run": {**_PINNED_OVERRIDES["run"], "algorithm": "meta_rl", "out_dir": "pinned"},
         "env": {**_PINNED_OVERRIDES["env"], "events": _PINNED_EVENTS},
-    }, environ={})
+    })
     seed_dir = hz.run_experiment(cfg, tmp_path)[0]
     for kind in hz.PLOT_KINDS:
         hz.emit_plot_data(seed_dir, kind)
@@ -504,7 +504,7 @@ def test_comparison_bytes_are_pinned(tmp_path):
         "run": {**_PINNED_OVERRIDES["run"], "algorithm": algorithm, "seeds": [0, 1, 2],
                 "ma_window": 3, "convergence_level": 1.0},
         "env": {**_PINNED_OVERRIDES["env"], "events": _PINNED_EVENTS},
-    }, environ={}) for algorithm in ("dqn", "ppo")]
+    }) for algorithm in ("dqn", "ppo")]
     out = tmp_path / "comparison.csv"
     hz.compare_algorithms(cfgs, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _COMPARISON_DIGEST

@@ -251,7 +251,7 @@ def test_unknown_preset_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"link": {"preset": "lunar"}}))
     with pytest.raises(ValueError, match="unknown key 'preset' in config section 'link'"):
-        config.load_config(str(path), environ={})
+        config.load_config(str(path))
 
 
 def test_params_validation():

@@ -673,7 +673,9 @@ def test_env_books_the_verifier_energy_of_random_play():
         queues, collected = env.tables.queues, set()
         instance = ExactInstance(
             mission=mission, link=link, radio=radio, strategic_cells=strategic,
-            devices=tuple(env.tables.world.devices), start_cells=starts, horizon=slots,
+            devices=tuple(ms.default_device_layout(mission, strategic, seed=task.device_seed,
+                                                   count=env.cfg.device_count)),
+            start_cells=starts, horizon=slots,
         )
         bounce_on_a_device = False
         for _ in range(slots):
