@@ -156,13 +156,19 @@ def _field_types(cls) -> dict:
 def _typed(value, hint, where: str):
     """``value`` as a field of type ``hint`` holds it, or a ``ValueError``
     naming ``where``. A list (or tuple) fits a ``tuple[X, ...]`` field and
-    becomes a tuple, each item taken the same way; an object fits a
-    dataclass field and is built by :func:`_build`. Any number fits a
-    float field, and ``true``/``false`` fit only a bool field."""
+    becomes a tuple, each item taken the same way; a ``tuple[X, Y]`` field
+    takes exactly as many items as it names. An object fits a dataclass
+    field and is built by :func:`_build`. Any number fits a float field,
+    and ``true``/``false`` fit only a bool field."""
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where} must be a list (got {value!r})")
-        return tuple(_typed(v, typing.get_args(hint)[0], where) for v in value)
+        items = typing.get_args(hint)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ValueError(f"{where} must hold {len(items)} values (got {value!r})")
+        return tuple(_typed(v, t, where) for v, t in zip(value, items))
     if dataclasses.is_dataclass(hint):
         return _build(hint, where, value)
     fits = (int, float) if hint is float else hint
@@ -232,38 +238,32 @@ def write_json(path: str | Path, payload) -> None:
 
 # --- exact-solver instance files -------------------------------------------
 
-#: The :class:`ExactInstance` fields an instance file gives as plain values.
-_INSTANCE_KEYS = ("strategic_cells", "start_cells", "horizon", "budget", "per_uav_coverage")
+#: The :class:`ExactInstance` fields an instance file gives under their own names.
+_INSTANCE_KEYS = ("strategic_cells", "devices", "start_cells", "horizon", "budget",
+                  "per_uav_coverage")
 
 
 def load_instance(path: str | Path) -> ExactInstance:
     """Read an exact-solver instance from a world-layout JSON file.
 
-    The file uses the same keys as a written world layout (``area_m``,
-    ``cells_per_side``, ``strategic_cells``, ``devices``) plus
-    ``start_cells`` and ``horizon``, optional overrides of the other
-    mission fields, and optional ``link``/``radio`` sections like the
-    experiment config. Every device transmits at ``radio.device_tx_watts``;
-    a device's own ``tx_watts``, if given, must equal it.
+    The file is a JSON object with the keys of a written world layout
+    (:func:`mission.layout_to_dict`: ``area_m``, ``cells_per_side``,
+    ``strategic_cells``, ``devices``) plus ``start_cells`` and ``horizon``,
+    optional overrides of the other mission fields, and optional
+    ``link``/``radio`` sections like the experiment config. Each device is
+    an object of the :class:`mission.IotDevice` fields, built like a
+    config section; every device transmits at ``radio.device_tx_watts``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("instance file must contain a JSON object")
     mission_keys = {f.name for f in dataclasses.fields(ms.MissionConfig)}
-    allowed = {*_INSTANCE_KEYS, "devices", "link", "radio", *mission_keys}
-    _reject_unknown("instance", raw, allowed)
+    _reject_unknown("instance", raw, {*_INSTANCE_KEYS, "link", "radio", *mission_keys})
     for key in ("start_cells", "horizon", "devices"):
         if key not in raw:
             raise ValueError(f"instance file is missing the {key!r} key")
 
-    radio = _build(lb.RadioConfig, "radio", raw.get("radio", {}))
-    for device in raw["devices"]:
-        _reject_unknown("devices", device, {"id", "position_xy", "packet_bits", "tx_watts"})
-        tx_watts = device.get("tx_watts", radio.device_tx_watts)
-        if tx_watts != radio.device_tx_watts:
-            raise ValueError(
-                f"device {device.get('id')!r} gives tx_watts {tx_watts!r}, but every device "
-                f"transmits at radio.device_tx_watts ({radio.device_tx_watts!r})"
-            )
     hints = _field_types(ExactInstance)
     plain = {key: _typed(raw[key], hints[key], f"instance.{key}")
              for key in _INSTANCE_KEYS if key in raw}
@@ -271,7 +271,6 @@ def load_instance(path: str | Path) -> ExactInstance:
     return ExactInstance(
         mission=_build(ms.MissionConfig, "instance", {k: raw[k] for k in mission_keys if k in raw}),
         link=_build(lb.AirGroundParams, "link", raw.get("link", {})),
-        radio=radio,
-        devices=tuple(ms.devices_from_dicts(raw["devices"])),
+        radio=_build(lb.RadioConfig, "radio", raw.get("radio", {})),
         **plain,
     )

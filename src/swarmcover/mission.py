@@ -17,6 +17,7 @@ times its data time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -69,11 +70,18 @@ class MissionConfig:
 @dataclass(frozen=True)
 class IotDevice:
     """One ground device holding a single uncollected packet. Every device
-    transmits at ``link_budget.RadioConfig.device_tx_watts``."""
+    transmits at ``link_budget.RadioConfig.device_tx_watts``. Its fields
+    are its spelling in a layout file (:func:`layout_to_dict`), which
+    ``config.load_instance`` reads back."""
 
     id: int
     position_xy: tuple[float, float]
     packet_bits: float
+
+    def __post_init__(self) -> None:
+        if self.packet_bits <= 0.0:
+            raise ValueError(f"device {self.id}: packet_bits must be positive "
+                             f"(got {self.packet_bits!r})")
 
 
 class GridWorld:
@@ -243,24 +251,5 @@ def layout_to_dict(world: GridWorld) -> dict:
         "area_m": world.config.area_m,
         "cells_per_side": world.config.cells_per_side,
         "strategic_cells": list(world.strategic_cells),
-        "devices": [
-            {
-                "id": d.id,
-                "position_xy": list(d.position_xy),
-                "packet_bits": d.packet_bits,
-            }
-            for d in world.devices
-        ],
+        "devices": [dataclasses.asdict(d) for d in world.devices],
     }
-
-
-def devices_from_dicts(entries: Sequence[dict]) -> list[IotDevice]:
-    return [
-        IotDevice(
-            int(e["id"]),
-            (float(e["position_xy"][0]), float(e["position_xy"][1])),
-            float(e["packet_bits"]),
-        )
-        for e in entries
-    ]
-

@@ -14,6 +14,28 @@ from swarmcover import env as envmod
 from swarmcover import link_budget as lb
 from swarmcover import mission as ms
 
+#: A 2x2 instance file for ``swarmcover oracle``: one UAV, one device on
+#: the strategic cell, horizon 2.
+INSTANCE = {
+    "area_m": 176.0,
+    "cells_per_side": 2,
+    "slots": 4,
+    "strategic_cells": [1],
+    "devices": [
+        {"id": 0, "position_xy": [132.0, 44.0], "packet_bits": 1e6}
+    ],
+    "start_cells": [0],
+    "horizon": 2,
+}
+
+
+def one_device(**fields) -> list[dict]:
+    """``INSTANCE``'s devices with ``fields`` set on its device; a field set
+    to ``None`` is left out."""
+    device = {**INSTANCE["devices"][0], **fields}
+    return [{k: v for k, v in device.items() if v is not None}]
+
+
 # Verdict lines pushed by the acceptance tests; replayed after the run so
 # the log always carries one PASS/FAIL line per claim (default capture
 # would otherwise swallow them for passing tests).

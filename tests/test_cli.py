@@ -15,20 +15,9 @@ from swarmcover.cli import THREAD_VARS, main
 from swarmcover.config import load_config
 from swarmcover.env import EnvConfig
 from swarmcover.harness import read_metrics
+from conftest import INSTANCE, one_device
 
 ROOT = Path(__file__).resolve().parent.parent
-
-INSTANCE = {
-    "area_m": 176.0,
-    "cells_per_side": 2,
-    "slots": 4,
-    "strategic_cells": [1],
-    "devices": [
-        {"id": 0, "position_xy": [132.0, 44.0], "packet_bits": 1e6, "tx_watts": 0.2}
-    ],
-    "start_cells": [0],
-    "horizon": 2,
-}
 
 
 @pytest.fixture()
@@ -270,10 +259,33 @@ def test_oracle_out_loads_no_learner(tmp_path):
     ("initial_demand", [50.0], "unknown key 'initial_demand' in config section 'instance'"),
     ("per_uav_coverage", "false", "instance.per_uav_coverage must be bool (got 'false')"),
     ("horizon", 2.9, "instance.horizon must be int (got 2.9)"),
+    ("devices", one_device(id="0"), "instance.devices.id must be int (got '0')"),
+    ("devices", one_device(packet_bits="1e6"),
+     "instance.devices.packet_bits must be float (got '1e6')"),
+    ("devices", one_device(position_xy=["132", 44]),
+     "instance.devices.position_xy must be float (got '132')"),
+    ("devices", one_device(position_xy=[132.0, 44.0, 0.0]),
+     "instance.devices.position_xy must hold 2 values (got [132.0, 44.0, 0.0])"),
+    ("devices", one_device(position_xy=132.0),
+     "instance.devices.position_xy must be a list (got 132.0)"),
+    ("devices", one_device(packet_bits=None),
+     "config section 'instance.devices' is missing the 'packet_bits' key"),
+    ("devices", {"id": 0}, "instance.devices must be a list (got {'id': 0})"),
+    ("devices", one_device(packet_bits=-1e6),
+     "device 0: packet_bits must be positive (got -1000000.0)"),
+    ("devices", one_device(packet_bits=0), "device 0: packet_bits must be positive (got 0)"),
+    ("devices", one_device(tx_watts=0.2),
+     "unknown key 'tx_watts' in config section 'instance.devices'"),
+    (None, 5, "instance file must contain a JSON object"),
+    (None, None, "instance file must contain a JSON object"),
+    (None, "abc", "instance file must contain a JSON object"),
 ])
-def test_oracle_rejects_a_wrong_instance_key_with_exit_two(instance_file, capsys,
+def test_oracle_rejects_a_wrong_instance_key_with_exit_two(tmp_path, capsys,
                                                            key, value, named):
-    assert main(["oracle", str(instance_file(**{key: value}))]) == 2
+    # A ``None`` key makes ``value`` the whole file.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(value if key is None else {**INSTANCE, key: value}))
+    assert main(["oracle", str(path)]) == 2
     assert named in capsys.readouterr().err
 
 

@@ -11,6 +11,7 @@ import pytest
 from swarmcover import config as cf
 from swarmcover import link_budget as lb
 from swarmcover import mission as ms
+from conftest import INSTANCE, one_device
 
 
 def write(tmp_path, payload) -> str:
@@ -240,19 +241,6 @@ def test_resolved_echo_is_plain_json(tmp_path):
 
 # --- exact-solver instance files ---------------------------------------------------
 
-INSTANCE = {
-    "area_m": 176.0,
-    "cells_per_side": 2,
-    "slots": 4,
-    "strategic_cells": [1],
-    "devices": [
-        {"id": 0, "position_xy": [132.0, 44.0], "packet_bits": 1e6, "tx_watts": 0.2}
-    ],
-    "start_cells": [0],
-    "horizon": 2,
-}
-
-
 def test_load_instance_round_trip(tmp_path):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps(INSTANCE))
@@ -292,12 +280,28 @@ def test_load_instance_rejects_unknown_keys(tmp_path):
     ("start_cells", 0, "instance.start_cells must be a list"),
     ("strategic_cells", ["1"], "instance.strategic_cells must be int"),
     ("area_m", "176", "instance.area_m must be float"),
+    ("devices", one_device(id="0"), "instance.devices.id must be int"),
+    ("devices", one_device(packet_bits="1e6"), "instance.devices.packet_bits must be float"),
+    ("devices", one_device(position_xy=["132", 44]), "instance.devices.position_xy must be float"),
+    ("devices", one_device(position_xy=[132.0, 44.0, 0.0]),
+     "instance.devices.position_xy must hold 2 values"),
+    ("devices", one_device(position_xy=132.0), "instance.devices.position_xy must be a list"),
+    ("devices", one_device(packet_bits=None),
+     "config section 'instance.devices' is missing the 'packet_bits' key"),
+    ("devices", {"id": 0}, "instance.devices must be a list"),
+    ("devices", one_device(packet_bits=-1e6), "device 0: packet_bits must be positive"),
+    ("devices", one_device(packet_bits=0), "device 0: packet_bits must be positive"),
+    (None, 5, "instance file must contain a JSON object"),
+    (None, None, "instance file must contain a JSON object"),
+    (None, "abc", "instance file must contain a JSON object"),
 ])
 def test_load_instance_rejects_a_wrong_json_type_by_name(tmp_path, key, value, named):
     # No value is coerced: bool("false") would turn the constraint on, and
-    # int(2.9) would search a horizon of 2.
+    # int(2.9) would search a horizon of 2. A device is built from its
+    # fields like a config section, and a packet of no bits is refused.
+    # A ``None`` key makes ``value`` the whole file.
     p = tmp_path / "inst.json"
-    p.write_text(json.dumps({**INSTANCE, key: value}))
+    p.write_text(json.dumps(value if key is None else {**INSTANCE, key: value}))
     with pytest.raises(ValueError, match=named):
         cf.load_instance(p)
 
@@ -313,12 +317,15 @@ def test_load_instance_takes_the_plain_values_as_given(tmp_path):
 
 
 def test_load_instance_rejects_unknown_device_keys(tmp_path):
-    # A misspelt device key would otherwise fall back to its default unseen.
-    device = {**INSTANCE["devices"][0], "tx_wats": 0.5, "packet_bitz": 2e6}
+    # A misspelt device key would otherwise fall back to its default unseen,
+    # and a device's own tx_watts would restate radio.device_tx_watts, the
+    # one power the link model reads.
     p = tmp_path / "inst.json"
-    p.write_text(json.dumps({**INSTANCE, "devices": [device]}))
-    with pytest.raises(ValueError, match="unknown key 'tx_wats' in config section 'devices'"):
-        cf.load_instance(p)
+    for key, value in (("tx_wats", 0.5), ("packet_bitz", 2e6), ("tx_watts", 0.2)):
+        p.write_text(json.dumps({**INSTANCE, "devices": one_device(**{key: value})}))
+        with pytest.raises(ValueError,
+                           match=f"unknown key '{key}' in config section 'instance.devices'"):
+            cf.load_instance(p)
 
 
 def test_load_instance_takes_every_mission_field(tmp_path):
@@ -330,26 +337,6 @@ def test_load_instance_takes_every_mission_field(tmp_path):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps({**INSTANCE, **dataclasses.asdict(mission)}))
     assert cf.load_instance(p).mission == mission
-
-
-def test_load_instance_refuses_a_device_power_the_radio_does_not_use(tmp_path):
-    # The link model reads radio.device_tx_watts only, so a device's own
-    # tx_watts may restate it or be left out, never differ from it.
-    p = tmp_path / "inst.json"
-
-    def with_second_device(extra: dict, radio_watts: float = 0.2):
-        devices = [INSTANCE["devices"][0],
-                   {"id": 1, "position_xy": [44.0, 44.0], "packet_bits": 1e6, **extra}]
-        p.write_text(json.dumps({**INSTANCE, "devices": devices,
-                                 "radio": {"device_tx_watts": radio_watts}}))
-        return p
-
-    assert len(cf.load_instance(with_second_device({"tx_watts": 0.2})).devices) == 2
-    assert len(cf.load_instance(with_second_device({})).devices) == 2
-    with pytest.raises(ValueError, match=r"device 1 gives tx_watts 0\.5"):
-        cf.load_instance(with_second_device({"tx_watts": 0.5}))
-    with pytest.raises(ValueError, match=r"device 0 gives tx_watts 0\.2"):
-        cf.load_instance(with_second_device({}, radio_watts=0.1))
 
 
 def test_load_instance_honours_link_and_radio_sections(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from swarmcover import env as envmod
 from swarmcover import mission as ms
+from swarmcover.config import load_instance
 from conftest import small_env
 
 CFG = ms.MissionConfig()  # 440 m, 5x5, 600 s frame, 25 slots
@@ -217,14 +218,19 @@ def test_default_layout_needs_enough_devices():
         ms.default_device_layout(CFG, [1, 2, 3], seed=0, count=2)
 
 
-def test_layout_round_trip():
-    devices = ms.default_device_layout(CFG, [6], seed=9, count=5)
-    world = ms.build_grid(CFG, devices, [6])
-    raw = json.loads(json.dumps(ms.layout_to_dict(world)))
-    restored = ms.devices_from_dicts(raw["devices"])
-    assert restored == devices
-    assert raw["cells_per_side"] == 5
-    assert raw["strategic_cells"] == [6]
+def test_layout_round_trip(tmp_path):
+    # A written layout plus start cells and a horizon is an instance file,
+    # and its devices load back equal: IotDevice's fields are the one
+    # spelling of a device for the writer and the reader.
+    mission = ms.MissionConfig(area_m=352.0, cells_per_side=4)
+    devices = ms.default_device_layout(mission, [6], seed=9, count=5)
+    world = ms.build_grid(mission, devices, [6])
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(dict(ms.layout_to_dict(world), start_cells=[0], horizon=1)))
+    inst = load_instance(path)
+    assert inst.devices == tuple(devices)
+    assert inst.mission == mission
+    assert inst.strategic_cells == (6,)
 
 
 def test_build_grid_rejects_stray_device():
