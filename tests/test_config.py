@@ -317,11 +317,9 @@ def test_load_instance_takes_the_plain_values_as_given(tmp_path):
 
 
 def test_load_instance_rejects_unknown_device_keys(tmp_path):
-    # A misspelt device key would otherwise fall back to its default unseen,
-    # and a device's own tx_watts would restate radio.device_tx_watts, the
-    # one power the link model reads.
+    # A misspelt device key would otherwise fall back to its default unseen.
     p = tmp_path / "inst.json"
-    for key, value in (("tx_wats", 0.5), ("packet_bitz", 2e6), ("tx_watts", 0.2)):
+    for key, value in (("tx_wats", 0.5), ("packet_bitz", 2e6)):
         p.write_text(json.dumps({**INSTANCE, "devices": one_device(**{key: value})}))
         with pytest.raises(ValueError,
                            match=f"unknown key '{key}' in config section 'instance.devices'"):
@@ -337,6 +335,28 @@ def test_load_instance_takes_every_mission_field(tmp_path):
     p = tmp_path / "inst.json"
     p.write_text(json.dumps({**INSTANCE, **dataclasses.asdict(mission)}))
     assert cf.load_instance(p).mission == mission
+
+
+def test_load_instance_refuses_a_device_power_the_radio_does_not_use(tmp_path):
+    # The link model reads radio.device_tx_watts only, so a device has no
+    # tx_watts of its own: one that restates the radio's power is refused
+    # as surely as one that differs from it.
+    p = tmp_path / "inst.json"
+
+    def with_second_device(extra: dict, radio_watts: float = 0.2):
+        devices = [INSTANCE["devices"][0],
+                   {"id": 1, "position_xy": [44.0, 44.0], "packet_bits": 1e6, **extra}]
+        p.write_text(json.dumps({**INSTANCE, "devices": devices,
+                                 "radio": {"device_tx_watts": radio_watts}}))
+        return p
+
+    inst = cf.load_instance(with_second_device({}, radio_watts=0.1))
+    assert len(inst.devices) == 2
+    assert inst.radio.device_tx_watts == 0.1
+    for watts in (0.2, 0.5):
+        with pytest.raises(ValueError,
+                           match="unknown key 'tx_watts' in config section 'instance.devices'"):
+            cf.load_instance(with_second_device({"tx_watts": watts}))
 
 
 def test_load_instance_honours_link_and_radio_sections(tmp_path):
