@@ -120,8 +120,7 @@ def _cmd_oracle(args) -> int:
     for u, traj in enumerate(sol.trajectories):
         print(f"uav {u} cells " + " -> ".join(str(c) for c in traj))
     print("checks "
-          f"rate={report.rate_ok} altitude={report.altitude_ok} "
-          f"deadline={report.deadline_ok} coverage={report.coverage_ok}")
+          f"rate={report.rate_ok} deadline={report.deadline_ok} coverage={report.coverage_ok}")
     if args.out:
         write_json(args.out, {
             "feasible": sol.feasible,

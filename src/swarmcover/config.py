@@ -18,7 +18,8 @@ section is built by :func:`_build`, so each setting has one spelling,
 its field name. Every key is optional but an event's ``episode`` and
 ``kind``; an empty file (or no file) resolves to the full default
 parameter set. Unknown sections and unknown keys are rejected by name
-rather than ignored, a value whose JSON type does not fit its field is
+rather than ignored, as are the non-JSON literals ``NaN`` and
+``Infinity``, a value whose JSON type does not fit its field is
 rejected by ``section.key``, and out-of-range values fail inside the
 dataclass constructors. ``dataclasses.asdict`` of an
 :class:`ExperimentConfig`, written as ``resolved_config.json``, loads
@@ -138,6 +139,12 @@ class ExperimentConfig:
     env: EnvConfig
     agent: AgentConfig
 
+    def __post_init__(self) -> None:
+        # The strategic cells must lie on this mission's grid, distinct,
+        # checked here rather than at the first nominal reset after all
+        # of meta pretraining.
+        ms.build_grid(self.mission, (), self.env.strategic_cells)
+
 
 def _reject_unknown(section: str, given: Mapping, allowed: set[str]) -> None:
     for key in given:
@@ -194,6 +201,21 @@ def _build(cls, name: str, section: dict):
                   for key, value in section.items()})
 
 
+def _read_json(path: str | Path, kind: str) -> dict:
+    """The JSON object in the ``kind`` file at ``path``; an empty file is
+    ``{}``. The non-JSON literals ``NaN``, ``Infinity`` and ``-Infinity``
+    are refused by name: a NaN would pass every range check."""
+    def refuse(literal: str):
+        raise ValueError(f"{kind} file holds {literal}, which is not JSON")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read().strip()
+    loaded = json.loads(text, parse_constant=refuse) if text else {}
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{kind} file must contain a JSON object")
+    return loaded
+
+
 def load_config(
     path: str | Path | None = None,
     overrides: Mapping[str, Mapping] | None = None,
@@ -203,14 +225,7 @@ def load_config(
     Precedence, lowest to highest: built-in defaults, the file, then
     ``overrides`` (e.g. from CLI flags).
     """
-    raw: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-        loaded = json.loads(text) if text else {}
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must contain a JSON object")
-        raw = loaded
+    raw = _read_json(path, "config") if path is not None else {}
     for section, content in (overrides or {}).items():
         raw.setdefault(section, {})
         if not isinstance(raw[section], dict):
@@ -254,10 +269,7 @@ def load_instance(path: str | Path) -> ExactInstance:
     an object of the :class:`mission.IotDevice` fields, built like a
     config section; every device transmits at ``radio.device_tx_watts``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("instance file must contain a JSON object")
+    raw = _read_json(path, "instance")
     mission_keys = {f.name for f in dataclasses.fields(ms.MissionConfig)}
     _reject_unknown("instance", raw, {*_INSTANCE_KEYS, "link", "radio", *mission_keys})
     for key in ("start_cells", "horizon", "devices"):

@@ -1,8 +1,8 @@
 """Episodic MDP over the mission world for a centrally-controlled UAV swarm.
 
-One environment step is one mission slot (:func:`play_slot`, whose two
-halves, :func:`resolve_moves` and :func:`collect_devices`, the exact
-solver shares): every UAV picks one of five moves (the
+One environment step is one mission slot, played by the two functions
+the exact solver shares, :func:`resolve_moves` and then
+:func:`collect_devices`: every UAV picks one of five moves (the
 four compass directions or hover), moves between cell centers, and then
 collects at most one packet from an uncollected device assigned to the
 cell it ends the slot on. Moves off the grid border degrade to hover.
@@ -299,28 +299,14 @@ class TaskTables:
         )
 
 
-def play_slot(
-    tables: TaskTables, origins: Sequence[int], actions: Sequence[int], taken: tuple[int, ...]
-) -> tuple[list[int], list[bool], list[int | None], tuple[int, ...]]:
-    """Resolve the moves, then let every UAV, a bounced mover included,
-    take the first untaken device of the queue of the cell it ends on.
-
-    ``taken`` counts, per cell, the devices taken from the front of its
-    queue. Returns the final cells, the collision flags, each UAV's
-    device (``None`` for none) and the advanced cursors."""
-    finals, collided = resolve_moves(
-        origins, [tables.targets[cell][action] for cell, action in zip(origins, actions)]
-    )
-    devices, taken = collect_devices(tables, finals, taken)
-    return finals, collided, devices, taken
-
-
 def collect_devices(
     tables: TaskTables, cells: Sequence[int], taken: tuple[int, ...]
 ) -> tuple[list[int | None], tuple[int, ...]]:
-    """The collection half of :func:`play_slot`: the UAV on each of the
-    distinct ``cells`` takes the first untaken device of the cell's queue.
-    Returns each UAV's device (``None`` for none) and the advanced cursors."""
+    """The UAV on each of the distinct ``cells`` takes the first untaken
+    device of the cell's queue; a mover that :func:`resolve_moves` bounced
+    collects on the cell it stays on. ``taken`` counts, per cell, the
+    devices taken from the front of its queue. Returns each UAV's device
+    (``None`` for none) and the advanced cursors."""
     devices: list[int | None] = []
     queues = tables.queues
     for cell in cells:
@@ -353,7 +339,7 @@ class CoverageEnv:
     ``uav_energy_j`` and ``uav_served``), one row per UAV of the episode,
     plus the remaining ``demand`` per strategic location and per cell
     counts: visits (a UAV ending a slot on the cell), energy, and the
-    collection cursors of :func:`play_slot`. Commute and data time are
+    collection cursors of :func:`collect_devices`. Commute and data time are
     kept only as swarm totals. Rows fill the observation slots in order.
     """
 
@@ -509,7 +495,10 @@ class CoverageEnv:
             raise ValueError(f"need one action per UAV: got {len(actions)} actions "
                              f"for {len(origins)} UAVs")
 
-        finals, collided, devices, self._taken = play_slot(tables, origins, actions, self._taken)
+        finals, collided = resolve_moves(
+            origins, [tables.targets[cell][action] for cell, action in zip(origins, actions)]
+        )
+        devices, self._taken = collect_devices(tables, finals, self._taken)
 
         t = ep.steps
         ep.obs[t + 1] = ep.obs[t]

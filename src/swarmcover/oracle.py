@@ -1,8 +1,7 @@
 """Exact reference solver for tiny mission instances.
 
 Searches every joint action sequence of a small swarm over a short
-horizon, each slot played by the two halves of the environment's own
-:func:`~swarmcover.env.play_slot`: the moves by
+horizon, each slot played as the environment plays it: the moves by
 :func:`~swarmcover.env.resolve_moves`, once per search for each set of
 positions and joint action (:func:`joint_moves`), and the devices by
 :func:`~swarmcover.env.collect_devices`. It keeps only sequences that
@@ -104,7 +103,6 @@ class ExactInstance:
 @dataclass(frozen=True)
 class FeasibilityReport:
     rate_ok: bool
-    altitude_ok: bool
     deadline_ok: bool
     coverage_ok: bool
     first_violation: dict
@@ -113,7 +111,7 @@ class FeasibilityReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.rate_ok and self.altitude_ok and self.deadline_ok and self.coverage_ok
+        return self.rate_ok and self.deadline_ok and self.coverage_ok
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,6 @@ def verify_feasibility(
     else:
         visited = set().union(*({traj[t] for t in range(1, horizon + 1)} for traj in trajectories))
         coverage_ok = strategic <= visited
-    altitude_ok = altitude <= lb.max_altitude_m(instance.link)
 
     energies = [
         ms.uav_energy_j(ms.total_delay_s(d_data[u], d_com[u]), d_data[u], cfg)
@@ -380,7 +377,6 @@ def verify_feasibility(
     objective = ms.swarm_energy_j(zip(energies, served))
     return FeasibilityReport(
         rate_ok=rate_ok,
-        altitude_ok=altitude_ok,
         deadline_ok=deadline_ok,
         coverage_ok=coverage_ok,
         first_violation=first_violation,

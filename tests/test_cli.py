@@ -12,7 +12,7 @@ import pytest
 
 from swarmcover import mission as ms
 from swarmcover.cli import THREAD_VARS, main
-from swarmcover.config import load_config
+from swarmcover.config import load_config, load_instance
 from swarmcover.env import EnvConfig
 from swarmcover.harness import read_metrics
 from conftest import INSTANCE, one_device
@@ -135,11 +135,34 @@ def test_run_rejects_a_key_that_is_no_field_by_name(scenario_file, tmp_path, cap
     ("env", "swarm_size", 2.0, "env.swarm_size must be int (got 2.0)"),
     ("env", "events", [{"episode": "5", "kind": "join"}],
      "env.events.episode must be int (got '5')"),
+    # Strategic cells are checked against the grid when the config loads,
+    # not at the first nominal reset, which left an empty run directory.
+    ("env", "strategic_cells", [4, 8, 99], "strategic cell 99 outside grid of 9 cells"),
+    ("env", "strategic_cells", [4, 4], "strategic cells must be distinct"),
 ])
 def test_run_rejects_a_wrong_value_with_exit_two(scenario_file, tmp_path, capsys,
                                                  section, key, value, named):
     assert main(["run", str(scenario_file(sections={section: {key: value}}))]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_non_json_number_is_refused_by_name(scenario_file, instance_file, tmp_path, capsys,
+                                              command, literal):
+    # json.dumps writes a non-finite float as its non-JSON literal. Read
+    # back, a NaN would pass every range check written ``x <= 0.0``.
+    value = float(literal.replace("Infinity", "inf"))
+    if command == "run":
+        path, load = scenario_file(sections={"env": {"lambda_energy": value}}), load_config
+    else:
+        path, load = instance_file(devices=one_device(packet_bits=value)), load_instance
+    assert literal in path.read_text()
+    with pytest.raises(ValueError, match=f"file holds {re.escape(literal)}, which is not JSON"):
+        load(path)
+    assert main([command, str(path)]) == 2
+    assert f"holds {literal}, which is not JSON" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 
@@ -196,7 +219,7 @@ def test_oracle_solves_and_verifies(instance_file, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "objective_j 2648.238103201081" in stdout
     assert "uav 0 cells 0 -> 0 -> 1" in stdout
-    assert "checks rate=True altitude=True deadline=True coverage=True" in stdout
+    assert "checks rate=True deadline=True coverage=True" in stdout
     # the search counters, on the line (and by the pattern) the benchmark
     # reads to count a pass's work
     counts = re.findall(r"^leaves (\d+) feasible (\d+) pruned (\d+)$", stdout, re.M)
