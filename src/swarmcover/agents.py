@@ -39,20 +39,21 @@ learners act through the actor alone, softmaxing the active heads only.
 
 Every gradient reads transitions as one :class:`Batch` of arrays. A
 finished episode is one by slicing (:meth:`Batch.of_episode`: the states
-are ``obs[:-1]``, the next states ``obs[1:]``). The replay memory (DQN's,
-and the actor-critic's TD term) copies an episode's rows in step order
-into preallocated arrays round a ring and samples a ``Batch`` straight
-from them. It keeps each row at its information size: one state per row
-as one bit per feature, with float64 values only for the columns the env
-declares not 0/1 (``CoverageEnv.real_cols``), and ``int8`` action ids
-and acting-head counts. A row's next state is the next row's state; only
-terminal rows and the newest row keep a next state of their own. The
-actor-critic writes each finished episode whole, and DQN writes the
-episode's steps up to the current one just before each sample and the
-rest at the episode's end. Every gradient function writes into
-parameter-shaped buffers its caller passes (:func:`nets.grad_buffers`).
-DQN, PPO and the actor-critic own theirs, so an update allocates no
-parameter-sized arrays.
+are ``obs[:-1]``, the next states ``obs[1:]``). The replay memory
+(DQN's, and the actor-critic's TD term) copies an episode's rows in step
+order into preallocated arrays round a ring and samples a ``Batch``
+straight from them. It keeps each row at its information size: one state
+per row as one bit per feature, with float64 values only for the columns
+the env declares not 0/1 (``CoverageEnv.real_cols``), and ``int8``
+action ids. A row's acting heads are not stored: every ``Batch`` reads
+them from its states' trailing active-count feature. A row's next state
+is the next row's state; only terminal rows and the newest row keep a
+next state of their own. The actor-critic writes each finished episode
+whole, and DQN writes the episode's steps up to the current one just
+before each sample and the rest at the episode's end. Every gradient
+function writes into parameter-shaped buffers its caller passes
+(:func:`nets.grad_buffers`). DQN, PPO and the actor-critic own theirs,
+so an update allocates no parameter-sized arrays.
 """
 
 from __future__ import annotations
@@ -230,10 +231,11 @@ class Batch:
 
     ``reward`` and ``live`` (0.0 after a terminal step, else 1.0) are the
     team reward and bootstrap mask DQN reads. The value losses read one
-    reward column per UAV slot (zero for idle slots). ``active`` masks the
-    columns a value loss counts and ``boot`` the bootstrap values V(s') a
-    TD target may use: none after a terminal step, and per UAV none for a
-    slot idle in s' (read from the state's trailing active-count feature).
+    reward column per UAV slot (zero for idle slots). ``acting`` masks the
+    heads that acted, and so the columns a value loss counts; ``boot`` the
+    bootstrap values V(s') a TD target may use: none after a terminal
+    step, and per UAV none for a slot idle in s'. Both masks come from the
+    states' trailing active-count feature (:func:`acting_heads`).
     """
 
     states: np.ndarray       # [B, state_dim]
@@ -242,34 +244,35 @@ class Batch:
     live: np.ndarray         # [B]
     acts: np.ndarray         # [B, heads] action ids, 0 on idle heads
     acting: np.ndarray       # [B, heads] heads that acted
-    active: np.ndarray       # [B, heads] ``acting`` as 1.0 / 0.0
     rewards: np.ndarray      # [B, heads]
     boot: np.ndarray         # [B, heads]
 
     @classmethod
-    def build(cls, states, next_states, reward, uav_rewards, done, acts, acting) -> "Batch":
+    def build(cls, states, next_states, reward, uav_rewards, done, acts) -> "Batch":
         """The batch of rows given as arrays: ``uav_rewards`` [B, heads] is
         zero-padded past each row's acting heads."""
-        heads = acting.shape[1]
+        heads = acts.shape[1]
         live = np.where(done, 0.0, 1.0)
-        active = acting.astype(np.float64)
-        next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
-        return cls(states, next_states, reward, live, acts, acting, active,
-                   uav_rewards, live[:, None] * next_active)
+        return cls(states, next_states, reward, live, acts, acting_heads(states, heads),
+                   uav_rewards, live[:, None] * acting_heads(next_states, heads))
 
     @classmethod
     def of_episode(cls, episode) -> "Batch":
         """The written steps of an ``env.EpisodeArrays`` as views of its
         arrays: states ``obs[:-1]``, next states ``obs[1:]``."""
-        n, heads = episode.steps, episode.acts.shape[1]
-        acting = np.arange(heads) < np.full((n, 1), episode.uavs)
+        n = episode.steps
         return cls.build(episode.obs[:n], episode.obs[1:n + 1], episode.reward[:n],
-                         episode.uav_rewards[:n], episode.done[:n], episode.acts[:n], acting)
+                         episode.uav_rewards[:n], episode.done[:n], episode.acts[:n])
 
     @property
     def onehot(self) -> np.ndarray:
         """[B, heads, N_ACTIONS] one-hot taken actions (action 0 on idle heads)."""
         return np.eye(N_ACTIONS)[self.acts]
+
+
+def acting_heads(states: np.ndarray, heads: int) -> np.ndarray:
+    """[B, heads]: each state's acting heads, the batched :func:`_active_count`."""
+    return np.arange(heads) < np.rint(states[:, -1] * heads)[:, None]
 
 
 def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -294,9 +297,9 @@ class ReplayMemory:
     the state as one bit per feature (``np.packbits`` order,
     [capacity, ceil(state_dim / 8)] bytes) beside the float64 values of
     the ``real_cols`` the env declares not 0/1 (``exact``), the team
-    reward, the per-UAV reward columns, the done flag, the action ids as
-    ``int8`` and the count of acting heads as ``int8``. A write whose
-    states hold anything but +0.0 or 1.0 outside ``real_cols`` raises.
+    reward, the per-UAV reward columns, the done flag and the action ids
+    as ``int8``; a sample reads its acting heads from its states. A write
+    whose states hold anything but +0.0 or 1.0 outside ``real_cols`` raises.
 
     A row's next state is the next row's state. A write keeps its last
     row's next state on its own (``next_states``: its bits and its
@@ -311,8 +314,6 @@ class ReplayMemory:
                  real_cols: Sequence[int]) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if heads > np.iinfo(np.int8).max:
-            raise ValueError(f"at most {np.iinfo(np.int8).max} heads fit the int8 head count")
         self.capacity = capacity
         self.state_dim = state_dim
         self.real_cols = np.asarray(real_cols, dtype=np.intp)
@@ -325,10 +326,8 @@ class ReplayMemory:
         self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
         self.done = _untouched_zeros((capacity,), bool)
         self.acts = _untouched_zeros((capacity, heads), np.int8)
-        self.acting_count = _untouched_zeros((capacity,), np.int8)
         #: The next states kept on their own, by row, as ``(bits, values)``.
         self.next_states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._prefix = np.arange(heads) < np.arange(heads + 1)[:, None]  # acting rows by count
         self._size = 0
         self._slot = 0  # the row the next write starts at
 
@@ -358,7 +357,6 @@ class ReplayMemory:
         self.uav_rewards[rows] = episode.uav_rewards[start:stop]
         self.done[rows] = episode.done[start:stop]
         self.acts[rows] = episode.acts[start:stop]
-        self.acting_count[rows] = episode.uavs
         self.next_states[int(rows[-1])] = (bits[-1].copy(), values[-1].copy())
         self._size = min(self._size + n, self.capacity)
         self._slot = (self._slot + n) % self.capacity
@@ -382,10 +380,8 @@ class ReplayMemory:
                 bits, values = own
                 next_states[i] = np.unpackbits(bits, count=self.state_dim)
                 next_states[i, self.real_cols] = values
-        return Batch.build(
-            states, next_states, self.reward[rows], self.uav_rewards[rows], self.done[rows],
-            self.acts[rows].astype(np.int64), self._prefix[self.acting_count[rows]],
-        )
+        return Batch.build(states, next_states, self.reward[rows], self.uav_rewards[rows],
+                           self.done[rows], self.acts[rows].astype(np.int64))
 
     def __len__(self) -> int:
         return self._size
@@ -418,7 +414,7 @@ def actor_critic_accumulate(
     next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
     adv = b.rewards + gamma * b.boot * next_values - values
 
-    mask = b.active[:, :, None]
+    mask = b.acting[:, :, None]
     dlogits = adv[:, :, None] * (b.onehot - probs) * mask
     z = logits - logits.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
@@ -427,7 +423,7 @@ def actor_critic_accumulate(
     nets.backward(params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
                   scratch.d_actor)
     returns = discounted_returns(b.rewards, gamma)
-    dvals = -2.0 * ((returns - values) * b.active)
+    dvals = -2.0 * ((returns - values) * b.acting)
     nets.backward(params.critic, v_cache, dvals, params.critic_cfg, scratch.d_critic)
     nets.add(acc.d_actor, scratch.d_actor)
     nets.add(acc.d_critic, scratch.d_critic)
@@ -450,7 +446,7 @@ def critic_td_accumulate(
     values, cache = nets.forward(params.critic, batch.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
     targets = batch.rewards + gamma * batch.boot * next_values
-    dvals = -2.0 * ((targets - values) * batch.active)
+    dvals = -2.0 * ((targets - values) * batch.acting)
     nets.backward(params.critic, cache, dvals, params.critic_cfg, scratch.d_critic)
     nets.add(acc.d_critic, scratch.d_critic)
 
@@ -715,8 +711,8 @@ class ActorCriticLearner:
     """Episode-batched actor-critic with per-UAV credit, one-step TD
     advantages, an entropy bonus, a replay-refined critic and Adam.
 
-    The Adam state belongs to the parameters it was built for: a new
-    learner, or a learner whose ``params`` are replaced, starts afresh.
+    Its Adam state, built with it, stays for its life: ``params`` may be
+    replaced (by weights of the same shapes) only before the first episode.
     """
 
     def __init__(self, params: PolicyParams, cfg: AgentConfig, real_cols: Sequence[int]) -> None:
@@ -725,7 +721,10 @@ class ActorCriticLearner:
         self.memory = ReplayMemory(cfg.replay_capacity, params.actor_cfg.input_dim, params.heads,
                                    real_cols)
         self._episode = None
-        self._optimised: PolicyParams | None = None
+        self._actor_opt = Adam(params.actor_cfg, AC_LEARNING_RATE, +1.0)
+        self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
+        self._scratch = GradAccumulator(nets.grad_buffers(params.actor_cfg),
+                                        nets.grad_buffers(params.critic_cfg))
 
     def act(self, state, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, rng)
@@ -737,12 +736,6 @@ class ActorCriticLearner:
         if self._episode is None:
             return
         params = self.params
-        if self._optimised is not params:
-            self._actor_opt = Adam(params.actor_cfg, AC_LEARNING_RATE, +1.0)
-            self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
-            self._scratch = GradAccumulator(nets.grad_buffers(params.actor_cfg),
-                                            nets.grad_buffers(params.critic_cfg))
-            self._optimised = params
         acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
         episode = self._episode
         actor_critic_accumulate(params, Batch.of_episode(episode), self.cfg.gamma, acc,

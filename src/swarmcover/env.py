@@ -167,16 +167,16 @@ class StepOutcome:
 class EpisodeArrays:
     """One episode as the env writes it, a row per step: row t of ``obs``
     is the state step t acts on, row t + 1 the state it leads to. The
-    episode's ``uavs`` UAVs fill the first of the ``heads`` UAV slots of
-    ``acts`` and ``uav_rewards``; the rest stay 0. The first ``steps``
-    rows (``steps + 1`` of ``obs``) are written."""
+    episode's UAVs (every ``obs`` row's trailing feature counts them) fill
+    the first of the ``heads`` UAV slots of ``acts`` and ``uav_rewards``;
+    the rest stay 0. The first ``steps`` rows (``steps + 1`` of ``obs``)
+    are written; their ``reward`` sums to the episode's return."""
 
     obs: np.ndarray          # [slots + 1, state_dim]
     acts: np.ndarray         # [slots, heads] action ids
     uav_rewards: np.ndarray  # [slots, heads]
     reward: np.ndarray       # [slots] team reward
     done: np.ndarray         # [slots]
-    uavs: int
     steps: int = 0
 
 
@@ -463,7 +463,6 @@ class CoverageEnv:
         self._collisions = 0
         self._visits = [0] * self.n_cells
         self._cell_energy = [0.0] * self.n_cells
-        self._reward_sum = 0.0
 
         c, slots, heads = self.n_cells, self.mission_cfg.slots, self.cfg.max_swarm
         self.episode = EpisodeArrays(
@@ -472,7 +471,6 @@ class CoverageEnv:
             uav_rewards=np.zeros((slots, heads)),
             reward=np.zeros(slots),
             done=np.zeros(slots, dtype=bool),
-            uavs=task.swarm_size,
         )
         obs = self.episode.obs[0]
         for slot, cell in enumerate(self.uav_cell):
@@ -551,7 +549,6 @@ class CoverageEnv:
         base = [-1.0 if hit else float(ok) for hit, ok in zip(collided, ok_flags)]
         shaping = self.cfg.lambda_energy * step_energy / self.energy_norm_j
         reward = sum(base) + bonuses - shaping
-        self._reward_sum += reward
         scale = self.cfg.lambda_energy / self.energy_norm_j
         n = len(finals)
         ep.uav_rewards[t, :n] = [b + bonus - scale * e
@@ -589,10 +586,11 @@ class CoverageEnv:
         cell_energy = np.array(self._cell_energy)
         strategic_energy = float(sum(cell_energy[c] for c in sorted(strategic)))
         total_energy = float(cell_energy.sum())
+        episode = self.episode
         return {
-            "reward": self._reward_sum,
+            "reward": float(ms.add_left_to_right(episode.reward[:episode.steps].tolist())),
             "swarm_size": len(self.uav_cell),
-            "steps": self.episode.steps,
+            "steps": episode.steps,
             "energy_total_j": total_energy,
             "energy_masked_j": float(ms.swarm_energy_j(zip(self.uav_energy_j, self.uav_served))),
             "energy_strategic_j": strategic_energy,

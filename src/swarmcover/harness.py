@@ -212,16 +212,14 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
     meta: PolicyParams | None = None
     if algorithm == "meta_rl":
         meta = train_meta_params(env, agent_cfg, _pretrain_episodes(cfg), rng)
-        learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
     else:
         learner = make_learner(algorithm, env.state_dim, cfg.env.max_swarm, agent_cfg, rng,
                                episodes, env.real_cols)
 
-    stretches = swarm_schedule(cfg.env.events, env.nominal_task(), env.apply_swarm_event)
-    for stretch, (task, until) in enumerate(stretches):
-        if stretch and meta is not None:
-            # A meta-initialized learner restarts adaptation from the
-            # meta weights whenever the task changes.
+    for task, until in swarm_schedule(cfg.env.events, env.nominal_task(), env.apply_swarm_event):
+        if meta is not None:
+            # A meta-initialized learner adapts from the meta weights
+            # afresh at every stretch, so whenever the task changes.
             learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
         stop = episodes if until is None else min(until, episodes)
         for stats in train_task(env, task, learner, stop - len(metrics), rng):

@@ -250,9 +250,9 @@ def enumerate_optimum(instance: ExactInstance) -> ExactSolution:
     )
     actions = _actions_from_cells(trajectories, targets)
     d_com, d_data, served = best_accounting
-    unmasked = 0  # the objective's sum with every UAV served
-    for u in uavs:
-        unmasked += p_oper * (d_com[u] + d_data[u]) + p_comm * d_data[u]
+    # The objective's sum with every UAV served.
+    unmasked = ms.add_left_to_right(
+        ms.uav_energy_j(d_com[u] + d_data[u], d_data[u], cfg) for u in uavs)
     return ExactSolution(
         True, best_objective, unmasked, actions, trajectories, leaves, feasible, pruned
     )

@@ -94,7 +94,7 @@ def uav_tracks(env: envmod.CoverageEnv) -> list[list[int]]:
     cell first: where its slot's cell one-hot sits in each observation row."""
     ep, c = env.episode, env.n_cells
     return [ep.obs[:ep.steps + 1, u * c:(u + 1) * c].argmax(axis=1).tolist()
-            for u in range(ep.uavs)]
+            for u in range(len(env.uav_cell))]
 
 
 @pytest.fixture

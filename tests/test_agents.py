@@ -87,7 +87,6 @@ def reference_batch(batch: list[Transition], heads: int) -> ag.Batch:
     replaced, each field built as it built it."""
     n = len(batch)
     acts, acting = action_arrays([t.action for t in batch], heads)
-    active = acting.astype(np.float64)
     live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
     states = np.stack([t.state for t in batch])
     next_states = np.stack([t.next_state for t in batch])
@@ -96,7 +95,7 @@ def reference_batch(batch: list[Transition], heads: int) -> ag.Batch:
     next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
     boot = live * next_active
     return ag.Batch(states, next_states, np.array([t.reward for t in batch]), live[:, 0],
-                    acts, acting, active, rewards, boot)
+                    acts, acting, rewards, boot)
 
 
 #: Values a declared real column holds bit for bit: -0.0, NaNs (one with a
@@ -131,8 +130,7 @@ def random_episode(rng: np.random.Generator, slots: int, dim: int, heads: int,
     uav_rewards = np.zeros((slots, heads))
     uav_rewards[:, :uavs] = np.round(rng.normal(size=(slots, uavs)), 1)
     done = np.arange(slots) == steps - 1
-    return envmod.EpisodeArrays(obs, acts, uav_rewards, uav_rewards.sum(axis=1), done, uavs,
-                                steps)
+    return envmod.EpisodeArrays(obs, acts, uav_rewards, uav_rewards.sum(axis=1), done, steps)
 
 
 def write_in_blocks(rng: np.random.Generator, episode: envmod.EpisodeArrays):
@@ -152,7 +150,7 @@ def assert_same_memory(got: ag.ReplayMemory, want: ag.ReplayMemory) -> None:
     for row, kept in want.next_states.items():
         for a, b in zip(got.next_states[row], kept):
             assert_bits_equal(a, b)
-    for name in ("states", "exact", "reward", "uav_rewards", "done", "acts", "acting_count"):
+    for name in ("states", "exact", "reward", "uav_rewards", "done", "acts"):
         assert_bits_equal(getattr(got, name)[:len(got)], getattr(want, name)[:len(want)])
     mine, theirs = np.random.default_rng(len(got)), np.random.default_rng(len(got))
     assert_same_batch(got.sample(len(got), mine), want.sample(len(want), theirs))
@@ -190,6 +188,7 @@ def test_replay_full_sample_is_permutation():
     mem = ag.ReplayMemory(5, dim, heads, real)
     episode = random_episode(rng, 5, dim, heads, real, least=5)
     episode.reward[:] = np.arange(5.0)  # each names the step its row came from
+    uavs = round(episode.obs[0, -1] * heads)
     mem.write(episode, 0, 5)
     drawn = mem.sample(5, np.random.default_rng(1))
     assert sorted(drawn.reward.tolist()) == list(range(5))
@@ -198,7 +197,7 @@ def test_replay_full_sample_is_permutation():
         assert_bits_equal(drawn.next_states[i], episode.obs[t + 1])
         assert drawn.live[i] == (0.0 if t == 4 else 1.0)
         assert_bits_equal(drawn.acts[i], episode.acts[t])
-        assert drawn.acting[i].sum() == episode.uavs
+        assert_bits_equal(drawn.acting[i], np.arange(heads) < uavs)
 
 
 def test_replay_sampling_deterministic():
@@ -210,6 +209,27 @@ def test_replay_sampling_deterministic():
     a = mem.sample(4, np.random.default_rng(7))
     b = mem.sample(4, np.random.default_rng(7))
     assert_same_batch(a, b)
+
+
+def test_a_swarm_of_k_in_h_slots_acts_on_exactly_k_heads():
+    # The env writes the swarm-size feature as k / h; a batch built from
+    # such rows, and a replay sample of them, read back exactly k acting
+    # heads (and k bootstrap heads) for every 1 <= k <= h <= 64.
+    for heads in range(1, 65):
+        obs = np.zeros((heads + 1, 2))
+        obs[:, -1] = [k / heads for k in range(1, heads + 1)] + [1.0]
+        want = np.arange(heads) < np.arange(1, heads + 1)[:, None]
+        built = ag.Batch.build(obs[:-1], obs[:-1], np.zeros(heads), np.zeros((heads, heads)),
+                               np.zeros(heads, dtype=bool), np.zeros((heads, heads), np.int64))
+        assert_bits_equal(built.acting, want)
+        assert_bits_equal(built.boot, want.astype(np.float64))
+        episode = envmod.EpisodeArrays(obs, np.zeros((heads, heads), np.int64),
+                                       np.zeros((heads, heads)), np.arange(1.0, heads + 1),
+                                       np.arange(heads) == heads - 1, heads)
+        mem = ag.ReplayMemory(heads, 2, heads, (1,))
+        mem.write(episode, 0, heads)
+        drawn = mem.sample(heads, np.random.default_rng(heads))
+        assert_bits_equal(drawn.acting, want[drawn.reward.astype(int) - 1])
 
 
 def fed_in_blocks(cases: np.random.Generator):
@@ -956,20 +976,26 @@ def test_adam_first_step_moves_by_the_step_size_along_the_sign():
 
 
 def test_replacing_learner_params_restarts_adam():
+    # The acceptance tests put meta weights into a fresh learner before its
+    # first episode. That learner, whose Adam state is still untouched,
+    # trains bit for bit as one built on those weights, replay term and all.
     env = small_env()
     task = env.nominal_task()
-    cfg = ag.AgentConfig(hidden=(4,))
+    cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
     init = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=50)
-    reused = ag.ActorCriticLearner(init.clone(), cfg, env.real_cols)
-    ag.run_training_episode(env, task, reused, np.random.default_rng(51))
-    reused.params = init.clone()
-    ag.run_training_episode(env, task, reused, np.random.default_rng(52))
+    replaced = ag.make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg,
+                               np.random.default_rng(51), 4, env.real_cols)
+    replaced.params = init.clone()
     fresh = ag.ActorCriticLearner(init.clone(), cfg, env.real_cols)
-    ag.run_training_episode(env, task, fresh, np.random.default_rng(52))
-    np.testing.assert_array_equal(
-        flatten_params(reused.params.actor, init.actor_cfg),
-        flatten_params(fresh.params.actor, init.actor_cfg),
-    )
+    rngs = [np.random.default_rng(52), np.random.default_rng(52)]
+    for _ in range(4):
+        for learner, rng in zip((replaced, fresh), rngs):
+            ag.run_training_episode(env, task, learner, rng)
+    assert len(fresh.memory) > cfg.minibatch
+    for net in ("actor", "critic"):
+        for key, value in getattr(fresh.params, net).items():
+            assert_bits_equal(getattr(replaced.params, net)[key], value)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 # --- DQN --------------------------------------------------------------------------

@@ -46,14 +46,14 @@ def as_batch(transitions: Sequence[Transition], heads: int) -> ag.Batch:
         np.stack([t.next_state for t in transitions]),
         np.array([t.reward for t in transitions], dtype=np.float64),
         uav_rewards, np.array([t.done for t in transitions], dtype=bool),
-        acts, acting,
+        acts,
     )
 
 
 def transitions_of(episode, start: int, stop: int) -> list[Transition]:
     """Steps ``start`` to ``stop - 1`` of an ``env.EpisodeArrays`` as
     transitions holding copies of its rows."""
-    n = episode.uavs
+    n = round(float(episode.obs[0, -1]) * episode.acts.shape[1])  # the trailing UAV count
     return [Transition(episode.obs[t].copy(), tuple(episode.acts[t, :n].tolist()),
                        float(episode.reward[t]), episode.obs[t + 1].copy(),
                        bool(episode.done[t]), episode.uav_rewards[t, :n].copy())
