@@ -711,8 +711,7 @@ class ActorCriticLearner:
     """Episode-batched actor-critic with per-UAV credit, one-step TD
     advantages, an entropy bonus, a replay-refined critic and Adam.
 
-    Its Adam state, built with it, stays for its life: ``params`` may be
-    replaced (by weights of the same shapes) only before the first episode.
+    Its Adam state, built with it, stays for its life.
     """
 
     def __init__(self, params: PolicyParams, cfg: AgentConfig, real_cols: Sequence[int]) -> None:

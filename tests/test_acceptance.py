@@ -351,10 +351,8 @@ def test_strategic_cells_visited_more_after_meta_training():
     ratios = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent, rng,
-                               episodes, env.real_cols)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
-        learner.params = meta.clone()
+        learner = ag.ActorCriticLearner(meta.clone(), cfg.agent, env.real_cols)
         stats = train_task(env, task, learner, episodes, rng)
         ratios.append(_tail_visit_ratio(stats, strategic, env.n_cells))
 
@@ -385,10 +383,8 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
         # Meta path: pretrain across the task family, settle on the base
         # task, then keep learning through the swarm change.
         rng = np.random.default_rng(seed)
-        meta_learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent,
-                                    rng, e_pre + e_post, env.real_cols)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
-        meta_learner.params = meta.clone()
+        meta_learner = ag.ActorCriticLearner(meta.clone(), cfg.agent, env.real_cols)
         train_task(env, base, meta_learner, e_pre, rng)
         post_meta = train_task(env, changed, meta_learner, e_post, rng)
 
@@ -432,10 +428,8 @@ def test_satisfaction_scales_with_swarm_size():
         vals = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            learner = make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg.agent,
-                                   rng, episodes, env.real_cols)
             meta = train_meta_params(env, cfg.agent, pretrain, rng)
-            learner.params = meta.clone()
+            learner = ag.ActorCriticLearner(meta.clone(), cfg.agent, env.real_cols)
             stats = train_task(env, task, learner, episodes, rng)
             vals.append(_tail_mean(stats, "satisfaction"))
         means.append(float(np.mean(vals)))

@@ -975,29 +975,6 @@ def test_adam_first_step_moves_by_the_step_size_along_the_sign():
                                atol=1e-15)
 
 
-def test_replacing_learner_params_restarts_adam():
-    # The acceptance tests put meta weights into a fresh learner before its
-    # first episode. That learner, whose Adam state is still untouched,
-    # trains bit for bit as one built on those weights, replay term and all.
-    env = small_env()
-    task = env.nominal_task()
-    cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
-    init = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=50)
-    replaced = ag.make_learner("meta_rl", env.state_dim, env.cfg.max_swarm, cfg,
-                               np.random.default_rng(51), 4, env.real_cols)
-    replaced.params = init.clone()
-    fresh = ag.ActorCriticLearner(init.clone(), cfg, env.real_cols)
-    rngs = [np.random.default_rng(52), np.random.default_rng(52)]
-    for _ in range(4):
-        for learner, rng in zip((replaced, fresh), rngs):
-            ag.run_training_episode(env, task, learner, rng)
-    assert len(fresh.memory) > cfg.minibatch
-    for net in ("actor", "critic"):
-        for key, value in getattr(fresh.params, net).items():
-            assert_bits_equal(getattr(replaced.params, net)[key], value)
-    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-
-
 # --- DQN --------------------------------------------------------------------------
 
 def test_dqn_gamma_zero_reduces_target_to_reward():
