@@ -17,9 +17,8 @@ actor, descent for the critic). Credit is per UAV: every transition
 carries one reward per acting UAV, the critic has one value output per
 UAV slot, regressed on that UAV's own discounted return, and each
 active policy head is pushed by its own one-step TD advantage
-r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The
-critic additionally takes a one-step temporal-difference term from a
-replay minibatch each episode. PPO takes the pre-update joint
+r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The critic fits
+the current episode alone, as A2C's does. PPO takes the pre-update joint
 log-probabilities and values once per update, before its epochs move
 the weights. The meta loop adapts a clone of the meta parameters on a
 sampled task for ``AgentConfig.meta_inner_episodes`` episodes and then
@@ -39,19 +38,18 @@ learners act through the actor alone, softmaxing the active heads only.
 
 Every gradient reads transitions as one :class:`Batch` of arrays. A
 finished episode is one by slicing (:meth:`Batch.of_episode`: the states
-are ``obs[:-1]``, the next states ``obs[1:]``). The replay memory
-(DQN's, and the actor-critic's TD term) copies an episode's rows in step
-order into preallocated arrays round a ring and samples a ``Batch``
-straight from them. It keeps each row at its information size: one state
-per row as one bit per feature, with float64 values only for the columns
-the env declares not 0/1 (``CoverageEnv.real_cols``), and ``int8``
-action ids. A row's acting heads are not stored: every ``Batch`` reads
-them from its states' trailing active-count feature. A row's next state
-is the next row's state; only terminal rows and the newest row keep a
-next state of their own. The actor-critic writes each finished episode
-whole, and DQN writes the episode's steps up to the current one just
-before each sample and the rest at the episode's end. Every gradient
-function writes into parameter-shaped buffers its caller passes
+are ``obs[:-1]``, the next states ``obs[1:]``). DQN's replay memory
+copies an episode's rows in step order into preallocated arrays round a
+ring and samples a ``Batch`` straight from them. It keeps each row at
+its information size: one state per row as one bit per feature, with
+float64 values only for the columns the env declares not 0/1
+(``CoverageEnv.real_cols``), and ``int8`` action ids. A row's acting
+heads are not stored: every ``Batch`` reads them from its states'
+trailing active-count feature. A row's next state is the next row's
+state; only terminal rows and the newest row keep a next state of their
+own. DQN writes the episode's steps up to the current one just before
+each sample and the rest at the episode's end. Every gradient function
+writes into parameter-shaped buffers its caller passes
 (:func:`nets.grad_buffers`). DQN, PPO and the actor-critic own theirs,
 so an update allocates no parameter-sized arrays.
 """
@@ -436,7 +434,7 @@ def critic_td_accumulate(
     acc: GradAccumulator,
     scratch: GradAccumulator,
 ) -> None:
-    """Add the replay minibatch one-step TD term to the critic gradient.
+    """Add a batch's one-step TD term to the critic gradient.
 
     Descent direction of sum_i (r_i + gamma * V_i(s') - V_i(s))^2 over the
     acting heads, as in :func:`actor_critic_accumulate`, which ``scratch``
@@ -682,7 +680,7 @@ def meta_adapt(
     from a copy of the meta weights and returns the adapted copy; the
     meta parameters themselves are never touched.
     """
-    learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
+    learner = ActorCriticLearner(meta.clone(), agent_cfg)
     for _ in range(agent_cfg.meta_inner_episodes):
         run_training_episode(env, task, learner, rng)
     return learner.params
@@ -709,16 +707,15 @@ def meta_outer_update(meta: PolicyParams, adapted: Sequence[PolicyParams], outer
 
 class ActorCriticLearner:
     """Episode-batched actor-critic with per-UAV credit, one-step TD
-    advantages, an entropy bonus, a replay-refined critic and Adam.
+    advantages, an entropy bonus and Adam: one on-policy update per
+    finished episode, which draws nothing from the generator.
 
     Its Adam state, built with it, stays for its life.
     """
 
-    def __init__(self, params: PolicyParams, cfg: AgentConfig, real_cols: Sequence[int]) -> None:
+    def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
         self.params = params
         self.cfg = cfg
-        self.memory = ReplayMemory(cfg.replay_capacity, params.actor_cfg.input_dim, params.heads,
-                                   real_cols)
         self._episode = None
         self._actor_opt = Adam(params.actor_cfg, AC_LEARNING_RATE, +1.0)
         self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
@@ -736,13 +733,8 @@ class ActorCriticLearner:
             return
         params = self.params
         acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
-        episode = self._episode
-        actor_critic_accumulate(params, Batch.of_episode(episode), self.cfg.gamma, acc,
+        actor_critic_accumulate(params, Batch.of_episode(self._episode), self.cfg.gamma, acc,
                                 self._scratch)
-        self.memory.write(episode, 0, episode.steps)
-        if len(self.memory) >= self.cfg.minibatch:
-            batch = self.memory.sample(self.cfg.minibatch, rng)
-            critic_td_accumulate(params, batch, self.cfg.gamma, acc, self._scratch)
         self._actor_opt.step(params.actor)
         self._critic_opt.step(params.critic)
         self._episode = None
@@ -889,11 +881,12 @@ def make_learner(
     real_cols: Sequence[int],
 ):
     """A fresh learner for a run of ``episodes`` episodes (the length of
-    DQN's exploration schedule) on states whose ``real_cols`` are the
-    only ones not 0/1 (``CoverageEnv.real_cols``)."""
+    DQN's exploration schedule). ``real_cols`` are the state columns that
+    are not 0/1 (``CoverageEnv.real_cols``), which DQN's replay memory
+    keeps as float64."""
     if algorithm in ("actor_critic", "meta_rl"):
         return ActorCriticLearner(
-            make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads), cfg, real_cols)
+            make_policy_params(state_dim, heads, cfg, rng, critic_outputs=heads), cfg)
     if algorithm == "ppo":
         return PPOLearner(make_policy_params(state_dim, heads, cfg, rng, critic_outputs=1), cfg)
     if algorithm == "dqn":

@@ -93,8 +93,8 @@ class AgentConfig:
     gamma: float = 0.85
     learning_rate: float = 1e-4  # SGD step of DQN and PPO; see agents.AC_LEARNING_RATE
     hidden: tuple[int, ...] = (64, 64)
-    replay_capacity: int = 10_000
-    minibatch: int = 64
+    replay_capacity: int = 10_000  # DQN's replay memory
+    minibatch: int = 64  # DQN's replay sample
     target_refresh: int = 100
     dqn_update_interval: int = 4
     ppo_clip: float = 0.2
@@ -115,8 +115,7 @@ class AgentConfig:
         if self.replay_capacity < 1 or self.minibatch < 1:
             raise ValueError("replay capacity and minibatch must be positive")
         if self.minibatch > self.replay_capacity:
-            # The memory would never hold a minibatch: DQN would never update
-            # and the actor-critic never add its replay term.
+            # The memory would never hold a minibatch: DQN would never update.
             raise ValueError(f"minibatch ({self.minibatch}) must not exceed "
                              f"replay_capacity ({self.replay_capacity})")
         if not 0.0 <= self.ppo_clip < 1.0:

@@ -220,7 +220,7 @@ def _train_one_seed(cfg: ExperimentConfig, seed: int) -> list[EpisodeMetrics]:
         if meta is not None:
             # A meta-initialized learner adapts from the meta weights
             # afresh at every stretch, so whenever the task changes.
-            learner = ActorCriticLearner(meta.clone(), agent_cfg, env.real_cols)
+            learner = ActorCriticLearner(meta.clone(), agent_cfg)
         stop = episodes if until is None else min(until, episodes)
         for stats in train_task(env, task, learner, stop - len(metrics), rng):
             metrics.append(EpisodeMetrics.from_stats(len(metrics), stats))

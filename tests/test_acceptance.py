@@ -177,13 +177,11 @@ def test_gradient_oracle_matches_finite_differences():
                 or u >= round(episode[t].next_state[-1] * params.heads)
                 else next_values[t, u] for t, u in pairs}
 
-        # As ActorCriticLearner.finish_episode: the episode's terms, then
-        # the replay TD term, into one accumulator.
+        # As ActorCriticLearner.finish_episode: the episode's terms, and
+        # nothing else, in one accumulator.
         acc = zero_grads(params)
         batch = as_batch(episode, params.heads)
         ag.actor_critic_accumulate(params, batch, gamma, acc, zero_grads(params))
-        episode_critic = flatten_params(acc.d_critic, params.critic_cfg)
-        ag.critic_td_accumulate(params, batch, gamma, acc, zero_grads(params))
 
         # Actor: per-head TD advantage (frozen) times log-probability, plus
         # the entropy bonus.
@@ -203,24 +201,29 @@ def test_gradient_oracle_matches_finite_differences():
         )
         worst["actor"] = max(worst["actor"], err)
 
-        # Critic, episode term: each head's value regressed on its UAV's return.
+        # Critic: each head's value regressed on its UAV's return.
         def critic_loss(critic):
             v, _ = nets.forward(critic, states, params.critic_cfg)
             return float(sum((ret[t, u] - v[t, u]) ** 2 for t, u in pairs))
 
         err = relative_error(
-            episode_critic, numeric_grad(params.critic, params.critic_cfg, critic_loss))
+            flatten_params(acc.d_critic, params.critic_cfg),
+            numeric_grad(params.critic, params.critic_cfg, critic_loss),
+        )
         worst["critic"] = max(worst["critic"], err)
 
-        # Critic, the whole step: the episode term plus the one-step TD loss
-        # with bootstrap targets frozen.
+        # The one-step TD loss with bootstrap targets frozen, in an
+        # accumulator of its own.
+        td = zero_grads(params)
+        ag.critic_td_accumulate(params, batch, gamma, td, zero_grads(params))
+
         def td_loss(critic):
             v, _ = nets.forward(critic, states, params.critic_cfg)
-            return critic_loss(critic) + float(sum(
+            return float(sum(
                 (reward[t, u] + gamma * boot[t, u] - v[t, u]) ** 2 for t, u in pairs))
 
         err = relative_error(
-            flatten_params(acc.d_critic, params.critic_cfg),
+            flatten_params(td.d_critic, params.critic_cfg),
             numeric_grad(params.critic, params.critic_cfg, td_loss),
         )
         worst["td"] = max(worst["td"], err)
@@ -352,7 +355,7 @@ def test_strategic_cells_visited_more_after_meta_training():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
-        learner = ag.ActorCriticLearner(meta.clone(), cfg.agent, env.real_cols)
+        learner = ag.ActorCriticLearner(meta.clone(), cfg.agent)
         stats = train_task(env, task, learner, episodes, rng)
         ratios.append(_tail_visit_ratio(stats, strategic, env.n_cells))
 
@@ -384,7 +387,7 @@ def test_meta_initialization_speeds_adaptation_after_swarm_change():
         # task, then keep learning through the swarm change.
         rng = np.random.default_rng(seed)
         meta = train_meta_params(env, cfg.agent, pretrain, rng)
-        meta_learner = ag.ActorCriticLearner(meta.clone(), cfg.agent, env.real_cols)
+        meta_learner = ag.ActorCriticLearner(meta.clone(), cfg.agent)
         train_task(env, base, meta_learner, e_pre, rng)
         post_meta = train_task(env, changed, meta_learner, e_post, rng)
 
@@ -429,7 +432,7 @@ def test_satisfaction_scales_with_swarm_size():
         for seed in seeds:
             rng = np.random.default_rng(seed)
             meta = train_meta_params(env, cfg.agent, pretrain, rng)
-            learner = ag.ActorCriticLearner(meta.clone(), cfg.agent, env.real_cols)
+            learner = ag.ActorCriticLearner(meta.clone(), cfg.agent)
             stats = train_task(env, task, learner, episodes, rng)
             vals.append(_tail_mean(stats, "satisfaction"))
         means.append(float(np.mean(vals)))

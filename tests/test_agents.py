@@ -497,26 +497,6 @@ def test_dqn_block_writes_equal_per_step_pushes():
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
-def test_actor_critic_memory_after_each_episode_equals_per_step_pushes():
-    env = small_env(swarm=2, slots=6, max_swarm=3)
-    cfg = ag.AgentConfig(hidden=(8,), replay_capacity=20, minibatch=4)  # wraps mid-episode
-    rng = np.random.default_rng(11)
-    learner = ag.make_learner("actor_critic", env.state_dim, env.cfg.max_swarm, cfg, rng, 9,
-                              env.real_cols)
-    assert learner.memory.real_cols.tolist() == list(env.real_cols)
-    steps = ag.ReplayMemory(cfg.replay_capacity, env.state_dim, env.cfg.max_swarm, env.real_cols)
-    record = learner.record
-
-    def record_and_write(episode) -> None:
-        steps.write(episode, episode.steps - 1, episode.steps)
-        record(episode)
-
-    learner.record = record_and_write
-    for _ in range(9):
-        ag.run_training_episode(env, env.nominal_task(), learner, rng)
-        assert_same_memory(learner.memory, steps)
-
-
 def memory_nbytes(mem: ag.ReplayMemory) -> int:
     """The bytes of the memory's arrays and of its kept next states."""
     arrays = sum(a.nbytes for a in vars(mem).values() if isinstance(a, np.ndarray))
@@ -1301,7 +1281,7 @@ def test_meta_adapt_requires_inner_episodes():
 
 def test_meta_adapt_never_touches_meta_params():
     env = small_env()
-    cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
+    cfg = ag.AgentConfig(hidden=(4,), meta_inner_episodes=2)
     meta = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=1)
     before = flatten_params(meta.actor, meta.actor_cfg).copy()
     adapted = ag.meta_adapt(meta, env, env.nominal_task(), np.random.default_rng(2), cfg)
@@ -1313,7 +1293,7 @@ def test_meta_adapt_never_touches_meta_params():
 
 def test_meta_adapt_deterministic():
     env = small_env()
-    cfg = ag.AgentConfig(hidden=(4,), minibatch=4, meta_inner_episodes=2)
+    cfg = ag.AgentConfig(hidden=(4,), meta_inner_episodes=2)
     meta = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=3)
     task = env.nominal_task()
     a = ag.meta_adapt(meta, env, task, np.random.default_rng(9), cfg)
@@ -1385,11 +1365,34 @@ def test_random_policy_ignores_learning():
 
 def test_training_episode_updates_actor_critic():
     env = small_env()
-    cfg = ag.AgentConfig(hidden=(4,), minibatch=4)
+    cfg = ag.AgentConfig(hidden=(4,))
     params = tiny_params(env.state_dim, env.cfg.max_swarm, hidden=(4,), seed=5)
-    learner = ag.ActorCriticLearner(params, cfg, env.real_cols)
+    learner = ag.ActorCriticLearner(params, cfg)
     before = flatten_params(params.actor, params.actor_cfg).copy()
     ag.run_training_episode(env, env.nominal_task(), learner, np.random.default_rng(6))
     assert not np.array_equal(
         flatten_params(learner.params.actor, params.actor_cfg), before
     )
+
+
+def test_actor_critic_update_draws_nothing_from_its_generator():
+    # One on-policy step per finished episode and no replay memory. With 6
+    # slots a memory would hold a minibatch of 13 from the third episode on.
+    env = small_env()
+    cfg = ag.AgentConfig(hidden=(4,), minibatch=13)
+    rng = np.random.default_rng(7)
+    learner = ag.make_learner("actor_critic", env.state_dim, env.cfg.max_swarm, cfg, rng, 5,
+                              env.real_cols)
+    assert not any(isinstance(v, ag.ReplayMemory) for v in vars(learner).values())
+    for _ in range(5):
+        state, done = env.reset(env.nominal_task(), rng_seed=int(rng.integers(2**31))), False
+        while not done:
+            out = env.step(learner.act(state, rng))
+            learner.record(env.episode)
+            state, done = out.state, out.done
+        before = flatten_params(learner.params.critic, learner.params.critic_cfg).copy()
+        drawn = rng.bit_generator.state
+        learner.finish_episode(rng)
+        assert rng.bit_generator.state == drawn
+        assert not np.array_equal(
+            flatten_params(learner.params.critic, learner.params.critic_cfg), before)
