@@ -273,7 +273,7 @@ def test_byte_replay_equals_the_deque_replay_bit_for_bit():
 
 
 def test_array_replay_equals_the_deque_replay_bit_for_bit():
-    # Samples, and the DQN and replay TD gradients taken on them, equal
+    # Samples, and the DQN and critic TD gradients taken on them, equal
     # the reference's built from the sampled transitions.
     cases = np.random.default_rng(200)
     for case in range(100):
