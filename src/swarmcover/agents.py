@@ -11,12 +11,13 @@ actor-critic and PPO sample from their actor. DQN acts epsilon-greedily
 and anneals epsilon itself, once per finished episode, over the run
 length it is built with; no caller passes an exploration rate.
 
-The actor-critic accumulates the episode's gradients at the episode's
-weights and applies them in one Adam step afterwards (ascent for the
-actor, descent for the critic). Credit is per UAV: every transition
-carries one reward per acting UAV, the critic has one value output per
-UAV slot, regressed on that UAV's own discounted return, and each
-active policy head is pushed by its own one-step TD advantage
+The actor-critic writes the episode's gradients at the episode's weights
+straight into its Adam gradient vectors and applies them in one Adam
+step afterwards (ascent for the actor, descent for the critic). Credit
+is per UAV: every transition carries one reward per acting UAV, the
+critic has one value output per UAV slot, regressed on that UAV's own
+discounted return, and each active policy head is pushed by its own
+one-step TD advantage
 r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The critic fits
 the current episode alone, as A2C's does. PPO takes the pre-update joint
 log-probabilities and values once per update, before its epochs move
@@ -40,23 +41,24 @@ Every gradient reads transitions as one :class:`Batch` of arrays. A
 finished episode is one by slicing (:meth:`Batch.of_episode`: the states
 are ``obs[:-1]``, the next states ``obs[1:]``). DQN's replay memory
 copies an episode's rows in step order into preallocated arrays round a
-ring and samples a ``Batch`` straight from them. It keeps each row at
-its information size: one state per row as one bit per feature, with
-float64 values only for the columns the env declares not 0/1
-(``CoverageEnv.real_cols``), and ``int8`` action ids. A row's acting
+ring and samples a ``Batch`` straight from them. It keeps only what DQN
+reads, each row at its information size: one state per row as one bit
+per feature, with float64 values only for the columns the env declares
+not 0/1 (``CoverageEnv.real_cols``), the team reward, the done flag and
+``int8`` action ids; a sample carries no per-UAV rewards. A row's acting
 heads are not stored: every ``Batch`` reads them from its states'
 trailing active-count feature. A row's next state is the next row's
 state; only terminal rows and the newest row keep a next state of their
 own. DQN writes the episode's steps up to the current one just before
 each sample and the rest at the episode's end. Every gradient function
-writes into parameter-shaped buffers its caller passes
-(:func:`nets.grad_buffers`). DQN, PPO and the actor-critic own theirs,
-so an update allocates no parameter-sized arrays.
+overwrites parameter-shaped buffers its caller passes
+(:func:`nets.backward`). DQN and PPO own theirs and the actor-critic
+writes into its Adam gradient vectors, so an update allocates no
+parameter-sized arrays.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -229,30 +231,28 @@ class Batch:
 
     ``reward`` and ``live`` (0.0 after a terminal step, else 1.0) are the
     team reward and bootstrap mask DQN reads. The value losses read one
-    reward column per UAV slot (zero for idle slots). ``acting`` masks the
+    reward column per UAV slot (zero for idle slots), which an episode
+    has and a replay sample does not (``None``). ``acting`` masks the
     heads that acted, and so the columns a value loss counts; ``boot`` the
     bootstrap values V(s') a TD target may use: none after a terminal
     step, and per UAV none for a slot idle in s'. Both masks come from the
     states' trailing active-count feature (:func:`acting_heads`).
     """
 
-    states: np.ndarray       # [B, state_dim]
-    next_states: np.ndarray  # [B, state_dim]
-    reward: np.ndarray       # [B] team reward
-    live: np.ndarray         # [B]
-    acts: np.ndarray         # [B, heads] action ids, 0 on idle heads
-    acting: np.ndarray       # [B, heads] heads that acted
-    rewards: np.ndarray      # [B, heads]
-    boot: np.ndarray         # [B, heads]
+    states: np.ndarray          # [B, state_dim]
+    next_states: np.ndarray     # [B, state_dim]
+    reward: np.ndarray          # [B] team reward
+    live: np.ndarray            # [B]
+    acts: np.ndarray            # [B, heads] action ids, 0 on idle heads
+    acting: np.ndarray          # [B, heads] heads that acted
+    rewards: np.ndarray | None  # [B, heads]
 
     @classmethod
     def build(cls, states, next_states, reward, uav_rewards, done, acts) -> "Batch":
-        """The batch of rows given as arrays: ``uav_rewards`` [B, heads] is
-        zero-padded past each row's acting heads."""
-        heads = acts.shape[1]
-        live = np.where(done, 0.0, 1.0)
-        return cls(states, next_states, reward, live, acts, acting_heads(states, heads),
-                   uav_rewards, live[:, None] * acting_heads(next_states, heads))
+        """The batch of rows given as arrays: ``uav_rewards`` [B, heads],
+        when given, is zero-padded past each row's acting heads."""
+        return cls(states, next_states, reward, np.where(done, 0.0, 1.0), acts,
+                   acting_heads(states, acts.shape[1]), uav_rewards)
 
     @classmethod
     def of_episode(cls, episode) -> "Batch":
@@ -267,20 +267,15 @@ class Batch:
         """[B, heads, N_ACTIONS] one-hot taken actions (action 0 on idle heads)."""
         return np.eye(N_ACTIONS)[self.acts]
 
+    @property
+    def boot(self) -> np.ndarray:
+        """[B, heads] float mask of the bootstrap values a TD target may use."""
+        return self.live[:, None] * acting_heads(self.next_states, self.acts.shape[1])
+
 
 def acting_heads(states: np.ndarray, heads: int) -> np.ndarray:
     """[B, heads]: each state's acting heads, the batched :func:`_active_count`."""
     return np.arange(heads) < np.rint(states[:, -1] * heads)[:, None]
-
-
-def _untouched_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Zeros on fresh anonymous pages, so only the pages later written to
-    become resident. (``np.zeros`` may take heap memory that ``calloc``
-    clears in full, or ask for huge pages.)"""
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
 #: The bit pattern of 1.0, the one value besides +0.0 a bit holds.
@@ -291,21 +286,20 @@ class ReplayMemory:
     """The last ``capacity`` transitions, sampled uniformly as a :class:`Batch`.
 
     Rows are written from episodes (``env.EpisodeArrays``) in step order
-    round a ring of preallocated arrays, each at its information size:
-    the state as one bit per feature (``np.packbits`` order,
-    [capacity, ceil(state_dim / 8)] bytes) beside the float64 values of
-    the ``real_cols`` the env declares not 0/1 (``exact``), the team
-    reward, the per-UAV reward columns, the done flag and the action ids
-    as ``int8``; a sample reads its acting heads from its states. A write
-    whose states hold anything but +0.0 or 1.0 outside ``real_cols`` raises.
+    round a ring of preallocated arrays. They keep only what DQN reads,
+    each at its information size: the state as one bit per feature
+    (``np.packbits`` order, [capacity, ceil(state_dim / 8)] bytes) beside
+    the float64 values of the ``real_cols`` the env declares not 0/1
+    (``exact``), the team reward, the done flag and the action ids as
+    ``int8``. A sample reads its acting heads from its states and carries
+    no per-UAV rewards. A write whose states hold anything but +0.0 or 1.0
+    outside ``real_cols`` raises.
 
     A row's next state is the next row's state. A write keeps its last
     row's next state on its own (``next_states``: its bits and its
     ``real_cols`` values), and the next write, which continues that row,
     drops it unless the row is terminal; an episode's steps end at the
-    terminal one. So only terminal rows and the newest row keep one. The
-    arrays sit on untouched pages until rows are written, so a memory that
-    fills a few hundred of its rows holds only those.
+    terminal one. So only terminal rows and the newest row keep one.
     """
 
     def __init__(self, capacity: int, state_dim: int, heads: int,
@@ -315,15 +309,14 @@ class ReplayMemory:
         self.capacity = capacity
         self.state_dim = state_dim
         self.real_cols = np.asarray(real_cols, dtype=np.intp)
-        self.states = _untouched_zeros((capacity, -(-state_dim // 8)), np.uint8)
-        self.exact = _untouched_zeros((capacity, len(self.real_cols)), np.float64)
+        self.states = np.zeros((capacity, -(-state_dim // 8)), np.uint8)
+        self.exact = np.zeros((capacity, len(self.real_cols)), np.float64)
         #: All bits set in the columns that ``states`` holds, none in ``real_cols``.
         self._bit_mask = np.full(state_dim, np.iinfo(np.uint64).max, dtype=np.uint64)
         self._bit_mask[self.real_cols] = 0
-        self.reward = _untouched_zeros((capacity,), np.float64)
-        self.uav_rewards = _untouched_zeros((capacity, heads), np.float64)
-        self.done = _untouched_zeros((capacity,), bool)
-        self.acts = _untouched_zeros((capacity, heads), np.int8)
+        self.reward = np.zeros(capacity, np.float64)
+        self.done = np.zeros(capacity, bool)
+        self.acts = np.zeros((capacity, heads), np.int8)
         #: The next states kept on their own, by row, as ``(bits, values)``.
         self.next_states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._size = 0
@@ -352,7 +345,6 @@ class ReplayMemory:
         self.states[rows] = bits[:-1]
         self.exact[rows] = values[:-1]
         self.reward[rows] = episode.reward[start:stop]
-        self.uav_rewards[rows] = episode.uav_rewards[start:stop]
         self.done[rows] = episode.done[start:stop]
         self.acts[rows] = episode.acts[start:stop]
         self.next_states[int(rows[-1])] = (bits[-1].copy(), values[-1].copy())
@@ -378,8 +370,8 @@ class ReplayMemory:
                 bits, values = own
                 next_states[i] = np.unpackbits(bits, count=self.state_dim)
                 next_states[i, self.real_cols] = values
-        return Batch.build(states, next_states, self.reward[rows], self.uav_rewards[rows],
-                           self.done[rows], self.acts[rows].astype(np.int64))
+        return Batch.build(states, next_states, self.reward[rows], None, self.done[rows],
+                           self.acts[rows].astype(np.int64))
 
     def __len__(self) -> int:
         return self._size
@@ -389,20 +381,18 @@ def actor_critic_accumulate(
     params: PolicyParams,
     episode: Batch,
     gamma: float,
-    acc: GradAccumulator,
-    scratch: GradAccumulator,
+    out: GradAccumulator,
 ) -> None:
-    """Add the gradients of one episode, as :meth:`Batch.of_episode` lays
-    it out, at the current weights to ``acc``.
+    """Write the gradients of one episode, as :meth:`Batch.of_episode`
+    lays it out, at the current weights into ``out``.
 
     Actor: ascent direction of
       sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + ENTROPY_WEIGHT * H(pi_i(. | s_t))]
     over the heads i that acted at step t, with head i's one-step TD error
     A_ti = r_ti + gamma * V_i(s'_t) - V_i(s_t) on UAV i's own reward.
     Critic: descent direction of sum_t sum_i (R_ti - V_i(s_t))^2 over the
-    same heads, with R_ti UAV i's discounted reward-to-go. Each gradient is
-    taken into ``scratch`` (see :func:`nets.grad_buffers`) before it is
-    added to ``acc``.
+    same heads, with R_ti UAV i's discounted reward-to-go. Both overwrite
+    every element of ``out``'s buffers (see :func:`nets.backward`).
     """
     b = episode
     if not len(b.states):
@@ -419,42 +409,39 @@ def actor_critic_accumulate(
     ent = -(probs * logp).sum(axis=-1, keepdims=True)
     dlogits -= ENTROPY_WEIGHT * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
     nets.backward(params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
-                  scratch.d_actor)
+                  out.d_actor)
     returns = discounted_returns(b.rewards, gamma)
     dvals = -2.0 * ((returns - values) * b.acting)
-    nets.backward(params.critic, v_cache, dvals, params.critic_cfg, scratch.d_critic)
-    nets.add(acc.d_actor, scratch.d_actor)
-    nets.add(acc.d_critic, scratch.d_critic)
+    nets.backward(params.critic, v_cache, dvals, params.critic_cfg, out.d_critic)
 
 
 def critic_td_accumulate(
     params: PolicyParams,
     batch: Batch,
     gamma: float,
-    acc: GradAccumulator,
-    scratch: GradAccumulator,
+    out: GradAccumulator,
 ) -> None:
-    """Add a batch's one-step TD term to the critic gradient.
+    """Write a batch's one-step TD gradient into ``out.d_critic``.
 
     Descent direction of sum_i (r_i + gamma * V_i(s') - V_i(s))^2 over the
-    acting heads, as in :func:`actor_critic_accumulate`, which ``scratch``
-    also follows. Semi-gradient: the bootstrap target gamma * V(s') is held
-    constant.
+    acting heads, on the per-UAV rewards of a batch that has them (an
+    episode's; a replay sample has none), as in
+    :func:`actor_critic_accumulate`. Semi-gradient: the bootstrap target
+    gamma * V(s') is held constant.
     """
     values, cache = nets.forward(params.critic, batch.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, batch.next_states, params.critic_cfg)
     targets = batch.rewards + gamma * batch.boot * next_values
     dvals = -2.0 * ((targets - values) * batch.acting)
-    nets.backward(params.critic, cache, dvals, params.critic_cfg, scratch.d_critic)
-    nets.add(acc.d_critic, scratch.d_critic)
+    nets.backward(params.critic, cache, dvals, params.critic_cfg, out.d_critic)
 
 
 class Adam:
     """Adam (Kingma & Ba, 2015) for one network, on flat vectors in place.
 
-    Callers accumulate into ``grads``, a dict of views into one flat
-    gradient vector; :meth:`step` moves the parameters along it (``sign``
-    +1 ascends, -1 descends) and clears it for the next episode.
+    Callers write the gradient into ``grads``, a dict of views into one
+    flat gradient vector; :meth:`step` moves the parameters along it
+    (``sign`` +1 ascends, -1 descends) and leaves it as it was.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -490,7 +477,6 @@ class Adam:
         buf *= self.sign * self.lr * root / (1.0 - b1 ** self.t)
         for key, delta in self._buf_views.items():
             params[key] += delta
-        g.fill(0.0)
 
 
 # --- DQN ----------------------------------------------------------------------
@@ -710,7 +696,8 @@ class ActorCriticLearner:
     advantages, an entropy bonus and Adam: one on-policy update per
     finished episode, which draws nothing from the generator.
 
-    Its Adam state, built with it, stays for its life.
+    Its Adam state, built with it, stays for its life; each update writes
+    the episode's gradients straight into the Adams' ``grads``.
     """
 
     def __init__(self, params: PolicyParams, cfg: AgentConfig) -> None:
@@ -719,8 +706,6 @@ class ActorCriticLearner:
         self._episode = None
         self._actor_opt = Adam(params.actor_cfg, AC_LEARNING_RATE, +1.0)
         self._critic_opt = Adam(params.critic_cfg, AC_LEARNING_RATE, -1.0)
-        self._scratch = GradAccumulator(nets.grad_buffers(params.actor_cfg),
-                                        nets.grad_buffers(params.critic_cfg))
 
     def act(self, state, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, rng)
@@ -732,9 +717,8 @@ class ActorCriticLearner:
         if self._episode is None:
             return
         params = self.params
-        acc = GradAccumulator(self._actor_opt.grads, self._critic_opt.grads)
-        actor_critic_accumulate(params, Batch.of_episode(self._episode), self.cfg.gamma, acc,
-                                self._scratch)
+        actor_critic_accumulate(params, Batch.of_episode(self._episode), self.cfg.gamma,
+                                GradAccumulator(self._actor_opt.grads, self._critic_opt.grads))
         self._actor_opt.step(params.actor)
         self._critic_opt.step(params.critic)
         self._episode = None

@@ -51,7 +51,7 @@ def zeros_like_params(params: dict) -> dict:
 
 
 def zero_grads(params: ag.PolicyParams) -> ag.GradAccumulator:
-    """An empty gradient accumulator shaped like ``params``."""
+    """Zeroed actor and critic gradient buffers shaped like ``params``."""
     return ag.GradAccumulator(zeros_like_params(params.actor), zeros_like_params(params.critic))
 
 

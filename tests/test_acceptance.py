@@ -178,10 +178,10 @@ def test_gradient_oracle_matches_finite_differences():
                 else next_values[t, u] for t, u in pairs}
 
         # As ActorCriticLearner.finish_episode: the episode's terms, and
-        # nothing else, in one accumulator.
+        # nothing else, written into one set of buffers.
         acc = zero_grads(params)
         batch = as_batch(episode, params.heads)
-        ag.actor_critic_accumulate(params, batch, gamma, acc, zero_grads(params))
+        ag.actor_critic_accumulate(params, batch, gamma, acc)
 
         # Actor: per-head TD advantage (frozen) times log-probability, plus
         # the entropy bonus.
@@ -212,10 +212,10 @@ def test_gradient_oracle_matches_finite_differences():
         )
         worst["critic"] = max(worst["critic"], err)
 
-        # The one-step TD loss with bootstrap targets frozen, in an
-        # accumulator of its own.
+        # The one-step TD loss with bootstrap targets frozen, in buffers
+        # of its own.
         td = zero_grads(params)
-        ag.critic_td_accumulate(params, batch, gamma, td, zero_grads(params))
+        ag.critic_td_accumulate(params, batch, gamma, td)
 
         def td_loss(critic):
             v, _ = nets.forward(critic, states, params.critic_cfg)

@@ -57,8 +57,11 @@ def assert_bits_equal(a, b) -> None:
 
 
 def assert_same_batch(got: ag.Batch, want: ag.Batch) -> None:
-    for name in vars(want):
-        assert_bits_equal(getattr(got, name), getattr(want, name))
+    for name, value in vars(want).items():
+        if value is None:
+            assert getattr(got, name) is None, name
+        else:
+            assert_bits_equal(getattr(got, name), value)
 
 
 # --- replay memory ---------------------------------------------------------------
@@ -84,18 +87,12 @@ class DequeReplayMemory:
 
 def reference_batch(batch: list[Transition], heads: int) -> ag.Batch:
     """Reference: the transition-list batch builder the array memory
-    replaced, each field built as it built it."""
-    n = len(batch)
+    replaced, each field that DQN reads built as it built it, and no
+    per-UAV rewards, which a replay sample does not carry."""
     acts, acting = action_arrays([t.action for t in batch], heads)
-    live = np.array([0.0 if t.done else 1.0 for t in batch])[:, None]
-    states = np.stack([t.state for t in batch])
-    next_states = np.stack([t.next_state for t in batch])
-    rewards = np.zeros((n, heads))
-    rewards[acting] = np.concatenate([t.uav_rewards for t in batch])
-    next_active = np.arange(heads) < np.rint(next_states[:, -1] * heads)[:, None]
-    boot = live * next_active
-    return ag.Batch(states, next_states, np.array([t.reward for t in batch]), live[:, 0],
-                    acts, acting, rewards, boot)
+    live = np.array([0.0 if t.done else 1.0 for t in batch])
+    return ag.Batch(np.stack([t.state for t in batch]), np.stack([t.next_state for t in batch]),
+                    np.array([t.reward for t in batch]), live, acts, acting, None)
 
 
 #: Values a declared real column holds bit for bit: -0.0, NaNs (one with a
@@ -150,7 +147,7 @@ def assert_same_memory(got: ag.ReplayMemory, want: ag.ReplayMemory) -> None:
     for row, kept in want.next_states.items():
         for a, b in zip(got.next_states[row], kept):
             assert_bits_equal(a, b)
-    for name in ("states", "exact", "reward", "uav_rewards", "done", "acts"):
+    for name in ("states", "exact", "reward", "done", "acts"):
         assert_bits_equal(getattr(got, name)[:len(got)], getattr(want, name)[:len(want)])
     mine, theirs = np.random.default_rng(len(got)), np.random.default_rng(len(got))
     assert_same_batch(got.sample(len(got), mine), want.sample(len(want), theirs))
@@ -273,8 +270,8 @@ def test_byte_replay_equals_the_deque_replay_bit_for_bit():
 
 
 def test_array_replay_equals_the_deque_replay_bit_for_bit():
-    # Samples, and the DQN and critic TD gradients taken on them, equal
-    # the reference's built from the sampled transitions.
+    # Samples, and the DQN gradients taken on them, equal the reference's
+    # built from the sampled transitions.
     cases = np.random.default_rng(200)
     for case in range(100):
         for mem, _, ref, _ in fed_in_blocks(cases):
@@ -296,15 +293,10 @@ def test_array_replay_equals_the_deque_replay_bit_for_bit():
                                              nets.grad_buffers(params.actor_cfg)),
                         loop_dqn_loss_and_grad(params.actor, target.actor, drawn, gamma,
                                                params.actor_cfg, heads)]
-                acc, ref_acc = zero_grads(params), zero_grads(params)
-                ag.critic_td_accumulate(params, got, gamma, acc, zero_grads(params))
-                ag.critic_td_accumulate(params, want, gamma, ref_acc, zero_grads(params))
             for ref_loss, ref_grads in refs:
                 assert_bits_equal(loss, ref_loss)
                 for key in ref_grads:
                     assert_bits_equal(grads[key], ref_grads[key])
-            for key in ref_acc.d_critic:
-                assert_bits_equal(acc.d_critic[key], ref_acc.d_critic[key])
 
 
 @pytest.mark.parametrize("dim", [1, 7, 8, 9, 279])
@@ -518,6 +510,20 @@ def test_full_default_world_memory_fits_in_a_few_megabytes():
         mem.write(env.episode, 0, env.episode.steps)
     assert len(mem) == 10_000 and env.state_dim == 279 and mem.states.shape == (10_000, 35)
     assert memory_nbytes(mem) <= 1.6e6, memory_nbytes(mem)
+
+
+def test_a_replay_sample_carries_no_per_uav_rewards():
+    # DQN reads the team reward alone, so the memory keeps no per-UAV
+    # reward column and a sample has none.
+    capacity, dim, heads, real = 12, 6, 3, (5,)
+    mem = ag.ReplayMemory(capacity, dim, heads, real)
+    rng = np.random.default_rng(600)
+    while len(mem) < capacity:
+        episode = random_episode(rng, 5, dim, heads, real)
+        mem.write(episode, 0, episode.steps)
+    assert not [name for name, a in vars(mem).items() if isinstance(a, np.ndarray)
+                and a.dtype == np.float64 and a.shape == (capacity, heads)]
+    assert mem.sample(capacity, rng).rewards is None
 
 
 # --- exploration -------------------------------------------------------------------
@@ -789,47 +795,12 @@ def test_discounted_returns_match_the_numpy_loop():
 # The objective ActorCriticLearner trains: per-UAV rewards, a critic with one
 # output per UAV slot, a one-step TD advantage per head and an entropy bonus.
 
-def test_accumulate_twice_doubles():
-    params = tiny_params(state_dim=4, heads=2)
-    episode = random_batch(params, 5, seed=3)
-    once, twice = zero_grads(params), zero_grads(params)
-    batch = as_batch(episode, params.heads)
-    ag.actor_critic_accumulate(params, batch, 0.85, once, zero_grads(params))
-    for _ in range(2):
-        ag.actor_critic_accumulate(params, batch, 0.85, twice, zero_grads(params))
-    for k in once.d_actor:
-        np.testing.assert_allclose(twice.d_actor[k], 2.0 * once.d_actor[k], rtol=1e-12)
-    for k in once.d_critic:
-        np.testing.assert_allclose(twice.d_critic[k], 2.0 * once.d_critic[k], rtol=1e-12)
-
-
-def test_accumulating_through_scratch_buffers_changes_no_bit():
-    for case in range(30):
-        heads = 1 + case % 7
-        params = tiny_params(state_dim=9, heads=heads, hidden=(8, 6), seed=case)
-        scratch = ag.GradAccumulator(nets.grad_buffers(params.actor_cfg),
-                                     nets.grad_buffers(params.critic_cfg))
-        fresh, buffered = zero_grads(params), zero_grads(params)
-        for part in range(3):  # the scratch buffers hold the last gradient
-            episode = as_batch(random_batch(params, 1 + (case + part) % 25, seed=case + part),
-                                  heads)
-            replay = as_batch(random_batch(params, 7, seed=100 + case + part), heads)
-            ag.actor_critic_accumulate(params, episode, 0.85, fresh, zero_grads(params))
-            ag.critic_td_accumulate(params, replay, 0.85, fresh, zero_grads(params))
-            ag.actor_critic_accumulate(params, episode, 0.85, buffered, scratch)
-            ag.critic_td_accumulate(params, replay, 0.85, buffered, scratch)
-            for key in fresh.d_actor:
-                assert_bits_equal(buffered.d_actor[key], fresh.d_actor[key])
-            for key in fresh.d_critic:
-                assert_bits_equal(buffered.d_critic[key], fresh.d_critic[key])
-
-
 def test_empty_episode_rejected():
     params = tiny_params()
     one = as_batch(random_batch(params, 1), params.heads)
     empty = ag.Batch(**{name: rows[:0] for name, rows in vars(one).items()})
     with pytest.raises(ValueError):
-        ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params), zero_grads(params))
+        ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params))
 
 
 def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndarray:
@@ -854,8 +825,7 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
     episode = random_batch(params, 4, seed=41)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc,
-                               zero_grads(params))
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
@@ -877,8 +847,7 @@ def test_entropy_gradient_matches_finite_differences():
     episode = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
                for t in random_batch(params, 4, seed=43)]
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), 0.85, acc,
-                               zero_grads(params))
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), 0.85, acc)
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
@@ -898,8 +867,7 @@ def test_per_slot_critic_gradient_matches_finite_differences(heads):
     episode = random_batch(params, 4, seed=45)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc,
-                               zero_grads(params))
+    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
     returns = np.zeros((len(episode), params.heads))
     running = np.zeros(params.heads)
     for t in reversed(range(len(episode))):
@@ -925,7 +893,7 @@ def test_per_slot_replay_td_gradient_matches_finite_differences(heads):
     batch = random_batch(params, 5, seed=47)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.critic_td_accumulate(params, as_batch(batch, params.heads), gamma, acc, zero_grads(params))
+    ag.critic_td_accumulate(params, as_batch(batch, params.heads), gamma, acc)
 
     def td_loss(critic):
         total = 0.0
@@ -950,9 +918,69 @@ def test_adam_first_step_moves_by_the_step_size_along_the_sign():
         opt.step(params.actor)
         moved = flatten_params(params.actor, params.actor_cfg) - start
         np.testing.assert_allclose(moved, sign * 1e-3 * np.sign(grad), rtol=1e-6)
-        np.testing.assert_array_equal(opt.flat_grad, 0.0)  # cleared for the next episode
+        assert_bits_equal(opt.flat_grad, grad)  # the step leaves the gradient as it was
     np.testing.assert_allclose(flatten_params(params.actor, params.actor_cfg), before,
                                atol=1e-15)
+
+
+class ScratchPathActorCritic(ag.ActorCriticLearner):
+    """Reference: the actor-critic update as it was when each gradient went
+    into scratch buffers and was then added into Adam vectors cleared after
+    every step. The scratch buffers are fresh zeros every episode, so the
+    reference holds whether or not the gradients overwrite them."""
+
+    def finish_episode(self, rng) -> None:
+        params, scratch = self.params, zero_grads(self.params)
+        ag.actor_critic_accumulate(params, ag.Batch.of_episode(self._episode), self.cfg.gamma,
+                                   scratch)
+        for opt, net, grads in ((self._actor_opt, params.actor, scratch.d_actor),
+                                (self._critic_opt, params.critic, scratch.d_critic)):
+            nets.add(opt.grads, grads)
+            opt.step(net)
+            opt.flat_grad.fill(0.0)
+        self._episode = None
+
+
+@pytest.mark.parametrize("negative_zeros", [False, True])
+def test_writing_gradients_straight_into_adam_changes_no_bit(negative_zeros, monkeypatch):
+    # The third head never acts, so its logits and value columns take
+    # signed-zero gradients. numpy and its BLAS start their sums from +0.0,
+    # so backward writes no -0.0; one that starts from the first product
+    # would, and adding that into a cleared vector gave +0.0. The second
+    # case has backward write every zero as -0.0. Either way the weights
+    # and both Adam moments stay bit for bit those of the scratch path.
+    if negative_zeros:
+        backward_as_written = nets.backward
+
+        def backward_with_negative_zeros(*args):
+            out = backward_as_written(*args)
+            for g in out.values():
+                g[g == 0.0] = -0.0
+            return out
+
+        monkeypatch.setattr(nets, "backward", backward_with_negative_zeros)
+    envs = [small_env(swarm=2, max_swarm=3) for _ in range(2)]
+    cfg = ag.AgentConfig(hidden=(8,))
+    params = tiny_params(envs[0].state_dim, 3, hidden=(8,), seed=50)
+    learners = [ag.ActorCriticLearner(params.clone(), cfg),
+                ScratchPathActorCritic(params.clone(), cfg)]
+    rngs = [np.random.default_rng(51), np.random.default_rng(51)]
+    written = 0
+    for _ in range(6):
+        for env, learner, rng in zip(envs, learners, rngs):
+            ag.run_training_episode(env, env.nominal_task(), learner, rng)
+        direct, reference = learners
+        for opt in (direct._actor_opt, direct._critic_opt):
+            written += int(np.count_nonzero((opt.flat_grad == 0.0) & np.signbit(opt.flat_grad)))
+        for net in ("actor", "critic"):
+            for key, value in getattr(reference.params, net).items():
+                assert_bits_equal(getattr(direct.params, net)[key], value)
+        for opt in ("_actor_opt", "_critic_opt"):
+            for moment in ("_m", "_v"):
+                assert_bits_equal(getattr(getattr(direct, opt), moment),
+                                  getattr(getattr(reference, opt), moment))
+    if negative_zeros:
+        assert written > 0
 
 
 # --- DQN --------------------------------------------------------------------------

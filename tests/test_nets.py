@@ -132,8 +132,8 @@ def test_unflatten_rejects_wrong_length():
 
 
 def test_add_accumulates_in_place():
-    # add is both the gradient accumulation and the step of a gradient
-    # already scaled in place.
+    # add adds one dict of arrays into another in place: the step of a
+    # gradient already scaled in place.
     cfg = nets.NetConfig(2, (2,), 1)
     params = nets.init_params(cfg, np.random.default_rng(4))
     grads = {k: np.ones_like(v) for k, v in params.items()}
