@@ -4,7 +4,9 @@ meta-initialization loop on top of the actor-critic.
 Every learner has ``act(state, rng)``, ``record(episode)`` and
 ``finish_episode(rng)`` and holds one copy of its weights. ``record``
 is called after each step with the env's ``EpisodeArrays``, which hold
-the episode's rows up to that step. Only
+the episode's rows up to that step and which the env reuses at its next
+reset: every learner finishes with them before then, and DQN's replay
+memory copies what it keeps. Only
 ``finish_episode`` changes them (DQN's ``record`` too), so everything
 read during an episode sees the weights the episode started with. The
 actor-critic and PPO sample from their actor. DQN acts epsilon-greedily
@@ -214,13 +216,15 @@ def discounted_returns(rewards: Sequence[float] | np.ndarray, gamma: float) -> n
     floats, the arithmetic of a per-step numpy loop."""
     rewards = np.asarray(rewards, dtype=np.float64)
     width = int(np.prod(rewards.shape[1:]))
-    rows = rewards.reshape(len(rewards), width).tolist()
-    acc, out = [0.0] * width, []
-    for row in reversed(rows):
-        acc = [r + gamma * a for r, a in zip(row, acc)]
-        out.append(acc)
-    out.reverse()
-    return np.array(out, dtype=np.float64).reshape(rewards.shape)
+    out = []
+    for column in rewards.reshape(len(rewards), width).T.tolist():
+        acc, column_out = 0.0, []
+        for r in reversed(column):
+            acc = r + gamma * acc
+            column_out.append(acc)
+        column_out.reverse()
+        out.append(column_out)
+    return np.array(out, dtype=np.float64).reshape(width, len(rewards)).T.reshape(rewards.shape)
 
 
 # --- actor-critic -------------------------------------------------------------
@@ -393,23 +397,47 @@ def actor_critic_accumulate(
     Critic: descent direction of sum_t sum_i (R_ti - V_i(s_t))^2 over the
     same heads, with R_ti UAV i's discounted reward-to-go. Both overwrite
     every element of ``out``'s buffers (see :func:`nets.backward`).
+
+    The critic runs once, over the batch's distinct rows: an episode's
+    n + 1 observations when each next state is the following row's state,
+    else the n states and n next states stacked; a one-step batch forwards
+    its two rows apart. log pi and the entropy reuse the softmax's shifted
+    logits and exp-sum.
     """
     b = episode
-    if not len(b.states):
+    n = len(b.states)
+    if not n:
         raise ValueError("cannot accumulate over an empty episode")
-    logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
-    values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
-    next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
+    raw, a_cache = nets.forward(params.actor, b.states, params.actor_cfg)
+    # The softmax of nets.softmax, keeping its shifted logits and exp-sum
+    # for log pi.
+    z = raw.reshape(n, params.heads, N_ACTIONS)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    probs = e / total
+    logp = z - np.log(total)
+    # A row's outputs do not depend on the other rows of a batch of two or
+    # more; a one-row product goes through BLAS's gemv, whose rows differ
+    # from gemm's.
+    if n == 1:
+        values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
+        next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
+    else:
+        if np.array_equal(b.next_states[:-1], b.states[1:]):
+            rows, at = np.concatenate((b.states, b.next_states[-1:])), 1
+        else:
+            rows, at = np.concatenate((b.states, b.next_states)), n
+        v_rows, v_cache = nets.forward(params.critic, rows, params.critic_cfg)
+        values, next_values = v_rows[:n], v_rows[at:]
+        v_cache = [h[:n] for h in v_cache]
     adv = b.rewards + gamma * b.boot * next_values - values
 
     mask = b.acting[:, :, None]
     dlogits = adv[:, :, None] * (b.onehot - probs) * mask
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     ent = -(probs * logp).sum(axis=-1, keepdims=True)
     dlogits -= ENTROPY_WEIGHT * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
-    nets.backward(params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
-                  out.d_actor)
+    nets.backward(params.actor, a_cache, dlogits.reshape(n, -1), params.actor_cfg, out.d_actor)
     returns = discounted_returns(b.rewards, gamma)
     dvals = -2.0 * ((returns - values) * b.acting)
     nets.backward(params.critic, v_cache, dvals, params.critic_cfg, out.d_critic)

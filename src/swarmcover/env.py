@@ -32,10 +32,11 @@ with the same ``EnvConfig.initial_demand`` units. An episode lasts
 exactly ``slots`` steps and flies the fixed set of UAVs its task gives.
 The swarm size lives in the task alone: a swarm event (join or leave)
 yields a resized task, which takes effect at the reset that starts it.
-The env writes each episode once, into one :class:`EpisodeArrays`: an
-observation row per state, and per step the actions, the per-UAV and
-team rewards and the done flag; the learners read those rows. It
-declares the observation columns that are not 0/1 in ``real_cols``.
+The env writes each episode once, into the one :class:`EpisodeArrays`
+it owns and clears at every reset: an observation row per state, and per
+step the actions, the per-UAV and team rewards and the done flag; the
+learners read those rows before the next reset. It declares the
+observation columns that are not 0/1 in ``real_cols``.
 Given the same seed, task and action sequence, every outcome is
 reproducible bit for bit.
 """
@@ -43,7 +44,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -170,7 +171,8 @@ class EpisodeArrays:
     episode's UAVs (every ``obs`` row's trailing feature counts them) fill
     the first of the ``heads`` UAV slots of ``acts`` and ``uav_rewards``;
     the rest stay 0. The first ``steps`` rows (``steps + 1`` of ``obs``)
-    are written; their ``reward`` sums to the episode's return."""
+    are written; their ``reward`` sums to the episode's return. Rows of
+    ``obs`` past those may hold an earlier episode's states."""
 
     obs: np.ndarray          # [slots + 1, state_dim]
     acts: np.ndarray         # [slots, heads] action ids
@@ -178,6 +180,11 @@ class EpisodeArrays:
     reward: np.ndarray       # [slots] team reward
     done: np.ndarray         # [slots]
     steps: int = 0
+
+
+def _unknown_action(action) -> NoReturn:
+    raise ValueError(f"action id {action} is not one of the {N_ACTIONS} "
+                     f"actions (0 to {N_ACTIONS - 1})") from None
 
 
 def strategic_reward(satisfied_demand_sum: float) -> float:
@@ -329,11 +336,16 @@ class CoverageEnv:
     size. All features lie in [0, 1]; all but ``real_cols`` (the demand
     and swarm-size fractions) are exactly 0.0 or 1.0.
 
-    ``reset`` starts a fresh :class:`EpisodeArrays` in ``episode`` and
-    writes its observation row 0; step t copies row t to row t + 1, writes
-    there only what the slot changes (a mover's one-hot, a visited bit, a
-    demand fraction that drops), then the step's actions and rewards.
-    ``reset`` and ``step`` return those rows, which nothing writes again.
+    ``episode`` is one :class:`EpisodeArrays`, allocated at the first
+    ``reset``. Each later ``reset`` clears it in place (``obs`` row 0 and
+    every action, reward and done entry) and writes observation row 0;
+    step t copies row t to row t + 1, writes there only what the slot
+    changes (a mover's one-hot, a visited bit, a demand fraction that
+    drops), then the step's actions and rewards. ``episode`` and the rows
+    ``reset`` and ``step`` return belong to the env: nothing writes them
+    again before the next ``reset``, which reuses them, so a caller that
+    keeps a row past it keeps a copy. ``reset`` rejects start cells off
+    the grid, and ``step`` action ids outside ``range(N_ACTIONS)``.
 
     Episode state lives in per-UAV columns (``uav_cell``,
     ``uav_energy_j`` and ``uav_served``), one row per UAV of the episode,
@@ -431,6 +443,12 @@ class CoverageEnv:
             raise ValueError("task swarm size exceeds max_swarm")
         if len(task.strategic_cells) != self.cfg.num_strategic:
             raise ValueError("task must carry num_strategic strategic cells")
+        if start_cells is not None:
+            if len(set(start_cells)) != task.swarm_size:
+                raise ValueError("start cells must be distinct and match the swarm size")
+            for cell in start_cells:
+                if not 0 <= cell < self.n_cells:
+                    raise ValueError(f"start cell {cell} is off the grid of {self.n_cells} cells")
         self.task = task
 
         key = (task.strategic_cells, task.device_seed)
@@ -447,8 +465,6 @@ class CoverageEnv:
         if start_cells is None:
             rng = np.random.default_rng(rng_seed)
             start_cells = rng.choice(self.n_cells, size=task.swarm_size, replace=False)
-        elif len(set(start_cells)) != task.swarm_size:
-            raise ValueError("start cells must be distinct and match the swarm size")
 
         self.uav_cell = [int(c) for c in start_cells]
         self.uav_energy_j = [0.0] * task.swarm_size
@@ -464,15 +480,24 @@ class CoverageEnv:
         self._visits = [0] * self.n_cells
         self._cell_energy = [0.0] * self.n_cells
 
-        c, slots, heads = self.n_cells, self.mission_cfg.slots, self.cfg.max_swarm
-        self.episode = EpisodeArrays(
-            obs=np.zeros((slots + 1, self.state_dim)),
-            acts=np.zeros((slots, heads), dtype=np.int64),
-            uav_rewards=np.zeros((slots, heads)),
-            reward=np.zeros(slots),
-            done=np.zeros(slots, dtype=bool),
-        )
-        obs = self.episode.obs[0]
+        c, heads, ep = self.n_cells, self.cfg.max_swarm, self.episode
+        if ep is None:
+            slots = self.mission_cfg.slots
+            ep = self.episode = EpisodeArrays(
+                obs=np.zeros((slots + 1, self.state_dim)),
+                acts=np.zeros((slots, heads), dtype=np.int64),
+                uav_rewards=np.zeros((slots, heads)),
+                reward=np.zeros(slots),
+                done=np.zeros(slots, dtype=bool),
+            )
+        else:  # step t writes obs row t + 1 whole before anything reads it
+            ep.obs[0] = 0.0
+            ep.acts.fill(0)
+            ep.uav_rewards.fill(0.0)
+            ep.reward.fill(0.0)
+            ep.done.fill(False)
+            ep.steps = 0
+        obs = ep.obs[0]
         for slot, cell in enumerate(self.uav_cell):
             obs[slot * c + cell] = 1.0
         for i, cell in enumerate(task.strategic_cells):
@@ -493,9 +518,13 @@ class CoverageEnv:
             raise ValueError(f"need one action per UAV: got {len(actions)} actions "
                              f"for {len(origins)} UAVs")
 
-        finals, collided = resolve_moves(
-            origins, [tables.targets[cell][action] for cell, action in zip(origins, actions)]
-        )
+        targets = tables.targets
+        try:  # tuple indexing takes a negative id from the end, and raises past it
+            moves = [targets[cell][action] if action >= 0 else _unknown_action(action)
+                     for cell, action in zip(origins, actions)]
+        except IndexError:
+            _unknown_action(next(a for a in actions if a >= N_ACTIONS))
+        finals, collided = resolve_moves(origins, moves)
         devices, self._taken = collect_devices(tables, finals, self._taken)
 
         t = ep.steps

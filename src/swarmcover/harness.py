@@ -69,6 +69,7 @@ class EpisodeMetrics:
 
 #: The metrics.csv schema: every field but ``visits``, then one visits column per cell.
 _SCALAR_FIELDS = tuple(f for f in fields(EpisodeMetrics) if f.name != "visits")
+_SCALAR_NAMES = [f.name for f in _SCALAR_FIELDS]
 _FROM_STATS = {"int": int, "float": float, "bool": bool}
 _FROM_CELL = {"int": int, "float": float, "bool": lambda text: text == "1"}
 
@@ -94,20 +95,32 @@ def write_metrics(path: Path, rows: Sequence[EpisodeMetrics]) -> None:
     if not rows:
         raise ValueError("refusing to write an empty metrics file")
     n_cells = len(rows[0].visits)
-    header = [f.name for f in _SCALAR_FIELDS] + [f"visits_{i}" for i in range(n_cells)]
+    header = _SCALAR_NAMES + [f"visits_{i}" for i in range(n_cells)]
     write_csv(path, header, ([getattr(row, f.name) for f in _SCALAR_FIELDS] + list(row.visits)
                              for row in rows))
 
 
 def read_metrics(path: Path) -> list[EpisodeMetrics]:
+    """The rows of a :func:`write_metrics` file; ``ValueError`` for a file
+    with another header or no episode rows."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [
-            EpisodeMetrics(
-                visits=tuple(int(rec[k]) for k in rec if k.startswith("visits_")),
-                **{f.name: _FROM_CELL[f.type](rec[f.name]) for f in _SCALAR_FIELDS},
-            )
-            for rec in csv.DictReader(fh)
-        ]
+        records = csv.reader(fh)
+        header = next(records, [])
+        k = len(_SCALAR_NAMES)
+        visits = [f"visits_{i}" for i in range(len(header) - k)]
+        if header[:k] != _SCALAR_NAMES or header[k:] != visits:
+            raise ValueError(f"{path} is not a metrics file: its header is not "
+                             f"{','.join(_SCALAR_NAMES)},visits_0,...")
+        parse, rows = [_FROM_CELL[f.type] for f in _SCALAR_FIELDS], []
+        for rec in records:
+            if len(rec) != len(header):
+                raise ValueError(f"{path} line {records.line_num} has {len(rec)} fields, "
+                                 f"not the header's {len(header)}")
+            rows.append(EpisodeMetrics(*[p(text) for p, text in zip(parse, rec)],
+                                       tuple(map(int, rec[k:]))))
+    if not rows:
+        raise ValueError(f"{path} holds no episode rows")
+    return rows
 
 
 # --- convergence estimation --------------------------------------------------

@@ -983,6 +983,75 @@ def test_writing_gradients_straight_into_adam_changes_no_bit(negative_zeros, mon
         assert written > 0
 
 
+def two_pass_accumulate(params: ag.PolicyParams, b: ag.Batch, gamma: float,
+                        out: ag.GradAccumulator) -> None:
+    """Reference: ``actor_critic_accumulate`` as it was with one critic pass
+    over the states and another over the next states, and log pi taken from
+    the logits afresh."""
+    logits, probs, a_cache = ag.policy_forward(params.actor, b.states, params.actor_cfg,
+                                               params.heads)
+    values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
+    next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
+    adv = b.rewards + gamma * b.boot * next_values - values
+    mask = b.acting[:, :, None]
+    dlogits = adv[:, :, None] * (b.onehot - probs) * mask
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    ent = -(probs * logp).sum(axis=-1, keepdims=True)
+    dlogits -= ag.ENTROPY_WEIGHT * probs * (logp + ent) * mask
+    nets.backward(params.actor, a_cache, dlogits.reshape(len(b.states), -1), params.actor_cfg,
+                  out.d_actor)
+    returns = ag.discounted_returns(b.rewards, gamma)
+    dvals = -2.0 * ((returns - values) * b.acting)
+    nets.backward(params.critic, v_cache, dvals, params.critic_cfg, out.d_critic)
+
+
+def assert_accumulates_as_two_passes(params: ag.PolicyParams, batch: ag.Batch) -> None:
+    got, want = zero_grads(params), zero_grads(params)
+    ag.actor_critic_accumulate(params, batch, 0.85, got)
+    two_pass_accumulate(params, batch, 0.85, want)
+    for net in ("d_actor", "d_critic"):
+        for key, value in getattr(want, net).items():
+            assert_bits_equal(getattr(got, net)[key], value)
+
+
+@pytest.mark.parametrize("size", [3, 7])
+@pytest.mark.parametrize("steps", [1, 25])
+def test_one_critic_pass_equals_two_on_env_episodes(size, steps):
+    env = make_env()
+    rng = np.random.default_rng(60 + size)
+    params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, ag.AgentConfig(), rng,
+                                   critic_outputs=env.cfg.max_swarm)
+    for episode in range(3):
+        env.reset(replace(env.nominal_task(), swarm_size=size), rng_seed=episode)
+        for _ in range(steps):
+            env.step(rng.integers(0, N_ACTIONS, size=size))
+        batch = ag.Batch.of_episode(env.episode)
+        assert len(batch.states) == steps
+        assert_accumulates_as_two_passes(params, batch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_one_critic_pass_equals_two_on_batches_that_do_not_chain(n):
+    # Random transitions and an env episode's steps out of order: no next
+    # state is the following row's state, so the critic forwards 2n rows.
+    params = tiny_params(state_dim=6, heads=3, hidden=(5, 4), seed=62)
+    for seed in range(4):
+        assert_accumulates_as_two_passes(params, as_batch(random_batch(params, n, seed=seed),
+                                                          params.heads))
+    env = make_env()
+    rng = np.random.default_rng(63)
+    params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, ag.AgentConfig(), rng,
+                                   critic_outputs=env.cfg.max_swarm)
+    env.reset(rng_seed=4)
+    while not env.step(rng.integers(0, N_ACTIONS, size=len(env.uav_cell))).done:
+        pass
+    steps = transitions_of(env.episode, 0, env.episode.steps)
+    batch = as_batch([steps[i] for i in rng.permutation(len(steps))[:n]], params.heads)
+    assert n == 1 or not np.array_equal(batch.next_states[:-1], batch.states[1:])
+    assert_accumulates_as_two_passes(params, batch)
+
+
 # --- DQN --------------------------------------------------------------------------
 
 def test_dqn_gamma_zero_reduces_target_to_reward():

@@ -14,7 +14,7 @@ from swarmcover import mission as ms
 from swarmcover.cli import THREAD_VARS, main
 from swarmcover.config import load_config, load_instance
 from swarmcover.env import EnvConfig
-from swarmcover.harness import read_metrics
+from swarmcover.harness import PLOT_KINDS, read_metrics
 from conftest import INSTANCE, one_device
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -337,6 +337,25 @@ def test_emit_unknown_kind(scenario_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["emit", str(run_dir), "--kind", "pie"]) == 2
     assert "unknown plot kind 'pie'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", PLOT_KINDS)
+def test_emit_refuses_a_foreign_or_empty_metrics_file_by_name(scenario_file, tmp_path, capsys,
+                                                              kind):
+    # Before, a foreign header died with KeyError: 'episode' and a
+    # header-only file with IndexError, both as tracebacks.
+    main(["run", str(scenario_file())])
+    run_dir = tmp_path / "results" / "cli_random" / "seed0"
+    metrics = run_dir / "metrics.csv"
+    header = metrics.read_text(encoding="utf-8").splitlines()[0]
+    for text, error in (("step,score\n0,1.5\n", "is not a metrics file"),
+                        (header + "\n", "holds no episode rows")):
+        metrics.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["emit", str(run_dir), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(metrics) in err and error in err
+        assert not (run_dir / f"plot_{kind}.csv").exists()
 
 
 def test_single_thread_pin_is_the_default(scenario_file, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Swarm MDP dynamics: moves, collisions, rewards, encoding, events."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,56 @@ def test_reset_validates_explicit_start_cells():
     env = small_env()
     with pytest.raises(ValueError, match="distinct"):
         env.reset(start_cells=[3, 3])
+
+
+@pytest.mark.parametrize("cell", [-1, 9, 25])
+def test_reset_rejects_a_start_cell_off_the_grid(cell):
+    # -1 would set a second one-hot in the previous slot's block, and a
+    # cell past the grid would write into the strategic blocks.
+    env = small_env()
+    env.reset(start_cells=[4, 0], rng_seed=0)
+    before = env.episode.obs[0].copy()
+    with pytest.raises(ValueError, match=f"start cell {cell} is off the grid"):
+        env.reset(start_cells=[2, cell])
+    assert env.uav_cell == [4, 0]  # the rejected reset changed nothing
+    np.testing.assert_array_equal(env.episode.obs[0], before)
+
+
+def play_random(env: envmod.CoverageEnv, size: int, seed: int, steps: int | None = None):
+    """Reset to the nominal task at ``size`` UAVs and play ``steps`` random
+    joint actions (the whole episode when ``None``); returns reset's state."""
+    rng = np.random.default_rng(seed)
+    state = env.reset(replace(env.nominal_task(), swarm_size=size), rng_seed=seed)
+    for _ in range(env.mission_cfg.slots if steps is None else steps):
+        env.step(rng.integers(0, envmod.N_ACTIONS, size=size))
+    return state
+
+
+@pytest.mark.parametrize("size", [1, 3, 4])
+def test_a_reused_env_writes_the_episode_a_fresh_env_writes(size):
+    fresh = make_env()
+    want_state = play_random(fresh, size, seed=5).copy()
+    want = fresh.episode
+    used = make_env()
+    play_random(used, 7, seed=6)
+    buffers = used.episode
+    play_random(used, 5, seed=7, steps=3)  # reset mid-episode too
+    got_state = play_random(used, size, seed=5)
+    got = used.episode
+    assert got is buffers  # the env clears its buffers in place
+    assert got_state.tobytes() == want_state.tobytes()
+    for field in dataclasses.fields(envmod.EpisodeArrays):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    assert not got.acts[:, size:].any() and not got.uav_rewards[:, size:].any()
+
+
+def test_step_and_encode_state_before_the_first_reset_raise():
+    env = make_env()
+    with pytest.raises(RuntimeError, match="reset"):
+        env.step([HOVER] * 4)
+    with pytest.raises(RuntimeError, match="reset"):
+        env.encode_state()
 
 
 # --- moves and collisions ---------------------------------------------------------
@@ -346,6 +397,18 @@ def test_step_rejects_a_joint_action_of_the_wrong_length(count):
         env.step([HOVER] * count)
     out = env.step([HOVER, HOVER])  # the rejected call changed nothing
     assert out.info["cells"] == [0, 8] and uav_tracks(env) == [[0, 0], [8, 8]]
+
+
+@pytest.mark.parametrize("action", [-1, -6, 5, 9])
+def test_step_rejects_an_unknown_action_id(action):
+    # A negative id would index the move table from its end (-1 hovers).
+    env = small_env(swarm=2)
+    env.reset(start_cells=[0, 8])
+    with pytest.raises(ValueError, match=f"action id {action} is not one of the 5 actions"):
+        env.step([HOVER, action])
+    out = env.step([HOVER, HOVER])  # the rejected call changed nothing
+    assert out.info["cells"] == [0, 8] and uav_tracks(env) == [[0, 0], [8, 8]]
+    assert env.episode.acts[0].tolist() == [HOVER, HOVER, 0]
 
 
 def test_full_determinism_of_rollouts():

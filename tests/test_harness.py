@@ -74,6 +74,38 @@ def test_empty_metrics_refused(tmp_path):
         hz.write_metrics(tmp_path / "metrics.csv", [])
 
 
+def _swap_first_columns(lines):
+    header = lines[0].split(",")
+    return [",".join([header[1], header[0], *header[2:]]), *lines[1:]]
+
+
+#: Metrics files ``write_metrics`` never writes, each made from a good one's
+#: lines, with the error the reader refuses it with.
+BROKEN_METRICS = {
+    "foreign header": (lambda lines: ["a,b,c", "1,2,3"], "is not a metrics file"),
+    "swapped columns": (_swap_first_columns, "is not a metrics file"),
+    "visits out of order": (lambda lines: [lines[0].replace("visits_2", "visits_9"), *lines[1:]],
+                            "is not a metrics file"),
+    "no header": (lambda lines: [], "is not a metrics file"),
+    "header only": (lambda lines: lines[:1], "holds no episode rows"),
+    "short row": (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
+                  "line 2 has 14 fields, not the header's 15"),
+    "long row": (lambda lines: [lines[0], lines[1] + ",0", *lines[2:]],
+                 "line 2 has 16 fields, not the header's 15"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_METRICS)
+def test_read_metrics_refuses_what_write_metrics_does_not_write(tmp_path, case):
+    path = tmp_path / "metrics.csv"
+    hz.write_metrics(path, synthetic_rows(n_cells=3))
+    edit, error = BROKEN_METRICS[case]
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=error):
+        hz.read_metrics(path)
+
+
 # --- convergence estimation -----------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmcover import nets
 from fdcheck import add_scaled, assert_grad_close, backward, flatten_params, zeros_like_params
@@ -55,6 +57,36 @@ def test_forward_matches_the_per_layer_temporaries():
             assert out.tobytes() == h.tobytes()
             assert [a.tobytes() for a in cache] == [a.tobytes() for a in want]
             assert x.tobytes() == x_before.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 64), other_rows=st.integers(2, 64),
+       density=st.sampled_from([0.02, 0.1, 0.5]))
+def test_a_row_forwards_to_the_same_bits_in_any_batch_of_two_or_more(seed, rows, other_rows,
+                                                                     density):
+    # The actor-critic's one critic pass over an episode's observations
+    # relies on this: a row's output and activations do not depend on the
+    # batch it rides in, as long as the batch has at least two rows (a
+    # one-row product goes through BLAS's gemv, which rounds differently).
+    # The rows are observation-like: 0/1 features and a few real columns,
+    # the default world's shape and its actor-critic critic.
+    cfg = nets.NetConfig(279, (64, 64), 7)
+    real_cols = [200, 226, 252, 278]
+    rng = np.random.default_rng(seed)
+    params = nets.init_params(cfg, rng)
+
+    def observations(n: int) -> np.ndarray:
+        x = (rng.random((n, cfg.input_dim)) < density).astype(np.float64)
+        x[:, real_cols] = rng.integers(0, 8, size=(n, len(real_cols))) / 7.0
+        return x
+
+    x, y = observations(rows), observations(other_rows)
+    i, j = int(rng.integers(rows)), int(rng.integers(other_rows))
+    y[j] = x[i]
+    _, x_cache = nets.forward(params, x, cfg)
+    _, y_cache = nets.forward(params, y, cfg)
+    for layer, (a, b) in enumerate(zip(x_cache, y_cache)):
+        assert a[i].tobytes() == b[j].tobytes(), layer
 
 
 def test_softmax_rows_sum_to_one():
