@@ -398,43 +398,32 @@ def actor_critic_accumulate(
     same heads, with R_ti UAV i's discounted reward-to-go. Both overwrite
     every element of ``out``'s buffers (see :func:`nets.backward`).
 
-    The critic runs once, over the batch's distinct rows: an episode's
-    n + 1 observations when each next state is the following row's state,
-    else the n states and n next states stacked; a one-step batch forwards
-    its two rows apart. log pi and the entropy reuse the softmax's shifted
-    logits and exp-sum.
+    An episode's critic runs once, over its n + 1 observations: each next
+    state is the following row's state. Other batches, and a one-step
+    episode, forward their states and next states apart.
     """
     b = episode
     n = len(b.states)
     if not n:
         raise ValueError("cannot accumulate over an empty episode")
-    raw, a_cache = nets.forward(params.actor, b.states, params.actor_cfg)
-    # The softmax of nets.softmax, keeping its shifted logits and exp-sum
-    # for log pi.
-    z = raw.reshape(n, params.heads, N_ACTIONS)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    probs = e / total
-    logp = z - np.log(total)
+    logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
     # A row's outputs do not depend on the other rows of a batch of two or
     # more; a one-row product goes through BLAS's gemv, whose rows differ
     # from gemm's.
-    if n == 1:
+    if n > 1 and np.array_equal(b.next_states[:-1], b.states[1:]):
+        rows = np.concatenate((b.states, b.next_states[-1:]))
+        v_rows, v_cache = nets.forward(params.critic, rows, params.critic_cfg)
+        values, next_values = v_rows[:n], v_rows[1:]
+        v_cache = [h[:n] for h in v_cache]
+    else:
         values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
         next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
-    else:
-        if np.array_equal(b.next_states[:-1], b.states[1:]):
-            rows, at = np.concatenate((b.states, b.next_states[-1:])), 1
-        else:
-            rows, at = np.concatenate((b.states, b.next_states)), n
-        v_rows, v_cache = nets.forward(params.critic, rows, params.critic_cfg)
-        values, next_values = v_rows[:n], v_rows[at:]
-        v_cache = [h[:n] for h in v_cache]
     adv = b.rewards + gamma * b.boot * next_values - values
 
     mask = b.acting[:, :, None]
     dlogits = adv[:, :, None] * (b.onehot - probs) * mask
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     ent = -(probs * logp).sum(axis=-1, keepdims=True)
     dlogits -= ENTROPY_WEIGHT * probs * (logp + ent) * mask  # dH/dz = -p (log p + H)
     nets.backward(params.actor, a_cache, dlogits.reshape(n, -1), params.actor_cfg, out.d_actor)

@@ -44,7 +44,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,11 +180,6 @@ class EpisodeArrays:
     reward: np.ndarray       # [slots] team reward
     done: np.ndarray         # [slots]
     steps: int = 0
-
-
-def _unknown_action(action) -> NoReturn:
-    raise ValueError(f"action id {action} is not one of the {N_ACTIONS} "
-                     f"actions (0 to {N_ACTIONS - 1})") from None
 
 
 def strategic_reward(satisfied_demand_sum: float) -> float:
@@ -518,12 +513,12 @@ class CoverageEnv:
             raise ValueError(f"need one action per UAV: got {len(actions)} actions "
                              f"for {len(origins)} UAVs")
 
+        for action in actions:
+            if not 0 <= action < N_ACTIONS:
+                raise ValueError(f"action id {action} is not one of the {N_ACTIONS} "
+                                 f"actions (0 to {N_ACTIONS - 1})")
         targets = tables.targets
-        try:  # tuple indexing takes a negative id from the end, and raises past it
-            moves = [targets[cell][action] if action >= 0 else _unknown_action(action)
-                     for cell, action in zip(origins, actions)]
-        except IndexError:
-            _unknown_action(next(a for a in actions if a >= N_ACTIONS))
+        moves = [targets[cell][action] for cell, action in zip(origins, actions)]
         finals, collided = resolve_moves(origins, moves)
         devices, self._taken = collect_devices(tables, finals, self._taken)
 

@@ -113,6 +113,8 @@ def read_metrics(path: Path) -> list[EpisodeMetrics]:
                              f"{','.join(_SCALAR_NAMES)},visits_0,...")
         parse, rows = [_FROM_CELL[f.type] for f in _SCALAR_FIELDS], []
         for rec in records:
+            if not rec:  # a blank line
+                continue
             if len(rec) != len(header):
                 raise ValueError(f"{path} line {records.line_num} has {len(rec)} fields, "
                                  f"not the header's {len(header)}")

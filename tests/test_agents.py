@@ -986,8 +986,7 @@ def test_writing_gradients_straight_into_adam_changes_no_bit(negative_zeros, mon
 def two_pass_accumulate(params: ag.PolicyParams, b: ag.Batch, gamma: float,
                         out: ag.GradAccumulator) -> None:
     """Reference: ``actor_critic_accumulate`` as it was with one critic pass
-    over the states and another over the next states, and log pi taken from
-    the logits afresh."""
+    over the states and another over the next states."""
     logits, probs, a_cache = ag.policy_forward(params.actor, b.states, params.actor_cfg,
                                                params.heads)
     values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
@@ -1034,7 +1033,7 @@ def test_one_critic_pass_equals_two_on_env_episodes(size, steps):
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_one_critic_pass_equals_two_on_batches_that_do_not_chain(n):
     # Random transitions and an env episode's steps out of order: no next
-    # state is the following row's state, so the critic forwards 2n rows.
+    # state is the following row's state, so the critic forwards them apart.
     params = tiny_params(state_dim=6, heads=3, hidden=(5, 4), seed=62)
     for seed in range(4):
         assert_accumulates_as_two_passes(params, as_batch(random_batch(params, n, seed=seed),

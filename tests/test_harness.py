@@ -106,6 +106,15 @@ def test_read_metrics_refuses_what_write_metrics_does_not_write(tmp_path, case):
         hz.read_metrics(path)
 
 
+def test_read_metrics_skips_blank_lines(tmp_path):
+    path = tmp_path / "metrics.csv"
+    rows = synthetic_rows(n_cells=3)
+    hz.write_metrics(path, rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([lines[0], lines[1], "", *lines[2:], "", ""]), encoding="utf-8")
+    assert hz.read_metrics(path) == rows
+
+
 # --- convergence estimation -----------------------------------------------------------
 
 
