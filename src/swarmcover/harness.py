@@ -101,8 +101,8 @@ def write_metrics(path: Path, rows: Sequence[EpisodeMetrics]) -> None:
 
 
 def read_metrics(path: Path) -> list[EpisodeMetrics]:
-    """The rows of a :func:`write_metrics` file; ``ValueError`` for a file
-    with another header or no episode rows."""
+    """The rows of a :func:`write_metrics` file, blank lines skipped;
+    ``ValueError`` for a file with another header or no episode rows."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = csv.reader(fh)
         header = next(records, [])
