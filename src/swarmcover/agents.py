@@ -19,9 +19,10 @@ step afterwards (ascent for the actor, descent for the critic). Credit
 is per UAV: every transition carries one reward per acting UAV, the
 critic has one value output per UAV slot, regressed on that UAV's own
 discounted return, and each active policy head is pushed by its own
-one-step TD advantage
-r_i + gamma * V_i(s') - V_i(s) plus an entropy bonus. The critic fits
-the current episode alone, as A2C's does. PPO takes the pre-update joint
+one-step TD advantage r_i + gamma * V_i(s') - V_i(s) plus an entropy
+bonus. The critic fits the current episode alone, as A2C's does, and the
+update forwards it once, over the finished episode's states: step t's
+bootstrap value is step t + 1's. PPO takes the pre-update joint
 log-probabilities and values once per update, before its epochs move
 the weights. The meta loop adapts a clone of the meta parameters on a
 sampled task for ``AgentConfig.meta_inner_episodes`` episodes and then
@@ -383,12 +384,12 @@ class ReplayMemory:
 
 def actor_critic_accumulate(
     params: PolicyParams,
-    episode: Batch,
+    episode,
     gamma: float,
     out: GradAccumulator,
 ) -> None:
-    """Write the gradients of one episode, as :meth:`Batch.of_episode`
-    lays it out, at the current weights into ``out``.
+    """Write the gradients of one finished ``env.EpisodeArrays`` at the
+    current weights into ``out``.
 
     Actor: ascent direction of
       sum_t sum_i [log pi_i(a_ti | s_t) * A_ti + ENTROPY_WEIGHT * H(pi_i(. | s_t))]
@@ -398,26 +399,18 @@ def actor_critic_accumulate(
     same heads, with R_ti UAV i's discounted reward-to-go. Both overwrite
     every element of ``out``'s buffers (see :func:`nets.backward`).
 
-    An episode's critic runs once, over its n + 1 observations: each next
-    state is the following row's state. Other batches, and a one-step
-    episode, forward their states and next states apart.
+    The critic runs once, over the episode's n states: step t's next value
+    is step t + 1's, and the terminal step's is 0. An empty or unfinished
+    episode (its last written step not terminal) raises ``ValueError``.
     """
-    b = episode
-    n = len(b.states)
-    if not n:
-        raise ValueError("cannot accumulate over an empty episode")
+    n = episode.steps
+    if not n or not episode.done[n - 1]:
+        raise ValueError("can only accumulate over a finished episode")
+    b = Batch.of_episode(episode)
     logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
-    # A row's outputs do not depend on the other rows of a batch of two or
-    # more; a one-row product goes through BLAS's gemv, whose rows differ
-    # from gemm's.
-    if n > 1 and np.array_equal(b.next_states[:-1], b.states[1:]):
-        rows = np.concatenate((b.states, b.next_states[-1:]))
-        v_rows, v_cache = nets.forward(params.critic, rows, params.critic_cfg)
-        values, next_values = v_rows[:n], v_rows[1:]
-        v_cache = [h[:n] for h in v_cache]
-    else:
-        values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
-        next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
+    values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
+    next_values = np.zeros_like(values)  # the terminal step bootstraps from 0
+    next_values[:-1] = values[1:]
     adv = b.rewards + gamma * b.boot * next_values - values
 
     mask = b.acting[:, :, None]
@@ -734,7 +727,7 @@ class ActorCriticLearner:
         if self._episode is None:
             return
         params = self.params
-        actor_critic_accumulate(params, Batch.of_episode(self._episode), self.cfg.gamma,
+        actor_critic_accumulate(params, self._episode, self.cfg.gamma,
                                 GradAccumulator(self._actor_opt.grads, self._critic_opt.grads))
         self._actor_opt.step(params.actor)
         self._critic_opt.step(params.critic)

@@ -13,8 +13,8 @@ are penalised but still collect on the cell they stay on.
 The scalar step reward is
   +1 for every UAV that did not collide and whose link rate and mission
      deadline checks both pass (the altitude constraint holds by
-     construction: UAVs fly at the configured altitude clamped to the
-     SNR ceiling ``link_budget.max_altitude_m``),
+     construction: UAVs fly at ``link_budget.flight_altitude_m``, the
+     configured altitude clamped to the SNR ceiling),
   a coverage bonus of 1/(1 + k) for every UAV sitting on a strategic
      cell with remaining demand, where k counts demand units already
      served this frame,
@@ -33,10 +33,10 @@ exactly ``slots`` steps and flies the fixed set of UAVs its task gives.
 The swarm size lives in the task alone: a swarm event (join or leave)
 yields a resized task, which takes effect at the reset that starts it.
 The env writes each episode once, into the one :class:`EpisodeArrays`
-it owns and clears at every reset: an observation row per state, and per
-step the actions, the per-UAV and team rewards and the done flag; the
-learners read those rows before the next reset. It declares the
-observation columns that are not 0/1 in ``real_cols``.
+it allocates when built and clears at every reset: an observation row
+per state, and per step the actions, the per-UAV and team rewards and
+the done flag; the learners read those rows before the next reset. It
+declares the observation columns that are not 0/1 in ``real_cols``.
 Given the same seed, task and action sequence, every outcome is
 reproducible bit for bit.
 """
@@ -172,7 +172,7 @@ class EpisodeArrays:
     the first of the ``heads`` UAV slots of ``acts`` and ``uav_rewards``;
     the rest stay 0. The first ``steps`` rows (``steps + 1`` of ``obs``)
     are written; their ``reward`` sums to the episode's return. Rows of
-    ``obs`` past those may hold an earlier episode's states."""
+    ``obs`` past those hold zeros or an earlier episode's states."""
 
     obs: np.ndarray          # [slots + 1, state_dim]
     acts: np.ndarray         # [slots, heads] action ids
@@ -331,9 +331,9 @@ class CoverageEnv:
     size. All features lie in [0, 1]; all but ``real_cols`` (the demand
     and swarm-size fractions) are exactly 0.0 or 1.0.
 
-    ``episode`` is one :class:`EpisodeArrays`, allocated at the first
-    ``reset``. Each later ``reset`` clears it in place (``obs`` row 0 and
-    every action, reward and done entry) and writes observation row 0;
+    ``episode`` is one :class:`EpisodeArrays`, allocated when the env is
+    built. Each ``reset`` clears it in place (``obs`` row 0 and every
+    action, reward and done entry) and writes observation row 0;
     step t copies row t to row t + 1, writes there only what the slot
     changes (a mover's one-hot, a visited bit, a demand fraction that
     drops), then the step's actions and rewards. ``episode`` and the rows
@@ -363,7 +363,7 @@ class CoverageEnv:
         self.link_params = link_params
         self.radio = radio
         self.cfg = env_cfg
-        self.altitude_m = min(mission_cfg.uav_altitude_m, lb.max_altitude_m(link_params))
+        self.altitude_m = lb.flight_altitude_m(mission_cfg.uav_altitude_m, link_params)
         self.energy_norm_j = mission_cfg.p_oper_watts * mission_cfg.slot_seconds
         c = mission_cfg.n_cells
         # Offsets into the observation: strategic blocks, then visited bits.
@@ -376,7 +376,11 @@ class CoverageEnv:
         self.tables: TaskTables | None = None
         self._tables_key: tuple | None = None
         self.task: TaskSpec | None = None
-        self.episode: EpisodeArrays | None = None
+        slots, heads = mission_cfg.slots, env_cfg.max_swarm
+        self.episode = EpisodeArrays(
+            obs=np.zeros((slots + 1, self.state_dim)), acts=np.zeros((slots, heads), np.int64),
+            uav_rewards=np.zeros((slots, heads)), reward=np.zeros(slots),
+            done=np.zeros(slots, dtype=bool))
 
     # --- sizing -----------------------------------------------------------
 
@@ -476,22 +480,10 @@ class CoverageEnv:
         self._cell_energy = [0.0] * self.n_cells
 
         c, heads, ep = self.n_cells, self.cfg.max_swarm, self.episode
-        if ep is None:
-            slots = self.mission_cfg.slots
-            ep = self.episode = EpisodeArrays(
-                obs=np.zeros((slots + 1, self.state_dim)),
-                acts=np.zeros((slots, heads), dtype=np.int64),
-                uav_rewards=np.zeros((slots, heads)),
-                reward=np.zeros(slots),
-                done=np.zeros(slots, dtype=bool),
-            )
-        else:  # step t writes obs row t + 1 whole before anything reads it
-            ep.obs[0] = 0.0
-            ep.acts.fill(0)
-            ep.uav_rewards.fill(0.0)
-            ep.reward.fill(0.0)
-            ep.done.fill(False)
-            ep.steps = 0
+        ep.obs[0] = 0.0  # step t writes obs row t + 1 whole before anything reads it
+        for column in (ep.acts, ep.uav_rewards, ep.reward, ep.done):
+            column.fill(0)
+        ep.steps = 0
         obs = ep.obs[0]
         for slot, cell in enumerate(self.uav_cell):
             obs[slot * c + cell] = 1.0
@@ -505,7 +497,7 @@ class CoverageEnv:
     def step(self, actions: Sequence[int]) -> StepOutcome:
         """Advance one slot. ``actions`` holds one action id per UAV."""
         ep = self.episode
-        if ep is None or ep.steps == self.mission_cfg.slots:
+        if self.task is None or ep.steps == self.mission_cfg.slots:
             raise RuntimeError("step() called on a finished episode; call reset()")
         tables = self.tables
         origins = self.uav_cell
@@ -596,7 +588,7 @@ class CoverageEnv:
 
     def encode_state(self) -> np.ndarray:
         """A copy of the observation of the current episode state."""
-        if self.episode is None:
+        if self.task is None:
             raise RuntimeError("encode_state() before reset()")
         return self.episode.obs[self.episode.steps].copy()
 

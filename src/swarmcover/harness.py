@@ -18,7 +18,6 @@ Partially-written seed directories are removed when a run fails.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import shutil
 from dataclasses import asdict, dataclass, fields
@@ -36,7 +35,7 @@ from .agents import (
     meta_outer_update,
     run_training_episode,
 )
-from .config import AgentConfig, ExperimentConfig, write_json
+from .config import AgentConfig, ExperimentConfig, _read_json, write_json
 from .env import CoverageEnv, TaskSpec, swarm_schedule
 
 PLOT_KINDS = ("heatmap", "learning_curve", "energy_bars", "satisfaction_bars")
@@ -71,7 +70,7 @@ class EpisodeMetrics:
 _SCALAR_FIELDS = tuple(f for f in fields(EpisodeMetrics) if f.name != "visits")
 _SCALAR_NAMES = [f.name for f in _SCALAR_FIELDS]
 _FROM_STATS = {"int": int, "float": float, "bool": bool}
-_FROM_CELL = {"int": int, "float": float, "bool": lambda text: text == "1"}
+_FROM_CELL = {"int": int, "float": float, "bool": {"0": False, "1": True}.__getitem__}
 
 
 def _cell(value) -> str:
@@ -102,7 +101,8 @@ def write_metrics(path: Path, rows: Sequence[EpisodeMetrics]) -> None:
 
 def read_metrics(path: Path) -> list[EpisodeMetrics]:
     """The rows of a :func:`write_metrics` file, blank lines skipped;
-    ``ValueError`` for a file with another header or no episode rows."""
+    ``ValueError`` for a file with another header or no episode rows, or
+    with a cell its column's type does not parse (a bool is 0 or 1)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = csv.reader(fh)
         header = next(records, [])
@@ -111,15 +111,22 @@ def read_metrics(path: Path) -> list[EpisodeMetrics]:
         if header[:k] != _SCALAR_NAMES or header[k:] != visits:
             raise ValueError(f"{path} is not a metrics file: its header is not "
                              f"{','.join(_SCALAR_NAMES)},visits_0,...")
-        parse, rows = [_FROM_CELL[f.type] for f in _SCALAR_FIELDS], []
+        types, rows = [f.type for f in _SCALAR_FIELDS] + ["int"] * len(visits), []
         for rec in records:
             if not rec:  # a blank line
                 continue
             if len(rec) != len(header):
                 raise ValueError(f"{path} line {records.line_num} has {len(rec)} fields, "
                                  f"not the header's {len(header)}")
-            rows.append(EpisodeMetrics(*[p(text) for p, text in zip(parse, rec)],
-                                       tuple(map(int, rec[k:]))))
+            cells = []
+            for name, kind, text in zip(header, types, rec):
+                try:
+                    cells.append(_FROM_CELL[kind](text))
+                except (KeyError, ValueError):
+                    raise ValueError(
+                        f"{path} line {records.line_num} column {name} holds {text!r}, "
+                        f"which is not {'0 or 1' if kind == 'bool' else kind}") from None
+            rows.append(EpisodeMetrics(*cells[:k], tuple(cells[k:])))
     if not rows:
         raise ValueError(f"{path} holds no episode rows")
     return rows
@@ -404,30 +411,32 @@ def emit_plot_data(
     if not summary_file.exists():
         raise FileNotFoundError(f"no summary.json in {run_dir}")
     metrics = read_metrics(metrics_file)
-    with open(summary_file, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = _read_json(summary_file, str(summary_file))
     out = Path(out_path) if out_path is not None else run_dir / f"plot_{kind}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    if kind == "heatmap":
-        _write_heatmap(out, metrics, summary)
-    elif kind == "learning_curve":
-        ma = moving_average([m.reward for m in metrics], int(summary["ma_window"]))
-        write_csv(out, ["episode", "reward", "reward_ma", "swarm_size", "satisfaction"],
-                  ([m.episode, m.reward, float(avg), m.swarm_size, m.satisfaction]
-                   for m, avg in zip(metrics, ma)))
-    elif kind == "energy_bars":
-        write_csv(out, ["algorithm", "scenario", "energy_strategic_j",
-                        "energy_nonstrategic_j", "energy_total_j"], [[
-            summary["algorithm"], summary["scenario"],
-            float(summary["energy_strategic_tail_mean"]),
-            float(summary["energy_nonstrategic_tail_mean"]),
-            float(summary["energy_total_tail_mean"]),
-        ]])
-    else:  # satisfaction_bars
-        sats = [m.satisfaction for m in _tail_slice(metrics, float(summary["plateau_tail"]))]
-        write_csv(out, ["algorithm", "scenario", "swarm_size",
-                        "satisfaction_mean", "satisfaction_std"], [[
-            summary["algorithm"], summary["scenario"], metrics[-1].swarm_size,
-            float(np.mean(sats)), float(np.std(sats)),
-        ]])
+    try:  # each kind reads the summary keys it needs before it writes
+        if kind == "heatmap":
+            _write_heatmap(out, metrics, summary)
+        elif kind == "learning_curve":
+            ma = moving_average([m.reward for m in metrics], int(summary["ma_window"]))
+            write_csv(out, ["episode", "reward", "reward_ma", "swarm_size", "satisfaction"],
+                      ([m.episode, m.reward, float(avg), m.swarm_size, m.satisfaction]
+                       for m, avg in zip(metrics, ma)))
+        elif kind == "energy_bars":
+            write_csv(out, ["algorithm", "scenario", "energy_strategic_j",
+                            "energy_nonstrategic_j", "energy_total_j"], [[
+                summary["algorithm"], summary["scenario"],
+                float(summary["energy_strategic_tail_mean"]),
+                float(summary["energy_nonstrategic_tail_mean"]),
+                float(summary["energy_total_tail_mean"]),
+            ]])
+        else:  # satisfaction_bars
+            sats = [m.satisfaction for m in _tail_slice(metrics, float(summary["plateau_tail"]))]
+            write_csv(out, ["algorithm", "scenario", "swarm_size",
+                            "satisfaction_mean", "satisfaction_std"], [[
+                summary["algorithm"], summary["scenario"], metrics[-1].swarm_size,
+                float(np.mean(sats)), float(np.std(sats)),
+            ]])
+    except KeyError as exc:
+        raise ValueError(f"{summary_file} has no {exc.args[0]!r} key") from None
     return out

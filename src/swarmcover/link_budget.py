@@ -184,3 +184,8 @@ def max_altitude_m(params: AirGroundParams) -> float:
     f0 = 4.0 * math.pi * params.carrier_hz / SPEED_OF_LIGHT_MPS
     bound = params.max_tx_watts / (params.min_snr * f0 * f0 * params.noise_watts * params.psi_los)
     return math.sqrt(bound)
+
+
+def flight_altitude_m(altitude_m: float, params: AirGroundParams) -> float:
+    """The altitude UAVs fly at: ``altitude_m`` clamped to :func:`max_altitude_m`."""
+    return min(altitude_m, max_altitude_m(params))

@@ -94,7 +94,7 @@ class ExactInstance:
     @property
     def altitude_m(self) -> float:
         """Operating altitude: the configured one, clamped to the SNR ceiling."""
-        return min(self.mission.uav_altitude_m, lb.max_altitude_m(self.link))
+        return lb.flight_altitude_m(self.mission.uav_altitude_m, self.link)
 
     def build_world(self) -> ms.GridWorld:
         return ms.build_grid(self.mission, list(self.devices), self.strategic_cells)

@@ -34,7 +34,7 @@ from swarmcover.harness import (
 )
 from swarmcover.oracle import ExactInstance, enumerate_optimum, verify_feasibility
 from fdcheck import flatten_params, numeric_grad, relative_error, zero_grads
-from transitions import Transition, action_arrays, as_batch
+from transitions import Transition, action_arrays, as_batch, finished_episode
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -148,6 +148,28 @@ def _batch(params: ag.PolicyParams, n: int, seed: int) -> list[Transition]:
     return out
 
 
+def _frozen_terms(params: ag.PolicyParams, steps: list[Transition], gamma: float):
+    """The (step, head) pairs of ``steps`` that acted, and each one's frozen
+    terms: its reward, its discounted return, its value V_u(s) and its
+    bootstrap V_u(s'), zero after a terminal step or for a slot idle in s'.
+    Returns ``(states, pairs, values, reward, ret, boot)``."""
+    states = np.stack([t.state for t in steps])
+    pairs = [(t, u) for t, tr in enumerate(steps) for u in range(len(tr.action))]
+    values, _ = nets.forward(params.critic, states, params.critic_cfg)
+    next_values, _ = nets.forward(
+        params.critic, np.stack([t.next_state for t in steps]), params.critic_cfg)
+    reward = {(t, u): steps[t].uav_rewards[u] for t, u in pairs}
+    ret, running = {}, np.zeros(params.heads)
+    for t in reversed(range(len(steps))):
+        running = gamma * running
+        running[: len(steps[t].action)] += steps[t].uav_rewards
+        ret.update({(t, u): running[u] for u in range(len(steps[t].action))})
+    boot = {(t, u): 0.0 if steps[t].done
+            or u >= round(steps[t].next_state[-1] * params.heads)
+            else next_values[t, u] for t, u in pairs}
+    return states, pairs, values, reward, ret, boot
+
+
 def test_gradient_oracle_matches_finite_differences():
     budget_s = 60.0
     t0 = time.time()
@@ -157,31 +179,14 @@ def test_gradient_oracle_matches_finite_differences():
 
     for i in range(draws):
         params = _small_params(seed=1000 + i)
-        episode = _batch(params, 3, seed=2000 + i)
-        states = np.stack([t.state for t in episode])
-        # The (step, head) pairs that acted, and each one's frozen terms:
-        # its reward, its discounted return, its value V_u(s) and its
-        # bootstrap V_u(s'), zero after a terminal step or for a slot idle
-        # in s'.
-        pairs = [(t, u) for t, tr in enumerate(episode) for u in range(len(tr.action))]
-        values, _ = nets.forward(params.critic, states, params.critic_cfg)
-        next_values, _ = nets.forward(
-            params.critic, np.stack([t.next_state for t in episode]), params.critic_cfg)
-        reward = {(t, u): episode[t].uav_rewards[u] for t, u in pairs}
-        ret, running = {}, np.zeros(params.heads)
-        for t in reversed(range(len(episode))):
-            running = gamma * running
-            running[: len(episode[t].action)] += episode[t].uav_rewards
-            ret.update({(t, u): running[u] for u in range(len(episode[t].action))})
-        boot = {(t, u): 0.0 if episode[t].done
-                or u >= round(episode[t].next_state[-1] * params.heads)
-                else next_values[t, u] for t, u in pairs}
-
-        # As ActorCriticLearner.finish_episode: the episode's terms, and
-        # nothing else, written into one set of buffers.
+        # As ActorCriticLearner.finish_episode: a finished episode's terms,
+        # and nothing else, written into one set of buffers. Its active
+        # count varies by row, so a slot may be idle in s'.
+        arrays, episode = finished_episode(3, params.actor_cfg.input_dim, params.heads,
+                                           seed=2000 + i)
+        states, pairs, values, reward, ret, boot = _frozen_terms(params, episode, gamma)
         acc = zero_grads(params)
-        batch = as_batch(episode, params.heads)
-        ag.actor_critic_accumulate(params, batch, gamma, acc)
+        ag.actor_critic_accumulate(params, arrays, gamma, acc)
 
         # Actor: per-head TD advantage (frozen) times log-probability, plus
         # the entropy bonus.
@@ -212,8 +217,11 @@ def test_gradient_oracle_matches_finite_differences():
         )
         worst["critic"] = max(worst["critic"], err)
 
-        # The one-step TD loss with bootstrap targets frozen, in buffers
-        # of its own.
+        # The TD, DQN and PPO terms read random transitions. The one-step
+        # TD loss with bootstrap targets frozen, in buffers of its own.
+        episode = _batch(params, 3, seed=2000 + i)
+        states, pairs, values, reward, _, boot = _frozen_terms(params, episode, gamma)
+        batch = as_batch(episode, params.heads)
         td = zero_grads(params)
         ag.critic_td_accumulate(params, batch, gamma, td)
 

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from swarmcover import agents as ag
 from swarmcover import env as envmod
+from swarmcover import mission as ms
 from swarmcover import nets
 from conftest import make_env, small_env
 from fdcheck import (add_scaled, assert_grad_close, backward, flatten_params, zero_grads,
                      zeros_like_params)
-from transitions import Transition, action_arrays, as_batch, transitions_of
+from transitions import Transition, action_arrays, as_batch, finished_episode, transitions_of
 
 N_ACTIONS = ag.N_ACTIONS
 
@@ -795,12 +796,13 @@ def test_discounted_returns_match_the_numpy_loop():
 # The objective ActorCriticLearner trains: per-UAV rewards, a critic with one
 # output per UAV slot, a one-step TD advantage per head and an entropy bonus.
 
-def test_empty_episode_rejected():
+def test_empty_or_unfinished_episode_rejected():
     params = tiny_params()
-    one = as_batch(random_batch(params, 1), params.heads)
-    empty = ag.Batch(**{name: rows[:0] for name, rows in vars(one).items()})
-    with pytest.raises(ValueError):
-        ag.actor_critic_accumulate(params, empty, 0.85, zero_grads(params))
+    episode, _ = finished_episode(3, 3, 1, seed=0)
+    for steps in (0, 2):  # none written; two, of which the last is not terminal
+        episode.steps = steps
+        with pytest.raises(ValueError, match="finished episode"):
+            ag.actor_critic_accumulate(params, episode, 0.85, zero_grads(params))
 
 
 def _values(critic: dict, state: np.ndarray, params: ag.PolicyParams) -> np.ndarray:
@@ -822,10 +824,12 @@ def _entropy(p: np.ndarray) -> float:
 
 def test_per_head_td_actor_gradient_matches_finite_differences():
     params = tiny_params(state_dim=4, heads=3, seed=40)
-    episode = random_batch(params, 4, seed=41)
+    arrays, episode = finished_episode(4, 4, params.heads, seed=41)
+    # Some UAV acts at a step that is not the last and is idle at the next.
+    assert any(len(tr.action) > len(nxt.action) for tr, nxt in zip(episode, episode[1:]))
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
+    ag.actor_critic_accumulate(params, arrays, gamma, acc)
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
@@ -844,10 +848,11 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
 def test_entropy_gradient_matches_finite_differences():
     params = tiny_params(state_dim=4, heads=3, seed=42)
     add_scaled(params.critic, params.critic, -1.0)  # V == 0: no advantage term
-    episode = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
-               for t in random_batch(params, 4, seed=43)]
+    arrays, episode = finished_episode(4, 4, params.heads, seed=43)
+    arrays.uav_rewards.fill(0.0)
+    arrays.reward.fill(0.0)
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), 0.85, acc)
+    ag.actor_critic_accumulate(params, arrays, 0.85, acc)
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
@@ -864,10 +869,10 @@ def test_entropy_gradient_matches_finite_differences():
 @pytest.mark.parametrize("heads", [3, 1])
 def test_per_slot_critic_gradient_matches_finite_differences(heads):
     params = tiny_params(state_dim=4, heads=heads, seed=44)
-    episode = random_batch(params, 4, seed=45)
+    arrays, episode = finished_episode(4, 4, params.heads, seed=45)
     gamma = 0.85
     acc = zero_grads(params)
-    ag.actor_critic_accumulate(params, as_batch(episode, params.heads), gamma, acc)
+    ag.actor_critic_accumulate(params, arrays, gamma, acc)
     returns = np.zeros((len(episode), params.heads))
     running = np.zeros(params.heads)
     for t in reversed(range(len(episode))):
@@ -931,8 +936,7 @@ class ScratchPathActorCritic(ag.ActorCriticLearner):
 
     def finish_episode(self, rng) -> None:
         params, scratch = self.params, zero_grads(self.params)
-        ag.actor_critic_accumulate(params, ag.Batch.of_episode(self._episode), self.cfg.gamma,
-                                   scratch)
+        ag.actor_critic_accumulate(params, self._episode, self.cfg.gamma, scratch)
         for opt, net, grads in ((self._actor_opt, params.actor, scratch.d_actor),
                                 (self._critic_opt, params.critic, scratch.d_critic)):
             nets.add(opt.grads, grads)
@@ -1005,50 +1009,31 @@ def two_pass_accumulate(params: ag.PolicyParams, b: ag.Batch, gamma: float,
     nets.backward(params.critic, v_cache, dvals, params.critic_cfg, out.d_critic)
 
 
-def assert_accumulates_as_two_passes(params: ag.PolicyParams, batch: ag.Batch) -> None:
+def assert_accumulates_as_two_passes(params: ag.PolicyParams, episode) -> None:
     got, want = zero_grads(params), zero_grads(params)
-    ag.actor_critic_accumulate(params, batch, 0.85, got)
-    two_pass_accumulate(params, batch, 0.85, want)
+    ag.actor_critic_accumulate(params, episode, 0.85, got)
+    two_pass_accumulate(params, ag.Batch.of_episode(episode), 0.85, want)
     for net in ("d_actor", "d_critic"):
         for key, value in getattr(want, net).items():
             assert_bits_equal(getattr(got, net)[key], value)
 
 
 @pytest.mark.parametrize("size", [3, 7])
-@pytest.mark.parametrize("steps", [1, 25])
-def test_one_critic_pass_equals_two_on_env_episodes(size, steps):
-    env = make_env()
+@pytest.mark.parametrize("slots", [1, 25])
+def test_one_critic_pass_equals_two_on_env_episodes(size, slots):
+    # The default world, its episodes played to the end. One slot forwards
+    # the critic over one row, which goes through BLAS's gemv; more slots
+    # over a batch of rows, which goes through gemm.
+    env = make_env(replace(ms.MissionConfig(), slots=slots))
     rng = np.random.default_rng(60 + size)
     params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, ag.AgentConfig(), rng,
                                    critic_outputs=env.cfg.max_swarm)
     for episode in range(3):
         env.reset(replace(env.nominal_task(), swarm_size=size), rng_seed=episode)
-        for _ in range(steps):
-            env.step(rng.integers(0, N_ACTIONS, size=size))
-        batch = ag.Batch.of_episode(env.episode)
-        assert len(batch.states) == steps
-        assert_accumulates_as_two_passes(params, batch)
-
-
-@pytest.mark.parametrize("n", [1, 2, 9])
-def test_one_critic_pass_equals_two_on_batches_that_do_not_chain(n):
-    # Random transitions and an env episode's steps out of order: no next
-    # state is the following row's state, so the critic forwards them apart.
-    params = tiny_params(state_dim=6, heads=3, hidden=(5, 4), seed=62)
-    for seed in range(4):
-        assert_accumulates_as_two_passes(params, as_batch(random_batch(params, n, seed=seed),
-                                                          params.heads))
-    env = make_env()
-    rng = np.random.default_rng(63)
-    params = ag.make_policy_params(env.state_dim, env.cfg.max_swarm, ag.AgentConfig(), rng,
-                                   critic_outputs=env.cfg.max_swarm)
-    env.reset(rng_seed=4)
-    while not env.step(rng.integers(0, N_ACTIONS, size=len(env.uav_cell))).done:
-        pass
-    steps = transitions_of(env.episode, 0, env.episode.steps)
-    batch = as_batch([steps[i] for i in rng.permutation(len(steps))[:n]], params.heads)
-    assert n == 1 or not np.array_equal(batch.next_states[:-1], batch.states[1:])
-    assert_accumulates_as_two_passes(params, batch)
+        while not env.step(rng.integers(0, N_ACTIONS, size=size)).done:
+            pass
+        assert env.episode.steps == slots
+        assert_accumulates_as_two_passes(params, env.episode)
 
 
 # --- DQN --------------------------------------------------------------------------

@@ -358,6 +358,33 @@ def test_emit_refuses_a_foreign_or_empty_metrics_file_by_name(scenario_file, tmp
         assert not (run_dir / f"plot_{kind}.csv").exists()
 
 
+#: A summary key each plot kind reads.
+SUMMARY_KEY_READ = {"heatmap": "cells_per_side", "learning_curve": "ma_window",
+                    "energy_bars": "energy_total_tail_mean",
+                    "satisfaction_bars": "plateau_tail"}
+
+
+@pytest.mark.parametrize("kind", PLOT_KINDS)
+def test_emit_refuses_a_summary_it_cannot_read_by_name(scenario_file, tmp_path, capsys, kind):
+    # Before, a missing key died with a KeyError traceback, a JSON list with
+    # a TypeError, and a NaN was read as a number.
+    main(["run", str(scenario_file())])
+    run_dir = tmp_path / "results" / "cli_random" / "seed0"
+    summary_file = run_dir / "summary.json"
+    summary = json.loads(summary_file.read_text(encoding="utf-8"))
+    key = SUMMARY_KEY_READ[kind]
+    without = {k: v for k, v in summary.items() if k != key}
+    for text, error in ((json.dumps(without), f"has no {key!r} key"),
+                        ("[]", "must contain a JSON object"),
+                        (json.dumps(dict(summary, plateau_tail=float("nan"))), "holds NaN")):
+        summary_file.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["emit", str(run_dir), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(summary_file) in err and error in err
+        assert not (run_dir / f"plot_{kind}.csv").exists()
+
+
 def test_single_thread_pin_is_the_default(scenario_file, monkeypatch, capsys):
     for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)

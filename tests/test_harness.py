@@ -79,6 +79,15 @@ def _swap_first_columns(lines):
     return [",".join([header[1], header[0], *header[2:]]), *lines[1:]]
 
 
+def _with_cell(column, text):
+    """An edit that sets line 2's ``column`` cell to ``text``."""
+    def edit(lines):
+        cells = lines[1].split(",")
+        cells[lines[0].split(",").index(column)] = text
+        return [lines[0], ",".join(cells), *lines[2:]]
+    return edit
+
+
 #: Metrics files ``write_metrics`` never writes, each made from a good one's
 #: lines, with the error the reader refuses it with.
 BROKEN_METRICS = {
@@ -92,6 +101,19 @@ BROKEN_METRICS = {
                   "line 2 has 14 fields, not the header's 15"),
     "long row": (lambda lines: [lines[0], lines[1] + ",0", *lines[2:]],
                  "line 2 has 16 fields, not the header's 15"),
+    # Before, any bool cell but "1" read as False.
+    "bool cell true": (_with_cell("coverage_ok", "true"),
+                       "line 2 column coverage_ok holds 'true', which is not 0 or 1"),
+    "bool cell 2": (_with_cell("coverage_ok", "2"),
+                    "line 2 column coverage_ok holds '2', which is not 0 or 1"),
+    "empty bool cell": (_with_cell("coverage_ok", ""),
+                        "line 2 column coverage_ok holds '', which is not 0 or 1"),
+    "float cell": (_with_cell("reward", "high"),
+                   "line 2 column reward holds 'high', which is not float"),
+    "int cell": (_with_cell("collisions", "1.5"),
+                 r"line 2 column collisions holds '1\.5', which is not int"),
+    "visits cell": (_with_cell("visits_2", ""),
+                    "line 2 column visits_2 holds '', which is not int"),
 }
 
 
@@ -102,8 +124,9 @@ def test_read_metrics_refuses_what_write_metrics_does_not_write(tmp_path, case):
     edit, error = BROKEN_METRICS[case]
     lines = edit(path.read_text(encoding="utf-8").splitlines())
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    with pytest.raises(ValueError, match=error):
+    with pytest.raises(ValueError, match=error) as raised:
         hz.read_metrics(path)
+    assert str(path) in str(raised.value)
 
 
 def test_read_metrics_skips_blank_lines(tmp_path):

@@ -203,6 +203,12 @@ def test_max_altitude_defaults_pinned():
     assert lb.max_altitude_m(URBAN) == pytest.approx(MAX_ALT_DEFAULTS, rel=1e-12)
 
 
+def test_flight_altitude_is_the_configured_one_below_the_ceiling():
+    ceiling = lb.max_altitude_m(URBAN)
+    assert lb.flight_altitude_m(0.5 * ceiling, URBAN) == 0.5 * ceiling
+    assert lb.flight_altitude_m(2.0 * ceiling, URBAN) == ceiling
+
+
 def test_snr_at_ceiling_closes_exactly():
     h = lb.max_altitude_m(URBAN)
     snr = URBAN.max_tx_watts / (lb.path_loss_los(h, URBAN) * URBAN.noise_watts)

@@ -5,7 +5,8 @@ A ``Transition`` holds one step as the learners once kept it: copies of
 the state and next state, the joint action as a tuple and one reward per
 acting UAV. :func:`as_batch` stacks a list of them into a ``Batch`` the
 way the learners did; ``Batch.of_episode`` and ``ReplayMemory.sample``
-must give the same arrays bit for bit.
+must give the same arrays bit for bit. :func:`finished_episode` draws an
+episode both as the env lays one out and as transitions.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from swarmcover import agents as ag
+from swarmcover import env as envmod
 
 
 @dataclass
@@ -58,3 +60,25 @@ def transitions_of(episode, start: int, stop: int) -> list[Transition]:
                        float(episode.reward[t]), episode.obs[t + 1].copy(),
                        bool(episode.done[t]), episode.uav_rewards[t, :n].copy())
             for t in range(start, stop)]
+
+
+def finished_episode(n: int, dim: int, heads: int,
+                     seed: int) -> tuple[envmod.EpisodeArrays, list[Transition]]:
+    """An episode of ``n`` steps, the last one terminal, as an
+    ``env.EpisodeArrays`` and as transitions holding views of its rows.
+    States are normal draws whose trailing feature, the active count over
+    ``heads``, varies by row, so a slot that acts in s can be idle in s';
+    each step has one action and one reward per acting UAV."""
+    rng = np.random.default_rng(seed)
+    obs = rng.normal(size=(n + 1, dim))
+    counts = rng.integers(1, heads + 1, size=n + 1)
+    obs[:, -1] = counts / heads
+    acts, uav_rewards = np.zeros((n, heads), dtype=np.int64), np.zeros((n, heads))
+    for t, k in enumerate(counts[:-1].tolist()):
+        acts[t, :k] = rng.integers(0, ag.N_ACTIONS, size=k)
+        uav_rewards[t, :k] = rng.normal(size=k)
+    done = np.arange(n) == n - 1
+    episode = envmod.EpisodeArrays(obs, acts, uav_rewards, uav_rewards.sum(axis=1), done, n)
+    return episode, [Transition(obs[t], tuple(acts[t, :k].tolist()), float(episode.reward[t]),
+                                obs[t + 1], bool(done[t]), uav_rewards[t, :k])
+                     for t, k in enumerate(counts[:-1].tolist())]
