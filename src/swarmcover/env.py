@@ -448,7 +448,6 @@ class CoverageEnv:
             for cell in start_cells:
                 if not 0 <= cell < self.n_cells:
                     raise ValueError(f"start cell {cell} is off the grid of {self.n_cells} cells")
-        self.task = task
 
         key = (task.strategic_cells, task.device_seed)
         if key != self._tables_key:
@@ -461,6 +460,7 @@ class CoverageEnv:
             world = ms.build_grid(self.mission_cfg, devices, task.strategic_cells)
             self.tables = TaskTables.build(world, self.link_params, self.radio, self.altitude_m)
             self._tables_key = key
+        self.task = task  # set once the task's tables are built
         if start_cells is None:
             rng = np.random.default_rng(rng_seed)
             start_cells = rng.choice(self.n_cells, size=task.swarm_size, replace=False)

@@ -111,6 +111,14 @@ def test_step_and_encode_state_before_the_first_reset_raise():
         env.step([HOVER] * 4)
     with pytest.raises(RuntimeError, match="reset"):
         env.encode_state()
+    # A first reset that fails leaves no task to step on.
+    off_grid = replace(env.nominal_task(), strategic_cells=(6, 13, env.n_cells))
+    with pytest.raises(ValueError):
+        env.reset(off_grid)
+    with pytest.raises(RuntimeError, match="reset"):
+        env.step([HOVER] * 4)
+    with pytest.raises(RuntimeError, match="reset"):
+        env.encode_state()
 
 
 # --- moves and collisions ---------------------------------------------------------
