@@ -53,11 +53,12 @@ heads are not stored: every ``Batch`` reads them from its states'
 trailing active-count feature. A row's next state is the next row's
 state; only terminal rows and the newest row keep a next state of their
 own. DQN writes the episode's steps up to the current one just before
-each sample and the rest at the episode's end. Every gradient function
-overwrites parameter-shaped buffers its caller passes
-(:func:`nets.backward`). DQN and PPO own theirs and the actor-critic
-writes into its Adam gradient vectors, so an update allocates no
-parameter-sized arrays.
+each sample and the rest at the episode's end. Weights and gradients
+are :class:`nets.Weights`, one flat vector per network, each carrying
+its shape. Every gradient function overwrites a gradient its caller
+passes (:func:`nets.backward`): DQN and PPO own theirs and the
+actor-critic writes into its Adams' ``grads``, so an update allocates
+no parameter-sized arrays.
 """
 
 from __future__ import annotations
@@ -83,28 +84,28 @@ ENTROPY_WEIGHT = 0.1
 
 @dataclass
 class PolicyParams:
-    """Actor and critic weights with their network shapes."""
+    """Actor and critic weights; each carries its network shape."""
 
-    actor: dict
-    critic: dict
-    actor_cfg: nets.NetConfig
-    critic_cfg: nets.NetConfig
+    actor: nets.Weights
+    critic: nets.Weights
     heads: int
 
+    @property
+    def actor_cfg(self) -> nets.NetConfig:
+        return self.actor.cfg
+
+    @property
+    def critic_cfg(self) -> nets.NetConfig:
+        return self.critic.cfg
+
     def clone(self) -> "PolicyParams":
-        return PolicyParams(
-            nets.clone_params(self.actor),
-            nets.clone_params(self.critic),
-            self.actor_cfg,
-            self.critic_cfg,
-            self.heads,
-        )
+        return PolicyParams(self.actor.copy(), self.critic.copy(), self.heads)
 
 
 @dataclass
 class GradAccumulator:
-    d_actor: dict
-    d_critic: dict
+    d_actor: nets.Weights
+    d_critic: nets.Weights
 
 
 def make_policy_params(
@@ -117,36 +118,30 @@ def make_policy_params(
     """Fresh actor and critic; the critic has ``critic_outputs`` value
     outputs (``heads`` for the actor-critic's one value per UAV slot, 1 for
     PPO's single value)."""
-    actor_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
-    critic_cfg = nets.NetConfig(state_dim, cfg.hidden, critic_outputs)
-    return PolicyParams(
-        nets.init_params(actor_cfg, rng),
-        nets.init_params(critic_cfg, rng),
-        actor_cfg,
-        critic_cfg,
-        heads,
-    )
+    actor = nets.init_params(nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS), rng)
+    critic = nets.init_params(nets.NetConfig(state_dim, cfg.hidden, critic_outputs), rng)
+    return PolicyParams(actor, critic, heads)
 
 
 def policy_forward(
-    actor: dict, states: np.ndarray, cfg: nets.NetConfig, heads: int
+    actor: nets.Weights, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """(logits[B, heads, A], probs[B, heads, A], cache)."""
-    raw, cache = nets.forward(actor, states, cfg)
-    logits = raw.reshape(raw.shape[0], heads, N_ACTIONS)
+    raw, cache = nets.forward(actor, states, actor.cfg)
+    logits = raw.reshape(raw.shape[0], -1, N_ACTIONS)
     return logits, nets.softmax(logits), cache
 
-def value_forward(critic: dict, states: np.ndarray, cfg: nets.NetConfig) -> tuple[np.ndarray, list]:
+def value_forward(critic: nets.Weights, states: np.ndarray) -> tuple[np.ndarray, list]:
     """The value of each state under a one-output critic (PPO's)."""
-    raw, cache = nets.forward(critic, states, cfg)
+    raw, cache = nets.forward(critic, states, critic.cfg)
     return raw[:, 0], cache
 
 
 def forward(params: PolicyParams, state: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-UAV action distributions and the first critic output for one
     state."""
-    _, probs, _ = policy_forward(params.actor, np.atleast_2d(state), params.actor_cfg, params.heads)
-    values, _ = value_forward(params.critic, np.atleast_2d(state), params.critic_cfg)
+    _, probs, _ = policy_forward(params.actor, np.atleast_2d(state))
+    values, _ = value_forward(params.critic, np.atleast_2d(state))
     return probs[0], float(values[0])
 
 
@@ -407,7 +402,7 @@ def actor_critic_accumulate(
     if not n or not episode.done[n - 1]:
         raise ValueError("can only accumulate over a finished episode")
     b = Batch.of_episode(episode)
-    logits, probs, a_cache = policy_forward(params.actor, b.states, params.actor_cfg, params.heads)
+    logits, probs, a_cache = policy_forward(params.actor, b.states)
     values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
     next_values = np.zeros_like(values)  # the terminal step bootstraps from 0
     next_values[:-1] = values[1:]
@@ -449,28 +444,23 @@ def critic_td_accumulate(
 class Adam:
     """Adam (Kingma & Ba, 2015) for one network, on flat vectors in place.
 
-    Callers write the gradient into ``grads``, a dict of views into one
-    flat gradient vector; :meth:`step` moves the parameters along it
-    (``sign`` +1 ascends, -1 descends) and leaves it as it was.
+    Callers write the gradient into ``grads`` (a :class:`nets.Weights`);
+    :meth:`step` moves the parameters along it (``sign`` +1 ascends, -1
+    descends) and leaves it as it was.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, cfg: nets.NetConfig, lr: float, sign: float) -> None:
-        size = nets.num_params(cfg)
-        self.flat_grad = np.zeros(size)
-        self.grads = nets.flat_views(self.flat_grad, cfg)
-        self._m = np.zeros(size)
-        self._v = np.zeros(size)
-        self._buf = np.zeros(size)
-        self._buf_views = nets.flat_views(self._buf, cfg)
+        self.grads = nets.Weights(cfg)
+        self._m, self._v, self._buf = np.zeros((3, nets.num_params(cfg)))  # moments, scratch
         self.lr, self.sign = lr, sign
         self.t = 0
 
-    def step(self, params: dict) -> None:
+    def step(self, params: nets.Weights) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        g, m, v, buf = self.flat_grad, self._m, self._v, self._buf
+        g, m, v, buf = self.grads.flat, self._m, self._v, self._buf
         m *= b1
         np.multiply(g, 1.0 - b1, out=buf)
         m += buf
@@ -485,21 +475,18 @@ class Adam:
         buf += self.eps * root
         np.divide(m, buf, out=buf)
         buf *= self.sign * self.lr * root / (1.0 - b1 ** self.t)
-        for key, delta in self._buf_views.items():
-            params[key] += delta
+        params.flat += buf
 
 
 # --- DQN ----------------------------------------------------------------------
 
 def dqn_loss_and_grad(
-    q_params: dict,
-    target_params: dict,
+    q_params: nets.Weights,
+    target_params: nets.Weights,
     batch: Batch,
     gamma: float,
-    cfg: nets.NetConfig,
-    heads: int,
-    out: dict,
-) -> tuple[float, dict]:
+    out: nets.Weights,
+) -> tuple[float, nets.Weights]:
     """Squared TD error of per-UAV Q heads against a frozen target net.
 
     Each acting head's target is r + gamma * max_a' Q_target(s', a') with
@@ -507,10 +494,10 @@ def dqn_loss_and_grad(
     order. The gradient goes into ``out`` (see :func:`nets.backward`).
     """
     n = len(batch.states)
-    raw, cache = nets.forward(q_params, batch.states, cfg)
-    q = raw.reshape(n, heads, N_ACTIONS)
-    raw_next, _ = nets.forward(target_params, batch.next_states, cfg)
-    best_next = raw_next.reshape(n, heads, N_ACTIONS).max(axis=-1)
+    raw, cache = nets.forward(q_params, batch.states, q_params.cfg)
+    q = raw.reshape(n, -1, N_ACTIONS)
+    raw_next, _ = nets.forward(target_params, batch.next_states, target_params.cfg)
+    best_next = raw_next.reshape(q.shape).max(axis=-1)
 
     t_idx, u_idx = np.nonzero(batch.acting)
     a_idx = batch.acts[t_idx, u_idx]
@@ -520,34 +507,31 @@ def dqn_loss_and_grad(
     loss = float(np.cumsum(err * err)[-1]) if len(err) else 0.0
     dq = np.zeros_like(q)
     dq[t_idx, u_idx, a_idx] = 2.0 * err
-    return loss, nets.backward(q_params, cache, dq.reshape(n, -1), cfg, out)
+    return loss, nets.backward(q_params, cache, dq.reshape(n, -1), q_params.cfg, out)
 
 
 def dqn_update(
-    q_params: dict,
-    target_params: dict,
+    q_params: nets.Weights,
+    target_params: nets.Weights,
     batch: Batch,
     gamma: float,
     lr: float,
-    cfg: nets.NetConfig,
-    heads: int,
-    grads: dict,
+    grads: nets.Weights,
 ) -> float:
     """One semi-gradient descent step on the TD loss; returns the loss.
 
-    The gradient is taken into ``grads`` (the learner's own buffers, see
-    :func:`nets.grad_buffers`) and scaled there in place."""
-    loss, _ = dqn_loss_and_grad(q_params, target_params, batch, gamma, cfg, heads, grads)
+    The gradient is taken into ``grads`` (the learner's own) and scaled
+    there in place."""
+    loss, _ = dqn_loss_and_grad(q_params, target_params, batch, gamma, grads)
     _step(q_params, grads, -lr)
     return loss
 
 
-def _step(params: dict, grads: dict, scale: float) -> None:
+def _step(params: nets.Weights, grads: nets.Weights, scale: float) -> None:
     """``params += scale * grads``, with the scaled gradient formed in
     ``grads`` itself (no temporaries)."""
-    for g in grads.values():
-        g *= scale
-    nets.add(params, grads)
+    grads.flat *= scale
+    params.flat += grads.flat
 
 
 # --- PPO ----------------------------------------------------------------------
@@ -566,7 +550,7 @@ def joint_log_prob(probs: np.ndarray, acts: np.ndarray, acting: np.ndarray) -> n
 
 
 def ppo_surrogate_and_grad(
-    actor: dict,
+    actor: nets.Weights,
     logp_old: np.ndarray,
     probs: np.ndarray,
     cache: list,
@@ -575,9 +559,8 @@ def ppo_surrogate_and_grad(
     onehot: np.ndarray,
     advantages: np.ndarray,
     clip_eps: float,
-    cfg: nets.NetConfig,
-    out: dict,
-) -> tuple[float, dict]:
+    out: nets.Weights,
+) -> tuple[float, nets.Weights]:
     """Clipped surrogate objective and its ascent gradient.
 
     ``probs`` and ``cache`` are :func:`policy_forward`'s of ``actor`` on
@@ -604,7 +587,7 @@ def ppo_surrogate_and_grad(
     dlogp = dratio * ratio  # drho/dlogp = rho
 
     dlogits = np.where(acting[:, :, None], dlogp[:, None, None] * (onehot - probs), 0.0)
-    return objective, nets.backward(actor, cache, dlogits.reshape(len(acts), -1), cfg, out)
+    return objective, nets.backward(actor, cache, dlogits.reshape(len(acts), -1), actor.cfg, out)
 
 
 def ppo_update(
@@ -632,16 +615,16 @@ def ppo_update(
         raise ValueError("need at least one epoch")
     states, acts, acting, onehot = rollout.states, rollout.acts, rollout.acting, rollout.onehot
     returns = discounted_returns(rollout.reward, gamma)
-    values, v_cache = value_forward(params.critic, states, params.critic_cfg)
+    values, v_cache = value_forward(params.critic, states)
     adv = returns - values
-    _, probs, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
+    _, probs, a_cache = policy_forward(params.actor, states)
     logp_old = joint_log_prob(probs, acts, acting)
     for epoch in range(epochs):
         if epoch:
-            _, probs, a_cache = policy_forward(params.actor, states, params.actor_cfg, params.heads)
-            values, v_cache = value_forward(params.critic, states, params.critic_cfg)
+            _, probs, a_cache = policy_forward(params.actor, states)
+            values, v_cache = value_forward(params.critic, states)
         ppo_surrogate_and_grad(params.actor, logp_old, probs, a_cache, acts, acting, onehot, adv,
-                               clip_eps, params.actor_cfg, grads.d_actor)
+                               clip_eps, grads.d_actor)
         _step(params.actor, grads.d_actor, +lr)
         dvals = (-2.0 * (returns - values))[:, None]
         nets.backward(params.critic, v_cache, dvals, params.critic_cfg, grads.d_critic)
@@ -686,17 +669,13 @@ def meta_outer_update(meta: PolicyParams, adapted: Sequence[PolicyParams], outer
     """Move the meta weights toward the mean adapted weights.
 
     First-order interpolation: meta += outer_lr * mean(adapted - meta),
-    applied key by key to actor and critic.
+    on the actor's and the critic's flat vectors.
     """
     if not adapted:
         raise ValueError("need at least one adapted parameter set")
     n = len(adapted)
-    for key in meta.actor:
-        delta = sum(a.actor[key] - meta.actor[key] for a in adapted) / n
-        meta.actor[key] += outer_lr * delta
-    for key in meta.critic:
-        delta = sum(a.critic[key] - meta.critic[key] for a in adapted) / n
-        meta.critic[key] += outer_lr * delta
+    meta.actor.flat += outer_lr * (sum(a.actor.flat - meta.actor.flat for a in adapted) / n)
+    meta.critic.flat += outer_lr * (sum(a.critic.flat - meta.critic.flat for a in adapted) / n)
 
 
 # --- learner objects --------------------------------------------------------------
@@ -747,20 +726,23 @@ class DQNLearner:
         episodes: int, real_cols: Sequence[int],
     ) -> None:
         self.cfg = cfg
-        self.net_cfg = nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS)
         self.heads = heads
-        self.q = nets.init_params(self.net_cfg, rng)
-        self.target = nets.clone_params(self.q)
+        self.q = nets.init_params(nets.NetConfig(state_dim, cfg.hidden, heads * N_ACTIONS), rng)
+        self.target = self.q.copy()
         self.memory = ReplayMemory(cfg.replay_capacity, state_dim, heads, real_cols)
         self._episode = None
         self._written = 0  # the episode's steps in the memory
-        self._grads = nets.grad_buffers(self.net_cfg)
+        self._grads = nets.Weights(self.net_cfg)
         self.episodes = episodes
         self._finished = 0
         self.epsilon = epsilon_at(0, episodes, cfg)
         self._steps = 0
         self._updates = 0
         self._rng = rng
+
+    @property
+    def net_cfg(self) -> nets.NetConfig:
+        return self.q.cfg
 
     def act(self, state, rng) -> tuple[int, ...]:
         """Each active UAV's argmax Q action (ties to the lowest index), or
@@ -786,13 +768,11 @@ class DQNLearner:
                 and self._steps % self.cfg.dqn_update_interval == 0):
             self._flush()
             batch = self.memory.sample(self.cfg.minibatch, self._rng)
-            dqn_update(
-                self.q, self.target, batch, self.cfg.gamma,
-                self.cfg.learning_rate, self.net_cfg, self.heads, self._grads,
-            )
+            dqn_update(self.q, self.target, batch, self.cfg.gamma, self.cfg.learning_rate,
+                       self._grads)
             self._updates += 1
             if self._updates % self.cfg.target_refresh == 0:
-                self.target = nets.clone_params(self.q)
+                self.target = self.q.copy()
 
     def finish_episode(self, rng) -> None:
         self._flush()
@@ -815,8 +795,8 @@ class PPOLearner:
         self.params = params
         self.cfg = cfg
         self._episode = None
-        self._grads = GradAccumulator(nets.grad_buffers(params.actor_cfg),
-                                      nets.grad_buffers(params.critic_cfg))
+        self._grads = GradAccumulator(nets.Weights(params.actor_cfg),
+                                      nets.Weights(params.critic_cfg))
 
     def act(self, state, rng) -> tuple[int, ...]:
         return _policy_act(self.params, state, rng)

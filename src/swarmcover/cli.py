@@ -104,10 +104,13 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from .config import load_instance, write_json
-    from .oracle import enumerate_optimum, verify_feasibility
+    from .oracle import EnumerationBudgetExceeded, enumerate_optimum, verify_feasibility
 
     inst = load_instance(args.instance)
-    sol = enumerate_optimum(inst)
+    try:
+        sol = enumerate_optimum(inst)
+    except EnumerationBudgetExceeded as exc:  # the instance is too big for its budget
+        raise ValueError(str(exc)) from None
     if not sol.feasible:
         print(f"infeasible: no trajectory satisfies the constraints "
               f"({sol.leaves_evaluated} leaves examined)")

@@ -35,10 +35,18 @@ from .agents import (
     meta_outer_update,
     run_training_episode,
 )
-from .config import AgentConfig, ExperimentConfig, _read_json, write_json
+from .config import AgentConfig, ExperimentConfig, _read_json, _typed, write_json
 from .env import CoverageEnv, TaskSpec, swarm_schedule
 
-PLOT_KINDS = ("heatmap", "learning_curve", "energy_bars", "satisfaction_bars")
+#: The summary.json keys each plot kind reads, with the type each must hold.
+_PLOT_KEYS = {
+    "heatmap": {"plateau_tail": float, "cells_per_side": int, "strategic_cells": tuple[int, ...]},
+    "learning_curve": {"ma_window": int},
+    "energy_bars": {"algorithm": str, "scenario": str, "energy_strategic_tail_mean": float,
+                    "energy_nonstrategic_tail_mean": float, "energy_total_tail_mean": float},
+    "satisfaction_bars": {"algorithm": str, "scenario": str, "plateau_tail": float},
+}
+PLOT_KINDS = tuple(_PLOT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -398,7 +406,8 @@ def emit_plot_data(
     ``metrics_path`` is a run directory or its metrics.csv. Kinds:
     heatmap (per-cell visits over the plateau tail), learning_curve
     (per-episode reward and its moving average), energy_bars and
-    satisfaction_bars (end-of-run aggregates for bar charts).
+    satisfaction_bars (end-of-run aggregates for bar charts). Each summary
+    key a kind reads is type-checked as a config value is, before writing.
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r} (known: {', '.join(PLOT_KINDS)})")
@@ -412,31 +421,32 @@ def emit_plot_data(
         raise FileNotFoundError(f"no summary.json in {run_dir}")
     metrics = read_metrics(metrics_file)
     summary = _read_json(summary_file, str(summary_file))
+    for key, hint in _PLOT_KEYS[kind].items():
+        if key not in summary:
+            raise ValueError(f"{summary_file} has no {key!r} key")
+        _typed(summary[key], hint, f"{summary_file} key {key!r}")
     out = Path(out_path) if out_path is not None else run_dir / f"plot_{kind}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    try:  # each kind reads the summary keys it needs before it writes
-        if kind == "heatmap":
-            _write_heatmap(out, metrics, summary)
-        elif kind == "learning_curve":
-            ma = moving_average([m.reward for m in metrics], int(summary["ma_window"]))
-            write_csv(out, ["episode", "reward", "reward_ma", "swarm_size", "satisfaction"],
-                      ([m.episode, m.reward, float(avg), m.swarm_size, m.satisfaction]
-                       for m, avg in zip(metrics, ma)))
-        elif kind == "energy_bars":
-            write_csv(out, ["algorithm", "scenario", "energy_strategic_j",
-                            "energy_nonstrategic_j", "energy_total_j"], [[
-                summary["algorithm"], summary["scenario"],
-                float(summary["energy_strategic_tail_mean"]),
-                float(summary["energy_nonstrategic_tail_mean"]),
-                float(summary["energy_total_tail_mean"]),
-            ]])
-        else:  # satisfaction_bars
-            sats = [m.satisfaction for m in _tail_slice(metrics, float(summary["plateau_tail"]))]
-            write_csv(out, ["algorithm", "scenario", "swarm_size",
-                            "satisfaction_mean", "satisfaction_std"], [[
-                summary["algorithm"], summary["scenario"], metrics[-1].swarm_size,
-                float(np.mean(sats)), float(np.std(sats)),
-            ]])
-    except KeyError as exc:
-        raise ValueError(f"{summary_file} has no {exc.args[0]!r} key") from None
+    if kind == "heatmap":
+        _write_heatmap(out, metrics, summary)
+    elif kind == "learning_curve":
+        ma = moving_average([m.reward for m in metrics], summary["ma_window"])
+        write_csv(out, ["episode", "reward", "reward_ma", "swarm_size", "satisfaction"],
+                  ([m.episode, m.reward, float(avg), m.swarm_size, m.satisfaction]
+                   for m, avg in zip(metrics, ma)))
+    elif kind == "energy_bars":
+        write_csv(out, ["algorithm", "scenario", "energy_strategic_j",
+                        "energy_nonstrategic_j", "energy_total_j"], [[
+            summary["algorithm"], summary["scenario"],
+            float(summary["energy_strategic_tail_mean"]),
+            float(summary["energy_nonstrategic_tail_mean"]),
+            float(summary["energy_total_tail_mean"]),
+        ]])
+    else:  # satisfaction_bars
+        sats = [m.satisfaction for m in _tail_slice(metrics, summary["plateau_tail"])]
+        write_csv(out, ["algorithm", "scenario", "swarm_size",
+                        "satisfaction_mean", "satisfaction_std"], [[
+            summary["algorithm"], summary["scenario"], metrics[-1].swarm_size,
+            float(np.mean(sats)), float(np.std(sats)),
+        ]])
     return out

@@ -1,10 +1,11 @@
 """Dense policy/value networks with explicit numpy backprop.
 
-Parameters live in plain dicts ("W0", "b0", "W1", ...) so learners can
-clone, flatten and interpolate them without a framework. Hidden layers
-are tanh, the output layer is linear. The policy network emits one block
-of action logits per UAV slot; a separate value network emits one value
-per UAV slot (the actor-critic's) or a single value (PPO's).
+A network's parameters are one flat float64 vector, read by layer through
+a :class:`Weights` dict of views ("W0", "b0", "W1", ...). Gradients share
+that layout, so a step, a clone or an interpolation is one vector
+operation. Hidden layers are tanh, the output layer is linear. The policy
+network emits one block of action logits per UAV slot; a separate value
+network emits one value per UAV slot (the actor-critic's) or one (PPO's).
 """
 
 from __future__ import annotations
@@ -35,25 +36,36 @@ class NetConfig:
         return tuple((f"W{i}", f"b{i}") for i in range(self.n_layers))
 
 
-def init_params(cfg: NetConfig, rng: np.random.Generator) -> dict:
+class Weights(dict):
+    """One network's parameters: the float64 vector ``flat`` and, by key,
+    its views ``W0, b0, W1, b1, ...``, layer by layer, each row-major.
+    ``Weights(cfg)`` is all zeros; ``Weights(cfg, vec)`` views ``vec``
+    itself, so writes through either side show in both."""
+
+    def __init__(self, cfg: NetConfig, flat: np.ndarray | None = None) -> None:
+        super().__init__()
+        flat = np.zeros(num_params(cfg)) if flat is None else flat
+        if flat.dtype != np.float64 or flat.shape != (num_params(cfg),):
+            raise ValueError("flat vector does not match the network shape")
+        self.cfg, self.flat = cfg, flat
+        offset = 0
+        for (w, b), (m, n) in zip(cfg.layer_keys, zip(cfg.dims[:-1], cfg.dims[1:])):
+            self[w] = flat[offset : offset + m * n].reshape(m, n)
+            offset += m * n
+            self[b] = flat[offset : offset + n]
+            offset += n
+
+    def copy(self) -> "Weights":
+        return Weights(self.cfg, self.flat.copy())
+
+
+def init_params(cfg: NetConfig, rng: np.random.Generator) -> Weights:
     """Fan-in scaled gaussian weights, zero biases."""
-    params = {}
-    dims = cfg.dims
-    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+    params = Weights(cfg)
+    for (w, _), a in zip(cfg.layer_keys, cfg.dims):
         # Times the reciprocal, not divided: the two round differently.
-        params[f"W{i}"] = rng.standard_normal((a, b)) * (1.0 / np.sqrt(a))
-        params[f"b{i}"] = np.zeros(b)
+        np.multiply(rng.standard_normal(params[w].shape), 1.0 / np.sqrt(a), out=params[w])
     return params
-
-
-def clone_params(params: dict) -> dict:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def add(params: dict, grads: dict) -> None:
-    """In-place params += grads."""
-    for k in params:
-        params[k] += grads[k]
 
 
 def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, list]:
@@ -74,8 +86,8 @@ def forward(params: dict, x: np.ndarray, cfg: NetConfig) -> tuple[np.ndarray, li
 
 def backward(params: dict, cache: list, dout: np.ndarray, cfg: NetConfig, out: dict) -> dict:
     """Gradients of sum(dout * output) w.r.t. every parameter, written into
-    ``out``'s parameter-shaped arrays (see :func:`grad_buffers`); returns
-    ``out``."""
+    ``out``'s parameter-shaped arrays (a :class:`Weights`, so the gradient
+    is one flat vector too); returns ``out``."""
     d = np.atleast_2d(dout)
     for i in reversed(range(cfg.n_layers)):
         w, b = cfg.layer_keys[i]
@@ -86,35 +98,10 @@ def backward(params: dict, cache: list, dout: np.ndarray, cfg: NetConfig, out: d
     return out
 
 
-def grad_buffers(cfg: NetConfig) -> dict:
-    """Parameter-shaped arrays for :func:`backward`'s ``out``: views into
-    one flat zero vector, laid out as :func:`flat_views` lays it out."""
-    return flat_views(np.zeros(num_params(cfg)), cfg)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-# --- flat-vector views (finite differencing, interpolation) ----------------
-
-def flat_views(vec: np.ndarray, cfg: NetConfig) -> dict:
-    """Parameter-shaped views into ``vec``, laid out layer by layer as
-    ``W0, b0, W1, b1, ...``, each row-major; writing through a view writes
-    ``vec``."""
-    views = {}
-    offset = 0
-    dims = cfg.dims
-    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-        views[f"W{i}"] = vec[offset : offset + a * b].reshape(a, b)
-        offset += a * b
-        views[f"b{i}"] = vec[offset : offset + b]
-        offset += b
-    if offset != vec.size:
-        raise ValueError("flat vector does not match the network shape")
-    return views
 
 
 def num_params(cfg: NetConfig) -> int:

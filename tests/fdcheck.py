@@ -2,9 +2,10 @@
 
 Every analytic gradient in the package is validated against the slow,
 obviously-correct estimate (f(x + h) - f(x - h)) / 2h applied to each
-parameter entry in turn. The fresh-array :func:`backward` and
-:func:`add_scaled` are the references the package's buffered gradients
-and in-place steps are held to bit for bit.
+parameter entry in turn. The fresh-array :func:`backward` and the
+per-key :func:`add_scaled` and :func:`meta_outer_update_by_key` are the
+references the package's buffered gradients and flat-vector steps are
+held to bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +47,19 @@ def add_scaled(params: dict, grads: dict, scale: float) -> None:
         params[k] += scale * grads[k]
 
 
-def zeros_like_params(params: dict) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+def meta_outer_update_by_key(meta: ag.PolicyParams, adapted, outer_lr: float) -> None:
+    """Reference for :func:`agents.meta_outer_update`: the interpolation
+    key by key, each mean a fresh array."""
+    n = len(adapted)
+    for net in ("actor", "critic"):
+        weights = getattr(meta, net)
+        for key in weights:
+            delta = sum(getattr(a, net)[key] - weights[key] for a in adapted) / n
+            weights[key] += outer_lr * delta
+
+
+def zeros_like_params(params: nets.Weights) -> nets.Weights:
+    return nets.Weights(params.cfg)
 
 
 def zero_grads(params: ag.PolicyParams) -> ag.GradAccumulator:
@@ -56,7 +68,7 @@ def zero_grads(params: ag.PolicyParams) -> ag.GradAccumulator:
 
 
 def flatten_params(params: dict, cfg: nets.NetConfig) -> np.ndarray:
-    """A copy of every parameter in one vector, in :func:`nets.flat_views` order."""
+    """A copy of every parameter in one vector, in :class:`nets.Weights` order."""
     return np.concatenate([params[k].ravel() for k in param_keys(cfg)])
 
 
@@ -69,8 +81,8 @@ def numeric_grad(params: dict, cfg: nets.NetConfig, scalar_fn, step: float = FD_
         down = vec.copy()
         up[i] += step
         down[i] -= step
-        f_up = scalar_fn(nets.flat_views(up, cfg))
-        f_down = scalar_fn(nets.flat_views(down, cfg))
+        f_up = scalar_fn(nets.Weights(cfg, up))
+        f_down = scalar_fn(nets.Weights(cfg, down))
         out[i] = (f_up - f_down) / (2.0 * step)
     return out
 

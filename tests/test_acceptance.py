@@ -191,7 +191,7 @@ def test_gradient_oracle_matches_finite_differences():
         # Actor: per-head TD advantage (frozen) times log-probability, plus
         # the entropy bonus.
         def actor_objective(actor):
-            _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+            _, probs, _ = ag.policy_forward(actor, states)
             total = 0.0
             for t, u in pairs:
                 p = probs[t, u]
@@ -239,13 +239,11 @@ def test_gradient_oracle_matches_finite_differences():
         # Q-learning squared TD loss against a separate target net.
         target = _small_params(seed=3000 + i)
         _, dqn_grads = ag.dqn_loss_and_grad(
-            params.actor, target.actor, batch, gamma, params.actor_cfg, params.heads,
-            nets.grad_buffers(params.actor_cfg))
+            params.actor, target.actor, batch, gamma, nets.Weights(params.actor_cfg))
 
         def dqn_loss(q_net):
             loss, _ = ag.dqn_loss_and_grad(
-                q_net, target.actor, batch, gamma, params.actor_cfg, params.heads,
-                nets.grad_buffers(params.actor_cfg))
+                q_net, target.actor, batch, gamma, nets.Weights(params.actor_cfg))
             return loss
 
         err = relative_error(
@@ -256,17 +254,17 @@ def test_gradient_oracle_matches_finite_differences():
 
         # Clipped importance-ratio surrogate against an old policy.
         old = _small_params(seed=4000 + i)
-        _, old_probs, _ = ag.policy_forward(old.actor, states, params.actor_cfg, params.heads)
+        _, old_probs, _ = ag.policy_forward(old.actor, states)
         acts, acting = action_arrays([t.action for t in episode], params.heads)
         logp_old = ag.joint_log_prob(old_probs, acts, acting)
         adv_ppo = np.random.default_rng(5000 + i).normal(size=len(episode))
         onehot = np.eye(ag.N_ACTIONS)[acts]
 
         def ppo_surrogate(actor):
-            _, probs, cache = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+            _, probs, cache = ag.policy_forward(actor, states)
             return ag.ppo_surrogate_and_grad(
                 actor, logp_old, probs, cache, acts, acting, onehot, adv_ppo, 0.2,
-                params.actor_cfg, nets.grad_buffers(params.actor_cfg))
+                nets.Weights(params.actor_cfg))
 
         _, ppo_grads = ppo_surrogate(params.actor)
 

@@ -19,8 +19,8 @@ from swarmcover import env as envmod
 from swarmcover import mission as ms
 from swarmcover import nets
 from conftest import make_env, small_env
-from fdcheck import (add_scaled, assert_grad_close, backward, flatten_params, zero_grads,
-                     zeros_like_params)
+from fdcheck import (add_scaled, assert_grad_close, backward, flatten_params,
+                     meta_outer_update_by_key, zero_grads, zeros_like_params)
 from transitions import Transition, action_arrays, as_batch, finished_episode, transitions_of
 
 N_ACTIONS = ag.N_ACTIONS
@@ -287,11 +287,9 @@ def test_array_replay_equals_the_deque_replay_bit_for_bit():
             want = reference_batch(drawn, heads)
             with np.errstate(invalid="ignore"):  # NaN states give NaN gradients
                 loss, grads = ag.dqn_loss_and_grad(params.actor, target.actor, got, gamma,
-                                                   params.actor_cfg, heads,
-                                                   nets.grad_buffers(params.actor_cfg))
+                                                   nets.Weights(params.actor_cfg))
                 refs = [ag.dqn_loss_and_grad(params.actor, target.actor, want, gamma,
-                                             params.actor_cfg, heads,
-                                             nets.grad_buffers(params.actor_cfg)),
+                                             nets.Weights(params.actor_cfg)),
                         loop_dqn_loss_and_grad(params.actor, target.actor, drawn, gamma,
                                                params.actor_cfg, heads)]
             for ref_loss, ref_grads in refs:
@@ -441,10 +439,10 @@ class PerStepDQN(ag.DQNLearner):
                 and self._steps % self.cfg.dqn_update_interval == 0):
             batch = self.memory.sample(self.cfg.minibatch, self._rng)
             ag.dqn_update(self.q, self.target, batch, self.cfg.gamma, self.cfg.learning_rate,
-                          self.net_cfg, self.heads, self._grads)
+                          self._grads)
             self._updates += 1
             if self._updates % self.cfg.target_refresh == 0:
-                self.target = nets.clone_params(self.q)
+                self.target = self.q.copy()
 
 
 def test_dqn_block_writes_equal_per_step_pushes():
@@ -833,7 +831,7 @@ def test_per_head_td_actor_gradient_matches_finite_differences():
     states = np.stack([t.state for t in episode])
 
     def actor_objective(actor):
-        _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+        _, probs, _ = ag.policy_forward(actor, states)
         total = 0.0
         for t, tr in enumerate(episode):
             v = _values(params.critic, tr.state, params)
@@ -856,7 +854,7 @@ def test_entropy_gradient_matches_finite_differences():
     states = np.stack([t.state for t in episode])
 
     def entropy_objective(actor):
-        _, probs, _ = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+        _, probs, _ = ag.policy_forward(actor, states)
         total = 0.0
         for t, tr in enumerate(episode):
             for u in range(len(tr.action)):
@@ -918,12 +916,12 @@ def test_adam_first_step_moves_by_the_step_size_along_the_sign():
     grad = np.random.default_rng(49).normal(size=before.size)
     for sign in (+1.0, -1.0):
         opt = ag.Adam(params.actor_cfg, 1e-3, sign)
-        opt.flat_grad[:] = grad
+        opt.grads.flat[:] = grad
         start = flatten_params(params.actor, params.actor_cfg)
         opt.step(params.actor)
         moved = flatten_params(params.actor, params.actor_cfg) - start
         np.testing.assert_allclose(moved, sign * 1e-3 * np.sign(grad), rtol=1e-6)
-        assert_bits_equal(opt.flat_grad, grad)  # the step leaves the gradient as it was
+        assert_bits_equal(opt.grads.flat, grad)  # the step leaves the gradient as it was
     np.testing.assert_allclose(flatten_params(params.actor, params.actor_cfg), before,
                                atol=1e-15)
 
@@ -939,9 +937,10 @@ class ScratchPathActorCritic(ag.ActorCriticLearner):
         ag.actor_critic_accumulate(params, self._episode, self.cfg.gamma, scratch)
         for opt, net, grads in ((self._actor_opt, params.actor, scratch.d_actor),
                                 (self._critic_opt, params.critic, scratch.d_critic)):
-            nets.add(opt.grads, grads)
+            for key in grads:  # the per-key add of the scratch path
+                opt.grads[key] += grads[key]
             opt.step(net)
-            opt.flat_grad.fill(0.0)
+            opt.grads.flat.fill(0.0)
         self._episode = None
 
 
@@ -975,7 +974,7 @@ def test_writing_gradients_straight_into_adam_changes_no_bit(negative_zeros, mon
             ag.run_training_episode(env, env.nominal_task(), learner, rng)
         direct, reference = learners
         for opt in (direct._actor_opt, direct._critic_opt):
-            written += int(np.count_nonzero((opt.flat_grad == 0.0) & np.signbit(opt.flat_grad)))
+            written += int(np.count_nonzero((opt.grads.flat == 0.0) & np.signbit(opt.grads.flat)))
         for net in ("actor", "critic"):
             for key, value in getattr(reference.params, net).items():
                 assert_bits_equal(getattr(direct.params, net)[key], value)
@@ -991,8 +990,7 @@ def two_pass_accumulate(params: ag.PolicyParams, b: ag.Batch, gamma: float,
                         out: ag.GradAccumulator) -> None:
     """Reference: ``actor_critic_accumulate`` as it was with one critic pass
     over the states and another over the next states."""
-    logits, probs, a_cache = ag.policy_forward(params.actor, b.states, params.actor_cfg,
-                                               params.heads)
+    logits, probs, a_cache = ag.policy_forward(params.actor, b.states)
     values, v_cache = nets.forward(params.critic, b.states, params.critic_cfg)
     next_values, _ = nets.forward(params.critic, b.next_states, params.critic_cfg)
     adv = b.rewards + gamma * b.boot * next_values - values
@@ -1043,7 +1041,7 @@ def test_dqn_gamma_zero_reduces_target_to_reward():
     batch = random_batch(params, 4, seed=13)
     cfg = params.actor_cfg
     loss, _ = ag.dqn_loss_and_grad(params.actor, params.actor, as_batch(batch, params.heads),
-                                   0.0, cfg, params.heads, nets.grad_buffers(cfg))
+                                   0.0, nets.Weights(cfg))
     raw, _ = nets.forward(params.actor, np.stack([t.state for t in batch]), cfg)
     q = raw.reshape(len(batch), params.heads, N_ACTIONS)
     expected = sum(
@@ -1059,8 +1057,7 @@ def test_dqn_zero_td_error_means_no_change():
     batch = [Transition(t.state, t.action, 0.0, t.next_state, t.done, 0.0 * t.uav_rewards)
              for t in random_batch(params, 4, seed=15)]
     loss = ag.dqn_update(zero_net, zeros_like_params(params.actor),
-                         as_batch(batch, params.heads), 0.9, 0.1, params.actor_cfg, params.heads,
-                         nets.grad_buffers(params.actor_cfg))
+                         as_batch(batch, params.heads), 0.9, 0.1, nets.Weights(params.actor_cfg))
     assert loss == 0.0
     for v in zero_net.values():
         np.testing.assert_array_equal(v, 0.0)
@@ -1093,10 +1090,10 @@ def test_dqn_matches_the_per_pair_loop():
         target = tiny_params(state_dim=5, heads=1 + case % 7, hidden=(6,), seed=case + 1)
         batch = random_batch(params, 1 + case % 17, seed=case)
         gamma = float(np.random.default_rng(case).uniform(0.0, 1.0))
-        args = (params.actor, target.actor, gamma, params.actor_cfg, params.heads)
-        loss, grads = ag.dqn_loss_and_grad(*args[:2], as_batch(batch, params.heads), *args[2:],
-                                           nets.grad_buffers(params.actor_cfg))
-        ref_loss, ref_grads = loop_dqn_loss_and_grad(*args[:2], batch, *args[2:])
+        loss, grads = ag.dqn_loss_and_grad(params.actor, target.actor, as_batch(batch, params.heads),
+                                           gamma, nets.Weights(params.actor_cfg))
+        ref_loss, ref_grads = loop_dqn_loss_and_grad(params.actor, target.actor, batch, gamma,
+                                                     params.actor_cfg, params.heads)
         assert_bits_equal(loss, ref_loss)
         for key in ref_grads:
             assert_bits_equal(grads[key], ref_grads[key])
@@ -1107,21 +1104,34 @@ def test_dqn_update_into_learner_buffers_matches_add_scaled():
         heads = 1 + case % 7
         params = tiny_params(state_dim=9, heads=heads, hidden=(8, 6), seed=case)
         target = tiny_params(state_dim=9, heads=heads, hidden=(8, 6), seed=case + 1)
-        reference = nets.clone_params(params.actor)
-        buffers = nets.grad_buffers(params.actor_cfg)
+        reference = params.actor.copy()
+        buffers = nets.Weights(params.actor_cfg)
         lr = float(np.random.default_rng(case).choice([1e-4, 0.01, 1.0]))
         for update in range(3):  # the buffers hold the last update's gradient
             batch = as_batch(random_batch(params, 1 + (case + update) % 9, seed=case + update),
                                 heads)
-            loss = ag.dqn_update(params.actor, target.actor, batch, 0.9, lr,
-                                 params.actor_cfg, heads, buffers)
+            loss = ag.dqn_update(params.actor, target.actor, batch, 0.9, lr, buffers)
             ref_loss, grads = ag.dqn_loss_and_grad(reference, target.actor, batch, 0.9,
-                                                   params.actor_cfg, heads,
-                                                   nets.grad_buffers(params.actor_cfg))
+                                                   nets.Weights(params.actor_cfg))
             add_scaled(reference, grads, -lr)
             assert_bits_equal(loss, ref_loss)
             for key in reference:
                 assert_bits_equal(params.actor[key], reference[key])
+
+
+def test_step_scales_the_gradient_in_place_and_adds_it():
+    # The in-place step is the reference's params += scale * grads, bit
+    # for bit, and leaves the scaled gradient in grads.
+    rng = np.random.default_rng(6)
+    cfg = nets.NetConfig(4, (3,), 2)
+    for scale in (1.0, 0.5, -1e-3):
+        params = nets.init_params(cfg, rng)
+        grads = nets.Weights(cfg, rng.normal(size=nets.num_params(cfg)))
+        want, kept = params.copy(), grads.copy()
+        add_scaled(want, kept, scale)
+        ag._step(params, grads, scale)
+        assert_bits_equal(params.flat, want.flat)
+        assert_bits_equal(grads.flat, scale * kept.flat)
 
 
 def test_dqn_gradient_matches_finite_differences():
@@ -1129,12 +1139,10 @@ def test_dqn_gradient_matches_finite_differences():
     target = tiny_params(seed=17)
     batch = as_batch(random_batch(params, 3, seed=18), params.heads)
     cfg = params.actor_cfg
-    _, grads = ag.dqn_loss_and_grad(params.actor, target.actor, batch, 0.85, cfg, params.heads,
-                                    nets.grad_buffers(cfg))
+    _, grads = ag.dqn_loss_and_grad(params.actor, target.actor, batch, 0.85, nets.Weights(cfg))
 
     def loss_fn(q_net):
-        loss, _ = ag.dqn_loss_and_grad(q_net, target.actor, batch, 0.85, cfg, params.heads,
-                                       nets.grad_buffers(cfg))
+        loss, _ = ag.dqn_loss_and_grad(q_net, target.actor, batch, 0.85, nets.Weights(cfg))
         return loss
 
     assert_grad_close(grads, params.actor, cfg, loss_fn)
@@ -1149,7 +1157,7 @@ def ppo_arrays(actor: dict, batch: list[Transition], params: ag.PolicyParams) ->
     once per update."""
     states = np.stack([t.state for t in batch])
     acts, acting = action_arrays([t.action for t in batch], params.heads)
-    _, probs, cache = ag.policy_forward(actor, states, params.actor_cfg, params.heads)
+    _, probs, cache = ag.policy_forward(actor, states)
     return probs, cache, acts, acting, np.eye(N_ACTIONS)[acts]
 
 
@@ -1163,7 +1171,7 @@ def surrogate(actor: dict, logp_old, batch: list[Transition], params: ag.PolicyP
               adv, clip: float) -> tuple[float, dict]:
     """``ppo_surrogate_and_grad`` at ``actor``, its gradient in fresh buffers."""
     return ag.ppo_surrogate_and_grad(actor, logp_old, *ppo_arrays(actor, batch, params), adv,
-                                     clip, params.actor_cfg, nets.grad_buffers(params.actor_cfg))
+                                     clip, nets.Weights(params.actor_cfg))
 
 
 def test_ppo_wide_clip_equals_plain_surrogate():
@@ -1208,13 +1216,13 @@ def reference_ppo_update(params: ag.PolicyParams, rollout, clip_eps: float, epoc
     ``add_scaled`` steps."""
     states = np.stack([t.state for t in rollout])
     returns = ag.discounted_returns([t.reward for t in rollout], gamma)
-    values_old, _ = ag.value_forward(params.critic, states, params.critic_cfg)
+    values_old, _ = ag.value_forward(params.critic, states)
     adv = returns - values_old
     logp_old = old_logp(params.actor, rollout, params)
     for _ in range(epochs):
         _, g_actor = surrogate(params.actor, logp_old, rollout, params, adv, clip_eps)
         add_scaled(params.actor, g_actor, +lr)
-        values, cache = ag.value_forward(params.critic, states, params.critic_cfg)
+        values, cache = ag.value_forward(params.critic, states)
         dvals = (-2.0 * (returns - values))[:, None]
         add_scaled(params.critic, backward(params.critic, cache, dvals, params.critic_cfg), -lr)
 
@@ -1225,8 +1233,8 @@ def test_ppo_update_matches_the_reference_with_and_without_buffers():
         cfg = ag.AgentConfig(hidden=(8, 6))
         params = ag.make_policy_params(9, heads, cfg, np.random.default_rng(case), critic_outputs=1)
         reference = params.clone()
-        buffers = ag.GradAccumulator(nets.grad_buffers(params.actor_cfg),
-                                     nets.grad_buffers(params.critic_cfg))
+        buffers = ag.GradAccumulator(nets.Weights(params.actor_cfg),
+                                     nets.Weights(params.critic_cfg))
         clip = (0.0, 0.2, 0.9)[case % 3]
         lr = (1e-4, 0.01, 1.0)[case % 3]
         for update in range(3):  # the buffers hold the last update's gradients
@@ -1294,13 +1302,13 @@ def loop_joint_log_prob(probs, actions):
     return out
 
 
-def loop_ppo_surrogate_and_grad(actor, old_actor, batch, advantages, clip_eps, cfg, heads):
+def loop_ppo_surrogate_and_grad(actor, old_actor, batch, advantages, clip_eps, cfg):
     """Reference: the clipped surrogate with ``dlogits`` built one (t, u)
     pair at a time."""
     states = np.stack([t.state for t in batch])
     actions = [t.action for t in batch]
-    logits, probs, cache = ag.policy_forward(actor, states, cfg, heads)
-    _, old_probs, _ = ag.policy_forward(old_actor, states, cfg, heads)
+    logits, probs, cache = ag.policy_forward(actor, states)
+    _, old_probs, _ = ag.policy_forward(old_actor, states)
     ratio = np.exp(loop_joint_log_prob(probs, actions) - loop_joint_log_prob(old_probs, actions))
     clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
     s_plain = ratio * advantages
@@ -1342,7 +1350,7 @@ def test_ppo_surrogate_matches_the_per_pair_loop():
         obj, grads = surrogate(params.actor, old_logp(old.actor, batch, params), batch, params,
                                adv, clip)
         ref_obj, ref_grads = loop_ppo_surrogate_and_grad(
-            params.actor, old.actor, batch, adv, clip, params.actor_cfg, heads)
+            params.actor, old.actor, batch, adv, clip, params.actor_cfg)
         assert_bits_equal(obj, ref_obj)
         for key in ref_grads:
             assert_bits_equal(grads[key], ref_grads[key])
@@ -1407,6 +1415,27 @@ def test_meta_outer_opposite_deltas_cancel():
     down.actor["b0"][:] -= 1.5
     ag.meta_outer_update(meta, [up, down], 0.5)
     np.testing.assert_allclose(flatten_params(meta.actor, meta.actor_cfg), before, atol=1e-12)
+
+
+def test_meta_outer_update_equals_the_per_key_loop_bit_for_bit():
+    # One expression per flat vector does, element for element, the
+    # arithmetic of the per-key loop: the differences summed in task
+    # order, divided by the task count, then scaled and added.
+    rng = np.random.default_rng(60)
+    for case in range(24):
+        meta = tiny_params(state_dim=7, heads=3, hidden=(6, 5), seed=case)
+        adapted = []
+        for _ in range(1 + case % 4):
+            a = meta.clone()
+            for net in (a.actor, a.critic):
+                net.flat += rng.normal(scale=0.1, size=net.flat.size)
+            adapted.append(a)
+        outer_lr = float(rng.choice([0.1, 1.0 / 3.0, 0.5, 1.0]))
+        reference = meta.clone()
+        ag.meta_outer_update(meta, adapted, outer_lr)
+        meta_outer_update_by_key(reference, adapted, outer_lr)
+        for net in ("actor", "critic"):
+            assert_bits_equal(getattr(meta, net).flat, getattr(reference, net).flat)
 
 
 def test_meta_outer_requires_adapted_sets():

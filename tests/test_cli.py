@@ -317,6 +317,17 @@ def test_oracle_reports_infeasibility_with_exit_one(instance_file, capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+def test_oracle_over_its_budget_is_a_usage_error(instance_file, tmp_path, capsys):
+    # Before, the overrun ended in an EnumerationBudgetExceeded traceback
+    # with exit 1, the infeasible code.
+    out = tmp_path / "solution.json"
+    assert main(["oracle", str(instance_file(budget=3)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 4 search nodes exceed the budget of 3\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_oracle_missing_file_is_a_usage_error(tmp_path, capsys):
     assert main(["oracle", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -367,16 +378,24 @@ SUMMARY_KEY_READ = {"heatmap": "cells_per_side", "learning_curve": "ma_window",
 @pytest.mark.parametrize("kind", PLOT_KINDS)
 def test_emit_refuses_a_summary_it_cannot_read_by_name(scenario_file, tmp_path, capsys, kind):
     # Before, a missing key died with a KeyError traceback, a JSON list with
-    # a TypeError, and a NaN was read as a number.
+    # a TypeError, and a NaN was read as a number. A value of the wrong type
+    # is refused as a config value is, with no coercion: a string
+    # cells_per_side died with a TypeError after the header was written,
+    # and a string number elsewhere was converted.
     main(["run", str(scenario_file())])
     run_dir = tmp_path / "results" / "cli_random" / "seed0"
     summary_file = run_dir / "summary.json"
     summary = json.loads(summary_file.read_text(encoding="utf-8"))
     key = SUMMARY_KEY_READ[kind]
     without = {k: v for k, v in summary.items() if k != key}
+    wrong_type = f"key {key!r} must be"
     for text, error in ((json.dumps(without), f"has no {key!r} key"),
                         ("[]", "must contain a JSON object"),
-                        (json.dumps(dict(summary, plateau_tail=float("nan"))), "holds NaN")):
+                        (json.dumps(dict(summary, plateau_tail=float("nan"))), "holds NaN"),
+                        (json.dumps(dict(summary, **{key: str(summary[key])})), wrong_type),
+                        (json.dumps(dict(summary, **{key: "x"})), wrong_type),
+                        (json.dumps(dict(summary, **{key: True})), wrong_type),
+                        (json.dumps(dict(summary, **{key: None})), wrong_type)):
         summary_file.write_text(text, encoding="utf-8")
         capsys.readouterr()
         assert main(["emit", str(run_dir), "--kind", kind]) == 2

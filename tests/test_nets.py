@@ -1,4 +1,4 @@
-"""The hand-written feed-forward net: forward/backward and flat views."""
+"""The hand-written feed-forward net: forward/backward and its flat weights."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmcover import nets
-from fdcheck import add_scaled, assert_grad_close, backward, flatten_params, zeros_like_params
+from fdcheck import assert_grad_close, backward, flatten_params, zeros_like_params
 
 RNG = np.random.default_rng(12345)
 
@@ -104,7 +104,7 @@ def test_backward_matches_finite_differences():
     dout = rng.normal(size=(4, 2))
 
     out, cache = nets.forward(params, x, cfg)
-    grads = nets.backward(params, cache, dout, cfg, nets.grad_buffers(cfg))
+    grads = nets.backward(params, cache, dout, cfg, nets.Weights(cfg))
 
     def scalar(p):
         y, _ = nets.forward(p, x, cfg)
@@ -123,7 +123,7 @@ def test_backward_into_buffers_equals_fresh_arrays():
         _, cache = nets.forward(params, x, cfg)
         dout = rng.normal(size=(rows, cfg.out_dim))
         want = backward(params, cache, dout, cfg)
-        buffers = nets.grad_buffers(cfg)
+        buffers = nets.Weights(cfg)
         for _ in range(2):  # buffers that already hold a gradient are overwritten
             got = nets.backward(params, cache, dout, cfg, buffers)
             assert got is buffers and got.keys() == want.keys()
@@ -133,20 +133,26 @@ def test_backward_into_buffers_equals_fresh_arrays():
 
 
 def test_flatten_round_trip():
+    # A Weights' flat vector is its views flattened key by key, and a
+    # Weights over that vector holds the same arrays.
     cfg = nets.NetConfig(6, (5, 4), 3)
     params = nets.init_params(cfg, np.random.default_rng(3))
     vec = flatten_params(params, cfg)
     assert vec.size == nets.num_params(cfg)
-    back = nets.flat_views(vec, cfg)
+    assert vec.tobytes() == params.flat.tobytes()
+    back = nets.Weights(cfg, vec)
+    assert list(back) == list(params) == [k for pair in cfg.layer_keys for k in pair]
     for key in params:
+        assert back[key].shape == params[key].shape
         np.testing.assert_array_equal(back[key], params[key])
 
 
-def test_flat_views_write_through_to_the_vector():
+def test_weights_write_through_to_the_flat_vector():
     cfg = nets.NetConfig(6, (5, 4), 3)
     params = nets.init_params(cfg, np.random.default_rng(4))
     vec = flatten_params(params, cfg)
-    views = nets.flat_views(vec, cfg)
+    views = nets.Weights(cfg, vec)
+    assert views.flat is vec
     for key in params:
         np.testing.assert_array_equal(views[key], params[key])
     views["W1"][2, 3] += 1.0
@@ -154,48 +160,33 @@ def test_flat_views_write_through_to_the_vector():
     params["W1"][2, 3] += 1.0
     params["b2"][:] = 0.0
     np.testing.assert_array_equal(vec, flatten_params(params, cfg))
+    np.testing.assert_array_equal(params.flat, vec)
+    # And back: a write to the vector shows in every view.
+    params.flat *= 2.0
+    for key in params:
+        np.testing.assert_array_equal(params[key], 2.0 * views[key])
 
 
 def test_unflatten_rejects_wrong_length():
-    # flat_views unflattens a vector, and refuses one of the wrong length.
+    # Weights views only a float64 vector of the shape's length: a
+    # converted copy would not write through.
     cfg = nets.NetConfig(3, (2,), 2)
-    with pytest.raises(ValueError):
-        nets.flat_views(np.zeros(nets.num_params(cfg) + 1), cfg)
-
-
-def test_add_accumulates_in_place():
-    # add adds one dict of arrays into another in place: the step of a
-    # gradient already scaled in place.
-    cfg = nets.NetConfig(2, (2,), 1)
-    params = nets.init_params(cfg, np.random.default_rng(4))
-    grads = {k: np.ones_like(v) for k, v in params.items()}
-    before = nets.clone_params(params)
-    add_scaled(params, grads, 0.5)
-    for k in params:
-        np.testing.assert_allclose(params[k], before[k] + 0.5)
-
-    acc = zeros_like_params(params)
-    nets.add(acc, grads)
-    nets.add(acc, grads)
-    for k in acc:
-        np.testing.assert_allclose(acc[k], 2.0)
-
-    # It is the reference's unit step, bit for bit, and leaves the gradients be.
-    rng = np.random.default_rng(6)
-    grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-    want = nets.clone_params(params)
-    add_scaled(want, grads, 1.0)
-    kept = nets.clone_params(grads)
-    nets.add(params, grads)
-    for k in params:
-        assert params[k].tobytes() == want[k].tobytes()
-        assert grads[k].tobytes() == kept[k].tobytes()
+    size = nets.num_params(cfg)
+    for vec in (np.zeros(size + 1), np.zeros(size - 1), np.zeros((size, 1)),
+                np.zeros(size, np.float32)):
+        with pytest.raises(ValueError, match="does not match the network shape"):
+            nets.Weights(cfg, vec)
+    assert nets.Weights(cfg).flat.tobytes() == np.zeros(size).tobytes()
 
 
 def test_clone_is_independent():
+    # copy() is a Weights of the same shape over a copy of the vector.
     cfg = nets.NetConfig(2, (2,), 1)
     params = nets.init_params(cfg, np.random.default_rng(5))
-    twin = nets.clone_params(params)
+    twin = params.copy()
+    assert isinstance(twin, nets.Weights) and twin.cfg == cfg
+    assert twin.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(twin.flat, params.flat)
     twin["W0"][0, 0] += 1.0
     assert params["W0"][0, 0] != twin["W0"][0, 0]
-
+    assert twin.flat[0] == twin["W0"][0, 0]
